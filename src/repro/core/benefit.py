@@ -33,9 +33,9 @@ from repro.kernels import (
     plan_matrix_layout,
 )
 from repro.kernels.layout import DEFAULT_CHUNK_BYTES
-from repro.perf import PERF
 from repro.routing.ground_truth import GroundTruthRouting
 from repro.scenario import Scenario
+from repro.telemetry import METRICS
 from repro.topology.geo import haversine_km
 from repro.usergroups.usergroup import UserGroup
 
@@ -198,13 +198,14 @@ class BenefitEvaluator:
             p.peering_id: col for col, p in enumerate(scenario.deployment.peerings)
         }
         self._lat_rows: Dict[int, List[object]] = {}
-        #: Expected-latency memo per UG: (model epoch, {advertised set -> ms}).
-        #: Entries are discarded when the routing model's beliefs about the
-        #: UG move (epoch mismatch) — the invalidation contract of
-        #: :meth:`RoutingModel.ug_epoch`.
+        #: Expected-latency memo per UG: (model epoch, {compliant set -> ms}).
+        #: Keyed on the policy-compliant subset of the advertised set, which
+        #: fully determines the answer.  Entries are discarded when the
+        #: routing model's beliefs about the UG move (epoch mismatch) — the
+        #: invalidation contract of :meth:`RoutingModel.ug_epoch`.
         self._exp_cache: Dict[int, Tuple[int, Dict[FrozenSet[int], Optional[float]]]] = {}
-        self._lat_stats = PERF.cache("evaluator.latency_matrix")
-        self._exp_stats = PERF.cache("evaluator.expected_latency")
+        self._lat_stats = METRICS.cache("evaluator.latency_matrix")
+        self._exp_stats = METRICS.cache("evaluator.expected_latency")
         #: Per-UG (distance, latency) lookup over catalog-compliant
         #: ingresses, built on first fast-path use (see :class:`PrefixScan`).
         #: Distances and true latencies are immutable, so no invalidation.
@@ -395,7 +396,7 @@ class BenefitEvaluator:
         latency_of = self._latency_of
         lat = np.full((n_rows, n_cols), np.nan)
         dist = np.full((n_rows, n_cols), np.nan)
-        with PERF.timed("kernels.materialize_s"):
+        with METRICS.timed("kernels.materialize_s"):
             for start in range(0, n_rows, plan.chunk_rows):
                 stop = min(start + plan.chunk_rows, n_rows)
                 for row in range(start, stop):
@@ -509,7 +510,14 @@ class BenefitEvaluator:
     def expected_prefix_latency(
         self, ug: UserGroup, advertised: FrozenSet[int]
     ) -> Optional[float]:
-        key = advertised if isinstance(advertised, frozenset) else frozenset(advertised)
+        compliant = self._model.catalog.compliant_subset(ug, advertised)
+        if len(compliant) <= 1:
+            # A singleton's candidate set is itself and (0.0 + lat) / 1 is
+            # lat bit-for-bit, so neither the model nor the memo is needed.
+            if not compliant:
+                return None
+            (pid,) = compliant
+            return self.latency(ug, pid)
         epoch = self._model.ug_epoch(ug.ug_id)
         entry = self._exp_cache.get(ug.ug_id)
         if entry is None or entry[0] != epoch:
@@ -518,13 +526,15 @@ class BenefitEvaluator:
             entry = (epoch, {})
             self._exp_cache[ug.ug_id] = entry
         cache = entry[1]
-        value = cache.get(key, _UNSET)
+        value = cache.get(compliant, _UNSET)
         if value is not _UNSET:
             self._exp_stats.hits += 1
             return value
         self._exp_stats.misses += 1
-        value = self._model.expected_latency_ms(ug, key, self.latency)
-        cache[key] = value
+        value = self._model.expected_latency_ms(
+            ug, compliant, self.latency, compliant=compliant
+        )
+        cache[compliant] = value
         return value
 
     def expected_improvement(self, ug: UserGroup, config: AdvertisementConfig) -> float:
@@ -721,8 +731,8 @@ class PrefixScan:
         # ug_id -> [dists (sorted), latency prefix sums, measurable prefix
         # counts]; parallel lists, sums/cnts one longer than dists.
         self._states: Dict[int, List[list]] = {}
-        self._fast_queries = PERF.counter("evaluator.scan_fast_queries")
-        self._slow_queries = PERF.counter("evaluator.scan_slow_queries")
+        self._fast_queries = METRICS.counter("evaluator.scan_fast_queries")
+        self._slow_queries = METRICS.counter("evaluator.scan_slow_queries")
 
     def query(self, ug: UserGroup, peering_id: int) -> Optional[float]:
         """Expected latency of the accepted set plus ``peering_id``."""

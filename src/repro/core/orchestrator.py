@@ -48,7 +48,6 @@ DENSE_AUTO_SLOTS = 32_000_000
 _BENEFIT_BUCKETS = (
     0.01, 0.1, 1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0,
 )
-_DEBUG_CHECK = False  # cross-check vectorized marginals against the scalar path
 
 logger = logging.getLogger(__name__)
 
@@ -1125,61 +1124,6 @@ class PainterOrchestrator:
                     term = vol_list[row] * (old_best - new_best_s)
                     delta += term
                     learned_terms.append(term)
-                if _DEBUG_CHECK:
-                    ref = 0.0
-                    for ug, row in zip(
-                        self._affected[peering_id], self._aff_rows[peering_id]
-                    ):
-                        base_s = base_list[row]
-                        old_p = cur_p[row]
-                        old_best = (
-                            base_s if old_p is None or base_s < old_p else old_p
-                        )
-                        new_p_s = scan.query(ug, peering_id)
-                        if new_p_s is None:
-                            new_best_s = old_best
-                        elif new_p_s < base_s:
-                            new_best_s = new_p_s
-                        else:
-                            new_best_s = base_s
-                        ref += vol_list[row] * (old_best - new_best_s)
-                    if abs(ref - delta) > 1e-6:
-                        import sys
-                        print(
-                            f"MISMATCH pid={peering_id} vec={delta!r} ref={ref!r}",
-                            file=sys.stderr,
-                        )
-                        for ug, row, pos in zip(
-                            self._affected[peering_id],
-                            self._aff_rows[peering_id],
-                            range(len(self._aff_rows[peering_id])),
-                        ):
-                            base_s = base_list[row]
-                            old_p = cur_p[row]
-                            old_best = (
-                                base_s
-                                if old_p is None or base_s < old_p
-                                else old_p
-                            )
-                            new_p_s = scan.query(ug, peering_id)
-                            if new_p_s is None:
-                                new_best_s = old_best
-                            elif new_p_s < base_s:
-                                new_best_s = new_p_s
-                            else:
-                                new_best_s = base_s
-                            c_ref = vol_list[row] * (old_best - new_best_s)
-                            c_vec = float(contrib[pos]) if pos < len(contrib) else 0.0
-                            if abs(c_ref - c_vec) > 1e-9 and not shrink[pos]:
-                                print(
-                                    f"  row={row} dist={dist[pos]} lat={lat[pos]}"
-                                    f" d0={d0_arr[row]} csum={csum_arr[row]}"
-                                    f" ccnt={ccnt_arr[row]} ob={ob_arr[row]}"
-                                    f" cur_p={old_p} new_p_ref={new_p_s}"
-                                    f" c_ref={c_ref} c_vec={c_vec}",
-                                    file=sys.stderr,
-                                )
-                        raise SystemExit(1)
                 # ``contrib`` is freshly allocated per call, so the detail
                 # can hold it without a defensive copy.
                 return delta, (contrib, learned_terms)
@@ -1482,81 +1426,79 @@ class PainterOrchestrator:
         missing = 0
         stale = 0
         touched_ugs: Set[int] = set()
-        obs_cm = TRACER.span(
+        with TRACER.span(
             "orchestrator.execute_and_observe", iteration=iteration
-        )
-        obs_span = obs_cm.__enter__()
-        timer = PERF.timer("orchestrator.execute_and_observe")
-        start = time.perf_counter()
-        for ug in self._scenario.user_groups:
-            for prefix in config.prefixes:
-                advertised = config.peerings_for(prefix)
-                if not self._scenario.catalog.compliant_subset(ug, advertised):
-                    continue
-                actual = routing.ingress_for(ug, advertised)
-                if actual is None:
-                    continue
-                outcome = (
-                    faults.outcome(iteration, ug.ug_id, prefix)
-                    if faults is not None
-                    else "ok"
-                )
-                cache_key = (ug.ug_id, prefix)
-                if outcome == "missing":
-                    missing += 1
-                    continue
-                if outcome == "stale":
-                    previous = self._last_seen.get(cache_key)
-                    if previous is None:
-                        missing += 1  # nothing older to serve: a gap, not a lie
+        ) as obs_span:
+            timer = PERF.timer("orchestrator.execute_and_observe")
+            start = time.perf_counter()
+            for ug in self._scenario.user_groups:
+                for prefix in config.prefixes:
+                    advertised = config.peerings_for(prefix)
+                    if not self._scenario.catalog.compliant_subset(ug, advertised):
                         continue
-                    old_advertised, old_actual = previous
-                    learned += self._model.observe(
-                        ug, old_advertised, old_actual, stale=True
+                    actual = routing.ingress_for(ug, advertised)
+                    if actual is None:
+                        continue
+                    outcome = (
+                        faults.outcome(iteration, ug.ug_id, prefix)
+                        if faults is not None
+                        else "ok"
                     )
+                    cache_key = (ug.ug_id, prefix)
+                    if outcome == "missing":
+                        missing += 1
+                        continue
+                    if outcome == "stale":
+                        previous = self._last_seen.get(cache_key)
+                        if previous is None:
+                            missing += 1  # nothing older to serve: a gap, not a lie
+                            continue
+                        old_advertised, old_actual = previous
+                        learned += self._model.observe(
+                            ug, old_advertised, old_actual, stale=True
+                        )
+                        touched_ugs.add(ug.ug_id)
+                        stale += 1
+                        continue
+                    learned += self._model.observe(ug, advertised, actual.peering_id)
                     touched_ugs.add(ug.ug_id)
-                    stale += 1
-                    continue
-                learned += self._model.observe(ug, advertised, actual.peering_id)
-                touched_ugs.add(ug.ug_id)
-                self._last_seen[cache_key] = (advertised, actual.peering_id)
-                observed += 1
-        timer.add(time.perf_counter() - start)
-        if touched_ugs:
-            # Warm-start dirty tracking: learning changed the model's view
-            # of these UGs, so every peering that can serve them must be
-            # re-evaluated by the next warm solve.
-            catalog = self._scenario.catalog
-            for ug_id in touched_ugs:
-                row = self._ug_index.get(ug_id)
-                if row is not None:
-                    self._dirty_pids.update(
-                        catalog.ingress_ids(self._scenario.user_groups[row])
+                    self._last_seen[cache_key] = (advertised, actual.peering_id)
+                    observed += 1
+            timer.add(time.perf_counter() - start)
+            if touched_ugs:
+                # Warm-start dirty tracking: learning changed the model's view
+                # of these UGs, so every peering that can serve them must be
+                # re-evaluated by the next warm solve.
+                catalog = self._scenario.catalog
+                for ug_id in touched_ugs:
+                    row = self._ug_index.get(ug_id)
+                    if row is not None:
+                        self._dirty_pids.update(
+                            catalog.ingress_ids(self._scenario.user_groups[row])
+                        )
+            if self._parallel is not None and touched_ugs:
+                # Epoch invalidation: forked workers hold per-solve layouts
+                # derived from a now-stale learned split; tell them to drop it
+                # (the next solve's prep re-sends the authoritative set).
+                if not self._parallel.invalidate(sorted(touched_ugs)):
+                    # A worker missed the bump: the pool can no longer be
+                    # trusted (or waited on).  Trip the breaker now so the
+                    # next solve falls back to serial immediately instead of
+                    # timing out against a wedged pool.
+                    logger.warning(
+                        "parallel invalidate broadcast failed; "
+                        "tearing the pool down"
                     )
-        if self._parallel is not None and touched_ugs:
-            # Epoch invalidation: forked workers hold per-solve layouts
-            # derived from a now-stale learned split; tell them to drop it
-            # (the next solve's prep re-sends the authoritative set).
-            if not self._parallel.invalidate(sorted(touched_ugs)):
-                # A worker missed the bump: the pool can no longer be
-                # trusted (or waited on).  Trip the breaker now so the
-                # next solve falls back to serial immediately instead of
-                # timing out against a wedged pool.
-                logger.warning(
-                    "parallel invalidate broadcast failed; "
-                    "tearing the pool down"
-                )
-                PERF.counter("parallel.fallbacks").add()
-                emit_event(
-                    "parallel_fallback",
-                    reason="invalidate broadcast failed",
-                    workers=self._parallel.n_workers,
-                )
-                self._teardown_parallel(mark_broken=True)
-        obs_span.tag("observed", observed)
-        obs_span.tag("missing", missing)
-        obs_span.tag("stale", stale)
-        obs_cm.__exit__(None, None, None)
+                    PERF.counter("parallel.fallbacks").add()
+                    emit_event(
+                        "parallel_fallback",
+                        reason="invalidate broadcast failed",
+                        workers=self._parallel.n_workers,
+                    )
+                    self._teardown_parallel(mark_broken=True)
+            obs_span.tag("observed", observed)
+            obs_span.tag("missing", missing)
+            obs_span.tag("stale", stale)
         emit_event(
             "measurement_round",
             iteration=iteration,
@@ -1591,62 +1533,62 @@ class PainterOrchestrator:
             raise ValueError("need at least one iteration")
         result = LearningResult()
         previous_benefit: Optional[float] = None
-        learn_cm = TRACER.span("orchestrator.learn", iterations=iterations)
-        learn_span = learn_cm.__enter__()
-        for iteration in range(iterations):
-            iter_cm = TRACER.span("orchestrator.iteration", iteration=iteration)
-            iter_span = iter_cm.__enter__()
-            config = self.solve(record_curve=record_curve)
-            evaluation = self._evaluator.evaluate(config)
-            expected = self._evaluator.expected_benefit(config)
-            emit_event(
-                "advertisement",
-                iteration=iteration,
-                prefixes=config.prefix_count,
-                pairs=config.pair_count,
-                expected_benefit=expected,
-            )
-            report = self.execute_and_observe(config, faults=faults, iteration=iteration)
-            realized = realized_benefit(self._scenario, config)
-            emit_event(
-                "iteration_result",
-                iteration=iteration,
-                realized_benefit=realized,
-                new_preferences=report.learned,
-            )
-            result.iterations.append(
-                IterationRecord(
-                    iteration=iteration,
-                    config=config,
-                    expected_benefit=expected,
-                    realized_benefit=realized,
-                    upper_benefit=evaluation.upper,
-                    estimated_benefit=evaluation.estimated,
-                    lower_benefit=evaluation.lower,
-                    new_preferences=report.learned,
-                    observations_observed=report.observed,
-                    observations_missing=report.missing,
-                    observations_stale=report.stale,
-                )
-            )
-            logger.info(
-                "learning iteration %d: %s, realized benefit %.3f, "
-                "%d new preferences (%d observed, %d missing, %d stale)",
-                iteration,
-                config,
-                realized,
-                report.learned,
-                report.observed,
-                report.missing,
-                report.stale,
-            )
-            iter_span.tag("realized_benefit", realized)
-            iter_cm.__exit__(None, None, None)
-            if previous_benefit is not None and stop_threshold > 0:
-                gain = realized - previous_benefit
-                if gain <= stop_threshold * max(previous_benefit, EPSILON_BENEFIT):
-                    break
-            previous_benefit = realized
-        learn_span.tag("iterations_run", len(result.iterations))
-        learn_cm.__exit__(None, None, None)
+        with TRACER.span("orchestrator.learn", iterations=iterations) as learn_span:
+            for iteration in range(iterations):
+                with TRACER.span(
+                    "orchestrator.iteration", iteration=iteration
+                ) as iter_span:
+                    config = self.solve(record_curve=record_curve)
+                    evaluation = self._evaluator.evaluate(config)
+                    expected = self._evaluator.expected_benefit(config)
+                    emit_event(
+                        "advertisement",
+                        iteration=iteration,
+                        prefixes=config.prefix_count,
+                        pairs=config.pair_count,
+                        expected_benefit=expected,
+                    )
+                    report = self.execute_and_observe(
+                        config, faults=faults, iteration=iteration
+                    )
+                    realized = realized_benefit(self._scenario, config)
+                    emit_event(
+                        "iteration_result",
+                        iteration=iteration,
+                        realized_benefit=realized,
+                        new_preferences=report.learned,
+                    )
+                    result.iterations.append(
+                        IterationRecord(
+                            iteration=iteration,
+                            config=config,
+                            expected_benefit=expected,
+                            realized_benefit=realized,
+                            upper_benefit=evaluation.upper,
+                            estimated_benefit=evaluation.estimated,
+                            lower_benefit=evaluation.lower,
+                            new_preferences=report.learned,
+                            observations_observed=report.observed,
+                            observations_missing=report.missing,
+                            observations_stale=report.stale,
+                        )
+                    )
+                    logger.info(
+                        "learning iteration %d: %s, realized benefit %.3f, "
+                        "%d new preferences (%d observed, %d missing, %d stale)",
+                        iteration,
+                        config,
+                        realized,
+                        report.learned,
+                        report.observed,
+                        report.missing,
+                        report.stale,
+                    )
+                    iter_span.tag("realized_benefit", realized)
+                if previous_benefit is not None and stop_threshold > 0:
+                    gain = realized - previous_benefit
+                    if gain <= stop_threshold * max(previous_benefit, EPSILON_BENEFIT):
+                        break
+                previous_benefit = realized
+            learn_span.tag("iterations_run", len(result.iterations))
         return result

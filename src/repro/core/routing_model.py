@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.perf import PERF
+from repro.telemetry import METRICS
 from repro.topology.cloud import CloudDeployment, Peering
 from repro.topology.geo import haversine_km
 from repro.usergroups.ingresses import IngressCatalog
@@ -29,6 +29,20 @@ DEFAULT_D_REUSE_KM = 3000.0
 
 #: Current on-disk/in-memory snapshot format (see :meth:`snapshot_preferences`).
 SNAPSHOT_VERSION = 2
+
+
+class _WinnerEntry:
+    """One winner's slice of a UG's preference pairs (see ``_winner_index``)."""
+
+    __slots__ = ("same_as", "contexts", "losers")
+
+    def __init__(self) -> None:
+        #: Whether any pair is within one AS (such pairs always apply).
+        self.same_as = False
+        #: Competitor-ASN contexts of the cross-AS pairs.
+        self.contexts: Set[FrozenSet[int]] = set()
+        #: loser -> the pair's context, or ``None`` for a same-AS pair.
+        self.losers: Dict[int, Optional[FrozenSet[int]]] = {}
 
 
 class RoutingModel:
@@ -75,7 +89,19 @@ class RoutingModel:
         #: everyone else, candidate prediction is pure reuse-distance
         #: pruning, which the evaluator's prefix-scan fast path exploits.
         self._learned_ugs: Set[int] = set()
-        self._cand_stats = PERF.cache("routing_model.candidates")
+        #: Flat peering id -> peer ASN map (the deployment is fixed for the
+        #: model's lifetime, like the catalog built from it).
+        self._peer_asn: Dict[int, int] = {
+            p.peering_id: p.peer_asn for p in self._deployment.peerings
+        }
+        #: Per-UG view of ``_preferences`` indexed by winner, so a prediction
+        #: touches only pairs whose winner is in the compliant set instead of
+        #: every pair the UG ever learned:
+        #: ug_id -> {winner: its pairs, split same-AS / cross-AS}.
+        #: Built lazily by :meth:`_winners_of`; shares ``_candidate_cache``'s
+        #: lifecycle (dropped wherever that is dropped).
+        self._winner_index: Dict[int, Dict[int, _WinnerEntry]] = {}
+        self._cand_stats = METRICS.cache("routing_model.candidates")
 
     @property
     def d_reuse_km(self) -> float:
@@ -105,6 +131,7 @@ class RoutingModel:
 
     def _invalidate_ug(self, ug_id: int) -> None:
         self._candidate_cache.pop(ug_id, None)
+        self._winner_index.pop(ug_id, None)
         self._ug_epoch[ug_id] = self._ug_epoch.get(ug_id, 0) + 1
         self._cand_stats.invalidations += 1
 
@@ -114,16 +141,14 @@ class RoutingModel:
         return sum(len(pairs) for pairs in self._preferences.values())
 
     def _peer_asns(self, peering_ids: Iterable[int]) -> FrozenSet[int]:
-        return frozenset(
-            self._deployment.peering(pid).peer_asn for pid in peering_ids
-        )
+        peer_asn = self._peer_asn
+        return frozenset(peer_asn[pid] for pid in peering_ids)
 
-    def _applicable_pairs(
-        self, ug: UserGroup, compliant: FrozenSet[int]
-    ) -> Set[Tuple[int, int]]:
-        """Preference pairs trustworthy for this candidate set.
+    def _winners_of(self, ug_id: int) -> Dict[int, _WinnerEntry]:
+        """The UG's preference pairs grouped by winner (built on demand).
 
-        Two classes generalize differently:
+        Two classes of pair generalize differently, and the index keeps
+        them apart so a prediction can tell which apply without a scan:
 
         * **within-AS pairs** (both peerings belong to one AS) encode that
           AS's exit policy, which is deterministic whenever both exits are
@@ -133,20 +158,23 @@ class RoutingModel:
           intermediate propagation) — applicable only when the current
           competitor-ASN set matches the one observed.
         """
-        prefs = self._preferences.get(ug.ug_id)
-        if not prefs:
-            return set()
-        current_asns = self._peer_asns(compliant)
-        applicable: Set[Tuple[int, int]] = set()
-        for pair, context in prefs.items():
-            winner, loser = pair
-            same_as = (
-                self._deployment.peering(winner).peer_asn
-                == self._deployment.peering(loser).peer_asn
-            )
-            if same_as or current_asns == context:
-                applicable.add(pair)
-        return applicable
+        index = self._winner_index.get(ug_id)
+        if index is None:
+            index = {}
+            peer_asn = self._peer_asn
+            for (winner, loser), context in self._preferences.get(ug_id, {}).items():
+                entry = index.get(winner)
+                if entry is None:
+                    entry = index[winner] = _WinnerEntry()
+                if peer_asn[winner] == peer_asn[loser]:
+                    entry.same_as = True
+                    entry.losers[loser] = None
+                else:
+                    entry.contexts.add(context)
+                    entry.losers[loser] = context
+            if index:  # nothing to keep for a UG without pairs
+                self._winner_index[ug_id] = index
+        return index
 
     # -- distances -----------------------------------------------------------
 
@@ -210,7 +238,10 @@ class RoutingModel:
         we have no observations about.  If everything would be excluded, the
         closest compliant ingress is kept (the UG must land somewhere).
         """
-        compliant = self._catalog.compliant_subset(ug, advertised)
+        return self._candidates(ug, self._catalog.compliant_subset(ug, advertised))
+
+    def _candidates(self, ug: UserGroup, compliant: FrozenSet[int]) -> FrozenSet[int]:
+        """Memoized prediction for an already policy-compliant set."""
         if not compliant:
             return frozenset()
 
@@ -233,15 +264,32 @@ class RoutingModel:
         if remembered is not None and remembered in compliant:
             return frozenset({remembered})
 
-        pairs = self._applicable_pairs(ug, compliant)
+        # The float sums downstream run in set-iteration order, so the set
+        # construction below (set(compliant), after_pref - losers, the kept
+        # comprehension) is part of the bit-identity contract; only how the
+        # applicable winners/losers are *found* is free to change.
         winners: Set[int] = set()
         after_pref = set(compliant)
-        if pairs:
-            winners = {w for (w, loser) in pairs if w in compliant}
+        index = self._winners_of(ug.ug_id)
+        if index:
+            losers: Set[int] = set()
+            current_asns: Optional[FrozenSet[int]] = None
+            for winner in compliant:
+                entry = index.get(winner)
+                if entry is None:
+                    continue
+                if entry.contexts and current_asns is None:
+                    current_asns = self._peer_asns(compliant)
+                if not entry.same_as and current_asns not in entry.contexts:
+                    continue  # only cross-AS pairs, none in this context
+                winners.add(winner)
+                by_loser = entry.losers
+                for loser in compliant:
+                    if loser in by_loser:
+                        context = by_loser[loser]
+                        if context is None or context == current_asns:
+                            losers.add(loser)
             if winners:
-                losers = {
-                    loser for (w, loser) in pairs if w in compliant and loser in compliant
-                }
                 survivors = after_pref - losers
                 if survivors:
                     after_pref = survivors
@@ -263,14 +311,20 @@ class RoutingModel:
         ug: UserGroup,
         advertised: FrozenSet[int],
         latency_of: "LatencySource",
+        *,
+        compliant: Optional[FrozenSet[int]] = None,
     ) -> Optional[float]:
         """Eq. 2's inner expectation: mean latency over candidate ingresses.
 
         ``latency_of(ug, peering_id)`` supplies measured/estimated latency
         and may return ``None`` for unmeasurable ingresses, which are then
-        skipped.  Returns ``None`` when nothing is measurable.
+        skipped.  Returns ``None`` when nothing is measurable.  A caller
+        already holding ``catalog.compliant_subset(ug, advertised)`` passes
+        it as ``compliant`` to skip the second intersection.
         """
-        candidates = self.candidate_ingresses(ug, advertised)
+        if compliant is None:
+            compliant = self._catalog.compliant_subset(ug, advertised)
+        candidates = self._candidates(ug, compliant)
         total = 0.0
         count = 0
         for pid in candidates:
@@ -346,12 +400,26 @@ class RoutingModel:
         self, ug: UserGroup, peering_id: int, advertised: FrozenSet[int]
     ) -> bool:
         """Whether learned preferences exclude ``peering_id`` in this set."""
-        compliant = self._catalog.compliant_subset(ug, advertised)
-        pairs = self._applicable_pairs(ug, compliant)
-        return any(
-            loser == peering_id and winner in advertised and winner != peering_id
-            for (winner, loser) in pairs
-        )
+        index = self._winners_of(ug.ug_id)
+        current_asns: Optional[FrozenSet[int]] = None
+        for winner in advertised:
+            entry = index.get(winner)
+            if (
+                entry is None
+                or winner == peering_id
+                or peering_id not in entry.losers
+            ):
+                continue
+            context = entry.losers[peering_id]
+            if context is None:
+                return True
+            if current_asns is None:
+                current_asns = self._peer_asns(
+                    self._catalog.compliant_subset(ug, advertised)
+                )
+            if context == current_asns:
+                return True
+        return False
 
     def snapshot_preferences(self) -> Dict[str, object]:
         """Full learned state as a versioned dict (format ``SNAPSHOT_VERSION``).
@@ -420,6 +488,7 @@ class RoutingModel:
         } | {ug_id for (ug_id, _compliant) in self._outcomes}
         # Every UG's beliefs may have changed wholesale.
         self._candidate_cache.clear()
+        self._winner_index.clear()
         self._global_epoch += 1
         self._cand_stats.invalidations += 1
 

@@ -156,6 +156,45 @@ class TestLogging:
         assert any("learning iteration" in r.message for r in caplog.records)
 
 
+class TestSpanHygiene:
+    def test_failed_observation_closes_its_spans(self, scenario_module, monkeypatch):
+        """A ValueError out of RoutingModel.observe must unwind the
+        learn/iteration/execute_and_observe spans, or every later span
+        nests under a stale parent."""
+        from repro.core.orchestrator import OrchestratorConfig
+        from repro.telemetry import TRACER
+
+        orchestrator = PainterOrchestrator(
+            scenario_module, OrchestratorConfig(prefix_budget=2)
+        )
+
+        def rejecting_observe(ug, advertised, actual_peering_id, stale=False):
+            raise ValueError(
+                f"observed peering {actual_peering_id} was not advertised"
+            )
+
+        monkeypatch.setattr(orchestrator.model, "observe", rejecting_observe)
+        finished = []
+        TRACER.enable(finished.append)
+        try:
+            with pytest.raises(ValueError, match="was not advertised"):
+                orchestrator.learn(iterations=1)
+            assert TRACER.current is None
+            with TRACER.span("after") as after:
+                pass
+            assert after.parent_id is None
+            assert after.depth == 0
+        finally:
+            TRACER.disable()
+        names = [span.name for span in finished]
+        for name in (
+            "orchestrator.execute_and_observe",
+            "orchestrator.iteration",
+            "orchestrator.learn",
+        ):
+            assert name in names  # closed (and sunk) despite the exception
+
+
 class TestObservationDegradation:
     """learn() under fault-injected missing/stale observations."""
 

@@ -1,7 +1,9 @@
 """The routing model: candidate prediction, D_reuse, preference learning."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.benefit import BenefitEvaluator
 from repro.core.routing_model import DEFAULT_D_REUSE_KM, RoutingModel
 
 
@@ -312,3 +314,161 @@ class TestCandidateMemoization:
         epoch = model.ug_epoch(ug.ug_id)
         model.restore_preferences({"version": 2, "preferences": {}, "outcomes": {}})
         assert model.ug_epoch(ug.ug_id) > epoch
+
+
+# -- the winner index against the full scan it replaced -----------------------
+
+
+def _naive_applicable_pairs(model, scenario, ug, compliant):
+    """The full-scan rule: same-AS pairs always apply, cross-AS pairs only
+    when the competitor-ASN set equals the observed context."""
+
+    def asn(pid):
+        return scenario.deployment.peering(pid).peer_asn
+
+    current = frozenset(asn(pid) for pid in compliant)
+    prefs = model.snapshot_preferences()["preferences"].get(ug.ug_id, {})
+    return {
+        (winner, loser)
+        for (winner, loser), context in prefs.items()
+        if asn(winner) == asn(loser) or context == current
+    }
+
+
+def _naive_candidates(model, scenario, ug, advertised):
+    compliant = scenario.catalog.compliant_subset(ug, advertised)
+    if not compliant:
+        return frozenset()
+    remembered = model.snapshot_preferences()["outcomes"].get((ug.ug_id, compliant))
+    if remembered in compliant:
+        return frozenset({remembered})
+    pairs = _naive_applicable_pairs(model, scenario, ug, compliant)
+    winners = {w for (w, _loser) in pairs if w in compliant}
+    losers = {loser for (w, loser) in pairs if w in compliant and loser in compliant}
+    after_pref = (compliant - losers) or compliant
+    closest = min(model.distance_km(ug, pid) for pid in after_pref)
+    return frozenset(
+        pid
+        for pid in after_pref
+        if pid in winners or model.distance_km(ug, pid) - closest <= model.d_reuse_km
+    )
+
+
+def _naive_excluded(model, scenario, ug, peering_id, advertised):
+    compliant = scenario.catalog.compliant_subset(ug, advertised)
+    return any(
+        loser == peering_id and winner in advertised and winner != peering_id
+        for (winner, loser) in _naive_applicable_pairs(model, scenario, ug, compliant)
+    )
+
+
+class TestWinnerIndex:
+    """Predictions read preference pairs through a per-UG winner index;
+    it must answer exactly as a scan over every pair would."""
+
+    @given(st.data())
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_matches_full_scan_reference(self, scenario, data):
+        ugs = scenario.user_groups[:4]
+        every_id = sorted(p.peering_id for p in scenario.deployment.peerings)
+
+        def draw_advertised(ug):
+            # A small pool makes repeated and contradicting observations
+            # likely; the stray ids may be non-compliant for this UG.
+            pool = sorted(scenario.catalog.ingress_ids(ug))[:8]
+            own = data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=6))
+            stray = data.draw(st.sets(st.sampled_from(every_id), max_size=2))
+            return frozenset(own | stray)
+
+        def check(model, ug):
+            advertised = draw_advertised(ug)
+            assert model.candidate_ingresses(ug, advertised) == _naive_candidates(
+                model, scenario, ug, advertised
+            )
+            for pid in advertised:
+                assert model.is_excluded_by_preference(
+                    ug, pid, advertised
+                ) == _naive_excluded(model, scenario, ug, pid, advertised)
+
+        model = RoutingModel(scenario.catalog, d_reuse_km=DEFAULT_D_REUSE_KM)
+        steps = data.draw(st.integers(min_value=1, max_value=12))
+        restore_at = data.draw(st.integers(min_value=0, max_value=steps - 1))
+        for step in range(steps):
+            ug = data.draw(st.sampled_from(ugs))
+            advertised = draw_advertised(ug)
+            actual = data.draw(st.sampled_from(sorted(advertised)))
+            model.observe(ug, advertised, actual, stale=data.draw(st.booleans()))
+            # Query between observations so a stale index would be caught.
+            check(model, ug)
+            if step == restore_at:
+                restored = RoutingModel(scenario.catalog, d_reuse_km=DEFAULT_D_REUSE_KM)
+                restored.restore_preferences(model.snapshot_preferences())
+                model = restored
+        for ug in ugs:
+            check(model, ug)
+
+    def test_superseding_observation_drops_the_index(self, scenario):
+        model = RoutingModel(scenario.catalog, d_reuse_km=1e9)  # preferences only
+        ug = scenario.user_groups[0]
+        first, second, third = _compliant_sample(scenario, ug, k=3)
+        model.observe(ug, frozenset({first, second}), first)
+        wider = frozenset({first, second, third})
+        assert model.candidate_ingresses(ug, wider) == frozenset({first, third})
+        assert ug.ug_id in model._winner_index
+        # (second, first) supersedes (first, second).
+        model.observe(ug, frozenset({first, second}), second)
+        assert ug.ug_id not in model._winner_index
+        assert model.candidate_ingresses(ug, wider) == frozenset({second, third})
+
+    def test_restore_drops_the_index(self, scenario):
+        model = RoutingModel(scenario.catalog, d_reuse_km=1e9)  # preferences only
+        ug = scenario.user_groups[0]
+        first, second, third = _compliant_sample(scenario, ug, k=3)
+        model.observe(ug, frozenset({first, second}), first)
+        wider = frozenset({first, second, third})
+        model.candidate_ingresses(ug, wider)
+        assert model._winner_index
+        model.restore_preferences({"version": 2, "preferences": {}, "outcomes": {}})
+        assert not model._winner_index
+        assert model.candidate_ingresses(ug, wider) == wider
+
+
+class TestExpectedPrefixLatencyKeying:
+    """The evaluator's Eq.-2 memo is keyed on the compliant subset."""
+
+    def _learned_ug(self, scenario, model):
+        ug = scenario.user_groups[0]
+        ids = sorted(scenario.catalog.ingress_ids(ug))
+        model.observe(ug, frozenset(ids[:3]), ids[0])
+        return ug, ids
+
+    def test_same_compliant_subset_same_value(self, scenario, model):
+        evaluator = BenefitEvaluator(scenario, model)
+        ug, ids = self._learned_ug(scenario, model)
+        own = scenario.catalog.ingress_ids(ug)
+        stray = [p.peering_id for p in scenario.deployment.peerings
+                 if p.peering_id not in own]
+        if not stray:
+            pytest.skip("every peering is compliant for this UG")
+        plain = frozenset(ids[1:5])
+        padded = plain | {stray[0]}
+        value = evaluator.expected_prefix_latency(ug, plain)
+        assert value is not None
+        assert evaluator.expected_prefix_latency(ug, padded) == value
+        assert value == model.expected_latency_ms(ug, plain, evaluator.latency)
+
+    def test_singleton_is_the_exact_latency(self, scenario, model):
+        evaluator = BenefitEvaluator(scenario, model)
+        ug, ids = self._learned_ug(scenario, model)
+        for pid in ids[:4]:
+            assert evaluator.expected_prefix_latency(
+                ug, frozenset({pid})
+            ) == evaluator.latency(ug, pid)
+            assert evaluator.expected_prefix_latency(
+                ug, frozenset({pid})
+            ) == model.expected_latency_ms(ug, frozenset({pid}), evaluator.latency)
+        assert evaluator.expected_prefix_latency(ug, frozenset()) is None
