@@ -25,9 +25,8 @@ import pytest
 
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.kernels import available_backends
-from repro.perf import PERF
 from repro.scenario import azure_scenario, mega_scenario
-from repro.telemetry import telemetry_session
+from repro.telemetry import METRICS, telemetry_session
 
 try:  # LP optimality envelope (needs scipy; see repro.optimality.gates)
     import scipy  # noqa: F401
@@ -52,7 +51,7 @@ MEGA_PEAK_RSS_BYTES = 8 * 1024**3
 
 def _timed_solve(scenario, backend: str, budget: int):
     """One warmed solve: returns (config, seconds, compile_seconds)."""
-    PERF.reset()
+    METRICS.reset()
     orchestrator = PainterOrchestrator(
         scenario, OrchestratorConfig(prefix_budget=budget, backend=backend)
     )
@@ -65,7 +64,7 @@ def _timed_solve(scenario, backend: str, budget: int):
     return (
         config,
         elapsed,
-        PERF.timer("kernels.compile_s").total_s,
+        METRICS.timer("kernels.compile_s").total_s,
         orchestrator,
     )
 
@@ -131,7 +130,7 @@ def test_bench_backend_fallback_costs_nothing(benchmark):
     scenario = prototype_scenario(seed=0)
 
     def run():
-        PERF.reset()
+        METRICS.reset()
         with telemetry_session("bench-fallback") as journal:
             with pytest.warns(RuntimeWarning, match="falling back"):
                 orchestrator = PainterOrchestrator(
@@ -150,17 +149,17 @@ def test_bench_backend_fallback_costs_nothing(benchmark):
         for pid in config.peerings_for(prefix)
     )
     assert pairs == golden["pairs"]
-    assert PERF.counter("kernels.fallbacks").value == 1
+    assert METRICS.counter("kernels.fallbacks").value == 1
     assert len(journal.events("backend_fallback")) == 1
     benchmark.extra_info["backend"] = "numpy (fallback)"
-    benchmark.extra_info["fallbacks"] = PERF.counter("kernels.fallbacks").value
+    benchmark.extra_info["fallbacks"] = METRICS.counter("kernels.fallbacks").value
 
 
 def test_bench_mega_memory_budget(benchmark):
     """Build + budget-2 solve of the 100k-UG mega preset under the RSS gate."""
 
     def run():
-        PERF.reset()
+        METRICS.reset()
         scenario = mega_scenario()
         orchestrator = PainterOrchestrator(
             scenario, OrchestratorConfig(prefix_budget=2)
@@ -188,7 +187,7 @@ def test_bench_mega_memory_budget(benchmark):
     benchmark.extra_info["peak_rss_gb"] = round(peak / 1e9, 3)
     benchmark.extra_info["solve_s"] = round(solve_s, 3)
     benchmark.extra_info["materialize_s"] = round(
-        PERF.timer("kernels.materialize_s").total_s, 3
+        METRICS.timer("kernels.materialize_s").total_s, 3
     )
     benchmark.extra_info["ugs"] = len(scenario.user_groups)
     benchmark.extra_info["peerings"] = len(scenario.deployment.peerings)

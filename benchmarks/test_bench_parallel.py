@@ -21,9 +21,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
-from repro.perf import PERF
 from repro.scenario import azure_scenario
-from repro.telemetry import telemetry_session
+from repro.telemetry import METRICS, telemetry_session
 
 try:  # LP optimality envelope (needs scipy; see repro.optimality.gates)
     import scipy  # noqa: F401
@@ -73,7 +72,7 @@ def test_bench_parallel_solve_azure(benchmark):
     journals = []
 
     def run():
-        PERF.reset()
+        METRICS.reset()
         orchestrator = PainterOrchestrator(
             scenario, OrchestratorConfig(prefix_budget=budget, workers=WORKERS)
         )
@@ -97,8 +96,8 @@ def test_bench_parallel_solve_azure(benchmark):
     assert pairs == _pairs(serial_config)
 
     # The pool must actually have run (no silent serial fallback).
-    assert PERF.counter("parallel.solve_calls").value == 1
-    assert PERF.counter("parallel.fallbacks").value == 0
+    assert METRICS.counter("parallel.solve_calls").value == 1
+    assert METRICS.counter("parallel.fallbacks").value == 0
 
     speedup = serial_s / parallel_s
     assert speedup >= MIN_SPEEDUP, (
@@ -110,10 +109,10 @@ def test_bench_parallel_solve_azure(benchmark):
     benchmark.extra_info["parallel_s"] = round(parallel_s, 3)
     benchmark.extra_info["workers"] = WORKERS
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["refresh_roundtrips"] = PERF.counter(
+    benchmark.extra_info["refresh_roundtrips"] = METRICS.counter(
         "parallel.refresh_roundtrips"
     ).value
-    benchmark.extra_info["speculative_hits"] = PERF.counter(
+    benchmark.extra_info["speculative_hits"] = METRICS.counter(
         "parallel.speculative_hits"
     ).value
     benchmark.extra_info["pairs"] = len(pairs)

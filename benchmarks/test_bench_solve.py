@@ -14,9 +14,8 @@ import time
 from pathlib import Path
 
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
-from repro.perf import PERF
 from repro.scenario import azure_scenario
-from repro.telemetry import telemetry_session
+from repro.telemetry import METRICS, telemetry_session
 
 try:  # LP optimality envelope (needs scipy; see repro.optimality.gates)
     import scipy  # noqa: F401
@@ -43,7 +42,7 @@ def test_bench_solve_azure(benchmark):
     orchestrators = []
 
     def run():
-        PERF.reset()
+        METRICS.reset()
         orchestrator = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=golden["budget"]))
         # Telemetry live during the timed region: the 3x gate therefore
         # also bounds tracing overhead on the solver's hot path.
@@ -72,10 +71,10 @@ def test_bench_solve_azure(benchmark):
     )
 
     # Laziness: the heap must have skipped most naive re-evaluations.
-    lazy = PERF.counter("orchestrator.marginal_evals").value
-    naive = PERF.counter("orchestrator.naive_marginal_evals").value
+    lazy = METRICS.counter("orchestrator.marginal_evals").value
+    naive = METRICS.counter("orchestrator.naive_marginal_evals").value
     assert 0 < lazy < naive
-    lat_stats = PERF.cache("evaluator.latency_matrix")
+    lat_stats = METRICS.cache("evaluator.latency_matrix")
 
     benchmark.extra_info["solve_s"] = round(elapsed, 3)
     benchmark.extra_info["speedup_vs_baseline"] = round(

@@ -14,8 +14,7 @@ span cost must fit inside the same 100k flows/s floor.
 from __future__ import annotations
 
 from repro.experiments.replay import ReplayConfig, run_traffic_replay
-from repro.perf import PERF
-from repro.telemetry import telemetry_session
+from repro.telemetry import METRICS, telemetry_session
 
 #: The ISSUE's acceptance floor: each step must admit at this rate or better.
 MIN_FLOWS_PER_S = 100_000.0
@@ -41,7 +40,7 @@ def test_bench_tm_azure(benchmark):
     journals = []
 
     def run():
-        PERF.reset()
+        METRICS.reset()
         with telemetry_session("bench-tm", include_timings=True) as journal:
             replay = run_traffic_replay(config)
         journals.append(journal)
@@ -75,7 +74,7 @@ def test_bench_tm_azure(benchmark):
         round(s.elapsed_s, 4) for s in replay.step_stats
     ]
     benchmark.extra_info["solve_s"] = round(
-        PERF.timer("replay.solve").total_s, 3
+        METRICS.timer("replay.solve").total_s, 3
     )
 
     # Telemetry was live for the whole gated run: spans must have landed.

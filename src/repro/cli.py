@@ -210,9 +210,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_perf(args: argparse.Namespace) -> int:
     """Run an instrumented solve/learn and print the perf counters."""
     from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
-    from repro.perf import PERF
+    from repro.telemetry import METRICS
 
-    PERF.reset()
+    METRICS.reset()
     scenario = _scenario_from(args)
     orchestrator = PainterOrchestrator(
         scenario,
@@ -226,9 +226,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
         orchestrator.solve()
     print(scenario.describe())
     print()
-    print(PERF.render())
-    lazy = PERF.counter("orchestrator.marginal_evals").value
-    naive = PERF.counter("orchestrator.naive_marginal_evals").value
+    print(METRICS.render())
+    lazy = METRICS.counter("orchestrator.marginal_evals").value
+    naive = METRICS.counter("orchestrator.naive_marginal_evals").value
     if naive:
         print()
         print(
@@ -241,9 +241,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
 def cmd_tm_bench(args: argparse.Namespace) -> int:
     """Benchmark the Traffic Manager data plane under UG flow arrivals."""
     from repro.experiments.replay import ReplayConfig, run_traffic_replay
-    from repro.perf import PERF
+    from repro.telemetry import METRICS
 
-    PERF.reset()
+    METRICS.reset()
     steps = args.steps
     arrivals = max(1, args.flows // steps)
     with _maybe_journal(args, "tm-bench"):
@@ -272,7 +272,7 @@ def cmd_tm_bench(args: argparse.Namespace) -> int:
         )
     if args.show_perf:
         print()
-        print(PERF.render())
+        print(METRICS.render())
     return 0
 
 

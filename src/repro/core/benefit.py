@@ -16,7 +16,6 @@ Terminology follows the paper:
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -285,37 +284,6 @@ class BenefitEvaluator:
         """The compute backend (kernels + dense-matrix binding)."""
         return self._backend
 
-    def adopt_latency_matrix(self, matrix) -> None:
-        """Deprecated: use ``evaluator.backend.bind_latency_matrix``.
-
-        The dense UG-row × peering-column matrix now lives on the
-        :class:`ComputeBackend` so the serial evaluator, the vectorized
-        affected-array build, and the parallel shard workers all share one
-        binding surface.  This shim keeps legacy callers working.
-        """
-        warnings.warn(
-            "BenefitEvaluator.adopt_latency_matrix is deprecated; use "
-            "evaluator.backend.bind_latency_matrix(matrix)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._backend.bind_latency_matrix(matrix)
-
-    def drop_latency_matrix(self) -> None:
-        """Deprecated: use ``evaluator.backend.release_latency_matrix``.
-
-        Values already promoted into the per-UG rows stay; unseen slots
-        fall back to the (deterministic) latency source, so dropping the
-        matrix never changes what :meth:`latency` returns.
-        """
-        warnings.warn(
-            "BenefitEvaluator.drop_latency_matrix is deprecated; use "
-            "evaluator.backend.release_latency_matrix()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._backend.release_latency_matrix()
-
     @property
     def peering_columns(self) -> Dict[int, int]:
         """Peering id → latency-matrix column, in deployment order."""
@@ -462,13 +430,7 @@ class BenefitEvaluator:
         )
 
     def begin_prefix_scan(
-        self,
-        context: Optional[ScanContext] = None,
-        *,
-        learned_ug_ids: Optional[Set[int]] = None,
-        table_source: Optional[
-            Callable[[UserGroup], Dict[int, Tuple[float, Optional[float]]]]
-        ] = None,
+        self, context: Optional[ScanContext] = None
     ) -> "PrefixScan":
         """Start an incremental Eq.-2 session for one prefix's inner loop.
 
@@ -479,24 +441,8 @@ class BenefitEvaluator:
         and ``table_source`` overrides how per-UG scan tables are built
         (shard workers source them from the shared latency/distance
         matrices rather than re-deriving each entry from the latency
-        oracle).  The loose ``learned_ug_ids=``/``table_source=`` keywords
-        are deprecated aliases.
+        oracle).
         """
-        if learned_ug_ids is not None or table_source is not None:
-            warnings.warn(
-                "begin_prefix_scan(learned_ug_ids=..., table_source=...) is "
-                "deprecated; pass begin_prefix_scan(context=ScanContext(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if context is not None:
-                raise TypeError(
-                    "pass either a ScanContext or the legacy keyword "
-                    "arguments, not both"
-                )
-            context = ScanContext(
-                learned_ug_ids=learned_ug_ids, table_source=table_source
-            )
         if context is None:
             context = ScanContext()
         return PrefixScan(
@@ -788,9 +734,9 @@ class PrefixScan:
         """``(closest km, kept latency sum, kept count, expected)`` for a
         fast-path UG with at least one accepted compliant peering.
 
-        This is the scalar state the orchestrator mirrors into its numpy
-        arrays so refreshed marginals can be evaluated as one vector
-        expression per peering instead of a per-UG Python loop.
+        This is the scalar state ``repro.parallel.ShardState`` mirrors into
+        its numpy arrays so refreshed marginals can be evaluated as one
+        vector expression per peering instead of a per-UG Python loop.
         """
         dists, sums, cnts = self._states[ug.ug_id]
         closest = dists[0]

@@ -10,54 +10,52 @@ Greedy structure follows the paper's pseudocode exactly:
   positive marginal benefit (prefix reuse), considered in ranked order of
   estimated improvement (Eq. 2).
 
-The implementation accelerates the ranked scan with lazy re-evaluation
-(stale marginals are recomputed only when they reach the top of the heap),
-mirroring the paper's note that "UGs tend to have paths via a relatively
-small fraction of ingresses, speeding up computation".
+The middle and inner loops are :func:`repro.core.greedy.lazy_greedy` — the
+ranked scan with lazy re-evaluation (stale marginals are recomputed only
+when they reach the top of the heap), mirroring the paper's note that "UGs
+tend to have paths via a relatively small fraction of ingresses, speeding
+up computation".  Every way of solving here (``solve``, ``solve_cold``,
+``solve_warm``, with or without a worker pool) is that one driver over a
+different ``MarginalSource``; this module only chooses the source.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
-import math
 import time
-import warnings
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
+import repro.parallel as parallel_mod
 from repro.core.advertisement import AdvertisementConfig
 from repro.core.benefit import BenefitEvaluator, LatencyFn, realized_benefit
+from repro.core.greedy import EPSILON_BENEFIT, BudgetPoint, MarginalSource, lazy_greedy
 from repro.core.routing_model import DEFAULT_D_REUSE_KM, RoutingModel
 from repro.kernels import ComputeBackend
-from repro.perf import PERF
+from repro.parallel.shard import ShardContext, ShardState
+from repro.parallel.solver import MarginalDetail, RowSource
 from repro.scenario import Scenario
-from repro.telemetry import TRACER, emit_event
+from repro.telemetry import METRICS, TRACER, emit_event
 from repro.usergroups.usergroup import UserGroup
 
-#: Marginal benefit below this (volume-weighted ms) counts as "no benefit".
-EPSILON_BENEFIT = 1e-9
 #: UG-rows × peering-columns slot count at which
 #: ``OrchestratorConfig.dense_matrices=None`` flips to the dense layout.
 #: Far above every classic preset (azure ≈ 1M slots) and far below the
 #: ``mega`` preset (≈ 200M slots), so only genuinely large worlds switch.
 DENSE_AUTO_SLOTS = 32_000_000
-#: Histogram buckets for accepted marginal benefits (volume-weighted ms).
-_BENEFIT_BUCKETS = (
-    0.01, 0.1, 1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0,
-)
+#: After a pool failure trips the serial-fallback breaker, the parallel path
+#: is retried once this many consecutive solves have run serially.
+PARALLEL_RETRY_SOLVES = 3
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class OrchestratorConfig:
-    """Everything that parameterizes one :class:`PainterOrchestrator`.
-
-    Replaces the growing positional signature
-    (``prefix_budget, d_reuse_km, latency_of, allow_reuse``); construct with
+    """Everything that parameterizes one :class:`PainterOrchestrator`:
     ``PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=10))``.
     """
 
@@ -78,10 +76,6 @@ class OrchestratorConfig:
     #: Per-message worker-pool timeout in seconds; ``None`` uses the pool
     #: default (``repro.parallel.pool.DEFAULT_TIMEOUT_S``).
     worker_timeout_s: Optional[float] = None
-    #: After a pool failure trips the serial-fallback breaker, retry the
-    #: parallel path once this many consecutive solves have run serially.
-    #: ``0`` keeps the pre-existing behavior: broken stays broken forever.
-    parallel_retry_solves: int = 3
     #: Compute backend for the marginal-evaluation kernels: a registry name
     #: (``"auto"``, ``"numpy"``, ``"numba"``, ``"cupy"``) or a
     #: :class:`repro.kernels.ComputeBackend` instance.  ``"auto"`` picks the
@@ -111,69 +105,12 @@ class OrchestratorConfig:
             raise ValueError("workers must be non-negative")
         if self.worker_timeout_s is not None and self.worker_timeout_s <= 0:
             raise ValueError("worker_timeout_s must be positive")
-        if self.parallel_retry_solves < 0:
-            raise ValueError("parallel_retry_solves must be non-negative")
         if not isinstance(self.backend, (str, ComputeBackend)):
             raise ValueError(
                 "backend must be a registry name or a ComputeBackend instance"
             )
         if self.dense_budget_bytes is not None and self.dense_budget_bytes < 1:
             raise ValueError("dense_budget_bytes must be positive")
-
-
-def _coerce_orchestrator_config(
-    config: Optional[Union[OrchestratorConfig, int]],
-    prefix_budget: Optional[int],
-    d_reuse_km: Optional[float],
-    latency_of: Optional[LatencyFn],
-    allow_reuse: Optional[bool],
-) -> OrchestratorConfig:
-    """Resolve the new-style config and the deprecated keyword form."""
-    legacy_used = any(
-        value is not None
-        for value in (prefix_budget, d_reuse_km, latency_of, allow_reuse)
-    )
-    if isinstance(config, OrchestratorConfig):
-        if legacy_used:
-            raise TypeError(
-                "pass either an OrchestratorConfig or the legacy keyword "
-                "arguments, not both"
-            )
-        return config
-    if isinstance(config, int):
-        # Legacy positional budget: PainterOrchestrator(scenario, 10).
-        warnings.warn(
-            "PainterOrchestrator(scenario, prefix_budget, ...) is deprecated; "
-            "use PainterOrchestrator(scenario, OrchestratorConfig(...))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if prefix_budget is not None:
-            raise TypeError("prefix budget given both positionally and by keyword")
-        prefix_budget = config
-    elif config is None:
-        if prefix_budget is None:
-            raise TypeError(
-                "PainterOrchestrator needs an OrchestratorConfig "
-                "(or the deprecated prefix_budget keyword)"
-            )
-        warnings.warn(
-            "the PainterOrchestrator(scenario, prefix_budget=..., ...) keyword "
-            "form is deprecated; use "
-            "PainterOrchestrator(scenario, OrchestratorConfig(...))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    else:
-        raise TypeError(f"config must be an OrchestratorConfig, not {type(config)!r}")
-    kwargs = {"prefix_budget": prefix_budget}
-    if d_reuse_km is not None:
-        kwargs["d_reuse_km"] = d_reuse_km
-    if latency_of is not None:
-        kwargs["latency_of"] = latency_of
-    if allow_reuse is not None:
-        kwargs["allow_reuse"] = allow_reuse
-    return OrchestratorConfig(**kwargs)
 
 
 @dataclass
@@ -198,9 +135,9 @@ class _PrefixMemo:
     #: additions of the learned loop.  A volume shift changes only the
     #: shifted UG's entries, so the next warm solve can substitute those
     #: rows and re-run the *same* float summation — bit-equal to a full
-    #: recomputation at a tiny fraction of the cost (see the volume-patch
-    #: path in ``_solve``).
-    detail: Dict[Tuple[int, int], tuple] = field(default_factory=dict)
+    #: recomputation at a tiny fraction of the cost (see
+    #: :meth:`repro.parallel.solver.RowSource.patch`).
+    detail: Dict[Tuple[int, int], MarginalDetail] = field(default_factory=dict)
 
 
 @dataclass
@@ -210,7 +147,8 @@ class SolveMemo:
     Warm-start soundness rests on one invariant: every marginal is a pure
     function of (the accept sequence so far, the peering's static
     latency/distance arrays, the volumes of the peering's affected UGs).
-    The scan state (``d0``/``csum``/``ccnt``/``ob``/``exp_np``) is
+    The scan state (the shard's ``d0``/``csum``/``ccnt``/``ob`` arrays, the
+    reducer's per-prefix expected latencies) is
     volume-free and evolves only through accepts, so while a replay's
     accept sequence still matches this memo's, a memoized marginal for a
     *clean* peering (none of its UGs' volumes changed, not toggled, no
@@ -245,16 +183,114 @@ class WarmSolveStats:
     patched_evals: int = 0
 
 
-@dataclass(frozen=True)
-class BudgetPoint:
-    """Benefit snapshot after the k-th prefix was fully allocated."""
+class _WarmSource:
+    """The warm-start memo as a source wrapped around the in-process one.
 
-    prefixes_used: int
-    pairs_used: int
-    estimated_benefit: float
-    upper_benefit: float
-    lower_benefit: float
-    mean_benefit: float
+    Replays ``memo_in`` (see :class:`SolveMemo`) while recording
+    ``memo_out``: a marginal the pending deltas cannot have touched is
+    answered from the memo, one whose only dirt is a volume shift
+    (``vol_rows``: peering -> shifted UG rows) is patched, everything else
+    is asked of ``inner``.  ``intact`` holds while the replayed accept
+    sequence still matches the memo's; the first divergence ends all reuse.
+    """
+
+    lookahead = 0
+
+    def __init__(
+        self,
+        inner: RowSource,
+        memo_in: Optional[SolveMemo],
+        memo_out: SolveMemo,
+        dirty: Set[int],
+        vol_rows: Dict[int, Set[int]],
+    ) -> None:
+        self.peering_ids = inner.peering_ids
+        self._inner = inner
+        self._memo_in = memo_in
+        self._memo_out = memo_out
+        self._dirty = dirty
+        self._vol_rows = vol_rows
+        self.intact = memo_in is not None
+        self.reused = self.fresh = self.patched = 0
+        self._evals = METRICS.counter("orchestrator.marginal_evals")
+
+    def begin_prefix(self, prefix: int) -> List[float]:
+        self._accepts = 0
+        self._replayed: Optional[_PrefixMemo] = None
+        if self.intact:
+            if prefix < len(self._memo_in.prefixes):
+                self._replayed = self._memo_in.prefixes[prefix]
+            else:
+                self.intact = False  # the memo solve stopped earlier than us
+        self._recorded = _PrefixMemo()
+        self._memo_out.prefixes.append(self._recorded)
+        inner = self._inner
+        inner.begin_round(prefix)
+        replayed = self._replayed.build if self.intact else None
+        dirty, vol_rows = self._dirty, self._vol_rows
+        build = self._recorded.build
+        for pid in self.peering_ids:
+            # Volume-dirty peerings rebuild fresh too: the initial build is
+            # one dot product, and BLAS accumulation order is not
+            # reproducible by scalar patching.
+            gain = None
+            if replayed is not None and pid not in dirty and pid not in vol_rows:
+                gain = replayed.get(pid)
+            if gain is None:
+                self.fresh += 1
+                gain = inner.initial(pid)
+            else:
+                self.reused += 1
+            build[pid] = gain
+        return list(build.values())
+
+    def refresh(self, pid: int, stale) -> float:
+        # The memo keys a refreshed marginal on the number of accepts that
+        # preceded it (see _PrefixMemo).
+        key = (self._accepts, pid)
+        clean = self.intact and pid not in self._dirty
+        changed = self._vol_rows.get(pid)
+        gain = detail = None
+        if clean:
+            detail = self._replayed.detail.get(key)
+            if changed is None:
+                gain = self._replayed.refresh.get(key)
+            elif detail is not None:
+                patched = self._inner.patch(pid, detail, changed)
+                if patched is not None:
+                    gain, detail = patched
+        if gain is None:
+            gain, detail = self._inner.marginal(pid)
+            self.fresh += 1
+        else:
+            # Reused or patched, not evaluated: take back the driver's count.
+            self._evals.value -= 1
+            if changed is None:
+                self.reused += 1
+            else:
+                self.patched += 1
+        self._recorded.refresh[key] = gain
+        if detail is not None:
+            self._recorded.detail[key] = detail
+        return gain
+
+    def accept(self, pid: int) -> None:
+        self._recorded.accepts.append(pid)
+        if self.intact:
+            accepts = self._replayed.accepts
+            if self._accepts >= len(accepts) or accepts[self._accepts] != pid:
+                # Divergence: every later memoized value was computed
+                # against state we no longer share.
+                self.intact = False
+        self._accepts += 1
+        self._inner.accept(pid)
+
+    def end_prefix(self) -> None:
+        if self.intact and self._accepts != len(self._replayed.accepts):
+            # We stopped accepting earlier than the memo solve did (a dirty
+            # marginal dropped below the cutoff): later prefixes see a
+            # different base state, so no further reuse.
+            self.intact = False
 
 
 @dataclass(frozen=True)
@@ -376,21 +412,14 @@ class PainterOrchestrator:
     def __init__(
         self,
         scenario: Scenario,
-        config: Optional[Union[OrchestratorConfig, int]] = None,
+        config: OrchestratorConfig,
         *,
         model: Optional[RoutingModel] = None,
-        prefix_budget: Optional[int] = None,
-        d_reuse_km: Optional[float] = None,
-        latency_of: Optional[LatencyFn] = None,
-        allow_reuse: Optional[bool] = None,
     ) -> None:
-        config = _coerce_orchestrator_config(
-            config,
-            prefix_budget=prefix_budget,
-            d_reuse_km=d_reuse_km,
-            latency_of=latency_of,
-            allow_reuse=allow_reuse,
-        )
+        if not isinstance(config, OrchestratorConfig):
+            raise TypeError(
+                f"config must be an OrchestratorConfig, not {type(config)!r}"
+            )
         self._scenario = scenario
         self._config = config
         self._budget = config.prefix_budget
@@ -407,22 +436,18 @@ class PainterOrchestrator:
         #: Freshest observation per (ug_id, prefix) — what a lagging
         #: collector replays when fault injection serves stale data.
         self._last_seen: Dict[Tuple[int, int], Tuple[FrozenSet[int], int]] = {}
-        #: Static per-peering evaluation arrays (built on first solve):
-        #: affected-UG row indices, volumes, and latencies.  Latencies and
-        #: the catalog are immutable, so these never need invalidation.
         self._ug_index: Dict[int, int] = {
             ug.ug_id: i for i, ug in enumerate(scenario.user_groups)
         }
-        self._aff_rows: Optional[Dict[int, List[int]]] = None
-        self._aff_idx: Dict[int, "np.ndarray"] = {}
-        self._aff_vol: Dict[int, "np.ndarray"] = {}
-        self._aff_lat: Dict[int, "np.ndarray"] = {}
-        self._aff_dist: Dict[int, "np.ndarray"] = {}
+        #: The in-process shard over every UG row (built on first solve)
+        #: holding the static per-peering evaluation arrays.  Latencies and
+        #: the catalog are immutable, so only volumes ever get patched.
+        self._shard: Optional[ShardState] = None
         #: Parallel-solve state: the lazily created worker pool wrapper, a
         #: finalizer that reaps it if the orchestrator is garbage-collected
         #: unclosed, and a breaker that pins the orchestrator to the serial
-        #: path after a pool failure (with an optional retry budget — see
-        #: ``OrchestratorConfig.parallel_retry_solves``).
+        #: path after a pool failure (until ``PARALLEL_RETRY_SOLVES`` solves
+        #: have run serially).
         self._parallel = None
         self._parallel_finalizer = None
         self._parallel_broken = False
@@ -436,16 +461,12 @@ class PainterOrchestrator:
         #: Volume-only dirt, tracked per peering at UG-row granularity: a
         #: volume shift changes marginal *weights* but no scan state, so
         #: the next warm solve can patch the memoized summation instead of
-        #: recomputing it (see the volume-patch path in ``_solve``).
+        #: recomputing it (see ``RowSource.patch``).
         #: Structural dirt in ``_dirty_pids`` always wins over an entry
         #: here.
         self._dirty_vol_rows: Dict[int, Set[int]] = {}
         self._disabled_peerings: Set[int] = set()
         self._world_epoch = 0
-        #: Cached learned-rows split of the static arrays (keyed by the
-        #: learned-row set): rebuilding it is a Python loop over every
-        #: (peering, UG) pair, which would dominate warm re-solves.
-        self._split_cache = None
         self.last_warm_stats: Optional[WarmSolveStats] = None
 
     @property
@@ -482,10 +503,9 @@ class PainterOrchestrator:
         )
         return n_slots >= DENSE_AUTO_SLOTS
 
-    def _ensure_affected_arrays(self, vol_arr: "np.ndarray") -> None:
-        """Build the static per-peering arrays the vectorized scan uses."""
-        if self._aff_rows is not None:
-            return
+    def _static_arrays(self) -> Dict[int, Tuple["np.ndarray", "np.ndarray"]]:
+        """Per peering, its affected UGs' ``(latency, distance)`` arrays
+        (``nan`` latency = unmeasurable) — what the vectorized scan reads."""
         evaluator = self._evaluator
         model = self._model
         ug_index = self._ug_index
@@ -494,18 +514,16 @@ class PainterOrchestrator:
         dist_mat = backend.distance_matrix
         dense = lat_mat is not None and dist_mat is not None
         col_of = evaluator.peering_columns if dense else None
-        self._aff_rows = {}
+        static = {}
         for pid, affected in self._affected.items():
-            rows = [ug_index[ug.ug_id] for ug in affected]
-            self._aff_rows[pid] = rows
-            idx = np.array(rows, dtype=np.intp)
-            self._aff_idx[pid] = idx
-            self._aff_vol[pid] = vol_arr[idx]
             if dense:
                 # Vectorized gather from the materialized matrices: the
                 # stored doubles are the oracle values bit-for-bit (the
                 # dense encoding maps None↔+inf), so this produces exactly
                 # the arrays the per-pair path below would.
+                idx = np.array(
+                    [ug_index[ug.ug_id] for ug in affected], dtype=np.intp
+                )
                 col = col_of[pid]
                 lat = lat_mat[idx, col]
                 unfilled = np.isnan(lat)
@@ -516,67 +534,47 @@ class PainterOrchestrator:
                         value = evaluator.latency(affected[int(pos)], pid)
                         lat[pos] = np.nan if value is None else value
                 lat[np.isinf(lat)] = np.nan
-                self._aff_lat[pid] = lat
-                self._aff_dist[pid] = dist_mat[idx, col]
+                static[pid] = (lat, dist_mat[idx, col])
             else:
                 lats = evaluator.latencies_for(pid, affected)
-                self._aff_lat[pid] = np.array(
-                    [np.nan if lat is None else lat for lat in lats]
+                static[pid] = (
+                    np.array([np.nan if lat is None else lat for lat in lats]),
+                    np.array([model.distance_km(ug, pid) for ug in affected]),
                 )
-                self._aff_dist[pid] = np.array(
-                    [model.distance_km(ug, pid) for ug in affected]
+        return static
+
+    def _row_source(self) -> RowSource:
+        """The serial source: one shard over every UG row, in-process."""
+        if self._shard is None:
+            evaluator = self._evaluator
+            # Fill the UG×peering latency store before the static arrays
+            # are cut from it, so the ranked scan never pays a latency_of
+            # call mid-heap-operation.  Large worlds (see DENSE_AUTO_SLOTS)
+            # materialize flat float64 matrices on the compute backend
+            # instead of per-UG Python rows; with a dense matrix already
+            # bound (parallel fill or an earlier materialization) the row
+            # precompute would only duplicate it, so it is skipped —
+            # unfilled slots fall back per lookup to the same
+            # deterministic oracle.
+            if self._use_dense_matrices():
+                evaluator.materialize_latency_matrices(
+                    budget_bytes=self._config.dense_budget_bytes
                 )
-
-    def _learned_split(self, learned_rows: Set[int]):
-        """Static arrays split into vectorized (unlearned) and exact parts.
-
-        Cached by learned-row set: the split is a Python loop over every
-        (peering, UG) pair, far too slow to repeat on every warm re-solve
-        when the learned set has not moved.  Volume mutations patch the
-        cached arrays in place (see :meth:`apply_volume_shift`).
-        """
-        if not learned_rows:
-            return (
-                self._aff_idx,
-                self._aff_vol,
-                self._aff_lat,
-                self._aff_dist,
-                {},
+            if evaluator.backend.latency_matrix is None:
+                evaluator.precompute_latency_matrix()
+            ctx = ShardContext(
+                self._scenario,
+                evaluator,
+                self._model,
+                self._affected,
+                self._ug_index,
+                None,
+                None,
+                None,
+                static=self._static_arrays(),
             )
-        key = frozenset(learned_rows)
-        cached = self._split_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        build_idx: Dict[int, "np.ndarray"] = {}
-        build_vol: Dict[int, "np.ndarray"] = {}
-        build_lat: Dict[int, "np.ndarray"] = {}
-        build_dist: Dict[int, "np.ndarray"] = {}
-        learned_aff: Dict[int, List[Tuple[UserGroup, int]]] = {}
-        masks: Dict[int, "np.ndarray"] = {}
-        for pid, affected in self._affected.items():
-            rows = self._aff_rows[pid]
-            keep = np.array(
-                [row not in learned_rows for row in rows], dtype=bool
-            )
-            if keep.all():
-                build_idx[pid] = self._aff_idx[pid]
-                build_vol[pid] = self._aff_vol[pid]
-                build_lat[pid] = self._aff_lat[pid]
-                build_dist[pid] = self._aff_dist[pid]
-            else:
-                masks[pid] = keep
-                build_idx[pid] = self._aff_idx[pid][keep]
-                build_vol[pid] = self._aff_vol[pid][keep]
-                build_lat[pid] = self._aff_lat[pid][keep]
-                build_dist[pid] = self._aff_dist[pid][keep]
-                learned_aff[pid] = [
-                    (ug, row)
-                    for ug, row in zip(affected, rows)
-                    if row in learned_rows
-                ]
-        arrays = (build_idx, build_vol, build_lat, build_dist, learned_aff)
-        self._split_cache = (key, arrays, masks)
-        return arrays
+            self._shard = ShardState(ctx, 0, ctx.n_ugs)
+        return RowSource(self._shard.ctx, *self._solve_inputs(), shard=self._shard)
 
     # -- world mutation (the controller's delta surface) ---------------------
 
@@ -599,9 +597,9 @@ class PainterOrchestrator:
 
         Volumes enter Algorithm 1 only as marginal-benefit weights, never
         as scan state, so the dirty set is exactly the UG's
-        policy-compliant ingress set.  All cached volume arrays (the
-        static per-peering arrays and the learned-split cache) are patched
-        in place so the next solve — warm or cold — sees the new weights.
+        policy-compliant ingress set.  The in-process shard's cached
+        volume arrays are patched in place so the next solve — warm or
+        cold — sees the new weights.
         """
         if volume < 0:
             raise ValueError("volume must be non-negative")
@@ -611,21 +609,8 @@ class PainterOrchestrator:
         ug = self._scenario.user_groups[row]
         self._scenario.set_ug_volume(ug_id, volume)
         dirty = self._scenario.catalog.ingress_ids(ug)
-        if self._aff_rows is not None:
-            for pid in dirty:
-                idx = self._aff_idx.get(pid)
-                if idx is None:
-                    continue
-                self._aff_vol[pid][idx == row] = volume
-            if self._split_cache is not None:
-                _, arrays, masks = self._split_cache
-                build_vol = arrays[1]
-                for pid in dirty:
-                    mask = masks.get(pid)
-                    if mask is not None and pid in build_vol:
-                        # Masked splits are copies; all-keep splits alias
-                        # ``_aff_vol`` and were patched in place above.
-                        build_vol[pid] = self._aff_vol[pid][mask]
+        if self._shard is not None:
+            self._shard.set_volume(row, volume, dirty)
         # Volume dirt is tracked per (peering, UG row): the affected
         # marginals differ from their memoized values only in the shifted
         # rows' terms, which the next warm solve patches in place of a
@@ -676,47 +661,51 @@ class PainterOrchestrator:
             and memo.budget == self._budget
             and memo.allow_reuse == self._allow_reuse
         )
+        learned_rows = frozenset(
+            self._ug_index[ug_id]
+            for ug_id in self._model.learned_ug_ids
+            if ug_id in self._ug_index
+        )
+        active = frozenset(
+            pid for pid in self._affected if pid not in self._disabled_peerings
+        )
         if usable:
             # Defensive dirty expansion: any learned-set or candidate-set
             # drift since the memo was recorded touches the marginals of
             # every peering containing an affected row, whether or not a
             # delta announced it.
-            current_learned = frozenset(
-                self._ug_index[ug_id]
-                for ug_id in self._model.learned_ug_ids
-                if ug_id in self._ug_index
-            )
-            for row in memo.learned_rows ^ current_learned:
+            for row in memo.learned_rows ^ learned_rows:
                 dirty.update(
                     self._scenario.catalog.ingress_ids(
                         self._scenario.user_groups[row]
                     )
                 )
-            active = frozenset(
-                pid
-                for pid in self._affected
-                if pid not in self._disabled_peerings
-            )
             dirty.update(memo.active_peerings ^ active)
         # Structural dirt supersedes volume dirt: a fully dirty peering is
         # recomputed from scratch, so its row-level entries are moot.
         for pid in dirty:
             vol_rows.pop(pid, None)
-        new_memo = SolveMemo()
+        new_memo = SolveMemo(
+            budget=self._budget,
+            allow_reuse=self._allow_reuse,
+            learned_rows=learned_rows,
+            active_peerings=active,
+        )
         try:
             with TRACER.span(
                 "orchestrator.solve_warm",
                 budget=self._budget,
                 backend=self._evaluator.backend.name,
             ) as span:
-                with PERF.timed("orchestrator.solve_warm"):
-                    config = self._solve(
-                        record_curve=record_curve,
-                        memo_in=memo if usable else None,
-                        memo_out=new_memo,
-                        dirty=dirty,
-                        vol_rows=vol_rows,
+                with METRICS.timed("orchestrator.solve_warm"):
+                    source = _WarmSource(
+                        self._row_source(),
+                        memo if usable else None,
+                        new_memo,
+                        dirty,
+                        vol_rows,
                     )
+                    config = self._solve(source, record_curve)
                 span.tag("prefixes_used", config.prefix_count)
                 span.tag("pairs_used", config.pair_count)
         except BaseException:
@@ -731,13 +720,13 @@ class PainterOrchestrator:
         self.last_warm_stats = WarmSolveStats(
             mode="warm" if usable else "cold",
             dirty_peerings=len(dirty) + len(vol_rows),
-            reused_evals=self._last_reused,
-            fresh_evals=self._last_fresh,
-            diverged=self._last_diverged,
-            patched_evals=self._last_patched,
+            reused_evals=source.reused,
+            fresh_evals=source.fresh,
+            diverged=usable and not source.intact,
+            patched_evals=source.patched,
         )
-        PERF.counter("orchestrator.warm_solves").add()
-        PERF.counter("orchestrator.warm_reused_evals").add(self._last_reused)
+        METRICS.counter("orchestrator.warm_solves").add()
+        METRICS.counter("orchestrator.warm_reused_evals").add(source.reused)
         return config
 
     def forget_memo(self) -> None:
@@ -752,8 +741,8 @@ class PainterOrchestrator:
         the memo.
         """
         with TRACER.span("orchestrator.solve_cold", budget=self._budget):
-            with PERF.timed("orchestrator.solve_cold"):
-                return self._solve()
+            with METRICS.timed("orchestrator.solve_cold"):
+                return self._solve(self._row_source())
 
     # -- parallel-solve lifecycle -------------------------------------------
 
@@ -800,16 +789,12 @@ class PainterOrchestrator:
             # model's learned set, only the set the parent broadcasts at
             # each solve's prep.
             self._teardown_parallel()
-        import repro.parallel as parallel_mod
-
         if not parallel_mod.parallel_enabled():
             return None
         kwargs = {}
         if self._config.worker_timeout_s is not None:
             kwargs["timeout_s"] = self._config.worker_timeout_s
         try:
-            import weakref
-
             solver = parallel_mod.ParallelSolver(self, n_workers, **kwargs)
         except (parallel_mod.WorkerPoolError, OSError, ValueError) as exc:
             logger.warning(
@@ -823,32 +808,22 @@ class PainterOrchestrator:
 
     # -- Algorithm 1, middle + inner loops ----------------------------------
 
-    def solve(
-        self, record_curve: bool = False, workers: Optional[int] = None
-    ) -> AdvertisementConfig:
+    def solve(self, record_curve: bool = False) -> AdvertisementConfig:
         """Greedy allocation of the prefix budget (one outer-loop pass).
 
         Parallelism and the compute backend are configured once on
         :class:`OrchestratorConfig` (``workers=``, ``backend=``); any value
         of ``workers`` above 1 shards the marginal evaluations across a
         persistent fork pool (``repro.parallel``) with bit-identical
-        results, and worker failure falls back to the serial path.  The
-        per-call ``workers=`` override is deprecated.
+        results, and worker failure falls back to the serial path.
         """
-        if workers is not None:
-            warnings.warn(
-                "solve(workers=...) is deprecated; set "
-                "OrchestratorConfig(workers=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         with TRACER.span(
             "orchestrator.solve",
             budget=self._budget,
             backend=self._evaluator.backend.name,
         ) as span:
-            with PERF.timed("orchestrator.solve"):
-                config = self._solve_dispatch(record_curve, workers)
+            with METRICS.timed("orchestrator.solve"):
+                config = self._solve_dispatch(record_curve)
             span.tag("prefixes_used", config.prefix_count)
             span.tag("pairs_used", config.pair_count)
             return config
@@ -857,11 +832,8 @@ class PainterOrchestrator:
         """Has the serial-fallback breaker cooled down enough to retry?"""
         if not self._parallel_broken:
             return True
-        retry = self._config.parallel_retry_solves
-        if retry <= 0:
-            return False  # broken stays broken (legacy behavior)
         self._solves_since_break += 1
-        if self._solves_since_break > retry:
+        if self._solves_since_break > PARALLEL_RETRY_SOLVES:
             # Probe solve: re-arm the parallel path.  If the pool fails
             # again the fallback handler re-trips the breaker and the
             # cooldown restarts from zero.
@@ -870,25 +842,20 @@ class PainterOrchestrator:
             return True
         return False
 
-    def _solve_dispatch(
-        self, record_curve: bool, workers: Optional[int]
-    ) -> AdvertisementConfig:
-        n_workers = self._config.workers if workers is None else workers
+    def _solve_dispatch(self, record_curve: bool) -> AdvertisementConfig:
         # Disabled peerings force the serial path: forked workers hold the
         # candidate peering list frozen from fork time, and the serial
         # solve is the one place the exclusion is applied authoritatively.
         if (
-            n_workers > 1
+            self._config.workers > 1
             and not self._disabled_peerings
             and self._breaker_allows_parallel()
         ):
-            solver = self._ensure_parallel(n_workers)
+            solver = self._ensure_parallel(self._config.workers)
             if solver is not None:
-                from repro.parallel import WorkerPoolError
-
                 try:
                     return solver.solve(record_curve=record_curve)
-                except WorkerPoolError as exc:
+                except parallel_mod.WorkerPoolError as exc:
                     # Graceful degradation: the sharded solve is
                     # deterministic, so re-running serially from scratch
                     # produces exactly the configuration the pool would
@@ -898,85 +865,30 @@ class PainterOrchestrator:
                         "parallel solve failed (%s); falling back to serial",
                         exc,
                     )
-                    PERF.counter("parallel.fallbacks").add()
+                    METRICS.counter("parallel.fallbacks").add()
                     emit_event(
                         "parallel_fallback",
                         reason=str(exc),
                         workers=solver.n_workers,
                     )
                     self._teardown_parallel(mark_broken=True)
-        return self._solve(record_curve=record_curve)
+        return self._solve(self._row_source(), record_curve)
+
+    def _solve_inputs(self) -> Tuple[int, List[int], Tuple[int, ...]]:
+        """What a source is built from: the prefix budget, the candidate
+        peerings (ascending) and the learned UG ids, as of now."""
+        peering_ids = sorted(
+            pid for pid in self._affected if pid not in self._disabled_peerings
+        )
+        return self._budget, peering_ids, tuple(sorted(self._model.learned_ug_ids))
 
     def _solve(
-        self,
-        record_curve: bool = False,
-        *,
-        memo_in: Optional[SolveMemo] = None,
-        memo_out: Optional[SolveMemo] = None,
-        dirty: FrozenSet[int] = frozenset(),
-        vol_rows: Optional[Dict[int, Set[int]]] = None,
+        self, source: MarginalSource, record_curve: bool = False
     ) -> AdvertisementConfig:
-        if vol_rows is None:
-            vol_rows = {}
-        scenario = self._scenario
-        evaluator = self._evaluator
-        config = AdvertisementConfig()
-        self.budget_curve = []
-        PERF.counter("orchestrator.solve_calls").add()
-        marginal_evals = PERF.counter("orchestrator.marginal_evals")
-        naive_evals = PERF.counter("orchestrator.naive_marginal_evals")
-        repushes = PERF.counter("orchestrator.heap_repushes")
-        marginal_hist = PERF.histogram(
-            "orchestrator.marginal_benefit", _BENEFIT_BUCKETS
-        )
-        # Fill the UG×peering latency store up front so the ranked scan
-        # below never pays a latency_of call mid-heap-operation.  Large
-        # worlds (see DENSE_AUTO_SLOTS) materialize flat float64 matrices
-        # on the compute backend instead of per-UG Python rows; with a
-        # dense matrix already bound (parallel fill or an earlier
-        # materialization) the row precompute would only duplicate it, so
-        # it is skipped — unfilled slots fall back per lookup to the same
-        # deterministic oracle.
-        if self._use_dense_matrices():
-            evaluator.materialize_latency_matrices(
-                budget_bytes=self._config.dense_budget_bytes
-            )
-        if evaluator.backend.latency_matrix is None:
-            evaluator.precompute_latency_matrix()
-
-        ugs = scenario.user_groups
-        n_ugs = len(ugs)
-        model = self._model
-        anycast_arr = np.array(
-            [scenario.anycast_latency_ms(ug) for ug in ugs]
-        )
-        vol_list = [ug.volume for ug in ugs]
-        vol_arr = np.array(vol_list)
-        self._ensure_affected_arrays(vol_arr)
-        fast_queries = PERF.counter("evaluator.scan_fast_queries")
-
-        # Expected latency per (UG row, prefix); +inf where the prefix is
-        # unusable for the UG (None), so row minima need no masking.
-        exp_np = np.full((n_ugs, self._budget), np.inf)
-
-        # Per-solve fast/slow split: the vectorized heap build covers UGs
-        # whose predictions are pure distance pruning; UGs with learned
-        # state go through the exact (memoized) Eq.-2 path.
-        learned_rows = {
-            self._ug_index[ug_id]
-            for ug_id in model.learned_ug_ids
-            if ug_id in self._ug_index
-        }
-        build_idx, build_vol, build_lat, build_dist, learned_aff = (
-            self._learned_split(learned_rows)
-        )
-
-        all_peering_ids = sorted(
-            pid
-            for pid in self._affected
-            if pid not in self._disabled_peerings
-        )
-        if self._budget > len(all_peering_ids):
+        """Run the one lazy-greedy driver over ``source`` (which carries
+        the candidate ``peering_ids`` it was built from)."""
+        n_candidates = len(source.peering_ids)
+        if self._budget > n_candidates:
             # An over-budget solve is feasible (extra prefixes simply go
             # unallocated) but almost always a mis-specified experiment, and
             # it would silently skew greedy-vs-ILP comparisons where the
@@ -987,400 +899,22 @@ class PainterOrchestrator:
                 "peerings; at most %d prefixes can be allocated "
                 "(optimality comparisons clamp to the candidate count)",
                 self._budget,
-                len(all_peering_ids),
-                len(all_peering_ids),
+                n_candidates,
+                n_candidates,
             )
-            PERF.counter("orchestrator.budget_over_candidates").add()
+            METRICS.counter("orchestrator.budget_over_candidates").add()
             emit_event(
                 "budget_over_candidates",
                 prefix_budget=self._budget,
-                candidate_peerings=len(all_peering_ids),
+                candidate_peerings=n_candidates,
             )
-
-        # Warm-start replay state (see SolveMemo): while ``intact``, the
-        # accept sequence still matches the memo and clean-peering values
-        # may be reused verbatim.
-        intact = memo_in is not None
-        reused_evals = 0
-        fresh_evals = 0
-        patched_evals = 0
-        if memo_out is not None:
-            memo_out.budget = self._budget
-            memo_out.allow_reuse = self._allow_reuse
-            memo_out.learned_rows = frozenset(learned_rows)
-            memo_out.active_peerings = frozenset(all_peering_ids)
-
-        for prefix in range(self._budget):
-            # Manual enter/exit keeps the 200-line loop body unindented;
-            # while tracing is disabled both calls hit the shared no-op.
-            scan_cm = TRACER.span("orchestrator.prefix_scan", prefix=prefix)
-            scan_span = scan_cm.__enter__()
-            advertised: Set[int] = set()
-            # Replay bookkeeping: the memo's record of this prefix (while
-            # intact) and the record being written for the next warm solve.
-            pmemo_in: Optional[_PrefixMemo] = None
-            if intact:
-                if prefix < len(memo_in.prefixes):
-                    pmemo_in = memo_in.prefixes[prefix]
-                else:
-                    intact = False  # the memo solve stopped earlier than us
-            pmemo_out: Optional[_PrefixMemo] = None
-            if memo_out is not None:
-                pmemo_out = _PrefixMemo()
-                memo_out.prefixes.append(pmemo_out)
-            # Incremental Eq.-2 session: marginal queries against the
-            # growing accepted set cost a binary search for unlearned UGs
-            # instead of a full candidate-set rebuild.
-            scan = evaluator.begin_prefix_scan()
-            # Best latency each UG gets from anycast or *another* prefix.
-            # Fixed for the whole inner loop: accepts only change the
-            # current prefix's expected latencies, which are excluded —
-            # the reason the old per-accept base-cache clear was wasted
-            # work (exp_np[:, prefix] is still all-inf when this runs).
-            base_np = np.minimum(anycast_arr, exp_np.min(axis=1)) if n_ugs else anycast_arr
-            base_list = base_np.tolist()
-            # Expected latency of the current prefix per UG row (None until
-            # a compliant peering is accepted).
-            cur_p: List[Optional[float]] = [None] * n_ugs
-            # Numpy mirror of the PrefixScan state for unlearned UGs, so a
-            # refresh marginal is a handful of array ops instead of one
-            # bisect per affected UG:
-            #   d0_arr    closest accepted distance (inf while none kept)
-            #   csum_arr  sum of measurable kept-set latencies
-            #   ccnt_arr  count of measurable kept-set latencies
-            #   ob_arr    min(base, current expected) — the UG's best today
-            d_reuse = model.d_reuse_km
-            d0_arr = np.full(n_ugs, np.inf)
-            csum_arr = np.zeros(n_ugs)
-            ccnt_arr = np.zeros(n_ugs)
-            ob_arr = base_np.copy()
-            backend = evaluator.backend
-
-            def marginal(peering_id: int) -> Tuple[float, tuple]:
-                """Fresh marginal plus its summation detail.
-
-                The detail — the per-row contribution vector (shrink rows
-                hold their exact scalar term) and the ordered learned-loop
-                terms — lets a later warm solve whose only dirt on this
-                peering is a volume shift substitute the shifted rows and
-                replay the identical float summation (bit-equal result)
-                without re-running the vectorized scan.
-                """
-                marginal_evals.add()
-                idx = build_idx[peering_id]
-                dist = build_dist[peering_id]
-                lat = build_lat[peering_id]
-                # The fused elementwise pipeline (reuse-window shrink test,
-                # kept-set mean update, best-latency improvement) runs on
-                # the compute backend; rows where the reuse window shrinks
-                # come back zeroed and are recomputed exactly below.  Every
-                # backend returns bit-identical elements (the kernels are
-                # reduction-free — see repro.kernels), so the contrib.sum()
-                # reduction below is the same float for all of them.
-                contrib, shrink = backend.refresh_contrib(
-                    dist,
-                    lat,
-                    build_vol[peering_id],
-                    d0_arr[idx],
-                    csum_arr[idx],
-                    ccnt_arr[idx],
-                    ob_arr[idx],
-                    base_np[idx],
-                    d_reuse,
-                )
-                fast_queries.value += len(lat)
-                # Shrink rows get their exact scalar term scattered back
-                # into the contribution vector (rather than added to a
-                # running scalar): the whole unlearned part then reduces in
-                # one numpy sum, which a later volume patch can reproduce
-                # bit-for-bit by substituting the shifted elements and
-                # re-running the identical pairwise reduction.
-                if shrink.any():
-                    for pos in np.nonzero(shrink)[0]:
-                        row = int(idx[pos])
-                        ug = ugs[row]
-                        ob_s = ob_arr[row]
-                        new_p_s = scan.query(ug, peering_id)
-                        if new_p_s is None:
-                            continue
-                        base_s = base_list[row]
-                        new_best_s = new_p_s if new_p_s < base_s else base_s
-                        contrib[pos] = vol_list[row] * (ob_s - new_best_s)
-                delta = float(contrib.sum())
-                learned_terms: List[float] = []
-                for ug, row in learned_aff.get(peering_id, ()):
-                    base_s = base_list[row]
-                    old_p = cur_p[row]
-                    old_best = (
-                        base_s if old_p is None or base_s < old_p else old_p
-                    )
-                    new_p_s = scan.query(ug, peering_id)
-                    if new_p_s is None:
-                        new_best_s = old_best
-                    elif new_p_s < base_s:
-                        new_best_s = new_p_s
-                    else:
-                        new_best_s = base_s
-                    term = vol_list[row] * (old_best - new_best_s)
-                    delta += term
-                    learned_terms.append(term)
-                # ``contrib`` is freshly allocated per call, so the detail
-                # can hold it without a defensive copy.
-                return delta, (contrib, learned_terms)
-
-            def patch_marginal(peering_id: int, key: Tuple[int, int]):
-                """Volume-patch a memoized marginal: bit-equal, far cheaper.
-
-                A volume shift changes marginal *weights* only — none of
-                the scan state (``d0_arr``/``csum_arr``/``ccnt_arr``/
-                ``ob_arr``) depends on volumes, and while ``intact`` that
-                state evolves exactly as it did in the memo run.  So the
-                shifted rows' terms are recomputed with IEEE-double scalar
-                clones of the vectorized ops in ``marginal``, substituted
-                into the recorded contribution vector and scalar-addition
-                sequence, and the identical float summation is replayed —
-                producing the same bits a fresh evaluation would, without
-                rescanning the untouched rows.  Returns ``None`` when the
-                recorded shape no longer matches (caller re-evaluates).
-                """
-                rec = pmemo_in.detail.get(key)
-                if rec is None:
-                    return None
-                contrib0, learned_terms = rec
-                idx = build_idx[peering_id]
-                if len(contrib0) != len(idx):
-                    return None  # learned split drifted under this memo
-                la = learned_aff.get(peering_id, ())
-                if len(la) != len(learned_terms):
-                    return None
-                dist = build_dist[peering_id]
-                lat = build_lat[peering_id]
-                vol = build_vol[peering_id]
-                patched = contrib0.copy()
-                changed = vol_rows[peering_id]
-                for row in changed:
-                    # ``idx`` is ascending (catalog inversion walks UGs in
-                    # row order, and the learned-split mask preserves it).
-                    pos = int(np.searchsorted(idx, row))
-                    if pos >= len(idx) or idx[pos] != row:
-                        continue  # learned row: handled in the loop below
-                    d0_s = float(d0_arr[row])
-                    ob_s = float(ob_arr[row])
-                    dist_s = float(dist[pos])
-                    shrink_s = dist_s < d0_s and math.isfinite(d0_s)
-                    if shrink_s:
-                        # Shrink rows hold their exact scalar term (or 0.0
-                        # when the UG loses its path); both the shrink set
-                        # and query reachability are volume-independent.
-                        new_p_s = scan.query(ugs[row], peering_id)
-                        if new_p_s is None:
-                            patched[pos] = 0.0
-                        else:
-                            bl = base_list[row]
-                            nb = new_p_s if new_p_s < bl else bl
-                            patched[pos] = vol_list[row] * (
-                                ob_arr[row] - nb
-                            )
-                    else:
-                        lat_s = float(lat[pos])
-                        limit_s = (
-                            dist_s if dist_s < d0_s else d0_s
-                        ) + d_reuse
-                        add_s = dist_s <= limit_s and not math.isnan(lat_s)
-                        new_cnt = float(ccnt_arr[row]) + (
-                            1.0 if add_s else 0.0
-                        )
-                        new_sum = float(csum_arr[row]) + (
-                            lat_s if add_s else 0.0
-                        )
-                        new_p = new_sum / (new_cnt if new_cnt > 1.0 else 1.0)
-                        base_s = float(base_np[row])
-                        if new_cnt > 0:
-                            new_best = base_s if base_s < new_p else new_p
-                        else:
-                            new_best = ob_s
-                        patched[pos] = float(vol[pos]) * (ob_s - new_best)
-                total = float(patched.sum())
-                if la:
-                    new_learned: List[float] = []
-                    for i, (ug, row) in enumerate(la):
-                        if row in changed:
-                            base_s = base_list[row]
-                            old_p = cur_p[row]
-                            old_best = (
-                                base_s
-                                if old_p is None or base_s < old_p
-                                else old_p
-                            )
-                            new_p_s = scan.query(ug, peering_id)
-                            if new_p_s is None:
-                                new_best_s = old_best
-                            elif new_p_s < base_s:
-                                new_best_s = new_p_s
-                            else:
-                                new_best_s = base_s
-                            t = vol_list[row] * (old_best - new_best_s)
-                        else:
-                            t = learned_terms[i]
-                        total += t
-                        new_learned.append(t)
-                else:
-                    new_learned = learned_terms
-                return total, (patched, new_learned)
-
-            # Initial heap build: with nothing accepted yet, each unlearned
-            # affected UG contributes vol * max(0, base - latency), so one
-            # masked dot product replaces the per-UG Python loop.
-            version = 0
-            heap: List[Tuple[float, int, int]] = []
-            for pid in all_peering_ids:
-                marginal_evals.add()
-                # Volume-dirty peerings rebuild fresh too: the initial
-                # build is one masked dot product, and BLAS accumulation
-                # order is not reproducible by scalar patching.
-                cached = (
-                    pmemo_in.build.get(pid)
-                    if intact and pid not in dirty and pid not in vol_rows
-                    else None
-                )
-                if cached is not None:
-                    delta = cached
-                    reused_evals += 1
-                else:
-                    fresh_evals += 1
-                    lat = build_lat[pid]
-                    # Elementwise gains on the backend; the vol @ gain dot
-                    # product (a reduction) stays on the host numpy path.
-                    gain = backend.initial_gains(base_np[build_idx[pid]], lat)
-                    delta = float(build_vol[pid] @ gain)
-                    fast_queries.value += len(lat)
-                    for ug, row in learned_aff.get(pid, ()):
-                        base = base_list[row]
-                        new_p = scan.query(ug, pid)
-                        if new_p is not None and new_p < base:
-                            delta += vol_list[row] * (base - new_p)
-                if pmemo_out is not None:
-                    pmemo_out.build[pid] = delta
-                heap.append((-delta, version, pid))
-            heapq.heapify(heap)
-
-            while heap:
-                neg_delta, seen_version, pid = heapq.heappop(heap)
-                if pid in advertised:
-                    continue
-                if seen_version != version:
-                    key = (version, pid)
-                    clean = intact and pid not in dirty
-                    cached = (
-                        pmemo_in.refresh.get(key)
-                        if clean and pid not in vol_rows
-                        else None
-                    )
-                    if cached is not None:
-                        fresh = cached
-                        detail = pmemo_in.detail.get(key)
-                        reused_evals += 1
-                    else:
-                        repatched = (
-                            patch_marginal(pid, key)
-                            if clean and pid in vol_rows
-                            else None
-                        )
-                        if repatched is not None:
-                            fresh, detail = repatched
-                            patched_evals += 1
-                        else:
-                            fresh, detail = marginal(pid)
-                            fresh_evals += 1
-                    if pmemo_out is not None:
-                        pmemo_out.refresh[key] = fresh
-                        if detail is not None:
-                            pmemo_out.detail[key] = detail
-                    # Lazy re-evaluation: the refreshed marginal is only
-                    # re-enqueued when it has fallen below the current heap
-                    # top — otherwise it is still the best candidate and is
-                    # decided on right here, with no extra pop.
-                    if heap and fresh < -heap[0][0] - EPSILON_BENEFIT:
-                        repushes.add()
-                        heapq.heappush(heap, (-fresh, version, pid))
-                        continue
-                    neg_delta = -fresh
-                if -neg_delta <= EPSILON_BENEFIT:
-                    break  # no peering offers positive benefit for this prefix
-                # Accept: advertise this prefix via this peering.
-                marginal_hist.observe(-neg_delta)
-                advertised.add(pid)
-                config.add(prefix, pid)
-                if pmemo_out is not None:
-                    pmemo_out.accepts.append(pid)
-                if intact and (
-                    version >= len(pmemo_in.accepts)
-                    or pmemo_in.accepts[version] != pid
-                ):
-                    # Divergence: the replayed accept sequence departed
-                    # from the memo's, so every later memoized value was
-                    # computed against state we no longer share.
-                    intact = False
-                version += 1
-                affected = self._affected.get(pid, ())
-                scan.accept(pid, affected)
-                for ug, row in zip(affected, self._aff_rows[pid]):
-                    if row in learned_rows:
-                        value = scan.current(ug)
-                    else:
-                        d0, ksum, kcnt, value = scan.kept_stats(ug)
-                        d0_arr[row] = d0
-                        csum_arr[row] = ksum
-                        ccnt_arr[row] = kcnt
-                    cur_p[row] = value
-                    exp_np[row, prefix] = np.inf if value is None else value
-                    base = base_list[row]
-                    ob_arr[row] = (
-                        base if value is None or base < value else value
-                    )
-                if not self._allow_reuse:
-                    break  # one peering per prefix (ablation)
-
-            # What a naive greedy (full re-evaluation each step) would have
-            # spent on this prefix: one scan over the remaining peerings per
-            # accept, plus the final scan that finds nothing.
-            accepts = len(advertised)
-            n_peerings = len(all_peering_ids)
-            if self._allow_reuse:
-                naive_evals.add(
-                    (accepts + 1) * n_peerings - accepts * (accepts + 1) // 2
-                )
-            else:
-                naive_evals.add(n_peerings)
-
-            if intact and version != len(pmemo_in.accepts):
-                # We stopped accepting earlier than the memo solve did (a
-                # dirty marginal dropped below the cutoff): later prefixes
-                # see a different base state, so no further reuse.
-                intact = False
-            scan_span.tag("accepted", accepts)
-            scan_cm.__exit__(None, None, None)
-            if not advertised:
-                break  # nothing left anywhere: further prefixes also won't help
-            logger.debug(
-                "prefix %d advertised via %d peerings", prefix, len(advertised)
-            )
-            if record_curve:
-                evaluation = evaluator.evaluate(config)
-                self.budget_curve.append(
-                    BudgetPoint(
-                        prefixes_used=config.prefix_count,
-                        pairs_used=config.pair_count,
-                        estimated_benefit=evaluation.estimated,
-                        upper_benefit=evaluation.upper,
-                        lower_benefit=evaluation.lower,
-                        mean_benefit=evaluation.mean,
-                    )
-                )
-        self._last_reused = reused_evals
-        self._last_fresh = fresh_evals
-        self._last_patched = patched_evals
-        self._last_diverged = memo_in is not None and not intact
+        config, self.budget_curve = lazy_greedy(
+            source,
+            source.peering_ids,
+            self._budget,
+            allow_reuse=self._allow_reuse,
+            evaluate=self._evaluator.evaluate if record_curve else None,
+        )
         return config
 
     def estimated_iteration_duration_s(self) -> float:
@@ -1429,7 +963,7 @@ class PainterOrchestrator:
         with TRACER.span(
             "orchestrator.execute_and_observe", iteration=iteration
         ) as obs_span:
-            timer = PERF.timer("orchestrator.execute_and_observe")
+            timer = METRICS.timer("orchestrator.execute_and_observe")
             start = time.perf_counter()
             for ug in self._scenario.user_groups:
                 for prefix in config.prefixes:
@@ -1489,7 +1023,7 @@ class PainterOrchestrator:
                         "parallel invalidate broadcast failed; "
                         "tearing the pool down"
                     )
-                    PERF.counter("parallel.fallbacks").add()
+                    METRICS.counter("parallel.fallbacks").add()
                     emit_event(
                         "parallel_fallback",
                         reason="invalidate broadcast failed",

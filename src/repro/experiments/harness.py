@@ -101,10 +101,10 @@ def _init_experiment_worker() -> None:
 def _run_experiment_task(name: str) -> Tuple[str, "ExperimentResult", Dict[str, Any]]:
     """Run one experiment in a worker; ship its result + perf snapshot home."""
     from repro.experiments import ALL_EXPERIMENTS
-    from repro.perf import PERF
+    from repro.telemetry import METRICS
 
     result = ALL_EXPERIMENTS[name]()
-    return name, result, PERF.snapshot()
+    return name, result, METRICS.snapshot()
 
 
 def run_experiments_parallel(
@@ -117,7 +117,7 @@ def run_experiments_parallel(
     ``jobs<=1`` degrades to a plain serial loop in this process.  Results
     come back keyed by experiment id, in the order requested.  Worker perf
     counters (cache hit rates, marginal-evaluation counts) are merged into
-    this process's :data:`repro.perf.PERF` registry so reports reflect the
+    this process's :data:`repro.telemetry.METRICS` registry so reports reflect the
     whole run, not just the parent.
 
     Experiments are independent by construction (each builds its own world
@@ -125,7 +125,7 @@ def run_experiments_parallel(
     safe — no shared mutable state crosses the fork.
     """
     from repro.experiments import ALL_EXPERIMENTS
-    from repro.perf import PERF
+    from repro.telemetry import METRICS
 
     names = list(experiment_ids)
     unknown = [name for name in names if name not in ALL_EXPERIMENTS]
@@ -143,7 +143,7 @@ def run_experiments_parallel(
         for future in as_completed(futures):
             name, result, perf_snapshot = future.result()
             results[name] = result
-            PERF.merge(perf_snapshot)
+            METRICS.merge(perf_snapshot)
     return {name: results[name] for name in names}
 
 

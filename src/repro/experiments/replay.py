@@ -32,9 +32,8 @@ import numpy as np
 from repro.core.installation import Installation, install_configuration
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.experiments.harness import ExperimentResult
-from repro.perf import PERF
 from repro.scenario import Scenario, azure_scenario, prototype_scenario, tiny_scenario
-from repro.telemetry import TRACER, emit_event
+from repro.telemetry import METRICS, TRACER, emit_event
 from repro.traffic_manager.dataplane import (
     DataPlane,
     FlowBatch,
@@ -171,14 +170,14 @@ def run_traffic_replay(config: Optional[ReplayConfig] = None) -> ReplayResult:
     replay_cm.__enter__()
     scenario = _PRESETS[config.preset](seed=config.seed)
 
-    with PERF.timed("replay.solve"):
+    with METRICS.timed("replay.solve"):
         orchestrator = PainterOrchestrator(
             scenario, OrchestratorConfig(prefix_budget=config.prefix_budget)
         )
         advertisement = orchestrator.solve()
     installation = install_configuration(scenario, advertisement)
 
-    with PERF.timed("replay.measure"):
+    with METRICS.timed("replay.measure"):
         cidrs, latencies = _latency_matrix(scenario, installation)
         bank = SelectorBank()
         # One measurement round per selector warm-up requirement, so the
@@ -202,7 +201,7 @@ def run_traffic_replay(config: Optional[ReplayConfig] = None) -> ReplayResult:
                 latencies[:, dead_col] = math.inf
                 before = dict(selections)
                 selections = bank.update_matrix(cidrs, latencies)
-                with PERF.timed("replay.failover"):
+                with METRICS.timed("replay.failover"):
                     for to_prefix in sorted(
                         {
                             selections[sid]
@@ -226,10 +225,10 @@ def run_traffic_replay(config: Optional[ReplayConfig] = None) -> ReplayResult:
         )
         start = time.perf_counter()
         with TRACER.span("replay.step", step=step, arrivals=len(batch)):
-            with PERF.timed("replay.step"):
+            with METRICS.timed("replay.step"):
                 forwarded = plane.forward(batch, selections, float(step))
         elapsed = time.perf_counter() - start
-        PERF.counter("replay.flows_admitted").add(forwarded.admitted)
+        METRICS.counter("replay.flows_admitted").add(forwarded.admitted)
         stats = StepStats(
             step=step,
             admitted=forwarded.admitted,
@@ -238,8 +237,8 @@ def run_traffic_replay(config: Optional[ReplayConfig] = None) -> ReplayResult:
             elapsed_s=elapsed,
         )
         if math.isfinite(stats.flows_per_s):
-            PERF.histogram("replay.flows_per_s").observe(stats.flows_per_s)
-        PERF.gauge("replay.live_flows").set(stats.live_flows)
+            METRICS.histogram("replay.flows_per_s").observe(stats.flows_per_s)
+        METRICS.gauge("replay.live_flows").set(stats.live_flows)
         result.step_stats.append(stats)
 
     result.flows_by_destination = plane.destinations()

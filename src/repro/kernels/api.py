@@ -47,20 +47,19 @@ from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.perf import PERF
-from repro.telemetry import emit_event
+from repro.telemetry import METRICS, emit_event
 
 
 @dataclass(frozen=True)
 class ScanContext:
     """Injected state for one :class:`repro.core.benefit.PrefixScan` session.
 
-    Consolidates the loose ``learned_ug_ids=`` / ``table_source=`` keyword
-    surface of ``BenefitEvaluator.begin_prefix_scan``: a parallel shard
-    worker whose forked routing model is frozen at pool-creation time
-    passes the authoritative learned set it received from the parent, and
-    sources per-UG scan tables from the shared latency/distance matrices
-    instead of re-deriving each entry from the latency oracle.
+    What ``BenefitEvaluator.begin_prefix_scan`` lets a caller inject: a
+    parallel shard worker whose forked routing model is frozen at
+    pool-creation time passes the authoritative learned set it received
+    from the parent, and sources per-UG scan tables from the shared
+    latency/distance matrices instead of re-deriving each entry from the
+    latency oracle.
     """
 
     #: Overrides the routing model's live learned-UG set (``None`` = live).
@@ -95,8 +94,6 @@ class ComputeBackend:
         self._dist_matrix: Optional[np.ndarray] = None
 
     # -- dense matrix binding ------------------------------------------------
-    # (consolidates the deprecated BenefitEvaluator.adopt_latency_matrix /
-    # drop_latency_matrix surface)
 
     def bind_latency_matrix(
         self, lat: np.ndarray, dist: Optional[np.ndarray] = None
@@ -247,7 +244,7 @@ def get_backend(name: str) -> ComputeBackend:
 
 def _warmed(name: str) -> ComputeBackend:
     backend = get_backend(name)
-    with PERF.timed("kernels.compile_s"):
+    with METRICS.timed("kernels.compile_s"):
         backend.warmup()
     return backend
 
@@ -282,7 +279,7 @@ def resolve_backend(name: str = "auto") -> ComputeBackend:
     try:
         return _warmed(name)
     except Exception as exc:  # noqa: BLE001 - degradation, never a crash
-        PERF.counter("kernels.fallbacks").add()
+        METRICS.counter("kernels.fallbacks").add()
         emit_event("backend_fallback", backend=name, reason=str(exc))
         warnings.warn(
             f"compute backend {name!r} unavailable ({exc}); "

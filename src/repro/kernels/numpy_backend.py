@@ -1,9 +1,8 @@
 """The numpy reference backend — the bit-exactness oracle.
 
 Hosts the canonical elementwise kernels every other backend must
-reproduce bit-for-bit.  ``refresh_contrib`` is the serial solver's
-refresh-marginal vector expression (previously duplicated in
-``repro.parallel.shard``, which now re-exports it from here);
+reproduce bit-for-bit.  ``refresh_contrib`` is the refresh-marginal vector
+expression every shard evaluates (``repro.parallel.shard``);
 ``initial_gains`` is the initial-heap ``np.fmax(base - lat, 0.0)``.
 """
 
@@ -36,7 +35,7 @@ def refresh_contrib(
     base: np.ndarray,
     d_reuse: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The serial refresh-marginal vector expression, row-for-row.
+    """The refresh-marginal vector expression, row-for-row.
 
     Returns ``(contrib, shrink)``: per-row volume-weighted improvements
     (zeroed where the reuse window shrinks) and the shrink mask whose rows

@@ -24,7 +24,7 @@ from repro.core.advertisement import AdvertisementConfig
 from repro.core.benefit import BenefitEvaluator
 from repro.optimality.problem import SelectionProblem
 from repro.optimality.solvers import SolveOutcome, lp_bound
-from repro.perf import PERF
+from repro.telemetry import METRICS
 
 __all__ = ["LpEnvelope", "assert_lp_sound", "lp_envelope"]
 
@@ -89,9 +89,9 @@ def assert_lp_sound(
     can also record the bound and utilization in their ``extra_info``.
     """
     envelope = lp_envelope(evaluator, config, benefit=benefit)
-    PERF.counter("optimality.envelope_checks").add()
+    METRICS.counter("optimality.envelope_checks").add()
     if not envelope.sound:
-        PERF.counter("optimality.envelope_violations").add()
+        METRICS.counter("optimality.envelope_violations").add()
         raise AssertionError(
             "LP optimality envelope violated: benefit "
             f"{envelope.benefit:.9g} > bound {envelope.bound:.9g} at "

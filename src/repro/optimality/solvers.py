@@ -38,8 +38,7 @@ from repro.optimality.problem import (
     SelectionProblem,
     brute_force,
 )
-from repro.perf import PERF
-from repro.telemetry import TRACER
+from repro.telemetry import METRICS, TRACER
 
 __all__ = [
     "BackendUnavailable",
@@ -159,8 +158,8 @@ def lp_bound(
         ) from exc
     if problem.matrix.nnz == 0:
         return _trivial_outcome("scipy-lp")
-    timer = PERF.timer("optimality.lp_seconds")
-    PERF.counter("optimality.lp_solves").add()
+    timer = METRICS.timer("optimality.lp_seconds")
+    METRICS.counter("optimality.lp_solves").add()
     c, a_ub, b_ub = _scipy_matrices(problem)
     options = {}
     if time_limit_s is not None:
@@ -351,8 +350,8 @@ def solve_ilp(
             "no usable ILP backend (need scipy, pulp, or a brute-forceable "
             "instance)"
         )
-    timer = PERF.timer("optimality.ilp_seconds")
-    PERF.counter("optimality.ilp_solves").add()
+    timer = METRICS.timer("optimality.ilp_seconds")
+    METRICS.counter("optimality.ilp_solves").add()
     with TRACER.span(
         "optimality.ilp",
         backend=backend,

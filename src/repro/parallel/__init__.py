@@ -1,14 +1,17 @@
-"""Intra-solve parallelism: sharded lazy-greedy evaluation, bit-identical.
+"""The row side of a solve: shards, their parent-side reducer, the pool.
 
-``PainterOrchestrator.solve`` with ``OrchestratorConfig(workers=N)`` (or
-``repro solve --workers N``) shards each prefix round's candidate-peering
-marginal evaluations across ``N`` persistent fork workers.  The latency and
-distance matrices live in ``multiprocessing.shared_memory`` — workers fill
-and read them as plain numpy views, and nothing scenario-sized ever crosses
-a pipe.  Results are **bit-identical** to the serial path for every worker
-count: workers compute only elementwise per-row slices, and the parent
-performs every floating-point reduction over canonically ordered full
-arrays (see :mod:`repro.parallel.shard` for the invariants).
+``repro.core.greedy.lazy_greedy`` drives every solve; the marginals it asks
+for are reduced from UG rows by :class:`RowSource` — in-process over one
+:class:`ShardState` for the serial solve, or (:class:`ShardedSource`) over
+``N`` of them held by persistent fork workers when
+``OrchestratorConfig(workers=N)`` (or ``repro solve --workers N``) asks for
+intra-solve parallelism.  The latency and distance matrices then live in
+``multiprocessing.shared_memory`` — workers fill and read them as plain
+numpy views, and nothing scenario-sized ever crosses a pipe.  Results are
+**bit-identical** to the serial path for every worker count, marginal by
+marginal: shards compute only elementwise per-row slices, and the one
+reducer performs every floating-point reduction over canonically ordered
+full arrays (see :mod:`repro.parallel.shard` for the invariants).
 
 Process-wide gating: :func:`disable_parallel` turns the subsystem off for
 this process (orchestrators silently run serial).  The experiment harness
@@ -22,9 +25,19 @@ from repro.parallel.pool import (
     WorkerPoolError,
     arm_worker_faults,
 )
-from repro.parallel.shard import ShardContext, ShardState, shard_ranges
+from repro.parallel.shard import (
+    ShardContext,
+    ShardState,
+    learned_layout,
+    shard_ranges,
+)
 from repro.parallel.shared import SharedArray
-from repro.parallel.solver import SPECULATIVE_REFRESHES, ParallelSolver
+from repro.parallel.solver import (
+    SPECULATIVE_REFRESHES,
+    ParallelSolver,
+    RowSource,
+    ShardedSource,
+)
 
 _ENABLED = True
 
@@ -54,15 +67,18 @@ def enable_parallel() -> None:
 __all__ = [
     "DEFAULT_TIMEOUT_S",
     "ParallelSolver",
+    "RowSource",
     "SPECULATIVE_REFRESHES",
     "SharedArray",
     "ShardContext",
     "ShardState",
+    "ShardedSource",
     "WorkerPool",
     "WorkerPoolError",
     "arm_worker_faults",
     "disable_parallel",
     "enable_parallel",
+    "learned_layout",
     "parallel_enabled",
     "shard_ranges",
 ]

@@ -1,24 +1,27 @@
-"""Row-sharded worker state for the parallel lazy-greedy solve.
+"""The per-row work of a lazy-greedy solve, over a range of UG rows.
 
-Each worker owns a contiguous range of UG rows ``[lo, hi)`` and performs,
-for those rows only, exactly the per-row work the serial ``_solve`` does:
-filling the latency/distance matrices, computing initial-heap gains, the
-vectorized part of a marginal refresh, and folding accepted peerings into
-an incremental :class:`repro.core.benefit.PrefixScan`.
+:class:`ShardState` owns a contiguous range of UG rows ``[lo, hi)`` and is
+the only implementation of what Algorithm 1 does per row: filling the
+latency/distance matrices, initial-heap gains, the vectorized refresh of a
+marginal with its exact shrink-row terms, and folding accepted peerings
+into an incremental :class:`repro.core.benefit.PrefixScan`.  The serial
+solve runs one ``ShardState`` over every row in-process; the worker pool
+runs ``N`` of them behind pipes.  Either way the parent-side reducer in
+:mod:`repro.parallel.solver` turns their rows into marginals.
 
-Bit-identity with the serial path rests on three invariants, all enforced
-here:
+Serial ≡ sharded, per marginal, rests on three invariants enforced here:
 
-* workers compute only **elementwise / per-row** quantities — every
+* shards compute only **elementwise / per-row** quantities — every
   floating-point *reduction* (``contrib.sum()``, the initial ``vol @ gain``
-  dot product, scalar shrink-correction accumulation) happens in the parent
-  over full arrays assembled in canonical row order, so the summation order
-  is the serial order regardless of worker count;
+  dot product, the learned-row terms) happens in the parent over full
+  arrays assembled in canonical row order, so the summation order is the
+  same for every shard count;
 * shard row ranges are contiguous and affected-UG lists are row-ascending
   (``_invert_catalog`` walks UGs in scenario order), so concatenating
-  worker results in worker-index order reproduces the serial array layout
-  with no re-sorting;
-* the per-value math is the *same code* the serial path runs — the
+  shard results in shard order reproduces the one-shard array layout with
+  no re-sorting — including the shrink-row terms, which each shard
+  scatters into its own slice of the contribution vector;
+* the per-value math is the *same code* for every shard count — the
   deterministic latency/distance oracles, the compute backend's
   elementwise kernels (``repro.kernels``; workers inherit the evaluator's
   backend at fork time, so a compiled solve is compiled in every shard),
@@ -28,16 +31,12 @@ here:
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-# Re-exported for backward compatibility: the canonical kernel now lives in
-# the numpy reference backend (every ComputeBackend reproduces it
-# bit-for-bit elementwise).
 from repro.kernels import ScanContext
-from repro.kernels.numpy_backend import refresh_contrib  # noqa: F401
-from repro.perf import PERF
+from repro.telemetry import METRICS
 
 
 def shard_ranges(n_rows: int, n_workers: int) -> List[Tuple[int, int]]:
@@ -56,12 +55,15 @@ def shard_ranges(n_rows: int, n_workers: int) -> List[Tuple[int, int]]:
 
 
 class ShardContext:
-    """Everything a worker inherits at fork time (built pre-fork, immutable).
+    """What every shard of one world shares (built once, immutable).
 
-    Holds the scenario graph plus the shared-memory matrices.  Nothing in
-    here is pickled: under the ``fork`` start method children inherit the
-    parent's address space, and the :class:`SharedArray` segments map the
-    same physical pages in every process.
+    Holds the scenario graph plus where the static per-(UG, peering)
+    latencies and distances come from.  For a worker pool that is the
+    shared-memory matrices: nothing in here is pickled — under the ``fork``
+    start method children inherit the parent's address space, and the
+    :class:`SharedArray` segments map the same physical pages in every
+    process.  The in-process shard passes no matrices and the ``static``
+    per-peering arrays instead, and reads scan tables through the evaluator.
     """
 
     def __init__(
@@ -74,6 +76,7 @@ class ShardContext:
         lat_mat,
         dist_mat,
         gain_buf,
+        static: Optional[Dict[int, Tuple["np.ndarray", "np.ndarray"]]] = None,
     ) -> None:
         self.scenario = scenario
         self.evaluator = evaluator
@@ -91,6 +94,11 @@ class ShardContext:
         self.lat_mat = lat_mat
         self.dist_mat = dist_mat
         self.gain_buf = gain_buf
+        #: In-process only: ``(latency, distance)`` arrays per peering,
+        #: aligned with ``rows_np``.
+        self.static = static
+        #: Per-UG scan-table override (``None``: the evaluator's own).
+        self.table_source = None if static is not None else self._matrix_table
         #: Global row indices of each peering's affected UGs, ascending
         #: (catalog inversion walks UGs in scenario order).
         self.rows_np: Dict[int, "np.ndarray"] = {
@@ -101,14 +109,92 @@ class ShardContext:
         }
         self.total_pairs = sum(len(ugs) for ugs in affected.values())
 
+    def arrays(self, pid: int, rows: "np.ndarray"):
+        """``(latency, distance)`` of ``pid`` at ``rows``, an ascending
+        subset of its affected rows; ``nan`` latency = unmeasurable."""
+        if self.static is None:
+            col = self.col_of[pid]
+            lat = self.lat_mat[rows, col]
+            lat[np.isinf(lat)] = np.nan  # the matrices encode None as +inf
+            return lat, self.dist_mat[rows, col]
+        lat, dist = self.static[pid]
+        if len(rows) == len(lat):
+            return lat, dist
+        pos = np.searchsorted(self.rows_np[pid], rows)
+        return lat[pos], dist[pos]
+
+    def _matrix_table(self, ug):
+        """Scan table for one UG, sourced from the shared matrices."""
+        row = self.ug_index[ug.ug_id]
+        table = {}
+        for pid in self.model.catalog.ingress_ids(ug):
+            col = self.col_of[pid]
+            lat = self.lat_mat[row, col]
+            table[pid] = (
+                float(self.dist_mat[row, col]),
+                None if math.isinf(lat) else float(lat),
+            )
+        return table
+
+
+class RowLayout(NamedTuple):
+    """One solve's split of every peering's rows into unlearned / learned."""
+
+    #: Unlearned affected rows per peering, ascending — the rows shards
+    #: evaluate vectorized.
+    rows: Dict[int, "np.ndarray"]
+    #: Where each peering's unlearned rows start in the flat pair ordering
+    #: (the gain buffer's layout).
+    offset: Dict[int, int]
+    #: The learned ``(UG, row)`` remainder per peering, which the parent
+    #: evaluates through the exact Eq.-2 path (absent when none).
+    learned: Dict[int, List[Tuple[object, int]]]
+    #: Total unlearned pair count.
+    total: int
+
+
+def learned_layout(ctx: ShardContext, learned_ug_ids: Sequence[int]) -> RowLayout:
+    """Filter the learned UGs' rows out of every peering's row list.
+
+    UGs with learned state leave the vectorized scan; this is the one place
+    that split is made, for shards and parent alike, so both sides index
+    the same pair ordering.
+    """
+    ug_index = ctx.ug_index
+    learned_rows = {
+        ug_index[ug_id] for ug_id in learned_ug_ids if ug_id in ug_index
+    }
+    learned_sorted = np.fromiter(
+        sorted(learned_rows), dtype=np.intp, count=len(learned_rows)
+    )
+    rows_of: Dict[int, "np.ndarray"] = {}
+    offset: Dict[int, int] = {}
+    learned: Dict[int, List[Tuple[object, int]]] = {}
+    off = 0
+    for pid in ctx.all_peering_ids:
+        rows = ctx.rows_np[pid]
+        if learned_rows:
+            keep = ~np.isin(rows, learned_sorted)
+            if not keep.all():
+                learned[pid] = [
+                    (ug, row)
+                    for ug, row in zip(ctx.affected[pid], rows.tolist())
+                    if row in learned_rows
+                ]
+                rows = rows[keep]
+        rows_of[pid] = rows
+        offset[pid] = off
+        off += len(rows)
+    return RowLayout(rows_of, offset, learned, off)
+
 
 class ShardState:
-    """One worker's mutable solve state over its row range ``[lo, hi)``.
+    """One shard's mutable solve state over its row range ``[lo, hi)``.
 
     The public methods are the worker protocol: ``fill``, ``prep``,
     ``round_start``, ``refresh``, ``accept``, ``invalidate``.  All of them
-    run equally well in-process (the unit tests drive them directly) — the
-    pool merely moves the calls behind a pipe.
+    run equally well in-process (the serial solve and the unit tests drive
+    them directly) — the pool merely moves the calls behind a pipe.
     """
 
     def __init__(self, ctx: ShardContext, lo: int, hi: int) -> None:
@@ -116,18 +202,21 @@ class ShardState:
         self.lo = lo
         self.hi = hi
         self.ugs = ctx.scenario.user_groups
-        # Same construction as the serial solve: python-float volumes and
-        # their float64 array image.
+        # Python-float volumes for the scalar terms and their float64 array
+        # image for the vectorized ones.
         self.vol_list = [ug.volume for ug in self.ugs]
         self.vol_arr = np.array(self.vol_list)
-        self._prepped = False
-        # Per-solve state (built by prep):
-        self.learned_rows: set = set()
+        #: This shard's affected UGs per peering, row-ascending.
+        self.shard_all: Dict[int, list] = {}
+        for pid, ugs in ctx.affected.items():
+            left, right = np.searchsorted(ctx.rows_np[pid], (lo, hi))
+            self.shard_all[pid] = ugs[left:right]
+        # Per-solve state (built by prep, kept while the learned set holds):
+        self._prepped: Optional[frozenset] = None
+        self.layout: Optional[RowLayout] = None
         self.local: Dict[int, Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]] = {}
         self.spans: Dict[int, Tuple[int, int]] = {}
-        self.shard_all: Dict[int, list] = {}
-        self.shard_unlearned: Dict[int, List[Tuple[object, int]]] = {}
-        # Per-round state (built by round_start):
+        # Per-round state (built by begin_round):
         self.scan = None
         self.base_np: Optional["np.ndarray"] = None
         self.base_list: Optional[list] = None
@@ -135,8 +224,7 @@ class ShardState:
         self.csum_arr: Optional["np.ndarray"] = None
         self.ccnt_arr: Optional["np.ndarray"] = None
         self.ob_arr: Optional["np.ndarray"] = None
-        self._learned_frozen: FrozenSet[int] = frozenset()
-        self._fast_queries = PERF.counter("evaluator.scan_fast_queries")
+        self._fast_queries = METRICS.counter("evaluator.scan_fast_queries")
 
     # -- one-time: matrix fill ----------------------------------------------
 
@@ -169,89 +257,52 @@ class ShardState:
         """Build this solve's per-peering local arrays and buffer spans.
 
         ``learned_ug_ids`` is the authoritative learned set from the parent
-        (the worker's forked routing model is frozen at pool-creation time
-        and must not be consulted).  Learned rows are excluded here exactly
-        as the serial solve's keep-mask excludes them; the parent handles
-        all learned-row corrections itself.
+        (a worker's forked routing model is frozen at pool-creation time
+        and must not be consulted).  Learned rows are left to the parent;
+        the rest of this shard's rows get their static arrays sliced out.
+        A solve under the same learned set as the last one reuses them.
         """
+        learned = frozenset(learned_ug_ids)
+        if learned == self._prepped:
+            return self.layout.total
         ctx = self.ctx
-        self._learned_frozen = frozenset(learned_ug_ids)
-        ug_index = ctx.ug_index
-        learned_rows = {
-            ug_index[ug_id] for ug_id in learned_ug_ids if ug_id in ug_index
-        }
-        self.learned_rows = learned_rows
-        learned_sorted = np.fromiter(
-            sorted(learned_rows), dtype=np.intp, count=len(learned_rows)
-        )
-        lat_mat = ctx.lat_mat
-        dist_mat = ctx.dist_mat
+        layout = learned_layout(ctx, learned)
         lo, hi = self.lo, self.hi
         local = {}
         spans = {}
-        shard_all = {}
-        shard_unlearned = {}
-        off = 0
         for pid in ctx.all_peering_ids:
-            rows = ctx.rows_np[pid]
-            if not learned_rows:
-                filt = rows
-            else:
-                filt = rows[~np.isin(rows, learned_sorted)]
-            left = int(np.searchsorted(filt, lo))
-            right = int(np.searchsorted(filt, hi))
-            sel = filt[left:right]
-            col = ctx.col_of[pid]
-            lat = lat_mat[sel, col].copy()
-            lat[np.isinf(lat)] = np.nan  # serial build_lat uses nan for None
-            dist = dist_mat[sel, col].copy()
+            rows = layout.rows[pid]
+            left = int(np.searchsorted(rows, lo))
+            right = int(np.searchsorted(rows, hi))
+            sel = rows[left:right]
+            lat, dist = ctx.arrays(pid, sel)
             local[pid] = (sel, lat, dist, self.vol_arr[sel])
-            spans[pid] = (off + left, right - left)
-            off += len(filt)
-            affected = ctx.affected[pid]
-            rows_list = rows.tolist()
-            in_shard = [
-                (ug, row)
-                for ug, row in zip(affected, rows_list)
-                if lo <= row < hi
-            ]
-            shard_all[pid] = [ug for ug, _ in in_shard]
-            shard_unlearned[pid] = [
-                (ug, row) for ug, row in in_shard if row not in learned_rows
-            ]
+            spans[pid] = (layout.offset[pid] + left, right - left)
+        self.layout = layout
         self.local = local
         self.spans = spans
-        self.shard_all = shard_all
-        self.shard_unlearned = shard_unlearned
-        self._prepped = True
-        return off  # total (learned-filtered) pair count, all shards
+        self._prepped = learned
+        return layout.total  # total (learned-filtered) pair count, all shards
+
+    def set_volume(self, row: int, volume: float, peering_ids) -> None:
+        """Patch one UG row's traffic volume into every cached image."""
+        self.vol_list[row] = volume
+        self.vol_arr[row] = volume
+        for pid in peering_ids:
+            arrays = self.local.get(pid)
+            if arrays is not None:
+                arrays[3][arrays[0] == row] = volume
 
     # -- per-prefix round ----------------------------------------------------
 
-    def _table_source(self, ug):
-        """Scan table for one UG, sourced from the shared matrices."""
-        ctx = self.ctx
-        row = ctx.ug_index[ug.ug_id]
-        lat_mat = ctx.lat_mat
-        dist_mat = ctx.dist_mat
-        col_of = ctx.col_of
-        table = {}
-        for pid in ctx.model.catalog.ingress_ids(ug):
-            col = col_of[pid]
-            lat = lat_mat[row, col]
-            table[pid] = (
-                float(dist_mat[row, col]),
-                None if math.isinf(lat) else float(lat),
-            )
-        return table
+    def begin_round(self, base_np: "np.ndarray") -> None:
+        """Reset the per-prefix scan state: nothing accepted yet.
 
-    def round_start(self, base_np: "np.ndarray") -> None:
-        """Reset per-prefix state and write this shard's initial gains.
-
-        Gains land in the shared buffer at each peering's span, giving the
-        parent the full serial ``fmax(base - lat, 0)`` vector per peering
-        once every worker has acknowledged; the parent then performs the
-        ``vol @ gain`` reduction itself.
+        Numpy mirror of the :class:`PrefixScan` state per unlearned row, so
+        a refresh is a handful of array ops instead of one bisect per UG:
+        ``d0`` closest accepted distance (inf while none kept), ``csum`` /
+        ``ccnt`` sum and count of measurable kept-set latencies, ``ob`` the
+        row's best latency today, ``min(base, current expected)``.
         """
         ctx = self.ctx
         self.base_np = base_np
@@ -263,78 +314,140 @@ class ShardState:
         self.ob_arr = base_np.copy()
         self.scan = ctx.evaluator.begin_prefix_scan(
             ScanContext(
-                learned_ug_ids=self._learned_frozen,
-                table_source=self._table_source,
+                learned_ug_ids=self._prepped, table_source=ctx.table_source
             )
         )
-        gains = ctx.gain_buf
-        backend = ctx.backend
-        for pid in ctx.all_peering_ids:
-            sel, lat, _dist, _vol = self.local[pid]
+
+    def initial_gains(self, pid: int) -> "np.ndarray":
+        """Per-row ``max(0, base - latency)`` with nothing accepted yet.
+
+        Elementwise on the backend; the ``vol @ gain`` dot product (a
+        reduction) is the parent's.
+        """
+        sel, lat, _dist, _vol = self.local[pid]
+        self._fast_queries.value += len(lat)
+        return self.ctx.backend.initial_gains(self.base_np[sel], lat)
+
+    def round_start(self, base_np: "np.ndarray") -> None:
+        """``begin_round`` plus this shard's initial gains, for the pool.
+
+        Gains land in the shared buffer at each peering's span, giving the
+        parent the full ``fmax(base - lat, 0)`` vector per peering once
+        every worker has acknowledged.
+        """
+        self.begin_round(base_np)
+        gains = self.ctx.gain_buf
+        for pid in self.ctx.all_peering_ids:
             start, count = self.spans[pid]
             if count:
-                gains[start : start + count] = backend.initial_gains(
-                    base_np[sel], lat
-                )
-            self._fast_queries.value += count
+                gains[start : start + count] = self.initial_gains(pid)
 
-    def refresh(self, pids: Sequence[int]) -> List[Tuple["np.ndarray", list]]:
-        """Shard slice of the refresh marginal for each requested peering.
+    def contrib(self, pid: int) -> "np.ndarray":
+        """This shard's slice of one marginal's per-row contributions.
 
-        Returns, per peering, ``(contrib, corrections)``: the vectorized
-        per-row contributions (shrink rows zeroed) and the exact scalar
-        shrink corrections in ascending row order.  The parent concatenates
-        worker contribs and sums everything itself.
+        The fused elementwise pipeline (reuse-window shrink test, kept-set
+        mean update, best-latency improvement) runs on the compute backend;
+        rows where the reuse window shrinks come back zeroed and get their
+        exact scalar term scattered back into the vector (rather than
+        returned beside it), so the parent reduces the whole unlearned part
+        in one numpy sum whatever the shard count — and a later volume
+        patch can reproduce that sum bit-for-bit by substituting elements.
         """
-        out = []
-        backend = self.ctx.backend
-        for pid in pids:
-            sel, lat, dist, vol = self.local[pid]
-            contrib, shrink = backend.refresh_contrib(
-                dist,
-                lat,
-                vol,
-                self.d0_arr[sel],
-                self.csum_arr[sel],
-                self.ccnt_arr[sel],
-                self.ob_arr[sel],
-                self.base_np[sel],
-                self.ctx.d_reuse,
-            )
-            corrections = []
-            if shrink.any():
-                for pos in np.nonzero(shrink)[0]:
-                    row = int(sel[pos])
-                    ug = self.ugs[row]
-                    ob_s = self.ob_arr[row]
-                    new_p_s = self.scan.query(ug, pid)
-                    if new_p_s is None:
-                        continue
-                    base_s = self.base_list[row]
-                    new_best_s = new_p_s if new_p_s < base_s else base_s
-                    corrections.append(self.vol_list[row] * (ob_s - new_best_s))
-            self._fast_queries.value += len(lat)
-            out.append((contrib, corrections))
-        return out
+        sel, lat, dist, vol = self.local[pid]
+        contrib, shrink = self.ctx.backend.refresh_contrib(
+            dist,
+            lat,
+            vol,
+            self.d0_arr[sel],
+            self.csum_arr[sel],
+            self.ccnt_arr[sel],
+            self.ob_arr[sel],
+            self.base_np[sel],
+            self.ctx.d_reuse,
+        )
+        self._fast_queries.value += len(lat)
+        if shrink.any():
+            self._scatter_shrink_terms(pid, contrib, np.nonzero(shrink)[0])
+        return contrib
+
+    def _scatter_shrink_terms(self, pid: int, out: "np.ndarray", positions) -> None:
+        """Write into ``out`` the exact term of each row (by position among
+        ``pid``'s rows) whose reuse window ``pid`` would shrink; rows that
+        would lose their path stay at zero."""
+        rows = self.local[pid][0][positions].tolist()
+        query, ugs, ob_arr = self.scan.query, self.ugs, self.ob_arr
+        base_list, vol_list = self.base_list, self.vol_list
+        for pos, row in zip(positions, rows):
+            new_p = query(ugs[row], pid)
+            if new_p is None:
+                out[pos] = 0.0
+                continue
+            base = base_list[row]
+            new_best = new_p if new_p < base else base
+            out[pos] = vol_list[row] * (ob_arr[row] - new_best)
+
+    def refresh(self, pids: Sequence[int]) -> List["np.ndarray"]:
+        """``contrib`` for a batch of peerings (one pool round trip)."""
+        return [self.contrib(pid) for pid in pids]
+
+    def patch_contrib(
+        self, pid: int, recorded: "np.ndarray", changed_rows: Set[int]
+    ) -> "np.ndarray":
+        """A recorded ``contrib`` vector with ``changed_rows`` recomputed.
+
+        For the warm-start volume patch: a volume shift changes marginal
+        *weights* only — none of the scan state depends on volumes — so the
+        shifted rows' terms are recomputed with IEEE-double scalar clones
+        of the vectorized ops in ``contrib`` and substituted into a copy of
+        the vector recorded for the same accept sequence.
+        """
+        sel, lat, dist, vol = self.local[pid]
+        patched = recorded.copy()
+        d_reuse = self.ctx.d_reuse
+        for row in changed_rows:
+            # ``sel`` is ascending (see the module docstring).
+            pos = int(np.searchsorted(sel, row))
+            if pos >= len(sel) or sel[pos] != row:
+                continue  # a learned row: the parent's term, not ours
+            d0_s = float(self.d0_arr[row])
+            ob_s = float(self.ob_arr[row])
+            dist_s = float(dist[pos])
+            if dist_s < d0_s and math.isfinite(d0_s):
+                # Both the shrink set and query reachability are
+                # volume-independent.
+                self._scatter_shrink_terms(pid, patched, [pos])
+                continue
+            lat_s = float(lat[pos])
+            limit_s = (dist_s if dist_s < d0_s else d0_s) + d_reuse
+            add_s = dist_s <= limit_s and not math.isnan(lat_s)
+            new_cnt = float(self.ccnt_arr[row]) + (1.0 if add_s else 0.0)
+            new_sum = float(self.csum_arr[row]) + (lat_s if add_s else 0.0)
+            new_p = new_sum / (new_cnt if new_cnt > 1.0 else 1.0)
+            base_s = float(self.base_np[row])
+            if new_cnt > 0:
+                new_best = base_s if base_s < new_p else new_p
+            else:
+                new_best = ob_s
+            patched[pos] = float(vol[pos]) * (ob_s - new_best)
+        return patched
 
     def accept(self, pid: int) -> List[Tuple[int, Optional[float]]]:
         """Fold an accepted peering into this shard's scan state.
 
         Returns ``(row, expected latency)`` updates for the shard's
-        unlearned affected rows, exactly the values the serial accept loop
-        writes into ``exp_np``; the parent applies them and handles learned
-        rows itself.
+        unlearned affected rows; the parent applies them to its per-prefix
+        latency table and handles learned rows itself.
         """
         self.scan.accept(pid, self.shard_all.get(pid, ()))
         updates = []
-        for ug, row in self.shard_unlearned.get(pid, ()):
-            d0, ksum, kcnt, value = self.scan.kept_stats(ug)
-            self.d0_arr[row] = d0
-            self.csum_arr[row] = ksum
-            self.ccnt_arr[row] = kcnt
+        kept_stats, ugs, base_list = self.scan.kept_stats, self.ugs, self.base_list
+        d0_arr, csum_arr, ccnt_arr = self.d0_arr, self.csum_arr, self.ccnt_arr
+        ob_arr = self.ob_arr
+        for row in self.local[pid][0].tolist():
+            d0_arr[row], csum_arr[row], ccnt_arr[row], value = kept_stats(ugs[row])
             updates.append((row, value))
-            base = self.base_list[row]
-            self.ob_arr[row] = base if value is None or base < value else value
+            base = base_list[row]
+            ob_arr[row] = base if value is None or base < value else value
         return updates
 
     # -- epoch invalidation --------------------------------------------------
@@ -346,9 +459,7 @@ class ShardState:
         set the parent sends; dropping eagerly here makes it impossible for
         a stale layout to survive an ``observe()`` between solves.
         """
-        self._prepped = False
+        self._prepped = None
         self.local = {}
         self.spans = {}
-        self.shard_all = {}
-        self.shard_unlearned = {}
         return len(tuple(ug_ids))

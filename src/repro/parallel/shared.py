@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.perf import PERF
+from repro.telemetry import METRICS
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +66,7 @@ class SharedArray:
         except (FileNotFoundError, BufferError):
             pass
         except Exception:
-            PERF.counter("parallel.shm_teardown_errors").add()
+            METRICS.counter("parallel.shm_teardown_errors").add()
             logger.warning(
                 "unexpected error closing shared-memory segment %s", name,
                 exc_info=True,
@@ -77,7 +77,7 @@ class SharedArray:
             except (FileNotFoundError, BufferError):
                 pass
             except Exception:
-                PERF.counter("parallel.shm_teardown_errors").add()
+                METRICS.counter("parallel.shm_teardown_errors").add()
                 logger.warning(
                     "unexpected error unlinking shared-memory segment %s",
                     name,

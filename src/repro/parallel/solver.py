@@ -1,49 +1,58 @@
-"""The parent-side parallel solve driver.
+"""The parent side of a row-sharded solve: two sources for the one driver.
 
-``ParallelSolver`` owns the shared-memory matrices, the fork pool of
-:class:`repro.parallel.shard.ShardState` workers, and a ``solve()`` that
-mirrors ``PainterOrchestrator._solve`` phase for phase:
+:func:`repro.core.greedy.lazy_greedy` asks a ``MarginalSource`` for gains;
+here the gains come from UG rows held by :class:`ShardState` shards.
+
+:class:`RowSource` is the parent-side reducer, written once: it owns what
+spans rows and prefixes — each UG's best latency from *other* prefixes, the
+per-prefix expected latencies accepts leave behind, the exact Eq.-2 terms
+of learned UGs — and turns the shards' per-row vectors into marginals with
+the only floating-point reductions of the solve (``vol @ gain``,
+``contrib.sum()``, then the learned terms in row order).  On its own it
+runs the serial solve: one shard over every row, called in-process.
+
+:class:`ShardedSource` is the same reducer with ``N`` shards behind the
+pipes of a :class:`ParallelSolver`'s fork pool:
 
 1. **fill** (once per pool): workers fill their row ranges of the shared
-   UG×peering latency/distance matrices; the parent adopts the latency
+   UG×peering latency/distance matrices; the parent binds the latency
    matrix so its own evaluator reads the same doubles without recomputing.
 2. **prep** (once per solve): the parent broadcasts the authoritative
    learned-UG set; both sides derive the identical learned-filtered pair
-   layout of the gain buffer.
-3. **round_start** (once per prefix): workers write initial-heap gains into
-   the shared buffer; the parent performs every ``vol @ gain`` reduction
-   over the full canonical segments.
-4. **refresh / accept** (inner loop): workers return shard slices and
-   scalar corrections; the parent concatenates in worker order (== global
-   row order), sums, applies learned-row corrections, and drives the one
-   true heap.
+   layout (:func:`repro.parallel.shard.learned_layout`).
+3. **round_start** (once per prefix): workers write initial gains into the
+   shared buffer at their spans.
+4. **refresh / accept** (inner loop): workers return their slices of the
+   contribution vector and their rows' new expected latencies; the parent
+   concatenates in worker order (== global row order).
 
-Refreshes are batched speculatively: alongside the popped peering, up to
-:data:`SPECULATIVE_REFRESHES` stale heap-top candidates ride the same
-round trip.  Their marginals are pure functions of the (version-stamped)
-round state, so caching them until the next accept changes nothing about
-the values the serial path would compute — it only saves pipe latency
-during re-push streaks.
+Because shards only ever produce per-row values (shrink-row terms
+included) and every reduction is the reducer's, a marginal is the same
+float for every shard count — not just the configuration it decides.
 
-Every floating-point reduction happens here, in serial order, which is why
-``workers=N`` is bit-identical to the serial solve for every N.
+Refreshes are batched speculatively: alongside the requested peering, up
+to :data:`SPECULATIVE_REFRESHES` stale heap-top candidates ride the same
+round trip.  Their contribution vectors are pure functions of the round
+state, so keeping them until the next accept changes no value — it only
+saves pipe latency during re-push streaks.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.advertisement import AdvertisementConfig
 from repro.parallel.pool import DEFAULT_TIMEOUT_S, WorkerPool, WorkerPoolError
-from repro.parallel.shard import ShardContext, ShardState, shard_ranges
+from repro.parallel.shard import (
+    ShardContext,
+    ShardState,
+    learned_layout,
+    shard_ranges,
+)
 from repro.parallel.shared import SharedArray
-from repro.perf import PERF
-from repro.telemetry import TRACER
-from repro.telemetry.metrics import METRICS
+from repro.telemetry import METRICS
 
 logger = logging.getLogger(__name__)
 
@@ -51,9 +60,243 @@ logger = logging.getLogger(__name__)
 #: speculation; identical values, fewer pipe crossings).
 SPECULATIVE_REFRESHES = 3
 
+#: A marginal's summation breakdown: the per-row contribution vector of the
+#: unlearned rows and the ordered exact terms of the learned ones.
+MarginalDetail = Tuple["np.ndarray", List[float]]
+
+
+class RowSource:
+    """Marginals reduced from shard rows; in-process over a single shard."""
+
+    lookahead = 0
+
+    def __init__(
+        self,
+        ctx: ShardContext,
+        budget: int,
+        peering_ids: Sequence[int],
+        learned_ug_ids: Sequence[int],
+        shard: Optional[ShardState] = None,
+    ) -> None:
+        self.peering_ids = peering_ids
+        self._ctx = ctx
+        self._shard = shard
+        self._evaluator = ctx.evaluator
+        ugs = ctx.scenario.user_groups
+        self._anycast = np.array(
+            [ctx.scenario.anycast_latency_ms(ug) for ug in ugs]
+        )
+        self._vol_list = [ug.volume for ug in ugs]
+        #: Expected latency per (UG row, prefix); +inf where the prefix is
+        #: unusable for the UG (None), so row minima need no masking.
+        self._exp = np.full((len(ugs), budget), np.inf)
+        #: Learned ``(UG, row)`` pairs per peering: evaluated here, exactly.
+        self._learned = self._prep(learned_ug_ids)
+
+    # -- where the rows are (overridden by ShardedSource) --------------------
+
+    def _prep(self, learned_ug_ids: Sequence[int]) -> Dict[int, list]:
+        self._shard.prep(learned_ug_ids)
+        return self._shard.layout.learned
+
+    def _round_start(self, base_np: "np.ndarray") -> None:
+        self._shard.begin_round(base_np)
+
+    def _initial(self, pid: int) -> Tuple["np.ndarray", "np.ndarray"]:
+        """``(volumes, initial gains)`` of ``pid``'s unlearned rows."""
+        return self._shard.local[pid][3], self._shard.initial_gains(pid)
+
+    def _contrib(self, pid: int, stale: Sequence[int]) -> "np.ndarray":
+        return self._shard.contrib(pid)
+
+    def _accept(self, pid: int) -> List[Tuple[int, Optional[float]]]:
+        return self._shard.accept(pid)
+
+    # -- the reducer ---------------------------------------------------------
+
+    def begin_round(self, prefix: int) -> None:
+        """Start ``prefix`` with nothing accepted."""
+        self._prefix = prefix
+        # Best latency each UG gets from anycast or *another* prefix.
+        # Fixed for the whole inner loop: accepts only change the current
+        # prefix's expected latencies, and its column is still all-inf.
+        base_np = self._anycast
+        if len(base_np):
+            base_np = np.minimum(base_np, self._exp.min(axis=1))
+        self._base = base_np.tolist()
+        #: Expected latency of the current prefix per UG row (None until a
+        #: compliant peering is accepted).
+        self._cur: List[Optional[float]] = [None] * len(self._base)
+        #: Eq.-2 session for the learned rows (the exact, memoized path).
+        self._scan = self._evaluator.begin_prefix_scan()
+        self._round_start(base_np)
+
+    def begin_prefix(self, prefix: int) -> List[float]:
+        self.begin_round(prefix)
+        return [self.initial(pid) for pid in self.peering_ids]
+
+    def initial(self, pid: int) -> float:
+        """Initial-heap gain: with nothing accepted yet, each unlearned row
+        contributes ``vol * max(0, base - latency)`` — one dot product."""
+        vol, gain = self._initial(pid)
+        delta = float(vol @ gain)
+        for ug, row in self._learned.get(pid, ()):
+            base = self._base[row]
+            new_p = self._scan.query(ug, pid)
+            if new_p is not None and new_p < base:
+                delta += self._vol_list[row] * (base - new_p)
+        return delta
+
+    def _learned_terms(
+        self,
+        pid: int,
+        recorded: Optional[List[float]] = None,
+        changed: Set[int] = frozenset(),
+    ) -> List[float]:
+        """Exact marginal terms of ``pid``'s learned rows, in row order.
+
+        With ``recorded`` terms (a volume patch), only ``changed`` rows are
+        re-evaluated.
+        """
+        terms: List[float] = []
+        base_list, cur_p, query = self._base, self._cur, self._scan.query
+        for i, (ug, row) in enumerate(self._learned.get(pid, ())):
+            if recorded is not None and row not in changed:
+                terms.append(recorded[i])
+                continue
+            base = base_list[row]
+            old_p = cur_p[row]
+            old_best = base if old_p is None or base < old_p else old_p
+            new_p = query(ug, pid)
+            if new_p is None:
+                new_best = old_best
+            elif new_p < base:
+                new_best = new_p
+            else:
+                new_best = base
+            terms.append(self._vol_list[row] * (old_best - new_best))
+        return terms
+
+    def marginal(
+        self, pid: int, stale: Sequence[int] = ()
+    ) -> Tuple[float, MarginalDetail]:
+        """A fresh marginal plus its summation detail.
+
+        Every backend and every shard count yields bit-identical elements
+        (the kernels are reduction-free — see :mod:`repro.kernels`), so the
+        one ``contrib.sum()`` here is the same float for all of them.  The
+        detail lets a later warm solve re-run this exact summation with a
+        few elements substituted (:meth:`patch`).
+        """
+        contrib = self._contrib(pid, stale)
+        delta = float(contrib.sum())
+        terms = self._learned_terms(pid)
+        for term in terms:
+            delta += term
+        # ``contrib`` is freshly allocated per call, so the detail can hold
+        # it without a defensive copy.
+        return delta, (contrib, terms)
+
+    def refresh(self, pid: int, stale: Sequence[int]) -> float:
+        return self.marginal(pid, stale)[0]
+
+    def patch(
+        self, pid: int, recorded: MarginalDetail, changed_rows: Set[int]
+    ) -> Optional[Tuple[float, MarginalDetail]]:
+        """Volume-patch a recorded marginal: bit-equal, far cheaper.
+
+        Valid while the scan state matches the one ``recorded`` was computed
+        against (the caller replays the same accept sequence): only the
+        ``changed_rows`` terms are recomputed, then the identical float
+        summation is replayed.  In-process only.  Returns ``None`` when the
+        recorded shape no longer fits the layout (caller re-evaluates).
+        """
+        contrib0, terms0 = recorded
+        n_rows = len(self._shard.local[pid][0])
+        if len(contrib0) != n_rows or len(terms0) != len(self._learned.get(pid, ())):
+            return None  # learned split drifted under the record
+        patched = self._shard.patch_contrib(pid, contrib0, changed_rows)
+        total = float(patched.sum())
+        terms = self._learned_terms(pid, terms0, changed_rows)
+        for term in terms:
+            total += term
+        return total, (patched, terms)
+
+    def accept(self, pid: int) -> None:
+        self._scan.accept(pid, ())
+        updates = self._accept(pid)
+        updates += [
+            (row, self._scan.current(ug)) for ug, row in self._learned.get(pid, ())
+        ]
+        cur_p, column = self._cur, self._exp[:, self._prefix]
+        for row, value in updates:
+            cur_p[row] = value
+            column[row] = np.inf if value is None else value
+
+    def end_prefix(self) -> None:
+        pass
+
+
+class ShardedSource(RowSource):
+    """The reducer over a :class:`ParallelSolver`'s pool of shards."""
+
+    lookahead = SPECULATIVE_REFRESHES
+
+    def __init__(
+        self,
+        solver: "ParallelSolver",
+        budget: int,
+        peering_ids: Sequence[int],
+        learned_ug_ids: Sequence[int],
+    ) -> None:
+        self._pool = solver.pool
+        self._gain_buf = solver.ctx.gain_buf
+        #: pid -> contribution vector, valid until the next accept.
+        self._speculative: Dict[int, "np.ndarray"] = {}
+        self._spec_hits = METRICS.counter("parallel.speculative_hits")
+        self._roundtrips = METRICS.counter("parallel.refresh_roundtrips")
+        super().__init__(solver.ctx, budget, peering_ids, learned_ug_ids)
+
+    def _prep(self, learned_ug_ids: Sequence[int]) -> Dict[int, list]:
+        # The parent owns the live model; workers get the set explicitly
+        # and derive the same layout from it.
+        self._pool.broadcast("prep", learned_ug_ids)
+        layout = learned_layout(self._ctx, learned_ug_ids)
+        vol_arr = np.array(self._vol_list)
+        self._offset = layout.offset
+        self._vol = {pid: vol_arr[rows] for pid, rows in layout.rows.items()}
+        return layout.learned
+
+    def _round_start(self, base_np: "np.ndarray") -> None:
+        self._speculative.clear()
+        self._pool.broadcast("round_start", base_np)
+
+    def _initial(self, pid: int) -> Tuple["np.ndarray", "np.ndarray"]:
+        vol = self._vol[pid]
+        start = self._offset[pid]
+        return vol, self._gain_buf[start : start + len(vol)]
+
+    def _contrib(self, pid: int, stale: Sequence[int]) -> "np.ndarray":
+        speculative = self._speculative
+        if pid in speculative:
+            self._spec_hits.add()
+            return speculative.pop(pid)
+        extra = [other for other in stale if other not in speculative]
+        batch = [pid] + extra[:SPECULATIVE_REFRESHES]
+        self._roundtrips.add()
+        replies = self._pool.broadcast("refresh", batch)
+        for i, other in enumerate(batch):
+            speculative[other] = np.concatenate([reply[i] for reply in replies])
+        return speculative.pop(pid)
+
+    def _accept(self, pid: int) -> List[Tuple[int, Optional[float]]]:
+        self._speculative.clear()
+        replies = self._pool.broadcast("accept", pid)
+        return [update for reply in replies for update in reply]
+
 
 class ParallelSolver:
-    """Shards one orchestrator's lazy-greedy solve across forked workers."""
+    """Owns one orchestrator's shared-memory matrices and shard pool."""
 
     def __init__(
         self,
@@ -68,7 +311,6 @@ class ParallelSolver:
         self.n_workers = n_workers
         scenario = orchestrator._scenario
         evaluator = orchestrator._evaluator
-        model = orchestrator._model
         n_ugs = len(scenario.user_groups)
         n_cols = len(evaluator.peering_columns)
         self._lat = SharedArray((n_ugs, n_cols), fill=np.nan)
@@ -78,14 +320,14 @@ class ParallelSolver:
         ctx = ShardContext(
             scenario,
             evaluator,
-            model,
+            orchestrator._model,
             orchestrator._affected,
             orchestrator._ug_index,
             self._lat.array,
             self._dist.array,
             self._gains.array,
         )
-        self._ctx = ctx
+        self.ctx = ctx
         shards = shard_ranges(n_ugs, n_workers)
 
         def make_handler(index: int, _ctx=ctx, _shards=tuple(shards)) -> ShardState:
@@ -97,9 +339,8 @@ class ParallelSolver:
         #: orchestrator bumps its own epoch on volume/peering mutations and
         #: rebuilds any pool whose epoch lags — forked workers hold frozen
         #: copies of the scenario and must not serve a mutated world.
-        self.world_epoch = getattr(orchestrator, "_world_epoch", 0)
+        self.world_epoch = orchestrator.world_epoch
         self._filled = False
-        self._slow_queries = PERF.counter("evaluator.scan_slow_queries")
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -114,9 +355,9 @@ class ParallelSolver:
             if self._filled:
                 self._orch._evaluator.backend.release_latency_matrix()
             # Release the shard context's views so the mappings can unmap.
-            self._ctx.lat_mat = None
-            self._ctx.dist_mat = None
-            self._ctx.gain_buf = None
+            self.ctx.lat_mat = None
+            self.ctx.dist_mat = None
+            self.ctx.gain_buf = None
             for arr in (self._lat, self._dist, self._gains):
                 arr.close(unlink=True)
 
@@ -141,7 +382,7 @@ class ParallelSolver:
     def _ensure_filled(self) -> None:
         if self._filled:
             return
-        with PERF.timed("parallel.fill"):
+        with METRICS.timed("parallel.fill"):
             self.pool.broadcast("fill")
         # The parent's evaluator now reads the worker-computed doubles
         # instead of re-deriving them serially (bound on the compute
@@ -151,232 +392,17 @@ class ParallelSolver:
 
     # -- the solve -----------------------------------------------------------
 
-    def solve(self, record_curve: bool = False) -> AdvertisementConfig:
-        """One full Algorithm-1 budget allocation, sharded; see ``_solve``."""
-        # Imported here: repro.core.orchestrator lazily imports this module.
-        from repro.core.orchestrator import EPSILON_BENEFIT, _BENEFIT_BUCKETS
-
-        orch = self._orch
-        scenario = orch._scenario
-        evaluator = orch._evaluator
-        model = orch._model
-        pool = self.pool
-        config = AdvertisementConfig()
-        orch.budget_curve = []
-        PERF.counter("orchestrator.solve_calls").add()
-        PERF.counter("parallel.solve_calls").add()
-        marginal_evals = PERF.counter("orchestrator.marginal_evals")
-        naive_evals = PERF.counter("orchestrator.naive_marginal_evals")
-        repushes = PERF.counter("orchestrator.heap_repushes")
-        spec_hits = PERF.counter("parallel.speculative_hits")
-        refresh_rounds = PERF.counter("parallel.refresh_roundtrips")
-        marginal_hist = PERF.histogram(
-            "orchestrator.marginal_benefit", _BENEFIT_BUCKETS
-        )
+    def solve(self, record_curve: bool = False):
+        """One full Algorithm-1 budget allocation over the pool's shards
+        (an ``AdvertisementConfig``; ``repro.core`` imports this module)."""
+        METRICS.counter("parallel.solve_calls").add()
         self._ensure_filled()
-
-        ugs = scenario.user_groups
-        n_ugs = len(ugs)
-        budget = orch._budget
-        anycast_arr = np.array([scenario.anycast_latency_ms(ug) for ug in ugs])
-        vol_list = [ug.volume for ug in ugs]
-        vol_arr = np.array(vol_list)
-        all_peering_ids = self._ctx.all_peering_ids
-        rows_np = self._ctx.rows_np
-        affected_map = self._ctx.affected
-
-        exp_np = np.full((n_ugs, budget), np.inf)
-
-        # Per-solve learned split, mirrored on both sides of the pipe: the
-        # parent owns the live model; workers get the set explicitly.
-        learned_ids = tuple(sorted(model.learned_ug_ids))
-        learned_rows = {
-            orch._ug_index[ug_id]
-            for ug_id in learned_ids
-            if ug_id in orch._ug_index
-        }
-        learned_sorted = np.fromiter(
-            sorted(learned_rows), dtype=np.intp, count=len(learned_rows)
-        )
-        pool.broadcast("prep", learned_ids)
-        # Parent-side layout over the same learned-filtered pair ordering the
-        # workers derived: gain-buffer spans, filtered volumes, and the
-        # learned (UG, row) remainders the parent corrects for exactly.
-        spans: Dict[int, Tuple[int, int]] = {}
-        vol_f: Dict[int, "np.ndarray"] = {}
-        learned_aff: Dict[int, List[Tuple[object, int]]] = {}
-        off = 0
-        for pid in all_peering_ids:
-            rows = rows_np[pid]
-            if learned_rows:
-                filt = rows[~np.isin(rows, learned_sorted)]
-            else:
-                filt = rows
-            spans[pid] = (off, len(filt))
-            off += len(filt)
-            vol_f[pid] = vol_arr[filt]
-            if len(filt) != len(rows):
-                learned_aff[pid] = [
-                    (ug, row)
-                    for ug, row in zip(affected_map[pid], rows.tolist())
-                    if row in learned_rows
-                ]
-        gain_view = self._gains.array
-
-        def learned_query(ug, advertised: set, pid: int) -> Optional[float]:
-            # The parent-side image of PrefixScan.query's slow path.
-            self._slow_queries.value += 1
-            return evaluator.expected_prefix_latency(
-                ug, frozenset(advertised | {pid})
-            )
-
-        for prefix in range(budget):
-            with TRACER.span("orchestrator.prefix_scan", prefix=prefix) as scan_span:
-                advertised: set = set()
-                base_np = (
-                    np.minimum(anycast_arr, exp_np.min(axis=1))
-                    if n_ugs
-                    else anycast_arr
-                )
-                base_list = base_np.tolist()
-                cur_p: List[Optional[float]] = [None] * n_ugs
-                pool.broadcast("round_start", base_np)
-
-                version = 0
-                heap: List[Tuple[float, int, int]] = []
-                for pid in all_peering_ids:
-                    marginal_evals.add()
-                    start, count = spans[pid]
-                    delta = float(vol_f[pid] @ gain_view[start : start + count])
-                    for ug, row in learned_aff.get(pid, ()):
-                        base = base_list[row]
-                        new_p = learned_query(ug, advertised, pid)
-                        if new_p is not None and new_p < base:
-                            delta += vol_list[row] * (base - new_p)
-                    heap.append((-delta, version, pid))
-                heapq.heapify(heap)
-
-                #: pid -> refreshed delta, valid until the next accept.
-                speculative: Dict[int, float] = {}
-
-                def refresh_batch(primary: int) -> None:
-                    batch = [primary]
-                    if SPECULATIVE_REFRESHES and len(heap) > 1:
-                        for neg, seen_v, pid in sorted(heap[:8])[
-                            : SPECULATIVE_REFRESHES + 1
-                        ]:
-                            if (
-                                seen_v != version
-                                and pid != primary
-                                and pid not in advertised
-                                and pid not in speculative
-                                and len(batch) <= SPECULATIVE_REFRESHES
-                            ):
-                                batch.append(pid)
-                    refresh_rounds.add()
-                    replies = pool.broadcast("refresh", batch)
-                    for i, pid in enumerate(batch):
-                        contrib = np.concatenate(
-                            [reply[i][0] for reply in replies]
-                        )
-                        delta = float(contrib.sum())
-                        for reply in replies:
-                            for correction in reply[i][1]:
-                                delta += correction
-                        for ug, row in learned_aff.get(pid, ()):
-                            base_s = base_list[row]
-                            old_p = cur_p[row]
-                            old_best = (
-                                base_s
-                                if old_p is None or base_s < old_p
-                                else old_p
-                            )
-                            new_p_s = learned_query(ug, advertised, pid)
-                            if new_p_s is None:
-                                new_best_s = old_best
-                            elif new_p_s < base_s:
-                                new_best_s = new_p_s
-                            else:
-                                new_best_s = base_s
-                            delta += vol_list[row] * (old_best - new_best_s)
-                        speculative[pid] = delta
-
-                while heap:
-                    neg_delta, seen_version, pid = heapq.heappop(heap)
-                    if pid in advertised:
-                        continue
-                    if seen_version != version:
-                        marginal_evals.add()
-                        if pid in speculative:
-                            spec_hits.add()
-                        else:
-                            refresh_batch(pid)
-                        fresh = speculative.pop(pid)
-                        if heap and fresh < -heap[0][0] - EPSILON_BENEFIT:
-                            repushes.add()
-                            heapq.heappush(heap, (-fresh, version, pid))
-                            continue
-                        neg_delta = -fresh
-                    if -neg_delta <= EPSILON_BENEFIT:
-                        break  # no peering offers positive benefit
-                    marginal_hist.observe(-neg_delta)
-                    advertised.add(pid)
-                    config.add(prefix, pid)
-                    version += 1
-                    speculative.clear()
-                    for worker_updates in pool.broadcast("accept", pid):
-                        for row, value in worker_updates:
-                            cur_p[row] = value
-                            exp_np[row, prefix] = (
-                                np.inf if value is None else value
-                            )
-                    if pid in learned_aff:
-                        frozen = frozenset(advertised)
-                        for ug, row in learned_aff[pid]:
-                            # scan.current() equivalent for learned rows.
-                            value = evaluator.expected_prefix_latency(ug, frozen)
-                            cur_p[row] = value
-                            exp_np[row, prefix] = (
-                                np.inf if value is None else value
-                            )
-                    if not orch._allow_reuse:
-                        break  # one peering per prefix (ablation)
-
-                accepts = len(advertised)
-                n_peerings = len(all_peering_ids)
-                if orch._allow_reuse:
-                    naive_evals.add(
-                        (accepts + 1) * n_peerings
-                        - accepts * (accepts + 1) // 2
-                    )
-                else:
-                    naive_evals.add(n_peerings)
-                scan_span.tag("accepted", accepts)
-            if not advertised:
-                break  # nothing left anywhere
-            logger.debug(
-                "prefix %d advertised via %d peerings (parallel)",
-                prefix,
-                accepts,
-            )
-            if record_curve:
-                from repro.core.orchestrator import BudgetPoint
-
-                evaluation = evaluator.evaluate(config)
-                orch.budget_curve.append(
-                    BudgetPoint(
-                        prefixes_used=config.prefix_count,
-                        pairs_used=config.pair_count,
-                        estimated_benefit=evaluation.estimated,
-                        upper_benefit=evaluation.upper,
-                        lower_benefit=evaluation.lower,
-                        mean_benefit=evaluation.mean,
-                    )
-                )
-
+        orch = self._orch
+        source = ShardedSource(self, *orch._solve_inputs())
+        config = orch._solve(source, record_curve)
         # Fold each worker's per-solve metrics (scan counters, fill timers)
         # into the parent registry; workers snapshot-and-reset so a
         # persistent pool never double-counts across solves.
-        for snapshot in pool.collect_metrics():
+        for snapshot in self.pool.collect_metrics():
             METRICS.merge(snapshot)
         return config

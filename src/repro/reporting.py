@@ -84,7 +84,7 @@ def run_and_report(
     import inspect
 
     from repro.experiments import ALL_EXPERIMENTS
-    from repro.perf import PERF
+    from repro.telemetry import METRICS
 
     requested = list(experiment_ids) if experiment_ids is not None else list(ALL_EXPERIMENTS)
     unknown = [name for name in requested if name not in ALL_EXPERIMENTS]
@@ -113,7 +113,7 @@ def run_and_report(
         elif result.experiment_id == "hotpotato":
             report = report + "\n" + hotpotato_summary(result)
     if include_perf:
-        report = report + "\n" + PERF.to_markdown()
+        report = report + "\n" + METRICS.to_markdown()
     return report
 
 

@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from repro.bgp.route import Route
 from repro.bgp.simulator import BGPSimulator
 from repro.measurement.latency_model import LatencyModel
-from repro.perf import PERF
+from repro.telemetry import METRICS
 from repro.topology.builder import CLOUD_ASN, Topology
 from repro.topology.cloud import Peering
 from repro.topology.geo import haversine_km
@@ -66,9 +66,9 @@ class GroundTruthRouting:
         self._group_cache: Dict[FrozenSet[int], Dict[int, List[Peering]]] = {}
         self._ingress_cache: Dict[Tuple[int, FrozenSet[int]], Optional[int]] = {}
         self._latency_cache: Dict[Tuple[int, FrozenSet[int], int], Optional[float]] = {}
-        self._ingress_stats = PERF.cache("ground_truth.ingress")
-        self._latency_stats = PERF.cache("ground_truth.latency")
-        self._propagation_stats = PERF.cache("ground_truth.propagation")
+        self._ingress_stats = METRICS.cache("ground_truth.ingress")
+        self._latency_stats = METRICS.cache("ground_truth.latency")
+        self._propagation_stats = METRICS.cache("ground_truth.propagation")
 
     @property
     def topology(self) -> Topology:

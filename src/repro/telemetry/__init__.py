@@ -6,8 +6,7 @@ Three cooperating pieces:
   parent links) with a zero-overhead no-op mode; see
   :mod:`repro.telemetry.tracer`.
 * :class:`MetricsRegistry` / :data:`METRICS` — counters, gauges, caches,
-  timers, and fixed-bucket histograms, plus Prometheus text export.  This
-  absorbed ``repro.perf`` (which is now a compatibility shim); see
+  timers, and fixed-bucket histograms, plus Prometheus text export; see
   :mod:`repro.telemetry.metrics`.
 * :class:`RunJournal` — a versioned, deterministic JSONL record of every
   span and advertisement/measurement/fault event, with

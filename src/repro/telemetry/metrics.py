@@ -1,17 +1,13 @@
 """The metrics half of :mod:`repro.telemetry`: counters, gauges, histograms.
 
-This module absorbed and superseded the old ``repro.perf`` registry.  The
-three original stat kinds (:class:`Counter`, :class:`CacheStats`,
-:class:`TimerStats`) now live here, joined by :class:`Gauge` (a
-last-value-wins level) and :class:`Histogram` (fixed-bucket distributions —
-per-batch flow counts, marginal-benefit magnitudes, advertisement-round
-latency deltas).  :class:`MetricsRegistry` extends the original
-``PerfRegistry`` contract, so everything that held a ``PERF`` reference
-keeps working: ``repro.perf`` is a compatibility shim re-exporting these
-names, and the module-level :data:`METRICS` registry *is* the old ``PERF``
-singleton.
+Five stat kinds — :class:`Counter`, :class:`CacheStats`,
+:class:`TimerStats`, :class:`Gauge` (a last-value-wins level) and
+:class:`Histogram` (fixed-bucket distributions — per-batch flow counts,
+marginal-benefit magnitudes, advertisement-round latency deltas) — owned by
+a :class:`MetricsRegistry`; the module-level :data:`METRICS` registry is the
+one instrumented production code uses.
 
-Design rules carried over from ``repro.perf`` (and still binding):
+Design rules:
 
 * hot code asks the registry for a stat object **once** and then mutates a
   plain attribute — instrumentation costs an attribute increment, not a
@@ -20,7 +16,7 @@ Design rules carried over from ``repro.perf`` (and still binding):
 * ``snapshot()`` is plain JSON-able data and ``merge()`` folds a worker
   process's snapshot into this one.
 
-New here: :meth:`MetricsRegistry.to_prometheus` renders the whole registry
+:meth:`MetricsRegistry.to_prometheus` renders the whole registry
 in the Prometheus text exposition format (counters, gauges, cumulative
 histogram buckets, timers as ``_seconds_total``/``_calls_total`` pairs).
 """
@@ -207,8 +203,7 @@ class MetricsRegistry:
 
     Stat objects are created on first request and survive :meth:`reset`
     (which zeroes them in place), so hot paths can hold direct references
-    across resets.  This is the superset of the old ``PerfRegistry``
-    contract; ``repro.perf.PERF`` aliases the module-level :data:`METRICS`.
+    across resets.
     """
 
     def __init__(self) -> None:
@@ -542,6 +537,5 @@ def _prom_value(value: float) -> str:
     return repr(float(value))
 
 
-#: The process-wide registry used by instrumented production code.  The old
-#: ``repro.perf.PERF`` name aliases this object.
+#: The process-wide registry used by instrumented production code.
 METRICS = MetricsRegistry()

@@ -33,7 +33,7 @@ Batch semantics (binding for every implementation):
 * :meth:`~DataPlane.remap` implements RTT-timescale failover: every flow
   pinned to a dead prefix moves to the replacement in one operation.
 
-Batch counters/timers land in the shared :data:`repro.perf.PERF`
+Batch counters/timers land in the shared :data:`repro.telemetry.METRICS`
 registry under ``tm.*`` names.
 """
 
@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.perf import PERF
+from repro.telemetry import METRICS
 from repro.traffic_manager.flows import FiveTuple, FlowTable
 
 try:  # Python 3.8+: typing.Protocol
@@ -278,13 +278,13 @@ class _InternerMixin:
 def _perf_stats():
     """The shared tm.* counters (acquired once per plane instance)."""
     return (
-        PERF.counter("tm.flows_admitted"),
-        PERF.counter("tm.flows_existing"),
-        PERF.counter("tm.flows_unroutable"),
-        PERF.counter("tm.flows_remapped"),
-        PERF.counter("tm.flows_ended"),
-        PERF.counter("tm.batches"),
-        PERF.histogram("tm.batch_flows"),
+        METRICS.counter("tm.flows_admitted"),
+        METRICS.counter("tm.flows_existing"),
+        METRICS.counter("tm.flows_unroutable"),
+        METRICS.counter("tm.flows_remapped"),
+        METRICS.counter("tm.flows_ended"),
+        METRICS.counter("tm.batches"),
+        METRICS.histogram("tm.batch_flows"),
     )
 
 
@@ -322,7 +322,7 @@ class ScalarDataPlane(_InternerMixin):
         selections: Mapping[int, Optional[str]],
         now_s: float,
     ) -> ForwardResult:
-        with PERF.timed("tm.forward.scalar"):
+        with METRICS.timed("tm.forward.scalar"):
             return self._forward(batch, selections, now_s, record_bytes=True)
 
     def admit(
@@ -331,7 +331,7 @@ class ScalarDataPlane(_InternerMixin):
         selections: Mapping[int, Optional[str]],
         now_s: float,
     ) -> ForwardResult:
-        with PERF.timed("tm.forward.scalar"):
+        with METRICS.timed("tm.forward.scalar"):
             return self._forward(batch, selections, now_s, record_bytes=False)
 
     def _forward(
@@ -503,7 +503,7 @@ class VectorFlowTable(_InternerMixin):
         selections: Mapping[int, Optional[str]],
         now_s: float,
     ) -> ForwardResult:
-        with PERF.timed("tm.forward.vector"):
+        with METRICS.timed("tm.forward.vector"):
             return self._forward(batch, selections, now_s, record_bytes=True)
 
     def admit(
@@ -512,7 +512,7 @@ class VectorFlowTable(_InternerMixin):
         selections: Mapping[int, Optional[str]],
         now_s: float,
     ) -> ForwardResult:
-        with PERF.timed("tm.forward.vector"):
+        with METRICS.timed("tm.forward.vector"):
             return self._forward(batch, selections, now_s, record_bytes=False)
 
     def _forward(
@@ -617,7 +617,7 @@ class VectorFlowTable(_InternerMixin):
         )
 
     def remap(self, from_prefix: str, to_prefix: str) -> int:
-        with PERF.timed("tm.remap.vector"):
+        with METRICS.timed("tm.remap.vector"):
             from_id = self.prefix_id(from_prefix)
             to_id = self.prefix_id(to_prefix)
             mask = self._prefix == from_id

@@ -28,8 +28,7 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional
 
 import numpy as np
 
-from repro.perf import PERF
-from repro.telemetry import TRACER, emit_event
+from repro.telemetry import METRICS, TRACER, emit_event
 from repro.traffic_manager.dataplane import (
     DataPlane,
     FlowBatch,
@@ -219,7 +218,7 @@ class TMEdge:
         mapping, and flows of services with no live destination are dropped.
         """
         with TRACER.span("tm_edge.forward_batch", flows=len(batch)):
-            with PERF.timed("tm_edge.forward_batch"):
+            with METRICS.timed("tm_edge.forward_batch"):
                 return self._plane.forward(
                     batch, self.selections_by_service_id(), now_s
                 )
@@ -227,7 +226,7 @@ class TMEdge:
     def admit_batch(self, batch: FlowBatch, now_s: float) -> ForwardResult:
         """Pin a batch of new flows without byte accounting."""
         with TRACER.span("tm_edge.admit_batch", flows=len(batch)):
-            with PERF.timed("tm_edge.forward_batch"):
+            with METRICS.timed("tm_edge.forward_batch"):
                 return self._plane.admit(
                     batch, self.selections_by_service_id(), now_s
                 )

@@ -67,11 +67,11 @@ class TestCampaign:
 
     def test_feeds_orchestrator(self, scenario, campaign_result):
         from repro.core.benefit import realized_benefit
-        from repro.core.orchestrator import PainterOrchestrator
+        from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 
         _targets, result = campaign_result
         orchestrator = PainterOrchestrator(
-            scenario, prefix_budget=3, latency_of=result.latency_of
+            scenario, OrchestratorConfig(prefix_budget=3, latency_of=result.latency_of)
         )
         config = orchestrator.solve()
         assert config.prefix_count >= 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.installation import DEFAULT_SERVICE, install_configuration
-from repro.core.orchestrator import PainterOrchestrator
+from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.topology.cloud import PrefixPool
 
 
@@ -12,7 +12,7 @@ def deployed():
     from repro.scenario import tiny_scenario
 
     scenario = tiny_scenario(seed=3)
-    config = PainterOrchestrator(scenario, prefix_budget=4).solve()
+    config = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=4)).solve()
     installation = install_configuration(scenario, config)
     return scenario, config, installation
 

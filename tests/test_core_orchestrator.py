@@ -3,13 +3,15 @@
 import pytest
 
 from repro.core.benefit import realized_benefit
-from repro.core.orchestrator import PainterOrchestrator
+from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.experiments.harness import config_prefix_subset
 
 
 @pytest.fixture(scope="module")
 def solved(scenario_module):
-    orchestrator = PainterOrchestrator(scenario_module, prefix_budget=5)
+    orchestrator = PainterOrchestrator(
+        scenario_module, OrchestratorConfig(prefix_budget=5)
+    )
     config = orchestrator.solve(record_curve=True)
     return orchestrator, config
 
@@ -33,8 +35,12 @@ class TestSolve:
             assert pid in valid
 
     def test_solve_deterministic(self, scenario_module):
-        a = PainterOrchestrator(scenario_module, prefix_budget=4).solve()
-        b = PainterOrchestrator(scenario_module, prefix_budget=4).solve()
+        a = PainterOrchestrator(
+            scenario_module, OrchestratorConfig(prefix_budget=4)
+        ).solve()
+        b = PainterOrchestrator(
+            scenario_module, OrchestratorConfig(prefix_budget=4)
+        ).solve()
         assert a == b
 
     def test_positive_benefit_requirement(self, scenario_module, solved):
@@ -70,14 +76,16 @@ class TestSolve:
 
     def test_invalid_budget(self, scenario_module):
         with pytest.raises(ValueError):
-            PainterOrchestrator(scenario_module, prefix_budget=0)
+            PainterOrchestrator(scenario_module, OrchestratorConfig(prefix_budget=0))
 
 
 class TestLearning:
     def test_learning_never_loses_deployed_benefit(self, scenario_module):
         """Exploratory iterations may regress, but the deployed (best
         measured) configuration never does."""
-        orchestrator = PainterOrchestrator(scenario_module, prefix_budget=5)
+        orchestrator = PainterOrchestrator(
+            scenario_module, OrchestratorConfig(prefix_budget=5)
+        )
         result = orchestrator.learn(iterations=3)
         benefits = result.realized_benefits
         assert len(benefits) == 3
@@ -90,33 +98,43 @@ class TestLearning:
         benefit throughout learning (the narrowing claim is asserted on the
         prototype-scale world in the Fig. 6c benchmark, where the initial
         model actually starts uncertain)."""
-        orchestrator = PainterOrchestrator(scenario_module, prefix_budget=5)
+        orchestrator = PainterOrchestrator(
+            scenario_module, OrchestratorConfig(prefix_budget=5)
+        )
         result = orchestrator.learn(iterations=3)
         possible = scenario_module.total_possible_benefit()
         for uncertainty in result.uncertainties:
             assert 0.0 <= uncertainty <= 0.25 * possible
 
     def test_observations_accumulate(self, scenario_module):
-        orchestrator = PainterOrchestrator(scenario_module, prefix_budget=4)
+        orchestrator = PainterOrchestrator(
+            scenario_module, OrchestratorConfig(prefix_budget=4)
+        )
         result = orchestrator.learn(iterations=2)
         assert result.iterations[0].new_preferences > 0
         assert orchestrator.model.observation_count > 0
 
     def test_config_accessors(self, scenario_module):
-        orchestrator = PainterOrchestrator(scenario_module, prefix_budget=3)
+        orchestrator = PainterOrchestrator(
+            scenario_module, OrchestratorConfig(prefix_budget=3)
+        )
         result = orchestrator.learn(iterations=2)
         assert result.last_config == result.iterations[-1].config
         best = max(result.iterations, key=lambda r: r.realized_benefit)
         assert result.final_config == best.config
 
     def test_early_stop_threshold(self, scenario_module):
-        orchestrator = PainterOrchestrator(scenario_module, prefix_budget=3)
+        orchestrator = PainterOrchestrator(
+            scenario_module, OrchestratorConfig(prefix_budget=3)
+        )
         result = orchestrator.learn(iterations=6, stop_threshold=1.0)
         # A 100% required gain stops after the second iteration.
         assert len(result.iterations) <= 3
 
     def test_invalid_iterations(self, scenario_module):
-        orchestrator = PainterOrchestrator(scenario_module, prefix_budget=3)
+        orchestrator = PainterOrchestrator(
+            scenario_module, OrchestratorConfig(prefix_budget=3)
+        )
         with pytest.raises(ValueError):
             orchestrator.learn(iterations=0)
 
@@ -132,7 +150,9 @@ class TestAgainstBaselines:
         from repro.core.baselines import one_per_peering, one_per_pop
 
         budget = 4
-        orchestrator = PainterOrchestrator(scenario_module, prefix_budget=budget)
+        orchestrator = PainterOrchestrator(
+            scenario_module, OrchestratorConfig(prefix_budget=budget)
+        )
         result = orchestrator.learn(iterations=5)
         painter = result.final_config  # deploy the best measured config
         painter_benefit = realized_benefit(scenario_module, painter)
@@ -152,7 +172,9 @@ class TestLogging:
         import logging
 
         with caplog.at_level(logging.INFO, logger="repro.core.orchestrator"):
-            PainterOrchestrator(scenario_module, prefix_budget=2).learn(iterations=1)
+            PainterOrchestrator(
+                scenario_module, OrchestratorConfig(prefix_budget=2)
+            ).learn(iterations=1)
         assert any("learning iteration" in r.message for r in caplog.records)
 
 
@@ -202,7 +224,9 @@ class TestObservationDegradation:
         from repro.faults import ObservationFaults
 
         faults = ObservationFaults(missing_rate=0.4, seed=5)
-        orchestrator = PainterOrchestrator(scenario_module, prefix_budget=3)
+        orchestrator = PainterOrchestrator(
+            scenario_module, OrchestratorConfig(prefix_budget=3)
+        )
         result = orchestrator.learn(iterations=3, faults=faults)
         assert len(result.iterations) == 3
         observed = sum(r.observations_observed for r in result.iterations)
@@ -216,7 +240,9 @@ class TestObservationDegradation:
     def test_uncertainty_widened_by_degradation(self, scenario_module):
         from repro.faults import ObservationFaults
 
-        orchestrator = PainterOrchestrator(scenario_module, prefix_budget=3)
+        orchestrator = PainterOrchestrator(
+            scenario_module, OrchestratorConfig(prefix_budget=3)
+        )
         faults = ObservationFaults(missing_rate=0.4, seed=5)
         result = orchestrator.learn(iterations=2, faults=faults)
         for record in result.iterations:
@@ -232,7 +258,9 @@ class TestObservationDegradation:
 
         def run():
             faults = ObservationFaults(missing_rate=0.35, stale_rate=0.1, seed=11)
-            orchestrator = PainterOrchestrator(scenario_module, prefix_budget=3)
+            orchestrator = PainterOrchestrator(
+                scenario_module, OrchestratorConfig(prefix_budget=3)
+            )
             return orchestrator.learn(iterations=3, faults=faults)
 
         a, b = run(), run()
@@ -246,7 +274,9 @@ class TestObservationDegradation:
         from repro.faults import ObservationFaults
 
         faults = ObservationFaults(stale_rate=0.5, seed=2)
-        orchestrator = PainterOrchestrator(scenario_module, prefix_budget=3)
+        orchestrator = PainterOrchestrator(
+            scenario_module, OrchestratorConfig(prefix_budget=3)
+        )
         result = orchestrator.learn(iterations=3, faults=faults)
         # Round 0 has no previous epoch: its stale draws degrade to missing.
         assert result.iterations[0].observations_stale == 0
@@ -256,7 +286,9 @@ class TestObservationDegradation:
         assert orchestrator.model.stale_observation_count > 0
 
     def test_clean_run_reports_no_degradation(self, scenario_module):
-        orchestrator = PainterOrchestrator(scenario_module, prefix_budget=2)
+        orchestrator = PainterOrchestrator(
+            scenario_module, OrchestratorConfig(prefix_budget=2)
+        )
         result = orchestrator.learn(iterations=1)
         record = result.iterations[0]
         assert record.observations_missing == 0
@@ -286,34 +318,6 @@ class TestOrchestratorConfigAPI:
         assert orchestrator.config is config
         assert orchestrator.prefix_budget == 3
 
-    def test_legacy_keyword_form_warns_but_works(self, scenario_module):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            orchestrator = PainterOrchestrator(scenario_module, prefix_budget=3)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert orchestrator.prefix_budget == 3
-
-    def test_legacy_positional_budget_warns(self, scenario_module):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            orchestrator = PainterOrchestrator(scenario_module, 3)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert orchestrator.prefix_budget == 3
-
-    def test_legacy_and_config_together_rejected(self, scenario_module):
-        from repro.core.orchestrator import OrchestratorConfig
-
-        with pytest.raises(TypeError):
-            PainterOrchestrator(
-                scenario_module, OrchestratorConfig(prefix_budget=3), prefix_budget=4
-            )
-
     def test_missing_budget_rejected(self, scenario_module):
         with pytest.raises(TypeError):
             PainterOrchestrator(scenario_module)
@@ -324,78 +328,6 @@ class TestOrchestratorConfigAPI:
         with pytest.raises(ValueError):
             OrchestratorConfig(prefix_budget=0)
 
-    def test_legacy_positional_budget_with_extra_kwargs_coerced(
-        self, scenario_module
-    ):
-        import warnings
-
-        from repro.core.orchestrator import OrchestratorConfig
-
-        def fixed_latency(ug, pid):
-            return 42.0
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            orchestrator = PainterOrchestrator(
-                scenario_module,
-                3,
-                d_reuse_km=1234.0,
-                latency_of=fixed_latency,
-                allow_reuse=False,
-            )
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        # Every legacy kwarg must land in the resolved config, and the
-        # coerced form must equal the explicit modern construction.
-        assert orchestrator.config == OrchestratorConfig(
-            prefix_budget=3,
-            d_reuse_km=1234.0,
-            latency_of=fixed_latency,
-            allow_reuse=False,
-        )
-        assert orchestrator.config.d_reuse_km == 1234.0
-        assert orchestrator.config.latency_of is fixed_latency
-        assert orchestrator.config.allow_reuse is False
-
-    def test_budget_given_positionally_and_by_keyword_rejected(
-        self, scenario_module
-    ):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="both positionally and by keyword"):
-                PainterOrchestrator(scenario_module, 3, prefix_budget=4)
-
     def test_non_config_positional_rejected(self, scenario_module):
         with pytest.raises(TypeError, match="must be an OrchestratorConfig"):
             PainterOrchestrator(scenario_module, "4")
-
-    def test_legacy_kwargs_reach_model_and_evaluator(self, scenario_module):
-        """Coerced legacy kwargs must configure the same collaborators."""
-        import warnings
-
-        from repro.core.orchestrator import OrchestratorConfig
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = PainterOrchestrator(
-                scenario_module, prefix_budget=3, d_reuse_km=500.0
-            )
-        modern = PainterOrchestrator(
-            scenario_module, OrchestratorConfig(prefix_budget=3, d_reuse_km=500.0)
-        )
-        assert legacy.model.d_reuse_km == modern.model.d_reuse_km == 500.0
-        assert legacy.config == modern.config
-
-    def test_legacy_solution_identical_to_config_solution(self, scenario_module):
-        import warnings
-
-        from repro.core.orchestrator import OrchestratorConfig
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = PainterOrchestrator(scenario_module, prefix_budget=4).solve()
-        modern = PainterOrchestrator(
-            scenario_module, OrchestratorConfig(prefix_budget=4)
-        ).solve()
-        assert legacy == modern

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.orchestrator import PainterOrchestrator
+from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.enterprise.builder import EnterpriseConfig, build_enterprise
 from repro.enterprise.model import (
     Enterprise,
@@ -134,7 +134,7 @@ class TestWorkload:
 class TestSlo:
     @pytest.fixture(scope="class")
     def outcomes(self, world, enterprise):
-        orchestrator = PainterOrchestrator(world, prefix_budget=4)
+        orchestrator = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=4))
         orchestrator.learn(iterations=2)
         config = orchestrator.solve()
         return analyze_slos(world, enterprise, config)

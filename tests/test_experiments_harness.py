@@ -132,11 +132,11 @@ class TestParallelRunner:
 
     def test_parallel_merges_worker_perf_counters(self):
         from repro.experiments.harness import run_experiments_parallel
-        from repro.perf import PERF
+        from repro.telemetry import METRICS
 
-        PERF.reset()
+        METRICS.reset()
         # fig15a solves Algorithm 1 in its worker; fig3 is pure measurement.
         run_experiments_parallel(["fig3", "fig15a"], jobs=2)
         # The workers' counters must have been folded into this process's
         # registry even though no solve ran here.
-        assert PERF.counter("orchestrator.solve_calls").value > 0
+        assert METRICS.counter("orchestrator.solve_calls").value > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.benefit import realized_benefit
-from repro.core.orchestrator import PainterOrchestrator
+from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.scenario import build_scenario, prototype_scenario, tiny_scenario
 from repro.topology.builder import TopologyConfig
 from repro.usergroups.generation import UserGroupConfig
@@ -28,7 +28,7 @@ class TestFullPipeline:
     def test_solve_learn_steer(self):
         """Scenario -> Algorithm 1 -> learning -> Traffic Manager view."""
         world = tiny_scenario(seed=9, n_ugs=40)
-        orchestrator = PainterOrchestrator(world, prefix_budget=4)
+        orchestrator = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=4))
         result = orchestrator.learn(iterations=3)
         config = result.final_config
 
@@ -51,8 +51,8 @@ class TestFullPipeline:
 
     def test_prefix_budget_binds(self):
         world = tiny_scenario(seed=9, n_ugs=40)
-        small = PainterOrchestrator(world, prefix_budget=1).solve()
-        large = PainterOrchestrator(world, prefix_budget=6).solve()
+        small = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=1)).solve()
+        large = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=6)).solve()
         assert small.prefix_count <= 1
         assert large.prefix_count <= 6
         small_benefit = realized_benefit(world, small)
@@ -70,7 +70,7 @@ class TestFullPipeline:
             return pinger.min_latency_ms(ug, world.deployment.peering(peering_id))
 
         orchestrator = PainterOrchestrator(
-            world, prefix_budget=4, latency_of=measured
+            world, OrchestratorConfig(prefix_budget=4, latency_of=measured)
         )
         config = orchestrator.solve()
         assert config.prefix_count >= 1
@@ -88,7 +88,9 @@ class TestFullPipeline:
                 ug, world.deployment.peering(peering_id), world.latency_model, 450.0
             )
 
-        orchestrator = PainterOrchestrator(world, prefix_budget=4, latency_of=estimated)
+        orchestrator = PainterOrchestrator(
+            world, OrchestratorConfig(prefix_budget=4, latency_of=estimated)
+        )
         config = orchestrator.solve()
         assert config.prefix_count >= 1
         # Even with partial coverage and noisy estimates, advertisements help.
@@ -123,7 +125,7 @@ class TestInstallationBgpConsistency:
         from repro.core.orchestrator import PainterOrchestrator
 
         world = tiny_scenario(seed=9, n_ugs=40)
-        config = PainterOrchestrator(world, prefix_budget=3).solve()
+        config = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=3)).solve()
         installation = install_configuration(world, config)
         sim = BGPSimulator(world.graph, origin_asn=1, tie_break_seed=0)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.orchestrator import PainterOrchestrator
+from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.egress.coexistence import (
     DirectionalModel,
     EgressOptimizer,
@@ -53,7 +53,9 @@ class TestIpv6:
 class TestEgressCoexistence:
     @pytest.fixture(scope="class")
     def setup(self, scenario):
-        orchestrator = PainterOrchestrator(scenario, prefix_budget=4)
+        orchestrator = PainterOrchestrator(
+            scenario, OrchestratorConfig(prefix_budget=4)
+        )
         orchestrator.learn(iterations=2)
         config = orchestrator.solve()
         return scenario, config

@@ -30,7 +30,6 @@ from repro.kernels import (
     ComputeBackend,
     MemoryBudgetExceeded,
     NumpyBackend,
-    ScanContext,
     available_backends,
     coerce_backend,
     get_backend,
@@ -39,9 +38,8 @@ from repro.kernels import (
     resolve_backend,
 )
 from repro.kernels.numpy_backend import initial_gains, refresh_contrib
-from repro.perf import PERF
 from repro.scenario import tiny_scenario
-from repro.telemetry import telemetry_session
+from repro.telemetry import METRICS, telemetry_session
 
 # ---------------------------------------------------------------------------
 # registry & selection policy
@@ -81,12 +79,12 @@ def test_explicit_unavailable_backend_degrades_to_numpy() -> None:
     missing = [n for n in registered_backends() if n not in available_backends()]
     if not missing:
         pytest.skip("every registered backend is installed here")
-    PERF.reset()
+    METRICS.reset()
     with telemetry_session("fallback") as journal:
         with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
             backend = resolve_backend(missing[0])
     assert backend.name == "numpy"
-    assert PERF.counter("kernels.fallbacks").value == 1
+    assert METRICS.counter("kernels.fallbacks").value == 1
     events = journal.events("backend_fallback")
     assert len(events) == 1 and events[0]["backend"] == missing[0]
 
@@ -101,9 +99,9 @@ def test_coerce_backend_forms() -> None:
 
 
 def test_warmup_time_lands_in_compile_timer() -> None:
-    PERF.reset()
+    METRICS.reset()
     resolve_backend("numpy")
-    assert PERF.timer("kernels.compile_s").calls == 1
+    assert METRICS.timer("kernels.compile_s").calls == 1
 
 
 def test_bind_rejects_mismatched_distance_shape() -> None:
@@ -228,59 +226,6 @@ def test_backends_match_numpy_bit_for_bit(backend_name: str, data) -> None:
     np.testing.assert_array_equal(
         got_g.view(np.uint64), ref_g.view(np.uint64), strict=True
     )
-
-
-# ---------------------------------------------------------------------------
-# deprecated surfaces keep working (with warnings)
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def world():
-    return tiny_scenario(seed=11)
-
-
-def test_adopt_drop_latency_matrix_shims_warn_and_work(world) -> None:
-    orch = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=1))
-    evaluator = orch._evaluator
-    matrix = np.full(
-        (len(world.user_groups), len(world.deployment.peerings)), np.nan
-    )
-    with pytest.warns(DeprecationWarning, match="bind_latency_matrix"):
-        evaluator.adopt_latency_matrix(matrix)
-    assert evaluator.backend.latency_matrix is matrix
-    with pytest.warns(DeprecationWarning, match="release_latency_matrix"):
-        evaluator.drop_latency_matrix()
-    assert evaluator.backend.latency_matrix is None
-
-
-def test_begin_prefix_scan_legacy_kwargs_warn(world) -> None:
-    orch = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=1))
-    evaluator = orch._evaluator
-    with pytest.warns(DeprecationWarning, match="ScanContext"):
-        evaluator.begin_prefix_scan(learned_ug_ids=frozenset())
-    # The consolidated form is warning-free.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        evaluator.begin_prefix_scan(ScanContext(learned_ug_ids=frozenset()))
-    evaluator.begin_prefix_scan()  # bare form stays supported, no warning
-
-
-def test_begin_prefix_scan_rejects_mixed_forms(world) -> None:
-    orch = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=1))
-    with pytest.raises(TypeError, match="either a ScanContext or the legacy"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            orch._evaluator.begin_prefix_scan(
-                ScanContext(), learned_ug_ids=frozenset()
-            )
-
-
-def test_solve_workers_kwarg_deprecated(world) -> None:
-    orch = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=1))
-    with pytest.warns(DeprecationWarning, match="workers"):
-        config = orch.solve(workers=0)
-    assert config.pair_count > 0
 
 
 # ---------------------------------------------------------------------------

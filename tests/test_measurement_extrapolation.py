@@ -84,10 +84,12 @@ class TestSimulatedMeasurements:
     def test_orchestrator_runs_on_simulated_measurements(self, world, fleet):
         """The Fig. 6a pipeline: Algorithm 1 over partially-simulated data."""
         from repro.core.benefit import realized_benefit
-        from repro.core.orchestrator import PainterOrchestrator
+        from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 
         simulated = SimulatedMeasurements(world, fleet, ExtrapolationConfig(seed=5))
-        orchestrator = PainterOrchestrator(world, prefix_budget=4, latency_of=simulated)
+        orchestrator = PainterOrchestrator(
+            world, OrchestratorConfig(prefix_budget=4, latency_of=simulated)
+        )
         config = orchestrator.solve()
         assert config.prefix_count >= 1
         assert realized_benefit(world, config) > 0

@@ -17,10 +17,10 @@ from pathlib import Path
 import pytest
 
 from repro.core.advertisement import AdvertisementConfig
-from repro.core.orchestrator import EPSILON_BENEFIT, PainterOrchestrator
+from repro.core.orchestrator import EPSILON_BENEFIT, OrchestratorConfig, PainterOrchestrator
 from repro.core.routing_model import RoutingModel
 from repro.core.benefit import BenefitEvaluator
-from repro.perf import PERF
+from repro.telemetry import METRICS
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_solve_configs.json"
 
@@ -93,7 +93,9 @@ def test_lazy_greedy_matches_exact_on_tiny_worlds(seed):
     budget = 3
     exact_config, exact_benefit = exact_greedy_solve(scenario, budget)
 
-    orchestrator = PainterOrchestrator(scenario, prefix_budget=budget)
+    orchestrator = PainterOrchestrator(
+        scenario, OrchestratorConfig(prefix_budget=budget)
+    )
     lazy_config = orchestrator.solve()
     lazy_benefit = orchestrator.evaluator.expected_benefit(lazy_config)
 
@@ -119,7 +121,9 @@ def test_lazy_matches_exact_benefit_on_tiny_presets(seed):
     budget = 4
     exact_config, exact_benefit = exact_greedy_solve(scenario, budget)
 
-    orchestrator = PainterOrchestrator(scenario, prefix_budget=budget)
+    orchestrator = PainterOrchestrator(
+        scenario, OrchestratorConfig(prefix_budget=budget)
+    )
     lazy_config = orchestrator.solve()
     lazy_benefit = orchestrator.evaluator.expected_benefit(lazy_config)
 
@@ -145,7 +149,9 @@ class TestGoldenConfigs:
 
         golden = goldens[name]
         scenario = tiny_scenario(seed=seed)
-        orchestrator = PainterOrchestrator(scenario, prefix_budget=golden["budget"])
+        orchestrator = PainterOrchestrator(
+            scenario, OrchestratorConfig(prefix_budget=golden["budget"])
+        )
         config = orchestrator.solve()
         assert config_pairs(config) == golden["pairs"]
 
@@ -153,7 +159,9 @@ class TestGoldenConfigs:
         from repro.scenario import tiny_scenario
 
         configs = [
-            PainterOrchestrator(tiny_scenario(seed=1), prefix_budget=3).solve()
+            PainterOrchestrator(
+                tiny_scenario(seed=1), OrchestratorConfig(prefix_budget=3)
+            ).solve()
             for _ in range(2)
         ]
         assert config_pairs(configs[0]) == config_pairs(configs[1])
@@ -181,13 +189,13 @@ class TestBudgetDiagnostic:
                 for pid in scenario.catalog.ingress_ids(ug)
             }
         )
-        before = PERF.counter("orchestrator.budget_over_candidates").value
+        before = METRICS.counter("orchestrator.budget_over_candidates").value
         orchestrator = PainterOrchestrator(
-            scenario, prefix_budget=n_candidates + 5
+            scenario, OrchestratorConfig(prefix_budget=n_candidates + 5)
         )
         with caplog.at_level(logging.WARNING, logger="repro.core.orchestrator"):
             config = orchestrator.solve()
-        assert PERF.counter("orchestrator.budget_over_candidates").value > before
+        assert METRICS.counter("orchestrator.budget_over_candidates").value > before
         assert any(
             "exceeds" in record.message and "candidate" in record.message
             for record in caplog.records
@@ -197,9 +205,11 @@ class TestBudgetDiagnostic:
     def test_in_budget_solve_stays_silent(self):
         from repro.scenario import tiny_scenario
 
-        before = PERF.counter("orchestrator.budget_over_candidates").value
-        PainterOrchestrator(tiny_scenario(seed=3), prefix_budget=3).solve()
-        assert PERF.counter("orchestrator.budget_over_candidates").value == before
+        before = METRICS.counter("orchestrator.budget_over_candidates").value
+        PainterOrchestrator(
+            tiny_scenario(seed=3), OrchestratorConfig(prefix_budget=3)
+        ).solve()
+        assert METRICS.counter("orchestrator.budget_over_candidates").value == before
 
 
 class TestLazinessCounters:
@@ -212,11 +222,13 @@ class TestLazinessCounters:
         """
         from repro.scenario import tiny_scenario
 
-        PERF.reset()
-        orchestrator = PainterOrchestrator(tiny_scenario(seed=0), prefix_budget=4)
+        METRICS.reset()
+        orchestrator = PainterOrchestrator(
+            tiny_scenario(seed=0), OrchestratorConfig(prefix_budget=4)
+        )
         orchestrator.solve()
-        lazy = PERF.counter("orchestrator.marginal_evals").value
-        naive = PERF.counter("orchestrator.naive_marginal_evals").value
+        lazy = METRICS.counter("orchestrator.marginal_evals").value
+        naive = METRICS.counter("orchestrator.naive_marginal_evals").value
         assert lazy > 0
         assert naive > 0
         assert lazy < naive
@@ -224,10 +236,12 @@ class TestLazinessCounters:
     def test_latency_matrix_reused_across_prefixes(self):
         from repro.scenario import tiny_scenario
 
-        PERF.reset()
-        orchestrator = PainterOrchestrator(tiny_scenario(seed=0), prefix_budget=4)
+        METRICS.reset()
+        orchestrator = PainterOrchestrator(
+            tiny_scenario(seed=0), OrchestratorConfig(prefix_budget=4)
+        )
         orchestrator.solve()
-        stats = PERF.cache("evaluator.latency_matrix")
+        stats = METRICS.cache("evaluator.latency_matrix")
         # The matrix is precomputed once; later reads (evaluate, scans
         # through the slow path) must hit it.
         assert stats.misses > 0
@@ -272,7 +286,7 @@ class TestEvaluatorInvalidation:
         adv_b = frozenset(ids_b[:2])
 
         first = evaluator.expected_prefix_latency(ug_b, adv_b)
-        stats = PERF.cache("evaluator.expected_latency")
+        stats = METRICS.cache("evaluator.expected_latency")
         hits_before = stats.hits
         model.observe(ug_a, frozenset(ids_a[:2]), ids_a[0])
         # ug_b's epoch did not move: the memo entry must be served as a hit.

@@ -22,7 +22,7 @@ from repro.parallel import (
     arm_worker_faults,
     shard_ranges,
 )
-from repro.parallel.shard import refresh_contrib
+from repro.kernels.numpy_backend import refresh_contrib
 from repro.scenario import tiny_scenario
 
 
@@ -177,8 +177,6 @@ class TestShardStateInProcess:
         for shard in (shard_a, shard_b):
             for pid, (sel, _lat, _dist, _vol) in shard.local.items():
                 assert not (set(sel.tolist()) & learned_rows)
-            for pid, pairs in shard.shard_unlearned.items():
-                assert all(row not in learned_rows for _, row in pairs)
 
     def test_invalidate_drops_per_solve_state(self, shard_world):
         orchestrator, ctx, shard_a, _ = shard_world
@@ -245,9 +243,9 @@ class TestSharedArray:
         assert arr.array is None
 
     def test_expected_teardown_races_stay_silent(self):
-        from repro.perf import PERF
+        from repro.telemetry import METRICS
 
-        before = PERF.counter("parallel.shm_teardown_errors").value
+        before = METRICS.counter("parallel.shm_teardown_errors").value
         arr = SharedArray((2,), fill=0.0)
 
         real_unlink = arr._shm.unlink
@@ -257,13 +255,13 @@ class TestSharedArray:
 
         arr._shm.unlink = raise_missing
         arr.close(unlink=True)  # must not raise and must not count
-        assert PERF.counter("parallel.shm_teardown_errors").value == before
+        assert METRICS.counter("parallel.shm_teardown_errors").value == before
         real_unlink()  # actual cleanup so the segment doesn't leak
 
     def test_unexpected_teardown_error_is_counted(self):
-        from repro.perf import PERF
+        from repro.telemetry import METRICS
 
-        before = PERF.counter("parallel.shm_teardown_errors").value
+        before = METRICS.counter("parallel.shm_teardown_errors").value
         arr = SharedArray((2,), fill=0.0)
         real_close = arr._shm.close
 
@@ -272,7 +270,7 @@ class TestSharedArray:
 
         arr._shm.close = boom
         arr.close(unlink=True)  # swallowed, but visible in the metric
-        assert PERF.counter("parallel.shm_teardown_errors").value == before + 1
+        assert METRICS.counter("parallel.shm_teardown_errors").value == before + 1
         real_close()  # actual cleanup so the segment doesn't leak the test
 
 

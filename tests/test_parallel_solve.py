@@ -1,10 +1,12 @@
 """Differential verification: sharded parallel solve vs the serial solver.
 
-The parallel solver (``repro.parallel``) promises **bit-identical** results
-to ``PainterOrchestrator._solve`` for every worker count — same accepted
+The sharded source (``repro.parallel``) promises **bit-identical** results
+to the serial solve for every worker count — same marginals, same accepted
 pairs, same benefit curves, same learned-model evolution, same journal span
 structure.  This suite is the proof:
 
+* a marginal test records every refreshed gain the heap sees and requires
+  the same floats, bit for bit, for 0, 2 and 3 workers;
 * golden tests pin serial and parallel output to the stored
   ``tests/data/golden_solve_configs.json`` fixtures (azure at the slow tier);
 * differential tests run the full learning loop serially and sharded and
@@ -31,9 +33,8 @@ from repro.parallel import (
     enable_parallel,
     parallel_enabled,
 )
-from repro.perf import PERF
 from repro.scenario import azure_scenario, prototype_scenario, tiny_scenario
-from repro.telemetry import telemetry_session
+from repro.telemetry import METRICS, telemetry_session
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_solve_configs.json"
 
@@ -148,25 +149,15 @@ class TestDifferentialSolve:
             assert curve_tuples(parallel) == curve_tuples(serial)
 
     def test_parallel_path_actually_engaged(self):
-        PERF.reset()
+        METRICS.reset()
         with PainterOrchestrator(
             tiny_scenario(seed=3), OrchestratorConfig(prefix_budget=3, workers=2)
         ) as orchestrator:
             orchestrator.solve()
-            assert PERF.counter("parallel.solve_calls").value == 1
-            assert PERF.counter("parallel.fallbacks").value == 0
+            assert METRICS.counter("parallel.solve_calls").value == 1
+            assert METRICS.counter("parallel.fallbacks").value == 0
             assert orchestrator._parallel is not None
             assert orchestrator._parallel.pool.alive()
-
-    def test_workers_argument_overrides_config(self):
-        scenario = tiny_scenario(seed=3)
-        with PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=3)) as orchestrator:
-            PERF.reset()
-            orchestrator.solve(workers=2)
-            assert PERF.counter("parallel.solve_calls").value == 1
-            # workers=0 forces the serial path even with a live pool.
-            orchestrator.solve(workers=0)
-            assert PERF.counter("parallel.solve_calls").value == 1
 
     def test_pool_persists_across_solves(self):
         with PainterOrchestrator(
@@ -176,6 +167,75 @@ class TestDifferentialSolve:
             first_pool = orchestrator._parallel.pool
             orchestrator.solve()
             assert orchestrator._parallel.pool is first_pool
+
+
+class TestMarginalIdentity:
+    """Serial ≡ sharded per *marginal*, not only per configuration.
+
+    Equal configurations can hide marginals that differ in the last ulp
+    (they did, while the pool summed shrink-row terms in a different order
+    than the serial solve).  Every refreshed marginal the heap sees — those
+    re-pushed and those accepted — must be the same Python float, bit for
+    bit, for every worker count.
+    """
+
+    @staticmethod
+    def _marginals(scenario, budget, workers, learned, monkeypatch):
+        import heapq
+
+        from repro.telemetry import Histogram
+
+        seen = []
+        real_push, real_observe = heapq.heappush, Histogram.observe
+
+        def push(heap, item):
+            assert type(item[0]) is float
+            seen.append(("push", item[2], item[0].hex()))
+            real_push(heap, item)
+
+        def observe(histogram, value):
+            if histogram.name == "orchestrator.marginal_benefit":
+                assert type(value) is float
+                seen.append(("accept", value.hex()))
+            real_observe(histogram, value)
+
+        config = OrchestratorConfig(prefix_budget=budget, workers=workers)
+        with PainterOrchestrator(scenario, config) as orchestrator:
+            if learned:
+                orchestrator.learn(iterations=1)
+            with monkeypatch.context() as patch:
+                patch.setattr(heapq, "heappush", push)
+                patch.setattr(Histogram, "observe", observe)
+                orchestrator.solve()
+            if workers:
+                assert METRICS.counter("parallel.fallbacks").value == 0
+        return seen
+
+    @pytest.mark.parametrize(
+        "factory,budget,learned",
+        [
+            pytest.param(tiny_scenario, 4, False, id="tiny-cold"),
+            pytest.param(tiny_scenario, 4, True, id="tiny-learned"),
+            pytest.param(prototype_scenario, 6, False, id="prototype-cold"),
+            # Three learning iterations at prototype scale: a minute.
+            pytest.param(
+                prototype_scenario, 6, True, id="prototype-learned",
+                marks=pytest.mark.slow,
+            ),
+        ],
+    )
+    def test_every_marginal_bit_identical(
+        self, factory, budget, learned, monkeypatch
+    ):
+        scenario = factory(seed=0)
+        METRICS.reset()
+        serial = self._marginals(scenario, budget, 0, learned, monkeypatch)
+        assert any(kind == "push" for kind, *_ in serial)
+        for workers in (2, 3):
+            sharded = self._marginals(
+                scenario, budget, workers, learned, monkeypatch
+            )
+            assert sharded == serial, f"workers={workers}"
 
 
 class TestDifferentialLearn:
@@ -237,11 +297,11 @@ class TestFallback:
         ) as orchestrator:
             first = orchestrator.solve()
             orchestrator._parallel.pool.kill_worker(0)
-            PERF.reset()
+            METRICS.reset()
             second = orchestrator.solve()  # rebuilds the pool, stays parallel
             assert config_pairs(second) == config_pairs(first)
-            assert PERF.counter("parallel.solve_calls").value == 1
-            assert PERF.counter("parallel.fallbacks").value == 0
+            assert METRICS.counter("parallel.solve_calls").value == 1
+            assert METRICS.counter("parallel.fallbacks").value == 0
 
     def test_mid_solve_death_falls_back_serial(self, monkeypatch):
         scenario = tiny_scenario(seed=3)
@@ -254,16 +314,16 @@ class TestFallback:
             # Hide the death from the pre-solve liveness check so the solve
             # itself trips over the dead worker (the mid-solve crash path).
             monkeypatch.setattr(solver.pool, "alive", lambda: True)
-            PERF.reset()
+            METRICS.reset()
             config = orchestrator.solve()
             assert config_pairs(config) == config_pairs(reference)
-            assert PERF.counter("parallel.fallbacks").value == 1
+            assert METRICS.counter("parallel.fallbacks").value == 1
             # The breaker pins later solves to the serial path: the failed
             # attempt counted one parallel call and no further ones accrue.
             assert orchestrator._parallel_broken
-            attempts = PERF.counter("parallel.solve_calls").value
+            attempts = METRICS.counter("parallel.solve_calls").value
             orchestrator.solve()
-            assert PERF.counter("parallel.solve_calls").value == attempts
+            assert METRICS.counter("parallel.solve_calls").value == attempts
 
     def test_direct_solver_raises_on_dead_worker(self):
         scenario = tiny_scenario(seed=3)
@@ -309,13 +369,13 @@ class TestKillSwitch:
         assert parallel_enabled()
         disable_parallel()
         try:
-            PERF.reset()
+            METRICS.reset()
             with PainterOrchestrator(
                 tiny_scenario(seed=3),
                 OrchestratorConfig(prefix_budget=3, workers=2),
             ) as orchestrator:
                 orchestrator.solve()
-            assert PERF.counter("parallel.solve_calls").value == 0
+            assert METRICS.counter("parallel.solve_calls").value == 0
         finally:
             enable_parallel()
 
@@ -360,12 +420,12 @@ class TestInvalidateFailure:
             solver = orchestrator._parallel
             assert solver is not None
             monkeypatch.setattr(solver, "invalidate", lambda ug_ids: False)
-            PERF.reset()
+            METRICS.reset()
             report = orchestrator.execute_and_observe(config, iteration=0)
             assert report.learned > 0  # the broadcast was actually needed
             assert orchestrator._parallel is None
             assert orchestrator._parallel_broken
-            assert PERF.counter("parallel.fallbacks").value == 1
+            assert METRICS.counter("parallel.fallbacks").value == 1
 
 
 class TestWorkerTimeoutConfig:

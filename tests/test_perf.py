@@ -1,4 +1,4 @@
-"""Unit tests for the repro.perf instrumentation layer.
+"""Unit tests for the metrics registry (``repro.telemetry``) and ``repro perf``.
 
 The registry's contracts matter more than its arithmetic: hot code holds
 direct references to stat objects, so ``reset()`` must zero in place, and
@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.perf import PERF, CacheStats, Counter, PerfRegistry, TimerStats
+from repro.telemetry import METRICS, CacheStats, Counter, MetricsRegistry, TimerStats
 
 
 class TestCounter:
@@ -52,14 +52,14 @@ class TestTimerStats:
 
 class TestPerfRegistry:
     def test_acquisition_is_idempotent(self):
-        reg = PerfRegistry()
+        reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
         assert reg.cache("b") is reg.cache("b")
         assert reg.timer("c") is reg.timer("c")
 
     def test_reset_zeroes_in_place(self):
         """Hot paths hold references across resets — identity must survive."""
-        reg = PerfRegistry()
+        reg = MetricsRegistry()
         counter = reg.counter("evals")
         cache = reg.cache("memo")
         timer = reg.timer("solve")
@@ -73,7 +73,7 @@ class TestPerfRegistry:
         assert reg.counter("evals") is counter  # same object, zeroed
 
     def test_timed_contextmanager(self):
-        reg = PerfRegistry()
+        reg = MetricsRegistry()
         with reg.timed("region"):
             pass
         with reg.timed("region"):
@@ -83,14 +83,14 @@ class TestPerfRegistry:
         assert stat.total_s >= 0.0
 
     def test_timed_records_on_exception(self):
-        reg = PerfRegistry()
+        reg = MetricsRegistry()
         with pytest.raises(RuntimeError):
             with reg.timed("region"):
                 raise RuntimeError("boom")
         assert reg.timer("region").calls == 1
 
     def test_snapshot_is_json_serializable(self):
-        reg = PerfRegistry()
+        reg = MetricsRegistry()
         reg.counter("a").add(3)
         reg.cache("b").hits += 1
         reg.timer("c").add(0.25)
@@ -101,13 +101,13 @@ class TestPerfRegistry:
 
     def test_merge_sums_worker_snapshot(self):
         """Parallel workers return snapshots; the parent folds them in."""
-        worker = PerfRegistry()
+        worker = MetricsRegistry()
         worker.counter("evals").add(7)
         worker.cache("memo").hits += 4
         worker.cache("memo").misses += 1
         worker.timer("solve").add(1.5)
 
-        parent = PerfRegistry()
+        parent = MetricsRegistry()
         parent.counter("evals").add(3)
         parent.merge(worker.snapshot())
         parent.merge(worker.snapshot())
@@ -126,7 +126,7 @@ class TestPerfRegistry:
         (e.g. scan counters inside worker-side PrefixScans), and the merge
         must materialize them rather than drop or mangle them.
         """
-        worker = PerfRegistry()
+        worker = MetricsRegistry()
         worker.counter("worker.only_counter").add(2)
         worker.gauge("worker.only_gauge").set(7.5)
         worker.cache("worker.only_cache").hits += 3
@@ -134,7 +134,7 @@ class TestPerfRegistry:
         worker.timer("worker.only_timer").add(0.5)
         worker.histogram("worker.only_hist", (1.0, 10.0)).observe(4.0)
 
-        parent = PerfRegistry()
+        parent = MetricsRegistry()
         parent.merge(worker.snapshot())
 
         assert parent.counter("worker.only_counter").value == 2
@@ -150,10 +150,10 @@ class TestPerfRegistry:
         assert hist.max == 4.0
 
     def test_merge_histograms_sum_counts_and_extremes(self):
-        worker = PerfRegistry()
+        worker = MetricsRegistry()
         for value in (0.5, 3.0, 99.0):
             worker.histogram("h", (1.0, 10.0)).observe(value)
-        parent = PerfRegistry()
+        parent = MetricsRegistry()
         parent.histogram("h", (1.0, 10.0)).observe(5.0)
         parent.merge(worker.snapshot())
         hist = parent.histogram("h")
@@ -170,12 +170,12 @@ class TestPerfRegistry:
         half-applied — every later report silently double-counted.  The
         merge now validates first and mutates only if everything fits.
         """
-        worker = PerfRegistry()
+        worker = MetricsRegistry()
         worker.counter("evals").add(7)
         worker.timer("solve").add(1.0)
         worker.histogram("lat", (1.0, 2.0)).observe(1.5)
 
-        parent = PerfRegistry()
+        parent = MetricsRegistry()
         parent.counter("evals").add(3)
         parent.histogram("lat", (5.0, 10.0)).observe(6.0)
 
@@ -189,24 +189,24 @@ class TestPerfRegistry:
         assert parent.histogram("lat").counts == [0, 1, 0]
 
     def test_merge_rejects_malformed_bucket_counts_atomically(self):
-        worker = PerfRegistry()
+        worker = MetricsRegistry()
         worker.counter("evals").add(7)
         snapshot = worker.snapshot()
         snapshot["histograms"] = {
             "lat": {"bounds": [1.0, 2.0], "counts": [1, 2], "count": 3, "sum": 4.0}
         }
-        parent = PerfRegistry()
+        parent = MetricsRegistry()
         with pytest.raises(ValueError, match="buckets"):
             parent.merge(snapshot)
         assert parent.counter("evals").value == 0
         assert "lat" not in parent.snapshot()["histograms"]
 
     def test_render_empty(self):
-        reg = PerfRegistry()
+        reg = MetricsRegistry()
         assert "no activity" in reg.render()
 
     def test_render_and_markdown_show_live_stats(self):
-        reg = PerfRegistry()
+        reg = MetricsRegistry()
         reg.counter("orchestrator.marginal_evals").add(12)
         reg.cache("evaluator.expected_latency").hits += 9
         reg.cache("evaluator.expected_latency").misses += 3
@@ -222,7 +222,7 @@ class TestPerfRegistry:
         assert "75.0%" in md
 
     def test_module_singleton_exists(self):
-        assert isinstance(PERF, PerfRegistry)
+        assert isinstance(METRICS, MetricsRegistry)
 
 
 class TestPerfCli:

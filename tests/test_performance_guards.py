@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.core.orchestrator import PainterOrchestrator
+from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.scenario import tiny_scenario
 
 
@@ -28,7 +28,9 @@ class TestPerformanceGuards:
     def test_tiny_solve_fast(self):
         world = tiny_scenario(seed=9)
         _timed(
-            lambda: PainterOrchestrator(world, prefix_budget=5).solve(), limit_s=10.0
+            lambda: PainterOrchestrator(
+                world, OrchestratorConfig(prefix_budget=5)
+            ).solve(), limit_s=10.0
         )
 
     def test_anycast_latencies_fast(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.benefit import realized_benefit, realized_improvement
-from repro.core.orchestrator import PainterOrchestrator
+from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.core.routing_model import RoutingModel
 from repro.scenario import Scenario, build_scenario
 from repro.topology.builder import TopologyConfig
@@ -78,7 +78,9 @@ class TestOrchestratorInvariants:
     @slow
     def test_budget_respected_and_beneficial(self, params, budget):
         world = make_world(*params)
-        orchestrator = PainterOrchestrator(world, prefix_budget=budget)
+        orchestrator = PainterOrchestrator(
+            world, OrchestratorConfig(prefix_budget=budget)
+        )
         config = orchestrator.solve()
         assert config.prefix_count <= budget
         # Expected benefit of the solution is non-negative and each UG's
@@ -93,7 +95,7 @@ class TestOrchestratorInvariants:
     @slow
     def test_ranges_ordered_for_solution(self, params):
         world = make_world(*params)
-        orchestrator = PainterOrchestrator(world, prefix_budget=3)
+        orchestrator = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=3))
         config = orchestrator.solve()
         evaluation = orchestrator.evaluator.evaluate(config)
         assert evaluation.lower <= evaluation.mean <= evaluation.upper + 1e-9
@@ -103,7 +105,7 @@ class TestOrchestratorInvariants:
     @slow
     def test_learning_never_below_anycast(self, params):
         world = make_world(*params)
-        orchestrator = PainterOrchestrator(world, prefix_budget=3)
+        orchestrator = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=3))
         result = orchestrator.learn(iterations=2)
         for benefit in result.realized_benefits:
             assert benefit >= -1e-9

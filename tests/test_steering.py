@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.orchestrator import PainterOrchestrator
+from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.dns.resolvers import ResolverAssignment, ResolverConfig
 from repro.steering.dns_steering import evaluate_dns_steering
 from repro.steering.granularity import (
@@ -69,7 +69,7 @@ class TestGranularity:
 class TestDnsSteering:
     @pytest.fixture(scope="class")
     def config(self, world):
-        orchestrator = PainterOrchestrator(world, prefix_budget=4)
+        orchestrator = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=4))
         return orchestrator.solve()
 
     def test_dns_never_beats_painter(self, world, config, resolvers):
@@ -87,7 +87,7 @@ class TestDnsSteering:
             evaluate_dns_steering(world, config, resolvers, realized=False)
 
     def test_model_mode_runs(self, world, config, resolvers):
-        orchestrator = PainterOrchestrator(world, prefix_budget=4)
+        orchestrator = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=4))
         outcome = evaluate_dns_steering(
             world, config, resolvers, evaluator=orchestrator.evaluator, realized=False
         )
@@ -182,7 +182,9 @@ class TestPecanComparator:
         from repro.steering.pecan import compare_pecan_to_painter
 
         budget = 4
-        orchestrator = PainterOrchestrator(world, prefix_budget=budget)
+        orchestrator = PainterOrchestrator(
+            world, OrchestratorConfig(prefix_budget=budget)
+        )
         result = orchestrator.learn(iterations=3)
         pecan, painter, isp = compare_pecan_to_painter(
             world, budget, result.final_config

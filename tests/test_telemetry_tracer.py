@@ -163,12 +163,6 @@ class TestMetricsRegistry:
         assert "| gauge | value |" in md
         assert "| histogram |" in md
 
-    def test_perf_shim_is_same_registry(self):
-        from repro.perf import PERF, PerfRegistry
-
-        assert PERF is METRICS
-        assert PerfRegistry is MetricsRegistry
-
 
 class TestRunJournal:
     def test_jsonl_round_trip(self, tmp_path):

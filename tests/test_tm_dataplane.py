@@ -205,10 +205,10 @@ class TestMixedOperationSequences:
     @given(ops=OPS)
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_mixed_sequences_agree_with_metrics_enabled(self, ops):
-        from repro.perf import PERF
+        from repro.telemetry import METRICS
         from repro.telemetry import telemetry_session
 
-        batches_before = PERF.histogram("tm.batch_flows").count
+        batches_before = METRICS.histogram("tm.batch_flows").count
         forwards = 0
         with telemetry_session("tm-prop"):
             scalar, vector = ScalarDataPlane(), VectorFlowTable()
@@ -256,13 +256,13 @@ class TestMixedOperationSequences:
                 assert_planes_agree(scalar, vector)
         # Metrics saw every forwarded batch (both planes observe).
         assert (
-            PERF.histogram("tm.batch_flows").count
+            METRICS.histogram("tm.batch_flows").count
             == batches_before + 2 * forwards
         )
 
     def test_snapshot_restore_journal_resume_round_trip(self):
         """The journal keeps a coherent timeline across snapshot/restore."""
-        from repro.perf import PERF
+        from repro.telemetry import METRICS
         from repro.telemetry import telemetry_session
 
         selections = make_selections(3, include_none=False)
