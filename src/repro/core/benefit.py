@@ -16,7 +16,6 @@ Terminology follows the paper:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -27,7 +26,6 @@ from repro.core.routing_model import RoutingModel
 from repro.kernels import (
     ComputeBackend,
     MatrixLayoutPlan,
-    ScanContext,
     coerce_backend,
     plan_matrix_layout,
 )
@@ -205,10 +203,6 @@ class BenefitEvaluator:
         self._exp_cache: Dict[int, Tuple[int, Dict[FrozenSet[int], Optional[float]]]] = {}
         self._lat_stats = METRICS.cache("evaluator.latency_matrix")
         self._exp_stats = METRICS.cache("evaluator.expected_latency")
-        #: Per-UG (distance, latency) lookup over catalog-compliant
-        #: ingresses, built on first fast-path use (see :class:`PrefixScan`).
-        #: Distances and true latencies are immutable, so no invalidation.
-        self._scan_tables: Dict[int, Dict[int, Tuple[float, Optional[float]]]] = {}
         #: UG id → dense-matrix row, built lazily on the first dense lookup
         #: (the backend may have matrices bound before or after
         #: construction — see :meth:`ComputeBackend.bind_latency_matrix`).
@@ -220,30 +214,6 @@ class BenefitEvaluator:
                 ug.ug_id: i for i, ug in enumerate(self._scenario.user_groups)
             }
         return self._dense_rows.get(ug_id)
-
-    def _scan_table(self, ug: UserGroup):
-        table = self._scan_tables.get(ug.ug_id)
-        if table is None:
-            backend = self._backend
-            if (
-                backend.latency_matrix is not None
-                and backend.distance_matrix is not None
-            ):
-                # Large-world path: both matrices are materialized, so the
-                # per-UG table is a thin view instead of a dict — at 100k
-                # UGs the dicts alone would cost gigabytes.
-                row = self._dense_row_of(ug.ug_id)
-                if row is not None:
-                    table = self._scan_tables[ug.ug_id] = _DenseRowTable(
-                        self, ug, row
-                    )
-                    return table
-            model = self._model
-            table = self._scan_tables[ug.ug_id] = {
-                pid: (model.distance_km(ug, pid), self.latency(ug, pid))
-                for pid in model.catalog.ingress_ids(ug)
-            }
-        return table
 
     @property
     def scenario(self) -> Scenario:
@@ -429,27 +399,9 @@ class BenefitEvaluator:
             gains=np.array(gains, dtype=np.float64),
         )
 
-    def begin_prefix_scan(
-        self, context: Optional[ScanContext] = None
-    ) -> "PrefixScan":
-        """Start an incremental Eq.-2 session for one prefix's inner loop.
-
-        Injected state arrives as a :class:`repro.kernels.ScanContext`:
-        ``learned_ug_ids`` overrides the routing model's live learned set —
-        a parallel shard worker whose forked model is frozen at pool-creation
-        time passes the authoritative set it received from the parent —
-        and ``table_source`` overrides how per-UG scan tables are built
-        (shard workers source them from the shared latency/distance
-        matrices rather than re-deriving each entry from the latency
-        oracle).
-        """
-        if context is None:
-            context = ScanContext()
-        return PrefixScan(
-            self,
-            learned_ug_ids=context.learned_ug_ids,
-            table_source=context.table_source,
-        )
+    def begin_prefix_scan(self) -> "PrefixScan":
+        """Start an incremental Eq.-2 session for one prefix's inner loop."""
+        return PrefixScan(self)
 
     # -- Eq. 2: modeled improvement -------------------------------------------
 
@@ -586,195 +538,51 @@ class BenefitEvaluator:
         )
 
 
-class _DenseRowTable:
-    """A per-UG scan table served from the backend's dense matrices.
-
-    Duck-types the ``{pid: (distance, latency)}`` dict the fast scan reads
-    (only ``table[pid]`` is ever used) while costing one small object per
-    UG instead of a ~hundreds-of-entries dict — the difference between
-    fitting and not fitting the 100k-UG ``mega`` preset in memory.  Lookups
-    outside the UG's policy-compliant set hit ``nan`` slots and raise
-    ``KeyError`` like the dict would; ``nan`` latency slots inside the set
-    (not materialized) fall back to the evaluator's oracle path.
-    """
-
-    __slots__ = ("_ev", "_ug", "_row")
-
-    def __init__(self, evaluator: "BenefitEvaluator", ug: UserGroup, row: int) -> None:
-        self._ev = evaluator
-        self._ug = ug
-        self._row = row
-
-    def __getitem__(self, peering_id: int) -> Tuple[float, Optional[float]]:
-        ev = self._ev
-        backend = ev._backend
-        if backend.distance_matrix is None or backend.latency_matrix is None:
-            # Matrices released after this table was built: recompute from
-            # the deterministic oracles (bit-identical values).
-            return (
-                ev._model.distance_km(self._ug, peering_id),
-                ev.latency(self._ug, peering_id),
-            )
-        col = ev._lat_cols[peering_id]
-        row = self._row
-        dist = float(backend.distance_matrix[row, col])
-        if dist != dist:  # nan: not policy-compliant for this UG
-            raise KeyError(peering_id)
-        lat = float(backend.latency_matrix[row, col])
-        if lat != lat:  # nan: slot not materialized — use the oracle
-            return dist, ev.latency(self._ug, peering_id)
-        return dist, (None if math.isinf(lat) else lat)
-
-
 class PrefixScan:
-    """Incremental Eq.-2 evaluation for one prefix's greedy inner loop.
+    """Exact Eq.-2 evaluation for one prefix's greedy inner loop.
 
     Algorithm 1's inner loop evaluates ``expected_prefix_latency(ug, A ∪
     {pid})`` for a slowly-growing advertised set ``A`` and thousands of
-    candidate peerings — recomputing the candidate prediction from scratch
-    each time is the solver's dominant cost.  For UGs the model has **no
-    learned state** about (no preference pairs, no outcome memory —
-    :meth:`RoutingModel.has_learned_state`), the prediction reduces to pure
-    reuse-distance pruning:
+    candidate peerings.  For UGs the model has **no learned state** about
+    (no preference pairs, no outcome memory —
+    :meth:`RoutingModel.has_learned_state`) the prediction reduces to pure
+    reuse-distance pruning,
 
         kept = {q ∈ compliant : dist(q) ≤ min_dist(compliant) + D_reuse}
 
-    so this session keeps, per UG, the accepted compliant ingresses sorted
-    by distance with prefix sums of their measurable latencies.  A marginal
-    query then costs one binary search instead of a full candidate-set
-    rebuild.  UGs with learned state fall back to the evaluator's exact
-    (memoized) path; the fast/slow split is reported by the
-    ``evaluator.scan_fast_queries`` / ``scan_slow_queries`` perf counters.
+    which :class:`repro.parallel.shard.ShardState` evaluates for whole
+    peerings at a time from per-row arrays and counts as
+    ``evaluator.scan_fast_queries``.  This session serves the rest: it
+    tracks ``A`` and answers queries about learned UGs through the
+    evaluator's exact, memoized path (``evaluator.scan_slow_queries``).
 
     Mutating the routing model mid-scan (``observe``/``restore``) is not
     supported — Algorithm 1 only learns *between* solves.
     """
 
-    __slots__ = (
-        "_ev", "_model", "_learned", "_tables", "_table_source", "_d_reuse",
-        "_advertised", "_frozen", "_states", "_fast_queries", "_slow_queries",
-    )
+    __slots__ = ("_ev", "_advertised", "_frozen", "_slow_queries")
 
-    def __init__(
-        self,
-        evaluator: BenefitEvaluator,
-        learned_ug_ids: Optional[Set[int]] = None,
-        table_source: Optional[
-            Callable[[UserGroup], Dict[int, Tuple[float, Optional[float]]]]
-        ] = None,
-    ) -> None:
+    def __init__(self, evaluator: BenefitEvaluator) -> None:
         self._ev = evaluator
-        self._model = evaluator.model
-        # Bound once: the query path runs millions of times per solve.
-        self._learned = (
-            self._model.learned_ug_ids if learned_ug_ids is None else learned_ug_ids
-        )
-        self._tables = evaluator._scan_tables
-        self._table_source = table_source
-        self._d_reuse = self._model.d_reuse_km
         self._advertised: Set[int] = set()
         self._frozen: FrozenSet[int] = frozenset()
-        # ug_id -> [dists (sorted), latency prefix sums, measurable prefix
-        # counts]; parallel lists, sums/cnts one longer than dists.
-        self._states: Dict[int, List[list]] = {}
-        self._fast_queries = METRICS.counter("evaluator.scan_fast_queries")
         self._slow_queries = METRICS.counter("evaluator.scan_slow_queries")
 
     def query(self, ug: UserGroup, peering_id: int) -> Optional[float]:
         """Expected latency of the accepted set plus ``peering_id``."""
-        ug_id = ug.ug_id
-        if ug_id in self._learned:
-            self._slow_queries.value += 1
-            return self._ev.expected_prefix_latency(
-                ug, frozenset(self._advertised | {peering_id})
-            )
-        self._fast_queries.value += 1
-        table = self._tables.get(ug_id)
-        if table is None:
-            table = self._build_table(ug)
-        dist_p, lat_p = table[peering_id]
-        state = self._states.get(ug_id)
-        if state is None:
-            return lat_p  # singleton candidate set
-        dists, sums, cnts = state
-        closest = dists[0]
-        if dist_p < closest:
-            closest = dist_p
-        limit = closest + self._d_reuse
-        idx = bisect_right(dists, limit)
-        total = sums[idx]
-        count = cnts[idx]
-        if dist_p <= limit and lat_p is not None:
-            total += lat_p
-            count += 1
-        if count == 0:
-            return None
-        return total / count
-
-    def _build_table(self, ug: UserGroup) -> Dict[int, Tuple[float, Optional[float]]]:
-        if self._table_source is not None:
-            table = self._tables[ug.ug_id] = self._table_source(ug)
-            return table
-        return self._ev._scan_table(ug)
+        self._slow_queries.value += 1
+        return self._ev.expected_prefix_latency(
+            ug, frozenset(self._advertised | {peering_id})
+        )
 
     def current(self, ug: UserGroup) -> Optional[float]:
         """Expected latency of the accepted set as it stands."""
-        if ug.ug_id in self._learned:
-            return self._ev.expected_prefix_latency(ug, self._frozen)
-        state = self._states.get(ug.ug_id)
-        if state is None:
-            return None  # nothing compliant accepted yet
-        dists, sums, cnts = state
-        idx = bisect_right(dists, dists[0] + self._d_reuse)
-        if cnts[idx] == 0:
-            return None
-        return sums[idx] / cnts[idx]
+        return self._ev.expected_prefix_latency(ug, self._frozen)
 
-    def kept_stats(self, ug: UserGroup) -> Tuple[float, float, int, Optional[float]]:
-        """``(closest km, kept latency sum, kept count, expected)`` for a
-        fast-path UG with at least one accepted compliant peering.
-
-        This is the scalar state ``repro.parallel.ShardState`` mirrors into
-        its numpy arrays so refreshed marginals can be evaluated as one
-        vector expression per peering instead of a per-UG Python loop.
-        """
-        dists, sums, cnts = self._states[ug.ug_id]
-        closest = dists[0]
-        idx = bisect_right(dists, closest + self._d_reuse)
-        total = sums[idx]
-        count = cnts[idx]
-        return closest, total, count, (total / count if count else None)
-
-    def accept(self, peering_id: int, affected: Sequence[UserGroup]) -> None:
+    def accept(self, peering_id: int) -> None:
         """Fold an accepted peering into the session state."""
         self._advertised.add(peering_id)
         self._frozen = frozenset(self._advertised)
-        for ug in affected:
-            ug_id = ug.ug_id
-            if ug_id in self._learned:
-                continue
-            table = self._tables.get(ug_id)
-            if table is None:
-                table = self._build_table(ug)
-            dist, lat = table[peering_id]
-            state = self._states.get(ug_id)
-            if state is None:
-                self._states[ug_id] = [
-                    [dist],
-                    [0.0, lat if lat is not None else 0.0],
-                    [0, 1 if lat is not None else 0],
-                ]
-                continue
-            dists, sums, cnts = state
-            idx = bisect_right(dists, dist)
-            dists.insert(idx, dist)
-            measurable = lat is not None
-            sums.insert(idx + 1, sums[idx] + (lat if measurable else 0.0))
-            cnts.insert(idx + 1, cnts[idx] + (1 if measurable else 0))
-            if measurable:
-                for j in range(idx + 2, len(sums)):
-                    sums[j] += lat
-                    cnts[j] += 1
 
 
 def realized_improvement(

@@ -130,8 +130,8 @@ class _PrefixMemo:
     refresh: Dict[Tuple[int, int], float] = field(default_factory=dict)
     #: Per-refresh summation breakdown keyed like ``refresh``:
     #: ``(contrib_vector, learned_terms)`` where ``contrib_vector`` is the
-    #: per-row contribution array of the vectorized path (shrink rows hold
-    #: their exact scalar term) and ``learned_terms`` the ordered scalar
+    #: per-row contribution array of the vectorized path (shrink rows
+    #: included) and ``learned_terms`` the ordered scalar
     #: additions of the learned loop.  A volume shift changes only the
     #: shifted UG's entries, so the next warm solve can substitute those
     #: rows and re-run the *same* float summation — bit-equal to a full

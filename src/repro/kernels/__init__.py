@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.kernels import resolve_backend, ScanContext
+    from repro.kernels import resolve_backend
 
     backend = resolve_backend("numba")      # numpy fallback if missing
     evaluator = BenefitEvaluator(scenario, model, backend=backend)
@@ -21,7 +21,6 @@ from repro.kernels.api import (
     AUTO_ORDER,
     BackendUnavailable,
     ComputeBackend,
-    ScanContext,
     available_backends,
     coerce_backend,
     get_backend,
@@ -55,7 +54,6 @@ __all__ = [
     "MemoryBudgetExceeded",
     "NumbaBackend",
     "NumpyBackend",
-    "ScanContext",
     "available_backends",
     "coerce_backend",
     "get_backend",

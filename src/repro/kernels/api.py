@@ -12,8 +12,8 @@ Bit-exactness contract
 
 Backends compute **elementwise quantities only**.  Every floating-point
 *reduction* (``contrib.sum()``, the initial ``vol @ gain`` dot product,
-scalar shrink corrections, the learned-UG loop, warm-start volume patches)
-stays on the host numpy path in canonical row order.  Elementwise IEEE-754
+the learned-UG loop, warm-start volume patches) stays on the host numpy
+path in canonical row order.  Elementwise IEEE-754
 double operations are bit-identical across conforming implementations (no
 FMA contraction, no fastmath), so every backend produces bit-identical
 solve results by construction — the serial numpy solver remains the oracle
@@ -43,30 +43,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.telemetry import METRICS, emit_event
-
-
-@dataclass(frozen=True)
-class ScanContext:
-    """Injected state for one :class:`repro.core.benefit.PrefixScan` session.
-
-    What ``BenefitEvaluator.begin_prefix_scan`` lets a caller inject: a
-    parallel shard worker whose forked routing model is frozen at
-    pool-creation time passes the authoritative learned set it received
-    from the parent, and sources per-UG scan tables from the shared
-    latency/distance matrices instead of re-deriving each entry from the
-    latency oracle.
-    """
-
-    #: Overrides the routing model's live learned-UG set (``None`` = live).
-    learned_ug_ids: Optional[Union[Set[int], FrozenSet[int]]] = None
-    #: Overrides how per-UG scan tables are built (``None`` = evaluator
-    #: default: the latency oracle + distance model).
-    table_source: Optional[Callable] = None
 
 
 class BackendUnavailable(RuntimeError):
@@ -168,10 +149,12 @@ class ComputeBackend:
         """The fused refresh-marginal vector expression, row-for-row.
 
         Returns ``(contrib, shrink)``: per-row volume-weighted
-        improvements (zeroed where the reuse window shrinks) and the
-        boolean shrink mask whose rows the caller recomputes exactly with
-        the scalar scan.  The caller performs the ``contrib.sum()``
-        reduction on the host.
+        improvements and the boolean mask of rows where ``dist < d0 <
+        inf`` (the reuse window would shrink, so ``csum``/``ccnt`` are
+        stale), which come back zeroed.  A guard: the shard passes such
+        rows with ``d0 = dist`` and the kept set re-read at the shrunken
+        window, so the mask stays clear.  The caller performs the
+        ``contrib.sum()`` reduction on the host.
         """
         raise NotImplementedError
 

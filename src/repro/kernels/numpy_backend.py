@@ -38,8 +38,13 @@ def refresh_contrib(
     """The refresh-marginal vector expression, row-for-row.
 
     Returns ``(contrib, shrink)``: per-row volume-weighted improvements
-    (zeroed where the reuse window shrinks) and the shrink mask whose rows
-    need the exact scalar recomputation.
+    and the mask of rows where ``dist < d0 < inf`` — the candidate is
+    closer than everything kept, so the reuse window would shrink and
+    ``csum``/``ccnt`` (read at the old window) no longer describe the kept
+    set.  Those rows come back zeroed.  The mask is a guard, not a to-do
+    list: ``ShardState.contrib`` never trips it, because it passes such
+    rows with ``d0 = dist`` and ``csum``/``ccnt`` re-read at the shrunken
+    window, for which the formulas below are exact.
     """
     shrink = (dist < d0) & np.isfinite(d0)
     limit = np.where(dist < d0, dist, d0) + d_reuse

@@ -3,10 +3,10 @@
 :class:`ShardState` owns a contiguous range of UG rows ``[lo, hi)`` and is
 the only implementation of what Algorithm 1 does per row: filling the
 latency/distance matrices, initial-heap gains, the vectorized refresh of a
-marginal with its exact shrink-row terms, and folding accepted peerings
-into an incremental :class:`repro.core.benefit.PrefixScan`.  The serial
-solve runs one ``ShardState`` over every row in-process; the worker pool
-runs ``N`` of them behind pipes.  Either way the parent-side reducer in
+marginal (shrink rows included), and folding accepted peerings into the
+per-row scan state it keeps as arrays.  The serial solve runs one
+``ShardState`` over every row in-process; the worker pool runs ``N`` of
+them behind pipes.  Either way the parent-side reducer in
 :mod:`repro.parallel.solver` turns their rows into marginals.
 
 Serial ≡ sharded, per marginal, rests on three invariants enforced here:
@@ -19,13 +19,16 @@ Serial ≡ sharded, per marginal, rests on three invariants enforced here:
 * shard row ranges are contiguous and affected-UG lists are row-ascending
   (``_invert_catalog`` walks UGs in scenario order), so concatenating
   shard results in shard order reproduces the one-shard array layout with
-  no re-sorting — including the shrink-row terms, which each shard
-  scatters into its own slice of the contribution vector;
+  no re-sorting — contribution vectors and accept replies alike;
 * the per-value math is the *same code* for every shard count — the
   deterministic latency/distance oracles, the compute backend's
   elementwise kernels (``repro.kernels``; workers inherit the evaluator's
   backend at fork time, so a compiled solve is compiled in every shard),
-  and the shared :class:`PrefixScan` — evaluated on the same IEEE doubles.
+  and the array scan state, whose every update is **row-local**: a row's
+  ``kd``/``ks``/``kc`` entries are a function of the accepts that touched
+  that row and nothing else (not of the shard's range, nor of how often
+  the table was widened), so a row evolves through the same IEEE doubles
+  whichever shard holds it.
 """
 
 from __future__ import annotations
@@ -35,8 +38,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.kernels import ScanContext
 from repro.telemetry import METRICS
+
+#: Columns a round's kept-ingress table starts with; it doubles whenever a
+#: row fills (few UGs ever see more accepted compliant ingresses per prefix).
+INITIAL_SCAN_WIDTH = 4
 
 
 def shard_ranges(n_rows: int, n_workers: int) -> List[Tuple[int, int]]:
@@ -63,7 +69,7 @@ class ShardContext:
     start method children inherit the parent's address space, and the
     :class:`SharedArray` segments map the same physical pages in every
     process.  The in-process shard passes no matrices and the ``static``
-    per-peering arrays instead, and reads scan tables through the evaluator.
+    per-peering arrays instead.
     """
 
     def __init__(
@@ -97,8 +103,6 @@ class ShardContext:
         #: In-process only: ``(latency, distance)`` arrays per peering,
         #: aligned with ``rows_np``.
         self.static = static
-        #: Per-UG scan-table override (``None``: the evaluator's own).
-        self.table_source = None if static is not None else self._matrix_table
         #: Global row indices of each peering's affected UGs, ascending
         #: (catalog inversion walks UGs in scenario order).
         self.rows_np: Dict[int, "np.ndarray"] = {
@@ -122,19 +126,6 @@ class ShardContext:
             return lat, dist
         pos = np.searchsorted(self.rows_np[pid], rows)
         return lat[pos], dist[pos]
-
-    def _matrix_table(self, ug):
-        """Scan table for one UG, sourced from the shared matrices."""
-        row = self.ug_index[ug.ug_id]
-        table = {}
-        for pid in self.model.catalog.ingress_ids(ug):
-            col = self.col_of[pid]
-            lat = self.lat_mat[row, col]
-            table[pid] = (
-                float(self.dist_mat[row, col]),
-                None if math.isinf(lat) else float(lat),
-            )
-        return table
 
 
 class RowLayout(NamedTuple):
@@ -202,28 +193,24 @@ class ShardState:
         self.lo = lo
         self.hi = hi
         self.ugs = ctx.scenario.user_groups
-        # Python-float volumes for the scalar terms and their float64 array
-        # image for the vectorized ones.
-        self.vol_list = [ug.volume for ug in self.ugs]
-        self.vol_arr = np.array(self.vol_list)
-        #: This shard's affected UGs per peering, row-ascending.
-        self.shard_all: Dict[int, list] = {}
-        for pid, ugs in ctx.affected.items():
-            left, right = np.searchsorted(ctx.rows_np[pid], (lo, hi))
-            self.shard_all[pid] = ugs[left:right]
+        self.vol_arr = np.array([ug.volume for ug in self.ugs])
         # Per-solve state (built by prep, kept while the learned set holds):
         self._prepped: Optional[frozenset] = None
         self.layout: Optional[RowLayout] = None
         self.local: Dict[int, Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]] = {}
         self.spans: Dict[int, Tuple[int, int]] = {}
-        # Per-round state (built by begin_round):
-        self.scan = None
+        # Per-round state (built by begin_round).  The 1-D arrays are
+        # indexed by world row like ``base_np``, which the parent sends
+        # whole; the 2-D kept-ingress tables by ``row - lo``, so a worker
+        # pays for its own row range only.
         self.base_np: Optional["np.ndarray"] = None
-        self.base_list: Optional[list] = None
         self.d0_arr: Optional["np.ndarray"] = None
         self.csum_arr: Optional["np.ndarray"] = None
         self.ccnt_arr: Optional["np.ndarray"] = None
         self.ob_arr: Optional["np.ndarray"] = None
+        self.kd: Optional["np.ndarray"] = None
+        self.ks: Optional["np.ndarray"] = None
+        self.kc: Optional["np.ndarray"] = None
         self._fast_queries = METRICS.counter("evaluator.scan_fast_queries")
 
     # -- one-time: matrix fill ----------------------------------------------
@@ -286,7 +273,6 @@ class ShardState:
 
     def set_volume(self, row: int, volume: float, peering_ids) -> None:
         """Patch one UG row's traffic volume into every cached image."""
-        self.vol_list[row] = volume
         self.vol_arr[row] = volume
         for pid in peering_ids:
             arrays = self.local.get(pid)
@@ -298,25 +284,30 @@ class ShardState:
     def begin_round(self, base_np: "np.ndarray") -> None:
         """Reset the per-prefix scan state: nothing accepted yet.
 
-        Numpy mirror of the :class:`PrefixScan` state per unlearned row, so
-        a refresh is a handful of array ops instead of one bisect per UG:
+        Per unlearned row, the accepted compliant ingresses are kept
+        ascending by distance in ``kd`` (``+inf`` beyond the last one) with
+        the running sums ``ks`` and counts ``kc`` of their measurable
+        latencies, one column longer: ``ks[r, j]`` covers the row's ``j``
+        closest, and past the last accepted ingress it repeats the row
+        total, as a prefix sum over ``+inf`` padding would.  The kept set
+        of a reuse window ``limit`` is therefore one count-and-gather —
+        ``k = (kd[r] <= limit).sum()``, then ``ks[r, k]``, ``kc[r, k]`` —
+        for any ``limit``.  The four 1-D arrays cache that read at the
+        row's current window, so a refresh is a handful of array ops:
         ``d0`` closest accepted distance (inf while none kept), ``csum`` /
         ``ccnt`` sum and count of measurable kept-set latencies, ``ob`` the
         row's best latency today, ``min(base, current expected)``.
         """
-        ctx = self.ctx
         self.base_np = base_np
-        self.base_list = base_np.tolist()
-        n = ctx.n_ugs
+        n = self.ctx.n_ugs
         self.d0_arr = np.full(n, np.inf)
         self.csum_arr = np.zeros(n)
         self.ccnt_arr = np.zeros(n)
         self.ob_arr = base_np.copy()
-        self.scan = ctx.evaluator.begin_prefix_scan(
-            ScanContext(
-                learned_ug_ids=self._prepped, table_source=ctx.table_source
-            )
-        )
+        n_local = self.hi - self.lo
+        self.kd = np.full((n_local, INITIAL_SCAN_WIDTH), np.inf)
+        self.ks = np.zeros((n_local, INITIAL_SCAN_WIDTH + 1))
+        self.kc = np.zeros((n_local, INITIAL_SCAN_WIDTH + 1))
 
     def initial_gains(self, pid: int) -> "np.ndarray":
         """Per-row ``max(0, base - latency)`` with nothing accepted yet.
@@ -342,49 +333,45 @@ class ShardState:
             if count:
                 gains[start : start + count] = self.initial_gains(pid)
 
+    def _kept_at(self, loc, limit) -> Tuple["np.ndarray", "np.ndarray"]:
+        """``(latency sum, count)`` of local rows ``loc``'s accepted
+        ingresses within ``limit`` km (one limit per row)."""
+        k = (self.kd[loc] <= limit[:, None]).sum(axis=1)
+        return self.ks[loc, k], self.kc[loc, k]
+
     def contrib(self, pid: int) -> "np.ndarray":
         """This shard's slice of one marginal's per-row contributions.
 
-        The fused elementwise pipeline (reuse-window shrink test, kept-set
-        mean update, best-latency improvement) runs on the compute backend;
-        rows where the reuse window shrinks come back zeroed and get their
-        exact scalar term scattered back into the vector (rather than
-        returned beside it), so the parent reduces the whole unlearned part
-        in one numpy sum whatever the shard count — and a later volume
-        patch can reproduce that sum bit-for-bit by substituting elements.
+        The fused elementwise pipeline (reuse-window test, kept-set mean
+        update, best-latency improvement) runs on the compute backend over
+        the cached ``d0``/``csum``/``ccnt`` of ``pid``'s rows.  A row whose
+        closest accepted ingress is farther than ``pid`` would have its
+        window shrunk to ``dist + d_reuse``: for those rows the kept set is
+        re-read from ``kd``/``ks``/``kc`` at the shrunken limit and ``d0``
+        replaced by ``dist``, which is exactly the state the kernel's
+        formulas expect — so every row, shrinking or not, is one element of
+        the same kernel call, the parent reduces the whole unlearned part
+        in one numpy sum whatever the shard count, and a later volume patch
+        can reproduce that sum bit-for-bit by substituting elements.
         """
         sel, lat, dist, vol = self.local[pid]
-        contrib, shrink = self.ctx.backend.refresh_contrib(
-            dist,
-            lat,
-            vol,
-            self.d0_arr[sel],
-            self.csum_arr[sel],
-            self.ccnt_arr[sel],
-            self.ob_arr[sel],
-            self.base_np[sel],
-            self.ctx.d_reuse,
+        d_reuse = self.ctx.d_reuse
+        d0 = self.d0_arr[sel]
+        csum = self.csum_arr[sel]
+        ccnt = self.ccnt_arr[sel]
+        shrinking = np.nonzero((dist < d0) & np.isfinite(d0))[0]
+        if len(shrinking):
+            closer = dist[shrinking]
+            d0[shrinking] = closer
+            csum[shrinking], ccnt[shrinking] = self._kept_at(
+                sel[shrinking] - self.lo, closer + d_reuse
+            )
+        self._fast_queries.value += len(lat) + len(shrinking)
+        contrib, _shrink = self.ctx.backend.refresh_contrib(
+            dist, lat, vol, d0, csum, ccnt, self.ob_arr[sel], self.base_np[sel],
+            d_reuse,
         )
-        self._fast_queries.value += len(lat)
-        if shrink.any():
-            self._scatter_shrink_terms(pid, contrib, np.nonzero(shrink)[0])
         return contrib
-
-    def _scatter_shrink_terms(self, pid: int, out: "np.ndarray", positions) -> None:
-        """Write into ``out`` the exact term of each row (by position among
-        ``pid``'s rows) whose reuse window ``pid`` would shrink; rows that
-        would lose their path stay at zero."""
-        rows = self.local[pid][0][positions].tolist()
-        query, ugs, ob_arr = self.scan.query, self.ugs, self.ob_arr
-        base_list, vol_list = self.base_list, self.vol_list
-        for pos, row in zip(positions, rows):
-            new_p = query(ugs[row], pid)
-            if new_p is None:
-                out[pos] = 0.0
-                continue
-            base = base_list[row]
-            new_best = new_p if new_p < base else base
-            out[pos] = vol_list[row] * (ob_arr[row] - new_best)
 
     def refresh(self, pids: Sequence[int]) -> List["np.ndarray"]:
         """``contrib`` for a batch of peerings (one pool round trip)."""
@@ -399,7 +386,9 @@ class ShardState:
         *weights* only — none of the scan state depends on volumes — so the
         shifted rows' terms are recomputed with IEEE-double scalar clones
         of the vectorized ops in ``contrib`` and substituted into a copy of
-        the vector recorded for the same accept sequence.
+        the vector recorded for the same accept sequence.  (Scalar on
+        purpose: a patch touches a handful of rows, where array set-up
+        costs more than it saves.)
         """
         sel, lat, dist, vol = self.local[pid]
         patched = recorded.copy()
@@ -410,18 +399,24 @@ class ShardState:
             if pos >= len(sel) or sel[pos] != row:
                 continue  # a learned row: the parent's term, not ours
             d0_s = float(self.d0_arr[row])
-            ob_s = float(self.ob_arr[row])
             dist_s = float(dist[pos])
             if dist_s < d0_s and math.isfinite(d0_s):
-                # Both the shrink set and query reachability are
-                # volume-independent.
-                self._scatter_shrink_terms(pid, patched, [pos])
-                continue
+                # The window shrinks: the kept set at the closer limit.
+                loc = row - self.lo
+                k = int(np.searchsorted(self.kd[loc], dist_s + d_reuse, side="right"))
+                d0_s = dist_s
+                csum_s = float(self.ks[loc, k])
+                ccnt_s = float(self.kc[loc, k])
+                self._fast_queries.value += 1
+            else:
+                csum_s = float(self.csum_arr[row])
+                ccnt_s = float(self.ccnt_arr[row])
+            ob_s = float(self.ob_arr[row])
             lat_s = float(lat[pos])
             limit_s = (dist_s if dist_s < d0_s else d0_s) + d_reuse
             add_s = dist_s <= limit_s and not math.isnan(lat_s)
-            new_cnt = float(self.ccnt_arr[row]) + (1.0 if add_s else 0.0)
-            new_sum = float(self.csum_arr[row]) + (lat_s if add_s else 0.0)
+            new_cnt = ccnt_s + (1.0 if add_s else 0.0)
+            new_sum = csum_s + (lat_s if add_s else 0.0)
             new_p = new_sum / (new_cnt if new_cnt > 1.0 else 1.0)
             base_s = float(self.base_np[row])
             if new_cnt > 0:
@@ -431,24 +426,57 @@ class ShardState:
             patched[pos] = float(vol[pos]) * (ob_s - new_best)
         return patched
 
-    def accept(self, pid: int) -> List[Tuple[int, Optional[float]]]:
+    def accept(self, pid: int) -> Tuple["np.ndarray", "np.ndarray"]:
         """Fold an accepted peering into this shard's scan state.
 
-        Returns ``(row, expected latency)`` updates for the shard's
-        unlearned affected rows; the parent applies them to its per-prefix
-        latency table and handles learned rows itself.
+        One vectorized sorted insert over all of ``pid``'s unlearned rows:
+        ``pid`` lands after every accepted ingress at most as far
+        (``bisect_right``), and each running sum behind it becomes *its
+        predecessor* plus ``pid``'s latency (``+ 0.0`` when unmeasurable)
+        — sums are built by insertion, never re-accumulated, so a row's
+        doubles depend only on the order its ingresses were accepted in.
+        Returns ``(rows, expected latency)`` arrays for those rows, ``+inf``
+        where the kept set has no measurable ingress; the parent writes
+        them into its per-prefix latency column and handles learned rows
+        itself.
         """
-        self.scan.accept(pid, self.shard_all.get(pid, ()))
-        updates = []
-        kept_stats, ugs, base_list = self.scan.kept_stats, self.ugs, self.base_list
-        d0_arr, csum_arr, ccnt_arr = self.d0_arr, self.csum_arr, self.ccnt_arr
-        ob_arr = self.ob_arr
-        for row in self.local[pid][0].tolist():
-            d0_arr[row], csum_arr[row], ccnt_arr[row], value = kept_stats(ugs[row])
-            updates.append((row, value))
-            base = base_list[row]
-            ob_arr[row] = base if value is None or base < value else value
-        return updates
+        sel, lat, dist, _vol = self.local[pid]
+        loc = sel - self.lo
+        if np.isfinite(self.kd[loc, -1]).any():
+            self._widen()
+        kd, ks, kc = self.kd[loc], self.ks[loc], self.kc[loc]
+        idx = (kd <= dist[:, None]).sum(axis=1)  # bisect_right
+        behind = np.arange(1, ks.shape[1]) > idx[:, None]
+        measurable = ~np.isnan(lat)
+        lat0 = np.where(measurable, lat, 0.0)[:, None]
+        ks[:, 1:] = np.where(behind, ks[:, :-1] + lat0, ks[:, 1:])
+        kc[:, 1:] = np.where(behind, kc[:, :-1] + measurable[:, None], kc[:, 1:])
+        kd[:, 1:] = np.where(behind[:, :-1], kd[:, :-1], kd[:, 1:])
+        kd[np.arange(len(sel)), idx] = dist
+        self.kd[loc], self.ks[loc], self.kc[loc] = kd, ks, kc
+        # The rows' new reuse windows, read back off the updated tables.
+        d0 = kd[:, 0]
+        csum, ccnt = self._kept_at(loc, d0 + self.ctx.d_reuse)
+        value = np.full(len(sel), np.inf)
+        np.divide(csum, ccnt, out=value, where=ccnt > 0)
+        self.d0_arr[sel] = d0
+        self.csum_arr[sel] = csum
+        self.ccnt_arr[sel] = ccnt
+        self.ob_arr[sel] = np.minimum(self.base_np[sel], value)
+        return sel, value
+
+    def _widen(self) -> None:
+        """Double the kept-ingress tables' width, padding preserved."""
+        width = self.kd.shape[1]
+        self.kd = np.concatenate(
+            [self.kd, np.full((len(self.kd), width), np.inf)], axis=1
+        )
+        self.ks = np.concatenate(
+            [self.ks, np.repeat(self.ks[:, -1:], width, axis=1)], axis=1
+        )
+        self.kc = np.concatenate(
+            [self.kc, np.repeat(self.kc[:, -1:], width, axis=1)], axis=1
+        )
 
     # -- epoch invalidation --------------------------------------------------
 

@@ -62,7 +62,7 @@ SPECULATIVE_REFRESHES = 3
 
 #: A marginal's summation breakdown: the per-row contribution vector of the
 #: unlearned rows and the ordered exact terms of the learned ones.
-MarginalDetail = Tuple["np.ndarray", List[float]]
+MarginalDetail = Tuple["np.ndarray", Sequence[float]]
 
 
 class RowSource:
@@ -109,7 +109,8 @@ class RowSource:
     def _contrib(self, pid: int, stale: Sequence[int]) -> "np.ndarray":
         return self._shard.contrib(pid)
 
-    def _accept(self, pid: int) -> List[Tuple[int, Optional[float]]]:
+    def _accept(self, pid: int) -> Tuple["np.ndarray", "np.ndarray"]:
+        """``(rows, expected latencies)`` of ``pid``'s unlearned rows."""
         return self._shard.accept(pid)
 
     # -- the reducer ---------------------------------------------------------
@@ -124,9 +125,9 @@ class RowSource:
         if len(base_np):
             base_np = np.minimum(base_np, self._exp.min(axis=1))
         self._base = base_np.tolist()
-        #: Expected latency of the current prefix per UG row (None until a
-        #: compliant peering is accepted).
-        self._cur: List[Optional[float]] = [None] * len(self._base)
+        #: Expected latency of the current prefix per learned UG row (None
+        #: until a compliant peering is accepted).
+        self._cur: Dict[int, Optional[float]] = {}
         #: Eq.-2 session for the learned rows (the exact, memoized path).
         self._scan = self._evaluator.begin_prefix_scan()
         self._round_start(base_np)
@@ -150,22 +151,29 @@ class RowSource:
     def _learned_terms(
         self,
         pid: int,
-        recorded: Optional[List[float]] = None,
+        recorded: Optional[Sequence[float]] = None,
         changed: Set[int] = frozenset(),
-    ) -> List[float]:
+    ) -> Sequence[float]:
         """Exact marginal terms of ``pid``'s learned rows, in row order.
 
         With ``recorded`` terms (a volume patch), only ``changed`` rows are
         re-evaluated.
         """
+        learned = self._learned.get(pid)
+        if not learned:
+            # The shared empty tuple, not a fresh list: a warm memo holds
+            # one detail per marginal, and ``(ndarray, ())`` is a tuple the
+            # cyclic GC stops tracking — thousands of long-lived objects
+            # fewer per solve for every later full collection to walk.
+            return ()
         terms: List[float] = []
         base_list, cur_p, query = self._base, self._cur, self._scan.query
-        for i, (ug, row) in enumerate(self._learned.get(pid, ())):
+        for i, (ug, row) in enumerate(learned):
             if recorded is not None and row not in changed:
                 terms.append(recorded[i])
                 continue
             base = base_list[row]
-            old_p = cur_p[row]
+            old_p = cur_p.get(row)
             old_best = base if old_p is None or base < old_p else old_p
             new_p = query(ug, pid)
             if new_p is None:
@@ -223,14 +231,12 @@ class RowSource:
         return total, (patched, terms)
 
     def accept(self, pid: int) -> None:
-        self._scan.accept(pid, ())
-        updates = self._accept(pid)
-        updates += [
-            (row, self._scan.current(ug)) for ug, row in self._learned.get(pid, ())
-        ]
-        cur_p, column = self._cur, self._exp[:, self._prefix]
-        for row, value in updates:
-            cur_p[row] = value
+        self._scan.accept(pid)
+        column = self._exp[:, self._prefix]
+        rows, values = self._accept(pid)
+        column[rows] = values
+        for ug, row in self._learned.get(pid, ()):
+            value = self._cur[row] = self._scan.current(ug)
             column[row] = np.inf if value is None else value
 
     def end_prefix(self) -> None:
@@ -289,10 +295,10 @@ class ShardedSource(RowSource):
             speculative[other] = np.concatenate([reply[i] for reply in replies])
         return speculative.pop(pid)
 
-    def _accept(self, pid: int) -> List[Tuple[int, Optional[float]]]:
+    def _accept(self, pid: int) -> Tuple["np.ndarray", "np.ndarray"]:
         self._speculative.clear()
-        replies = self._pool.broadcast("accept", pid)
-        return [update for reply in replies for update in reply]
+        rows, values = zip(*self._pool.broadcast("accept", pid))
+        return np.concatenate(rows), np.concatenate(values)
 
 
 class ParallelSolver:

@@ -169,6 +169,30 @@ def test_refresh_contrib_shrink_and_kept_semantics() -> None:
     # Row 2: not added; kept mean 10, best min(30,10)=10, gain 4*(20-10).
     assert contrib[2] == 4.0 * (20.0 - 10.0)
 
+    # The form the shard feeds shrink rows in (``ShardState.contrib``):
+    # ``d0`` replaced by ``dist`` and ``csum``/``ccnt`` re-read at the
+    # shrunken window, so the mask stays clear and the row is evaluated like
+    # any other.  Kept counts 0, 1, 3 x measurable / unmeasurable latency.
+    dist = np.full(6, 100.0)
+    lat = np.array([3.0, np.nan, 3.0, np.nan, 3.0, np.nan])
+    vol = np.full(6, 2.0)
+    csum = np.array([0.0, 0.0, 12.0, 12.0, 30.0, 30.0])
+    ccnt = np.array([0.0, 0.0, 1.0, 1.0, 3.0, 3.0])
+    ob = np.full(6, 20.0)
+    base = np.full(6, 25.0)
+    contrib, shrink = refresh_contrib(
+        dist, lat, vol, dist.copy(), csum, ccnt, ob, base, 0.0
+    )
+    assert not shrink.any()
+    assert contrib.tolist() == [
+        2.0 * (20.0 - 3.0),  # singleton: the ingress's own latency
+        0.0,  # nothing measurable kept: no path, no improvement
+        2.0 * (20.0 - (12.0 + 3.0) / 2.0),
+        2.0 * (20.0 - 12.0),  # unmeasurable: kept mean unchanged
+        2.0 * (20.0 - (30.0 + 3.0) / 4.0),
+        2.0 * (20.0 - 10.0),
+    ]
+
 
 # ---------------------------------------------------------------------------
 # hypothesis differential: every installed backend vs the numpy reference
@@ -205,6 +229,9 @@ def test_backends_match_numpy_bit_for_bit(backend_name: str, data) -> None:
             st.floats(min_value=0.0, max_value=25_000.0), st.just(float("inf"))
         ),
     )
+    # The shard substitutes ``d0 := dist`` on rows whose window shrinks.
+    substituted = data.draw(hnp.arrays(dtype=np.bool_, shape=(n,)))
+    d0[substituted] = dist[substituted]
     csum = _arr(data.draw, n, st.floats(min_value=0.0, max_value=1e6))
     ccnt = _arr(data.draw, n, st.integers(min_value=0, max_value=12).map(float))
     ob = _arr(data.draw, n, _finite)

@@ -123,7 +123,7 @@ class TestPerfRegistry:
 
         Regression guard for the solve-pool path: forked workers bump
         counters/caches/timers/histograms the parent has never requested
-        (e.g. scan counters inside worker-side PrefixScans), and the merge
+        (e.g. the scan counters of worker-side shards), and the merge
         must materialize them rather than drop or mangle them.
         """
         worker = MetricsRegistry()
