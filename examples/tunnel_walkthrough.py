@@ -82,7 +82,7 @@ def main() -> None:
     describe("6. TM-Edge -> client        ", final)
 
     print(
-        f"\nflow table: {edge.flow_table.destinations()}; "
+        f"\nflows per destination: {edge.data_plane.destinations()}; "
         f"NAT bindings at TM-PoP: {tm_pop.nat.active_bindings}"
     )
 

@@ -16,9 +16,9 @@ Quickstart::
     print(result.realized_benefits)
 
 The steering half of the paper — the Traffic Manager — is also exposed here:
-:class:`TMEdge`/:class:`TMPoP` for the proxy nodes, :class:`FlowTable` (the
-scalar reference) and :class:`VectorFlowTable` (batched numpy columns for
-millions of flows) behind the common :class:`DataPlane` protocol.
+:class:`TMEdge`/:class:`TMPoP` for the proxy nodes, :class:`ScalarDataPlane`
+(the per-flow reference) and :class:`VectorFlowTable` (batched numpy columns
+for millions of flows) behind the common :class:`DataPlane` protocol.
 """
 
 from repro.core import (
@@ -52,7 +52,6 @@ from repro.traffic_manager import (
     DataPlane,
     FiveTuple,
     FlowBatch,
-    FlowTable,
     ScalarDataPlane,
     TMEdge,
     TMPoP,
@@ -70,7 +69,6 @@ __all__ = [
     "FaultSchedule",
     "FiveTuple",
     "FlowBatch",
-    "FlowTable",
     "LearningResult",
     "METRICS",
     "MetricsRegistry",

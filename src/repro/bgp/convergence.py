@@ -114,46 +114,44 @@ def simulate_withdrawal(
     each carrying transient latency inflation that fades as the final path
     is selected.
     """
-    conv_cm = TRACER.span(
+    with TRACER.span(
         "bgp.convergence", withdrawal_time_s=withdrawal_time_s, seed=seed
-    )
-    conv_span = conv_cm.__enter__()
-    rng = random.Random(seed)
-    events: List[ConvergenceEvent] = []
+    ) as conv_span:
+        rng = random.Random(seed)
+        events: List[ConvergenceEvent] = []
 
-    # The withdrawal itself is an update burst with no reachability.
-    events.append(
-        ConvergenceEvent(
-            time_s=withdrawal_time_s,
-            updates=max(1, int(config.peak_updates_per_round * 0.5)),
-            reachable=False,
-            latency_penalty_ms=math.inf,
-        )
-    )
-
-    time_s = withdrawal_time_s + config.reachability_gap_s * rng.uniform(0.8, 1.2)
-    for round_idx in range(config.exploration_depth):
-        decay = config.update_decay**round_idx
-        updates = max(1, int(rng.gauss(config.peak_updates_per_round * decay, 2.0)))
-        # Penalty shrinks as exploration homes in on the final path.
-        remaining = (config.exploration_depth - 1 - round_idx) / max(
-            1, config.exploration_depth - 1
-        )
-        penalty = config.transient_inflation_ms * remaining
+        # The withdrawal itself is an update burst with no reachability.
         events.append(
             ConvergenceEvent(
-                time_s=time_s,
-                updates=updates,
-                reachable=True,
-                latency_penalty_ms=penalty,
+                time_s=withdrawal_time_s,
+                updates=max(1, int(config.peak_updates_per_round * 0.5)),
+                reachable=False,
+                latency_penalty_ms=math.inf,
             )
         )
-        time_s += config.mrai_s * rng.uniform(0.8, 1.3)
 
-    trace = ConvergenceTrace(withdrawal_time_s=withdrawal_time_s, events=events)
-    conv_span.tag("total_updates", trace.total_updates)
-    conv_span.tag("loss_duration_s", trace.loss_duration_s)
-    conv_cm.__exit__(None, None, None)
+        time_s = withdrawal_time_s + config.reachability_gap_s * rng.uniform(0.8, 1.2)
+        for round_idx in range(config.exploration_depth):
+            decay = config.update_decay**round_idx
+            updates = max(1, int(rng.gauss(config.peak_updates_per_round * decay, 2.0)))
+            # Penalty shrinks as exploration homes in on the final path.
+            remaining = (config.exploration_depth - 1 - round_idx) / max(
+                1, config.exploration_depth - 1
+            )
+            penalty = config.transient_inflation_ms * remaining
+            events.append(
+                ConvergenceEvent(
+                    time_s=time_s,
+                    updates=updates,
+                    reachable=True,
+                    latency_penalty_ms=penalty,
+                )
+            )
+            time_s += config.mrai_s * rng.uniform(0.8, 1.3)
+
+        trace = ConvergenceTrace(withdrawal_time_s=withdrawal_time_s, events=events)
+        conv_span.tag("total_updates", trace.total_updates)
+        conv_span.tag("loss_duration_s", trace.loss_duration_s)
     emit_event(
         "bgp_convergence",
         withdrawal_time_s=withdrawal_time_s,

@@ -17,7 +17,7 @@ replay run:
    flows in one batched failover call.
 
 The per-step flows/s throughput this measures is what the ``tm-bench`` CLI
-subcommand and the ``benchmarks/test_bench_tm.py`` gate report.
+subcommand and the ``benchmarks/test_bench_tm.py`` smoke run report.
 """
 
 from __future__ import annotations
@@ -163,11 +163,14 @@ def _latency_matrix(
 def run_traffic_replay(config: Optional[ReplayConfig] = None) -> ReplayResult:
     """Run one replay; see the module docstring for the shape of a run."""
     config = config or ReplayConfig()
-    replay_cm = TRACER.span(
+    with TRACER.span(
         "replay.run", preset=config.preset, plane=config.plane,
         steps=config.steps, arrivals_per_step=config.arrivals_per_step,
-    )
-    replay_cm.__enter__()
+    ):
+        return _replay(config)
+
+
+def _replay(config: ReplayConfig) -> ReplayResult:
     scenario = _PRESETS[config.preset](seed=config.seed)
 
     with METRICS.timed("replay.solve"):
@@ -253,7 +256,6 @@ def run_traffic_replay(config: Optional[ReplayConfig] = None) -> ReplayResult:
                 result.selection_share.get(prefix, 0.0)
                 + scenario.user_groups[sid].volume / total_volume
             )
-    replay_cm.__exit__(None, None, None)
     return result
 
 

@@ -3,7 +3,7 @@
 Runs :func:`repro.soak.run_soak` on a sized-down configuration (tiny
 preset, a simulated day split into a handful of windows) and renders the
 per-window SLO accounting as an :class:`ExperimentResult` for the report
-generator.  The full-scale azure gate lives in
+generator.  The full-scale azure smoke run lives in
 ``benchmarks/test_bench_soak.py``; this entry is the auditable record.
 """
 

@@ -111,13 +111,36 @@ class MeasurementCampaign:
         ``StaleMeasurement`` window return the *previous* day's value and
         mark the target stale.
         """
-        config = self._config
-        result = CampaignResult()
-        run_cm = TRACER.span(
+        with TRACER.span(
             "campaign.run", targets=len(targets), day=day,
             faulted=faults is not None,
+        ) as run_span:
+            result = self._probe_all(targets, day, faults, seed)
+            run_span.tag("probes_sent", result.probes_sent)
+            run_span.tag("probes_lost", result.probes_lost)
+            run_span.tag("retries", result.retries)
+        emit_event(
+            "campaign",
+            day=day,
+            targets=len(targets),
+            probes_sent=result.probes_sent,
+            probes_lost=result.probes_lost,
+            retries=result.retries,
+            measured=result.targets_measured,
+            unreachable=result.targets_unreachable,
+            stale=len(result.stale_targets),
         )
-        run_span = run_cm.__enter__()
+        return result
+
+    def _probe_all(
+        self,
+        targets: Sequence[Tuple[UserGroup, Peering]],
+        day: int,
+        faults: Optional[FaultSchedule],
+        seed: int,
+    ) -> CampaignResult:
+        config = self._config
+        result = CampaignResult()
         loop = EventLoop()
         interval_s = 1.0 / config.probes_per_second
         rng = random.Random(seed)
@@ -192,21 +215,6 @@ class MeasurementCampaign:
             else:
                 result.targets_unreachable += 1
                 result.stale_targets.discard(key)
-        run_span.tag("probes_sent", result.probes_sent)
-        run_span.tag("probes_lost", result.probes_lost)
-        run_span.tag("retries", result.retries)
-        run_cm.__exit__(None, None, None)
-        emit_event(
-            "campaign",
-            day=day,
-            targets=len(targets),
-            probes_sent=result.probes_sent,
-            probes_lost=result.probes_lost,
-            retries=result.retries,
-            measured=result.targets_measured,
-            unreachable=result.targets_unreachable,
-            stale=len(result.stale_targets),
-        )
         return result
 
 

@@ -471,15 +471,10 @@ class SoakDriver(ControllerExtension):
 
     # -- checkpoint round-trip -------------------------------------------------
 
-    def _plane_state(self) -> Dict[str, Any]:
-        if isinstance(self._plane, VectorFlowTable):
-            return self._plane.to_packed_snapshot()
-        return self._plane.to_snapshot()
-
     def snapshot(self) -> Dict[str, Any]:
         return {
             "version": SOAK_SNAPSHOT_VERSION,
-            "plane": self._plane_state(),
+            "plane": self._plane.to_snapshot(),
             "bank": self._bank.to_snapshot(),
             "ledger": self._ledger.state_dict(),
             "prev_switches": _encode_array(self._prev_switches),
@@ -489,11 +484,7 @@ class SoakDriver(ControllerExtension):
         version = payload.get("version")
         if version != SOAK_SNAPSHOT_VERSION:
             raise SoakError(f"unsupported soak snapshot version {version!r}")
-        plane_state = payload["plane"]
-        if plane_state.get("kind") == "vector-packed":
-            self._plane = VectorFlowTable.from_packed_snapshot(plane_state)
-        else:
-            self._plane = plane_from_snapshot(plane_state)
+        self._plane = plane_from_snapshot(payload["plane"])
         self._bank = SelectorBank.from_snapshot(payload["bank"])
         self._ledger = SLOLedger.from_state(payload["ledger"])
         self._prev_switches = _decode_array(payload["prev_switches"])

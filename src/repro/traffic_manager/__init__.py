@@ -1,8 +1,9 @@
 """The Traffic Manager: TM-Edge, TM-PoP, tunnels, flows, failover.
 
-Two data planes implement the same :class:`DataPlane` protocol:
+Two data planes implement the same :class:`DataPlane` protocol, each the
+one flow store of the :class:`TMEdge` that owns it:
 
-* :class:`ScalarDataPlane` — the per-:class:`FlowEntry` reference;
+* :class:`ScalarDataPlane` — the reference, one dict record per flow;
 * :class:`VectorFlowTable` — numpy struct-of-arrays columns, batched
   admit/forward/remap for millions of flows per step.
 """
@@ -26,7 +27,7 @@ from repro.traffic_manager.failover import (
     default_fig10_paths,
     run_failover,
 )
-from repro.traffic_manager.flows import FiveTuple, FlowEntry, FlowTable
+from repro.traffic_manager.flows import FiveTuple
 from repro.traffic_manager.load_balancing import (
     DestinationLoad,
     LoadAwareSelector,
@@ -90,8 +91,6 @@ __all__ = [
     "FailoverConfig",
     "FailoverResult",
     "FiveTuple",
-    "FlowEntry",
-    "FlowTable",
     "LowestLatencySelector",
     "NatBinding",
     "NatExhaustedError",

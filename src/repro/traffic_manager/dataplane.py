@@ -5,18 +5,20 @@ at the ROADMAP's "millions of users" scale means the per-flow state machine
 must not cost one Python object and one dict lookup per flow.  This module
 defines the batched data-plane contract and its two implementations:
 
-* :class:`ScalarDataPlane` — the reference.  A thin adapter over the
-  original :class:`repro.traffic_manager.flows.FlowTable` that replays a
-  batch one flow at a time, exactly as the pre-vectorized TM-Edge did.
+* :class:`ScalarDataPlane` — the reference.  A plain dict from flow key to
+  a per-flow record, replaying a batch one flow at a time.
 * :class:`VectorFlowTable` — the production path.  A struct-of-arrays
   table (numpy columns for hashed 5-tuple, service id, selected prefix id,
   bytes, created/last-seen timestamps) kept sorted by flow key, so a batch
   of a million admissions is a handful of ``searchsorted``/``insert``
   array operations instead of a million dict probes.
 
-Both implement the same documented batch semantics (see
-:class:`DataPlane`), so property tests can assert bit-identical steering
-decisions, byte counters, and failover re-mappings on identical inputs.
+Each plane is the one flow store of whatever owns it: a
+:class:`~repro.traffic_manager.tm_edge.TMEdge` steers its per-flow and
+batched calls through the same plane.  Both implement the same documented
+batch semantics (see :class:`DataPlane`), so property tests can assert
+bit-identical steering decisions, byte counters, and failover re-mappings
+on identical inputs.
 
 Batch semantics (binding for every implementation):
 
@@ -31,7 +33,8 @@ Batch semantics (binding for every implementation):
 * a new key whose service has no live selection is dropped (unroutable)
   for the whole batch — every occurrence counts as unroutable;
 * :meth:`~DataPlane.remap` implements RTT-timescale failover: every flow
-  pinned to a dead prefix moves to the replacement in one operation.
+  pinned to a dead prefix moves to the replacement in one operation;
+  remapping a prefix onto itself moves nothing.
 
 Batch counters/timers land in the shared :data:`repro.telemetry.METRICS`
 registry under ``tm.*`` names.
@@ -40,13 +43,14 @@ registry under ``tm.*`` names.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.telemetry import METRICS
-from repro.traffic_manager.flows import FiveTuple, FlowTable
+from repro.traffic_manager.flows import FiveTuple
 
 try:  # Python 3.8+: typing.Protocol
     from typing import Protocol, runtime_checkable
@@ -238,15 +242,20 @@ class DataPlane(Protocol):
         ...
 
 
-class _InternerMixin:
-    """Shared prefix-string interning (id order is operation order)."""
+class _PlaneBase:
+    """What both planes share: prefix-string interning (id order is
+    operation order) and the ``tm.*`` counters, acquired once per plane."""
 
-    _prefix_names: List[str]
-    _prefix_index: Dict[str, int]
-
-    def _init_interner(self) -> None:
-        self._prefix_names = []
-        self._prefix_index = {}
+    def __init__(self) -> None:
+        self._prefix_names: List[str] = []
+        self._prefix_index: Dict[str, int] = {}
+        self._c_admitted = METRICS.counter("tm.flows_admitted")
+        self._c_existing = METRICS.counter("tm.flows_existing")
+        self._c_unroutable = METRICS.counter("tm.flows_unroutable")
+        self._c_remapped = METRICS.counter("tm.flows_remapped")
+        self._c_ended = METRICS.counter("tm.flows_ended")
+        self._c_batches = METRICS.counter("tm.batches")
+        self._h_batch = METRICS.histogram("tm.batch_flows")
 
     def prefix_id(self, prefix: str) -> int:
         pid = self._prefix_index.get(prefix)
@@ -275,46 +284,26 @@ class _InternerMixin:
         return out
 
 
-def _perf_stats():
-    """The shared tm.* counters (acquired once per plane instance)."""
-    return (
-        METRICS.counter("tm.flows_admitted"),
-        METRICS.counter("tm.flows_existing"),
-        METRICS.counter("tm.flows_unroutable"),
-        METRICS.counter("tm.flows_remapped"),
-        METRICS.counter("tm.flows_ended"),
-        METRICS.counter("tm.batches"),
-        METRICS.histogram("tm.batch_flows"),
-    )
+#: Positions in a :class:`ScalarDataPlane` flow record
+#: ``[service, prefix id, bytes, created, last seen]``.
+_PREFIX, _BYTES, _LAST_SEEN = 1, 2, 4
 
 
-class ScalarDataPlane(_InternerMixin):
-    """The reference data plane: one :class:`FlowTable` probe per flow.
+class ScalarDataPlane(_PlaneBase):
+    """The reference data plane: one dict probe per flow.
 
-    Wraps (and may share) a plain :class:`FlowTable`; batches are replayed
-    flow by flow through the exact per-flow code path the original TM-Edge
-    used, making this the semantic oracle the vectorized plane is
-    property-tested against.  Keys in the table are the integer flow keys.
+    Flows live in a plain dict keyed by the integer flow key, each holding
+    a ``[service, prefix id, bytes, created, last seen]`` record — the same
+    columns :class:`VectorFlowTable` keeps as arrays.  Batches are replayed
+    flow by flow, making this the semantic oracle the vectorized plane is
+    property-tested against.
     """
 
     kind = "scalar"
 
-    def __init__(self, table: Optional[FlowTable] = None) -> None:
-        self._table = table if table is not None else FlowTable()
-        self._init_interner()
-        (
-            self._c_admitted,
-            self._c_existing,
-            self._c_unroutable,
-            self._c_remapped,
-            self._c_ended,
-            self._c_batches,
-            self._h_batch,
-        ) = _perf_stats()
-
-    @property
-    def table(self) -> FlowTable:
-        return self._table
+    def __init__(self) -> None:
+        super().__init__()
+        self._entries: Dict[int, List[Any]] = {}
 
     def forward(
         self,
@@ -342,7 +331,7 @@ class ScalarDataPlane(_InternerMixin):
         record_bytes: bool,
     ) -> ForwardResult:
         sel = self._selection_ids(selections)
-        table = self._table
+        entries = self._entries
         out = np.full(len(batch), -1, dtype=np.int32)
         admitted = existing = unroutable = 0
         bytes_recorded = 0.0
@@ -354,7 +343,7 @@ class ScalarDataPlane(_InternerMixin):
                 batch.payload_bytes.tolist(),
             )
         ):
-            entry = table.lookup(key)
+            entry = entries.get(key)
             if entry is None:
                 if key in dropped:
                     unroutable += 1
@@ -364,19 +353,17 @@ class ScalarDataPlane(_InternerMixin):
                     dropped.add(key)
                     unroutable += 1
                     continue
-                entry = table.map_flow(
-                    key, self._prefix_names[pid], now_s, service_id=sid
-                )
+                # Only a key not yet in the table is ever pinned: the
+                # mapping is immutable for the flow's lifetime (§3.2).
+                entry = entries[key] = [sid, pid, 0, now_s, now_s]
                 admitted += 1
             else:
-                pid = self._prefix_index[entry.destination_prefix]
                 existing += 1
-            if record_bytes and nbytes:
-                entry.record_bytes(int(nbytes), now_s=now_s)
+            if record_bytes:
+                entry[_BYTES] += int(nbytes)
                 bytes_recorded += int(nbytes)
-            else:
-                entry.last_seen_s = now_s
-            out[i] = pid
+            entry[_LAST_SEEN] = now_s
+            out[i] = entry[_PREFIX]
         self._c_admitted.add(admitted)
         self._c_existing.add(existing)
         self._c_unroutable.add(unroutable)
@@ -391,44 +378,49 @@ class ScalarDataPlane(_InternerMixin):
         )
 
     def remap(self, from_prefix: str, to_prefix: str) -> int:
-        self.prefix_id(from_prefix)
-        self.prefix_id(to_prefix)
-        moved = self._table.remap_flows(from_prefix, to_prefix)
+        from_id = self.prefix_id(from_prefix)
+        to_id = self.prefix_id(to_prefix)
+        if from_id == to_id:
+            return 0
+        moved = 0
+        for entry in self._entries.values():
+            if entry[_PREFIX] == from_id:
+                entry[_PREFIX] = to_id
+                moved += 1
         self._c_remapped.add(moved)
         return moved
 
     def end(self, keys: np.ndarray) -> int:
+        # An unknown key is normal operation (a FIN retransmit, a flow never
+        # admitted because its service had no destination): tolerated.
+        entries = self._entries
         ended = 0
         for key in np.asarray(keys, dtype=np.uint64).tolist():
-            if self._table.end_flow(key) is not None:
+            if entries.pop(key, None) is not None:
                 ended += 1
         self._c_ended.add(ended)
         return ended
 
     def flow_count(self) -> int:
-        return len(self._table)
+        return len(self._entries)
 
     def destinations(self) -> Dict[str, int]:
-        return self._table.destinations()
+        counts = Counter(entry[_PREFIX] for entry in self._entries.values())
+        return {self._prefix_names[pid]: n for pid, n in sorted(counts.items())}
 
     def bytes_by_destination(self) -> Dict[str, float]:
-        return self._table.bytes_by_destination()
+        totals: Dict[int, float] = {}
+        for entry in self._entries.values():
+            pid = entry[_PREFIX]
+            totals[pid] = totals.get(pid, 0.0) + entry[_BYTES]
+        return {self._prefix_names[pid]: t for pid, t in sorted(totals.items())}
 
     def to_snapshot(self) -> Dict[str, Any]:
         return {
             "version": TM_SNAPSHOT_VERSION,
             "kind": self.kind,
             "prefixes": list(self._prefix_names),
-            "flows": {
-                int(key): [
-                    entry.service_id,
-                    self._prefix_index[entry.destination_prefix],
-                    entry.bytes_sent,
-                    entry.created_at_s,
-                    entry.last_seen_s,
-                ]
-                for key, entry in self._table.items()
-            },
+            "flows": {int(key): list(entry) for key, entry in self._entries.items()},
         }
 
     @classmethod
@@ -437,21 +429,17 @@ class ScalarDataPlane(_InternerMixin):
         plane = cls()
         for name in snapshot["prefixes"]:
             plane.prefix_id(name)
-        for key, (sid, pid, nbytes, created, last_seen) in snapshot[
-            "flows"
-        ].items():
-            entry = plane._table.map_flow(
-                int(key),
-                plane._prefix_names[int(pid)],
-                float(created),
-                service_id=int(sid),
-            )
-            entry.bytes_sent = int(nbytes)
-            entry.last_seen_s = float(last_seen)
+        plane._entries = {
+            int(key): [int(sid), int(pid), int(nbytes), float(created), float(seen)]
+            for key, (sid, pid, nbytes, created, seen) in snapshot["flows"].items()
+        }
+        n_prefixes = len(plane._prefix_names)
+        if any(not 0 <= e[_PREFIX] < n_prefixes for e in plane._entries.values()):
+            raise ValueError("snapshot pins a flow to an unknown prefix id")
         return plane
 
 
-class VectorFlowTable(_InternerMixin):
+class VectorFlowTable(_PlaneBase):
     """Struct-of-arrays flow table: the million-flow data plane.
 
     Columns are parallel numpy arrays kept sorted by flow key, so a batch
@@ -460,27 +448,14 @@ class VectorFlowTable(_InternerMixin):
     per-flow Python work.
     """
 
-    kind = "vector"
-
-    _COLUMNS = ("service", "prefix", "bytes", "created", "last_seen")
-
     def __init__(self) -> None:
+        super().__init__()
         self._keys = np.empty(0, dtype=np.uint64)
         self._service = np.empty(0, dtype=np.int32)
         self._prefix = np.empty(0, dtype=np.int32)
         self._bytes = np.empty(0, dtype=np.float64)
         self._created = np.empty(0, dtype=np.float64)
         self._last_seen = np.empty(0, dtype=np.float64)
-        self._init_interner()
-        (
-            self._c_admitted,
-            self._c_existing,
-            self._c_unroutable,
-            self._c_remapped,
-            self._c_ended,
-            self._c_batches,
-            self._h_batch,
-        ) = _perf_stats()
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -620,6 +595,8 @@ class VectorFlowTable(_InternerMixin):
         with METRICS.timed("tm.remap.vector"):
             from_id = self.prefix_id(from_prefix)
             to_id = self.prefix_id(to_prefix)
+            if from_id == to_id:
+                return 0
             mask = self._prefix == from_id
             moved = int(mask.sum())
             if moved:
@@ -671,14 +648,11 @@ class VectorFlowTable(_InternerMixin):
         }
 
     def to_packed_snapshot(self) -> Dict[str, Any]:
-        """Compact snapshot: base64-packed columns instead of JSON lists.
+        """The plane's one snapshot encoding: base64-packed columns.
 
-        A million-flow table serializes to ~40 MB of JSON numbers via
-        :meth:`to_snapshot`; the packed form is the raw column bytes
-        (~37 bytes/flow), which is what rides inside controller
-        checkpoints (:class:`repro.soak.SoakDriver`).  Same version
-        stamp, distinct ``kind`` so :func:`plane_from_snapshot` callers
-        can't confuse the two layouts.
+        The raw column bytes (~37 bytes/flow) are what :meth:`to_snapshot`
+        returns and what rides inside controller checkpoints
+        (:class:`repro.soak.SoakDriver`).
         """
         import base64
 
@@ -742,51 +716,9 @@ class VectorFlowTable(_InternerMixin):
         return plane
 
     def to_snapshot(self) -> Dict[str, Any]:
-        return {
-            "version": TM_SNAPSHOT_VERSION,
-            "kind": self.kind,
-            "prefixes": list(self._prefix_names),
-            "columns": {
-                "keys": self._keys.tolist(),
-                "service": self._service.tolist(),
-                "prefix": self._prefix.tolist(),
-                "bytes": self._bytes.tolist(),
-                "created": self._created.tolist(),
-                "last_seen": self._last_seen.tolist(),
-            },
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "VectorFlowTable":
-        _check_snapshot(snapshot, "vector")
-        plane = cls()
-        for name in snapshot["prefixes"]:
-            plane.prefix_id(name)
-        columns = snapshot["columns"]
-        plane._keys = np.asarray(columns["keys"], dtype=np.uint64)
-        plane._service = np.asarray(columns["service"], dtype=np.int32)
-        plane._prefix = np.asarray(columns["prefix"], dtype=np.int32)
-        plane._bytes = np.asarray(columns["bytes"], dtype=np.float64)
-        plane._created = np.asarray(columns["created"], dtype=np.float64)
-        plane._last_seen = np.asarray(columns["last_seen"], dtype=np.float64)
-        if not (
-            len(plane._keys)
-            == len(plane._service)
-            == len(plane._prefix)
-            == len(plane._bytes)
-            == len(plane._created)
-            == len(plane._last_seen)
-        ):
-            raise ValueError("snapshot columns have mismatched lengths")
-        order = np.argsort(plane._keys)
-        if not np.array_equal(order, np.arange(len(order))):
-            plane._keys = plane._keys[order]
-            plane._service = plane._service[order]
-            plane._prefix = plane._prefix[order]
-            plane._bytes = plane._bytes[order]
-            plane._created = plane._created[order]
-            plane._last_seen = plane._last_seen[order]
-        return plane
+        # Looked up on the instance so a wrapped ``to_packed_snapshot``
+        # (e.g. a timing hook) sees every checkpoint.
+        return self.to_packed_snapshot()
 
 
 def _check_snapshot(snapshot: Mapping[str, Any], kind: str) -> None:
@@ -804,8 +736,6 @@ def plane_from_snapshot(snapshot: Mapping[str, Any]) -> "DataPlane":
     kind = snapshot.get("kind")
     if kind == "scalar":
         return ScalarDataPlane.from_snapshot(snapshot)
-    if kind == "vector":
-        return VectorFlowTable.from_snapshot(snapshot)
     if kind == "vector-packed":
         return VectorFlowTable.from_packed_snapshot(snapshot)
     raise ValueError(f"unknown data-plane kind {kind!r}")

@@ -1,24 +1,20 @@
-"""Flows and the TM-Edge flow table.
+"""Flows: the transport 5-tuple a TM-Edge steers.
 
 "Once the Traffic Manager maps a flow (5-tuple) to a TM-PoP, the mapping is
 immutable for the lifetime of that flow" (§3.2) — this prevents loss of
 connection state without a handover system.  New flows always go to the
 currently-best destination; existing flows stay put.  The one sanctioned
-exception is RTT-timescale failover (:meth:`FlowTable.remap_flows`): when a
-destination dies, its flows are re-pinned wholesale to the replacement.
+exception is RTT-timescale failover: when a destination dies, its flows are
+re-pinned wholesale to the replacement.
 
-This is the *scalar* flow store — one entry object and one dict probe per
-flow.  It remains the semantic reference; the batched million-flow path
-lives in :mod:`repro.traffic_manager.dataplane`.  Keys may be
-:class:`FiveTuple` objects or integer flow keys (see
-:func:`repro.traffic_manager.dataplane.flow_key`); the table only requires
-hashability.
+The flow store that enforces this lives in
+:mod:`repro.traffic_manager.dataplane`, keyed by the 64-bit
+:func:`~repro.traffic_manager.dataplane.flow_key` of a :class:`FiveTuple`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -37,137 +33,3 @@ class FiveTuple:
         for port in (self.src_port, self.dst_port):
             if not 0 < port <= 65535:
                 raise ValueError(f"invalid port {port}")
-
-
-#: A flow identifier: the full 5-tuple, or its 64-bit hashed key.
-FlowKey = Hashable
-
-
-@dataclass
-class FlowEntry:
-    """A live flow pinned to a destination prefix."""
-
-    five_tuple: FlowKey
-    destination_prefix: str
-    created_at_s: float
-    bytes_sent: int = 0
-    service_id: int = 0
-    last_seen_s: float = field(default=-1.0)
-
-    def __post_init__(self) -> None:
-        if self.last_seen_s < 0:
-            self.last_seen_s = self.created_at_s
-
-    @property
-    def key(self) -> FlowKey:
-        """The flow's identifier (alias of the historical field name)."""
-        return self.five_tuple
-
-    def record_bytes(self, count: int, now_s: Optional[float] = None) -> None:
-        if count < 0:
-            raise ValueError("byte count must be non-negative")
-        self.bytes_sent += count
-        if now_s is not None:
-            self.last_seen_s = now_s
-
-
-class FlowTable:
-    """Immutable-once-mapped flow-to-destination table.
-
-    Per-destination flow counts are maintained incrementally, so
-    :meth:`destinations` is O(#prefixes) rather than O(#flows) — and stays
-    consistent with :meth:`flows_to` across :meth:`remap_flows` (the
-    failover path mutates both the entries and the counts atomically).
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[FlowKey, FlowEntry] = {}
-        self._dest_counts: Dict[str, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: FlowKey) -> bool:
-        return key in self._entries
-
-    def items(self) -> Iterator[Tuple[FlowKey, FlowEntry]]:
-        return iter(self._entries.items())
-
-    def lookup(self, key: FlowKey) -> Optional[FlowEntry]:
-        return self._entries.get(key)
-
-    def map_flow(
-        self,
-        key: FlowKey,
-        destination_prefix: str,
-        now_s: float,
-        service_id: int = 0,
-    ) -> FlowEntry:
-        """Pin a new flow.  Re-mapping an existing flow is an error."""
-        if key in self._entries:
-            raise ValueError(f"flow {key} already mapped; mappings are immutable")
-        entry = FlowEntry(
-            five_tuple=key,
-            destination_prefix=destination_prefix,
-            created_at_s=now_s,
-            service_id=service_id,
-        )
-        self._entries[key] = entry
-        self._dest_counts[destination_prefix] = (
-            self._dest_counts.get(destination_prefix, 0) + 1
-        )
-        return entry
-
-    def end_flow(self, key: FlowKey) -> Optional[FlowEntry]:
-        """Remove a flow; returns its entry, or ``None`` if unknown.
-
-        An unknown 5-tuple is normal operation (a FIN retransmit, a flow
-        that was never admitted because its service had no destination), so
-        it is tolerated rather than raised on.
-        """
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            remaining = self._dest_counts.get(entry.destination_prefix, 0) - 1
-            if remaining > 0:
-                self._dest_counts[entry.destination_prefix] = remaining
-            else:
-                self._dest_counts.pop(entry.destination_prefix, None)
-        return entry
-
-    def remap_flows(self, from_prefix: str, to_prefix: str) -> int:
-        """Failover re-mapping: move every flow off a dead destination.
-
-        Returns the number of flows moved.  A no-op (0) when nothing is
-        pinned to ``from_prefix`` or the two prefixes are equal.
-        """
-        if from_prefix == to_prefix:
-            return 0
-        moved = 0
-        for entry in self._entries.values():
-            if entry.destination_prefix == from_prefix:
-                entry.destination_prefix = to_prefix
-                moved += 1
-        if moved:
-            self._dest_counts.pop(from_prefix, None)
-            self._dest_counts[to_prefix] = self._dest_counts.get(to_prefix, 0) + moved
-        return moved
-
-    def flows_to(self, destination_prefix: str) -> List[FlowEntry]:
-        return [
-            entry
-            for entry in self._entries.values()
-            if entry.destination_prefix == destination_prefix
-        ]
-
-    def destinations(self) -> Dict[str, int]:
-        """Live-flow count per destination prefix (incrementally maintained)."""
-        return dict(self._dest_counts)
-
-    def bytes_by_destination(self) -> Dict[str, float]:
-        """Accumulated bytes per destination prefix over live flows."""
-        totals: Dict[str, float] = {}
-        for entry in self._entries.values():
-            totals[entry.destination_prefix] = (
-                totals.get(entry.destination_prefix, 0.0) + entry.bytes_sent
-            )
-        return totals

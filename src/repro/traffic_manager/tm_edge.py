@@ -5,16 +5,17 @@ resolves the available destination prefixes per service (§3.2), measures
 them continuously, selects the best via a hysteretic policy, maps new flows
 to the current selection (immutably, per flow), and tunnels packets.
 
-Two flow surfaces coexist:
-
-* the historical **per-flow** path (:meth:`TMEdge.admit_flow`,
-  :meth:`TMEdge.forward`) over the scalar :class:`FlowTable` — one
-  :class:`FiveTuple` at a time, the reference semantics;
-* the **batched** path (:meth:`TMEdge.forward_batch`,
-  :meth:`TMEdge.admit_batch`, :meth:`TMEdge.end_batch`) over a pluggable
-  :class:`repro.traffic_manager.dataplane.DataPlane` — by default a
-  :class:`ScalarDataPlane` sharing this edge's flow table, or a
-  :class:`VectorFlowTable` for million-flow workloads.
+Every flow lives in one place, the edge's pluggable
+:class:`repro.traffic_manager.dataplane.DataPlane` (by default a
+:class:`ScalarDataPlane`, or a :class:`VectorFlowTable` for million-flow
+workloads).  The **batched** path (:meth:`TMEdge.forward_batch`,
+:meth:`TMEdge.admit_batch`, :meth:`TMEdge.end_batch`) hands it whole
+batches; the **per-flow** path (:meth:`TMEdge.admit_flow`,
+:meth:`TMEdge.forward`) is a one-row batch keyed by
+:func:`~repro.traffic_manager.dataplane.flow_key` of the
+:class:`FiveTuple`.  A flow admitted through either surface is therefore
+the same entry with the same pin, moved by failover and carried by
+snapshots.
 
 With ``remap_on_failover=True`` the edge re-pins flows off a tunnel the
 moment a measurement round reports it dead (RTT-timescale failover, §5.2.3)
@@ -24,7 +25,7 @@ instead of leaving them pinned to a black hole.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from repro.traffic_manager.dataplane import (
     TM_SNAPSHOT_VERSION,
     plane_from_snapshot,
 )
-from repro.traffic_manager.flows import FiveTuple, FlowEntry, FlowTable
+from repro.traffic_manager.flows import FiveTuple
 from repro.traffic_manager.selection import LowestLatencySelector, SelectionPolicyConfig
 from repro.traffic_manager.tm_pop import PrefixDirectory, TMPoP
 from repro.traffic_manager.tunnel import Packet, encapsulate
@@ -72,9 +73,8 @@ class TMEdge:
         self._tunnels: Dict[str, Dict[str, TunnelState]] = {}  # service -> prefix -> state
         self._selectors: Dict[str, LowestLatencySelector] = {}
         self._selection_config = selection or SelectionPolicyConfig()
-        self._flows = FlowTable()
         self._plane: DataPlane = (
-            data_plane if data_plane is not None else ScalarDataPlane(self._flows)
+            data_plane if data_plane is not None else ScalarDataPlane()
         )
         self._service_ids: Dict[str, int] = {}
         self._remap_on_failover = remap_on_failover
@@ -83,10 +83,6 @@ class TMEdge:
     @property
     def edge_ip(self) -> str:
         return self._edge_ip
-
-    @property
-    def flow_table(self) -> FlowTable:
-        return self._flows
 
     @property
     def data_plane(self) -> DataPlane:
@@ -185,27 +181,44 @@ class TMEdge:
             if service in self._service_ids
         }
 
-    # -- flow handling (per-flow reference path) ----------------------------
+    # -- flow handling (per-flow path: one-row batches) ----------------------
 
-    def admit_flow(self, service: str, five_tuple: FiveTuple, now_s: float) -> FlowEntry:
-        """Map a *new* flow to the currently-best destination (immutable)."""
-        existing = self._flows.lookup(five_tuple)
-        if existing is not None:
-            return existing
-        selected = self.selected_prefix(service)
-        if selected is None:
-            raise RuntimeError(f"no live destination for service {service!r}")
-        return self._flows.map_flow(
-            five_tuple, selected, now_s, service_id=self.service_id(service)
-        )
+    def admit_flow(self, service: str, five_tuple: FiveTuple, now_s: float) -> str:
+        """Pin a flow to the currently-best destination; returns its prefix.
+
+        Idempotent: a flow already in the data plane — admitted by either
+        surface — keeps and returns its immutable pin.
+        """
+        return self._one_flow(self._plane.admit, service, five_tuple, now_s, 0)
 
     def forward(self, service: str, packet: Packet, five_tuple: FiveTuple, now_s: float) -> Packet:
         """Tunnel a client packet along its flow's pinned destination."""
-        entry = self._flows.lookup(five_tuple)
-        if entry is None:
-            entry = self.admit_flow(service, five_tuple, now_s)
-        entry.record_bytes(packet.payload_bytes, now_s=now_s)
-        return encapsulate(packet, edge_ip=self._edge_ip, tunnel_dst_ip=_prefix_address(entry.destination_prefix))
+        prefix = self._one_flow(
+            self._plane.forward, service, five_tuple, now_s, packet.payload_bytes
+        )
+        return encapsulate(packet, edge_ip=self._edge_ip, tunnel_dst_ip=_prefix_address(prefix))
+
+    def _one_flow(
+        self,
+        steer: Callable[..., ForwardResult],
+        service: str,
+        five_tuple: FiveTuple,
+        now_s: float,
+        payload_bytes: int,
+    ) -> str:
+        """Run one flow through ``steer`` (the plane's ``admit`` or
+        ``forward``) as a one-row batch; returns its pinned prefix, or
+        raises when a new flow's service has no live destination."""
+        sid = self.service_id(service)
+        result = steer(
+            FlowBatch.from_flows([(five_tuple, sid, payload_bytes)]),
+            {sid: self.selected_prefix(service)},
+            now_s,
+        )
+        pid = int(result.assignments[0])
+        if pid < 0:
+            raise RuntimeError(f"no live destination for service {service!r}")
+        return self._plane.prefix_name(pid)
 
     # -- flow handling (batched path) ---------------------------------------
 
@@ -288,8 +301,6 @@ class TMEdge:
             data_plane=plane,
             remap_on_failover=bool(snapshot.get("remap_on_failover", False)),
         )
-        if isinstance(plane, ScalarDataPlane):
-            edge._flows = plane.table
         edge._flows_remapped = int(snapshot.get("flows_remapped", 0))
         edge._service_ids = {
             name: int(sid) for name, sid in snapshot.get("services", {}).items()

@@ -127,3 +127,57 @@ class TestTelemetryNonInterference:
         with telemetry_session("chaos"):
             traced = run_chaos(storms=1, duration_s=60.0, seed=3)
         assert plain.rows == traced.rows
+
+
+def _raises_leaving_no_open_span(run, span_name):
+    """Run ``run`` with the tracer on; it must raise, close ``span_name``
+    (so it reaches the sink) and leave nothing on the tracer stack."""
+    finished = []
+    TRACER.enable(finished.append)
+    try:
+        with pytest.raises(RuntimeError, match="injected"):
+            run()
+        assert TRACER.current is None
+        with TRACER.span("after") as after:
+            pass
+        assert after.parent_id is None
+    finally:
+        TRACER.disable()
+    assert span_name in [span.name for span in finished]
+
+
+class TestSpanHygiene:
+    def test_failed_replay_closes_its_span(self, monkeypatch):
+        from repro.traffic_manager.dataplane import VectorFlowTable
+
+        calls = []
+        forward = VectorFlowTable.forward
+
+        def failing_forward(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("injected data-plane failure")
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(VectorFlowTable, "forward", failing_forward)
+        config = ReplayConfig(
+            preset="tiny", arrivals_per_step=1_000, steps=3, prefix_budget=2,
+        )
+        _raises_leaving_no_open_span(
+            lambda: run_traffic_replay(config), "replay.run"
+        )
+
+    def test_failed_campaign_closes_its_span(self, scenario, monkeypatch):
+        from repro.measurement.campaign import MeasurementCampaign, campaign_targets
+        from repro.measurement.ping import Pinger
+
+        pinger = Pinger(scenario.latency_model, seed=2)
+
+        def failing_probe(*args, **kwargs):
+            raise RuntimeError("injected pinger failure")
+
+        monkeypatch.setattr(pinger, "min_latency_ms", failing_probe)
+        targets = campaign_targets(scenario, max_targets_per_ug=1)[:3]
+        _raises_leaving_no_open_span(
+            lambda: MeasurementCampaign(pinger).run(targets), "campaign.run"
+        )

@@ -22,9 +22,11 @@ from repro.traffic_manager.dataplane import (
     flow_key,
     plane_from_snapshot,
 )
-from repro.traffic_manager.flows import FiveTuple, FlowTable
+from repro.traffic_manager.flows import FiveTuple
 
 PREFIXES = ["184.164.224.0/24", "184.164.225.0/24", "184.164.226.0/24"]
+#: A prefix no selection ever names, so no flow is ever pinned to it.
+NEVER_PINNED = "184.164.227.0/24"
 
 
 def make_selections(n_services: int, include_none: bool = True):
@@ -183,6 +185,20 @@ class TestScalarVectorEquivalence:
         assert rs.unroutable == rv.unroutable == 2
         assert scalar.flow_count() == vector.flow_count() == 0
 
+    def test_remap_onto_itself_is_a_noop(self):
+        """remap(p, p) moves nothing and leaves tm.flows_remapped alone."""
+        from repro.telemetry import METRICS
+
+        batch = FlowBatch.synthesize(50, seed=9, n_services=4)
+        remapped = METRICS.counter("tm.flows_remapped")
+        for plane in (ScalarDataPlane(), VectorFlowTable()):
+            plane.forward(batch, make_selections(4, include_none=False), 0.0)
+            before = plane.destinations()
+            count = remapped.value
+            assert plane.remap(PREFIXES[0], PREFIXES[0]) == 0
+            assert remapped.value == count
+            assert plane.destinations() == before
+
 
 class TestMixedOperationSequences:
     """Property tests: arbitrary op interleavings with telemetry live.
@@ -239,9 +255,19 @@ class TestMixedOperationSequences:
                     seen_keys.append(batch.keys)
                     forwards += 1
                 elif op == "remap":
-                    src = PREFIXES[seed % len(PREFIXES)]
-                    dst = PREFIXES[(seed + 1) % len(PREFIXES)]
-                    assert scalar.remap(src, dst) == vector.remap(src, dst)
+                    # Sources include a never-pinned prefix, and src == dst
+                    # is drawn too: both must agree on moves and counters.
+                    src = (PREFIXES + [NEVER_PINNED])[seed % 4]
+                    dst = PREFIXES[(seed // 4) % len(PREFIXES)]
+                    remapped = METRICS.counter("tm.flows_remapped")
+                    before = remapped.value
+                    moved_s = scalar.remap(src, dst)
+                    between = remapped.value
+                    moved_v = vector.remap(src, dst)
+                    assert moved_s == moved_v
+                    assert between - before == remapped.value - between == moved_s
+                    if src == dst:
+                        assert moved_s == 0
                 elif op == "end":
                     if seen_keys:
                         victims = seen_keys[seed % len(seen_keys)][: (seed % 50) + 1]
@@ -353,6 +379,23 @@ class TestSnapshots:
         with pytest.raises(ValueError):
             plane_from_snapshot(snapshot)
 
+    def test_scalar_unknown_prefix_id_rejected(self):
+        scalar = ScalarDataPlane()
+        scalar.forward(FlowBatch.synthesize(5, seed=2), {0: PREFIXES[0]}, 0.0)
+        snapshot = scalar.to_snapshot()
+        for record in snapshot["flows"].values():
+            record[1] = 7
+        with pytest.raises(ValueError, match="unknown prefix id"):
+            plane_from_snapshot(snapshot)
+
+    def test_vector_has_one_encoding(self):
+        vector = VectorFlowTable()
+        vector.forward(FlowBatch.synthesize(40, seed=6, n_services=2),
+                       make_selections(2, include_none=False), 0.0)
+        snapshot = vector.to_snapshot()
+        assert snapshot["kind"] == "vector-packed"
+        assert snapshot == vector.to_packed_snapshot()
+
 
 def assert_planes_agree_pair(a: DataPlane, b: DataPlane):
     assert a.flow_count() == b.flow_count()
@@ -361,15 +404,3 @@ def assert_planes_agree_pair(a: DataPlane, b: DataPlane):
     assert a_bytes.keys() == b_bytes.keys()
     for prefix in a_bytes:
         assert a_bytes[prefix] == pytest.approx(b_bytes[prefix])
-
-
-class TestScalarPlaneSharesFlowTable:
-    def test_shared_table_sees_batch_flows(self):
-        table = FlowTable()
-        plane = ScalarDataPlane(table)
-        ft = FiveTuple(proto="udp", src_ip="9.9.9.9", src_port=53, dst_ip="8.8.8.8", dst_port=53)
-        batch = FlowBatch.from_flows([(ft, 0, 64.0)])
-        plane.forward(batch, {0: PREFIXES[0]}, 0.0)
-        # The legacy per-flow surface sees the batched admission (by key).
-        assert table.lookup(flow_key(ft)) is not None
-        assert table.destinations() == {PREFIXES[0]: 1}

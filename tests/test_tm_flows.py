@@ -1,12 +1,41 @@
-"""Flow table: 5-tuples, immutable mappings."""
+"""Flows: 5-tuples, and the immutable-mapping rules of each plane's flow store.
 
+``TestFlowTable`` checks the per-flow rules (§3.2) on the flow store behind
+both data planes, through the plane API a TM-Edge uses.
+"""
+
+import numpy as np
 import pytest
 
-from repro.traffic_manager.flows import FiveTuple, FlowTable
+from repro.traffic_manager.dataplane import (
+    FlowBatch,
+    ScalarDataPlane,
+    VectorFlowTable,
+    flow_key,
+)
+from repro.traffic_manager.flows import FiveTuple
+
+A, B = "184.164.224.0/24", "184.164.225.0/24"
 
 
 def ft(port=1234, dst="10.0.0.1"):
     return FiveTuple(proto="tcp", src_ip="192.168.1.2", src_port=port, dst_ip=dst, dst_port=443)
+
+
+def planes():
+    return [ScalarDataPlane(), VectorFlowTable()]
+
+
+def pin(plane, prefix, *ports, now_s=0.0, nbytes=0.0):
+    """Offer one flow per port on service 0, selected onto ``prefix``;
+    returns the prefix each flow is pinned to (None if dropped)."""
+    batch = FlowBatch.from_flows([(ft(port=p), 0, nbytes) for p in ports])
+    result = plane.forward(batch, {0: prefix}, now_s)
+    return [plane.prefix_name(pid) if pid >= 0 else None for pid in result.assignments]
+
+
+def keys(*ports):
+    return np.array([flow_key(ft(port=p)) for p in ports], dtype=np.uint64)
 
 
 class TestFiveTuple:
@@ -27,57 +56,58 @@ class TestFiveTuple:
 
 class TestFlowTable:
     def test_map_and_lookup(self):
-        table = FlowTable()
-        entry = table.map_flow(ft(), "184.164.224.0/24", now_s=1.0)
-        assert table.lookup(ft()) is entry
-        assert ft() in table
-        assert len(table) == 1
+        for plane in planes():
+            assert pin(plane, A, 1234, now_s=1.0) == [A]
+            # Offering the flow again finds the same entry.
+            result = plane.admit(FlowBatch.from_flows([(ft(), 0, 0.0)]), {0: A}, 2.0)
+            assert (result.admitted, result.existing) == (0, 1)
+            assert plane.flow_count() == 1
 
     def test_mapping_immutable(self):
-        table = FlowTable()
-        table.map_flow(ft(), "184.164.224.0/24", now_s=1.0)
-        with pytest.raises(ValueError):
-            table.map_flow(ft(), "184.164.225.0/24", now_s=2.0)
+        for plane in planes():
+            pin(plane, A, 1234, now_s=1.0)
+            # A re-pin is refused: the selection moved, the flow did not.
+            assert pin(plane, B, 1234, now_s=2.0) == [A]
+            assert plane.destinations() == {A: 1}
 
     def test_end_flow(self):
-        table = FlowTable()
-        table.map_flow(ft(), "184.164.224.0/24", now_s=1.0)
-        entry = table.end_flow(ft())
-        assert entry.destination_prefix == "184.164.224.0/24"
-        assert ft() not in table
+        for plane in planes():
+            pin(plane, A, 1234, now_s=1.0)
+            assert plane.end(keys(1234)) == 1
+            assert plane.flow_count() == 0
+            assert plane.destinations() == {}
 
-    def test_end_unknown_flow_returns_none(self):
+    def test_end_unknown_flow_tolerated(self):
         # A FIN retransmit / never-admitted flow is normal, not an error.
-        assert FlowTable().end_flow(ft()) is None
+        for plane in planes():
+            assert plane.end(keys(1234)) == 0
+            pin(plane, A, 1)
+            assert plane.end(keys(1, 1, 2)) == 1
 
     def test_byte_accounting(self):
-        table = FlowTable()
-        entry = table.map_flow(ft(), "184.164.224.0/24", now_s=1.0)
-        entry.record_bytes(100)
-        entry.record_bytes(250)
-        assert entry.bytes_sent == 350
+        for plane in planes():
+            pin(plane, A, 1234, nbytes=100.0)
+            pin(plane, A, 1234, nbytes=250.0)
+            assert plane.bytes_by_destination() == {A: 350.0}
         with pytest.raises(ValueError):
-            entry.record_bytes(-1)
+            FlowBatch.from_flows([(ft(), 0, -1.0)])
 
-    def test_flows_to_and_destinations(self):
-        table = FlowTable()
-        table.map_flow(ft(port=1), "a/24", now_s=0.0)
-        table.map_flow(ft(port=2), "a/24", now_s=0.0)
-        table.map_flow(ft(port=3), "b/24", now_s=0.0)
-        assert len(table.flows_to("a/24")) == 2
-        assert table.destinations() == {"a/24": 2, "b/24": 1}
+    def test_destinations(self):
+        for plane in planes():
+            pin(plane, "a/24", 1, 2)
+            pin(plane, "b/24", 3)
+            assert plane.destinations() == {"a/24": 2, "b/24": 1}
 
     def test_remap_flows_keeps_destinations_consistent(self):
-        table = FlowTable()
-        table.map_flow(ft(port=1), "a/24", now_s=0.0)
-        table.map_flow(ft(port=2), "a/24", now_s=0.0)
-        table.map_flow(ft(port=3), "b/24", now_s=0.0)
-        moved = table.remap_flows("a/24", "b/24")
-        assert moved == 2
-        assert table.flows_to("a/24") == []
-        assert len(table.flows_to("b/24")) == 3
-        # destinations() must agree with flows_to() after failover re-mapping.
-        assert table.destinations() == {"b/24": 3}
-        # Re-mapping a prefix with no flows (or onto itself) is a no-op.
-        assert table.remap_flows("a/24", "b/24") == 0
-        assert table.remap_flows("b/24", "b/24") == 0
+        for plane in planes():
+            pin(plane, "a/24", 1, 2)
+            pin(plane, "b/24", 3)
+            assert plane.remap("a/24", "b/24") == 2
+            assert plane.destinations() == {"b/24": 3}
+            # The moved flows carry on under their new pin.
+            assert pin(plane, "c/24", 1, 2, 3) == ["b/24"] * 3
+            # Re-mapping a prefix with no flows (or onto itself) is a no-op.
+            assert plane.remap("a/24", "b/24") == 0
+            assert plane.remap("b/24", "b/24") == 0
+            assert plane.remap("never/24", "b/24") == 0
+            assert plane.destinations() == {"b/24": 3}

@@ -1,10 +1,12 @@
 """Destination selection (hysteresis) and TM-Edge/TM-PoP behavior."""
 
+import json
 import math
 
 import pytest
 
 from repro.topology.geo import metro_by_name
+from repro.traffic_manager.dataplane import FlowBatch, ScalarDataPlane, VectorFlowTable
 from repro.traffic_manager.flows import FiveTuple
 from repro.traffic_manager.selection import LowestLatencySelector, SelectionPolicyConfig
 from repro.traffic_manager.tm_edge import TMEdge
@@ -143,8 +145,7 @@ class TestTMEdge:
         edge.resolve_service("teams")
         edge.record_measurements("teams", {"184.164.224.0/24": 20.0, "184.164.226.0/24": 40.0})
         flow = FiveTuple(proto="tcp", src_ip="10.1.1.1", src_port=1111, dst_ip="1.1.1.1", dst_port=443)
-        entry = edge.admit_flow("teams", flow, now_s=0.0)
-        assert entry.destination_prefix == "184.164.224.0/24"
+        assert edge.admit_flow("teams", flow, now_s=0.0) == "184.164.224.0/24"
 
     def test_existing_flow_sticks_after_switch(self, directory):
         """Flow mappings are immutable even when the selection changes."""
@@ -156,8 +157,11 @@ class TestTMEdge:
         # The selected tunnel dies; new selection is tm-b's prefix.
         edge.record_measurements("teams", {"184.164.224.0/24": math.inf, "184.164.226.0/24": 40.0})
         new_flow = FiveTuple(proto="tcp", src_ip="10.1.1.1", src_port=2222, dst_ip="1.1.1.1", dst_port=443)
-        assert edge.admit_flow("teams", new_flow, now_s=1.0).destination_prefix == "184.164.226.0/24"
-        assert edge.flow_table.lookup(flow).destination_prefix == "184.164.224.0/24"
+        assert edge.admit_flow("teams", new_flow, now_s=1.0) == "184.164.226.0/24"
+        assert edge.admit_flow("teams", flow, now_s=1.0) == "184.164.224.0/24"
+        assert edge.data_plane.destinations() == {
+            "184.164.224.0/24": 1, "184.164.226.0/24": 1,
+        }
 
     def test_forward_encapsulates_toward_pinned_destination(self, directory):
         from repro.traffic_manager.tunnel import Packet
@@ -173,7 +177,7 @@ class TestTMEdge:
         outer = edge.forward("teams", packet, flow, now_s=0.0)
         assert outer.is_encapsulated
         assert outer.dst_ip == "184.164.225.1"
-        assert edge.flow_table.lookup(flow).bytes_sent == 1200
+        assert edge.data_plane.bytes_by_destination() == {"184.164.225.0/24": 1200}
 
     def test_admit_without_live_destination_raises(self, directory):
         edge = TMEdge(edge_ip="203.0.113.1", directory=directory)
@@ -274,11 +278,77 @@ class TestTMEdgeBatched:
             TMEdge.from_snapshot(snapshot, directory)
 
     def test_scalar_default_plane_shares_flow_table(self, directory):
-        from repro.traffic_manager.dataplane import FlowBatch
-
         edge = TMEdge(edge_ip="203.0.113.1", directory=directory)
+        assert isinstance(edge.data_plane, ScalarDataPlane)
         edge.resolve_service("teams")
         edge.record_measurements("teams", {"184.164.224.0/24": 10.0})
-        edge.forward_batch(FlowBatch.synthesize(10, seed=5), now_s=0.0)
-        # Batched admissions land in the same table the per-flow API uses.
-        assert len(edge.flow_table) == 10
+        sid = edge.service_id("teams")
+        flows = [flow(port) for port in range(1000, 1010)]
+        edge.forward_batch(
+            FlowBatch.from_flows([(ft, sid, 0.0) for ft in flows]), now_s=0.0
+        )
+        # Batched admissions land in the same store the per-flow API uses.
+        for ft in flows:
+            assert edge.admit_flow("teams", ft, now_s=1.0) == "184.164.224.0/24"
+        assert edge.data_plane.flow_count() == 10
+
+
+def flow(port=1111):
+    return FiveTuple(
+        proto="tcp", src_ip="10.1.1.1", src_port=port, dst_ip="1.1.1.1", dst_port=443
+    )
+
+
+DEAD, ALIVE = "184.164.224.0/24", "184.164.226.0/24"
+
+
+@pytest.mark.parametrize(
+    "make_plane", [ScalarDataPlane, VectorFlowTable], ids=["scalar", "vector"]
+)
+class TestOneFlowStore:
+    """Per-flow and batched calls on a TM-Edge reach the same flow entries,
+    whichever plane backs it."""
+
+    def edge(self, directory, make_plane, **kwargs):
+        edge = TMEdge(
+            edge_ip="203.0.113.1", directory=directory,
+            data_plane=make_plane(), **kwargs,
+        )
+        edge.resolve_service("teams")
+        edge.record_measurements("teams", {DEAD: 10.0, ALIVE: 40.0})
+        return edge
+
+    def test_batch_then_admit_flow_is_one_pin(self, directory, make_plane):
+        edge = self.edge(directory, make_plane)
+        sid = edge.service_id("teams")
+        edge.forward_batch(FlowBatch.from_flows([(flow(), sid, 100.0)]), now_s=0.0)
+        # The selection switches; the batched flow keeps its pin.
+        edge.record_measurements("teams", {DEAD: math.inf, ALIVE: 40.0})
+        assert edge.selected_prefix("teams") == ALIVE
+        assert edge.admit_flow("teams", flow(), now_s=1.0) == DEAD
+        assert edge.data_plane.destinations() == {DEAD: 1}
+
+    def test_per_flow_flow_moves_on_failover(self, directory, make_plane):
+        edge = self.edge(directory, make_plane, remap_on_failover=True)
+        assert edge.admit_flow("teams", flow(), now_s=0.0) == DEAD
+        edge.record_measurements("teams", {DEAD: math.inf})
+        assert edge.flows_remapped == 1
+        assert edge.data_plane.destinations() == {ALIVE: 1}
+        assert edge.admit_flow("teams", flow(), now_s=1.0) == ALIVE
+
+    def test_per_flow_flow_survives_snapshot(self, directory, make_plane):
+        from repro.traffic_manager.tunnel import Packet
+
+        edge = self.edge(directory, make_plane)
+        packet = Packet(
+            src_ip="10.1.1.1", dst_ip="1.1.1.1", src_port=1111, dst_port=443,
+            proto="tcp", payload_bytes=700,
+        )
+        edge.forward("teams", packet, flow(), now_s=0.0)
+        snapshot = json.loads(json.dumps(edge.to_snapshot()))
+        restored = TMEdge.from_snapshot(snapshot, directory)
+        assert restored.data_plane.flow_count() == 1
+        assert restored.data_plane.bytes_by_destination() == {DEAD: 700}
+        # Still pinned after the selection moves on the restored edge.
+        restored.record_measurements("teams", {DEAD: math.inf, ALIVE: 40.0})
+        assert restored.admit_flow("teams", flow(), now_s=1.0) == DEAD
