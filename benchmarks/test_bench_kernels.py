@@ -164,10 +164,12 @@ def test_bench_mega_memory_budget(benchmark):
         orchestrator = PainterOrchestrator(
             scenario, OrchestratorConfig(prefix_budget=2)
         )
-        assert orchestrator._use_dense_matrices()
         start = time.perf_counter()
         config = orchestrator.solve()
         solve_s = time.perf_counter() - start
+        backend = orchestrator.evaluator.backend
+        assert backend.latency_matrix is not None
+        assert backend.distance_matrix is not None
         return scenario, config, solve_s, orchestrator.evaluator.backend.name
 
     scenario, config, solve_s, backend_name = benchmark.pedantic(

@@ -1,10 +1,10 @@
 """Wall-clock benchmark of Algorithm 1 on the azure preset.
 
-Pins the headline claim of the lazy-greedy fast path: ``solve()`` on
-``azure_scenario(seed=0)`` must run at least 3x faster than the pre-fast-path
-baseline while still producing the golden advertisement configuration, and
-its perf counters must show the heap actually skipped the work a naive
-greedy would have done.
+``solve()`` on ``azure_scenario(seed=0)`` must produce the golden
+advertisement configuration, its perf counters must show the heap actually
+skipped the work a naive greedy would have done, and its benefit must sit
+inside the LP envelope.  The wall-clock time is recorded in ``extra_info``
+(speed is gated by ``python -m bench``, not here).
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ try:  # LP optimality envelope (needs scipy; see repro.optimality.gates)
 except ImportError:  # pragma: no cover - scipy installed in CI bench jobs
     HAVE_LP_GATE = False
 
-#: Measured before the evaluation fast path landed (same machine class as
-#: CI): dense per-pair scoring with no latency-matrix precompute, no
-#: incremental prefix scans, and no vectorized marginals.
-PRE_PR_BASELINE_S = 60.9
-
 GOLDEN_PATH = Path(__file__).parent.parent / "tests" / "data" / "golden_solve_configs.json"
 
 
@@ -44,8 +39,8 @@ def test_bench_solve_azure(benchmark):
     def run():
         METRICS.reset()
         orchestrator = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=golden["budget"]))
-        # Telemetry live during the timed region: the 3x gate therefore
-        # also bounds tracing overhead on the solver's hot path.
+        # Telemetry live during the timed region, so ``solve_s`` includes
+        # tracing overhead on the solver's hot path.
         with telemetry_session("bench-solve", include_timings=True) as journal:
             start = time.perf_counter()
             config = orchestrator.solve()
@@ -64,12 +59,6 @@ def test_bench_solve_azure(benchmark):
     )
     assert pairs == golden["pairs"]
 
-    # Speed: at least 3x over the pre-fast-path baseline.
-    assert elapsed < PRE_PR_BASELINE_S / 3, (
-        f"solve() took {elapsed:.1f}s; fast path should beat "
-        f"{PRE_PR_BASELINE_S / 3:.1f}s"
-    )
-
     # Laziness: the heap must have skipped most naive re-evaluations.
     lazy = METRICS.counter("orchestrator.marginal_evals").value
     naive = METRICS.counter("orchestrator.naive_marginal_evals").value
@@ -77,9 +66,6 @@ def test_bench_solve_azure(benchmark):
     lat_stats = METRICS.cache("evaluator.latency_matrix")
 
     benchmark.extra_info["solve_s"] = round(elapsed, 3)
-    benchmark.extra_info["speedup_vs_baseline"] = round(
-        PRE_PR_BASELINE_S / elapsed, 2
-    )
     benchmark.extra_info["marginal_evals"] = lazy
     benchmark.extra_info["naive_marginal_evals"] = naive
     benchmark.extra_info["laziness_ratio"] = round(lazy / naive, 4)

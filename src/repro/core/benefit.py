@@ -23,12 +23,7 @@ import numpy as np
 
 from repro.core.advertisement import AdvertisementConfig
 from repro.core.routing_model import RoutingModel
-from repro.kernels import (
-    ComputeBackend,
-    MatrixLayoutPlan,
-    coerce_backend,
-    plan_matrix_layout,
-)
+from repro.kernels import ComputeBackend, coerce_backend, plan_matrix_layout
 from repro.kernels.layout import DEFAULT_CHUNK_BYTES
 from repro.routing.ground_truth import GroundTruthRouting
 from repro.scenario import Scenario
@@ -47,6 +42,25 @@ _UNSET = object()
 DEFAULT_INFLATION_SCALE_KM = 1500.0
 
 LatencyFn = Callable[[UserGroup, int], Optional[float]]
+
+
+def _checked_latency(latency_of: LatencyFn, ug: UserGroup, peering_id: int) -> Optional[float]:
+    """``latency_of(ug, peering_id)``, or ``ValueError`` if it is not a latency.
+
+    ``None`` means unmeasurable; anything else must be a finite
+    non-negative number of milliseconds.
+    """
+    value = latency_of(ug, peering_id)
+    if value is None:
+        return None
+    latency = float(value)
+    if not (math.isfinite(latency) and latency >= 0.0):
+        raise ValueError(
+            f"latency_of returned {value!r} for UG {ug.ug_id} via peering "
+            f"{peering_id}; expected a finite latency >= 0 ms, or None for "
+            f"an unmeasurable ingress"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -174,10 +188,13 @@ class BenefitEvaluator:
         self._model = model
         self._inflation_scale_km = inflation_scale_km
         #: The compute backend owns the elementwise hot-loop kernels and
-        #: the (optional) dense latency/distance matrices.  ``None`` means
-        #: the numpy reference; a string resolves through the registry
-        #: (with graceful fallback — see :mod:`repro.kernels`).
+        #: the dense latency/distance matrices.  ``None`` means the numpy
+        #: reference; a string resolves through the registry (with
+        #: graceful fallback — see :mod:`repro.kernels`).
         self._backend = coerce_backend(backend)
+        #: ``None`` materialises through the latency model's batch form;
+        #: a custom oracle is asked slot by slot.
+        self._custom_latency_of = latency_of
         if latency_of is None:
             deployment = scenario.deployment
             latency_model = scenario.latency_model
@@ -187,14 +204,17 @@ class BenefitEvaluator:
 
             latency_of = _true_latency
         self._latency_of = latency_of
-        # Dense UG×peering latency matrix: one row (list) per UG, one column
-        # per peering.  Rows are created on first touch and slots filled on
-        # demand (or in bulk by precompute_latency_matrix); a list index
-        # replaces the old per-call tuple-keyed dict walk on the hot path.
+        self._peerings = scenario.deployment.peerings
+        # Per-UG latency rows (one list per UG, one slot per peering column)
+        # in front of the backend's dense matrix: the learned path's scalar
+        # lookups stay list-indexed.  Rows are created on first touch.
         self._lat_cols: Dict[int, int] = {
-            p.peering_id: col for col, p in enumerate(scenario.deployment.peerings)
+            p.peering_id: col for col, p in enumerate(self._peerings)
         }
         self._lat_rows: Dict[int, List[object]] = {}
+        #: Sorted matrix columns per distinct compliant-ingress set (the
+        #: catalog interns one frozenset per UG AS cone).
+        self._set_cols: Dict[FrozenSet[int], "np.ndarray"] = {}
         #: Expected-latency memo per UG: (model epoch, {compliant set -> ms}).
         #: Keyed on the policy-compliant subset of the advertised set, which
         #: fully determines the answer.  Entries are discarded when the
@@ -243,7 +263,7 @@ class BenefitEvaluator:
                         row[col] = value
                         return value
             self._lat_stats.misses += 1
-            value = self._latency_of(ug, peering_id)
+            value = _checked_latency(self._latency_of, ug, peering_id)
             row[col] = value
         else:
             self._lat_stats.hits += 1
@@ -259,105 +279,90 @@ class BenefitEvaluator:
         """Peering id → latency-matrix column, in deployment order."""
         return dict(self._lat_cols)
 
-    @property
-    def latency_source(self) -> LatencyFn:
-        """The underlying (uncached) latency oracle."""
-        return self._latency_of
-
     def precompute_latency_matrix(
-        self, user_groups: Optional[Sequence[UserGroup]] = None
-    ) -> int:
-        """Bulk-fill the latency matrix for every entry Algorithm 1 touches.
-
-        Fills each UG's row at its policy-compliant ingresses (the only
-        columns the greedy scan can query), so the scan itself never pays a
-        ``latency_of`` call.  Returns the number of newly filled slots.
-        """
-        catalog = self._model.catalog
-        ugs = self._scenario.user_groups if user_groups is None else user_groups
-        filled = 0
-        for ug in ugs:
-            row = self._lat_rows.get(ug.ug_id)
-            if row is None:
-                row = self._lat_rows[ug.ug_id] = [_UNSET] * len(self._lat_cols)
-            for pid in catalog.ingress_ids(ug):
-                col = self._lat_cols[pid]
-                if row[col] is _UNSET:
-                    self._lat_stats.misses += 1
-                    row[col] = self._latency_of(ug, pid)
-                    filled += 1
-        return filled
-
-    def materialize_latency_matrices(
         self,
         *,
         budget_bytes: Optional[int] = None,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    ) -> MatrixLayoutPlan:
-        """Materialize dense latency **and** distance matrices on the backend.
+    ) -> int:
+        """Materialise every slot Algorithm 1 can read on the backend.
 
-        The large-world replacement for :meth:`precompute_latency_matrix`:
-        instead of per-UG Python-list rows (hundreds of bytes per boxed
-        slot), every value Algorithm 1 can touch lands in two flat float64
-        matrices — latency (``+inf`` = unmeasurable, ``nan`` = slot outside
-        the policy-compliant set) and great-circle distance.  Fill runs in
-        row chunks, and the latency-model / distance memo dicts are trimmed
-        after each chunk: their entries are pure deterministic functions of
-        (UG, peering), so re-deriving any later lookup returns bit-identical
-        values while transient memory stays bounded by the chunk, not the
-        world.
-
-        Returns the :class:`MatrixLayoutPlan` used (raises
+        Allocates the dense UG-row × peering-column latency and distance
+        pair (:func:`repro.kernels.plan_matrix_layout` sizes it, raising
         :class:`repro.kernels.MemoryBudgetExceeded` before allocating when
-        ``budget_bytes`` cannot hold both matrices).  Idempotent: a second
-        call with matrices already bound is a no-op.
+        ``budget_bytes`` cannot hold it), fills it one row chunk at a time
+        with :meth:`fill_latency_rows`, then binds it.  Returns the number
+        of slots filled; a no-op (0) while a pair is already bound.
         """
         backend = self._backend
-        if (
-            backend.latency_matrix is not None
-            and backend.distance_matrix is not None
-        ):
-            ugs = self._scenario.user_groups
-            return plan_matrix_layout(
-                len(ugs), len(self._lat_cols), budget_bytes=budget_bytes,
-                chunk_bytes=chunk_bytes,
-            )
-        ugs = self._scenario.user_groups
-        n_rows = len(ugs)
+        if backend.latency_matrix is not None and backend.distance_matrix is not None:
+            return 0
+        n_rows = len(self._scenario.user_groups)
         n_cols = len(self._lat_cols)
         plan = plan_matrix_layout(
             n_rows, n_cols, budget_bytes=budget_bytes, chunk_bytes=chunk_bytes
         )
-        model = self._model
-        catalog = model.catalog
-        cols = self._lat_cols
-        latency_of = self._latency_of
         lat = np.full((n_rows, n_cols), np.nan)
         dist = np.full((n_rows, n_cols), np.nan)
+        filled = 0
         with METRICS.timed("kernels.materialize_s"):
-            for start in range(0, n_rows, plan.chunk_rows):
-                stop = min(start + plan.chunk_rows, n_rows)
-                for row in range(start, stop):
-                    ug = ugs[row]
-                    lat_row = lat[row]
-                    dist_row = dist[row]
-                    for pid in catalog.ingress_ids(ug):
-                        col = cols[pid]
-                        value = latency_of(ug, pid)
-                        lat_row[col] = np.inf if value is None else value
-                        dist_row[col] = model.distance_km(ug, pid)
-                model.clear_distance_caches()
-                latency_model = getattr(self._scenario, "latency_model", None)
-                if latency_model is not None:
-                    latency_model.clear_caches()
+            for lo in range(0, n_rows, plan.chunk_rows):
+                hi = min(lo + plan.chunk_rows, n_rows)
+                filled += self.fill_latency_rows(lat, dist, lo, hi)
         backend.bind_latency_matrix(lat, dist)
-        return plan
+        return filled
 
-    def latencies_for(
-        self, peering_id: int, user_groups: Sequence[UserGroup]
-    ) -> List[Optional[float]]:
-        """One latency-matrix column, in ``user_groups`` order."""
-        return [self.latency(ug, peering_id) for ug in user_groups]
+    def fill_latency_rows(
+        self, lat: "np.ndarray", dist: "np.ndarray", lo: int, hi: int
+    ) -> int:
+        """Write UG rows ``[lo, hi)`` of a dense latency/distance pair.
+
+        The one place (UG, ingress) inputs are produced: every
+        policy-compliant slot of those rows gets its latency (``+inf`` =
+        unmeasurable) and its great-circle distance; every other slot is
+        left as it was (``nan`` in a fresh pair).  Distances are gathered
+        from the routing model's metro × PoP :attr:`RoutingModel.geometry`
+        and latencies come from the latency model's batch form, both
+        bit-identical to their scalar oracles.  A custom ``latency_of`` is
+        asked slot by slot instead, and a value that is not ``None`` or a
+        finite latency ``>= 0`` raises ``ValueError``.  Returns the number
+        of slots written; each counts as one ``evaluator.latency_matrix``
+        miss.
+        """
+        ugs = self._scenario.user_groups[lo:hi]
+        catalog = self._model.catalog
+        col_lists = [self._ingress_cols(catalog.ingress_ids(ug)) for ug in ugs]
+        counts = np.fromiter(map(len, col_lists), dtype=np.intp, count=len(ugs))
+        rows = np.repeat(np.arange(len(ugs), dtype=np.intp), counts)
+        cols = np.concatenate(col_lists) if col_lists else np.empty(0, dtype=np.intp)
+        geometry = self._model.geometry
+        origin = geometry.origin_indices(ug.location for ug in ugs)[rows]
+        target = geometry.target_indices(p.pop.location for p in self._peerings)[cols]
+        if self._custom_latency_of is None:
+            values = self._scenario.latency_model.day0_latencies(
+                ugs, self._peerings, rows, cols, geometry.fiber_rtt_ms[origin, target]
+            )
+        else:
+            pids = [p.peering_id for p in self._peerings]
+            values = np.array(
+                [
+                    _checked_latency(self._custom_latency_of, ugs[row], pids[col])
+                    for row, col in zip(rows.tolist(), cols.tolist())
+                ],
+                dtype=np.float64,
+            )
+            values[np.isnan(values)] = np.inf  # None; a nan answer raised
+        lat[rows + lo, cols] = values
+        dist[rows + lo, cols] = geometry.km[origin, target]
+        self._lat_stats.misses += len(rows)
+        return len(rows)
+
+    def _ingress_cols(self, ingress_ids: FrozenSet[int]) -> "np.ndarray":
+        cols = self._set_cols.get(ingress_ids)
+        if cols is None:
+            cols = np.array(sorted(self._lat_cols[pid] for pid in ingress_ids), dtype=np.intp)
+            self._set_cols[ingress_ids] = cols
+        return cols
 
     def benefit_matrix(
         self, user_groups: Optional[Sequence[UserGroup]] = None

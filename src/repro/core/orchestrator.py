@@ -27,8 +27,6 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-import numpy as np
-
 import repro.parallel as parallel_mod
 from repro.core.advertisement import AdvertisementConfig
 from repro.core.benefit import BenefitEvaluator, LatencyFn, realized_benefit
@@ -41,11 +39,6 @@ from repro.scenario import Scenario
 from repro.telemetry import METRICS, TRACER, emit_event
 from repro.usergroups.usergroup import UserGroup
 
-#: UG-rows × peering-columns slot count at which
-#: ``OrchestratorConfig.dense_matrices=None`` flips to the dense layout.
-#: Far above every classic preset (azure ≈ 1M slots) and far below the
-#: ``mega`` preset (≈ 200M slots), so only genuinely large worlds switch.
-DENSE_AUTO_SLOTS = 32_000_000
 #: After a pool failure trips the serial-fallback breaker, the parallel path
 #: is retried once this many consecutive solves have run serially.
 PARALLEL_RETRY_SOLVES = 3
@@ -85,15 +78,9 @@ class OrchestratorConfig:
     #: backend is bit-identical to numpy by construction — see
     #: :mod:`repro.kernels`.
     backend: Union[str, ComputeBackend] = "auto"
-    #: Dense-matrix mode for very large worlds: ``None`` enables it
-    #: automatically when the UG×peering slot count reaches
-    #: ``DENSE_AUTO_SLOTS``; ``True``/``False`` force it on/off.  When on,
-    #: the evaluator materializes flat float64 latency/distance matrices
-    #: (chunked fill, memo trimming) instead of per-UG Python rows — the
-    #: layout that lets the ``mega`` preset fit in memory.
-    dense_matrices: Optional[bool] = None
-    #: Optional byte budget for the two dense matrices; exceeded budgets
-    #: raise ``MemoryBudgetExceeded`` before allocation.
+    #: Optional byte budget for the dense latency/distance matrices the
+    #: first solve materialises; exceeded budgets raise
+    #: ``MemoryBudgetExceeded`` before allocation.
     dense_budget_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -493,85 +480,27 @@ class PainterOrchestrator:
                 affected.setdefault(pid, []).append(ug)
         return affected
 
-    def _use_dense_matrices(self) -> bool:
-        """Should this world use the backend's dense-matrix layout?"""
-        mode = self._config.dense_matrices
-        if mode is not None:
-            return bool(mode)
-        n_slots = len(self._scenario.user_groups) * len(
-            self._scenario.deployment.peerings
-        )
-        return n_slots >= DENSE_AUTO_SLOTS
-
-    def _static_arrays(self) -> Dict[int, Tuple["np.ndarray", "np.ndarray"]]:
-        """Per peering, its affected UGs' ``(latency, distance)`` arrays
-        (``nan`` latency = unmeasurable) — what the vectorized scan reads."""
-        evaluator = self._evaluator
-        model = self._model
-        ug_index = self._ug_index
-        backend = evaluator.backend
-        lat_mat = backend.latency_matrix
-        dist_mat = backend.distance_matrix
-        dense = lat_mat is not None and dist_mat is not None
-        col_of = evaluator.peering_columns if dense else None
-        static = {}
-        for pid, affected in self._affected.items():
-            if dense:
-                # Vectorized gather from the materialized matrices: the
-                # stored doubles are the oracle values bit-for-bit (the
-                # dense encoding maps None↔+inf), so this produces exactly
-                # the arrays the per-pair path below would.
-                idx = np.array(
-                    [ug_index[ug.ug_id] for ug in affected], dtype=np.intp
-                )
-                col = col_of[pid]
-                lat = lat_mat[idx, col]
-                unfilled = np.isnan(lat)
-                if unfilled.any():
-                    # Slots outside the materialized set: fall back to the
-                    # per-pair oracle for just those rows.
-                    for pos in np.nonzero(unfilled)[0]:
-                        value = evaluator.latency(affected[int(pos)], pid)
-                        lat[pos] = np.nan if value is None else value
-                lat[np.isinf(lat)] = np.nan
-                static[pid] = (lat, dist_mat[idx, col])
-            else:
-                lats = evaluator.latencies_for(pid, affected)
-                static[pid] = (
-                    np.array([np.nan if lat is None else lat for lat in lats]),
-                    np.array([model.distance_km(ug, pid) for ug in affected]),
-                )
-        return static
-
     def _row_source(self) -> RowSource:
         """The serial source: one shard over every UG row, in-process."""
         if self._shard is None:
             evaluator = self._evaluator
-            # Fill the UG×peering latency store before the static arrays
-            # are cut from it, so the ranked scan never pays a latency_of
-            # call mid-heap-operation.  Large worlds (see DENSE_AUTO_SLOTS)
-            # materialize flat float64 matrices on the compute backend
-            # instead of per-UG Python rows; with a dense matrix already
-            # bound (parallel fill or an earlier materialization) the row
-            # precompute would only duplicate it, so it is skipped —
-            # unfilled slots fall back per lookup to the same
-            # deterministic oracle.
-            if self._use_dense_matrices():
-                evaluator.materialize_latency_matrices(
-                    budget_bytes=self._config.dense_budget_bytes
-                )
-            if evaluator.backend.latency_matrix is None:
-                evaluator.precompute_latency_matrix()
+            # Materialise every (UG, ingress) slot before the scan starts,
+            # so the ranked scan never pays a latency oracle call
+            # mid-heap-operation; the shard gathers its per-peering arrays
+            # from the bound pair.
+            evaluator.precompute_latency_matrix(
+                budget_bytes=self._config.dense_budget_bytes
+            )
+            backend = evaluator.backend
             ctx = ShardContext(
                 self._scenario,
                 evaluator,
                 self._model,
                 self._affected,
                 self._ug_index,
+                backend.latency_matrix,
+                backend.distance_matrix,
                 None,
-                None,
-                None,
-                static=self._static_arrays(),
             )
             self._shard = ShardState(ctx, 0, ctx.n_ugs)
         return RowSource(self._shard.ctx, *self._solve_inputs(), shard=self._shard)

@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.telemetry import METRICS
 from repro.topology.cloud import CloudDeployment, Peering
-from repro.topology.geo import haversine_km
+from repro.topology.geo import DistanceTable
 from repro.usergroups.ingresses import IngressCatalog
 from repro.usergroups.usergroup import UserGroup
 
@@ -70,9 +70,10 @@ class RoutingModel:
         #: ingress actually observed.  Routing is deterministic per set, so
         #: a remembered outcome is a probability-1 prediction.
         self._outcomes: Dict[Tuple[int, FrozenSet[int]], int] = {}
-        #: Distance cache keyed by (ug_id, peering_id).
+        #: Distance cache keyed by (ug_id, peering_id), in front of
+        #: :attr:`geometry`.
         self._distance_cache: Dict[Tuple[int, int], float] = {}
-        self._pop_distance_cache: Dict[Tuple[int, str], float] = {}
+        self._geometry: Optional[DistanceTable] = None
         self._observation_count = 0
         self._stale_observation_count = 0
         #: Memoized candidate predictions, bucketed per UG so that one
@@ -178,35 +179,31 @@ class RoutingModel:
 
     # -- distances -----------------------------------------------------------
 
-    def _distance_km(self, ug: UserGroup, peering_id: int) -> float:
-        key = (ug.ug_id, peering_id)
-        cached = self._distance_cache.get(key)
-        if cached is None:
-            peering = self._deployment.peering(peering_id)
-            # Peerings co-located at one PoP share the distance; keying the
-            # haversine itself per (UG, PoP) makes the per-peering entry a
-            # dict copy instead of a trig evaluation.
-            pop_key = (ug.ug_id, peering.pop.name)
-            cached = self._pop_distance_cache.get(pop_key)
-            if cached is None:
-                cached = haversine_km(ug.location, peering.pop.location)
-                self._pop_distance_cache[pop_key] = cached
-            self._distance_cache[key] = cached
-        return cached
+    @property
+    def geometry(self) -> DistanceTable:
+        """Great-circle distances from the catalog's UG metros to every PoP.
+
+        Built on first use (one haversine per distinct metro × PoP pair);
+        the batch latency/distance fill gathers from it, and
+        :meth:`distance_km` reads it.
+        """
+        if self._geometry is None:
+            self._geometry = DistanceTable(
+                (ug.location for ug in self._catalog.user_groups),
+                (pop.location for pop in self._deployment.pops),
+            )
+        return self._geometry
 
     def distance_km(self, ug: UserGroup, peering_id: int) -> float:
         """UG-to-ingress great-circle distance (cached)."""
-        return self._distance_km(ug, peering_id)
-
-    def clear_distance_caches(self) -> None:
-        """Drop the distance memos (pure haversines — recompute is exact).
-
-        The chunked dense-matrix fill calls this between chunks: at 100k
-        UGs the per-(UG, peering) memo alone would hold tens of millions
-        of dict entries that the dense distance matrix supersedes.
-        """
-        self._distance_cache.clear()
-        self._pop_distance_cache.clear()
+        key = (ug.ug_id, peering_id)
+        cached = self._distance_cache.get(key)
+        if cached is None:
+            cached = self.geometry.distance_km(
+                ug.location, self._deployment.peering(peering_id).pop.location
+            )
+            self._distance_cache[key] = cached
+        return cached
 
     def has_learned_state(self, ug_id: int) -> bool:
         """Whether any observation refined this UG's uniform assumption.
@@ -294,16 +291,16 @@ class RoutingModel:
                 if survivors:
                     after_pref = survivors
 
-        closest = min(self._distance_km(ug, pid) for pid in after_pref)
+        closest = min(self.distance_km(ug, pid) for pid in after_pref)
         kept = {
             pid
             for pid in after_pref
             if pid in winners
-            or self._distance_km(ug, pid) - closest <= self._d_reuse_km
+            or self.distance_km(ug, pid) - closest <= self._d_reuse_km
         }
 
         if not kept:
-            kept = {min(compliant, key=lambda pid: self._distance_km(ug, pid))}
+            kept = {min(compliant, key=lambda pid: self.distance_km(ug, pid))}
         return frozenset(kept)
 
     def expected_latency_ms(

@@ -86,8 +86,7 @@ class ComputeBackend:
         order.  Slot encoding: ``nan`` = not computed (falls back to the
         latency oracle), ``+inf`` = computed but unmeasurable (``None``),
         anything else = latency in ms.  ``dist`` (optional, same shape)
-        carries great-circle UG→ingress distances for the large-world
-        vectorized affected-array build.
+        carries great-circle UG→ingress distances.
         """
         if dist is not None and dist.shape != lat.shape:
             raise ValueError(

@@ -1,10 +1,9 @@
-"""Memory-budgeted dense-matrix layout planning for very large worlds.
+"""Memory-budgeted layout planning for the evaluator's dense matrices.
 
-The ``mega`` preset (100k+ UGs × ~2k peering columns) cannot afford the
-evaluator's default per-UG Python-list latency rows (~hundreds of bytes
-per slot once boxed); it materializes two dense float64 matrices —
-latency and distance — and fills them in row chunks so transient Python
-object churn stays bounded.  :func:`plan_matrix_layout` makes the layout
+Every world materialises two dense float64 matrices — latency and
+distance, UG rows × peering columns — and fills them in row chunks so the
+fill's transient index arrays stay bounded at the ``mega`` preset's scale
+(100k+ UGs × ~2k peering columns).  :func:`plan_matrix_layout` makes the layout
 decisions explicit and testable: value/index dtypes, chunk height, exact
 byte costs, and whether the plan fits a caller-supplied budget (the CI
 peak-RSS gate is calibrated against these numbers).
@@ -18,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 #: Default fill-chunk size: ~64 MiB of matrix rows per chunk keeps the
-#: transient per-chunk Python overhead (boxed floats, oracle frames) small
-#: relative to the matrices themselves.
+#: fill's transient per-slot arrays small relative to the matrices
+#: themselves.
 DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
 
 

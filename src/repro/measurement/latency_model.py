@@ -14,16 +14,23 @@ peering decomposes into:
 The model also supports a ``day`` parameter: latencies drift slowly and
 peerings occasionally suffer day-scale degradations, which drives the
 benefit-retention-over-a-month experiment (Fig. 7).
+
+Two forms give the same doubles.  :meth:`LatencyModel.latency_ms` is the
+scalar oracle, any day.  :meth:`LatencyModel.day0_latencies` is the batch
+form a world is materialised with: one array over many (UG, peering)
+slots, gathered from a few small tables (fiber RTT per metro × PoP, last
+mile per UG, one inflation draw per distinct AS pair).
 """
 
 from __future__ import annotations
 
-import math
 import random
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.util import stable_rng
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
 
 from repro.topology.cloud import Peering
 from repro.topology.geo import fiber_rtt_ms, haversine_km
@@ -61,8 +68,11 @@ class LatencyModelConfig:
 class LatencyModel:
     """Deterministic ground-truth min-RTT oracle.
 
-    All values derive from ``(seed, identifiers)`` hashes, so the model needs
-    no precomputation, is stable across calls, and scales to any population.
+    All values derive from ``(seed, identifiers)`` hashes, so every value is
+    stable across calls and independent of the order it is asked in.  Bulk
+    consumers should materialise through :meth:`day0_latencies` rather than
+    call :meth:`latency_ms` per slot: it draws each random component once
+    per distinct key instead of once per slot.
     """
 
     def __init__(self, config: Optional[LatencyModelConfig] = None) -> None:
@@ -71,8 +81,8 @@ class LatencyModel:
         # Component memos.  Each static component depends on far fewer keys
         # than there are (UG, peering) pairs — last mile on the UG alone,
         # inflation on the AS pair, propagation on the (UG, PoP) pair — so
-        # caching them skips most of the per-pair RNG seeding during a bulk
-        # latency-matrix fill without changing a single returned value.
+        # caching them skips most of the per-pair RNG seeding without
+        # changing a single returned value.
         self._last_mile_memo: Dict[Tuple[int, str], float] = {}
         self._inflation_memo: Dict[Tuple[int, int, bool], float] = {}
         self._propagation_memo: Dict[Tuple[int, str], float] = {}
@@ -99,12 +109,15 @@ class LatencyModel:
 
     def inflation_penalty_ms(self, ug: UserGroup, peering: Peering) -> float:
         """Hidden intra-AS inflation for this (UG AS, peer AS) pair."""
+        return self._inflation_ms(ug.asn, peering.peer_asn, peering.is_transit)
+
+    def _inflation_ms(self, ug_asn: int, peer_asn: int, is_transit: bool) -> float:
         cfg = self._config
-        key = (ug.asn, peering.peer_asn, peering.is_transit)
+        key = (ug_asn, peer_asn, is_transit)
         value = self._inflation_memo.get(key)
         if value is None:
-            rng = self._rng("inflate", ug.asn, peering.peer_asn)
-            prob = cfg.inflation_prob_transit if peering.is_transit else cfg.inflation_prob_peer
+            rng = self._rng("inflate", ug_asn, peer_asn)
+            prob = cfg.inflation_prob_transit if is_transit else cfg.inflation_prob_peer
             if rng.random() < prob:
                 value = rng.uniform(cfg.inflation_min_ms, cfg.inflation_max_ms)
             else:
@@ -136,19 +149,6 @@ class LatencyModel:
 
     # -- the oracle ----------------------------------------------------------
 
-    def clear_caches(self) -> None:
-        """Drop every memo dict (values are pure seeded functions).
-
-        Each memoized component is fully determined by its key (the RNG is
-        re-seeded per key via ``stable_rng``), so clearing never changes a
-        subsequently returned value — it only trades recompute time for
-        memory.  The 100k-UG dense-matrix fill trims these between chunks.
-        """
-        self._cache.clear()
-        self._last_mile_memo.clear()
-        self._inflation_memo.clear()
-        self._propagation_memo.clear()
-
     def latency_ms(self, ug: UserGroup, peering: Peering, day: int = 0) -> float:
         """True min-RTT from ``ug`` through ``peering``, on ``day``."""
         key = (ug.ug_id, peering.peering_id, day)
@@ -164,3 +164,46 @@ class LatencyModel:
             value += self.drift_ms(ug, peering, day) + self.event_penalty_ms(peering, day)
         self._cache[key] = value
         return value
+
+    def day0_latencies(
+        self,
+        ugs: Sequence[UserGroup],
+        peerings: Sequence[Peering],
+        rows: "np.ndarray",
+        cols: "np.ndarray",
+        propagation_ms: "np.ndarray",
+    ) -> "np.ndarray":
+        """``latency_ms(ugs[r], peerings[c])`` at day 0 for every slot
+        ``(r, c)`` of ``zip(rows, cols)``, as one array.
+
+        ``propagation_ms`` is each slot's :func:`fiber_rtt_ms` of its
+        UG-to-PoP great-circle distance (a gather from a
+        :class:`repro.topology.geo.DistanceTable`).  The last mile is drawn
+        once per UG and the inflation once per distinct ``(UG AS, peer AS,
+        transit)`` key, through the same memos and RNG keys as the scalar
+        components, and the sum is formed in :meth:`latency_ms`'s order,
+        ``(propagation + last mile) + inflation`` — so every element is the
+        scalar oracle's double, bit for bit.
+        """
+        last_mile = np.array([self.last_mile_ms(ug) for ug in ugs], dtype=np.float64)
+        asns, ug_asn = np.unique(
+            np.array([ug.asn for ug in ugs], dtype=np.int64), return_inverse=True
+        )
+        kinds: Dict[Tuple[int, bool], int] = {}
+        kind_of = np.array(
+            [kinds.setdefault((p.peer_asn, p.is_transit), len(kinds)) for p in peerings],
+            dtype=np.int64,
+        )
+        n_kinds = max(len(kinds), 1)
+        keys, slot_key = np.unique(
+            ug_asn[rows] * n_kinds + kind_of[cols], return_inverse=True
+        )
+        kind_list = list(kinds)
+        inflation = np.array(
+            [
+                self._inflation_ms(int(asns[key // n_kinds]), *kind_list[key % n_kinds])
+                for key in keys.tolist()
+            ],
+            dtype=np.float64,
+        )
+        return (propagation_ms + last_mile[rows]) + inflation[slot_key]

@@ -1,8 +1,8 @@
 """The per-row work of a lazy-greedy solve, over a range of UG rows.
 
 :class:`ShardState` owns a contiguous range of UG rows ``[lo, hi)`` and is
-the only implementation of what Algorithm 1 does per row: filling the
-latency/distance matrices, initial-heap gains, the vectorized refresh of a
+the only implementation of what Algorithm 1 does per row: filling its
+rows of the latency/distance matrices, initial-heap gains, the vectorized refresh of a
 marginal (shrink rows included), and folding accepted peerings into the
 per-row scan state it keeps as arrays.  The serial solve runs one
 ``ShardState`` over every row in-process; the worker pool runs ``N`` of
@@ -21,7 +21,7 @@ Serial ≡ sharded, per marginal, rests on three invariants enforced here:
   shard results in shard order reproduces the one-shard array layout with
   no re-sorting — contribution vectors and accept replies alike;
 * the per-value math is the *same code* for every shard count — the
-  deterministic latency/distance oracles, the compute backend's
+  evaluator's one batch latency/distance fill, the compute backend's
   elementwise kernels (``repro.kernels``; workers inherit the evaluator's
   backend at fork time, so a compiled solve is compiled in every shard),
   and the array scan state, whose every update is **row-local**: a row's
@@ -63,13 +63,13 @@ def shard_ranges(n_rows: int, n_workers: int) -> List[Tuple[int, int]]:
 class ShardContext:
     """What every shard of one world shares (built once, immutable).
 
-    Holds the scenario graph plus where the static per-(UG, peering)
-    latencies and distances come from.  For a worker pool that is the
-    shared-memory matrices: nothing in here is pickled — under the ``fork``
-    start method children inherit the parent's address space, and the
-    :class:`SharedArray` segments map the same physical pages in every
-    process.  The in-process shard passes no matrices and the ``static``
-    per-peering arrays instead.
+    Holds the scenario graph plus the dense UG-row × peering-column
+    latency/distance matrices the static per-(UG, peering) arrays are
+    gathered from: the evaluator's backend-bound pair in-process, the
+    shared-memory pair for a worker pool.  Nothing in here is pickled —
+    under the ``fork`` start method children inherit the parent's address
+    space, and the :class:`SharedArray` segments map the same physical
+    pages in every process.
     """
 
     def __init__(
@@ -82,7 +82,6 @@ class ShardContext:
         lat_mat,
         dist_mat,
         gain_buf,
-        static: Optional[Dict[int, Tuple["np.ndarray", "np.ndarray"]]] = None,
     ) -> None:
         self.scenario = scenario
         self.evaluator = evaluator
@@ -100,9 +99,6 @@ class ShardContext:
         self.lat_mat = lat_mat
         self.dist_mat = dist_mat
         self.gain_buf = gain_buf
-        #: In-process only: ``(latency, distance)`` arrays per peering,
-        #: aligned with ``rows_np``.
-        self.static = static
         #: Global row indices of each peering's affected UGs, ascending
         #: (catalog inversion walks UGs in scenario order).
         self.rows_np: Dict[int, "np.ndarray"] = {
@@ -116,16 +112,10 @@ class ShardContext:
     def arrays(self, pid: int, rows: "np.ndarray"):
         """``(latency, distance)`` of ``pid`` at ``rows``, an ascending
         subset of its affected rows; ``nan`` latency = unmeasurable."""
-        if self.static is None:
-            col = self.col_of[pid]
-            lat = self.lat_mat[rows, col]
-            lat[np.isinf(lat)] = np.nan  # the matrices encode None as +inf
-            return lat, self.dist_mat[rows, col]
-        lat, dist = self.static[pid]
-        if len(rows) == len(lat):
-            return lat, dist
-        pos = np.searchsorted(self.rows_np[pid], rows)
-        return lat[pos], dist[pos]
+        col = self.col_of[pid]
+        lat = self.lat_mat[rows, col]
+        lat[np.isinf(lat)] = np.nan  # the matrices encode None as +inf
+        return lat, self.dist_mat[rows, col]
 
 
 class RowLayout(NamedTuple):
@@ -216,27 +206,15 @@ class ShardState:
     # -- one-time: matrix fill ----------------------------------------------
 
     def fill(self) -> int:
-        """Fill the shared latency/distance matrices for rows ``[lo, hi)``.
+        """Fill the context's latency/distance matrices for rows ``[lo, hi)``.
 
-        Uses the same deterministic oracles the serial precompute uses, so
-        every slot holds the exact double the serial solve would compute.
-        ``+inf`` encodes an unmeasurable ingress (``None``).
+        The pool workers' entry point into the evaluator's one batch fill
+        (:meth:`repro.core.benefit.BenefitEvaluator.fill_latency_rows`), so
+        every slot holds the exact double a serial materialisation writes.
+        ``+inf`` encodes an unmeasurable ingress.  Returns the slot count.
         """
         ctx = self.ctx
-        lat_mat = ctx.lat_mat
-        dist_mat = ctx.dist_mat
-        catalog = ctx.model.catalog
-        col_of = ctx.col_of
-        filled = 0
-        for row in range(self.lo, self.hi):
-            ug = self.ugs[row]
-            for pid in catalog.ingress_ids(ug):
-                col = col_of[pid]
-                lat = ctx.evaluator.latency(ug, pid)
-                lat_mat[row, col] = np.inf if lat is None else lat
-                dist_mat[row, col] = ctx.model.distance_km(ug, pid)
-                filled += 1
-        return filled
+        return ctx.evaluator.fill_latency_rows(ctx.lat_mat, ctx.dist_mat, self.lo, self.hi)
 
     # -- per-solve: learned split + gain-buffer layout -----------------------
 

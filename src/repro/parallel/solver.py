@@ -358,8 +358,10 @@ class ParallelSolver:
         try:
             self.pool.close()
         finally:
-            if self._filled:
-                self._orch._evaluator.backend.release_latency_matrix()
+            backend = self._orch._evaluator.backend
+            # A serial materialisation may have replaced the pool's binding.
+            if self._filled and backend.latency_matrix is self._lat.array:
+                backend.release_latency_matrix()
             # Release the shard context's views so the mappings can unmap.
             self.ctx.lat_mat = None
             self.ctx.dist_mat = None

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.util import stable_rng
 
@@ -88,6 +90,49 @@ def rtt_to_max_distance_km(rtt_ms: float) -> float:
     if rtt_ms < 0:
         raise ValueError("rtt must be non-negative")
     return rtt_ms / 2.0 * SPEED_OF_LIGHT_KM_PER_MS
+
+
+class DistanceTable:
+    """Great-circle distances between every origin and every target point.
+
+    ``km[i, j]`` is ``haversine_km(origin i, target j)`` and
+    ``fiber_rtt_ms[i, j]`` is :func:`fiber_rtt_ms` of it, each computed once
+    by the scalar functions above (no vectorised trig), so a gather from
+    either array is bit-identical to the per-pair call.  Repeated points
+    share one row or column; :meth:`origin_indices` / :meth:`target_indices`
+    map points to them.  Built over UG metros × PoPs, the table holds the
+    few thousand distinct geometries behind a world's (UG, ingress) slots.
+    """
+
+    def __init__(self, origins: Iterable[GeoPoint], targets: Iterable[GeoPoint]) -> None:
+        self._origin: Dict[GeoPoint, int] = {}
+        for point in origins:
+            self._origin.setdefault(point, len(self._origin))
+        self._target: Dict[GeoPoint, int] = {}
+        for point in targets:
+            self._target.setdefault(point, len(self._target))
+        shape = (len(self._origin), len(self._target))
+        self._rows = [[haversine_km(a, b) for b in self._target] for a in self._origin]
+        self.km = np.array(self._rows, dtype=np.float64).reshape(shape)
+        self.fiber_rtt_ms = np.array(
+            [[fiber_rtt_ms(d) for d in row] for row in self._rows], dtype=np.float64
+        ).reshape(shape)
+
+    def origin_indices(self, points: Iterable[GeoPoint]) -> "np.ndarray":
+        """Row of each point (``KeyError`` for a point outside the table)."""
+        return np.array([self._origin[p] for p in points], dtype=np.intp)
+
+    def target_indices(self, points: Iterable[GeoPoint]) -> "np.ndarray":
+        """Column of each point (``KeyError`` for a point outside the table)."""
+        return np.array([self._target[p] for p in points], dtype=np.intp)
+
+    def distance_km(self, a: GeoPoint, b: GeoPoint) -> float:
+        """``haversine_km(a, b)``, read from the table when both are in it."""
+        i = self._origin.get(a)
+        j = self._target.get(b)
+        if i is None or j is None:
+            return haversine_km(a, b)
+        return self._rows[i][j]
 
 
 @dataclass(frozen=True)

@@ -184,8 +184,9 @@ def test_mega_smoke_builds_and_solves_within_memory_budget() -> None:
     from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 
     orch = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=2))
-    assert orch._use_dense_matrices()  # 100k x ~2000 slots >> the auto floor
     config = orch.solve()
+    backend = orch.evaluator.backend
+    assert backend.latency_matrix is not None and backend.distance_matrix is not None
     assert config.prefix_count <= 2
     assert config.pair_count > 0
 
