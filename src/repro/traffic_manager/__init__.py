@@ -4,8 +4,8 @@ Two data planes implement the same :class:`DataPlane` protocol, each the
 one flow store of the :class:`TMEdge` that owns it:
 
 * :class:`ScalarDataPlane` — the reference, one dict record per flow;
-* :class:`VectorFlowTable` — numpy struct-of-arrays columns, batched
-  admit/forward/remap for millions of flows per step.
+* :class:`VectorFlowTable` — numpy struct-of-arrays columns in a few
+  sorted runs, batched admit/forward/remap for millions of flows per step.
 """
 
 from repro.traffic_manager.dataplane import (

@@ -9,9 +9,10 @@ defines the batched data-plane contract and its two implementations:
   a per-flow record, replaying a batch one flow at a time.
 * :class:`VectorFlowTable` — the production path.  A struct-of-arrays
   table (numpy columns for hashed 5-tuple, service id, selected prefix id,
-  bytes, created/last-seen timestamps) kept sorted by flow key, so a batch
-  of a million admissions is a handful of ``searchsorted``/``insert``
-  array operations instead of a million dict probes.
+  bytes, created/last-seen timestamps) held as a few runs sorted by flow
+  key, so a batch of a million admissions is a handful of
+  ``searchsorted`` and merge passes instead of a million dict probes, and
+  a batch of m flows costs O(m log n), not a rewrite of the whole table.
 
 Each plane is the one flow store of whatever owns it: a
 :class:`~repro.traffic_manager.tm_edge.TMEdge` steers its per-flow and
@@ -42,10 +43,11 @@ registry under ``tm.*`` names.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,8 +88,8 @@ class FlowBatch:
     """One struct-of-arrays batch of flow activity offered to a data plane.
 
     Columns (equal length): ``keys`` (uint64 hashed 5-tuples),
-    ``service_ids`` (int32), ``payload_bytes`` (float64 bytes carried by
-    this batch's packets per flow; zero for pure admissions).
+    ``service_ids`` (non-negative int32), ``payload_bytes`` (float64 bytes
+    carried by this batch's packets per flow; zero for pure admissions).
     """
 
     keys: np.ndarray
@@ -114,6 +116,8 @@ class FlowBatch:
             raise ValueError("FlowBatch columns must have equal length")
         if len(self.payload_bytes) and float(self.payload_bytes.min()) < 0:
             raise ValueError("payload bytes must be non-negative")
+        if len(self.service_ids) and int(self.service_ids.min()) < 0:
+            raise ValueError("service ids must be non-negative")
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -439,38 +443,97 @@ class ScalarDataPlane(_PlaneBase):
         return plane
 
 
-class VectorFlowTable(_PlaneBase):
-    """Struct-of-arrays flow table: the million-flow data plane.
+#: A :class:`VectorFlowTable` run's columns with their dtypes, in packed
+#: snapshot order.
+_COLUMNS = (
+    ("keys", np.uint64),
+    ("service", np.int32),
+    ("prefix", np.int32),
+    ("bytes", np.float64),
+    ("created", np.float64),
+    ("last_seen", np.float64),
+)
 
-    Columns are parallel numpy arrays kept sorted by flow key, so a batch
-    lookup is one ``searchsorted`` and a batch admission one merged
-    ``insert`` per column — O((n + m) log n) for the whole batch with no
-    per-flow Python work.
+#: The prefix id of an ended flow: its row is a tombstone until the run
+#: holding it is next rewritten.
+_ENDED = -1
+
+#: A new run is merged into the run before it while that run holds at most
+#: this many times its live flows, so live run sizes grow geometrically
+#: from the newest run to the oldest: O(log n) runs, and O(log n)
+#: rewrites of each flow over its life.
+MERGE_RATIO = 2
+
+
+class _Run:
+    """One sorted run of a :class:`VectorFlowTable`: parallel columns in
+    ascending key order, each key at most once.  An ended flow stays in
+    place with prefix id ``_ENDED`` until the run is rewritten."""
+
+    __slots__ = ("keys", "service", "prefix", "bytes", "created", "last_seen", "dead")
+
+    def __init__(self, keys, service, prefix, nbytes, created, last_seen) -> None:
+        self.keys = keys
+        self.service = service
+        self.prefix = prefix
+        self.bytes = nbytes
+        self.created = created
+        self.last_seen = last_seen
+        #: Tombstones among the rows.
+        self.dead = 0
+
+    @classmethod
+    def empty(cls) -> "_Run":
+        return cls(*(np.empty(0, dtype=dtype) for _name, dtype in _COLUMNS))
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name, _dtype in _COLUMNS)
+
+    @property
+    def live(self) -> int:
+        return len(self.keys) - self.dead
+
+    def live_rows(self) -> Union[slice, np.ndarray]:
+        """Index of the live rows: all of them (a slice, so no copy) or a
+        mask past the tombstones."""
+        return slice(None) if not self.dead else self.prefix != _ENDED
+
+    def locate(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(row, found) of each key among this (non-empty) run's live
+        flows.  ``keys`` come sorted: ``searchsorted`` then walks the run
+        in order instead of missing the cache on every probe."""
+        rows = np.searchsorted(self.keys, keys)
+        np.minimum(rows, len(self.keys) - 1, out=rows)
+        found = self.keys[rows] == keys
+        found &= self.prefix[rows] != _ENDED
+        return rows, found
+
+
+class VectorFlowTable(_PlaneBase):
+    """Tiered struct-of-arrays flow table: the million-flow data plane.
+
+    Flows live in a few runs (:class:`_Run`), each a set of parallel numpy
+    columns sorted by flow key, oldest and largest first.  A batch is looked
+    up with one ``searchsorted`` per run, newest first and only for the keys
+    no newer run held; its admissions become one new run, merged into its
+    older neighbours by :data:`MERGE_RATIO`; ``end`` writes tombstones, and
+    a run more than half tombstones is compacted.  A batch of m flows on a
+    table of n therefore costs O(m log n) plus its amortised share of
+    merges, instead of a rewrite of every column.  ``tm.rows_rewritten``
+    counts the rows merges and compactions write.
+
+    :meth:`to_packed_snapshot` first folds the runs into one, so a snapshot
+    depends only on the live flows, never on the batch history behind them.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._keys = np.empty(0, dtype=np.uint64)
-        self._service = np.empty(0, dtype=np.int32)
-        self._prefix = np.empty(0, dtype=np.int32)
-        self._bytes = np.empty(0, dtype=np.float64)
-        self._created = np.empty(0, dtype=np.float64)
-        self._last_seen = np.empty(0, dtype=np.float64)
+        #: Oldest first; never holds an empty run.
+        self._runs: List[_Run] = []
+        self._c_rewritten = METRICS.counter("tm.rows_rewritten")
 
     def __len__(self) -> int:
-        return len(self._keys)
-
-    def _locate(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(row, found) for a key array against the sorted table."""
-        pos = np.searchsorted(self._keys, keys)
-        if len(self._keys):
-            in_range = pos < len(self._keys)
-            rows = np.where(in_range, pos, 0)
-            found = in_range & (self._keys[rows] == keys)
-        else:
-            rows = pos
-            found = np.zeros(len(keys), dtype=bool)
-        return rows, found
+        return self.flow_count()
 
     def forward(
         self,
@@ -478,8 +541,7 @@ class VectorFlowTable(_PlaneBase):
         selections: Mapping[int, Optional[str]],
         now_s: float,
     ) -> ForwardResult:
-        with METRICS.timed("tm.forward.vector"):
-            return self._forward(batch, selections, now_s, record_bytes=True)
+        return self._steer(batch, selections, now_s, record_bytes=True)
 
     def admit(
         self,
@@ -487,8 +549,24 @@ class VectorFlowTable(_PlaneBase):
         selections: Mapping[int, Optional[str]],
         now_s: float,
     ) -> ForwardResult:
+        return self._steer(batch, selections, now_s, record_bytes=False)
+
+    def _steer(
+        self,
+        batch: FlowBatch,
+        selections: Mapping[int, Optional[str]],
+        now_s: float,
+        record_bytes: bool,
+    ) -> ForwardResult:
         with METRICS.timed("tm.forward.vector"):
-            return self._forward(batch, selections, now_s, record_bytes=False)
+            result, admissions = self._forward(
+                batch, selections, now_s, record_bytes
+            )
+            # Pushed once the batch's temporaries are freed, so a merge
+            # reuses their memory instead of growing the heap past it.
+            if admissions is not None:
+                self._push(admissions)
+            return result
 
     def _forward(
         self,
@@ -496,7 +574,8 @@ class VectorFlowTable(_PlaneBase):
         selections: Mapping[int, Optional[str]],
         now_s: float,
         record_bytes: bool,
-    ) -> ForwardResult:
+    ) -> Tuple[ForwardResult, Optional[_Run]]:
+        """The batch's result, and its admissions as a run to push."""
         sel = self._selection_ids(selections)
         n = len(batch)
         out = np.full(n, -1, dtype=np.int32)
@@ -504,7 +583,7 @@ class VectorFlowTable(_PlaneBase):
         if n == 0:
             self._c_batches.add()
             self._h_batch.observe(0)
-            return ForwardResult(out, 0, 0, 0, 0.0)
+            return ForwardResult(out, 0, 0, 0, 0.0), None
 
         # Per-service selection lookup array (-1 = no live destination).
         max_sid = int(batch.service_ids.max())
@@ -515,81 +594,139 @@ class VectorFlowTable(_PlaneBase):
             if sid <= max_sid:
                 sel_arr[sid] = pid
 
-        rows, found = self._locate(batch.keys)
-        hit_rows = rows[found]
-        if len(hit_rows):
+        # The batch in key order; ``pending`` indexes the sorted keys no
+        # run has held yet, so every ``locate`` gets sorted keys.
+        order = np.argsort(batch.keys)
+        keys = batch.keys[order]
+        pending = np.arange(n)
+        existing = 0
+        for run in reversed(self._runs):
+            rows, found = run.locate(keys[pending])
+            if not found.any():
+                continue
+            hits, rows = order[pending[found]], rows[found]
             if record_bytes:
-                np.add.at(
-                    self._bytes,
-                    hit_rows,
-                    np.floor(batch.payload_bytes[found]),
-                )
-                bytes_recorded += float(
-                    np.floor(batch.payload_bytes[found]).sum()
-                )
-            self._last_seen[hit_rows] = now_s
-            out[np.nonzero(found)[0]] = self._prefix[hit_rows]
-        existing = int(found.sum())
+                payload = np.floor(batch.payload_bytes[hits])
+                np.add.at(run.bytes, rows, payload)
+                bytes_recorded += float(payload.sum())
+            run.last_seen[rows] = now_s
+            out[hits] = run.prefix[rows]
+            existing += len(hits)
+            pending = pending[~found]
+            if not len(pending):
+                break
 
-        miss = ~found
         admitted = 0
         unroutable = 0
-        if miss.any():
-            new_keys = batch.keys[miss]
-            new_sids = batch.service_ids[miss]
-            new_bytes = (
-                np.floor(batch.payload_bytes[miss])
-                if record_bytes
-                else np.zeros(int(miss.sum()))
-            )
+        admissions = None
+        if len(pending):
+            new_keys = keys[pending]
+            positions = order[pending]
+            # Occurrences of one key are adjacent; ``group`` numbers the
+            # distinct keys, ``starts`` is each one's first slot.
+            fresh = np.empty(len(new_keys), dtype=bool)
+            fresh[0] = True
+            np.not_equal(new_keys[1:], new_keys[:-1], out=fresh[1:])
+            starts = np.flatnonzero(fresh)
+            group = np.cumsum(fresh) - 1
             # First occurrence in batch order decides the flow's fate —
             # same rule the scalar reference applies flow by flow.
-            uniq, first, inv = np.unique(
-                new_keys, return_index=True, return_inverse=True
-            )
-            first_sid = np.clip(new_sids[first], 0, max_sid)
+            first_sid = batch.service_ids[np.minimum.reduceat(positions, starts)]
             pid_new = sel_arr[first_sid]
             routable = pid_new >= 0
-            per_occurrence = pid_new[inv]
-            out[np.nonzero(miss)[0]] = per_occurrence
+            per_occurrence = pid_new[group]
+            out[positions] = per_occurrence
             unroutable = int((per_occurrence < 0).sum())
             if routable.any():
-                agg = np.zeros(len(uniq))
-                np.add.at(agg, inv, new_bytes)
-                create_keys = uniq[routable]
-                insert_at = np.searchsorted(self._keys, create_keys)
-                self._keys = np.insert(self._keys, insert_at, create_keys)
-                self._service = np.insert(
-                    self._service, insert_at, new_sids[first][routable]
-                )
-                self._prefix = np.insert(
-                    self._prefix, insert_at, pid_new[routable]
-                )
-                self._bytes = np.insert(
-                    self._bytes, insert_at, agg[routable]
-                )
-                self._created = np.insert(self._created, insert_at, now_s)
-                self._last_seen = np.insert(self._last_seen, insert_at, now_s)
+                if record_bytes:
+                    agg = np.add.reduceat(
+                        np.floor(batch.payload_bytes[positions]), starts
+                    )
+                else:
+                    agg = np.zeros(len(starts))
                 admitted = int(routable.sum())
+                stamps = np.full(admitted, now_s)
+                admissions = _Run(
+                    new_keys[starts][routable],
+                    first_sid[routable],
+                    pid_new[routable],
+                    agg[routable],
+                    stamps,
+                    stamps.copy(),
+                )
                 bytes_recorded += float(agg[routable].sum())
                 # Later in-batch occurrences of a just-admitted key find
                 # the entry in the scalar reference (admit, then hit), so
                 # they count as existing — only the first occurrence is an
                 # admission.
-                existing += int(routable[inv].sum()) - admitted
+                existing += int(routable[group].sum()) - admitted
 
         self._c_admitted.add(admitted)
         self._c_existing.add(existing)
         self._c_unroutable.add(unroutable)
         self._c_batches.add()
         self._h_batch.observe(n)
-        return ForwardResult(
+        result = ForwardResult(
             assignments=out,
             admitted=admitted,
             existing=existing,
             unroutable=unroutable,
             bytes_recorded=bytes_recorded,
         )
+        return result, admissions
+
+    def _push(self, run: _Run) -> None:
+        """Append a batch's admissions as the newest run, first merging it
+        into each older neighbour no more than ``MERGE_RATIO`` times its
+        size."""
+        runs = self._runs
+        while runs and runs[-1].live <= MERGE_RATIO * run.live:
+            run = self._merge(runs.pop(), run)
+        runs.append(run)
+
+    def _merge(self, older: _Run, newer: _Run) -> _Run:
+        """Merge ``newer``'s live flows into ``older`` and drop both runs'
+        tombstones; returns ``older`` and empties ``newer``.  A key is live
+        in at most one run, so the merged keys stay unique.  Column by
+        column, each input column released once merged, so the table
+        never holds more than one column twice."""
+        old_rows, new_rows = older.live_rows(), newer.live_rows()
+        new_keys = newer.keys[new_rows]
+        at = np.searchsorted(older.keys[old_rows], new_keys)
+        at += np.arange(len(new_keys))
+        size = older.live + newer.live
+        from_older = np.ones(size, dtype=bool)
+        from_older[at] = False
+        for name, dtype in _COLUMNS:
+            column = np.empty(size, dtype=dtype)
+            column[at] = getattr(newer, name)[new_rows]
+            column[from_older] = getattr(older, name)[old_rows]
+            setattr(older, name, column)
+            setattr(newer, name, None)
+        older.dead = 0
+        self._c_rewritten.add(size)
+        return older
+
+    def _compact(self, run: _Run) -> None:
+        """Drop ``run``'s tombstones in place."""
+        rows = run.live_rows()
+        for name, _dtype in _COLUMNS:
+            setattr(run, name, getattr(run, name)[rows])
+        run.dead = 0
+        self._c_rewritten.add(len(run.keys))
+
+    def _fold(self) -> _Run:
+        """Fold every run into one tombstone-free run and return it.
+        Newest first, so each merge rewrites the smaller runs and the
+        oldest, largest run is rewritten once."""
+        runs = self._runs
+        while len(runs) > 1:
+            newer = runs.pop()
+            self._merge(runs[-1], newer)
+        if runs and runs[0].dead:
+            self._compact(runs[0])
+        self._runs = [run for run in runs if len(run.keys)]
+        return self._runs[0] if self._runs else _Run.empty()
 
     def remap(self, from_prefix: str, to_prefix: str) -> int:
         with METRICS.timed("tm.remap.vector"):
@@ -597,37 +734,58 @@ class VectorFlowTable(_PlaneBase):
             to_id = self.prefix_id(to_prefix)
             if from_id == to_id:
                 return 0
-            mask = self._prefix == from_id
-            moved = int(mask.sum())
-            if moved:
-                self._prefix[mask] = to_id
+            moved = 0
+            for run in self._runs:
+                # A tombstone's prefix id is _ENDED, so it never matches.
+                mask = run.prefix == from_id
+                count = int(np.count_nonzero(mask))
+                if count:
+                    run.prefix[mask] = to_id
+                    moved += count
             self._c_remapped.add(moved)
             return moved
 
     def end(self, keys: np.ndarray) -> int:
-        keys = np.asarray(keys, dtype=np.uint64)
-        rows, found = self._locate(keys)
-        doomed = np.unique(rows[found])
-        if len(doomed):
-            keep = np.ones(len(self._keys), dtype=bool)
-            keep[doomed] = False
-            self._keys = self._keys[keep]
-            self._service = self._service[keep]
-            self._prefix = self._prefix[keep]
-            self._bytes = self._bytes[keep]
-            self._created = self._created[keep]
-            self._last_seen = self._last_seen[keep]
-        ended = int(len(doomed))
+        # Sorted and without repeats, so each live flow ends once.
+        pending = np.sort(np.asarray(keys, dtype=np.uint64))
+        if len(pending):
+            pending = pending[np.r_[True, pending[1:] != pending[:-1]]]
+        ended = 0
+        for run in reversed(self._runs):
+            if not len(pending):
+                break
+            rows, found = run.locate(pending)
+            if not found.any():
+                continue
+            doomed = rows[found]
+            run.prefix[doomed] = _ENDED
+            run.dead += len(doomed)
+            ended += len(doomed)
+            pending = pending[~found]
+            if 2 * run.dead > len(run.keys):
+                self._compact(run)
+        self._runs = [run for run in self._runs if len(run.keys)]
         self._c_ended.add(ended)
         return ended
 
     def flow_count(self) -> int:
-        return len(self._keys)
+        return sum(run.live for run in self._runs)
+
+    def _per_prefix(self, weigh_bytes: bool) -> np.ndarray:
+        """Live flows (or their bytes) summed per prefix id."""
+        slots = len(self._prefix_names) + 1
+        totals = np.zeros(slots)
+        for run in self._runs:
+            # Shifted by one so tombstones gather in slot 0.
+            totals += np.bincount(
+                run.prefix + 1,
+                weights=run.bytes if weigh_bytes else None,
+                minlength=slots,
+            )
+        return totals[1:]
 
     def destinations(self) -> Dict[str, int]:
-        if not len(self._keys):
-            return {}
-        counts = np.bincount(self._prefix, minlength=len(self._prefix_names))
+        counts = self._per_prefix(weigh_bytes=False)
         return {
             self._prefix_names[pid]: int(count)
             for pid, count in enumerate(counts)
@@ -635,12 +793,8 @@ class VectorFlowTable(_PlaneBase):
         }
 
     def bytes_by_destination(self) -> Dict[str, float]:
-        if not len(self._keys):
-            return {}
-        totals = np.bincount(
-            self._prefix, weights=self._bytes, minlength=len(self._prefix_names)
-        )
-        counts = np.bincount(self._prefix, minlength=len(self._prefix_names))
+        counts = self._per_prefix(weigh_bytes=False)
+        totals = self._per_prefix(weigh_bytes=True)
         return {
             self._prefix_names[pid]: float(totals[pid])
             for pid in range(len(self._prefix_names))
@@ -650,31 +804,25 @@ class VectorFlowTable(_PlaneBase):
     def to_packed_snapshot(self) -> Dict[str, Any]:
         """The plane's one snapshot encoding: base64-packed columns.
 
+        The runs are folded into one first, so the encoding is canonical:
+        the live flows' columns in key order, whatever batches built them.
         The raw column bytes (~37 bytes/flow) are what :meth:`to_snapshot`
         returns and what rides inside controller checkpoints
         (:class:`repro.soak.SoakDriver`).
         """
-        import base64
-
-        def pack(array: np.ndarray) -> Dict[str, str]:
-            return {
-                "dtype": str(array.dtype),
-                "b64": base64.b64encode(
-                    np.ascontiguousarray(array).tobytes()
-                ).decode("ascii"),
-            }
-
+        run = self._fold()
         return {
             "version": TM_SNAPSHOT_VERSION,
             "kind": "vector-packed",
             "prefixes": list(self._prefix_names),
             "columns": {
-                "keys": pack(self._keys),
-                "service": pack(self._service),
-                "prefix": pack(self._prefix),
-                "bytes": pack(self._bytes),
-                "created": pack(self._created),
-                "last_seen": pack(self._last_seen),
+                name: {
+                    "dtype": str(column.dtype),
+                    "b64": base64.b64encode(
+                        np.ascontiguousarray(column).tobytes()
+                    ).decode("ascii"),
+                }
+                for (name, _dtype), column in zip(_COLUMNS, run.columns())
             },
         }
 
@@ -682,37 +830,42 @@ class VectorFlowTable(_PlaneBase):
     def from_packed_snapshot(
         cls, snapshot: Mapping[str, Any]
     ) -> "VectorFlowTable":
-        """Inverse of :meth:`to_packed_snapshot` (exact bit round-trip)."""
-        import base64
+        """Inverse of :meth:`to_packed_snapshot` (exact bit round-trip).
 
+        Raises ``ValueError`` for a column that is missing, of another
+        dtype or of another length, keys that are not strictly increasing,
+        and prefix ids the snapshot does not name.
+        """
         _check_snapshot(snapshot, "vector-packed")
         plane = cls()
         for name in snapshot["prefixes"]:
             plane.prefix_id(name)
         columns = snapshot["columns"]
 
-        def unpack(payload: Mapping[str, str]) -> np.ndarray:
+        def unpack(name: str, dtype: type) -> np.ndarray:
+            payload = columns.get(name)
+            if payload is None:
+                raise ValueError(f"packed snapshot has no {name!r} column")
+            expected = str(np.dtype(dtype))
+            if payload.get("dtype") != expected:
+                raise ValueError(
+                    f"packed snapshot column {name!r} has dtype "
+                    f"{payload.get('dtype')!r}, not {expected!r}"
+                )
             return np.frombuffer(
-                base64.b64decode(payload["b64"]),
-                dtype=np.dtype(payload["dtype"]),
+                base64.b64decode(payload["b64"]), dtype=dtype
             ).copy()
 
-        plane._keys = unpack(columns["keys"])
-        plane._service = unpack(columns["service"])
-        plane._prefix = unpack(columns["prefix"])
-        plane._bytes = unpack(columns["bytes"])
-        plane._created = unpack(columns["created"])
-        plane._last_seen = unpack(columns["last_seen"])
-        lengths = {
-            len(plane._keys),
-            len(plane._service),
-            len(plane._prefix),
-            len(plane._bytes),
-            len(plane._created),
-            len(plane._last_seen),
-        }
-        if len(lengths) != 1:
+        run = _Run(*(unpack(name, dtype) for name, dtype in _COLUMNS))
+        if len({len(column) for column in run.columns()}) != 1:
             raise ValueError("packed snapshot columns have mismatched lengths")
+        if not len(run.keys):
+            return plane
+        if (run.keys[1:] <= run.keys[:-1]).any():
+            raise ValueError("packed snapshot keys are not strictly increasing")
+        if run.prefix.min() < 0 or run.prefix.max() >= len(plane._prefix_names):
+            raise ValueError("snapshot pins a flow to an unknown prefix id")
+        plane._runs = [run]
         return plane
 
     def to_snapshot(self) -> Dict[str, Any]:

@@ -7,6 +7,7 @@ moves.  The property tests drive both planes through the same randomized
 batch sequences to enforce that.
 """
 
+import base64
 import math
 
 import numpy as np
@@ -79,6 +80,16 @@ class TestFlowBatch:
                 keys=np.array([1], dtype=np.uint64),
                 service_ids=np.array([0], dtype=np.int32),
                 payload_bytes=np.array([-1.0]),
+            )
+
+    def test_negative_service_id_rejected(self):
+        """A negative id names no service; it would index the vector
+        plane's selection array from the end, so the batch refuses it."""
+        with pytest.raises(ValueError, match="service ids"):
+            FlowBatch(
+                keys=np.array([1], dtype=np.uint64),
+                service_ids=np.array([-1], dtype=np.int32),
+                payload_bytes=np.array([1.0]),
             )
 
     def test_from_flows_matches_flow_key(self):
@@ -395,6 +406,201 @@ class TestSnapshots:
         snapshot = vector.to_snapshot()
         assert snapshot["kind"] == "vector-packed"
         assert snapshot == vector.to_packed_snapshot()
+
+
+def packed_columns(snapshot):
+    """A packed snapshot's columns, decoded."""
+    return {
+        name: np.frombuffer(base64.b64decode(payload["b64"]), dtype=payload["dtype"])
+        for name, payload in snapshot["columns"].items()
+    }
+
+
+def packed_snapshot(prefixes, **columns):
+    """A hand-built packed snapshot; columns not given are zeros as long
+    as ``keys``."""
+    n = len(columns["keys"])
+    arrays = {
+        "keys": None,
+        "service": np.zeros(n, dtype=np.int32),
+        "prefix": np.zeros(n, dtype=np.int32),
+        "bytes": np.zeros(n),
+        "created": np.zeros(n),
+        "last_seen": np.zeros(n),
+    }
+    arrays.update(columns)
+    return {
+        "version": TM_SNAPSHOT_VERSION,
+        "kind": "vector-packed",
+        "prefixes": list(prefixes),
+        "columns": {
+            name: {
+                "dtype": str(array.dtype),
+                "b64": base64.b64encode(array.tobytes()).decode("ascii"),
+            }
+            for name, array in arrays.items()
+        },
+    }
+
+
+class TestTieredTable:
+    """The vector plane's sorted runs, tombstones and canonical snapshot."""
+
+    CHURN = st.lists(
+        st.tuples(
+            st.sampled_from(["bulk", "trickle", "end", "readmit", "remap"]),
+            st.integers(0, 2**16),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+
+    @given(ops=CHURN)
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_churn_agrees_with_scalar_and_packs_canonically(self, ops):
+        """Many small batches (so many runs and merges), ends (tombstones)
+        and re-admissions of ended keys agree with the scalar reference
+        on every result; the packed snapshot is the reference's live flows
+        in key order, whatever runs held them."""
+        scalar, vector = ScalarDataPlane(), VectorFlowTable()
+        selections = make_selections(4)
+        offered, ended = [], []
+        for step, (op, seed) in enumerate(ops):
+            if op == "end":
+                if offered:
+                    victims = offered[seed % len(offered)][: seed % 120 + 1]
+                    assert scalar.end(victims) == vector.end(victims)
+                    ended.append(victims)
+            elif op == "remap":
+                src, dst = PREFIXES[seed % 3], PREFIXES[(seed // 3) % 3]
+                assert scalar.remap(src, dst) == vector.remap(src, dst)
+            else:
+                batch = FlowBatch.synthesize(
+                    200 if op == "bulk" else 5, seed=seed, n_services=4
+                )
+                if op == "readmit" and ended:
+                    back = ended[seed % len(ended)]
+                    batch = FlowBatch(
+                        keys=np.concatenate([back, batch.keys]),
+                        service_ids=np.concatenate(
+                            [np.full(len(back), seed % 4, dtype=np.int32), batch.service_ids]
+                        ),
+                        payload_bytes=np.concatenate(
+                            [np.full(len(back), 5.0), batch.payload_bytes]
+                        ),
+                    )
+                rs = scalar.forward(batch, selections, float(step))
+                rv = vector.forward(batch, selections, float(step))
+                assert np.array_equal(rs.assignments, rv.assignments)
+                assert (rs.admitted, rs.existing, rs.unroutable, rs.bytes_recorded) == (
+                    rv.admitted, rv.existing, rv.unroutable, rv.bytes_recorded
+                )
+                offered.append(batch.keys)
+            assert_planes_agree(scalar, vector)
+        flows = scalar.to_snapshot()["flows"]
+        keys = sorted(flows)
+        expected = {
+            name: np.array([flows[key][i] for key in keys], dtype=dtype)
+            for i, (name, dtype) in enumerate(
+                [("service", np.int32), ("prefix", np.int32), ("bytes", np.float64),
+                 ("created", np.float64), ("last_seen", np.float64)]
+            )
+        }
+        expected = {"keys": np.array(keys, dtype=np.uint64), **expected}
+        snapshot = vector.to_packed_snapshot()
+        columns = packed_columns(snapshot)
+        assert list(columns) == list(expected)
+        for name, column in expected.items():
+            assert columns[name].tobytes() == column.tobytes(), name
+        assert plane_from_snapshot(snapshot).to_packed_snapshot() == snapshot
+
+    def test_ended_key_readmits_under_the_current_selection(self):
+        key = np.array([42], dtype=np.uint64)
+        one = FlowBatch(
+            keys=key, service_ids=np.array([0], dtype=np.int32),
+            payload_bytes=np.array([10.0]),
+        )
+        for plane in (ScalarDataPlane(), VectorFlowTable()):
+            plane.forward(one, {0: PREFIXES[0]}, 0.0)
+            assert plane.end(key) == 1
+            assert plane.end(key) == 0
+            result = plane.forward(one, {0: PREFIXES[1]}, 1.0)
+            assert (result.admitted, result.existing) == (1, 0)
+            assert plane.destinations() == {PREFIXES[1]: 1}
+            assert plane.bytes_by_destination() == {PREFIXES[1]: 10.0}
+
+    def test_small_batches_do_not_rewrite_the_table(self):
+        """A trickle of small admits into a large table rewrites
+        O(admitted · log admitted) rows, never the table; ending a few of
+        the table's flows rewrites nothing."""
+        from repro.telemetry import METRICS
+
+        selections = make_selections(4, include_none=False)
+        vector = VectorFlowTable()
+        table = FlowBatch.synthesize(1 << 16, seed=1, n_services=4)
+        vector.forward(table, selections, 0.0)
+        rewritten = METRICS.counter("tm.rows_rewritten")
+        before = rewritten.value
+        batches = size = 64
+        for seed in range(batches):
+            vector.forward(
+                FlowBatch.synthesize(size, seed=100 + seed, n_services=4), selections, 1.0
+            )
+        admitted = batches * size
+        assert vector.flow_count() == len(table) + admitted
+        assert 0 < rewritten.value - before <= admitted * math.log2(admitted)
+        before = rewritten.value
+        assert vector.end(table.keys[:100]) == 100
+        assert rewritten.value == before
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ({"keys": np.array([3, 1, 2], dtype=np.uint64)}, "strictly increasing"),
+            ({"keys": np.array([1, 1, 2], dtype=np.uint64)}, "strictly increasing"),
+            ({"keys": np.array([1, 2], dtype=np.uint64),
+              "prefix": np.array([0, 1], dtype=np.int32)}, "unknown prefix id"),
+            ({"keys": np.array([1, 2], dtype=np.uint64),
+              "prefix": np.array([0, -1], dtype=np.int32)}, "unknown prefix id"),
+            ({"keys": np.array([1, 2], dtype=np.int64)}, "dtype"),
+            ({"keys": np.array([1, 2], dtype=np.uint64),
+              "bytes": np.zeros(3)}, "mismatched lengths"),
+        ],
+        ids=["unsorted", "repeated", "prefix-past-end", "negative-prefix",
+             "key-dtype", "lengths"],
+    )
+    def test_restore_rejects_malformed_columns(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            plane_from_snapshot(packed_snapshot(["a/24"], **columns))
+
+    def test_restore_rejects_missing_column(self):
+        snapshot = packed_snapshot(["a/24"], keys=np.array([1], dtype=np.uint64))
+        del snapshot["columns"]["bytes"]
+        with pytest.raises(ValueError, match="no 'bytes' column"):
+            plane_from_snapshot(snapshot)
+
+    @given(rows=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(-1, 2)), max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_restore_accepts_exactly_the_canonical_layouts(self, rows):
+        """Strictly increasing keys pinned to named prefixes restore and
+        re-pack to the same bytes; anything else is a ValueError."""
+        keys = [key for key, _pid in rows]
+        pids = [pid for _key, pid in rows]
+        snapshot = packed_snapshot(
+            ["a/24", "b/24"],
+            keys=np.array(keys, dtype=np.uint64),
+            prefix=np.array(pids, dtype=np.int32),
+        )
+        canonical = all(a < b for a, b in zip(keys, keys[1:])) and all(
+            0 <= pid < 2 for pid in pids
+        )
+        if not canonical:
+            with pytest.raises(ValueError):
+                plane_from_snapshot(snapshot)
+            return
+        plane = plane_from_snapshot(snapshot)
+        assert plane.flow_count() == len(rows)
+        assert plane.to_packed_snapshot() == snapshot
 
 
 def assert_planes_agree_pair(a: DataPlane, b: DataPlane):
