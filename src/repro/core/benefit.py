@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -404,10 +404,6 @@ class BenefitEvaluator:
             gains=np.array(gains, dtype=np.float64),
         )
 
-    def begin_prefix_scan(self) -> "PrefixScan":
-        """Start an incremental Eq.-2 session for one prefix's inner loop."""
-        return PrefixScan(self)
-
     # -- Eq. 2: modeled improvement -------------------------------------------
 
     def expected_prefix_latency(
@@ -421,14 +417,7 @@ class BenefitEvaluator:
                 return None
             (pid,) = compliant
             return self.latency(ug, pid)
-        epoch = self._model.ug_epoch(ug.ug_id)
-        entry = self._exp_cache.get(ug.ug_id)
-        if entry is None or entry[0] != epoch:
-            if entry is not None:
-                self._exp_stats.invalidations += 1
-            entry = (epoch, {})
-            self._exp_cache[ug.ug_id] = entry
-        cache = entry[1]
+        cache = self._expected_memo(ug)
         value = cache.get(compliant, _UNSET)
         if value is not _UNSET:
             self._exp_stats.hits += 1
@@ -439,6 +428,26 @@ class BenefitEvaluator:
         )
         cache[compliant] = value
         return value
+
+    def _expected_memo(self, ug: UserGroup) -> Dict[FrozenSet[int], Optional[float]]:
+        """The UG's Eq.-2 memo under the model's current beliefs."""
+        epoch = self._model.ug_epoch(ug.ug_id)
+        entry = self._exp_cache.get(ug.ug_id)
+        if entry is None or entry[0] != epoch:
+            if entry is not None:
+                self._exp_stats.invalidations += 1
+            entry = (epoch, {})
+            self._exp_cache[ug.ug_id] = entry
+        return entry[1]
+
+    def remember_expected(
+        self, ug: UserGroup, compliant: FrozenSet[int], value: Optional[float]
+    ) -> None:
+        """Record ``expected_prefix_latency`` of a compliant set computed
+        elsewhere — the solve's array evaluation of learned rows, which is
+        bit-identical to it — so evaluating the solved configuration next
+        does not compute it again."""
+        self._expected_memo(ug)[compliant] = value
 
     def expected_improvement(self, ug: UserGroup, config: AdvertisementConfig) -> float:
         """Eq. 2: improvement of the best prefix over anycast, floored at 0."""
@@ -541,53 +550,6 @@ class BenefitEvaluator:
         return ConfigEvaluation(
             lower=lower, mean=mean, estimated=estimated, upper=upper, per_ug_estimated=per_ug
         )
-
-
-class PrefixScan:
-    """Exact Eq.-2 evaluation for one prefix's greedy inner loop.
-
-    Algorithm 1's inner loop evaluates ``expected_prefix_latency(ug, A ∪
-    {pid})`` for a slowly-growing advertised set ``A`` and thousands of
-    candidate peerings.  For UGs the model has **no learned state** about
-    (no preference pairs, no outcome memory —
-    :meth:`RoutingModel.has_learned_state`) the prediction reduces to pure
-    reuse-distance pruning,
-
-        kept = {q ∈ compliant : dist(q) ≤ min_dist(compliant) + D_reuse}
-
-    which :class:`repro.parallel.shard.ShardState` evaluates for whole
-    peerings at a time from per-row arrays and counts as
-    ``evaluator.scan_fast_queries``.  This session serves the rest: it
-    tracks ``A`` and answers queries about learned UGs through the
-    evaluator's exact, memoized path (``evaluator.scan_slow_queries``).
-
-    Mutating the routing model mid-scan (``observe``/``restore``) is not
-    supported — Algorithm 1 only learns *between* solves.
-    """
-
-    __slots__ = ("_ev", "_advertised", "_frozen", "_slow_queries")
-
-    def __init__(self, evaluator: BenefitEvaluator) -> None:
-        self._ev = evaluator
-        self._advertised: Set[int] = set()
-        self._frozen: FrozenSet[int] = frozenset()
-        self._slow_queries = METRICS.counter("evaluator.scan_slow_queries")
-
-    def query(self, ug: UserGroup, peering_id: int) -> Optional[float]:
-        """Expected latency of the accepted set plus ``peering_id``."""
-        self._slow_queries.value += 1
-        return self._ev.expected_prefix_latency(
-            ug, frozenset(self._advertised | {peering_id})
-        )
-
-    def current(self, ug: UserGroup) -> Optional[float]:
-        """Expected latency of the accepted set as it stands."""
-        return self._ev.expected_prefix_latency(ug, self._frozen)
-
-    def accept(self, peering_id: int) -> None:
-        """Fold an accepted peering into the session state."""
-        self._advertised.add(peering_id)
-        self._frozen = frozenset(self._advertised)
 
 
 def realized_improvement(

@@ -273,6 +273,7 @@ class _WarmSource:
         self._inner.accept(pid)
 
     def end_prefix(self) -> None:
+        self._inner.end_prefix()
         if self.intact and self._accepts != len(self._replayed.accepts):
             # We stopped accepting earlier than the memo solve did (a dirty
             # marginal dropped below the cutoff): later prefixes see a

@@ -264,7 +264,10 @@ def restore_routing_model(model: RoutingModel, document: Dict[str, Any]) -> None
     """Load saved learned state into an existing model (catalog-bound).
 
     Accepts both version-2 documents (preferences + outcome memory +
-    counters) and legacy version-1 documents (preferences only).
+    counters) and legacy version-1 documents (preferences only).  Anything
+    the model's catalog does not have — an unknown UG, peering or peer
+    ASN, a self-pair — raises :class:`SerializationError` and leaves the
+    model unchanged.
     """
     _check_header(document, _MODEL_KIND, versions=(1, _MODEL_FORMAT_VERSION))
     preferences = document.get("preferences")
@@ -287,15 +290,20 @@ def restore_routing_model(model: RoutingModel, document: Dict[str, Any]) -> None
         }
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"bad outcome entries: {exc}") from exc
-    model.restore_preferences(
-        {
-            "version": 2,
-            "preferences": preference_state,
-            "outcomes": outcomes,
-            "observation_count": int(document.get("observation_count", 0)),
-            "stale_observation_count": int(document.get("stale_observation_count", 0)),
-        }
-    )
+    try:
+        model.restore_preferences(
+            {
+                "version": 2,
+                "preferences": preference_state,
+                "outcomes": outcomes,
+                "observation_count": int(document.get("observation_count", 0)),
+                "stale_observation_count": int(
+                    document.get("stale_observation_count", 0)
+                ),
+            }
+        )
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"bad routing-model state: {exc}") from exc
 
 
 def save_routing_model(model: RoutingModel, path: PathLike) -> None:

@@ -34,6 +34,7 @@ from repro.parallel.shard import (
 from repro.parallel.shared import SharedArray
 from repro.parallel.solver import (
     SPECULATIVE_REFRESHES,
+    LearnedRows,
     ParallelSolver,
     RowSource,
     ShardedSource,
@@ -66,6 +67,7 @@ def enable_parallel() -> None:
 
 __all__ = [
     "DEFAULT_TIMEOUT_S",
+    "LearnedRows",
     "ParallelSolver",
     "RowSource",
     "SPECULATIVE_REFRESHES",

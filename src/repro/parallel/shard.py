@@ -127,9 +127,10 @@ class RowLayout(NamedTuple):
     #: Where each peering's unlearned rows start in the flat pair ordering
     #: (the gain buffer's layout).
     offset: Dict[int, int]
-    #: The learned ``(UG, row)`` remainder per peering, which the parent
-    #: evaluates through the exact Eq.-2 path (absent when none).
-    learned: Dict[int, List[Tuple[object, int]]]
+    #: The learned remainder of each peering's rows, ascending, which the
+    #: parent evaluates against the routing model's compiled learned state
+    #: (absent when none).
+    learned: Dict[int, "np.ndarray"]
     #: Total unlearned pair count.
     total: int
 
@@ -150,18 +151,14 @@ def learned_layout(ctx: ShardContext, learned_ug_ids: Sequence[int]) -> RowLayou
     )
     rows_of: Dict[int, "np.ndarray"] = {}
     offset: Dict[int, int] = {}
-    learned: Dict[int, List[Tuple[object, int]]] = {}
+    learned: Dict[int, "np.ndarray"] = {}
     off = 0
     for pid in ctx.all_peering_ids:
         rows = ctx.rows_np[pid]
         if learned_rows:
             keep = ~np.isin(rows, learned_sorted)
             if not keep.all():
-                learned[pid] = [
-                    (ug, row)
-                    for ug, row in zip(ctx.affected[pid], rows.tolist())
-                    if row in learned_rows
-                ]
+                learned[pid] = rows[~keep]
                 rows = rows[keep]
         rows_of[pid] = rows
         offset[pid] = off

@@ -5,11 +5,13 @@ here the gains come from UG rows held by :class:`ShardState` shards.
 
 :class:`RowSource` is the parent-side reducer, written once: it owns what
 spans rows and prefixes — each UG's best latency from *other* prefixes, the
-per-prefix expected latencies accepts leave behind, the exact Eq.-2 terms
-of learned UGs — and turns the shards' per-row vectors into marginals with
-the only floating-point reductions of the solve (``vol @ gain``,
-``contrib.sum()``, then the learned terms in row order).  On its own it
-runs the serial solve: one shard over every row, called in-process.
+per-prefix expected latencies accepts leave behind, the Eq.-2 terms of
+learned UGs (:class:`LearnedRows`, in arrays against the routing model's
+compiled learned state) — and turns the shards' per-row vectors into
+marginals with the only floating-point reductions of the solve (``vol @
+gain``, ``contrib.sum()``, then the learned terms one at a time in row
+order).  On its own it runs the serial solve: one shard over every row,
+called in-process.
 
 :class:`ShardedSource` is the same reducer with ``N`` shards behind the
 pipes of a :class:`ParallelSolver`'s fork pool:
@@ -32,20 +34,22 @@ float for every shard count — not just the configuration it decides.
 
 Refreshes are batched speculatively: alongside the requested peering, up
 to :data:`SPECULATIVE_REFRESHES` stale heap-top candidates ride the same
-round trip.  Their contribution vectors are pure functions of the round
-state, so keeping them until the next accept changes no value — it only
-saves pipe latency during re-push streaks.
+round trip (and the same pass over the learned rows).  Their values are
+pure functions of the round state, so keeping them until the next accept
+changes no value — it only saves pipe latency and per-pass array set-up
+during re-push streaks.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.parallel.pool import DEFAULT_TIMEOUT_S, WorkerPool, WorkerPoolError
 from repro.parallel.shard import (
+    INITIAL_SCAN_WIDTH,
     ShardContext,
     ShardState,
     learned_layout,
@@ -61,8 +65,158 @@ logger = logging.getLogger(__name__)
 SPECULATIVE_REFRESHES = 3
 
 #: A marginal's summation breakdown: the per-row contribution vector of the
-#: unlearned rows and the ordered exact terms of the learned ones.
-MarginalDetail = Tuple["np.ndarray", Sequence[float]]
+#: unlearned rows and the ordered terms of the learned ones (the shared
+#: empty tuple when the peering has none).
+MarginalDetail = Tuple["np.ndarray", Union["np.ndarray", Tuple[()]]]
+
+
+def _accumulate(total: float, terms: "np.ndarray") -> float:
+    """``total`` plus every term, one at a time in order — never a pairwise
+    ``ndarray.sum``, whose grouping a patched replay could not match."""
+    for term in terms.tolist():
+        total += term
+    return total
+
+
+#: One learned-row query batch: ``(pid, slots)`` pairs, each asking for the
+#: accepted set plus ``pid`` at ``slots`` (ascending, each with ``pid``
+#: compliant and not yet accepted).
+Queries = Sequence[Tuple[int, "np.ndarray"]]
+
+
+class LearnedRows:
+    """Eq. 2 for the learned UG rows of one solve, in arrays.
+
+    A learned UG's expected latency under an advertised set is a function
+    of its compliant subset and its learned state, which the routing model
+    compiles once per solve into a :class:`~repro.core.routing_model.
+    DominanceTable` with one slot per learned row (``rows``, ascending).
+    Per round this keeps each slot's accepted compliant peerings in a
+    ``pad``-filled 2-D table (widened as needed, like ``ShardState``'s
+    ``kd``), their peer-ASN bitset, and per outcome-memory entry how many
+    of its peerings are accepted.  A batch of queries — the accepted set
+    plus ``pid``, for learned rows ``pid`` serves — is then one pass of
+    array operations: the table's candidate rule, the outcome override (an
+    entry naming ``pid`` whose other members are exactly the accepted
+    ones), and a masked mean summed in ascending peering id.
+    """
+
+    def __init__(self, ctx: ShardContext, learned: Dict[int, "np.ndarray"]) -> None:
+        self.rows = np.unique(np.concatenate(list(learned.values())))
+        #: Peering -> slots of its learned rows (ascending, like the rows).
+        self.slots = {
+            pid: np.searchsorted(self.rows, rows) for pid, rows in learned.items()
+        }
+        self._ugs = ctx.scenario.user_groups
+        self._evaluator = ctx.evaluator
+        self.table = table = ctx.model.dominance_table(
+            [self._ugs[row].ug_id for row in self.rows.tolist()]
+        )
+        self._d_reuse = ctx.d_reuse
+        self._lat = ctx.lat_mat
+        self._dist = ctx.dist_mat
+        #: Peering id -> matrix column (the pad reads column 0, masked).
+        self._col = np.zeros(table.k, dtype=np.intp)
+        for pid, col in ctx.col_of.items():
+            self._col[pid] = col
+        # Outcome entries by member peering: entries naming ``pid`` are
+        # ``_entry[_entry_start[pid]:_entry_start[pid + 1]]``.
+        sizes = np.diff(table.out_start)
+        order = np.argsort(table.out_members, kind="stable")
+        self._entry = np.repeat(np.arange(table.n_outcomes), sizes)[order]
+        self._entry_start = np.searchsorted(
+            table.out_members[order], np.arange(table.k + 1)
+        )
+        self._entry_size = sizes
+
+    def begin_round(self) -> None:
+        """Nothing accepted yet."""
+        n = len(self.rows)
+        self._acc = np.full((n, INITIAL_SCAN_WIDTH), self.table.pad, dtype=np.int64)
+        self._n_acc = np.zeros(n, dtype=np.intp)
+        self._bits = np.zeros((n, self.table.contexts.shape[2]), dtype=np.uint64)
+        self._in_acc = np.zeros(self.table.n_outcomes, dtype=np.intp)
+
+    def _entries(self, pid: int) -> "np.ndarray":
+        return self._entry[self._entry_start[pid] : self._entry_start[pid + 1]]
+
+    def kept(self, queries: Queries) -> Tuple["np.ndarray", "np.ndarray"]:
+        """``(candidates, kept mask)``, one row per (query, slot) in order:
+        the compliant set ascending (``pad`` beyond its end) and which of
+        it Eq. 2 averages over."""
+        slots = np.concatenate([at for _, at in queries])
+        pids = np.repeat([pid for pid, _ in queries], [len(at) for _, at in queries])
+        rows = self.rows[slots]
+        width = int(self._n_acc[slots].max(initial=0))
+        cand = np.sort(
+            np.concatenate([self._acc[slots, :width], pids[:, None]], axis=1), axis=1
+        )
+        table = self.table
+        bits = self._bits[slots]
+        bits[np.arange(len(slots)), table.pid_word[pids]] |= table.pid_bit[pids]
+        cols = self._col[cand]
+        kept = table.kept(slots, cand, bits, self._dist[rows[:, None], cols], self._d_reuse)
+        start = 0
+        for pid, at in queries:
+            entries = self._entries(pid)
+            if len(entries) and len(at):
+                owner = table.out_slot[entries]
+                pos = np.minimum(np.searchsorted(at, owner), len(at) - 1)
+                n_owner = self._n_acc[owner]
+                hit = (
+                    (at[pos] == owner)
+                    & (self._entry_size[entries] == n_owner + 1)
+                    & (self._in_acc[entries] == n_owner)
+                )
+                if hit.any():
+                    row = start + pos[hit]
+                    kept[row] = cand[row] == table.out_winner[entries[hit]][:, None]
+            start += len(at)
+        return cand, kept
+
+    def expected(self, queries: Queries) -> "np.ndarray":
+        """Eq.-2 expected latency (``+inf``: nothing measurable), one per
+        (query, slot) in order."""
+        slots = np.concatenate([at for _, at in queries])
+        rows = self.rows[slots]
+        if not self._n_acc[slots].any():
+            # Singletons: (0.0 + latency) / 1 is the latency itself.
+            cols = [np.full(len(at), self._col[pid]) for pid, at in queries]
+            return self._lat[rows, np.concatenate(cols)]
+        cand, kept = self.kept(queries)
+        lat = self._lat[rows[:, None], self._col[cand]]
+        use = kept & (lat != np.inf)
+        total = np.cumsum(np.where(use, lat, 0.0), axis=1)[:, -1]
+        count = use.sum(axis=1)
+        value = np.full(len(slots), np.inf)
+        np.divide(total, count, out=value, where=count > 0)
+        return value
+
+    def remember(self, column: "np.ndarray") -> None:
+        """Leave each learned row's expected latency under the round's final
+        accepted set (``column``, by world row) in the evaluator's Eq.-2
+        memo: evaluating the solved configuration asks for exactly these."""
+        for slot in np.flatnonzero(self._n_acc > 1).tolist():
+            row = int(self.rows[slot])
+            value = float(column[row])
+            self._evaluator.remember_expected(
+                self._ugs[row],
+                frozenset(self._acc[slot, : self._n_acc[slot]].tolist()),
+                None if value == np.inf else value,
+            )
+
+    def accept(self, pid: int) -> None:
+        """Fold an accepted peering into the round state of its slots."""
+        slots = self.slots[pid]
+        n_acc = self._n_acc[slots]
+        if n_acc.max(initial=0) == self._acc.shape[1]:
+            self._acc = np.concatenate(
+                [self._acc, np.full_like(self._acc, self.table.pad)], axis=1
+            )
+        self._acc[slots, n_acc] = pid
+        self._n_acc[slots] = n_acc + 1
+        self._bits[slots, self.table.pid_word[pid]] |= self.table.pid_bit[pid]
+        self._in_acc[self._entries(pid)] += 1
 
 
 class RowSource:
@@ -81,21 +235,26 @@ class RowSource:
         self.peering_ids = peering_ids
         self._ctx = ctx
         self._shard = shard
-        self._evaluator = ctx.evaluator
         ugs = ctx.scenario.user_groups
         self._anycast = np.array(
             [ctx.scenario.anycast_latency_ms(ug) for ug in ugs]
         )
-        self._vol_list = [ug.volume for ug in ugs]
+        self._vol = np.array([ug.volume for ug in ugs])
         #: Expected latency per (UG row, prefix); +inf where the prefix is
         #: unusable for the UG (None), so row minima need no masking.
         self._exp = np.full((len(ugs), budget), np.inf)
-        #: Learned ``(UG, row)`` pairs per peering: evaluated here, exactly.
-        self._learned = self._prep(learned_ug_ids)
+        self._slow_queries = METRICS.counter("evaluator.scan_slow_queries")
+        learned = self._prep(learned_ug_ids)
+        #: The learned rows, evaluated here against the compiled model.
+        self._learned = LearnedRows(ctx, learned) if learned else None
+        if learned:
+            # A learned query costs a pass of array operations whatever its
+            # size, so stale heap-top peerings ride along (see marginal).
+            self.lookahead = SPECULATIVE_REFRESHES
 
     # -- where the rows are (overridden by ShardedSource) --------------------
 
-    def _prep(self, learned_ug_ids: Sequence[int]) -> Dict[int, list]:
+    def _prep(self, learned_ug_ids: Sequence[int]) -> Dict[int, "np.ndarray"]:
         self._shard.prep(learned_ug_ids)
         return self._shard.layout.learned
 
@@ -124,12 +283,17 @@ class RowSource:
         base_np = self._anycast
         if len(base_np):
             base_np = np.minimum(base_np, self._exp.min(axis=1))
-        self._base = base_np.tolist()
-        #: Expected latency of the current prefix per learned UG row (None
-        #: until a compliant peering is accepted).
-        self._cur: Dict[int, Optional[float]] = {}
-        #: Eq.-2 session for the learned rows (the exact, memoized path).
-        self._scan = self._evaluator.begin_prefix_scan()
+        self._base = base_np
+        #: ``pid -> (terms, expected latencies)`` of its learned rows,
+        #: computed in a batch ahead of its refresh, or for its last one;
+        #: valid until the next accept.
+        self._known: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
+        if self._learned is not None:
+            self._learned.begin_round()
+            # Nothing is accepted yet, so every learned query is a
+            # singleton: one batch answers them all for the initial gains.
+            slots = self._learned.slots
+            self._known = dict(zip(slots, self._learned_terms(list(slots.items()))))
         self._round_start(base_np)
 
     def begin_prefix(self, prefix: int) -> List[float]:
@@ -138,52 +302,34 @@ class RowSource:
 
     def initial(self, pid: int) -> float:
         """Initial-heap gain: with nothing accepted yet, each unlearned row
-        contributes ``vol * max(0, base - latency)`` — one dot product."""
+        contributes ``vol * max(0, base - latency)`` — one dot product —
+        and each learned row its singleton term, in row order (``+ 0.0``
+        where the peering is no gain, which leaves the sum as it was)."""
         vol, gain = self._initial(pid)
         delta = float(vol @ gain)
-        for ug, row in self._learned.get(pid, ()):
-            base = self._base[row]
-            new_p = self._scan.query(ug, pid)
-            if new_p is not None and new_p < base:
-                delta += self._vol_list[row] * (base - new_p)
-        return delta
+        known = self._known.get(pid)
+        if known is None:
+            return delta
+        self._slow_queries.value += len(known[0])
+        return _accumulate(delta, known[0])
 
     def _learned_terms(
-        self,
-        pid: int,
-        recorded: Optional[Sequence[float]] = None,
-        changed: Set[int] = frozenset(),
-    ) -> Sequence[float]:
-        """Exact marginal terms of ``pid``'s learned rows, in row order.
-
-        With ``recorded`` terms (a volume patch), only ``changed`` rows are
-        re-evaluated.
-        """
-        learned = self._learned.get(pid)
-        if not learned:
-            # The shared empty tuple, not a fresh list: a warm memo holds
-            # one detail per marginal, and ``(ndarray, ())`` is a tuple the
-            # cyclic GC stops tracking — thousands of long-lived objects
-            # fewer per solve for every later full collection to walk.
-            return ()
-        terms: List[float] = []
-        base_list, cur_p, query = self._base, self._cur, self._scan.query
-        for i, (ug, row) in enumerate(learned):
-            if recorded is not None and row not in changed:
-                terms.append(recorded[i])
-                continue
-            base = base_list[row]
-            old_p = cur_p.get(row)
-            old_best = base if old_p is None or base < old_p else old_p
-            new_p = query(ug, pid)
-            if new_p is None:
-                new_best = old_best
-            elif new_p < base:
-                new_best = new_p
-            else:
-                new_best = base
-            terms.append(self._vol_list[row] * (old_best - new_best))
-        return terms
+        self, queries: Queries
+    ) -> List[Tuple["np.ndarray", "np.ndarray"]]:
+        """``(marginal terms, expected latencies)`` per query of learned
+        rows: each row's term is its volume times how much its best
+        latency improves."""
+        slots = np.concatenate([at for _, at in queries])
+        rows = self._learned.rows[slots]
+        value = self._learned.expected(queries)
+        base = self._base[rows]
+        old_best = np.minimum(base, self._exp[rows, self._prefix])
+        new_best = np.where(
+            value == np.inf, old_best, np.where(value < base, value, base)
+        )
+        terms = self._vol[rows] * (old_best - new_best)
+        cut = np.cumsum([len(at) for _, at in queries[:-1]], dtype=np.intp)
+        return list(zip(np.split(terms, cut), np.split(value, cut)))
 
     def marginal(
         self, pid: int, stale: Sequence[int] = ()
@@ -192,18 +338,35 @@ class RowSource:
 
         Every backend and every shard count yields bit-identical elements
         (the kernels are reduction-free — see :mod:`repro.kernels`), so the
-        one ``contrib.sum()`` here is the same float for all of them.  The
-        detail lets a later warm solve re-run this exact summation with a
-        few elements substituted (:meth:`patch`).
+        one ``contrib.sum()`` here is the same float for all of them; the
+        learned terms follow one at a time in row order.  The detail lets
+        a later warm solve re-run this exact summation with a few elements
+        substituted (:meth:`patch`).  The learned terms of the ``stale``
+        peerings are computed in the same batch and kept for their own
+        refreshes, which usually follow before the next accept.
         """
         contrib = self._contrib(pid, stale)
         delta = float(contrib.sum())
-        terms = self._learned_terms(pid)
-        for term in terms:
-            delta += term
+        learned = self._learned
+        if learned is None or pid not in learned.slots:
+            # The shared empty tuple, not a fresh array: a warm memo holds
+            # one detail per marginal, and ``(ndarray, ())`` is a tuple the
+            # cyclic GC stops tracking — thousands of long-lived objects
+            # fewer per solve for every later full collection to walk.
+            return delta, (contrib, ())
+        known = self._known
+        if pid not in known:
+            batch = [pid] + [
+                other for other in stale if other in learned.slots and other not in known
+            ][:SPECULATIVE_REFRESHES]
+            known.update(
+                zip(batch, self._learned_terms([(p, learned.slots[p]) for p in batch]))
+            )
+        terms = known[pid][0]
+        self._slow_queries.value += len(terms)
         # ``contrib`` is freshly allocated per call, so the detail can hold
         # it without a defensive copy.
-        return delta, (contrib, terms)
+        return _accumulate(delta, terms), (contrib, terms)
 
     def refresh(self, pid: int, stale: Sequence[int]) -> float:
         return self.marginal(pid, stale)[0]
@@ -219,28 +382,41 @@ class RowSource:
         summation is replayed.  In-process only.  Returns ``None`` when the
         recorded shape no longer fits the layout (caller re-evaluates).
         """
-        contrib0, terms0 = recorded
+        contrib0, terms = recorded
+        learned = self._learned
+        slots = learned.slots.get(pid) if learned is not None else None
         n_rows = len(self._shard.local[pid][0])
-        if len(contrib0) != n_rows or len(terms0) != len(self._learned.get(pid, ())):
+        if len(contrib0) != n_rows or len(terms) != (0 if slots is None else len(slots)):
             return None  # learned split drifted under the record
         patched = self._shard.patch_contrib(pid, contrib0, changed_rows)
         total = float(patched.sum())
-        terms = self._learned_terms(pid, terms0, changed_rows)
-        for term in terms:
-            total += term
-        return total, (patched, terms)
+        if slots is None:
+            return total, (patched, terms)
+        at = np.flatnonzero(
+            np.isin(learned.rows[slots], np.fromiter(changed_rows, np.intp))
+        )
+        if len(at):
+            self._slow_queries.value += len(at)
+            terms = terms.copy()
+            terms[at] = self._learned_terms([(pid, slots[at])])[0][0]
+        return _accumulate(total, terms), (patched, terms)
 
     def accept(self, pid: int) -> None:
-        self._scan.accept(pid)
         column = self._exp[:, self._prefix]
         rows, values = self._accept(pid)
         column[rows] = values
-        for ug, row in self._learned.get(pid, ()):
-            value = self._cur[row] = self._scan.current(ug)
-            column[row] = np.inf if value is None else value
+        learned = self._learned
+        if learned is not None and pid in learned.slots:
+            slots = learned.slots[pid]
+            known = self._known.get(pid)
+            value = known[1] if known is not None else learned.expected([(pid, slots)])
+            column[learned.rows[slots]] = value
+            learned.accept(pid)
+        self._known = {}
 
     def end_prefix(self) -> None:
-        pass
+        if self._learned is not None:
+            self._learned.remember(self._exp[:, self._prefix])
 
 
 class ShardedSource(RowSource):
@@ -263,14 +439,13 @@ class ShardedSource(RowSource):
         self._roundtrips = METRICS.counter("parallel.refresh_roundtrips")
         super().__init__(solver.ctx, budget, peering_ids, learned_ug_ids)
 
-    def _prep(self, learned_ug_ids: Sequence[int]) -> Dict[int, list]:
+    def _prep(self, learned_ug_ids: Sequence[int]) -> Dict[int, "np.ndarray"]:
         # The parent owns the live model; workers get the set explicitly
         # and derive the same layout from it.
         self._pool.broadcast("prep", learned_ug_ids)
         layout = learned_layout(self._ctx, learned_ug_ids)
-        vol_arr = np.array(self._vol_list)
         self._offset = layout.offset
-        self._vol = {pid: vol_arr[rows] for pid, rows in layout.rows.items()}
+        self._vol_of = {pid: self._vol[rows] for pid, rows in layout.rows.items()}
         return layout.learned
 
     def _round_start(self, base_np: "np.ndarray") -> None:
@@ -278,7 +453,7 @@ class ShardedSource(RowSource):
         self._pool.broadcast("round_start", base_np)
 
     def _initial(self, pid: int) -> Tuple["np.ndarray", "np.ndarray"]:
-        vol = self._vol[pid]
+        vol = self._vol_of[pid]
         start = self._offset[pid]
         return vol, self._gain_buf[start : start + len(vol)]
 

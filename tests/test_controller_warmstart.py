@@ -150,6 +150,44 @@ class TestWarmEqualsCold:
         )
 
 
+class TestWarmEqualsColdLearned:
+    """After an observation round every observed UG is a learned row, and
+    a volume shift on one patches its learned terms in the warm memo."""
+
+    @pytest.mark.parametrize(
+        "factory,budget",
+        [
+            pytest.param(tiny_scenario, 4, id="tiny"),
+            pytest.param(prototype_scenario, 6, id="prototype", marks=pytest.mark.slow),
+        ],
+    )
+    def test_shifts_on_learned_ugs_match_cold(self, factory, budget):
+        orch = PainterOrchestrator(
+            factory(seed=3), OrchestratorConfig(prefix_budget=budget)
+        )
+        try:
+            orch.execute_and_observe(orch.solve_warm())
+            ugs = orch._scenario.user_groups
+            learned = [
+                ug for ug in ugs if ug.ug_id in orch.model.learned_ug_ids
+            ]
+            assert len(learned) >= 18
+            patched = 0
+            for step in range(6):
+                for ug in learned[3 * step : 3 * step + 3]:
+                    orch.apply_volume_shift(
+                        ug.ug_id, ug.volume * (0.4 if step % 2 else 2.5)
+                    )
+                warm = config_pairs(orch.solve_warm())
+                stats = orch.last_warm_stats
+                assert stats.mode == "warm", f"step {step}"
+                patched += stats.patched_evals
+                assert warm == config_pairs(orch.solve_cold()), f"step {step}"
+        finally:
+            orch.close()
+        assert patched > 0
+
+
 class TestVolumePatchPath:
     def test_patch_path_engages_for_volume_only_dirt(self):
         orch = PainterOrchestrator(

@@ -254,19 +254,104 @@ class TestSnapshotRoundTrip:
         restored.restore_preferences(model.snapshot_preferences())
         assert restored.candidate_ingresses(ug, advertised) == frozenset({winner})
 
-    def test_legacy_snapshot_still_accepted(self, scenario):
+    def test_legacy_bare_mapping_rejected(self, scenario):
         model = self._trained_model(scenario)
         legacy = model.snapshot_preferences()["preferences"]  # old bare shape
-        fresh = RoutingModel(scenario.catalog)
-        fresh.restore_preferences(legacy)
-        assert fresh.preference_count() == model.preference_count()
-        assert fresh.observation_count == 0  # legacy snapshots never had it
-        assert fresh.snapshot_preferences()["outcomes"] == {}
+        fresh = self._trained_model(scenario)
+        before = fresh.snapshot_preferences()
+        with pytest.raises(ValueError, match="versioned"):
+            fresh.restore_preferences(legacy)
+        assert fresh.snapshot_preferences() == before
 
     def test_unsupported_version_rejected(self, scenario):
         fresh = RoutingModel(scenario.catalog)
         with pytest.raises(ValueError):
             fresh.restore_preferences({"version": 99, "preferences": {}})
+
+
+class TestRestoreFailsClosed:
+    """A snapshot naming anything the catalog does not have is rejected
+    with ``ValueError`` before any state is replaced."""
+
+    def _snapshot(self, scenario):
+        model = RoutingModel(scenario.catalog)
+        ug = scenario.user_groups[0]
+        ids = sorted(scenario.catalog.ingress_ids(ug))
+        model.observe(ug, frozenset(ids[:4]), ids[1])
+        return model, ug, ids, model.snapshot_preferences()
+
+    def _rejected(self, scenario, model, snapshot, match):
+        before = model.snapshot_preferences()
+        epoch = model.ug_epoch(scenario.user_groups[0].ug_id)
+        with pytest.raises(ValueError, match=match):
+            model.restore_preferences(snapshot)
+        assert model.snapshot_preferences() == before
+        assert model.ug_epoch(scenario.user_groups[0].ug_id) == epoch
+
+    def test_unknown_peering_rejected(self, scenario):
+        model, ug, ids, snap = self._snapshot(scenario)
+        snap["preferences"][ug.ug_id][(999999, ids[0])] = frozenset()
+        self._rejected(scenario, model, snap, "unknown peering id 999999")
+
+    def test_self_pair_rejected(self, scenario):
+        model, ug, ids, snap = self._snapshot(scenario)
+        snap["preferences"][ug.ug_id][(ids[0], ids[0])] = frozenset()
+        self._rejected(scenario, model, snap, "self-pair")
+
+    def test_unknown_ug_rejected(self, scenario):
+        model, ug, ids, snap = self._snapshot(scenario)
+        snap["preferences"][10**9] = {}
+        self._rejected(scenario, model, snap, "unknown UG id")
+        _model, _ug, _ids, snap = self._snapshot(scenario)
+        snap["outcomes"][(10**9, frozenset(ids[:2]))] = ids[0]
+        self._rejected(scenario, model, snap, "unknown UG id")
+
+    def test_unknown_context_asn_rejected(self, scenario):
+        model, ug, ids, snap = self._snapshot(scenario)
+        snap["preferences"][ug.ug_id][(ids[0], ids[2])] = frozenset({-7})
+        self._rejected(scenario, model, snap, "does not peer with")
+
+    def test_outcome_outside_compliant_set_rejected(self, scenario):
+        model, ug, ids, snap = self._snapshot(scenario)
+        stray = [
+            p.peering_id
+            for p in scenario.deployment.peerings
+            if p.peering_id not in scenario.catalog.ingress_ids(ug)
+        ]
+        if not stray:
+            pytest.skip("every peering is compliant for this UG")
+        snap["outcomes"][(ug.ug_id, frozenset(ids[:2]) | {stray[0]})] = ids[0]
+        self._rejected(scenario, model, snap, "not policy-compliant")
+
+    def test_malformed_entries_rejected(self, scenario):
+        model, ug, ids, snap = self._snapshot(scenario)
+        snap["preferences"][ug.ug_id][(ids[0], ids[2])] = 5  # not iterable
+        self._rejected(scenario, model, snap, "malformed")
+        _model, _ug, _ids, snap = self._snapshot(scenario)
+        snap["observation_count"] = -1
+        self._rejected(scenario, model, snap, "negative")
+
+    def test_nan_reuse_distance_rejected(self, scenario):
+        with pytest.raises(ValueError):
+            RoutingModel(scenario.catalog, d_reuse_km=float("nan"))
+
+    def test_io_raises_serialization_error(self, scenario, tmp_path):
+        from repro.io import (
+            SerializationError,
+            load_routing_model_into,
+            routing_model_to_dict,
+        )
+        import json
+
+        model, ug, ids, _snap = self._snapshot(scenario)
+        document = routing_model_to_dict(model)
+        document["preferences"][str(ug.ug_id)].append([999999, ids[0], []])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(document))
+        fresh = RoutingModel(scenario.catalog)
+        with pytest.raises(SerializationError, match="999999"):
+            load_routing_model_into(fresh, path)
+        assert fresh.preference_count() == 0
 
 
 class TestCandidateMemoization:
@@ -316,7 +401,7 @@ class TestCandidateMemoization:
         assert model.ug_epoch(ug.ug_id) > epoch
 
 
-# -- the winner index against the full scan it replaced -----------------------
+# -- the compiled dominance table against a full scan of the pairs ------------
 
 
 def _naive_applicable_pairs(model, scenario, ug, compliant):
@@ -363,8 +448,9 @@ def _naive_excluded(model, scenario, ug, peering_id, advertised):
 
 
 class TestWinnerIndex:
-    """Predictions read preference pairs through a per-UG winner index;
-    it must answer exactly as a scan over every pair would."""
+    """Predictions read preference pairs through each UG's compiled
+    dominance table; it must answer exactly as a scan over every pair
+    would."""
 
     @given(st.data())
     @settings(
@@ -418,10 +504,10 @@ class TestWinnerIndex:
         model.observe(ug, frozenset({first, second}), first)
         wider = frozenset({first, second, third})
         assert model.candidate_ingresses(ug, wider) == frozenset({first, third})
-        assert ug.ug_id in model._winner_index
+        assert ug.ug_id in model._tables
         # (second, first) supersedes (first, second).
         model.observe(ug, frozenset({first, second}), second)
-        assert ug.ug_id not in model._winner_index
+        assert ug.ug_id not in model._tables
         assert model.candidate_ingresses(ug, wider) == frozenset({second, third})
 
     def test_restore_drops_the_index(self, scenario):
@@ -431,9 +517,9 @@ class TestWinnerIndex:
         model.observe(ug, frozenset({first, second}), first)
         wider = frozenset({first, second, third})
         model.candidate_ingresses(ug, wider)
-        assert model._winner_index
+        assert model._tables
         model.restore_preferences({"version": 2, "preferences": {}, "outcomes": {}})
-        assert not model._winner_index
+        assert not model._tables
         assert model.candidate_ingresses(ug, wider) == wider
 
 
