@@ -73,7 +73,6 @@ def test_bench_solve_azure(benchmark):
         lat_stats.hit_rate, 4
     )
     benchmark.extra_info["pairs"] = len(pairs)
-    benchmark.extra_info["backend"] = orchestrators[-1].evaluator.backend.name
 
     # Optimality envelope: the greedy's benefit must sit at or below the LP
     # relaxation of the selection problem at its distinct-peering budget —

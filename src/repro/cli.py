@@ -107,19 +107,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     scenario = _scenario_from(args)
     orchestrator = PainterOrchestrator(
         scenario,
-        OrchestratorConfig(
-            prefix_budget=args.budget,
-            d_reuse_km=args.d_reuse,
-            backend=args.backend,
-            workers=args.workers,
-            worker_timeout_s=args.worker_timeout,
-        ),
+        OrchestratorConfig(prefix_budget=args.budget, d_reuse_km=args.d_reuse),
     )
-    try:
-        with _maybe_journal(args, "solve"):
-            result = orchestrator.learn(iterations=args.iterations)
-    finally:
-        orchestrator.close()
+    with _maybe_journal(args, "solve"):
+        result = orchestrator.learn(iterations=args.iterations)
     config = result.final_config
     possible = scenario.total_possible_benefit()
     print(scenario.describe())
@@ -216,9 +207,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     scenario = _scenario_from(args)
     orchestrator = PainterOrchestrator(
         scenario,
-        OrchestratorConfig(
-            prefix_budget=args.budget, d_reuse_km=args.d_reuse, backend=args.backend
-        ),
+        OrchestratorConfig(prefix_budget=args.budget, d_reuse_km=args.d_reuse),
     )
     if args.iterations > 0:
         orchestrator.learn(iterations=args.iterations)
@@ -571,22 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--budget", type=int, default=10, help="prefix budget")
     solve.add_argument("--iterations", type=int, default=3, help="learning iterations")
     solve.add_argument("--d-reuse", type=float, default=3000.0, help="D_reuse (km)")
-    solve.add_argument(
-        "--backend", type=str, default="auto",
-        help="compute backend for marginal evaluation (auto/numpy/numba/cupy; "
-        "all backends produce bit-identical results, unavailable ones fall "
-        "back to numpy with a warning)",
-    )
-    solve.add_argument(
-        "--workers", type=int, default=0,
-        help="shard each solve across N fork workers (bit-identical results; "
-        "0 = serial)",
-    )
-    solve.add_argument(
-        "--worker-timeout", type=float, default=None,
-        help="seconds to wait on a worker reply before breaking the pool "
-        "and falling back serial (default: no timeout)",
-    )
     solve.add_argument("--output", type=str, default=None, help="save config JSON here")
     solve.add_argument(
         "--journal", type=str, default=None,
@@ -644,10 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="learning iterations (0 = a single solve pass)",
     )
     perf.add_argument("--d-reuse", type=float, default=3000.0, help="D_reuse (km)")
-    perf.add_argument(
-        "--backend", type=str, default="auto",
-        help="compute backend for marginal evaluation (auto/numpy/numba/cupy)",
-    )
     perf.set_defaults(func=cmd_perf)
 
     tm_bench = sub.add_parser(

@@ -67,8 +67,8 @@ class VolumeShift(Delta):
         super().__post_init__()
         if self.ug_id < 0:
             raise DeltaError("ug_id must be non-negative")
-        if math.isnan(self.volume) or self.volume < 0:
-            raise DeltaError("volume must be a non-negative number")
+        if not (math.isfinite(self.volume) and self.volume >= 0):
+            raise DeltaError("volume must be a finite non-negative number")
 
     def describe(self) -> str:
         return f"VolumeShift@{self.at_s:g}s[ug {self.ug_id} -> {self.volume:g}]"

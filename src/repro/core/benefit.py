@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.advertisement import AdvertisementConfig
 from repro.core.routing_model import RoutingModel
-from repro.kernels import ComputeBackend, coerce_backend, plan_matrix_layout
-from repro.kernels.layout import DEFAULT_CHUNK_BYTES
 from repro.routing.ground_truth import GroundTruthRouting
 from repro.scenario import Scenario
 from repro.telemetry import METRICS
@@ -40,6 +38,10 @@ _UNSET = object()
 #: the paper's "weights correspond to approximate probabilities that paths
 #: are inflated by corresponding amounts".
 DEFAULT_INFLATION_SCALE_KM = 1500.0
+
+#: Dense-matrix rows filled per chunk are sized to about this many bytes of
+#: one matrix, which bounds the fill's per-slot temporaries at ``mega`` scale.
+DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
 
 LatencyFn = Callable[[UserGroup, int], Optional[float]]
 
@@ -182,16 +184,15 @@ class BenefitEvaluator:
         model: RoutingModel,
         latency_of: Optional[LatencyFn] = None,
         inflation_scale_km: float = DEFAULT_INFLATION_SCALE_KM,
-        backend: Union[str, ComputeBackend, None] = None,
     ) -> None:
         self._scenario = scenario
         self._model = model
         self._inflation_scale_km = inflation_scale_km
-        #: The compute backend owns the elementwise hot-loop kernels and
-        #: the dense latency/distance matrices.  ``None`` means the numpy
-        #: reference; a string resolves through the registry (with
-        #: graceful fallback — see :mod:`repro.kernels`).
-        self._backend = coerce_backend(backend)
+        #: The dense UG-row × peering-column latency (ms; ``+inf`` =
+        #: unmeasurable, ``nan`` = not a compliant slot) and distance (km)
+        #: matrices, ``None`` until :meth:`precompute_latency_matrix`.
+        self.latency_matrix: Optional["np.ndarray"] = None
+        self.distance_matrix: Optional["np.ndarray"] = None
         #: ``None`` materialises through the latency model's batch form;
         #: a custom oracle is asked slot by slot.
         self._custom_latency_of = latency_of
@@ -206,8 +207,8 @@ class BenefitEvaluator:
         self._latency_of = latency_of
         self._peerings = scenario.deployment.peerings
         # Per-UG latency rows (one list per UG, one slot per peering column)
-        # in front of the backend's dense matrix: the learned path's scalar
-        # lookups stay list-indexed.  Rows are created on first touch.
+        # in front of the dense matrix: scalar lookups stay list-indexed.
+        # Rows are created on first touch.
         self._lat_cols: Dict[int, int] = {
             p.peering_id: col for col, p in enumerate(self._peerings)
         }
@@ -223,9 +224,7 @@ class BenefitEvaluator:
         self._exp_cache: Dict[int, Tuple[int, Dict[FrozenSet[int], Optional[float]]]] = {}
         self._lat_stats = METRICS.cache("evaluator.latency_matrix")
         self._exp_stats = METRICS.cache("evaluator.expected_latency")
-        #: UG id → dense-matrix row, built lazily on the first dense lookup
-        #: (the backend may have matrices bound before or after
-        #: construction — see :meth:`ComputeBackend.bind_latency_matrix`).
+        #: UG id → dense-matrix row, built lazily on the first dense lookup.
         self._dense_rows: Optional[Dict[int, int]] = None
 
     def _dense_row_of(self, ug_id: int) -> Optional[int]:
@@ -250,7 +249,7 @@ class BenefitEvaluator:
         col = self._lat_cols[peering_id]
         value = row[col]
         if value is _UNSET:
-            dense_lat = self._backend.latency_matrix
+            dense_lat = self.latency_matrix
             if dense_lat is not None:
                 dense_row = self._dense_row_of(ug.ug_id)
                 if dense_row is not None:
@@ -270,46 +269,31 @@ class BenefitEvaluator:
         return value
 
     @property
-    def backend(self) -> ComputeBackend:
-        """The compute backend (kernels + dense-matrix binding)."""
-        return self._backend
-
-    @property
     def peering_columns(self) -> Dict[int, int]:
         """Peering id → latency-matrix column, in deployment order."""
         return dict(self._lat_cols)
 
-    def precompute_latency_matrix(
-        self,
-        *,
-        budget_bytes: Optional[int] = None,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    ) -> int:
-        """Materialise every slot Algorithm 1 can read on the backend.
+    def precompute_latency_matrix(self, *, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> int:
+        """Materialise every slot Algorithm 1 can read.
 
         Allocates the dense UG-row × peering-column latency and distance
-        pair (:func:`repro.kernels.plan_matrix_layout` sizes it, raising
-        :class:`repro.kernels.MemoryBudgetExceeded` before allocating when
-        ``budget_bytes`` cannot hold it), fills it one row chunk at a time
-        with :meth:`fill_latency_rows`, then binds it.  Returns the number
-        of slots filled; a no-op (0) while a pair is already bound.
+        pair, fills it one row chunk of about ``chunk_bytes`` at a time
+        with :meth:`fill_latency_rows`, then keeps it as
+        :attr:`latency_matrix` / :attr:`distance_matrix`.  Returns the
+        number of slots filled; a no-op (0) once the pair exists.
         """
-        backend = self._backend
-        if backend.latency_matrix is not None and backend.distance_matrix is not None:
+        if self.latency_matrix is not None:
             return 0
         n_rows = len(self._scenario.user_groups)
         n_cols = len(self._lat_cols)
-        plan = plan_matrix_layout(
-            n_rows, n_cols, budget_bytes=budget_bytes, chunk_bytes=chunk_bytes
-        )
+        chunk_rows = max(1, chunk_bytes // max(1, 8 * n_cols))
         lat = np.full((n_rows, n_cols), np.nan)
         dist = np.full((n_rows, n_cols), np.nan)
         filled = 0
-        with METRICS.timed("kernels.materialize_s"):
-            for lo in range(0, n_rows, plan.chunk_rows):
-                hi = min(lo + plan.chunk_rows, n_rows)
-                filled += self.fill_latency_rows(lat, dist, lo, hi)
-        backend.bind_latency_matrix(lat, dist)
+        with METRICS.timed("evaluator.materialize_s"):
+            for lo in range(0, n_rows, chunk_rows):
+                filled += self.fill_latency_rows(lat, dist, lo, min(lo + chunk_rows, n_rows))
+        self.latency_matrix, self.distance_matrix = lat, dist
         return filled
 
     def fill_latency_rows(

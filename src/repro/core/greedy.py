@@ -6,9 +6,9 @@ marginal benefit for as long as one offers any.  :func:`lazy_greedy` is
 that loop and nothing else — heap, staleness stamps, re-push rule, cutoff,
 work counters, the per-prefix trace span and the budget curve.  Everything
 that knows what a marginal *is* sits behind :class:`MarginalSource`: the
-in-process row source, the sharded pool source and the warm-start memo
-(:mod:`repro.parallel.solver`, :mod:`repro.core.orchestrator`) are sources
-of this one driver, and so is the dict-backed fake the tests check it with.
+row engine and the warm-start memo wrapped around it
+(:mod:`repro.core.rows`, :mod:`repro.core.orchestrator`) are sources of
+this one driver, and so is the dict-backed fake the tests check it with.
 
 The loop is lazy (Minoux): a marginal computed before the latest accept is
 stale — and, benefits being submodular, an upper bound — so it is refreshed

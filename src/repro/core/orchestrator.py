@@ -15,33 +15,27 @@ ranked scan with lazy re-evaluation (stale marginals are recomputed only
 when they reach the top of the heap), mirroring the paper's note that "UGs
 tend to have paths via a relatively small fraction of ingresses, speeding
 up computation".  Every way of solving here (``solve``, ``solve_cold``,
-``solve_warm``, with or without a worker pool) is that one driver over a
-different ``MarginalSource``; this module only chooses the source.
+``solve_warm``) is that one driver over the row engine
+(:class:`repro.core.rows.RowEngine`), bare or wrapped in the warm-start
+memo; this module only chooses which.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
-import weakref
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-import repro.parallel as parallel_mod
 from repro.core.advertisement import AdvertisementConfig
 from repro.core.benefit import BenefitEvaluator, LatencyFn, realized_benefit
 from repro.core.greedy import EPSILON_BENEFIT, BudgetPoint, MarginalSource, lazy_greedy
 from repro.core.routing_model import DEFAULT_D_REUSE_KM, RoutingModel
-from repro.kernels import ComputeBackend
-from repro.parallel.shard import ShardContext, ShardState
-from repro.parallel.solver import MarginalDetail, RowSource
+from repro.core.rows import MarginalDetail, RowEngine
 from repro.scenario import Scenario
 from repro.telemetry import METRICS, TRACER, emit_event
 from repro.usergroups.usergroup import UserGroup
-
-#: After a pool failure trips the serial-fallback breaker, the parallel path
-#: is retried once this many consecutive solves have run serially.
-PARALLEL_RETRY_SOLVES = 3
 
 logger = logging.getLogger(__name__)
 
@@ -61,43 +55,12 @@ class OrchestratorConfig:
     #: Ablation knob: with reuse disabled each prefix is advertised via a
     #: single peering, reducing Algorithm 1 to a greedy one-per-peering.
     allow_reuse: bool = True
-    #: Intra-solve parallelism: shard marginal evaluations across this many
-    #: persistent fork workers (``repro.parallel``).  ``0`` or ``1`` solves
-    #: serially.  Results are bit-identical for every worker count; on any
-    #: worker failure the solve falls back to the serial path.
-    workers: int = 0
-    #: Per-message worker-pool timeout in seconds; ``None`` uses the pool
-    #: default (``repro.parallel.pool.DEFAULT_TIMEOUT_S``).
-    worker_timeout_s: Optional[float] = None
-    #: Compute backend for the marginal-evaluation kernels: a registry name
-    #: (``"auto"``, ``"numpy"``, ``"numba"``, ``"cupy"``) or a
-    #: :class:`repro.kernels.ComputeBackend` instance.  ``"auto"`` picks the
-    #: best available; an explicitly named backend that is missing or fails
-    #: to compile degrades to the numpy reference with a recorded fallback
-    #: (``kernels.fallbacks`` counter + ``backend_fallback`` event).  Every
-    #: backend is bit-identical to numpy by construction — see
-    #: :mod:`repro.kernels`.
-    backend: Union[str, ComputeBackend] = "auto"
-    #: Optional byte budget for the dense latency/distance matrices the
-    #: first solve materialises; exceeded budgets raise
-    #: ``MemoryBudgetExceeded`` before allocation.
-    dense_budget_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.prefix_budget < 1:
             raise ValueError("prefix budget must be at least 1")
         if self.d_reuse_km < 0:
             raise ValueError("d_reuse_km must be non-negative")
-        if self.workers < 0:
-            raise ValueError("workers must be non-negative")
-        if self.worker_timeout_s is not None and self.worker_timeout_s <= 0:
-            raise ValueError("worker_timeout_s must be positive")
-        if not isinstance(self.backend, (str, ComputeBackend)):
-            raise ValueError(
-                "backend must be a registry name or a ComputeBackend instance"
-            )
-        if self.dense_budget_bytes is not None and self.dense_budget_bytes < 1:
-            raise ValueError("dense_budget_bytes must be positive")
 
 
 @dataclass
@@ -123,7 +86,7 @@ class _PrefixMemo:
     #: shifted UG's entries, so the next warm solve can substitute those
     #: rows and re-run the *same* float summation — bit-equal to a full
     #: recomputation at a tiny fraction of the cost (see
-    #: :meth:`repro.parallel.solver.RowSource.patch`).
+    #: :meth:`repro.core.rows.RowEngine.patch`).
     detail: Dict[Tuple[int, int], MarginalDetail] = field(default_factory=dict)
 
 
@@ -134,8 +97,8 @@ class SolveMemo:
     Warm-start soundness rests on one invariant: every marginal is a pure
     function of (the accept sequence so far, the peering's static
     latency/distance arrays, the volumes of the peering's affected UGs).
-    The scan state (the shard's ``d0``/``csum``/``ccnt``/``ob`` arrays, the
-    reducer's per-prefix expected latencies) is
+    The scan state (the row engine's ``d0``/``csum``/``ccnt``/``ob`` arrays
+    and per-prefix expected latencies) is
     volume-free and evolves only through accepts, so while a replay's
     accept sequence still matches this memo's, a memoized marginal for a
     *clean* peering (none of its UGs' volumes changed, not toggled, no
@@ -185,7 +148,7 @@ class _WarmSource:
 
     def __init__(
         self,
-        inner: RowSource,
+        inner: RowEngine,
         memo_in: Optional[SolveMemo],
         memo_out: SolveMemo,
         dirty: Set[int],
@@ -415,8 +378,7 @@ class PainterOrchestrator:
             scenario.catalog, d_reuse_km=config.d_reuse_km
         )
         self._evaluator = BenefitEvaluator(
-            scenario, self._model, latency_of=config.latency_of,
-            backend=config.backend,
+            scenario, self._model, latency_of=config.latency_of
         )
         self._affected: Dict[int, List[UserGroup]] = self._invert_catalog()
         self._allow_reuse = config.allow_reuse
@@ -427,34 +389,22 @@ class PainterOrchestrator:
         self._ug_index: Dict[int, int] = {
             ug.ug_id: i for i, ug in enumerate(scenario.user_groups)
         }
-        #: The in-process shard over every UG row (built on first solve)
-        #: holding the static per-peering evaluation arrays.  Latencies and
-        #: the catalog are immutable, so only volumes ever get patched.
-        self._shard: Optional[ShardState] = None
-        #: Parallel-solve state: the lazily created worker pool wrapper, a
-        #: finalizer that reaps it if the orchestrator is garbage-collected
-        #: unclosed, and a breaker that pins the orchestrator to the serial
-        #: path after a pool failure (until ``PARALLEL_RETRY_SOLVES`` solves
-        #: have run serially).
-        self._parallel = None
-        self._parallel_finalizer = None
-        self._parallel_broken = False
-        self._solves_since_break = 0
+        #: The row engine every solve runs on (built on first solve), which
+        #: holds the per-peering evaluation arrays.
+        self._engine: Optional[RowEngine] = None
         #: Warm-start state: the memo of the last recorded solve, the set
-        #: of peerings a world mutation has dirtied since, peerings taken
-        #: administratively down, and a generation counter forked worker
-        #: pools compare against (mutations invalidate forked snapshots).
+        #: of peerings a world mutation has dirtied since, and peerings
+        #: taken administratively down.
         self._memo: Optional[SolveMemo] = None
         self._dirty_pids: Set[int] = set()
         #: Volume-only dirt, tracked per peering at UG-row granularity: a
         #: volume shift changes marginal *weights* but no scan state, so
         #: the next warm solve can patch the memoized summation instead of
-        #: recomputing it (see ``RowSource.patch``).
+        #: recomputing it (see ``RowEngine.patch``).
         #: Structural dirt in ``_dirty_pids`` always wins over an entry
         #: here.
         self._dirty_vol_rows: Dict[int, Set[int]] = {}
         self._disabled_peerings: Set[int] = set()
-        self._world_epoch = 0
         self.last_warm_stats: Optional[WarmSolveStats] = None
 
     @property
@@ -481,37 +431,20 @@ class PainterOrchestrator:
                 affected.setdefault(pid, []).append(ug)
         return affected
 
-    def _row_source(self) -> RowSource:
-        """The serial source: one shard over every UG row, in-process."""
-        if self._shard is None:
-            evaluator = self._evaluator
+    def _row_source(self) -> RowEngine:
+        """The row engine, readied for a solve of the world as it is now."""
+        if self._engine is None:
             # Materialise every (UG, ingress) slot before the scan starts,
             # so the ranked scan never pays a latency oracle call
-            # mid-heap-operation; the shard gathers its per-peering arrays
-            # from the bound pair.
-            evaluator.precompute_latency_matrix(
-                budget_bytes=self._config.dense_budget_bytes
+            # mid-heap-operation; the engine gathers its per-peering arrays
+            # from the evaluator's dense pair.
+            self._evaluator.precompute_latency_matrix()
+            self._engine = RowEngine(
+                self._scenario, self._evaluator, self._model, self._affected
             )
-            backend = evaluator.backend
-            ctx = ShardContext(
-                self._scenario,
-                evaluator,
-                self._model,
-                self._affected,
-                self._ug_index,
-                backend.latency_matrix,
-                backend.distance_matrix,
-                None,
-            )
-            self._shard = ShardState(ctx, 0, ctx.n_ugs)
-        return RowSource(self._shard.ctx, *self._solve_inputs(), shard=self._shard)
+        return self._engine.begin_solve(*self._solve_inputs())
 
     # -- world mutation (the controller's delta surface) ---------------------
-
-    @property
-    def world_epoch(self) -> int:
-        """Generation counter bumped by every world mutation."""
-        return self._world_epoch
 
     @property
     def disabled_peerings(self) -> FrozenSet[int]:
@@ -527,27 +460,24 @@ class PainterOrchestrator:
 
         Volumes enter Algorithm 1 only as marginal-benefit weights, never
         as scan state, so the dirty set is exactly the UG's
-        policy-compliant ingress set.  The in-process shard's cached
-        volume arrays are patched in place so the next solve — warm or
-        cold — sees the new weights.
+        policy-compliant ingress set.  The next solve — warm or cold —
+        reads the new weight off the UG.  A volume that is negative or not
+        finite raises ``ValueError`` before anything changes.
         """
-        if volume < 0:
-            raise ValueError("volume must be non-negative")
+        if not (math.isfinite(volume) and volume >= 0):
+            raise ValueError(f"volume must be a finite non-negative number, not {volume!r}")
         row = self._ug_index.get(ug_id)
         if row is None:
             raise KeyError(f"unknown UG id {ug_id}")
         ug = self._scenario.user_groups[row]
         self._scenario.set_ug_volume(ug_id, volume)
         dirty = self._scenario.catalog.ingress_ids(ug)
-        if self._shard is not None:
-            self._shard.set_volume(row, volume, dirty)
         # Volume dirt is tracked per (peering, UG row): the affected
         # marginals differ from their memoized values only in the shifted
         # rows' terms, which the next warm solve patches in place of a
         # full recomputation.
         for pid in dirty:
             self._dirty_vol_rows.setdefault(pid, set()).add(row)
-        self._world_epoch += 1
         return dirty
 
     def set_peering_enabled(self, peering_id: int, enabled: bool) -> None:
@@ -555,8 +485,7 @@ class PainterOrchestrator:
 
         A disabled peering is excluded from the candidate list of every
         subsequent solve; re-enabling restores it.  Either direction
-        dirties the peering and bumps the world epoch (forked worker pools
-        hold the candidate list frozen, so they must be rebuilt).
+        dirties the peering.
         """
         self._scenario.deployment.peering(peering_id)  # validate the id
         if enabled:
@@ -564,7 +493,6 @@ class PainterOrchestrator:
         else:
             self._disabled_peerings.add(peering_id)
         self._dirty_pids.add(peering_id)
-        self._world_epoch += 1
 
     def solve_warm(self, record_curve: bool = False) -> AdvertisementConfig:
         """Re-solve, reusing every marginal the pending deltas cannot touch.
@@ -622,11 +550,7 @@ class PainterOrchestrator:
             active_peerings=active,
         )
         try:
-            with TRACER.span(
-                "orchestrator.solve_warm",
-                budget=self._budget,
-                backend=self._evaluator.backend.name,
-            ) as span:
+            with TRACER.span("orchestrator.solve_warm", budget=self._budget) as span:
                 with METRICS.timed("orchestrator.solve_warm"):
                     source = _WarmSource(
                         self._row_source(),
@@ -639,7 +563,7 @@ class PainterOrchestrator:
                 span.tag("prefixes_used", config.prefix_count)
                 span.tag("pairs_used", config.pair_count)
         except BaseException:
-            # An interrupted solve (watchdog timeout, worker failure) must
+            # An interrupted solve (a watchdog timeout) must
             # not swallow the dirt it consumed: restore it so a retry —
             # warm or cold — still sees every pending delta.
             self._dirty_pids.update(dirty)
@@ -674,11 +598,11 @@ class PainterOrchestrator:
             with METRICS.timed("orchestrator.solve_cold"):
                 return self._solve(self._row_source())
 
-    # -- parallel-solve lifecycle -------------------------------------------
+    # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the solve worker pool (if one was created)."""
-        self._teardown_parallel()
+        """Release held resources; a no-op kept for ``with`` blocks and
+        callers that close what they open."""
 
     def __enter__(self) -> "PainterOrchestrator":
         return self
@@ -686,123 +610,16 @@ class PainterOrchestrator:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _teardown_parallel(self, mark_broken: bool = False) -> None:
-        if mark_broken:
-            self._parallel_broken = True
-            self._solves_since_break = 0
-        solver = self._parallel
-        self._parallel = None
-        finalizer = self._parallel_finalizer
-        self._parallel_finalizer = None
-        if finalizer is not None:
-            finalizer.detach()
-        if solver is not None:
-            try:
-                solver.close()
-            except Exception:  # pragma: no cover - teardown best-effort
-                logger.debug("parallel solver teardown failed", exc_info=True)
-
-    def _ensure_parallel(self, n_workers: int):
-        """The lazily forked :class:`repro.parallel.ParallelSolver` (or None)."""
-        solver = self._parallel
-        if solver is not None:
-            if (
-                solver.n_workers == n_workers
-                and solver.pool.alive()
-                and solver.world_epoch == self._world_epoch
-            ):
-                return solver
-            # Worker died between solves (chaos kill), the count changed,
-            # or a world mutation (volume shift, peering toggle) outdated
-            # the forked snapshots: rebuild.  Forking from the current
-            # state is safe — workers never consult their inherited
-            # model's learned set, only the set the parent broadcasts at
-            # each solve's prep.
-            self._teardown_parallel()
-        if not parallel_mod.parallel_enabled():
-            return None
-        kwargs = {}
-        if self._config.worker_timeout_s is not None:
-            kwargs["timeout_s"] = self._config.worker_timeout_s
-        try:
-            solver = parallel_mod.ParallelSolver(self, n_workers, **kwargs)
-        except (parallel_mod.WorkerPoolError, OSError, ValueError) as exc:
-            logger.warning(
-                "parallel solver unavailable (%s); solving serially", exc
-            )
-            self._parallel_broken = True
-            return None
-        self._parallel = solver
-        self._parallel_finalizer = weakref.finalize(self, solver.close)
-        return solver
-
     # -- Algorithm 1, middle + inner loops ----------------------------------
 
     def solve(self, record_curve: bool = False) -> AdvertisementConfig:
-        """Greedy allocation of the prefix budget (one outer-loop pass).
-
-        Parallelism and the compute backend are configured once on
-        :class:`OrchestratorConfig` (``workers=``, ``backend=``); any value
-        of ``workers`` above 1 shards the marginal evaluations across a
-        persistent fork pool (``repro.parallel``) with bit-identical
-        results, and worker failure falls back to the serial path.
-        """
-        with TRACER.span(
-            "orchestrator.solve",
-            budget=self._budget,
-            backend=self._evaluator.backend.name,
-        ) as span:
+        """Greedy allocation of the prefix budget (one outer-loop pass)."""
+        with TRACER.span("orchestrator.solve", budget=self._budget) as span:
             with METRICS.timed("orchestrator.solve"):
-                config = self._solve_dispatch(record_curve)
+                config = self._solve(self._row_source(), record_curve)
             span.tag("prefixes_used", config.prefix_count)
             span.tag("pairs_used", config.pair_count)
             return config
-
-    def _breaker_allows_parallel(self) -> bool:
-        """Has the serial-fallback breaker cooled down enough to retry?"""
-        if not self._parallel_broken:
-            return True
-        self._solves_since_break += 1
-        if self._solves_since_break > PARALLEL_RETRY_SOLVES:
-            # Probe solve: re-arm the parallel path.  If the pool fails
-            # again the fallback handler re-trips the breaker and the
-            # cooldown restarts from zero.
-            self._parallel_broken = False
-            self._solves_since_break = 0
-            return True
-        return False
-
-    def _solve_dispatch(self, record_curve: bool) -> AdvertisementConfig:
-        # Disabled peerings force the serial path: forked workers hold the
-        # candidate peering list frozen from fork time, and the serial
-        # solve is the one place the exclusion is applied authoritatively.
-        if (
-            self._config.workers > 1
-            and not self._disabled_peerings
-            and self._breaker_allows_parallel()
-        ):
-            solver = self._ensure_parallel(self._config.workers)
-            if solver is not None:
-                try:
-                    return solver.solve(record_curve=record_curve)
-                except parallel_mod.WorkerPoolError as exc:
-                    # Graceful degradation: the sharded solve is
-                    # deterministic, so re-running serially from scratch
-                    # produces exactly the configuration the pool would
-                    # have.  The breaker keeps later solves serial too —
-                    # a dead pool does not come back mid-experiment.
-                    logger.warning(
-                        "parallel solve failed (%s); falling back to serial",
-                        exc,
-                    )
-                    METRICS.counter("parallel.fallbacks").add()
-                    emit_event(
-                        "parallel_fallback",
-                        reason=str(exc),
-                        workers=solver.n_workers,
-                    )
-                    self._teardown_parallel(mark_broken=True)
-        return self._solve(self._row_source(), record_curve)
 
     def _solve_inputs(self) -> Tuple[int, List[int], Tuple[int, ...]]:
         """What a source is built from: the prefix budget, the candidate
@@ -940,26 +757,6 @@ class PainterOrchestrator:
                         self._dirty_pids.update(
                             catalog.ingress_ids(self._scenario.user_groups[row])
                         )
-            if self._parallel is not None and touched_ugs:
-                # Epoch invalidation: forked workers hold per-solve layouts
-                # derived from a now-stale learned split; tell them to drop it
-                # (the next solve's prep re-sends the authoritative set).
-                if not self._parallel.invalidate(sorted(touched_ugs)):
-                    # A worker missed the bump: the pool can no longer be
-                    # trusted (or waited on).  Trip the breaker now so the
-                    # next solve falls back to serial immediately instead of
-                    # timing out against a wedged pool.
-                    logger.warning(
-                        "parallel invalidate broadcast failed; "
-                        "tearing the pool down"
-                    )
-                    METRICS.counter("parallel.fallbacks").add()
-                    emit_event(
-                        "parallel_fallback",
-                        reason="invalidate broadcast failed",
-                        workers=self._parallel.n_workers,
-                    )
-                    self._teardown_parallel(mark_broken=True)
             obs_span.tag("observed", observed)
             obs_span.tag("missing", missing)
             obs_span.tag("stale", stale)

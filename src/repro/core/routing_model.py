@@ -399,7 +399,7 @@ class RoutingModel:
 
         ``False`` means :meth:`candidate_ingresses` reduces to pure
         reuse-distance pruning for this UG — the precondition for the
-        solve's array scan (:class:`repro.parallel.shard.ShardState`);
+        solve's array scan (:class:`repro.core.rows.RowEngine`);
         learned UGs are evaluated against :meth:`dominance_table`.
         """
         return ug_id in self._learned_ugs

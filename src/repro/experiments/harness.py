@@ -87,15 +87,11 @@ def _init_experiment_worker() -> None:
 
     Several experiments construct the same preset world (same seed, same
     size); inside one worker process the preset cache makes the second and
-    later constructions free.  Intra-solve parallelism is switched off:
-    experiment workers are already one-per-core, and nesting a solve pool
-    inside each would oversubscribe the machine (and fork a fork).
+    later constructions free.
     """
-    from repro.parallel import disable_parallel
     from repro.scenario import enable_preset_cache
 
     enable_preset_cache()
-    disable_parallel()
 
 
 def _run_experiment_task(name: str) -> Tuple[str, "ExperimentResult", Dict[str, Any]]:
@@ -136,9 +132,7 @@ def run_experiments_parallel(
     if jobs <= 1 or len(names) <= 1:
         return {name: ALL_EXPERIMENTS[name]() for name in names}
     results: Dict[str, ExperimentResult] = {}
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_experiment_worker
-    ) as pool:
+    with ProcessPoolExecutor(jobs, initializer=_init_experiment_worker) as pool:
         futures = {pool.submit(_run_experiment_task, name): name for name in names}
         for future in as_completed(futures):
             name, result, perf_snapshot = future.result()

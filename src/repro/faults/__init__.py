@@ -16,7 +16,6 @@ from repro.faults.events import (
     PopOutage,
     ProbeLoss,
     StaleMeasurement,
-    WorkerCrash,
 )
 from repro.faults.injector import (
     OUTCOME_MISSING,
@@ -41,5 +40,4 @@ __all__ = [
     "PopOutage",
     "ProbeLoss",
     "StaleMeasurement",
-    "WorkerCrash",
 ]

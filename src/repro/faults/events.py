@@ -16,9 +16,7 @@ The vocabulary mirrors the failure modes PAINTER's evaluation touches:
   (:mod:`repro.bgp.flap_damping`);
 * :class:`LatencySpike` — transient inflation on paths through a PoP;
 * :class:`ProbeLoss` — measurement probes dropped at some rate;
-* :class:`StaleMeasurement` — observations served from a previous epoch;
-* :class:`WorkerCrash` — a parallel-solve pool worker is killed, driving
-  the orchestrator's serial-fallback path (:mod:`repro.parallel`).
+* :class:`StaleMeasurement` — observations served from a previous epoch.
 """
 
 from __future__ import annotations
@@ -191,27 +189,6 @@ class ProbeLoss(FaultEvent):
     @property
     def end_s(self) -> float:
         return self.start_s + self.duration_s
-
-
-@dataclass(frozen=True)
-class WorkerCrash(FaultEvent):
-    """A solve-pool worker process dies (SIGKILL) at ``start_s``.
-
-    Process death is permanent — the event never heals (``end_s`` stays
-    ``inf``); the orchestrator reacts by tearing the pool down and re-running
-    the solve serially, which determinism makes result-identical.  Armed via
-    :func:`repro.parallel.arm_worker_faults`.
-    """
-
-    worker_index: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.worker_index < 0:
-            raise ValueError("worker_index must be non-negative")
-
-    def describe(self) -> str:
-        return f"WorkerCrash[{self.start_s:g}s → ∞, worker {self.worker_index}]"
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ Two presets mirror the paper's two evaluation settings:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -58,8 +59,8 @@ class Scenario:
         patch them; use :meth:`PainterOrchestrator.apply_volume_shift`,
         which does, instead of calling this directly.
         """
-        if volume < 0:
-            raise ValueError("volume must be non-negative")
+        if not (math.isfinite(volume) and volume >= 0):
+            raise ValueError(f"volume must be a finite non-negative number, not {volume!r}")
         for ug in self.user_groups:
             if ug.ug_id == ug_id:
                 object.__setattr__(ug, "volume", float(volume))
@@ -227,10 +228,10 @@ MEGA_N_POPS = 500
 def mega_scenario(seed: int = 0, n_ugs: int = 100_000) -> Scenario:
     """Hyperscaler stress scale: 500 PoPs, ~22k neighbor ASes, 100k UGs.
 
-    This preset exists to exercise the dense-matrix memory-budget path and
-    the compiled compute backends at a scale where the per-UG dict layout
-    would not fit; ``big_as_presence_cap`` keeps the peering count (and thus
-    the dense matrix width) linear in the PoP count.
+    This preset exists to exercise the dense latency/distance matrices and
+    the row engine at a scale where a per-UG dict layout would not fit;
+    ``big_as_presence_cap`` keeps the peering count (and thus the dense
+    matrix width) linear in the PoP count.
     """
     return _maybe_cached(("mega", seed, n_ugs), lambda: _build_mega(seed, n_ugs))
 

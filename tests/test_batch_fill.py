@@ -24,8 +24,7 @@ from repro.topology.geo import DistanceTable, GeoPoint, fiber_rtt_ms, haversine_
 def _materialised(scenario, **config_kwargs):
     orch = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=2, **config_kwargs))
     filled = orch.evaluator.precompute_latency_matrix()
-    backend = orch.evaluator.backend
-    return orch, filled, backend.latency_matrix, backend.distance_matrix
+    return orch, filled, orch.evaluator.latency_matrix, orch.evaluator.distance_matrix
 
 
 def _assert_matches_scalar_oracles(scenario) -> None:
@@ -107,17 +106,17 @@ def test_distance_table_falls_back_outside_its_points() -> None:
         table.target_indices([c])
 
 
-def test_two_shard_pool_fill_equals_serial_fill() -> None:
-    scenario = tiny_scenario(seed=0)
-    _, _, lat, dist = _materialised(scenario)
-    orch = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=2, workers=2))
-    try:
-        orch.solve()
-        ctx = orch._parallel.ctx
-        assert ctx.lat_mat.tobytes() == lat.tobytes()
-        assert ctx.dist_mat.tobytes() == dist.tobytes()
-    finally:
-        orch.close()
+def test_row_chunked_fill_solves_identically() -> None:
+    def signature(chunk_bytes):
+        orch = PainterOrchestrator(tiny_scenario(seed=5), OrchestratorConfig(prefix_budget=4))
+        if chunk_bytes is not None:
+            # One row per chunk; the solve then reuses the pair as it is.
+            orch.evaluator.precompute_latency_matrix(chunk_bytes=chunk_bytes)
+        config = orch.solve(record_curve=True)
+        curve = [(p.prefixes_used, p.pairs_used, p.estimated_benefit) for p in orch.budget_curve]
+        return sorted(config.pairs()), curve
+
+    assert signature(1) == signature(None)
 
 
 def test_custom_latency_of_fills_the_same_pair() -> None:
@@ -157,7 +156,7 @@ def test_custom_latency_of_rejects_non_latencies(bad_value) -> None:
     orch = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=2, latency_of=oracle))
     with pytest.raises(ValueError, match=rf"UG {victim} via peering \d+"):
         orch.solve()
-    assert orch.evaluator.backend.latency_matrix is None
+    assert orch.evaluator.latency_matrix is None
 
 
 def test_custom_latency_of_none_stays_unmeasurable() -> None:

@@ -78,6 +78,28 @@ class TestDeltas:
         with pytest.raises(DeltaError):
             delta_from_dict({"type": "no-such-delta", "at_s": 0.0})
 
+    @pytest.mark.parametrize("volume", [float("nan"), float("inf")])
+    def test_non_finite_volume_is_rejected(self, tmp_path, volume):
+        with pytest.raises(DeltaError, match="finite"):
+            VolumeShift(at_s=0.0, ug_id=1, volume=volume)
+        # ``json`` writes and reads these as the bare ``NaN``/``Infinity``
+        # tokens, so a stream file can carry them.
+        path = tmp_path / "stream.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": "painter-delta-stream",
+                    "version": 1,
+                    "deltas": [
+                        {"type": "volume_shift", "at_s": 0.0, "ug_id": 1, "volume": volume}
+                    ],
+                }
+            )
+        )
+        assert ("NaN" if volume != volume else "Infinity") in path.read_text()
+        with pytest.raises(DeltaError, match="finite"):
+            load_deltas(path)
+
     def test_load_rejects_foreign_documents(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"kind": "something-else"}))

@@ -314,3 +314,21 @@ class TestDirtStateRobustness:
                 orch.apply_volume_shift(10**9, 5.0)
         finally:
             orch.close()
+
+    @pytest.mark.parametrize("volume", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_volume_shift_changes_nothing(self, volume):
+        scenario = tiny_scenario(seed=0)
+        orch = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=3))
+        before = orch.solve_warm()
+        benefit = orch.evaluator.expected_benefit(before)
+        ug = scenario.user_groups[0]
+        old_volume = ug.volume
+        with pytest.raises(ValueError, match="finite"):
+            orch.apply_volume_shift(ug.ug_id, volume)
+        with pytest.raises(ValueError, match="finite"):
+            scenario.set_ug_volume(ug.ug_id, volume)
+        assert ug.volume == old_volume
+        assert not orch.dirty_peerings
+        after = orch.solve_warm()
+        assert config_pairs(after) == config_pairs(before)
+        assert orch.evaluator.expected_benefit(after) == benefit

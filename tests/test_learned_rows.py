@@ -1,7 +1,7 @@
 """The array engine for learned UG rows against the scalar Eq.-2 oracle.
 
 A solve evaluates every learned (row, peering) query — the accepted set
-plus one peering — in arrays (:class:`repro.parallel.solver.LearnedRows`
+plus one peering — in arrays (:class:`repro.core.rows.LearnedRows`
 over the routing model's compiled :class:`DominanceTable`).  Each query's
 kept set must equal the full-scan reference ``_naive_candidates``, and its
 value, every marginal built from such values and the per-prefix expected
@@ -52,7 +52,7 @@ def _reference_marginal(orch, source, pid, accepted):
     """``pid``'s marginal with every learned term from the scalar oracle,
     added one at a time in row order after the unlearned rows' sum."""
     learned = source._learned
-    total = float(source._contrib(pid, ()).sum())
+    total = float(source.contrib(pid).sum())
     ugs = orch._scenario.user_groups
     for row in learned.rows[learned.slots[pid]].tolist():
         ug = ugs[row]
@@ -62,7 +62,7 @@ def _reference_marginal(orch, source, pid, accepted):
         new = _scalar(orch, ug, compliant | {pid})
         old_best = base if old is None or base < old else old
         new_best = old_best if new is None else (new if new < base else base)
-        total += float(source._vol[row]) * (old_best - new_best)
+        total += float(source.vol[row]) * (old_best - new_best)
     return total
 
 

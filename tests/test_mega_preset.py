@@ -168,8 +168,7 @@ def test_catalog_handles_out_of_graph_direct_peer(micro_deployment) -> None:
 
 #: Peak-RSS budget for building + solving mega.  Measured ~5.0 GB peak on
 #: the reference runner (the two 100k x 2010 float64 latency/distance
-#: matrices account for ~3.2 GB; scan scratch and the gain buffer make up
-#: the rest); the headroom guards against layout regressions such as
+#: matrices account for ~3.2 GB; scan scratch makes up the rest); the headroom guards against layout regressions such as
 #: falling back to per-UG python dict rows (which would be tens of GB).
 MEGA_PEAK_RSS_BYTES = 8 * 1024**3
 
@@ -185,8 +184,8 @@ def test_mega_smoke_builds_and_solves_within_memory_budget() -> None:
 
     orch = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=2))
     config = orch.solve()
-    backend = orch.evaluator.backend
-    assert backend.latency_matrix is not None and backend.distance_matrix is not None
+    evaluator = orch.evaluator
+    assert evaluator.latency_matrix is not None and evaluator.distance_matrix is not None
     assert config.prefix_count <= 2
     assert config.pair_count > 0
 

@@ -121,9 +121,9 @@ class TestPerfRegistry:
     def test_merge_creates_worker_only_stats(self):
         """Metrics only a worker ever touched must appear after the merge.
 
-        Regression guard for the solve-pool path: forked workers bump
+        Regression guard for worker snapshots: a worker bumps
         counters/caches/timers/histograms the parent has never requested
-        (e.g. the scan counters of worker-side shards), and the merge
+        (e.g. the solver counters of an experiment worker), and the merge
         must materialize them rather than drop or mangle them.
         """
         worker = MetricsRegistry()

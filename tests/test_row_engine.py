@@ -1,0 +1,375 @@
+"""The row engine (:mod:`repro.core.rows`) against small references.
+
+* the two elementwise functions — :func:`initial_gains` and
+  :func:`refresh_contrib` — against their documented semantics and a
+  per-row scalar transcription;
+* the engine's array scan state, driven over hypothesis-drawn worlds,
+  against the per-UG sorted-list scan its arrays replaced (``_ListScan``),
+  double for double;
+* the learned split and the growth of the kept-ingress tables on a real
+  world.
+"""
+
+from __future__ import annotations
+
+import json
+from bisect import bisect_right
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
+from repro.core.rows import INITIAL_SCAN_WIDTH, RowEngine, initial_gains, refresh_contrib
+from repro.scenario import prototype_scenario, tiny_scenario
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+# ---------------------------------------------------------------------------
+# the elementwise functions
+# ---------------------------------------------------------------------------
+
+
+def test_initial_gains_nan_and_clamp_semantics() -> None:
+    base = np.array([10.0, 10.0, 10.0, np.inf])
+    lat = np.array([4.0, 25.0, np.nan, 3.0])
+    out = initial_gains(base, lat)
+    np.testing.assert_array_equal(out, [6.0, 0.0, 0.0, np.inf])
+
+
+def test_refresh_contrib_shrink_and_kept_semantics() -> None:
+    # Row 0: dist < d0 (window shrinks) -> contrib forced to 0, mask set.
+    # Row 1: within the reuse window, measurable -> joins the kept set.
+    # Row 2: beyond the window -> kept set unchanged, contrib from old best.
+    dist = np.array([100.0, 500.0, 5000.0])
+    lat = np.array([3.0, 5.0, 2.0])
+    vol = np.array([1.0, 2.0, 4.0])
+    d0 = np.array([200.0, 400.0, 400.0])
+    csum = np.array([0.0, 10.0, 10.0])
+    ccnt = np.array([0.0, 1.0, 1.0])
+    ob = np.array([20.0, 20.0, 20.0])
+    base = np.array([30.0, 30.0, 30.0])
+    contrib, shrink = refresh_contrib(dist, lat, vol, d0, csum, ccnt, ob, base, 1000.0)
+    assert shrink.tolist() == [True, False, False]
+    assert contrib[0] == 0.0
+    # Row 1: kept mean (10+5)/2 = 7.5, new best 7.5, gain 2*(20-7.5).
+    assert contrib[1] == 2.0 * (20.0 - 7.5)
+    # Row 2: not added; kept mean 10, best min(30,10)=10, gain 4*(20-10).
+    assert contrib[2] == 4.0 * (20.0 - 10.0)
+
+    # The form the engine feeds shrink rows in (``RowEngine.contrib``):
+    # ``d0`` replaced by ``dist`` and ``csum``/``ccnt`` re-read at the
+    # shrunken window, so the mask stays clear and the row is evaluated like
+    # any other.  Kept counts 0, 1, 3 x measurable / unmeasurable latency.
+    dist = np.full(6, 100.0)
+    lat = np.array([3.0, np.nan, 3.0, np.nan, 3.0, np.nan])
+    vol = np.full(6, 2.0)
+    csum = np.array([0.0, 0.0, 12.0, 12.0, 30.0, 30.0])
+    ccnt = np.array([0.0, 0.0, 1.0, 1.0, 3.0, 3.0])
+    ob = np.full(6, 20.0)
+    base = np.full(6, 25.0)
+    contrib, shrink = refresh_contrib(
+        dist, lat, vol, dist.copy(), csum, ccnt, ob, base, 0.0
+    )
+    assert not shrink.any()
+    assert contrib.tolist() == [
+        2.0 * (20.0 - 3.0),  # singleton: the ingress's own latency
+        0.0,  # nothing measurable kept: no path, no improvement
+        2.0 * (20.0 - (12.0 + 3.0) / 2.0),
+        2.0 * (20.0 - 12.0),  # unmeasurable: kept mean unchanged
+        2.0 * (20.0 - (30.0 + 3.0) / 4.0),
+        2.0 * (20.0 - 10.0),
+    ]
+
+
+class TestRefreshContrib:
+    """The vector expression agrees with a per-row scalar transcription."""
+
+    def _scalar_reference(self, dist, lat, vol, d0, csum, ccnt, ob, base, d_reuse):
+        n = len(dist)
+        contrib = np.zeros(n)
+        shrink = np.zeros(n, dtype=bool)
+        for i in range(n):
+            shrink[i] = dist[i] < d0[i] and np.isfinite(d0[i])
+            limit = min(dist[i], d0[i]) + d_reuse
+            add = dist[i] <= limit and not np.isnan(lat[i])
+            cnt = ccnt[i] + add
+            total = csum[i] + (lat[i] if add else 0.0)
+            mean = total / max(cnt, 1)
+            best = min(base[i], mean) if cnt > 0 else ob[i]
+            contrib[i] = 0.0 if shrink[i] else vol[i] * (ob[i] - best)
+        return contrib, shrink
+
+    def test_matches_scalar_reference(self):
+        rng = np.random.default_rng(7)
+        n = 64
+        dist = rng.uniform(0, 9000, n)
+        lat = rng.uniform(5, 300, n)
+        lat[rng.random(n) < 0.2] = np.nan  # unmeasurable
+        vol = rng.uniform(0.1, 10, n)
+        d0 = rng.uniform(0, 9000, n)
+        d0[rng.random(n) < 0.3] = np.inf  # nothing kept yet
+        csum = rng.uniform(0, 500, n)
+        ccnt = rng.integers(0, 4, n).astype(float)
+        ob = rng.uniform(5, 300, n)
+        base = rng.uniform(5, 300, n)
+        contrib, shrink = refresh_contrib(
+            dist, lat, vol, d0, csum, ccnt, ob, base, 3000.0
+        )
+        ref_contrib, ref_shrink = self._scalar_reference(
+            dist, lat, vol, d0, csum, ccnt, ob, base, 3000.0
+        )
+        assert np.array_equal(shrink, ref_shrink)
+        assert np.array_equal(contrib, ref_contrib)
+
+
+# ---------------------------------------------------------------------------
+# the array scan state against the sorted-list scan
+# ---------------------------------------------------------------------------
+
+
+class _ListScan:
+    """The oracle: the per-UG sorted-list scan the engine's arrays replaced
+    (``PrefixScan``'s fast path at fb0f0fc, ported line for line; rows
+    stand in for UGs, ``None`` latency = unmeasurable)."""
+
+    def __init__(self, d_reuse):
+        self.d_reuse = d_reuse
+        self.states = {}
+
+    def accept(self, row, dist, lat):
+        state = self.states.get(row)
+        if state is None:
+            self.states[row] = [
+                [dist],
+                [0.0, lat if lat is not None else 0.0],
+                [0, 1 if lat is not None else 0],
+            ]
+            return
+        dists, sums, cnts = state
+        idx = bisect_right(dists, dist)
+        dists.insert(idx, dist)
+        measurable = lat is not None
+        sums.insert(idx + 1, sums[idx] + (lat if measurable else 0.0))
+        cnts.insert(idx + 1, cnts[idx] + (1 if measurable else 0))
+        if measurable:
+            for j in range(idx + 2, len(sums)):
+                sums[j] += lat
+                cnts[j] += 1
+
+    def kept_stats(self, row):
+        """``(closest km, kept latency sum, kept count, expected)``."""
+        if row not in self.states:
+            return float("inf"), 0.0, 0, None
+        dists, sums, cnts = self.states[row]
+        idx = bisect_right(dists, dists[0] + self.d_reuse)
+        total, count = sums[idx], cnts[idx]
+        return dists[0], total, count, (total / count if count else None)
+
+    def query(self, row, dist_p, lat_p):
+        """Expected latency of the accepted set plus one more ingress."""
+        state = self.states.get(row)
+        if state is None:
+            return lat_p
+        dists, sums, cnts = state
+        closest = dists[0]
+        if dist_p < closest:
+            closest = dist_p
+        limit = closest + self.d_reuse
+        idx = bisect_right(dists, limit)
+        total, count = sums[idx], cnts[idx]
+        if dist_p <= limit and lat_p is not None:
+            total += lat_p
+            count += 1
+        return total / count if count else None
+
+    def term(self, row, dist_p, lat_p, vol, base):
+        """One row's marginal contribution, as the scalar solve computed it."""
+        value = self.kept_stats(row)[3]
+        old_best = base if value is None or base < value else value
+        new_p = self.query(row, dist_p, lat_p)
+        if new_p is None:
+            return 0.0
+        return vol * (old_best - (new_p if new_p < base else base))
+
+
+#: Few distinct distances, so ties (insert-after) and equal-to-limit cases
+#: are the norm rather than the exception.
+_DISTANCES = st.sampled_from([40.0, 250.0, 250.0, 900.0, 1150.0, 4000.0])
+_LATENCIES = st.one_of(st.none(), st.floats(min_value=1.0, max_value=300.0))
+
+
+@st.composite
+def _scan_worlds(draw):
+    n_rows = draw(st.integers(min_value=2, max_value=6))
+    # Row 0 complies with every peering and every peering gets accepted, so
+    # one row outgrows the initial table width at least twice.
+    n_pids = draw(st.integers(min_value=2 * INITIAL_SCAN_WIDTH + 1, max_value=14))
+    cells = {}
+    for row in range(n_rows):
+        for pid in range(n_pids):
+            # The last row complies with nothing: never touched.
+            if row == 0 or (row < n_rows - 1 and draw(st.booleans())):
+                cells[row, pid] = (draw(_DISTANCES), draw(_LATENCIES))
+    reals = st.floats(min_value=5.0, max_value=300.0)
+    return SimpleNamespace(
+        n_rows=n_rows,
+        n_pids=n_pids,
+        cells=cells,
+        vol=[draw(st.floats(min_value=0.0, max_value=10.0)) for _ in range(n_rows)],
+        base=np.array([draw(reals) for _ in range(n_rows)]),
+        d_reuse=draw(st.sampled_from([0.0, 210.0, 3000.0])),
+        accepts=draw(st.permutations(range(n_pids))),
+        learned=draw(st.sets(st.integers(min_value=1, max_value=n_rows - 1), max_size=1)),
+    )
+
+
+def _synthetic_engine(world) -> RowEngine:
+    """A :class:`RowEngine` over stub objects carrying ``world``'s cells
+    (``+inf`` latency = unmeasurable), readied for a one-prefix solve with
+    the ``learned`` rows split off."""
+    ugs = [
+        SimpleNamespace(ug_id=100 + row, volume=world.vol[row])
+        for row in range(world.n_rows)
+    ]
+    lat = np.full((world.n_rows, world.n_pids), np.nan)
+    dist = np.full((world.n_rows, world.n_pids), np.nan)
+    affected = {pid: [] for pid in range(world.n_pids)}
+    for (row, pid), (dist_km, lat_ms) in sorted(world.cells.items()):
+        affected[pid].append(ugs[row])
+        dist[row, pid] = dist_km
+        lat[row, pid] = np.inf if lat_ms is None else lat_ms
+    engine = RowEngine(
+        SimpleNamespace(
+            user_groups=ugs,
+            anycast_latency_ms=lambda ug: float(world.base[ug.ug_id - 100]),
+        ),
+        SimpleNamespace(
+            latency_matrix=lat,
+            distance_matrix=dist,
+            peering_columns={pid: pid for pid in range(world.n_pids)},
+        ),
+        SimpleNamespace(d_reuse_km=world.d_reuse),
+        affected,
+    )
+    engine.begin_solve(1, list(range(world.n_pids)), ())
+    # The learned rows leave the array scan; their own evaluation (which
+    # needs a routing model) is out of this oracle's scope.
+    engine._split([100 + row for row in world.learned])
+    return engine
+
+
+class TestArrayScanAgainstListScan:
+    """The engine's array scan state vs the sorted lists it replaced."""
+
+    @settings(max_examples=80)
+    @given(world=_scan_worlds())
+    def test_every_float_matches_the_list_scan(self, world):
+        engine = _synthetic_engine(world)
+        engine.begin_round(0)
+        oracle = _ListScan(world.d_reuse)
+        mine = [row for row in range(world.n_rows) if row not in world.learned]
+        for accepted in world.accepts:
+            engine.accept(accepted)
+            rows = engine.arrays[accepted][0]
+            assert rows.tolist() == [
+                row for row in mine if (row, accepted) in world.cells
+            ]
+            for row in rows.tolist():
+                oracle.accept(row, *world.cells[row, accepted])
+            stats = [oracle.kept_stats(row) for row in mine]
+            expected = {row: s[3] for row, s in zip(mine, stats)}
+            assert _hex(engine._exp[rows, 0]) == _hex(
+                float("inf") if expected[row] is None else expected[row]
+                for row in rows.tolist()
+            )
+            assert _hex(engine.d0_arr[mine]) == _hex(s[0] for s in stats)
+            assert _hex(engine.csum_arr[mine]) == _hex(s[1] for s in stats)
+            assert _hex(engine.ccnt_arr[mine]) == _hex(s[2] for s in stats)
+            assert _hex(engine.ob_arr[mine]) == _hex(
+                base if s[3] is None or base < s[3] else s[3]
+                for base, s in zip(world.base[mine], stats)
+            )
+            for pid in range(world.n_pids):
+                sel = engine.arrays[pid][0].tolist()
+                terms = [
+                    oracle.term(
+                        row, *world.cells[row, pid], world.vol[row],
+                        float(world.base[row]),
+                    )
+                    for row in sel
+                ]
+                contrib = engine.contrib(pid)
+                assert _hex(contrib) == _hex(terms)
+                # A single-row patch recomputes exactly that element — of a
+                # vector that is otherwise left alone.
+                blank = np.full(len(sel), -1.0)
+                for pos, row in enumerate(sel):
+                    patched = engine._patch_contrib(pid, blank, {row})
+                    assert patched[pos].hex() == terms[pos].hex()
+                    assert np.count_nonzero(patched != blank) <= 1
+                for row in world.learned:
+                    assert np.array_equal(
+                        engine._patch_contrib(pid, blank, {row}), blank
+                    )
+        # The tables themselves: the oracle's lists, then padding that
+        # repeats the row total (whatever widening happened in between).
+        for row in mine:
+            dists, sums, cnts = oracle.states.get(row, ([], [0.0], [0]))
+            n = len(dists)
+            assert _hex(engine.kd[row, :n]) == _hex(dists)
+            assert np.isinf(engine.kd[row, n:]).all()
+            assert _hex(engine.ks[row, : n + 1]) == _hex(sums)
+            assert _hex(engine.kc[row, : n + 1]) == _hex(cnts)
+            assert (engine.ks[row, n:] == sums[-1]).all()
+            assert (engine.kc[row, n:] == cnts[-1]).all()
+        # Row 0 took every accept: the table grew, twice.
+        assert engine.kd.shape[1] >= 4 * INITIAL_SCAN_WIDTH
+        assert np.isfinite(engine.kd[0]).sum() == world.n_pids
+        assert engine.kd.shape[0] == world.n_rows
+
+
+# ---------------------------------------------------------------------------
+# real worlds
+# ---------------------------------------------------------------------------
+
+
+def test_split_excludes_learned_rows() -> None:
+    scenario = tiny_scenario(seed=3)
+    orchestrator = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=3))
+    engine = orchestrator._row_source()
+    every = {pid: rows.tolist() for pid, (rows, _lat, _dist) in engine.arrays.items()}
+    learned = tuple(sorted(ug.ug_id for ug in scenario.user_groups[:5]))
+    engine._split(learned)
+    learned_rows = {orchestrator._ug_index[ug_id] for ug_id in learned}
+    assert set(engine.arrays) == set(every)
+    for pid, (rows, lat, dist) in engine.arrays.items():
+        assert not (set(rows.tolist()) & learned_rows)
+        assert len(lat) == len(dist) == len(rows)
+        split_off = engine.learned.get(pid, np.empty(0, dtype=np.intp)).tolist()
+        assert set(split_off) <= learned_rows
+        assert sorted(rows.tolist() + split_off) == every[pid]
+    assert engine.learned
+
+
+def test_prototype_solve_outgrows_the_initial_width() -> None:
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "golden_solve_configs.json").read_text()
+    )["prototype_seed0"]
+    orchestrator = PainterOrchestrator(
+        prototype_scenario(seed=0),
+        OrchestratorConfig(prefix_budget=golden["budget"]),
+    )
+    config = orchestrator.solve()
+    pairs = sorted(
+        [prefix, pid]
+        for prefix in config.prefixes
+        for pid in config.peerings_for(prefix)
+    )
+    assert pairs == golden["pairs"]
+    assert orchestrator._engine.kd.shape[1] > INITIAL_SCAN_WIDTH
