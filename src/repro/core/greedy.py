@@ -31,8 +31,10 @@ EPSILON_BENEFIT = 1e-9
 _BENEFIT_BUCKETS = (
     0.01, 0.1, 1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0,
 )
-#: How deep into the heap array the stale-candidate lookahead peeks (the
-#: first entries of a binary heap hold its smallest few keys).
+#: How deep into the heap array the stale-candidate lookahead peeks: the
+#: first entries of a binary heap hold its smallest few keys, so sorting
+#: these eight finds the likely next refreshes without popping anything.
+#: It bounds a useful ``lookahead`` at 7 (the row engine's width).
 _LOOKAHEAD_WINDOW = 8
 
 logger = logging.getLogger(__name__)
@@ -59,7 +61,9 @@ class MarginalSource(Protocol):
     """
 
     #: How many stale heap-top candidates ``refresh`` wants to be shown
-    #: (0: none).  A source that pays per round trip batches them in.
+    #: (0: none).  A source whose cost is mostly per call, not per row,
+    #: computes their marginals in the same pass and serves their own
+    #: refreshes, which usually follow before the next accept, from it.
     lookahead: int
 
     def begin_prefix(self, prefix: int) -> Sequence[float]:

@@ -57,10 +57,13 @@ class OrchestratorConfig:
     allow_reuse: bool = True
 
     def __post_init__(self) -> None:
-        if self.prefix_budget < 1:
+        budget = self.prefix_budget
+        if not isinstance(budget, int) or isinstance(budget, bool):
+            raise ValueError(f"prefix budget must be an int, not {budget!r}")
+        if budget < 1:
             raise ValueError("prefix budget must be at least 1")
-        if self.d_reuse_km < 0:
-            raise ValueError("d_reuse_km must be non-negative")
+        if not self.d_reuse_km >= 0:  # also rejects nan
+            raise ValueError(f"d_reuse_km must be non-negative, not {self.d_reuse_km!r}")
 
 
 @dataclass
@@ -142,9 +145,10 @@ class _WarmSource:
     (``vol_rows``: peering -> shifted UG rows) is patched, everything else
     is asked of ``inner``.  ``intact`` holds while the replayed accept
     sequence still matches the memo's; the first divergence ends all reuse.
+    Of the stale heap-top peerings the driver shows it, only those ``inner``
+    will be asked for (dirty ones, or all once diverged) are passed on for
+    ``inner`` to compute ahead.
     """
-
-    lookahead = 0
 
     def __init__(
         self,
@@ -155,6 +159,7 @@ class _WarmSource:
         vol_rows: Dict[int, Set[int]],
     ) -> None:
         self.peering_ids = inner.peering_ids
+        self.lookahead = inner.lookahead
         self._inner = inner
         self._memo_in = memo_in
         self._memo_out = memo_out
@@ -210,7 +215,9 @@ class _WarmSource:
                 if patched is not None:
                     gain, detail = patched
         if gain is None:
-            gain, detail = self._inner.marginal(pid)
+            if self.intact:
+                stale = [other for other in stale if other in self._dirty]
+            gain, detail = self._inner.marginal(pid, stale)
             self.fresh += 1
         else:
             # Reused or patched, not evaluated: take back the driver's count.

@@ -5,9 +5,11 @@
 of :mod:`repro.core.orchestrator` wraps it).  One engine serves all solves
 of one world.  It keeps
 
-* per candidate peering, the ascending rows of its affected UGs without
-  learned state and their latencies and distances, gathered from the
-  evaluator's dense matrices and rebuilt only when the learned set changes;
+* one layout of the rows of every candidate peering's affected UGs
+  without learned state, with their latencies and distances: concatenated
+  in ascending peering id, ascending within each peering's ``[start,
+  end)`` span, gathered from the evaluator's dense matrices and rebuilt
+  only when the learned set changes;
 * per solve, one volume array and each UG's expected latency per prefix;
 * per prefix, the scan state of every row: its accepted compliant
   ingresses ascending by distance in ``kd`` with the running latency sums
@@ -19,7 +21,9 @@ A marginal is reduced in one fixed order: ``vol @ gain`` (initial heap) or
 ``contrib.sum()`` (refresh) over the unlearned rows, then the learned
 rows' terms added one at a time in row order.  Everything before that is
 elementwise, so a warm solve can patch a few rows' terms and replay the
-same summation bit for bit (:meth:`RowEngine.patch`).
+same summation bit for bit (:meth:`RowEngine.patch`), and a refresh can
+compute the contributions of the stale heap-top peerings in the same pass
+as its own, each summed later over its own piece.
 """
 
 from __future__ import annotations
@@ -35,14 +39,20 @@ from repro.telemetry import METRICS
 #: row fills (few UGs ever see more accepted compliant ingresses per prefix).
 INITIAL_SCAN_WIDTH = 4
 
-#: Extra stale heap-top peerings whose learned terms are computed in the
-#: same pass as a requested refresh (identical values, fewer passes).
-SPECULATIVE_REFRESHES = 3
+#: Extra stale heap-top peerings whose marginals are computed in the same
+#: pass as a requested refresh (identical values, fewer passes).
+SPECULATIVE_REFRESHES = 7
 
 #: A marginal's summation breakdown: the per-row contribution vector of the
 #: unlearned rows and the ordered terms of the learned ones (the shared
 #: empty tuple when the peering has none).
 MarginalDetail = Tuple["np.ndarray", Union["np.ndarray", Tuple[()]]]
+
+#: A marginal computed ahead of its refresh: ``(contrib, scan queries,
+#: learned terms, learned expected latencies)`` (see RowEngine.begin_round).
+_Ahead = Tuple[
+    Optional["np.ndarray"], int, Union["np.ndarray", Tuple[()]], Optional["np.ndarray"]
+]
 
 #: One learned-row query batch: ``(pid, slots)`` pairs, each asking for the
 #: accepted set plus ``pid`` at ``slots`` (ascending, each with ``pid``
@@ -246,7 +256,7 @@ class RowEngine:
     one solve, after which it is the solve's ``MarginalSource``.
     """
 
-    lookahead = 0
+    lookahead = SPECULATIVE_REFRESHES
 
     def __init__(self, scenario, evaluator, model, affected: Dict[int, Sequence]) -> None:
         self.scenario = scenario
@@ -257,18 +267,13 @@ class RowEngine:
         self.lat_mat = evaluator.latency_matrix
         self.dist_mat = evaluator.distance_matrix
         self.col_of: Dict[int, int] = evaluator.peering_columns
-        row_of = {ug.ug_id: row for row, ug in enumerate(self.ugs)}
-        self._row_of = row_of
-        #: Every affected row of each peering, ascending (the catalog
-        #: inversion walks UGs in scenario order).
-        self._all_rows: Dict[int, "np.ndarray"] = {
-            pid: np.fromiter((row_of[ug.ug_id] for ug in ugs), dtype=np.intp, count=len(ugs))
-            for pid, ugs in sorted(affected.items())
-        }
-        #: The learned set the per-peering arrays below were split for.
+        self._row_of = {ug.ug_id: row for row, ug in enumerate(self.ugs)}
+        #: Peering -> its affected UGs, in scenario order.
+        self._affected = affected
+        #: The learned set the row layout below was split for.
         self._prepped: Optional[frozenset] = None
         #: Peering -> ``(rows, latency, distance)`` of its unlearned rows
-        #: (``nan`` latency: unmeasurable).
+        #: (``nan`` latency: unmeasurable): views of its span of the layout.
         self.arrays: Dict[int, Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = {}
         #: Peering -> its learned rows, ascending (absent when none).
         self.learned: Dict[int, "np.ndarray"] = {}
@@ -292,34 +297,53 @@ class RowEngine:
         self._split(learned_ug_ids)
         #: The learned rows, evaluated against the compiled model.
         self._learned = LearnedRows(self, self.learned) if self.learned else None
-        # A learned query costs a pass of array operations whatever its
-        # size, so stale heap-top peerings ride along (see marginal).
-        self.lookahead = SPECULATIVE_REFRESHES if self.learned else 0
         return self
 
     def _split(self, learned_ug_ids: Sequence[int]) -> None:
-        """Split every peering's rows into unlearned and learned ones and
-        gather the unlearned rows' latencies and distances; a solve under
-        the same learned set as the last one reuses them."""
+        """Lay out every peering's unlearned rows, latencies and distances
+        end to end (ascending peering id, then row) and split off its
+        learned rows; a solve under the same learned set as the last one
+        reuses the layout."""
         learned_set = frozenset(learned_ug_ids)
         if learned_set == self._prepped:
             return
+        row_of = self._row_of
+        pids = sorted(self._affected)
+        counts = [len(self._affected[pid]) for pid in pids]
+        rows = np.fromiter(
+            (row_of[ug.ug_id] for pid in pids for ug in self._affected[pid]),
+            dtype=np.intp,
+            count=sum(counts),
+        )
+        # Position in ``pids`` of each row's peering.
+        owner = np.repeat(np.arange(len(pids)), counts)
         learned_rows = np.array(
-            sorted(self._row_of[ug_id] for ug_id in learned_set if ug_id in self._row_of),
+            sorted(row_of[ug_id] for ug_id in learned_set if ug_id in row_of),
             dtype=np.intp,
         )
-        self.arrays = {}
         self.learned = {}
-        for pid, rows in self._all_rows.items():
-            if len(learned_rows):
-                keep = ~np.isin(rows, learned_rows)
-                if not keep.all():
-                    self.learned[pid] = rows[~keep]
-                    rows = rows[keep]
-            col = self.col_of[pid]
-            lat = self.lat_mat[rows, col]
-            lat[np.isinf(lat)] = np.nan  # the matrices encode None as +inf
-            self.arrays[pid] = (rows, lat, self.dist_mat[rows, col])
+        if len(learned_rows):
+            is_learned = np.isin(rows, learned_rows)
+            held = np.bincount(owner[is_learned], minlength=len(pids))
+            pieces = np.split(rows[is_learned], np.cumsum(held)[:-1])
+            self.learned = {
+                pid: piece for pid, piece in zip(pids, pieces) if len(piece)
+            }
+            rows, owner = rows[~is_learned], owner[~is_learned]
+        cols = np.array([self.col_of[pid] for pid in pids], dtype=np.intp)[owner]
+        lat = self.lat_mat[rows, cols]
+        lat[np.isinf(lat)] = np.nan  # the matrices encode None as +inf
+        dist = self.dist_mat[rows, cols]
+        sizes = np.bincount(owner, minlength=len(pids))
+        end = np.cumsum(sizes)
+        start = end - sizes
+        #: The layout itself and each peering's ``[start, end)`` span of it.
+        self._layout = (rows, lat, dist)
+        self._spans = dict(zip(pids, zip(start.tolist(), end.tolist())))
+        self.arrays = {
+            pid: (rows[lo:hi], lat[lo:hi], dist[lo:hi])
+            for pid, (lo, hi) in self._spans.items()
+        }
         self._prepped = learned_set
 
     # -- per prefix -----------------------------------------------------------
@@ -357,16 +381,23 @@ class RowEngine:
         self.kd = np.full((n, INITIAL_SCAN_WIDTH), np.inf)
         self.ks = np.zeros((n, INITIAL_SCAN_WIDTH + 1))
         self.kc = np.zeros((n, INITIAL_SCAN_WIDTH + 1))
-        #: ``pid -> (terms, expected latencies)`` of its learned rows,
-        #: computed in a batch ahead of its refresh, or for its last one;
-        #: valid until the next accept.
-        self._known: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
+        #: ``pid -> (contrib, scan queries, learned terms, learned expected
+        #: latencies)``, computed in a batch ahead of its refresh or for
+        #: its last one; valid until the next accept.  ``contrib`` is a
+        #: piece of the batch's buffer (``None``: not computed yet), the
+        #: learned parts are ``()`` and ``None`` when ``pid`` has none.
+        self._ahead: Dict[int, _Ahead] = {}
         if self._learned is not None:
             self._learned.begin_round()
             # Nothing is accepted yet, so every learned query is a
             # singleton: one batch answers them all for the initial gains.
             slots = self._learned.slots
-            self._known = dict(zip(slots, self._learned_terms(list(slots.items()))))
+            self._ahead = {
+                pid: (None, 0, terms, value)
+                for pid, (terms, value) in zip(
+                    slots, self._learned_terms(list(slots.items()))
+                )
+            }
 
     def begin_prefix(self, prefix: int) -> List[float]:
         self.begin_round(prefix)
@@ -380,11 +411,12 @@ class RowEngine:
         rows, lat, _dist = self.arrays[pid]
         self._fast_queries.value += len(lat)
         delta = float(self.vol[rows] @ initial_gains(self._base[rows], lat))
-        known = self._known.get(pid)
-        if known is None:
+        ahead = self._ahead.get(pid)
+        if ahead is None:
             return delta
-        self._slow_queries.value += len(known[0])
-        return _accumulate(delta, known[0])
+        terms = ahead[2]
+        self._slow_queries.value += len(terms)
+        return _accumulate(delta, terms)
 
     def _learned_terms(
         self, queries: Queries
@@ -410,20 +442,27 @@ class RowEngine:
         k = (self.kd[rows] <= limit[:, None]).sum(axis=1)
         return self.ks[rows, k], self.kc[rows, k]
 
-    def contrib(self, pid: int) -> "np.ndarray":
-        """Per unlearned row of ``pid``, what adding it to the accepted set
-        gains (a fresh array).
+    def contrib(self, pids: Sequence[int]) -> List[Tuple["np.ndarray", int]]:
+        """Per peering of ``pids``: what adding it to the accepted set gains
+        on each of its unlearned rows, and the scan queries that took.
 
-        :func:`refresh_contrib` over the cached ``d0``/``csum``/``ccnt`` of
-        ``pid``'s rows.  A row whose closest accepted ingress is farther
-        than ``pid`` would have its window shrunk to ``dist + d_reuse``:
-        for those rows the kept set is re-read from ``kd``/``ks``/``kc`` at
-        the shrunken limit and ``d0`` replaced by ``dist``, which is exactly
-        the state the formulas expect — so every row, shrinking or not, is
-        one element of the same call, and a later volume patch can
-        reproduce the sum bit for bit by substituting elements.
+        One :func:`refresh_contrib` pass over the peerings' spans of the
+        layout, gathered end to end, with the cached ``d0``/``csum``/
+        ``ccnt`` of their rows; each peering's piece is a view of the one
+        result.  A row whose closest accepted ingress is farther than its
+        peering would have its window shrunk to ``dist + d_reuse``: for
+        those rows the kept set is re-read from ``kd``/``ks``/``kc`` at the
+        shrunken limit and ``d0`` replaced by ``dist``, which is exactly the
+        state the formulas expect — so every row, shrinking or not, is one
+        element of the same call, and a later volume patch can reproduce a
+        piece's sum bit for bit by substituting elements.
         """
-        rows, lat, dist = self.arrays[pid]
+        spans = [self._spans[pid] for pid in pids]
+        if len(spans) == 1:
+            at = slice(*spans[0])
+        else:
+            at = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+        rows, lat, dist = (column[at] for column in self._layout)
         d0 = self.d0_arr[rows]
         csum = self.csum_arr[rows]
         ccnt = self.ccnt_arr[rows]
@@ -434,12 +473,22 @@ class RowEngine:
             csum[shrinking], ccnt[shrinking] = self._kept_at(
                 rows[shrinking], closer + self.d_reuse
             )
-        self._fast_queries.value += len(lat) + len(shrinking)
         contrib, _shrink = refresh_contrib(
             dist, lat, self.vol[rows], d0, csum, ccnt, self.ob_arr[rows],
             self._base[rows], self.d_reuse,
         )
-        return contrib
+        bounds = [0]
+        for lo, hi in spans:
+            bounds.append(bounds[-1] + hi - lo)
+        # A piece's scan queries: its rows plus its shrink-row reads.
+        marks = bounds
+        if len(shrinking):
+            cut = np.searchsorted(shrinking, bounds).tolist()
+            marks = [bound + k for bound, k in zip(bounds, cut)]
+        return [
+            (contrib[bounds[i] : bounds[i + 1]], marks[i + 1] - marks[i])
+            for i in range(len(spans))
+        ]
 
     def marginal(
         self, pid: int, stale: Sequence[int] = ()
@@ -449,33 +498,47 @@ class RowEngine:
         The unlearned rows' contributions are summed by one
         ``contrib.sum()``; the learned terms follow one at a time in row
         order.  The detail lets a later warm solve re-run this exact
-        summation with a few elements substituted (:meth:`patch`).  The
-        learned terms of the ``stale`` peerings are computed in the same
-        batch and kept for their own refreshes, which usually follow before
-        the next accept.
+        summation with a few elements substituted (:meth:`patch`).  Up to
+        :data:`SPECULATIVE_REFRESHES` of the ``stale`` peerings are
+        computed in the same pass and kept for their own refreshes, which
+        usually follow before the next accept; the scan counters count a
+        marginal when it is served.
         """
-        contrib = self.contrib(pid)
+        ahead = self._ahead.get(pid)
+        if ahead is None or ahead[0] is None:
+            self._compute_ahead(pid, stale)
+            ahead = self._ahead[pid]
+        piece, queries, terms, _value = ahead
+        self._fast_queries.value += queries
+        # A copy, so a warm memo keeping the detail does not pin the
+        # batch's buffer.
+        contrib = piece.copy()
         delta = float(contrib.sum())
-        learned = self._learned
-        if learned is None or pid not in learned.slots:
+        if not len(terms):
             # The shared empty tuple, not a fresh array: a warm memo holds
             # one detail per marginal, and ``(ndarray, ())`` is a tuple the
             # cyclic GC stops tracking — thousands of long-lived objects
             # fewer per solve for every later full collection to walk.
             return delta, (contrib, ())
-        known = self._known
-        if pid not in known:
-            batch = [pid] + [
-                other for other in stale if other in learned.slots and other not in known
-            ][:SPECULATIVE_REFRESHES]
-            known.update(
-                zip(batch, self._learned_terms([(p, learned.slots[p]) for p in batch]))
-            )
-        terms = known[pid][0]
         self._slow_queries.value += len(terms)
-        # ``contrib`` is freshly allocated per call, so the detail can hold
-        # it without a defensive copy.
         return _accumulate(delta, terms), (contrib, terms)
+
+    def _compute_ahead(self, pid: int, stale: Sequence[int]) -> None:
+        """Compute ``pid`` and up to :data:`SPECULATIVE_REFRESHES` of the
+        ``stale`` peerings not computed yet, in one batch."""
+        ahead = self._ahead
+        batch = [pid] + [
+            other for other in stale if other not in ahead or ahead[other][0] is None
+        ][:SPECULATIVE_REFRESHES]
+        learned = self._learned
+        known = {}
+        if learned is not None:
+            mine = [(p, learned.slots[p]) for p in batch if p in learned.slots]
+            if mine:
+                known = dict(zip((p for p, _ in mine), self._learned_terms(mine)))
+        for p, (piece, queries) in zip(batch, self.contrib(batch)):
+            terms, value = known.get(p, ((), None))
+            ahead[p] = (piece, queries, terms, value)
 
     def refresh(self, pid: int, stale: Sequence[int]) -> float:
         return self.marginal(pid, stale)[0]
@@ -596,11 +659,11 @@ class RowEngine:
         learned = self._learned
         if learned is not None and pid in learned.slots:
             slots = learned.slots[pid]
-            known = self._known.get(pid)
-            value = known[1] if known is not None else learned.expected([(pid, slots)])
+            ahead = self._ahead.get(pid)
+            value = ahead[3] if ahead is not None else learned.expected([(pid, slots)])
             column[learned.rows[slots]] = value
             learned.accept(pid)
-        self._known = {}
+        self._ahead = {}
 
     def _widen(self) -> None:
         """Double the kept-ingress tables' width, padding preserved."""

@@ -332,3 +332,68 @@ class TestDirtStateRobustness:
         after = orch.solve_warm()
         assert config_pairs(after) == config_pairs(before)
         assert orch.evaluator.expected_benefit(after) == benefit
+
+
+class _RecordingEngine:
+    """The row engine with every ``marginal`` request recorded, under a
+    chosen ``lookahead``."""
+
+    def __init__(self, engine, lookahead):
+        self._engine = engine
+        self.lookahead = lookahead
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def marginal(self, pid, stale=()):
+        self.calls.append((pid, list(stale)))
+        return self._engine.marginal(pid, stale)
+
+
+class TestWarmSourceLookahead:
+    """The warm-start memo forwards the engine's lookahead, passing on only
+    stale peerings the engine will be asked for."""
+
+    def _replay(self, monkeypatch, lookahead):
+        """A warm re-solve after deltas that leave the world as it was:
+        the first prefix's peerings toggled down and up (structural dirt)
+        and one UG's volume "shifted" to itself (volume dirt)."""
+        orch = PainterOrchestrator(
+            tiny_scenario(seed=3), OrchestratorConfig(prefix_budget=4)
+        )
+        config = orch.solve_warm()
+        toggled = set(config.peerings_for(0))
+        for pid in toggled:
+            orch.set_peering_enabled(pid, False)
+            orch.set_peering_enabled(pid, True)
+        ug = orch._scenario.user_groups[0]
+        orch.apply_volume_shift(ug.ug_id, ug.volume)
+        patchable = set(orch._scenario.catalog.ingress_ids(ug)) - toggled
+        build = orch._row_source
+        engines = []
+
+        def recording_source():
+            engines.append(_RecordingEngine(build(), lookahead))
+            return engines[-1]
+
+        monkeypatch.setattr(orch, "_row_source", recording_source)
+        pairs = config_pairs(orch.solve_warm())
+        orch.close()
+        (engine,) = engines
+        return pairs, orch.last_warm_stats, engine.calls, toggled, patchable
+
+    def test_only_dirty_peerings_are_computed_ahead(self, monkeypatch):
+        pairs, stats, calls, toggled, patchable = self._replay(monkeypatch, 7)
+        assert stats.mode == "warm" and not stats.diverged
+        assert stats.patched_evals > 0 and patchable
+        # Intact all along: reusable and patchable peerings are never asked
+        # for, so never passed on; the dirty ones are, near the heap top.
+        for pid, stale in calls:
+            assert pid in toggled
+            assert set(stale) <= toggled
+        assert any(stale for _pid, stale in calls)
+        pairs0, stats0, calls0, _, _ = self._replay(monkeypatch, 0)
+        assert not any(stale for _pid, stale in calls0)
+        assert [pid for pid, _ in calls0] == [pid for pid, _ in calls]
+        assert (pairs0, stats0) == (pairs, stats)

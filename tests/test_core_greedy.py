@@ -15,27 +15,41 @@ from repro.telemetry import METRICS
 
 
 class CoverageSource:
-    """Weighted coverage: a peering's gain is the weight it newly covers."""
+    """Weighted coverage: a peering's gain is the weight it newly covers.
 
-    lookahead = 0
+    Every ``stale`` list the driver shows it is recorded, with whether
+    each listed peering really was stale then: evaluated before the
+    prefix's latest accept, and neither accepted nor the peering being
+    refreshed.
+    """
 
-    def __init__(self, cover, weight):
+    def __init__(self, cover, weight, lookahead=0):
         self.cover, self.weight = cover, weight
+        self.lookahead = lookahead
         self.covered, self.accepts, self.prefixes = set(), [], []
+        self.stale_lists = []
 
     def gain(self, pid):
         return float(sum(self.weight[e] for e in self.cover[pid] - self.covered))
 
     def begin_prefix(self, prefix):
         self.prefixes.append(prefix)
+        self.version, self.seen, self.chosen = 0, dict.fromkeys(self.cover, 0), set()
         return [self.gain(pid) for pid in sorted(self.cover)]
 
     def refresh(self, pid, stale):
+        self.stale_lists.append(list(stale))
+        for other in stale:
+            assert other != pid and other not in self.chosen
+            assert self.seen[other] != self.version
+        self.seen[pid] = self.version
         return self.gain(pid)
 
     def accept(self, pid):
         self.accepts.append((self.prefixes[-1], pid))
         self.covered |= self.cover[pid]
+        self.version += 1
+        self.chosen.add(pid)
 
     def end_prefix(self):
         pass
@@ -117,6 +131,44 @@ class TestAgainstNaiveGreedy:
         assert naive_counter.value - naive_before == evaluations
         if allow_reuse:
             assert lazy_counter.value - lazy_before <= evaluations
+
+    @settings(max_examples=200, deadline=None)
+    @given(coverage_tables(), st.integers(1, 5), st.booleans())
+    def test_lookahead_changes_no_decision(self, table, budget, allow_reuse):
+        """A lookahead only shows the source stale peerings (checked in
+        :class:`CoverageSource`); accepts and work counters stay the same."""
+        cover, weight = table
+        counters = [
+            METRICS.counter("orchestrator.marginal_evals"),
+            METRICS.counter("orchestrator.heap_repushes"),
+        ]
+        runs = []
+        for lookahead in (0, 7):
+            source = CoverageSource(cover, weight, lookahead)
+            before = [counter.value for counter in counters]
+            lazy_greedy(source, sorted(cover), budget, allow_reuse=allow_reuse)
+            spent = [c.value - b for c, b in zip(counters, before)]
+            runs.append((source.accepts, spent, source.stale_lists))
+        (accepts0, spent0, stale0), (accepts7, spent7, stale7) = runs
+        assert accepts7 == accepts0
+        assert spent7 == spent0
+        assert not any(stale0)
+        assert len(stale7) == len(stale0)  # one list per refresh
+        assert all(len(stale) <= 7 + 1 for stale in stale7)
+
+    def test_lookahead_lists_the_stale_heap_top(self):
+        """After the first accept every other entry is stale: the first
+        refresh (of 8) is shown the eight left, best first; the second (of
+        7) the same minus 7 itself and 8, which its refresh made fresh."""
+        cover = {pid: {"shared", pid} for pid in range(10)}
+        weight = {"shared": 100.0, **{pid: float(pid + 1) for pid in range(10)}}
+        source = CoverageSource(cover, weight, lookahead=7)
+        lazy_greedy(source, sorted(cover), 1)
+        assert source.accepts[0] == (0, 9)
+        assert source.stale_lists[:2] == [
+            [7, 6, 5, 4, 3, 2, 1, 0],
+            [6, 5, 4, 3, 2, 1, 0],
+        ]
 
     def test_one_accept_per_prefix_without_reuse(self):
         cover = {1: {"a"}, 2: {"b"}, 3: {"c"}}

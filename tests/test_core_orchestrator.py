@@ -322,11 +322,22 @@ class TestOrchestratorConfigAPI:
         with pytest.raises(TypeError):
             PainterOrchestrator(scenario_module)
 
-    def test_config_validates_budget(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"prefix_budget": 0},
+            {"prefix_budget": 2.5},
+            {"prefix_budget": True},
+            {"prefix_budget": 3, "d_reuse_km": float("nan")},
+        ],
+        ids=["budget-0", "budget-float", "budget-bool", "d_reuse-nan"],
+    )
+    def test_config_validates_budget(self, kwargs):
+        """Fails closed at construction, not later inside a solve."""
         from repro.core.orchestrator import OrchestratorConfig
 
         with pytest.raises(ValueError):
-            OrchestratorConfig(prefix_budget=0)
+            OrchestratorConfig(**kwargs)
 
     def test_non_config_positional_rejected(self, scenario_module):
         with pytest.raises(TypeError, match="must be an OrchestratorConfig"):

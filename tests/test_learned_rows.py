@@ -52,7 +52,7 @@ def _reference_marginal(orch, source, pid, accepted):
     """``pid``'s marginal with every learned term from the scalar oracle,
     added one at a time in row order after the unlearned rows' sum."""
     learned = source._learned
-    total = float(source.contrib(pid).sum())
+    total = float(source.contrib([pid])[0][0].sum())
     ugs = orch._scenario.user_groups
     for row in learned.rows[learned.slots[pid]].tolist():
         ug = ugs[row]

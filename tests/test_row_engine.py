@@ -5,7 +5,8 @@
   per-row scalar transcription;
 * the engine's array scan state, driven over hypothesis-drawn worlds,
   against the per-UG sorted-list scan its arrays replaced (``_ListScan``),
-  double for double;
+  double for double — refreshes computed one peering at a time and in
+  batches with drawn stale heap tops alike;
 * the learned split and the growth of the kept-ingress tables on a real
   world.
 """
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.core.rows import INITIAL_SCAN_WIDTH, RowEngine, initial_gains, refresh_contrib
 from repro.scenario import prototype_scenario, tiny_scenario
+from repro.telemetry import METRICS
 
 
 def _hex(values):
@@ -225,6 +227,10 @@ def _scan_worlds(draw):
         base=np.array([draw(reals) for _ in range(n_rows)]),
         d_reuse=draw(st.sampled_from([0.0, 210.0, 3000.0])),
         accepts=draw(st.permutations(range(n_pids))),
+        # Per peering, the stale heap top shown with its refresh (served in
+        # ``order``), so some pieces come out of another peering's batch.
+        stale=[draw(st.lists(st.integers(0, n_pids - 1), max_size=9)) for _ in range(n_pids)],
+        order=draw(st.permutations(range(n_pids))),
         learned=draw(st.sets(st.integers(min_value=1, max_value=n_rows - 1), max_size=1)),
     )
 
@@ -274,8 +280,10 @@ class TestArrayScanAgainstListScan:
         engine.begin_round(0)
         oracle = _ListScan(world.d_reuse)
         mine = [row for row in range(world.n_rows) if row not in world.learned]
+        fast = METRICS.counter("evaluator.scan_fast_queries")
         for accepted in world.accepts:
             engine.accept(accepted)
+            assert not engine._ahead  # the accept dropped what was computed ahead
             rows = engine.arrays[accepted][0]
             assert rows.tolist() == [
                 row for row in mine if (row, accepted) in world.cells
@@ -295,16 +303,17 @@ class TestArrayScanAgainstListScan:
                 base if s[3] is None or base < s[3] else s[3]
                 for base, s in zip(world.base[mine], stats)
             )
+            oracle_terms = {}
             for pid in range(world.n_pids):
                 sel = engine.arrays[pid][0].tolist()
-                terms = [
+                oracle_terms[pid] = terms = [
                     oracle.term(
                         row, *world.cells[row, pid], world.vol[row],
                         float(world.base[row]),
                     )
                     for row in sel
                 ]
-                contrib = engine.contrib(pid)
+                contrib = engine.contrib([pid])[0][0]
                 assert _hex(contrib) == _hex(terms)
                 # A single-row patch recomputes exactly that element — of a
                 # vector that is otherwise left alone.
@@ -317,6 +326,18 @@ class TestArrayScanAgainstListScan:
                     assert np.array_equal(
                         engine._patch_contrib(pid, blank, {row}), blank
                     )
+            # Refreshes with a stale heap top: each peering computed in one
+            # batch with some others, or served from an earlier batch — the
+            # same doubles, and the scan queries of one-peering calls,
+            # counted as each is served.
+            single = sum(engine.contrib([pid])[0][1] for pid in world.order)
+            before = fast.value
+            for pid in world.order:
+                value, (contrib, terms) = engine.marginal(pid, world.stale[pid])
+                assert _hex(contrib) == _hex(oracle_terms[pid])
+                assert terms == ()
+                assert value.hex() == float(contrib.sum()).hex()
+            assert fast.value - before == single
         # The tables themselves: the oracle's lists, then padding that
         # repeats the row total (whatever widening happened in between).
         for row in mine:
