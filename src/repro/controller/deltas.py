@@ -42,6 +42,15 @@ class DeltaError(ValueError):
     """Raised for malformed delta documents or streams."""
 
 
+def _check_id(name: str, value: Any) -> None:
+    """Ids and epochs are non-negative ``int``s — never ``bool``s, which
+    as dict keys would silently stand for 0 and 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DeltaError(f"{name} must be an int, not {value!r}")
+    if value < 0:
+        raise DeltaError(f"{name} must be non-negative")
+
+
 @dataclass(frozen=True)
 class Delta:
     """Base class: one world change applied at ``at_s`` seconds."""
@@ -49,8 +58,13 @@ class Delta:
     at_s: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.at_s) or self.at_s < 0:
-            raise DeltaError("at_s must be a non-negative number")
+        at_s = self.at_s
+        if (
+            isinstance(at_s, bool)
+            or not isinstance(at_s, (int, float))
+            or not (math.isfinite(at_s) and at_s >= 0)
+        ):
+            raise DeltaError(f"at_s must be a finite non-negative number, not {at_s!r}")
 
     def describe(self) -> str:
         return f"{type(self).__name__}@{self.at_s:g}s"
@@ -65,8 +79,7 @@ class VolumeShift(Delta):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.ug_id < 0:
-            raise DeltaError("ug_id must be non-negative")
+        _check_id("ug_id", self.ug_id)
         if not (math.isfinite(self.volume) and self.volume >= 0):
             raise DeltaError("volume must be a finite non-negative number")
 
@@ -75,51 +88,42 @@ class VolumeShift(Delta):
 
 
 @dataclass(frozen=True)
-class PeeringDown(Delta):
+class _PeeringDelta(Delta):
+    peering_id: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_id("peering_id", self.peering_id)
+
+
+@dataclass(frozen=True)
+class PeeringDown(_PeeringDelta):
     """A peering session drops (administrative or failure)."""
 
-    peering_id: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.peering_id < 0:
-            raise DeltaError("peering_id must be non-negative")
-
 
 @dataclass(frozen=True)
-class PeeringUp(Delta):
+class PeeringUp(_PeeringDelta):
     """A previously dropped peering session returns."""
 
-    peering_id: int = 0
+
+@dataclass(frozen=True)
+class _PopDelta(Delta):
+    pop_name: str = ""
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.peering_id < 0:
-            raise DeltaError("peering_id must be non-negative")
+        if not isinstance(self.pop_name, str) or not self.pop_name:
+            raise DeltaError(f"pop_name must be a non-empty string, not {self.pop_name!r}")
 
 
 @dataclass(frozen=True)
-class PopDown(Delta):
+class PopDown(_PopDelta):
     """A whole PoP (every peering at it) goes dark."""
 
-    pop_name: str = ""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.pop_name:
-            raise DeltaError("PopDown needs a pop_name")
-
 
 @dataclass(frozen=True)
-class PopUp(Delta):
+class PopUp(_PopDelta):
     """A dark PoP comes back."""
-
-    pop_name: str = ""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.pop_name:
-            raise DeltaError("PopUp needs a pop_name")
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,7 @@ class LinkWeightShift(Delta):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.epoch < 0:
-            raise DeltaError("epoch must be non-negative")
+        _check_id("epoch", self.epoch)
 
     def describe(self) -> str:
         return f"LinkWeightShift@{self.at_s:g}s[epoch {self.epoch}]"
@@ -163,7 +166,7 @@ def delta_to_dict(delta: Delta) -> Dict[str, Any]:
     if isinstance(delta, VolumeShift):
         document["ug_id"] = delta.ug_id
         document["volume"] = delta.volume
-    elif isinstance(delta, (PeeringDown, PeeringUp)):
+    elif isinstance(delta, _PeeringDelta):
         document["peering_id"] = delta.peering_id
     elif isinstance(delta, LinkWeightShift):
         document["epoch"] = delta.epoch

@@ -81,15 +81,13 @@ class _PrefixMemo:
     accepts: List[int] = field(default_factory=list)
     build: Dict[int, float] = field(default_factory=dict)
     refresh: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    #: Per-refresh summation breakdown keyed like ``refresh``:
-    #: ``(contrib_vector, learned_terms)`` where ``contrib_vector`` is the
-    #: per-row contribution array of the vectorized path (shrink rows
-    #: included) and ``learned_terms`` the ordered scalar
-    #: additions of the learned loop.  A volume shift changes only the
-    #: shifted UG's entries, so the next warm solve can substitute those
-    #: rows and re-run the *same* float summation — bit-equal to a full
-    #: recomputation at a tiny fraction of the cost (see
-    #: :meth:`repro.core.rows.RowEngine.patch`).
+    #: Per-refresh summation breakdown keyed like ``refresh``: one term
+    #: per slot of the peering's span (shrink rows included, learned rows'
+    #: terms in place), whose length is fixed for the world.  A volume
+    #: shift changes only the shifted UG's entries, so the next warm solve
+    #: can substitute those rows and re-run the *same* float summation —
+    #: bit-equal to a full recomputation at a tiny fraction of the cost
+    #: (see :meth:`repro.core.rows.RowEngine.patch`).
     detail: Dict[Tuple[int, int], MarginalDetail] = field(default_factory=dict)
 
 
@@ -211,9 +209,10 @@ class _WarmSource:
             if changed is None:
                 gain = self._replayed.refresh.get(key)
             elif detail is not None:
-                patched = self._inner.patch(pid, detail, changed)
-                if patched is not None:
-                    gain, detail = patched
+                # A learned-set change since the memo dirtied every
+                # peering of the rows it touched, so ``detail`` was
+                # recorded under the same learned mask as this solve's.
+                gain, detail = self._inner.patch(pid, detail, changed)
         if gain is None:
             if self.intact:
                 stale = [other for other in stale if other in self._dirty]
@@ -443,8 +442,8 @@ class PainterOrchestrator:
         if self._engine is None:
             # Materialise every (UG, ingress) slot before the scan starts,
             # so the ranked scan never pays a latency oracle call
-            # mid-heap-operation; the engine gathers its per-peering arrays
-            # from the evaluator's dense pair.
+            # mid-heap-operation; the engine lays out every compliant slot
+            # once, from the evaluator's dense pair.
             self._evaluator.precompute_latency_matrix()
             self._engine = RowEngine(
                 self._scenario, self._evaluator, self._model, self._affected

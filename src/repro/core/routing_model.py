@@ -397,10 +397,10 @@ class RoutingModel:
     def has_learned_state(self, ug_id: int) -> bool:
         """Whether any observation refined this UG's uniform assumption.
 
-        ``False`` means :meth:`candidate_ingresses` reduces to pure
-        reuse-distance pruning for this UG — the precondition for the
-        solve's array scan (:class:`repro.core.rows.RowEngine`);
-        learned UGs are evaluated against :meth:`dominance_table`.
+        ``False`` means an empty compiled table: :meth:`candidate_ingresses`
+        is pure reuse-distance pruning, which the solve's row engine
+        (:class:`repro.core.rows.RowEngine`) answers from its scan state; a
+        learned UG's slots are masked there and read :meth:`dominance_table`.
         """
         return ug_id in self._learned_ugs
 

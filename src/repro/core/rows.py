@@ -5,31 +5,37 @@
 of :mod:`repro.core.orchestrator` wraps it).  One engine serves all solves
 of one world.  It keeps
 
-* one layout of the rows of every candidate peering's affected UGs
-  without learned state, with their latencies and distances: concatenated
-  in ascending peering id, ascending within each peering's ``[start,
-  end)`` span, gathered from the evaluator's dense matrices and rebuilt
-  only when the learned set changes;
-* per solve, one volume array and each UG's expected latency per prefix;
+* one layout of every compliant (UG row, peering) slot with its latency
+  and distance: concatenated in ascending peering id, ascending row within
+  each peering's ``[start, end)`` span, gathered once from the
+  evaluator's dense matrices;
+* per solve, one volume array, each UG's expected latency per prefix and
+  the ``learned`` mask of the slots whose UG has learned state, which the
+  routing model compiles into one :class:`~repro.core.routing_model.
+  DominanceTable`;
 * per prefix, the scan state of every row: its accepted compliant
   ingresses ascending by distance in ``kd`` with the running latency sums
-  ``ks`` and counts ``kc``, all indexed by world row;
-* the learned rows, evaluated against the routing model's compiled
-  learned state (:class:`LearnedRows`).
+  ``ks`` and counts ``kc`` — and, while any slot is learned, their layout
+  slots in ``kpos`` — all indexed by world row.
 
-A marginal is reduced in one fixed order: ``vol @ gain`` (initial heap) or
-``contrib.sum()`` (refresh) over the unlearned rows, then the learned
-rows' terms added one at a time in row order.  Everything before that is
-elementwise, so a warm solve can patch a few rows' terms and replay the
-same summation bit for bit (:meth:`RowEngine.patch`), and a refresh can
-compute the contributions of the stale heap-top peerings in the same pass
-as its own, each summed later over its own piece.
+A UG without learned state is one whose table is empty, so Eq. 2 keeps its
+accepted ingresses within the reuse window and the scan state answers it
+in a handful of array operations; a learned slot asks the table which of
+the accepted set ``kpos`` holds it keeps.  A marginal is one vector over
+its peering's span, reduced in one fixed order: ``vol @ gain`` (initial
+heap) or ``contrib.sum()`` (refresh) over the unlearned slots, then the
+learned slots' terms added one at a time in row order.  Everything before
+that is elementwise, so a warm solve can patch a few rows' terms and
+replay the same summation bit for bit (:meth:`RowEngine.patch`), and a
+refresh can compute the vectors of the stale heap-top peerings in the same
+pass as its own, each reduced later over its own piece.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -43,20 +49,18 @@ INITIAL_SCAN_WIDTH = 4
 #: pass as a requested refresh (identical values, fewer passes).
 SPECULATIVE_REFRESHES = 7
 
-#: A marginal's summation breakdown: the per-row contribution vector of the
-#: unlearned rows and the ordered terms of the learned ones (the shared
-#: empty tuple when the peering has none).
-MarginalDetail = Tuple["np.ndarray", Union["np.ndarray", Tuple[()]]]
+#: A marginal's summation breakdown: one term per slot of the peering's
+#: span, the learned slots' terms in place.
+MarginalDetail = np.ndarray
 
 #: A marginal computed ahead of its refresh: ``(contrib, scan queries,
-#: learned terms, learned expected latencies)`` (see RowEngine.begin_round).
-_Ahead = Tuple[
-    Optional["np.ndarray"], int, Union["np.ndarray", Tuple[()]], Optional["np.ndarray"]
-]
+#: expected latencies of its learned slots)``, the last ``None`` when the
+#: span has none (see RowEngine.contrib).
+_Ahead = Tuple["np.ndarray", int, Optional["np.ndarray"]]
 
-#: One learned-row query batch: ``(pid, slots)`` pairs, each asking for the
-#: accepted set plus ``pid`` at ``slots`` (ascending, each with ``pid``
-#: compliant and not yet accepted).
+#: One learned-slot query batch: ``(pid, at)`` pairs, each asking for the
+#: accepted set plus ``pid`` at the layout slots ``at`` (learned slots of
+#: ``pid``'s span, ascending, none of them accepted yet).
 Queries = Sequence[Tuple[int, "np.ndarray"]]
 
 
@@ -87,7 +91,7 @@ def refresh_contrib(
     closer than everything kept, so the reuse window would shrink and
     ``csum``/``ccnt`` (read at the old window) no longer describe the kept
     set.  Those rows come back zeroed.  The mask is a guard, not a to-do
-    list: :meth:`RowEngine.contrib` never trips it, because it passes such
+    list: :meth:`RowEngine._scan` never trips it, because it passes such
     rows with ``d0 = dist`` and ``csum``/``ccnt`` re-read at the shrunken
     window, for which the formulas below are exact.
     """
@@ -113,147 +117,13 @@ def _accumulate(total: float, terms: "np.ndarray") -> float:
     return total
 
 
-class LearnedRows:
-    """Eq. 2 for the learned UG rows of one solve, in arrays.
-
-    A learned UG's expected latency under an advertised set is a function
-    of its compliant subset and its learned state, which the routing model
-    compiles once per solve into a :class:`~repro.core.routing_model.
-    DominanceTable` with one slot per learned row (``rows``, ascending).
-    Per round this keeps each slot's accepted compliant peerings in a
-    ``pad``-filled 2-D table (widened as needed, like the engine's ``kd``),
-    their peer-ASN bitset, and per outcome-memory entry how many of its
-    peerings are accepted.  A batch of queries — the accepted set plus
-    ``pid``, for learned rows ``pid`` serves — is then one pass of array
-    operations: the table's candidate rule, the outcome override (an entry
-    naming ``pid`` whose other members are exactly the accepted ones), and
-    a masked mean summed in ascending peering id.
-    """
-
-    def __init__(self, engine: "RowEngine", learned: Dict[int, "np.ndarray"]) -> None:
-        self.rows = np.unique(np.concatenate(list(learned.values())))
-        #: Peering -> slots of its learned rows (ascending, like the rows).
-        self.slots = {
-            pid: np.searchsorted(self.rows, rows) for pid, rows in learned.items()
-        }
-        self._ugs = engine.ugs
-        self._evaluator = engine.evaluator
-        self.table = table = engine.model.dominance_table(
-            [self._ugs[row].ug_id for row in self.rows.tolist()]
-        )
-        self._d_reuse = engine.d_reuse
-        self._lat = engine.lat_mat
-        self._dist = engine.dist_mat
-        #: Peering id -> matrix column (the pad reads column 0, masked).
-        self._col = np.zeros(table.k, dtype=np.intp)
-        for pid, col in engine.col_of.items():
-            self._col[pid] = col
-        # Outcome entries by member peering: entries naming ``pid`` are
-        # ``_entry[_entry_start[pid]:_entry_start[pid + 1]]``.
-        sizes = np.diff(table.out_start)
-        order = np.argsort(table.out_members, kind="stable")
-        self._entry = np.repeat(np.arange(table.n_outcomes), sizes)[order]
-        self._entry_start = np.searchsorted(
-            table.out_members[order], np.arange(table.k + 1)
-        )
-        self._entry_size = sizes
-
-    def begin_round(self) -> None:
-        """Nothing accepted yet."""
-        n = len(self.rows)
-        self._acc = np.full((n, INITIAL_SCAN_WIDTH), self.table.pad, dtype=np.int64)
-        self._n_acc = np.zeros(n, dtype=np.intp)
-        self._bits = np.zeros((n, self.table.contexts.shape[2]), dtype=np.uint64)
-        self._in_acc = np.zeros(self.table.n_outcomes, dtype=np.intp)
-
-    def _entries(self, pid: int) -> "np.ndarray":
-        return self._entry[self._entry_start[pid] : self._entry_start[pid + 1]]
-
-    def kept(self, queries: Queries) -> Tuple["np.ndarray", "np.ndarray"]:
-        """``(candidates, kept mask)``, one row per (query, slot) in order:
-        the compliant set ascending (``pad`` beyond its end) and which of
-        it Eq. 2 averages over."""
-        slots = np.concatenate([at for _, at in queries])
-        pids = np.repeat([pid for pid, _ in queries], [len(at) for _, at in queries])
-        rows = self.rows[slots]
-        width = int(self._n_acc[slots].max(initial=0))
-        cand = np.sort(
-            np.concatenate([self._acc[slots, :width], pids[:, None]], axis=1), axis=1
-        )
-        table = self.table
-        bits = self._bits[slots]
-        bits[np.arange(len(slots)), table.pid_word[pids]] |= table.pid_bit[pids]
-        cols = self._col[cand]
-        kept = table.kept(slots, cand, bits, self._dist[rows[:, None], cols], self._d_reuse)
-        start = 0
-        for pid, at in queries:
-            entries = self._entries(pid)
-            if len(entries) and len(at):
-                owner = table.out_slot[entries]
-                pos = np.minimum(np.searchsorted(at, owner), len(at) - 1)
-                n_owner = self._n_acc[owner]
-                hit = (
-                    (at[pos] == owner)
-                    & (self._entry_size[entries] == n_owner + 1)
-                    & (self._in_acc[entries] == n_owner)
-                )
-                if hit.any():
-                    row = start + pos[hit]
-                    kept[row] = cand[row] == table.out_winner[entries[hit]][:, None]
-            start += len(at)
-        return cand, kept
-
-    def expected(self, queries: Queries) -> "np.ndarray":
-        """Eq.-2 expected latency (``+inf``: nothing measurable), one per
-        (query, slot) in order."""
-        slots = np.concatenate([at for _, at in queries])
-        rows = self.rows[slots]
-        if not self._n_acc[slots].any():
-            # Singletons: (0.0 + latency) / 1 is the latency itself.
-            cols = [np.full(len(at), self._col[pid]) for pid, at in queries]
-            return self._lat[rows, np.concatenate(cols)]
-        cand, kept = self.kept(queries)
-        lat = self._lat[rows[:, None], self._col[cand]]
-        use = kept & (lat != np.inf)
-        total = np.cumsum(np.where(use, lat, 0.0), axis=1)[:, -1]
-        count = use.sum(axis=1)
-        value = np.full(len(slots), np.inf)
-        np.divide(total, count, out=value, where=count > 0)
-        return value
-
-    def remember(self, column: "np.ndarray") -> None:
-        """Leave each learned row's expected latency under the round's final
-        accepted set (``column``, by world row) in the evaluator's Eq.-2
-        memo: evaluating the solved configuration asks for exactly these."""
-        for slot in np.flatnonzero(self._n_acc > 1).tolist():
-            row = int(self.rows[slot])
-            value = float(column[row])
-            self._evaluator.remember_expected(
-                self._ugs[row],
-                frozenset(self._acc[slot, : self._n_acc[slot]].tolist()),
-                None if value == np.inf else value,
-            )
-
-    def accept(self, pid: int) -> None:
-        """Fold an accepted peering into the round state of its slots."""
-        slots = self.slots[pid]
-        n_acc = self._n_acc[slots]
-        if n_acc.max(initial=0) == self._acc.shape[1]:
-            self._acc = np.concatenate(
-                [self._acc, np.full_like(self._acc, self.table.pad)], axis=1
-            )
-        self._acc[slots, n_acc] = pid
-        self._n_acc[slots] = n_acc + 1
-        self._bits[slots, self.table.pid_word[pid]] |= self.table.pid_bit[pid]
-        self._in_acc[self._entries(pid)] += 1
-
-
 class RowEngine:
     """Marginals of one world's solves, computed over every UG row.
 
     Built once per orchestrator, after the evaluator materialised its
-    dense latency/distance matrices; :meth:`begin_solve` readies it for
-    one solve, after which it is the solve's ``MarginalSource``.
+    dense latency/distance matrices (read here, to lay out the slots, and
+    nowhere else); :meth:`begin_solve` readies it for one solve, after
+    which it is the solve's ``MarginalSource``.
     """
 
     lookahead = SPECULATIVE_REFRESHES
@@ -264,19 +134,37 @@ class RowEngine:
         self.model = model
         self.ugs = scenario.user_groups
         self.d_reuse = model.d_reuse_km
-        self.lat_mat = evaluator.latency_matrix
-        self.dist_mat = evaluator.distance_matrix
-        self.col_of: Dict[int, int] = evaluator.peering_columns
         self._row_of = {ug.ug_id: row for row, ug in enumerate(self.ugs)}
-        #: Peering -> its affected UGs, in scenario order.
-        self._affected = affected
-        #: The learned set the row layout below was split for.
-        self._prepped: Optional[frozenset] = None
-        #: Peering -> ``(rows, latency, distance)`` of its unlearned rows
-        #: (``nan`` latency: unmeasurable): views of its span of the layout.
-        self.arrays: Dict[int, Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = {}
-        #: Peering -> its learned rows, ascending (absent when none).
-        self.learned: Dict[int, "np.ndarray"] = {}
+        # ``affected`` (peering -> its compliant UGs, in scenario order) is
+        # fixed for the world's lifetime, and so is the layout.
+        pids = sorted(affected)
+        sizes = np.array([len(affected[pid]) for pid in pids], dtype=np.intp)
+        rows = np.fromiter(
+            (self._row_of[ug.ug_id] for pid in pids for ug in affected[pid]),
+            dtype=np.intp,
+            count=int(sizes.sum()),
+        )
+        # Position in ``pids`` of each slot's peering.
+        owner = np.repeat(np.arange(len(pids)), sizes)
+        columns = evaluator.peering_columns
+        cols = np.array([columns[pid] for pid in pids], dtype=np.intp)[owner]
+        lat = evaluator.latency_matrix[rows, cols]
+        lat[np.isinf(lat)] = np.nan  # the matrices encode None as +inf
+        dist = evaluator.distance_matrix[rows, cols]
+        bounds = [0, *accumulate(sizes.tolist())]
+        #: The layout itself and each peering's ``[start, end)`` span of it.
+        self._layout = (rows, lat, dist)
+        self._spans = dict(zip(pids, zip(bounds, bounds[1:])))
+        #: Peering -> ``(rows, latency, distance)`` of its span (``nan``
+        #: latency: unmeasurable), views of the layout.
+        self.arrays: Dict[int, Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = {
+            pid: (rows[lo:hi], lat[lo:hi], dist[lo:hi])
+            for pid, (lo, hi) in self._spans.items()
+        }
+        #: The peering of each slot, then one entry for ``kpos``'s padding
+        #: (the layout's length) reading as the table's pad; built by the
+        #: first solve with learned slots.
+        self._pid: Optional["np.ndarray"] = None
         self._fast_queries = METRICS.counter("evaluator.scan_fast_queries")
         self._slow_queries = METRICS.counter("evaluator.scan_slow_queries")
 
@@ -294,76 +182,77 @@ class RowEngine:
         #: Expected latency per (UG row, prefix); +inf where the prefix is
         #: unusable for the UG (None), so row minima need no masking.
         self._exp = np.full((len(ugs), budget), np.inf)
-        self._split(learned_ug_ids)
-        #: The learned rows, evaluated against the compiled model.
-        self._learned = LearnedRows(self, self.learned) if self.learned else None
+        is_learned = np.zeros(len(ugs), dtype=bool)
+        is_learned[[self._row_of[i] for i in learned_ug_ids if i in self._row_of]] = True
+        rows = self._layout[0]
+        #: Per slot: whether its UG has learned state.
+        self.learned = is_learned[rows]
+        #: Row -> its slot of the compiled table (-1: not learned).
+        self._slot_of = np.full(len(ugs), -1, dtype=np.intp)
+        #: Peering -> which slots of its span are learned, for the spans
+        #: holding any (views of ``learned``), and their layout slots.
+        self._held: Dict[int, "np.ndarray"] = {}
+        self._learned_at: Dict[int, "np.ndarray"] = {}
+        self._table = None
+        if not self.learned.any():
+            return self
+        self._learned_rows = learned_rows = np.unique(rows[self.learned])
+        self._slot_of[learned_rows] = np.arange(len(learned_rows))
+        self._held = {
+            pid: held
+            for pid, (lo, hi) in self._spans.items()
+            if (held := self.learned[lo:hi]).any()
+        }
+        self._learned_at = {
+            pid: self._spans[pid][0] + np.flatnonzero(held)
+            for pid, held in self._held.items()
+        }
+        self._table = table = self.model.dominance_table(
+            [ugs[row].ug_id for row in learned_rows.tolist()]
+        )
+        if self._pid is None:
+            spans = self._spans
+            self._pid = np.append(
+                np.repeat(list(spans), [hi - lo for lo, hi in spans.values()]), 0
+            )
+        self._pid[-1] = table.pad
+        # Outcome entries by member peering: entries naming ``pid`` are
+        # ``_entry[_entry_start[pid]:_entry_start[pid + 1]]``.
+        sizes = np.diff(table.out_start)
+        order = np.argsort(table.out_members, kind="stable")
+        self._entry = np.repeat(np.arange(table.n_outcomes), sizes)[order]
+        self._entry_start = np.searchsorted(
+            table.out_members[order], np.arange(table.k + 1)
+        )
+        self._entry_size = sizes
         return self
 
-    def _split(self, learned_ug_ids: Sequence[int]) -> None:
-        """Lay out every peering's unlearned rows, latencies and distances
-        end to end (ascending peering id, then row) and split off its
-        learned rows; a solve under the same learned set as the last one
-        reuses the layout."""
-        learned_set = frozenset(learned_ug_ids)
-        if learned_set == self._prepped:
-            return
-        row_of = self._row_of
-        pids = sorted(self._affected)
-        counts = [len(self._affected[pid]) for pid in pids]
-        rows = np.fromiter(
-            (row_of[ug.ug_id] for pid in pids for ug in self._affected[pid]),
-            dtype=np.intp,
-            count=sum(counts),
-        )
-        # Position in ``pids`` of each row's peering.
-        owner = np.repeat(np.arange(len(pids)), counts)
-        learned_rows = np.array(
-            sorted(row_of[ug_id] for ug_id in learned_set if ug_id in row_of),
-            dtype=np.intp,
-        )
-        self.learned = {}
-        if len(learned_rows):
-            is_learned = np.isin(rows, learned_rows)
-            held = np.bincount(owner[is_learned], minlength=len(pids))
-            pieces = np.split(rows[is_learned], np.cumsum(held)[:-1])
-            self.learned = {
-                pid: piece for pid, piece in zip(pids, pieces) if len(piece)
-            }
-            rows, owner = rows[~is_learned], owner[~is_learned]
-        cols = np.array([self.col_of[pid] for pid in pids], dtype=np.intp)[owner]
-        lat = self.lat_mat[rows, cols]
-        lat[np.isinf(lat)] = np.nan  # the matrices encode None as +inf
-        dist = self.dist_mat[rows, cols]
-        sizes = np.bincount(owner, minlength=len(pids))
-        end = np.cumsum(sizes)
-        start = end - sizes
-        #: The layout itself and each peering's ``[start, end)`` span of it.
-        self._layout = (rows, lat, dist)
-        self._spans = dict(zip(pids, zip(start.tolist(), end.tolist())))
-        self.arrays = {
-            pid: (rows[lo:hi], lat[lo:hi], dist[lo:hi])
-            for pid, (lo, hi) in self._spans.items()
-        }
-        self._prepped = learned_set
+    def _entries(self, pid: int) -> "np.ndarray":
+        return self._entry[self._entry_start[pid] : self._entry_start[pid + 1]]
 
     # -- per prefix -----------------------------------------------------------
 
     def begin_round(self, prefix: int) -> None:
         """Start ``prefix`` with nothing accepted.
 
-        Per unlearned row, the accepted compliant ingresses are kept
-        ascending by distance in ``kd`` (``+inf`` beyond the last one) with
-        the running sums ``ks`` and counts ``kc`` of their measurable
-        latencies, one column longer: ``ks[r, j]`` covers the row's ``j``
-        closest, and past the last accepted ingress it repeats the row
-        total, as a prefix sum over ``+inf`` padding would.  The kept set
-        of a reuse window ``limit`` is therefore one count-and-gather —
-        ``k = (kd[r] <= limit).sum()``, then ``ks[r, k]``, ``kc[r, k]`` —
-        for any ``limit``.  Four 1-D arrays cache that read at the row's
-        current window, so a refresh is a handful of array ops: ``d0``
-        closest accepted distance (inf while none kept), ``csum`` /
-        ``ccnt`` sum and count of measurable kept-set latencies, ``ob`` the
-        row's best latency today, ``min(base, current expected)``.
+        Per row, the accepted compliant ingresses are kept ascending by
+        distance in ``kd`` (``+inf`` beyond the last one) with the running
+        sums ``ks`` and counts ``kc`` of their measurable latencies, one
+        column longer: ``ks[r, j]`` covers the row's ``j`` closest, and
+        past the last accepted ingress it repeats the row total, as a
+        prefix sum over ``+inf`` padding would.  The kept set of a reuse
+        window ``limit`` is therefore one count-and-gather — ``k = (kd[r]
+        <= limit).sum()``, then ``ks[r, k]``, ``kc[r, k]`` — for any
+        ``limit``.  Four 1-D arrays cache that read at the row's current
+        window, so an unlearned refresh is a handful of array ops: ``d0``
+        closest accepted distance (inf while none kept), ``csum`` / ``ccnt``
+        sum and count of measurable kept-set latencies, ``ob`` the row's
+        best latency today, ``min(base, current expected)``.  While any
+        slot is learned, ``kpos`` holds the same ingresses' layout slots
+        (the layout's length beyond the last), which is the accepted set a
+        learned query reads, with the table's per-round state beside it:
+        each learned row's accepted peer-ASN bitset and, per outcome-memory
+        entry, how many of its peerings are accepted.
         """
         self._prefix = prefix
         # Best latency each UG gets from anycast or *another* prefix.
@@ -381,23 +270,23 @@ class RowEngine:
         self.kd = np.full((n, INITIAL_SCAN_WIDTH), np.inf)
         self.ks = np.zeros((n, INITIAL_SCAN_WIDTH + 1))
         self.kc = np.zeros((n, INITIAL_SCAN_WIDTH + 1))
-        #: ``pid -> (contrib, scan queries, learned terms, learned expected
-        #: latencies)``, computed in a batch ahead of its refresh or for
-        #: its last one; valid until the next accept.  ``contrib`` is a
-        #: piece of the batch's buffer (``None``: not computed yet), the
-        #: learned parts are ``()`` and ``None`` when ``pid`` has none.
+        self.kpos = None
+        #: ``pid -> _Ahead``, computed in a batch ahead of its refresh or
+        #: for its last one; valid until the next accept.
         self._ahead: Dict[int, _Ahead] = {}
-        if self._learned is not None:
-            self._learned.begin_round()
-            # Nothing is accepted yet, so every learned query is a
-            # singleton: one batch answers them all for the initial gains.
-            slots = self._learned.slots
-            self._ahead = {
-                pid: (None, 0, terms, value)
-                for pid, (terms, value) in zip(
-                    slots, self._learned_terms(list(slots.items()))
-                )
-            }
+        table = self._table
+        if table is None:
+            return
+        self.kpos = np.full((n, INITIAL_SCAN_WIDTH), len(self.learned), dtype=np.intp)
+        self._bits = np.zeros(
+            (len(self._learned_rows), table.contexts.shape[2]), dtype=np.uint64
+        )
+        self._in_acc = np.zeros(table.n_outcomes, dtype=np.intp)
+        # Nothing is accepted yet, so every learned query is a singleton:
+        # one batch answers them all for the initial gains (in ascending
+        # peering id, so in ascending slot).
+        self._first = np.zeros(len(self.learned))
+        self._first[self.learned] = self._learned(list(self._learned_at.items()))[0]
 
     def begin_prefix(self, prefix: int) -> List[float]:
         self.begin_round(prefix)
@@ -409,32 +298,91 @@ class RowEngine:
         and each learned row its singleton term, in row order (``+ 0.0``
         where the peering is no gain, which leaves the sum as it was)."""
         rows, lat, _dist = self.arrays[pid]
+        held = self._held.get(pid)
+        if held is not None:
+            free = ~held
+            rows, lat = rows[free], lat[free]
         self._fast_queries.value += len(lat)
         delta = float(self.vol[rows] @ initial_gains(self._base[rows], lat))
-        ahead = self._ahead.get(pid)
-        if ahead is None:
+        if held is None:
             return delta
-        terms = ahead[2]
+        terms = self._first[self._learned_at[pid]]
         self._slow_queries.value += len(terms)
         return _accumulate(delta, terms)
 
-    def _learned_terms(
-        self, queries: Queries
-    ) -> List[Tuple["np.ndarray", "np.ndarray"]]:
-        """``(marginal terms, expected latencies)`` per query of learned
-        rows: each row's term is its volume times how much its best
+    def kept(self, queries: Queries) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Eq. 2's kept sets: ``(candidates, kept mask)``, one row per
+        queried slot in order.  A row's candidates are the layout slots of
+        its accepted ingresses plus the queried one, ascending — for one
+        UG, ascending peering id — padded with the layout's length.
+
+        One pass of array operations over the batch: the table's candidate
+        rule, then the outcome override (an entry naming ``pid`` whose
+        other members are exactly the accepted ones)."""
+        at = np.concatenate([at for _, at in queries])
+        rows = self._layout[0][at]
+        acc = self.kpos[rows]
+        n_acc = (acc < len(self.learned)).sum(axis=1)
+        cand = np.sort(
+            np.concatenate([acc[:, : n_acc.max(initial=0)], at[:, None]], axis=1), axis=1
+        )
+        table = self._table
+        pids = self._pid[cand]
+        slots = self._slot_of[rows]
+        bits = self._bits[slots]
+        mine = self._pid[at]
+        bits[np.arange(len(at)), table.pid_word[mine]] |= table.pid_bit[mine]
+        dist = self._layout[2].take(cand, mode="clip")  # the pad's is masked
+        kept = table.kept(slots, pids, bits, dist, self.d_reuse)
+        start = 0
+        for pid, at in queries:
+            entries = self._entries(pid)
+            if len(entries) and len(at):
+                here = slots[start : start + len(at)]
+                owner = table.out_slot[entries]
+                pos = np.minimum(np.searchsorted(here, owner), len(at) - 1)
+                n_owner = n_acc[start + pos]
+                hit = (
+                    (here[pos] == owner)
+                    & (self._entry_size[entries] == n_owner + 1)
+                    & (self._in_acc[entries] == n_owner)
+                )
+                if hit.any():
+                    row = start + pos[hit]
+                    kept[row] = pids[row] == table.out_winner[entries[hit]][:, None]
+            start += len(at)
+        return cand, kept
+
+    def expected(self, queries: Queries) -> "np.ndarray":
+        """Eq.-2 expected latency (``+inf``: nothing measurable), one per
+        queried slot in order: the kept set's masked mean, summed in
+        ascending peering id."""
+        at = np.concatenate([at for _, at in queries])
+        if not (self.kpos[self._layout[0][at], 0] < len(self.learned)).any():
+            # Singletons: (0.0 + latency) / 1 is the latency itself.
+            lat = self._layout[1][at]
+            return np.where(np.isnan(lat), np.inf, lat)
+        cand, kept = self.kept(queries)
+        lat = self._layout[1].take(cand, mode="clip")
+        use = kept & ~np.isnan(lat)
+        total = np.cumsum(np.where(use, lat, 0.0), axis=1)[:, -1]
+        count = use.sum(axis=1)
+        value = np.full(len(at), np.inf)
+        np.divide(total, count, out=value, where=count > 0)
+        return value
+
+    def _learned(self, queries: Queries) -> Tuple["np.ndarray", "np.ndarray"]:
+        """``(marginal terms, expected latencies)`` of the queried learned
+        slots: each term is the row's volume times how much its best
         latency improves."""
-        slots = np.concatenate([at for _, at in queries])
-        rows = self._learned.rows[slots]
-        value = self._learned.expected(queries)
+        rows = self._layout[0][np.concatenate([at for _, at in queries])]
+        value = self.expected(queries)
         base = self._base[rows]
         old_best = np.minimum(base, self._exp[rows, self._prefix])
         new_best = np.where(
             value == np.inf, old_best, np.where(value < base, value, base)
         )
-        terms = self.vol[rows] * (old_best - new_best)
-        cut = np.cumsum([len(at) for _, at in queries[:-1]], dtype=np.intp)
-        return list(zip(np.split(terms, cut), np.split(value, cut)))
+        return self.vol[rows] * (old_best - new_best), value
 
     def _kept_at(self, rows, limit) -> Tuple["np.ndarray", "np.ndarray"]:
         """``(latency sum, count)`` of ``rows``' accepted ingresses within
@@ -442,26 +390,22 @@ class RowEngine:
         k = (self.kd[rows] <= limit[:, None]).sum(axis=1)
         return self.ks[rows, k], self.kc[rows, k]
 
-    def contrib(self, pids: Sequence[int]) -> List[Tuple["np.ndarray", int]]:
-        """Per peering of ``pids``: what adding it to the accepted set gains
-        on each of its unlearned rows, and the scan queries that took.
+    def _scan(self, at, bounds: List[int]) -> Tuple["np.ndarray", List[int]]:
+        """Refresh contributions of the unlearned slots ``at`` (pieces
+        ``[bounds[i], bounds[i + 1])`` end to end) and each piece's scan
+        queries.
 
-        One :func:`refresh_contrib` pass over the peerings' spans of the
-        layout, gathered end to end, with the cached ``d0``/``csum``/
-        ``ccnt`` of their rows; each peering's piece is a view of the one
-        result.  A row whose closest accepted ingress is farther than its
-        peering would have its window shrunk to ``dist + d_reuse``: for
-        those rows the kept set is re-read from ``kd``/``ks``/``kc`` at the
-        shrunken limit and ``d0`` replaced by ``dist``, which is exactly the
-        state the formulas expect — so every row, shrinking or not, is one
-        element of the same call, and a later volume patch can reproduce a
-        piece's sum bit for bit by substituting elements.
+        One :func:`refresh_contrib` pass with the cached ``d0``/``csum``/
+        ``ccnt`` of their rows.  A row whose closest accepted ingress is
+        farther than its peering would have its window shrunk to ``dist +
+        d_reuse``: for those rows the kept set is re-read from ``kd``/
+        ``ks``/``kc`` at the shrunken limit and ``d0`` replaced by ``dist``,
+        which is exactly the state the formulas expect — so every row,
+        shrinking or not, is one element of the same call, and a later
+        volume patch can reproduce a piece's sum bit for bit by
+        substituting elements.  A piece's scan queries are its rows plus
+        its shrink-row reads.
         """
-        spans = [self._spans[pid] for pid in pids]
-        if len(spans) == 1:
-            at = slice(*spans[0])
-        else:
-            at = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
         rows, lat, dist = (column[at] for column in self._layout)
         d0 = self.d0_arr[rows]
         csum = self.csum_arr[rows]
@@ -477,112 +421,129 @@ class RowEngine:
             dist, lat, self.vol[rows], d0, csum, ccnt, self.ob_arr[rows],
             self._base[rows], self.d_reuse,
         )
-        bounds = [0]
-        for lo, hi in spans:
-            bounds.append(bounds[-1] + hi - lo)
-        # A piece's scan queries: its rows plus its shrink-row reads.
         marks = bounds
         if len(shrinking):
             cut = np.searchsorted(shrinking, bounds).tolist()
             marks = [bound + k for bound, k in zip(bounds, cut)]
+        return contrib, [marks[i + 1] - marks[i] for i in range(len(bounds) - 1)]
+
+    def contrib(self, pids: Sequence[int]) -> List[_Ahead]:
+        """Per peering of ``pids``: what adding it to the accepted set gains
+        on each slot of its span, the scan queries of its unlearned slots
+        and the expected latencies of its learned ones (``None``: none).
+
+        The peerings' spans are gathered end to end; the unlearned slots
+        go through one :meth:`_scan`, the learned ones through one
+        :meth:`_learned` batch, and each peering's vector is a view of the
+        one result.
+        """
+        spans = [self._spans[pid] for pid in pids]
+        bounds = [0, *accumulate(hi - lo for lo, hi in spans)]
+        values = [None] * len(pids)
+        if self._table is None:
+            at = (
+                slice(*spans[0])
+                if len(spans) == 1
+                else np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+            )
+            contrib, queries = self._scan(at, bounds)
+        else:
+            at = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+            learned = self.learned[at]
+            # Learned slots before each piece boundary.
+            before = np.concatenate([[0], np.cumsum(learned)])[bounds]
+            contrib = np.empty(len(at))
+            free = ~learned
+            queries = [0] * len(pids)
+            if free.any():
+                contrib[free], queries = self._scan(at[free], (bounds - before).tolist())
+            if learned.any():
+                terms, value = self._learned(
+                    [(pid, self._learned_at[pid]) for pid in pids if pid in self._held]
+                )
+                contrib[learned] = terms
+                values = [
+                    piece if pid in self._held else None
+                    for pid, piece in zip(pids, np.split(value, before[1:-1]))
+                ]
         return [
-            (contrib[bounds[i] : bounds[i + 1]], marks[i + 1] - marks[i])
-            for i in range(len(spans))
+            (contrib[bounds[i] : bounds[i + 1]], queries[i], values[i])
+            for i in range(len(pids))
         ]
 
-    def marginal(
-        self, pid: int, stale: Sequence[int] = ()
-    ) -> Tuple[float, MarginalDetail]:
+    def _reduce(self, pid: int, contrib: "np.ndarray") -> float:
+        """The marginal of a vector: ``contrib.sum()`` over the unlearned
+        slots, then the learned terms one at a time in row order."""
+        held = self._held.get(pid)
+        if held is None:
+            return float(contrib.sum())
+        return _accumulate(float(contrib[~held].sum()), contrib[held])
+
+    def marginal(self, pid: int, stale: Sequence[int] = ()) -> Tuple[float, MarginalDetail]:
         """A fresh marginal plus its summation detail.
 
-        The unlearned rows' contributions are summed by one
-        ``contrib.sum()``; the learned terms follow one at a time in row
-        order.  The detail lets a later warm solve re-run this exact
-        summation with a few elements substituted (:meth:`patch`).  Up to
+        The detail lets a later warm solve re-run this exact summation with
+        a few elements substituted (:meth:`patch`).  Up to
         :data:`SPECULATIVE_REFRESHES` of the ``stale`` peerings are
         computed in the same pass and kept for their own refreshes, which
         usually follow before the next accept; the scan counters count a
         marginal when it is served.
         """
         ahead = self._ahead.get(pid)
-        if ahead is None or ahead[0] is None:
+        if ahead is None:
             self._compute_ahead(pid, stale)
             ahead = self._ahead[pid]
-        piece, queries, terms, _value = ahead
+        piece, queries, value = ahead
         self._fast_queries.value += queries
         # A copy, so a warm memo keeping the detail does not pin the
         # batch's buffer.
         contrib = piece.copy()
-        delta = float(contrib.sum())
-        if not len(terms):
-            # The shared empty tuple, not a fresh array: a warm memo holds
-            # one detail per marginal, and ``(ndarray, ())`` is a tuple the
-            # cyclic GC stops tracking — thousands of long-lived objects
-            # fewer per solve for every later full collection to walk.
-            return delta, (contrib, ())
-        self._slow_queries.value += len(terms)
-        return _accumulate(delta, terms), (contrib, terms)
+        if value is None:
+            return float(contrib.sum()), contrib
+        self._slow_queries.value += len(value)
+        return self._reduce(pid, contrib), contrib
 
     def _compute_ahead(self, pid: int, stale: Sequence[int]) -> None:
         """Compute ``pid`` and up to :data:`SPECULATIVE_REFRESHES` of the
         ``stale`` peerings not computed yet, in one batch."""
         ahead = self._ahead
-        batch = [pid] + [
-            other for other in stale if other not in ahead or ahead[other][0] is None
-        ][:SPECULATIVE_REFRESHES]
-        learned = self._learned
-        known = {}
-        if learned is not None:
-            mine = [(p, learned.slots[p]) for p in batch if p in learned.slots]
-            if mine:
-                known = dict(zip((p for p, _ in mine), self._learned_terms(mine)))
-        for p, (piece, queries) in zip(batch, self.contrib(batch)):
-            terms, value = known.get(p, ((), None))
-            ahead[p] = (piece, queries, terms, value)
+        batch = [pid] + [other for other in stale if other not in ahead][
+            :SPECULATIVE_REFRESHES
+        ]
+        ahead.update(zip(batch, self.contrib(batch)))
 
     def refresh(self, pid: int, stale: Sequence[int]) -> float:
         return self.marginal(pid, stale)[0]
 
     def patch(
         self, pid: int, recorded: MarginalDetail, changed_rows: Set[int]
-    ) -> Optional[Tuple[float, MarginalDetail]]:
+    ) -> Tuple[float, MarginalDetail]:
         """Volume-patch a recorded marginal: bit-equal, far cheaper.
 
         Valid while the scan state matches the one ``recorded`` was computed
-        against (the caller replays the same accept sequence): only the
-        ``changed_rows`` terms are recomputed, then the identical float
-        summation is replayed.  Returns ``None`` when the recorded shape no
-        longer fits the learned split (caller re-evaluates).
+        against (the caller replays the same accept sequence under the same
+        learned set): only the ``changed_rows`` terms are recomputed, then
+        the identical float summation is replayed.
         """
-        contrib0, terms = recorded
-        learned = self._learned
-        slots = learned.slots.get(pid) if learned is not None else None
-        if len(contrib0) != len(self.arrays[pid][0]) or len(terms) != (
-            0 if slots is None else len(slots)
-        ):
-            return None  # learned split drifted under the record
-        patched = self._patch_contrib(pid, contrib0, changed_rows)
-        total = float(patched.sum())
-        if slots is None:
-            return total, (patched, terms)
-        at = np.flatnonzero(
-            np.isin(learned.rows[slots], np.fromiter(changed_rows, np.intp))
-        )
-        if len(at):
-            self._slow_queries.value += len(at)
-            terms = terms.copy()
-            terms[at] = self._learned_terms([(pid, slots[at])])[0][0]
-        return _accumulate(total, terms), (patched, terms)
+        patched = self._patch_contrib(pid, recorded, changed_rows)
+        if pid in self._held:
+            at = self._learned_at[pid]
+            at = at[np.isin(self._layout[0][at], np.fromiter(changed_rows, np.intp))]
+            if len(at):
+                self._slow_queries.value += len(at)
+                patched[at - self._spans[pid][0]] = self._learned([(pid, at)])[0]
+        return self._reduce(pid, patched), patched
 
     def _patch_contrib(
         self, pid: int, recorded: "np.ndarray", changed_rows: Set[int]
     ) -> "np.ndarray":
-        """A recorded ``contrib`` vector with ``changed_rows`` recomputed.
+        """A recorded vector with the unlearned ``changed_rows``' terms
+        recomputed.
 
         A volume shift changes marginal *weights* only — none of the scan
         state depends on volumes — so the shifted rows' terms are
         recomputed with IEEE-double scalar clones of the vectorized ops in
-        :meth:`contrib` and substituted into a copy of the vector recorded
+        :meth:`_scan` and substituted into a copy of the vector recorded
         for the same accept sequence.  (Scalar on purpose: a patch touches
         a handful of rows, where array set-up costs more than it saves.)
         """
@@ -590,9 +551,9 @@ class RowEngine:
         patched = recorded.copy()
         d_reuse = self.d_reuse
         for row in changed_rows:
-            pos = int(np.searchsorted(rows, row))
-            if pos >= len(rows) or rows[pos] != row:
+            if self._slot_of[row] >= 0:
                 continue  # a learned row: its term is patched separately
+            pos = int(np.searchsorted(rows, row))
             d0_s = float(self.d0_arr[row])
             dist_s = float(dist[pos])
             if dist_s < d0_s and math.isfinite(d0_s):
@@ -624,16 +585,25 @@ class RowEngine:
         """Fold an accepted peering into the scan state of its rows and
         write their new expected latencies into the prefix's column.
 
-        One vectorized sorted insert over all of ``pid``'s unlearned rows:
-        ``pid`` lands after every accepted ingress at most as far
+        One vectorized sorted insert over all of ``pid``'s rows: ``pid``
+        lands after every accepted ingress at most as far
         (``bisect_right``), and each running sum behind it becomes *its
         predecessor* plus ``pid``'s latency (``+ 0.0`` when unmeasurable)
         — sums are built by insertion, never re-accumulated, so a row's
         doubles depend only on the order its ingresses were accepted in.
-        ``+inf`` marks a row whose kept set has no measurable ingress.
+        ``+inf`` marks a row whose kept set has no measurable ingress.  A
+        learned row's expected latency is its Eq.-2 value instead, the one
+        its last refresh computed.
         """
         column = self._exp[:, self._prefix]
         rows, lat, dist = self.arrays[pid]
+        held = self._held.get(pid)
+        if held is not None:
+            ahead = self._ahead.get(pid)
+            if ahead is None:
+                learned_value = self.expected([(pid, self._learned_at[pid])])
+            else:
+                learned_value = ahead[2]
         if np.isfinite(self.kd[rows, -1]).any():
             self._widen()
         kd, ks, kc = self.kd[rows], self.ks[rows], self.kc[rows]
@@ -646,6 +616,11 @@ class RowEngine:
         kd[:, 1:] = np.where(behind[:, :-1], kd[:, :-1], kd[:, 1:])
         kd[np.arange(len(rows)), idx] = dist
         self.kd[rows], self.ks[rows], self.kc[rows] = kd, ks, kc
+        if self.kpos is not None:
+            kpos = self.kpos[rows]
+            kpos[:, 1:] = np.where(behind[:, :-1], kpos[:, :-1], kpos[:, 1:])
+            kpos[np.arange(len(rows)), idx] = np.arange(*self._spans[pid])
+            self.kpos[rows] = kpos
         # The rows' new reuse windows, read back off the updated tables.
         d0 = kd[:, 0]
         csum, ccnt = self._kept_at(rows, d0 + self.d_reuse)
@@ -656,28 +631,43 @@ class RowEngine:
         self.ccnt_arr[rows] = ccnt
         self.ob_arr[rows] = np.minimum(self._base[rows], value)
         column[rows] = value
-        learned = self._learned
-        if learned is not None and pid in learned.slots:
-            slots = learned.slots[pid]
-            ahead = self._ahead.get(pid)
-            value = ahead[3] if ahead is not None else learned.expected([(pid, slots)])
-            column[learned.rows[slots]] = value
-            learned.accept(pid)
+        if held is not None:
+            table = self._table
+            column[rows[held]] = learned_value
+            self._bits[self._slot_of[rows[held]], table.pid_word[pid]] |= table.pid_bit[pid]
+            self._in_acc[self._entries(pid)] += 1
         self._ahead = {}
 
     def _widen(self) -> None:
         """Double the kept-ingress tables' width, padding preserved."""
-        width = self.kd.shape[1]
-        self.kd = np.concatenate(
-            [self.kd, np.full((len(self.kd), width), np.inf)], axis=1
-        )
+        n, width = self.kd.shape
+        self.kd = np.concatenate([self.kd, np.full((n, width), np.inf)], axis=1)
         self.ks = np.concatenate(
             [self.ks, np.repeat(self.ks[:, -1:], width, axis=1)], axis=1
         )
         self.kc = np.concatenate(
             [self.kc, np.repeat(self.kc[:, -1:], width, axis=1)], axis=1
         )
+        if self.kpos is not None:
+            self.kpos = np.concatenate(
+                [self.kpos, np.full((n, width), len(self.learned), dtype=np.intp)],
+                axis=1,
+            )
 
     def end_prefix(self) -> None:
-        if self._learned is not None:
-            self._learned.remember(self._exp[:, self._prefix])
+        """Leave each learned row's expected latency under the round's
+        final accepted set in the evaluator's Eq.-2 memo: evaluating the
+        solved configuration asks for exactly these."""
+        if self._table is None:
+            return
+        column = self._exp[:, self._prefix]
+        acc = self.kpos[self._learned_rows]
+        n_acc = (acc < len(self.learned)).sum(axis=1)
+        for i in np.flatnonzero(n_acc > 1).tolist():
+            row = int(self._learned_rows[i])
+            value = float(column[row])
+            self.evaluator.remember_expected(
+                self.ugs[row],
+                frozenset(self._pid[acc[i, : n_acc[i]]].tolist()),
+                None if value == np.inf else value,
+            )

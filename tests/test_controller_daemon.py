@@ -51,6 +51,27 @@ from repro.scenario import tiny_scenario
 # ---------------------------------------------------------------------------
 
 
+#: A valid document body per delta kind, and bad values per field: ids
+#: and epochs must be non-bool ints (``True`` would alias id 1), ``at_s``
+#: a finite non-bool number, ``pop_name`` a non-empty string.
+_GOOD_FIELDS = {
+    "volume_shift": {"at_s": 0, "ug_id": 1, "volume": 2.0},
+    "peering_down": {"at_s": 1.5, "peering_id": 2},
+    "peering_up": {"at_s": 1.5, "peering_id": 2},
+    "pop_down": {"at_s": 3.0, "pop_name": "pop-a"},
+    "pop_up": {"at_s": 3.0, "pop_name": "pop-a"},
+    "link_weight_shift": {"at_s": 60.0, "epoch": 1},
+}
+_BAD_IDS = [True, False, 2.5, 1.0, "1", None]
+_BAD_VALUES = {
+    "at_s": [True, float("inf"), float("nan"), -1.0, "0"],
+    "ug_id": _BAD_IDS,
+    "peering_id": _BAD_IDS,
+    "epoch": _BAD_IDS,
+    "pop_name": [7, "", None],
+}
+
+
 class TestDeltas:
     def test_round_trip_every_type(self, tmp_path):
         deltas = [
@@ -98,6 +119,31 @@ class TestDeltas:
         )
         assert ("NaN" if volume != volume else "Infinity") in path.read_text()
         with pytest.raises(DeltaError, match="finite"):
+            load_deltas(path)
+
+    @pytest.mark.parametrize(
+        "kind,field,value",
+        [
+            (kind, field, value)
+            for kind, good in _GOOD_FIELDS.items()
+            for field in good
+            for value in _BAD_VALUES.get(field, ())
+        ],
+    )
+    def test_field_types_fail_closed(self, tmp_path, kind, field, value):
+        """Every delta kind rejects a bad-typed field, both from a dict and
+        from a stream file (``json`` reads ``Infinity`` as a bare token)."""
+        delta_from_dict({"type": kind, **_GOOD_FIELDS[kind]})  # the baseline loads
+        document = {"type": kind, **_GOOD_FIELDS[kind], field: value}
+        with pytest.raises(DeltaError):
+            delta_from_dict(document)
+        path = tmp_path / "stream.json"
+        path.write_text(
+            json.dumps(
+                {"kind": "painter-delta-stream", "version": 1, "deltas": [document]}
+            )
+        )
+        with pytest.raises(DeltaError):
             load_deltas(path)
 
     def test_load_rejects_foreign_documents(self, tmp_path):

@@ -1,12 +1,13 @@
-"""The array engine for learned UG rows against the scalar Eq.-2 oracle.
+"""The row engine's learned slots against the scalar Eq.-2 oracle.
 
 A solve evaluates every learned (row, peering) query — the accepted set
-plus one peering — in arrays (:class:`repro.core.rows.LearnedRows`
-over the routing model's compiled :class:`DominanceTable`).  Each query's
-kept set must equal the full-scan reference ``_naive_candidates``, and its
-value, every marginal built from such values and the per-prefix expected
-latency an accept leaves behind must be the scalar path's floats, bit for
-bit.
+plus one peering — in one batch of array operations
+(:meth:`repro.core.rows.RowEngine.kept` / :meth:`~repro.core.rows.
+RowEngine.expected`, over the routing model's compiled
+:class:`DominanceTable`).  Each query's kept set must equal the full-scan
+reference ``_naive_candidates``, and its value, every marginal built from
+such values and the per-prefix expected latency an accept leaves behind
+must be the scalar path's floats, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ def _scalar(orch, ug, advertised):
 def _reference_marginal(orch, source, pid, accepted):
     """``pid``'s marginal with every learned term from the scalar oracle,
     added one at a time in row order after the unlearned rows' sum."""
-    learned = source._learned
-    total = float(source.contrib([pid])[0][0].sum())
+    held = source.learned[slice(*source._spans[pid])]
+    total = float(source.contrib([pid])[0][0][~held].sum())
     ugs = orch._scenario.user_groups
-    for row in learned.rows[learned.slots[pid]].tolist():
+    for row in source.arrays[pid][0][held].tolist():
         ug = ugs[row]
         base = float(source._base[row])
         compliant = orch._scenario.catalog.compliant_subset(ug, accepted)
@@ -98,8 +99,7 @@ class TestQueriesAgainstOracle:
             model.restore_preferences(model.snapshot_preferences())
 
         source = orch._row_source()
-        learned = source._learned
-        if learned is None:
+        if not source.learned.any():
             return  # only pair-less stale observations, dropped by restore
         source.begin_round(0)
         order = data.draw(
@@ -113,16 +113,17 @@ class TestQueriesAgainstOracle:
             # One batch over every open peering, as a speculative refresh
             # evaluates them.
             open_pids = [
-                pid for pid in pool if pid not in accepted and pid in learned.slots
+                pid for pid in pool if pid not in accepted and pid in source._held
             ]
             if open_pids:
-                queries = [(pid, learned.slots[pid]) for pid in open_pids]
-                cand, kept = learned.kept(queries)
-                values = learned.expected(queries)
+                queries = [(pid, source._learned_at[pid]) for pid in open_pids]
+                cand, kept = source.kept(queries)
+                cand = source._pid[cand]  # layout slots -> peering ids
+                values = source.expected(queries)
                 i = 0
-                for pid, slots in queries:
+                for pid, at in queries:
                     advertised = frozenset(accepted | {pid})
-                    for row in learned.rows[slots].tolist():
+                    for row in source._layout[0][at].tolist():
                         ug = scenario.user_groups[row]
                         got = frozenset(
                             c for c, k in zip(cand[i].tolist(), kept[i].tolist()) if k
@@ -141,7 +142,7 @@ class TestQueriesAgainstOracle:
             source.accept(pid)
             accepted.add(pid)
             column = source._exp[:, 0]
-            for row in learned.rows.tolist():
+            for row in source._learned_rows.tolist():
                 ug = scenario.user_groups[row]
                 compliant = catalog.compliant_subset(ug, accepted)
                 expected = _scalar(orch, ug, compliant) if compliant else None
@@ -170,7 +171,7 @@ class TestSolveAgainstOracle:
 
         def marginal(pid, stale=()):
             gain, detail = real_marginal(pid, stale)
-            if pid in source._learned.slots:
+            if pid in source._held:
                 reference = _reference_marginal(orch, source, pid, frozenset(accepted))
                 assert gain.hex() == reference.hex()
                 checked["refresh"] += 1
@@ -180,7 +181,7 @@ class TestSolveAgainstOracle:
             real_accept(pid)
             accepted.add(pid)
             column = source._exp[:, source._prefix]
-            for row in source._learned.rows.tolist():
+            for row in source._learned_rows.tolist():
                 ug = scenario.user_groups[row]
                 compliant = scenario.catalog.compliant_subset(ug, accepted)
                 expected = _scalar(orch, ug, compliant) if compliant else None

@@ -6,9 +6,10 @@
 * the engine's array scan state, driven over hypothesis-drawn worlds,
   against the per-UG sorted-list scan its arrays replaced (``_ListScan``),
   double for double — refreshes computed one peering at a time and in
-  batches with drawn stale heap tops alike;
-* the learned split and the growth of the kept-ingress tables on a real
-  world.
+  batches with drawn stale heap tops alike, with learned rows masked out
+  of the unlearned reduction;
+* on real worlds: the layout built once, volume patches against fresh
+  marginals with learned rows, and the growth of the kept-ingress tables.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
+from repro.core.routing_model import DominanceTable
 from repro.core.rows import INITIAL_SCAN_WIDTH, RowEngine, initial_gains, refresh_contrib
 from repro.scenario import prototype_scenario, tiny_scenario
 from repro.telemetry import METRICS
@@ -235,10 +237,27 @@ def _scan_worlds(draw):
     )
 
 
+def _unlearned_tables(k):
+    """A stub of :meth:`RoutingModel.dominance_table`: the compiled state of
+    UGs that learned nothing (peering ids below ``k``)."""
+    end = np.array([np.iinfo(np.int64).max])
+    none = np.empty(0, dtype=np.int64)
+
+    def dominance_table(ug_ids):
+        return DominanceTable(
+            k, np.zeros(k, dtype=np.intp), np.zeros(k, dtype=np.uint64),
+            end, np.zeros(1, dtype=np.int64), end, 1,
+            np.zeros((len(ug_ids), 0, 1), dtype=np.uint64),
+            none, np.zeros(1, dtype=np.int64), none, none,
+        )
+
+    return dominance_table
+
+
 def _synthetic_engine(world) -> RowEngine:
     """A :class:`RowEngine` over stub objects carrying ``world``'s cells
     (``+inf`` latency = unmeasurable), readied for a one-prefix solve with
-    the ``learned`` rows split off."""
+    the ``learned`` rows masked."""
     ugs = [
         SimpleNamespace(ug_id=100 + row, volume=world.vol[row])
         for row in range(world.n_rows)
@@ -260,14 +279,27 @@ def _synthetic_engine(world) -> RowEngine:
             distance_matrix=dist,
             peering_columns={pid: pid for pid in range(world.n_pids)},
         ),
-        SimpleNamespace(d_reuse_km=world.d_reuse),
+        SimpleNamespace(
+            d_reuse_km=world.d_reuse,
+            dominance_table=_unlearned_tables(world.n_pids + 1),
+        ),
         affected,
     )
-    engine.begin_solve(1, list(range(world.n_pids)), ())
-    # The learned rows leave the array scan; their own evaluation (which
-    # needs a routing model) is out of this oracle's scope.
-    engine._split([100 + row for row in world.learned])
-    return engine
+    # The learned rows' own evaluation (Eq. 2 against a real routing
+    # model's table) is out of this oracle's scope; what it pins is that
+    # they add nothing to the unlearned reduction.
+    return engine.begin_solve(
+        1, list(range(world.n_pids)), [100 + row for row in world.learned]
+    )
+
+
+def _reduction(contrib, learned):
+    """The marginal of a recorded vector: the unlearned slots' pairwise
+    sum, then the learned terms one at a time in row order."""
+    total = float(contrib[~learned].sum())
+    for term in contrib[learned].tolist():
+        total += term
+    return total
 
 
 class TestArrayScanAgainstListScan:
@@ -280,21 +312,26 @@ class TestArrayScanAgainstListScan:
         engine.begin_round(0)
         oracle = _ListScan(world.d_reuse)
         mine = [row for row in range(world.n_rows) if row not in world.learned]
+        spans = {
+            pid: engine.arrays[pid][0].tolist() for pid in range(world.n_pids)
+        }
+        masks = {pid: engine.learned[slice(*engine._spans[pid])] for pid in spans}
+        for pid, span in spans.items():
+            assert span == [row for row in range(world.n_rows) if (row, pid) in world.cells]
+            assert masks[pid].tolist() == [row in world.learned for row in span]
         fast = METRICS.counter("evaluator.scan_fast_queries")
+        slow = METRICS.counter("evaluator.scan_slow_queries")
         for accepted in world.accepts:
             engine.accept(accepted)
             assert not engine._ahead  # the accept dropped what was computed ahead
-            rows = engine.arrays[accepted][0]
-            assert rows.tolist() == [
-                row for row in mine if (row, accepted) in world.cells
-            ]
-            for row in rows.tolist():
+            rows = [row for row in spans[accepted] if row in mine]
+            for row in rows:
                 oracle.accept(row, *world.cells[row, accepted])
             stats = [oracle.kept_stats(row) for row in mine]
             expected = {row: s[3] for row, s in zip(mine, stats)}
             assert _hex(engine._exp[rows, 0]) == _hex(
                 float("inf") if expected[row] is None else expected[row]
-                for row in rows.tolist()
+                for row in rows
             )
             assert _hex(engine.d0_arr[mine]) == _hex(s[0] for s in stats)
             assert _hex(engine.csum_arr[mine]) == _hex(s[1] for s in stats)
@@ -304,40 +341,49 @@ class TestArrayScanAgainstListScan:
                 for base, s in zip(world.base[mine], stats)
             )
             oracle_terms = {}
-            for pid in range(world.n_pids):
-                sel = engine.arrays[pid][0].tolist()
+            for pid, span in spans.items():
                 oracle_terms[pid] = terms = [
                     oracle.term(
                         row, *world.cells[row, pid], world.vol[row],
                         float(world.base[row]),
                     )
-                    for row in sel
+                    for row in span
+                    if row in mine
                 ]
                 contrib = engine.contrib([pid])[0][0]
-                assert _hex(contrib) == _hex(terms)
+                assert _hex(contrib[~masks[pid]]) == _hex(terms)
                 # A single-row patch recomputes exactly that element — of a
-                # vector that is otherwise left alone.
-                blank = np.full(len(sel), -1.0)
-                for pos, row in enumerate(sel):
+                # vector that is otherwise left alone; a learned row's
+                # element is not the scan's to patch.
+                blank = np.full(len(span), -1.0)
+                for pos, row in enumerate(span):
                     patched = engine._patch_contrib(pid, blank, {row})
-                    assert patched[pos].hex() == terms[pos].hex()
+                    if row in world.learned:
+                        assert np.array_equal(patched, blank)
+                        continue
+                    assert patched[pos].hex() == contrib[pos].hex()
                     assert np.count_nonzero(patched != blank) <= 1
-                for row in world.learned:
-                    assert np.array_equal(
-                        engine._patch_contrib(pid, blank, {row}), blank
-                    )
             # Refreshes with a stale heap top: each peering computed in one
             # batch with some others, or served from an earlier batch — the
-            # same doubles, and the scan queries of one-peering calls,
-            # counted as each is served.
-            single = sum(engine.contrib([pid])[0][1] for pid in world.order)
-            before = fast.value
+            # same doubles.  A marginal's fast scan queries are its
+            # unlearned rows plus their shrink-row re-reads, its slow ones
+            # its learned rows, counted as each is served.
+            d0 = {row: s[0] for row, s in zip(mine, stats)}
+            queries = sum(
+                1 + (world.cells[row, pid][0] < d0[row] < float("inf"))
+                for pid in world.order
+                for row in spans[pid]
+                if row in mine
+            )
+            before = fast.value, slow.value
             for pid in world.order:
-                value, (contrib, terms) = engine.marginal(pid, world.stale[pid])
-                assert _hex(contrib) == _hex(oracle_terms[pid])
-                assert terms == ()
-                assert value.hex() == float(contrib.sum()).hex()
-            assert fast.value - before == single
+                value, contrib = engine.marginal(pid, world.stale[pid])
+                assert _hex(contrib[~masks[pid]]) == _hex(oracle_terms[pid])
+                assert value.hex() == _reduction(contrib, masks[pid]).hex()
+            assert fast.value - before[0] == queries
+            assert slow.value - before[1] == sum(
+                np.count_nonzero(masks[pid]) for pid in world.order
+            )
         # The tables themselves: the oracle's lists, then padding that
         # repeats the row total (whatever widening happened in between).
         for row in mine:
@@ -360,22 +406,89 @@ class TestArrayScanAgainstListScan:
 # ---------------------------------------------------------------------------
 
 
-def test_split_excludes_learned_rows() -> None:
+def _learned_rows(orchestrator):
+    return {orchestrator._ug_index[ug_id] for ug_id in orchestrator.model.learned_ug_ids}
+
+
+def test_layout_is_built_once_per_world() -> None:
     scenario = tiny_scenario(seed=3)
     orchestrator = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=3))
     engine = orchestrator._row_source()
-    every = {pid: rows.tolist() for pid, (rows, _lat, _dist) in engine.arrays.items()}
-    learned = tuple(sorted(ug.ug_id for ug in scenario.user_groups[:5]))
-    engine._split(learned)
-    learned_rows = {orchestrator._ug_index[ug_id] for ug_id in learned}
-    assert set(engine.arrays) == set(every)
-    for pid, (rows, lat, dist) in engine.arrays.items():
-        assert not (set(rows.tolist()) & learned_rows)
-        assert len(lat) == len(dist) == len(rows)
-        split_off = engine.learned.get(pid, np.empty(0, dtype=np.intp)).tolist()
-        assert set(split_off) <= learned_rows
-        assert sorted(rows.tolist() + split_off) == every[pid]
-    assert engine.learned
+    layout = engine._layout
+    rows, lat, dist = layout
+    # Every compliant (row, peering) slot once, ascending peering then row,
+    # the spans end to end.
+    slots = [(pid, row) for pid in sorted(engine._spans) for row in engine.arrays[pid][0].tolist()]
+    assert slots == sorted(
+        (pid, row)
+        for row, ug in enumerate(scenario.user_groups)
+        for pid in scenario.catalog.ingress_ids(ug)
+    )
+    assert [engine._spans[pid] for pid in sorted(engine._spans)] == [
+        (sum(1 for p, _ in slots if p < pid), sum(1 for p, _ in slots if p <= pid))
+        for pid in sorted(engine._spans)
+    ]
+    assert len(rows) == len(lat) == len(dist) == len(slots)
+    evaluator = orchestrator.evaluator
+    cols = [evaluator.peering_columns[pid] for pid, _ in slots]
+    assert _hex(dist) == _hex(evaluator.distance_matrix[rows, cols])
+    measured = evaluator.latency_matrix[rows, cols]
+    assert _hex(lat) == _hex(np.where(np.isinf(measured), np.nan, measured))
+    assert not engine.learned.any()
+
+    orchestrator.execute_and_observe(orchestrator.solve())
+    learned = _learned_rows(orchestrator)
+    assert learned
+    assert orchestrator._row_source() is engine
+    assert all(after is before for after, before in zip(engine._layout, layout))
+    assert engine.learned.tolist() == [row in learned for row in rows.tolist()]
+
+
+class _OddUGsMissing:
+    """Observation faults withholding every odd UG's samples, so one round
+    leaves learned and unlearned rows side by side."""
+
+    def outcome(self, iteration, ug_id, prefix):
+        return "missing" if ug_id % 2 else "ok"
+
+
+def test_patch_equals_a_fresh_marginal_with_learned_rows() -> None:
+    scenario = tiny_scenario(seed=3)
+    orchestrator = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=3))
+    config = orchestrator.solve()
+    orchestrator.execute_and_observe(config, faults=_OddUGsMissing())
+    learned = sorted(_learned_rows(orchestrator))
+    engine = orchestrator._row_source()
+    unlearned = sorted(set(engine._layout[0].tolist()) - set(learned))
+    shifted = learned[::4][:4] + unlearned[::4][:4]
+    assert len(shifted) == 8
+    order = sorted(config.peerings_for(0))[:4]
+    pids = engine.peering_ids
+
+    def states():
+        """Each accept state of ``order``'s prefix: the open peerings."""
+        engine.begin_round(0)
+        for step in range(len(order) + 1):
+            yield [pid for pid in pids if pid not in order[:step]]
+            if step < len(order):
+                engine.accept(order[step])
+
+    recorded = [{pid: engine.marginal(pid)[1] for pid in open_} for open_ in states()]
+    for row in shifted:
+        ug = scenario.user_groups[row]
+        orchestrator.apply_volume_shift(ug.ug_id, ug.volume * 2.5 + 1.0)
+    engine = orchestrator._row_source()
+    patched_learned = 0
+    for details, open_ in zip(recorded, states()):
+        for pid in open_:
+            span = set(engine.arrays[pid][0].tolist())
+            changed = {row for row in shifted if row in span}
+            gain, vector = engine.patch(pid, details[pid], changed)
+            fresh_gain, fresh = engine.marginal(pid)
+            assert gain.hex() == fresh_gain.hex(), pid
+            assert _hex(vector) == _hex(fresh), pid
+            patched_learned += len(changed & set(learned))
+    assert patched_learned
 
 
 def test_prototype_solve_outgrows_the_initial_width() -> None:
