@@ -91,7 +91,11 @@ class ControllerExtension:
       wall-clock reads may feed metrics, but never journal events or
       snapshot payloads;
     * :meth:`snapshot` returns a JSON-ready dict capturing everything
-      needed to resume, and :meth:`restore` is its exact inverse.
+      needed to resume, and :meth:`restore` is its exact inverse.  The
+      resume state may be re-derivable inputs rather than the state
+      itself — :class:`repro.soak.SoakDriver` stores the live windows'
+      selections and rebuilds its data plane by replaying them — as long
+      as the restored extension behaves exactly as the one snapshotted.
     """
 
     def after_iteration(

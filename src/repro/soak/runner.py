@@ -31,20 +31,24 @@ or the ledger is a pure function of the seed; wall-clock readings only
 feed the metrics registry and the throughput figures on
 :class:`SoakResult`.  Identical seeds therefore produce byte-identical
 journals and bit-identical ledger fingerprints — including across a
-SIGKILL/resume cycle, because the driver's full state (data plane,
-selector bank, ledger) rides the controller checkpoint.
+SIGKILL/resume cycle.  The controller checkpoint carries what cannot be
+re-derived (selector bank, ledger, and each live window's selections
+and remaps); the data plane is not stored but rebuilt on resume by
+replaying the windows whose flows are still live, since a window's
+batch is a pure function of (seed, window).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +61,7 @@ from repro.controller import (
     deltas_from_fault_schedule,
     group_deltas,
 )
+from repro.controller.daemon import _CRASH_POINTS
 from repro.core.advertisement import AdvertisementConfig
 from repro.core.orchestrator import OrchestratorConfig
 from repro.faults.events import PopOutage
@@ -68,14 +73,13 @@ from repro.traffic_manager.dataplane import (
     FlowBatch,
     ScalarDataPlane,
     VectorFlowTable,
-    plane_from_snapshot,
 )
 from repro.traffic_manager.selection import SelectorBank
 
 PathLike = Union[str, Path]
 
 #: Bump when the driver's checkpoint payload schema changes incompatibly.
-SOAK_SNAPSHOT_VERSION = 1
+SOAK_SNAPSHOT_VERSION = 2
 
 
 class SoakError(RuntimeError):
@@ -132,18 +136,67 @@ class SoakConfig:
     stop_after: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.windows < 1:
-            raise ValueError("windows must be >= 1")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
+        # Counts: a non-bool int no smaller than its minimum (``None``
+        # allowed where the field is optional).
+        for name, minimum in (
+            ("seed", 0),
+            ("windows", 1),
+            ("arrivals_per_window", 0),
+            ("flow_lifetime_windows", 0),
+            ("prefix_budget", 1),
+            ("shifts_per_window", 1),
+            ("storm_regions", 0),
+            ("storm_outage_windows", 1),
+            ("flash_crowds", 0),
+            ("admit_cap", 0),
+            ("failover_budget", 0),
+            ("verify_every", 0),
+            ("checkpoint_keep", 1),
+            ("crash_at", 0),
+            ("stop_after", 1),
+        ):
+            value = getattr(self, name)
+            if value is None and name in ("admit_cap", "crash_at", "stop_after"):
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {value!r}")
+            if value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, not {value}")
+        # Reals: finite, non-bool, inside their range.
+        for name, low, high, low_open in (
+            ("window_s", 0.0, math.inf, True),
+            ("amplitude", 0.0, 1.0, False),
+            ("mean_flow_bytes", 0.0, math.inf, False),
+        ):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, (int, float))
+                or isinstance(value, bool)
+                or not math.isfinite(value)
+            ):
+                raise ValueError(f"{name} must be a finite number, not {value!r}")
+            if value < low or (low_open and value == low) or value >= high:
+                raise ValueError(f"{name} is out of range: {value!r}")
+        for name in ("observe", "install"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool")
+        if not isinstance(self.preset, str):
+            raise ValueError("preset must be a str")
         if self.plane not in ("vector", "scalar"):
             raise ValueError("plane must be 'vector' or 'scalar'")
-        if self.flow_lifetime_windows < 0:
-            raise ValueError("flow_lifetime_windows must be non-negative")
-        if self.admit_cap is not None and self.admit_cap < 0:
-            raise ValueError("admit_cap must be non-negative")
-        if self.storm_regions < 0:
-            raise ValueError("storm_regions must be non-negative")
+        if self.crash_point not in _CRASH_POINTS:
+            raise ValueError(f"crash_point must be one of {_CRASH_POINTS}")
+        if self.prom_path is not None and not isinstance(self.prom_path, str):
+            raise ValueError("prom_path must be a str or None")
+
+    def pinned(self) -> Dict[str, Any]:
+        """The fields a checkpoint's windows were simulated under: all but
+        the run-control ones, which a resume may change."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("prom_path", "crash_at", "crash_point", "stop_after")
+        }
 
     @property
     def day_s(self) -> float:
@@ -236,10 +289,13 @@ def regional_storm(
 class SoakDriver(ControllerExtension):
     """The soak co-processor: data plane + selection + SLO accounting.
 
-    Rides every controller iteration (= one simulated window).  All state
-    that matters for resume — the flow table, the selector bank, the
-    ledger, the per-UG switch counters — is snapshot into and restored
-    from the controller checkpoint; the throughput accumulators
+    Rides every controller iteration (= one simulated window).  The
+    checkpoint carries what cannot be re-derived — the selector bank, the
+    ledger, the per-UG switch counters, and for every window that may
+    still hold live flows its per-UG selection and the remaps it applied.
+    The flow table is rebuilt from those on :meth:`restore` by replaying
+    the windows' data-plane calls, so checkpoint size follows windows and
+    user groups, not flows.  The throughput accumulators
     (:attr:`flows_forwarded`, :attr:`forward_wall_s`) are deliberately
     wall-clock-derived and excluded.
     """
@@ -250,9 +306,11 @@ class SoakDriver(ControllerExtension):
         self._load = load
         self._ugs = list(scenario.user_groups)
         self._n = len(self._ugs)
-        self._plane = (
-            VectorFlowTable() if cfg.plane == "vector" else ScalarDataPlane()
-        )
+        self._plane = self._new_plane()
+        #: The windows whose flows may still be live, oldest first: each
+        #: one's index, per-UG selected prefix id (-1 = none) and applied
+        #: ``(dead, target)`` prefix-id remap pairs.
+        self._live: List[Tuple[int, np.ndarray, List[Tuple[int, int]]]] = []
         self._bank = SelectorBank()
         self._ledger = SLOLedger(
             self._n,
@@ -276,6 +334,9 @@ class SoakDriver(ControllerExtension):
     @property
     def bank(self) -> SelectorBank:
         return self._bank
+
+    def _new_plane(self):
+        return VectorFlowTable() if self._cfg.plane == "vector" else ScalarDataPlane()
 
     # -- per-window work -------------------------------------------------------
 
@@ -347,6 +408,7 @@ class SoakDriver(ControllerExtension):
             }
             remaps = 0
             moved = 0
+            pairs: List[Tuple[int, int]] = []
             if live_names:
                 votes: Dict[str, int] = {}
                 for chosen in selections.values():
@@ -360,6 +422,9 @@ class SoakDriver(ControllerExtension):
                     if dead not in live_names and dead != target and count:
                         moved += self._plane.remap(dead, target)
                         remaps += 1
+                        pairs.append(
+                            (self._plane.prefix_id(dead), self._plane.prefix_id(target))
+                        )
             self.remaps += remaps
             self.flows_moved += moved
 
@@ -397,6 +462,17 @@ class SoakDriver(ControllerExtension):
                 ended = self._plane.end(
                     self._admitted_batch(window - lifetime).keys
                 )
+
+            # What a resume replays this window with; ``forward`` has
+            # interned every selected name, so these are lookups.
+            picks = (selections[sid] for sid in range(n))
+            chosen_ids = np.array(
+                [-1 if name is None else self._plane.prefix_id(name) for name in picks],
+                dtype=np.int32,
+            )
+            self._live.append((window, chosen_ids, pairs))
+            if lifetime:
+                del self._live[:-lifetime]
 
             # Fold the window into the ledger.
             latency = np.full(n, np.inf)
@@ -471,23 +547,126 @@ class SoakDriver(ControllerExtension):
 
     # -- checkpoint round-trip -------------------------------------------------
 
+    def _pins(self) -> Dict[str, Any]:
+        pins = self._cfg.pinned()
+        pins["user_groups"] = self._n
+        return pins
+
+    def _prefix_names(self) -> List[str]:
+        """The plane's interned prefix names, in id order."""
+        names: List[str] = []
+        while True:
+            try:
+                names.append(self._plane.prefix_name(len(names)))
+            except KeyError:
+                return names
+
     def snapshot(self) -> Dict[str, Any]:
         return {
             "version": SOAK_SNAPSHOT_VERSION,
-            "plane": self._plane.to_snapshot(),
+            "config": self._pins(),
+            "prefixes": self._prefix_names(),
+            "windows": [
+                {
+                    "window": window,
+                    "selections": _encode_array(chosen),
+                    "remaps": [list(pair) for pair in pairs],
+                }
+                for window, chosen, pairs in self._live
+            ],
             "bank": self._bank.to_snapshot(),
             "ledger": self._ledger.state_dict(),
             "prev_switches": _encode_array(self._prev_switches),
         }
 
     def restore(self, payload: Mapping[str, Any]) -> None:
+        """Inverse of :meth:`snapshot`: raises :class:`SoakError`, leaving
+        the driver untouched, for a payload of another version, one written
+        under another config or world, or one whose windows do not add up."""
         version = payload.get("version")
         if version != SOAK_SNAPSHOT_VERSION:
             raise SoakError(f"unsupported soak snapshot version {version!r}")
-        self._plane = plane_from_snapshot(payload["plane"])
-        self._bank = SelectorBank.from_snapshot(payload["bank"])
-        self._ledger = SLOLedger.from_state(payload["ledger"])
-        self._prev_switches = _decode_array(payload["prev_switches"])
+        saved, pins = payload.get("config"), self._pins()
+        if saved != pins:
+            saved = saved if isinstance(saved, Mapping) else {}
+            name = next(
+                (k for k in pins if k not in saved or saved[k] != pins[k]),
+                min(set(saved) - set(pins), default="config"),
+            )
+            raise SoakError(
+                f"checkpoint was written with {name}={saved.get(name)!r}, "
+                f"this run has {name}={pins.get(name)!r}"
+            )
+        try:
+            bank = SelectorBank.from_snapshot(payload["bank"])
+            ledger = SLOLedger.from_state(payload["ledger"])
+            prev_switches = _decode_array(payload["prev_switches"])
+            names = list(payload["prefixes"])
+            live = [
+                (
+                    int(entry["window"]),
+                    _decode_array(entry["selections"]),
+                    [(int(a), int(b)) for a, b in entry["remaps"]],
+                )
+                for entry in payload["windows"]
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SoakError(f"malformed soak snapshot: {exc!r}") from exc
+        self._check_live(live, names, last=ledger.windows_accounted - 1)
+        self._plane = self._replay(live, names)
+        self._live = live
+        self._bank = bank
+        self._ledger = ledger
+        self._prev_switches = prev_switches
+
+    def _check_live(self, live, names: List[str], last: int) -> None:
+        """The recorded windows must be exactly the live windows ending at
+        the ledger's last one, and every prefix id must name a prefix."""
+        lifetime = self._cfg.flow_lifetime_windows
+        first = max(0, last - lifetime + 1) if lifetime else 0
+        got = [window for window, _chosen, _pairs in live]
+        if got != list(range(first, last + 1)):
+            raise SoakError(
+                f"checkpoint records windows {got}, not the live windows "
+                f"{first}..{last}"
+            )
+        if len(set(names)) != len(names) or not all(isinstance(n, str) for n in names):
+            raise SoakError("checkpoint prefix list is not distinct names")
+        for window, chosen, pairs in live:
+            if (
+                chosen.shape != (self._n,)
+                or chosen.dtype.kind != "i"
+                or ((chosen < -1) | (chosen >= len(names))).any()
+                or not all(0 <= pid < len(names) for pair in pairs for pid in pair)
+            ):
+                raise SoakError(
+                    f"window {window}'s selections or remaps do not index "
+                    f"the {len(names)} saved prefixes"
+                )
+
+    def _replay(self, live, names: List[str]):
+        """A plane of the configured kind rebuilt by repeating the live
+        windows' remap, forward and expiry calls — the calls, order and
+        clock of :meth:`after_iteration`.  A flow alive now was admitted
+        in one of these windows, so its record depends on them alone."""
+        cfg = self._cfg
+        lifetime = cfg.flow_lifetime_windows
+        plane = self._new_plane()
+        for name in names:
+            plane.prefix_id(name)
+        for window, chosen, pairs in live:
+            for dead, target in pairs:
+                plane.remap(names[dead], names[target])
+            selections = {
+                sid: names[pid] if pid >= 0 else None
+                for sid, pid in enumerate(chosen.tolist())
+            }
+            plane.forward(
+                self._admitted_batch(window), selections, now_s=window * cfg.window_s
+            )
+            if lifetime and window >= lifetime:
+                plane.end(self._admitted_batch(window - lifetime).keys)
+        return plane
 
 
 @dataclass

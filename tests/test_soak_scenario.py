@@ -119,6 +119,22 @@ class TestSeedDifferential:
         )
         assert resumed.ledger.fingerprint() == reference["fingerprint"]
 
+    def test_resume_under_another_config_fails_closed(self, tmp_path):
+        """The checkpoint's windows were simulated under one config; a
+        resume under another must not splice the two into one ledger."""
+        checkpoint = tmp_path / "cp"
+        run_soak(soak_config(stop_after=3), checkpoint)
+        with pytest.raises(SoakError, match="arrivals_per_window"):
+            run_soak(
+                soak_config(arrivals_per_window=4_000, flow_lifetime_windows=1),
+                checkpoint,
+            )
+        with pytest.raises(SoakError, match="flow_lifetime_windows"):
+            run_soak(soak_config(flow_lifetime_windows=1), checkpoint)
+        # Run control may change across a resume.
+        resumed = run_soak(soak_config(stop_after=5), checkpoint)
+        assert resumed.controller.resumed_from == 2
+
     def test_summary_and_report_round_trip(self, tmp_path, reference):
         result = reference["result"]
         summary = result.summary()
@@ -229,6 +245,80 @@ class TestSLOEdgeCases:
         assert driver.ledger.windows_accounted == cfg.windows
 
 
+#: Every SoakConfig field with the values it must refuse at construction.
+BAD_FIELDS = [
+    ("preset", 3),
+    ("seed", -1),
+    ("seed", 1.0),
+    ("windows", 0),
+    ("windows", True),
+    ("windows", 2.5),
+    ("window_s", 0.0),
+    ("window_s", float("nan")),
+    ("window_s", float("inf")),
+    ("window_s", True),
+    ("arrivals_per_window", -5),
+    ("arrivals_per_window", 1e4),
+    ("flow_lifetime_windows", -1),
+    ("flow_lifetime_windows", False),
+    ("prefix_budget", 0),
+    ("prefix_budget", "4"),
+    ("plane", "gpu"),
+    ("shifts_per_window", -1),
+    ("shifts_per_window", 0),
+    ("storm_regions", -1),
+    ("storm_outage_windows", 0),
+    ("amplitude", float("nan")),
+    ("amplitude", 1.0),
+    ("amplitude", -0.1),
+    ("flash_crowds", -2),
+    ("admit_cap", -1),
+    ("admit_cap", 10.0),
+    ("failover_budget", -1),
+    ("verify_every", -1),
+    ("observe", 1),
+    ("install", None),
+    ("mean_flow_bytes", float("nan")),
+    ("mean_flow_bytes", float("-inf")),
+    ("mean_flow_bytes", -1.0),
+    ("checkpoint_keep", 0),
+    ("prom_path", 7),
+    ("crash_at", -1),
+    ("crash_at", True),
+    ("crash_point", "never"),
+    ("stop_after", 0),
+    ("stop_after", 2.0),
+]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "name,value", BAD_FIELDS, ids=[f"{n}={v!r}" for n, v in BAD_FIELDS]
+    )
+    def test_bad_field_fails_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            soak_config(**{name: value})
+
+    def test_every_field_is_covered(self):
+        from dataclasses import fields
+
+        assert {f.name for f in fields(SoakConfig)} == {n for n, _v in BAD_FIELDS}
+
+    def test_edge_values_are_accepted(self):
+        cfg = soak_config(
+            seed=0,
+            arrivals_per_window=0,
+            flow_lifetime_windows=0,
+            amplitude=0.0,
+            window_s=1,
+            admit_cap=0,
+            mean_flow_bytes=0.0,
+            crash_at=0,
+            stop_after=1,
+        )
+        assert cfg.day_s == BASE["windows"]
+
+
 class TestAlignmentAndStorm:
     def test_misaligned_delta_stream_is_rejected(self):
         scenario = tiny_scenario(seed=BASE["seed"])
@@ -323,11 +413,22 @@ def run_cli(cmd):
     os.name != "posix", reason="SIGKILL crash injection requires POSIX"
 )
 class TestKillAndResumeCLI:
+    """Second leg: the scalar oracle plane with immortal flows, so every
+    resume replays the day from window 0."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(), ("--plane", "scalar", "--flow-lifetime", "0")],
+        ids=["vector", "scalar-immortal"],
+    )
+    def leg(self, request):
+        return request.param
+
     @pytest.fixture(scope="class")
-    def cli_reference(self, tmp_path_factory):
+    def cli_reference(self, tmp_path_factory, leg):
         root = tmp_path_factory.mktemp("soak-cli-reference")
         slo = root / "slo.json"
-        proc = run_cli(soak_cmd(root / "cp", slo))
+        proc = run_cli(soak_cmd(root / "cp", slo, *leg))
         assert proc.returncode == 0, proc.stderr
         return {
             "journal": (root / "cp" / "journal.jsonl").read_bytes(),
@@ -337,7 +438,7 @@ class TestKillAndResumeCLI:
 
     @pytest.mark.parametrize("crash_point", CLI_CRASH_POINTS)
     def test_sigkill_then_resume_is_bit_identical(
-        self, tmp_path, cli_reference, crash_point
+        self, tmp_path, cli_reference, leg, crash_point
     ):
         checkpoint = tmp_path / "cp"
         slo = tmp_path / "slo.json"
@@ -345,6 +446,7 @@ class TestKillAndResumeCLI:
             soak_cmd(
                 checkpoint,
                 slo,
+                *leg,
                 "--crash-at",
                 "3",
                 "--crash-point",
@@ -357,7 +459,7 @@ class TestKillAndResumeCLI:
         )
         assert not slo.exists()
 
-        resumed = run_cli(soak_cmd(checkpoint, slo))
+        resumed = run_cli(soak_cmd(checkpoint, slo, *leg))
         assert resumed.returncode == 0, resumed.stderr
         assert "resumed from checkpoint" in resumed.stdout
         assert (
