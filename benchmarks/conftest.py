@@ -21,7 +21,7 @@ def pytest_collection_modifyitems(items) -> None:
 
     Tier-1 deselects it via the addopts marker filter; CI's benchmark job
     opts back in with ``-m bench``.  Soak benchmarks additionally carry
-    the ``soak`` marker so the soak-smoke CI job can select just the
+    the ``soak`` marker so CI's benchmark-smoke soak step can select the
     throughput gate with ``-m 'bench and soak'``.
     """
     for item in items:

@@ -8,7 +8,7 @@ only) is recorded in ``extra_info``; data-plane speed is gated by the
 ``day-proto`` and ``tm-churn`` workloads of ``python -m bench``.
 
 Carries the ``bench`` and ``soak`` markers (via benchmarks/conftest.py),
-so CI's soak-smoke job selects exactly this run with
+so CI's benchmark-smoke job selects exactly this run with
 ``-m 'bench and soak'``.
 """
 

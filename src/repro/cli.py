@@ -2,12 +2,17 @@
 
 Commands:
 
+* ``run <id>`` — run one registered experiment
+  (``repro.experiments.ALL_EXPERIMENTS``) and print its table; its flags are
+  generated from the runner's signature (``--json PATH`` saves the table,
+  ``--journal PATH`` records a run journal);
+* ``report``   — run several experiments (the quick ones, named ids, or
+  ``all``) and write a Markdown report with each experiment's digest;
 * ``info``     — describe a scenario preset (topology, UGs, benefit headroom);
 * ``solve``    — run the Advertisement Orchestrator and print (or save) the
   configuration;
-* ``failover`` — run the Fig. 10 failover simulation;
-* ``chaos``    — run seeded random fault storms against every steering strategy;
 * ``validate`` — traceroute-validate the policy-compliance inference (§3.1);
+* ``audit``    — self-check a scenario's structural invariants;
 * ``perf``     — instrumented solve/learn: counters, timers, cache hit rates;
 * ``tm-bench`` — drive Zipf-weighted UG flow arrivals through the batched
   Traffic Manager data plane and report per-step steering throughput;
@@ -16,22 +21,18 @@ Commands:
 * ``soak``     — run a simulated day of diurnal load, flash crowds, and
   rolling regional outages through the composed system (controller +
   vector data plane) with per-UG SLO accounting (``repro.soak``);
-* ``communities`` — BGP action-community steering comparator (benefit and
-  best-ingress coverage vs PAINTER) plus the hot-potato link-weight-epoch
-  coexistence scenario (``repro.steering.communities``);
-* ``optimality`` — measure Algorithm 1's greedy-vs-ILP benefit gap with
-  LP-bound soundness checks (``repro.optimality``);
 * ``trace``    — render the per-phase time/benefit breakdown of a JSONL run
-  journal written by ``--journal`` (on solve/chaos/tm-bench).
-
-Experiments have their own entry point: ``python -m repro.experiments``.
+  journal written by ``--journal`` (on run/solve/tm-bench).
 """
 
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import contextlib
+import inspect
 import sys
+import typing
 from typing import Iterator, List, Optional
 
 from repro.scenario import (
@@ -58,10 +59,12 @@ def _scenario_from(args: argparse.Namespace) -> Scenario:
     return builder(**kwargs)
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
+def _add_scenario_args(
+    parser: argparse.ArgumentParser, preset: Optional[str] = "prototype"
+) -> None:
     parser.add_argument(
-        "--preset", choices=sorted(_PRESETS), default="prototype",
-        help="scenario preset (default: prototype)",
+        "--preset", choices=sorted(_PRESETS), default=preset,
+        help=f"scenario preset (default: {preset or 'the experiment default'})",
     )
     parser.add_argument("--seed", type=int, default=0, help="world seed")
     parser.add_argument("--ugs", type=int, default=None, help="user-group count")
@@ -134,27 +137,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_failover(args: argparse.Namespace) -> int:
-    from repro.experiments.fig10 import run_fig10
-
-    print(run_fig10().render())
-    return 0
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.chaos import run_chaos
-
-    with _maybe_journal(args, "chaos"):
-        result = run_chaos(
-            storms=args.storms,
-            duration_s=args.duration,
-            seed=args.seed,
-            intensity=args.intensity,
-        )
-    print(result.render())
-    return 0
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     from repro.measurement.traceroute import TracerouteConfig, validate_policy_compliance
 
@@ -170,13 +152,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Experiments cheap enough for the default `report` invocation.
-_QUICK_EXPERIMENTS = (
-    "fig3", "fig8", "fig10", "fig11a", "fig11b", "fig12", "chaos",
-    "ext_congestion", "ext_multipath", "ext_ipv6", "ext_failover_sweep",
-)
-
-
 def cmd_audit(args: argparse.Namespace) -> int:
     from repro.audit import audit_scenario
 
@@ -189,9 +164,22 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from repro.experiments import ALL_EXPERIMENTS
     from repro.reporting import run_and_report
 
-    requested = args.experiments or list(_QUICK_EXPERIMENTS)
+    if args.experiments == ["all"]:
+        requested = list(ALL_EXPERIMENTS)
+    else:
+        requested = args.experiments or [
+            name for name, experiment in ALL_EXPERIMENTS.items() if experiment.quick
+        ]
+    unknown = [name for name in requested if name not in ALL_EXPERIMENTS]
+    if unknown:
+        print(
+            f"unknown experiments: {unknown}; available: {list(ALL_EXPERIMENTS)}",
+            file=sys.stderr,
+        )
+        return 2
     markdown = run_and_report(requested, jobs=args.jobs)
     Path(args.output).write_text(markdown)
     print(f"wrote {args.output} covering: {', '.join(requested)}")
@@ -234,19 +222,18 @@ def cmd_tm_bench(args: argparse.Namespace) -> int:
 
     METRICS.reset()
     steps = args.steps
-    arrivals = max(1, args.flows // steps)
+    # ReplayConfig rejects a non-positive --steps; do not divide by it first.
+    config = ReplayConfig(
+        preset=args.preset,
+        seed=args.seed,
+        arrivals_per_step=max(1, args.flows // max(steps, 1)),
+        steps=steps,
+        prefix_budget=args.budget,
+        plane=args.plane,
+        fail_step=args.fail_step,
+    )
     with _maybe_journal(args, "tm-bench"):
-        replay = run_traffic_replay(
-            ReplayConfig(
-                preset=args.preset,
-                seed=args.seed,
-                arrivals_per_step=arrivals,
-                steps=steps,
-                prefix_budget=args.budget,
-                plane=args.plane,
-                fail_step=args.fail_step,
-            )
-        )
+        replay = run_traffic_replay(config)
     print(replay.to_result().render())
     print()
     print(
@@ -334,7 +321,8 @@ def cmd_soak(args: argparse.Namespace) -> int:
         preset=args.preset,
         seed=args.seed,
         windows=args.windows,
-        window_s=args.day / args.windows,
+        # SoakConfig rejects windows < 1; do not divide by it first.
+        window_s=args.day / max(args.windows, 1),
         arrivals_per_window=args.arrivals,
         flow_lifetime_windows=args.flow_lifetime,
         prefix_budget=args.budget,
@@ -382,19 +370,10 @@ def cmd_soak(args: argparse.Namespace) -> int:
     if args.report:
         from pathlib import Path
 
-        from repro.experiments.harness import ExperimentResult
-        from repro.reporting import result_to_markdown, soak_summary
+        from repro.experiments.soak import soak_summary, soak_table
+        from repro.reporting import result_to_markdown
 
-        table = ExperimentResult(
-            experiment_id="soak",
-            title="Soak: simulated day with diurnal load, storms, SLO accounting",
-            columns=[
-                "window", "offered", "served", "unroutable", "shed",
-                "down_ugs", "switches", "remaps", "accounting_errors",
-            ],
-        )
-        for row in result.ledger.window_rows:
-            table.add_row(*(row[str(c)] for c in table.columns))
+        table = soak_table(result)
         for note in result.notes:
             table.add_note(note)
         markdown = result_to_markdown(table) + "\n" + soak_summary(table)
@@ -407,123 +386,85 @@ def cmd_soak(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_communities(args: argparse.Namespace) -> int:
-    """Community-steering comparator and hot-potato coexistence scenario."""
-    import json
-    from pathlib import Path
+#: Runner parameters that take objects, not command-line values.
+_OBJECT_PARAMS = frozenset({"paths", "config", "profiles", "resolver_config", "geo_config"})
 
-    from repro.egress.coexistence import evaluate_coexistence
-    from repro.experiments.fig6 import painter_budget_configs
-    from repro.experiments.hotpotato import run_hot_potato
-    from repro.steering.communities import (
-        communities_benefit,
-        coverage_of_best_ingress,
-        solve_communities,
+
+def _add_experiment_parser(sub, name: str, run) -> None:
+    """``repro run <name>``: one flag per runner parameter, typed by its hints.
+
+    ``int``/``float``/``str`` become typed flags, ``bool`` a ``--x/--no-x``
+    pair and ``Sequence[...]`` a ``nargs="+"`` list.  A ``scenario``
+    parameter becomes the scenario flags, whose ``--preset`` defaults to
+    the runner's own world; the runner's ``seed`` (and ``preset``) share
+    the world's ``--seed`` (and ``--preset``).
+    """
+    params = inspect.signature(run).parameters
+    hints = typing.get_type_hints(run)
+    module_doc = inspect.getdoc(inspect.getmodule(run)) or name
+    parser = sub.add_parser(
+        name,
+        help=module_doc.splitlines()[0].replace("%", "%%"),
+        description=inspect.getdoc(run) or module_doc,
     )
-
-    scenario = _scenario_from(args)
-    payload: dict = {"preset": args.preset, "seed": args.seed, "budget": args.budget}
-
-    if args.check_frozen:
-        # The CI gate: with a frozen (single-epoch) weight schedule, both
-        # modes must show exactly zero oscillations and the PAINTER row must
-        # be bit-identical to the additive coexistence evaluation.
-        result = run_hot_potato(
-            scenario=scenario, budget=args.budget, n_epochs=1, seed=args.seed
-        )
-        config = painter_budget_configs(scenario, [args.budget])[args.budget]
-        expected = evaluate_coexistence(scenario, config).combined_gain
-        painter_rows = [row for row in result.rows if row[0] == "painter"]
-        oscillations = sum(row[2] for row in result.rows)
-        actual = painter_rows[0][3]
-        ok = oscillations == 0 and actual == expected
-        payload["check_frozen"] = {
-            "oscillations": oscillations,
-            "painter_gain": actual,
-            "coexistence_gain": expected,
-            "bit_identical": actual == expected,
-            "passed": ok,
-        }
-        print(
-            f"frozen-epoch check: oscillations={oscillations}, "
-            f"painter gain {actual!r} vs coexistence {expected!r} -> "
-            f"{'OK' if ok else 'VIOLATION'}"
-        )
-        if args.json:
-            Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-            print(f"wrote {args.json}")
-        return 0 if ok else 1
-
-    solution = solve_communities(scenario, args.budget)
-    total_possible = scenario.total_possible_benefit()
-    benefit = communities_benefit(scenario, solution.announcements)
-    coverage = coverage_of_best_ingress(scenario, solution.announcements)
-    print(scenario.describe())
-    print(
-        f"communities: {len(solution.announcements)} announcement groups "
-        f"(budget {args.budget})"
+    shared = {"scenario", "seed", "preset"} if "scenario" in params else set()
+    if shared:
+        _add_scenario_args(parser, preset=None)
+        if "seed" in params:
+            parser.set_defaults(seed=params["seed"].default)
+    for pname, param in params.items():
+        if pname in shared or pname in _OBJECT_PARAMS:
+            continue
+        kind = hints[pname]
+        if typing.get_origin(kind) is typing.Union:  # Optional[X] -> X
+            (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+        options = {"default": param.default, "help": "(default: %(default)s)"}
+        if kind is bool:
+            options["action"] = argparse.BooleanOptionalAction
+        elif typing.get_origin(kind) is collections.abc.Sequence:
+            (options["type"],) = typing.get_args(kind)
+            options["nargs"] = "+"
+        else:
+            options["type"] = kind
+        parser.add_argument("--" + pname.replace("_", "-"), **options)
+    parser.add_argument("--json", type=str, default=None, help="save the table JSON here")
+    parser.add_argument(
+        "--journal", type=str, default=None,
+        help="write a JSONL run journal here (render with `repro trace`)",
     )
-    print(
-        f"benefit: {benefit:.2f} weighted ms "
-        f"({100 * benefit / total_possible:.1f}% of possible), "
-        f"best-ingress coverage {100 * coverage:.1f}% of volume"
-    )
-    payload["groups"] = len(solution.announcements)
-    payload["benefit_frac"] = benefit / total_possible
-    payload["coverage_frac"] = coverage
+    parser.set_defaults(func=cmd_run, experiment=name)
 
-    result = run_hot_potato(
-        scenario=scenario,
-        budget=args.budget,
-        n_epochs=args.epochs,
-        amplitude=args.amplitude,
-        seed=args.seed,
-    )
-    print()
+
+def cmd_run(args: argparse.Namespace) -> int:
+    """Run one registered experiment with the flags its parser generated."""
+    from repro.experiments import ALL_EXPERIMENTS
+
+    run = ALL_EXPERIMENTS[args.experiment].run
+    kwargs = {}
+    for name in inspect.signature(run).parameters:
+        if name == "scenario":
+            if args.preset is not None:
+                kwargs[name] = _scenario_from(args)
+            continue
+        value = getattr(args, name, None)
+        if value is not None:  # None keeps the runner's own default
+            kwargs[name] = tuple(value) if isinstance(value, list) else value
+    with _maybe_journal(args, args.experiment):
+        result = run(**kwargs)
     print(result.render())
-    payload["hotpotato"] = {
-        "columns": list(result.columns),
-        "rows": [list(row) for row in result.rows],
-        "notes": list(result.notes),
-    }
+    if "strategy" in result.columns and "budget_prefixes" in result.columns:
+        from repro.experiments.plotting import plot_benefit_curves
+
+        candidates = ("benefit_frac", "avg_improvement_ms", "estimated_frac")
+        value = next((c for c in candidates if c in result.columns), None)
+        if value is not None:
+            print()
+            print(plot_benefit_curves(result, value_column=value))
     if args.json:
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        from repro.io import save_experiment_result
+
+        save_experiment_result(result, args.json)
         print(f"wrote {args.json}")
-    return 0
-
-
-def cmd_optimality(args: argparse.Namespace) -> int:
-    """Greedy-vs-ILP optimality gap and LP-bound soundness check."""
-    from repro.experiments.optimality import run_greedy_gap
-    from repro.optimality import DEFAULT_REL_TOL
-
-    scenario = _scenario_from(args) if args.preset is not None else None
-    try:
-        result = run_greedy_gap(
-            scenario=scenario,
-            budgets=tuple(args.budget) if args.budget else (4, 8),
-            backend=args.backend,
-            time_limit_s=args.time_limit,
-            run_orchestrator=not args.matrix_greedy,
-        )
-    except AssertionError as exc:
-        print(f"SOUNDNESS VIOLATION: {exc}", file=sys.stderr)
-        return 1
-    print(result.render())
-    if args.output:
-        import json
-        from pathlib import Path
-
-        payload = {
-            "experiment_id": result.experiment_id,
-            "title": result.title,
-            "columns": list(result.columns),
-            "rows": [list(row) for row in result.rows],
-            "notes": list(result.notes),
-            "rel_tol": DEFAULT_REL_TOL,
-        }
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote gap table to {args.output}")
     return 0
 
 
@@ -551,6 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    from repro.experiments import ALL_EXPERIMENTS
+
+    run = sub.add_parser("run", help="run one registered experiment")
+    experiments = run.add_subparsers(dest="experiment", required=True)
+    for name, experiment in ALL_EXPERIMENTS.items():
+        _add_experiment_parser(experiments, name, experiment.run)
+
     info = sub.add_parser("info", help="describe a scenario preset")
     _add_scenario_args(info)
     info.set_defaults(func=cmd_info)
@@ -567,23 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.set_defaults(func=cmd_solve)
 
-    failover = sub.add_parser("failover", help="run the Fig. 10 failover simulation")
-    failover.set_defaults(func=cmd_failover)
-
-    chaos = sub.add_parser("chaos", help="run seeded random fault storms")
-    chaos.add_argument("--storms", type=int, default=5, help="number of storms")
-    chaos.add_argument("--duration", type=float, default=130.0, help="storm length (s)")
-    chaos.add_argument("--seed", type=int, default=0, help="storm seed")
-    chaos.add_argument(
-        "--intensity", type=float, default=1.0,
-        help="expected fault-event count multiplier",
-    )
-    chaos.add_argument(
-        "--journal", type=str, default=None,
-        help="write a JSONL run journal here (render with `repro trace`)",
-    )
-    chaos.set_defaults(func=cmd_chaos)
-
     validate = sub.add_parser("validate", help="traceroute-validate compliance inference")
     _add_scenario_args(validate)
     validate.add_argument(
@@ -598,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="run experiments and write a Markdown report")
     report.add_argument(
-        "experiments", nargs="*", help="experiment ids (default: the quick ones)"
+        "experiments", nargs="*",
+        help="experiment ids, or `all` (default: the quick ones)",
     )
     report.add_argument("--output", type=str, default="report.md", help="output path")
     report.add_argument(
@@ -802,67 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="where in the iteration the injected crash fires",
     )
     soak.set_defaults(func=cmd_soak)
-
-    communities = sub.add_parser(
-        "communities",
-        help="community-steering comparator (benefit + best-ingress coverage) "
-        "and the hot-potato link-weight-epoch scenario",
-    )
-    _add_scenario_args(communities)
-    communities.add_argument(
-        "--budget", type=int, default=8, help="announcement-group budget"
-    )
-    communities.add_argument(
-        "--epochs", type=int, default=4,
-        help="link-weight epochs for the hot-potato scenario",
-    )
-    communities.add_argument(
-        "--amplitude", type=float, default=0.3,
-        help="IGP weight swing amplitude per epoch (fraction)",
-    )
-    communities.add_argument(
-        "--check-frozen", action="store_true",
-        help="CI gate: verify a frozen (single-epoch) schedule yields zero "
-        "oscillations and bit-identical PAINTER coexistence gain; exit 1 "
-        "on violation",
-    )
-    communities.add_argument(
-        "--json", type=str, default=None, help="write results JSON here"
-    )
-    communities.set_defaults(func=cmd_communities)
-
-    optimality = sub.add_parser(
-        "optimality",
-        help="measure Algorithm 1's optimality gap against the exact ILP "
-        "and LP upper bound",
-    )
-    optimality.add_argument(
-        "--preset", choices=sorted(_PRESETS), default=None,
-        help="sweep one preset only (default: the built-in size ladder)",
-    )
-    optimality.add_argument("--seed", type=int, default=0, help="world seed")
-    optimality.add_argument("--ugs", type=int, default=None, help="user-group count")
-    optimality.add_argument(
-        "--budget", type=int, action="append", default=None,
-        help="prefix budget to sweep (repeatable; default: 4 and 8)",
-    )
-    optimality.add_argument(
-        "--backend", choices=("auto", "scipy", "pulp", "brute"), default="auto",
-        help="ILP backend (default: auto — scipy, then pulp, then brute)",
-    )
-    optimality.add_argument(
-        "--time-limit", type=float, default=120.0,
-        help="per-ILP-solve time limit in seconds",
-    )
-    optimality.add_argument(
-        "--matrix-greedy", action="store_true",
-        help="use the fast matrix-level greedy mirror instead of running "
-        "the full Algorithm-1 orchestrator",
-    )
-    optimality.add_argument(
-        "--output", type=str, default=None, help="save the gap table JSON here"
-    )
-    optimality.set_defaults(func=cmd_optimality)
 
     trace = sub.add_parser(
         "trace", help="render the per-phase breakdown of a run journal"

@@ -17,7 +17,7 @@ Two metrics per (strategy, budget):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.advertisement import AdvertisementConfig
 from repro.core.baselines import one_per_peering
@@ -128,3 +128,36 @@ def run_communities(
         "unicast row advertises one prefix per peering"
     )
     return result
+
+
+def communities_summary(result: ExperimentResult) -> str:
+    """Digest of the communities-vs-PAINTER comparator table.
+
+    Surfaces the benefit/coverage gap at the largest shared budget so the
+    headline — how community steering stacks up against selective prefix
+    advertisements for the same announcement spend — is readable without
+    scanning the curves.
+    """
+    by_strategy: Dict[str, List[tuple]] = {}
+    for row in result.rows:
+        by_strategy.setdefault(str(row[0]), []).append(tuple(row))
+    lines = ["## Communities-vs-PAINTER digest", ""]
+    painter = by_strategy.get("painter", [])
+    communities = by_strategy.get("communities", [])
+    if painter and communities:
+        p = max(painter, key=lambda row: int(row[1]))
+        c = max(communities, key=lambda row: int(row[1]))
+        lines.append(
+            f"At the largest shared budget (painter {p[1]} prefixes, "
+            f"communities {c[1]} announcement groups) PAINTER realizes "
+            f"{100 * float(p[2]):.1f}% of the possible benefit vs "
+            f"{100 * float(c[2]):.1f}% for community steering; "
+            f"best-ingress coverage is {100 * float(p[3]):.1f}% vs "
+            f"{100 * float(c[3]):.1f}% of volume."
+        )
+        lines.append("")
+    for note in result.notes:
+        lines.append("")
+        lines.append(f"> {note}")
+    lines.append("")
+    return "\n".join(lines)

@@ -2,18 +2,20 @@
 
 Every ``figN`` module returns a :class:`ExperimentResult` whose rows mirror
 the series the paper plots, so benchmarks, tests, and EXPERIMENTS.md all
-consume the same artifact.  :func:`run_experiments_parallel` fans a batch of
-experiment ids out over worker processes (each worker shares scenario builds
-via the preset cache) and folds the workers' perf counters back into the
-parent registry.
+consume the same artifact.  An :class:`Experiment` is one registry entry
+(runner, report digest, quick flag) of ``repro.experiments.ALL_EXPERIMENTS``.
+:func:`run_experiments_parallel` fans a batch of experiment ids out over
+worker processes (each worker shares scenario builds via the preset cache)
+and folds the workers' perf counters back into the parent registry.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 Cell = Union[str, int, float]
 
@@ -69,6 +71,20 @@ def _fmt(cell: Cell) -> str:
     return str(cell)
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """One registered experiment: the single declaration of its surfaces.
+
+    ``repro run <id>`` derives its flags from ``run``'s signature, ``repro
+    report`` appends ``digest(result)`` after the tables, and ``quick``
+    entries make up the default report.
+    """
+
+    run: Callable[..., ExperimentResult]
+    digest: Optional[Callable[[ExperimentResult], str]] = None
+    quick: bool = False
+
+
 def budget_grid(max_budget: int) -> List[int]:
     """A roughly log-spaced grid of prefix budgets up to ``max_budget``."""
     if max_budget < 1:
@@ -99,13 +115,14 @@ def _run_experiment_task(name: str) -> Tuple[str, "ExperimentResult", Dict[str, 
     from repro.experiments import ALL_EXPERIMENTS
     from repro.telemetry import METRICS
 
-    result = ALL_EXPERIMENTS[name]()
+    result = ALL_EXPERIMENTS[name].run()
     return name, result, METRICS.snapshot()
 
 
 def run_experiments_parallel(
     experiment_ids: Sequence[str],
     jobs: Optional[int] = None,
+    **experiment_kwargs: Any,
 ) -> Dict[str, "ExperimentResult"]:
     """Run registered experiments, fanned out across worker processes.
 
@@ -115,6 +132,10 @@ def run_experiments_parallel(
     counters (cache hit rates, marginal-evaluation counts) are merged into
     this process's :data:`repro.telemetry.METRICS` registry so reports reflect the
     whole run, not just the parent.
+
+    ``experiment_kwargs`` go to every experiment whose runner accepts them
+    (commonly ``scenario=`` for sized-down runs) and force the serial loop:
+    workers run experiments with their defaults.
 
     Experiments are independent by construction (each builds its own world
     from explicit seeds), which is what makes process-level parallelism
@@ -129,9 +150,15 @@ def run_experiments_parallel(
         raise KeyError(f"unknown experiments: {unknown}")
     if jobs is None:
         jobs = min(len(names), os.cpu_count() or 1)
-    if jobs <= 1 or len(names) <= 1:
-        return {name: ALL_EXPERIMENTS[name]() for name in names}
     results: Dict[str, ExperimentResult] = {}
+    if jobs <= 1 or len(names) <= 1 or experiment_kwargs:
+        for name in names:
+            run = ALL_EXPERIMENTS[name].run
+            accepted = inspect.signature(run).parameters
+            results[name] = run(
+                **{k: v for k, v in experiment_kwargs.items() if k in accepted}
+            )
+        return results
     with ProcessPoolExecutor(jobs, initializer=_init_experiment_worker) as pool:
         futures = {pool.submit(_run_experiment_task, name): name for name in names}
         for future in as_completed(futures):

@@ -243,3 +243,42 @@ def run_hot_potato(
     )
     result.add_note(f"prefix/announcement budget: {budget}")
     return result
+
+
+def hotpotato_summary(result: ExperimentResult) -> str:
+    """Digest of the hot-potato coexistence table: stability contrast.
+
+    The story is the asymmetry — plain-prefix ingress TE is invariant to
+    intra-cloud link-weight epochs while MED-pinned community steering
+    oscillates — so the digest leads with total flips per mode and the
+    worst benefit erosion observed.
+    """
+    flips: Dict[str, int] = {}
+    worst_erosion: Dict[str, float] = {}
+    for row in result.rows:
+        mode = str(row[0])
+        flips[mode] = flips.get(mode, 0) + int(row[2])
+        worst_erosion[mode] = max(worst_erosion.get(mode, 0.0), float(row[4]))
+    lines = ["## Hot-potato coexistence digest", ""]
+    if flips:
+        parts = [
+            f"{mode}: {flips[mode]} ingress flip(s), worst erosion "
+            f"{100 * worst_erosion[mode]:.1f}%"
+            for mode in sorted(flips)
+        ]
+        lines.append(
+            "Across the link-weight epoch schedule — " + "; ".join(parts) + "."
+        )
+        lines.append("")
+        if flips.get("painter", 0) == 0 and flips.get("communities", 0) > 0:
+            lines.append(
+                "PAINTER's prefix-only advertisements carry no IGP signal, so "
+                "its catchments hold while MED-steered ingresses chase the "
+                "shifting egress costs."
+            )
+            lines.append("")
+    for note in result.notes:
+        lines.append("")
+        lines.append(f"> {note}")
+    lines.append("")
+    return "\n".join(lines)

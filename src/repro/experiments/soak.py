@@ -9,9 +9,26 @@ generator.  The full-scale azure smoke run lives in
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.harness import ExperimentResult
+
+
+def soak_table(soak) -> ExperimentResult:
+    """The per-window SLO table of a finished :func:`repro.soak.run_soak`.
+
+    Shared by this experiment and ``repro soak --report``; each caller adds
+    its own notes.
+    """
+    result = ExperimentResult(
+        experiment_id="soak",
+        title="Soak: simulated day with diurnal load, storms, SLO accounting",
+        columns=[
+            "window", "offered", "served", "unroutable", "shed",
+            "down_ugs", "switches", "remaps", "accounting_errors",
+        ],
+    )
+    for row in soak.ledger.window_rows:
+        result.add_row(*(row[column] for column in result.columns))
+    return result
 
 
 def run_soak_experiment(
@@ -36,33 +53,7 @@ def run_soak_experiment(
         flash_crowds=1,
     )
     soak = run_soak(cfg, scenario=scenario)
-    result = ExperimentResult(
-        experiment_id="soak",
-        title="Soak: simulated day with diurnal load, storms, SLO accounting",
-        columns=[
-            "window",
-            "offered",
-            "served",
-            "unroutable",
-            "shed",
-            "down_ugs",
-            "switches",
-            "remaps",
-            "accounting_errors",
-        ],
-    )
-    for row in soak.ledger.window_rows:
-        result.add_row(
-            row["window"],
-            row["offered"],
-            row["served"],
-            row["unroutable"],
-            row["shed"],
-            row["down_ugs"],
-            row["switches"],
-            row["remaps"],
-            row["accounting_errors"],
-        )
+    result = soak_table(soak)
     summary = soak.summary()
     p99 = summary["fleet_p99_ms"]
     result.add_note(
@@ -85,3 +76,38 @@ def run_soak_experiment(
     for note in soak.notes:
         result.add_note(note)
     return result
+
+
+def soak_summary(result: ExperimentResult) -> str:
+    """Digest of a soak run's SLO table: availability and accounting.
+
+    Rendered after the per-window table so the operational story — did
+    the composed system keep serving through the storm, and did every
+    flow get accounted for — is readable without scanning rows.
+    """
+    offered = [int(v) for v in result.column("offered")]
+    served = [int(v) for v in result.column("served")]
+    unroutable = [int(v) for v in result.column("unroutable")]
+    shed = [int(v) for v in result.column("shed")]
+    errors = [int(v) for v in result.column("accounting_errors")]
+    down = [int(v) for v in result.column("down_ugs")]
+    lines = ["## Soak SLO digest", ""]
+    if offered:
+        lines.append(
+            f"Over {len(offered)} simulated windows the data plane was "
+            f"offered {sum(offered):,} flows and served {sum(served):,} "
+            f"({sum(unroutable):,} unroutable during outages, "
+            f"{sum(shed):,} shed by the admit cap)."
+        )
+        lines.append("")
+        stormy = sum(1 for d in down if d > 0)
+        lines.append(
+            f"{stormy} window(s) had user groups down (peak "
+            f"{max(down)} UGs at once); flow accounting closed with "
+            f"{sum(errors)} errors (the gate requires zero)."
+        )
+    for note in result.notes:
+        lines.append("")
+        lines.append(f"> {note}")
+    lines.append("")
+    return "\n".join(lines)

@@ -9,7 +9,9 @@ journal is durable but before the checkpoint, and after the checkpoint —
 and then restarted against the same checkpoint directory.  In every case
 the resumed run must land on exactly the configuration and journal bytes
 of a never-interrupted reference run, and no corrupt checkpoint or
-journal file may survive.
+journal file may survive.  Two delta streams are driven: seeded synthetic
+churn, and a saved stream that adds a PoP outage from a fault schedule
+(with periodic cold verification).
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ pytestmark = pytest.mark.skipif(
 
 CRASH_POINTS = ("mid_journal", "before_checkpoint", "after_checkpoint")
 
+SYNTHETIC_STREAM = ("--synthetic", "5", "--delta-seed", "7")
 
-def controller_cmd(checkpoint_dir, output, *extra):
+
+def controller_cmd(checkpoint_dir, output, *extra, stream=SYNTHETIC_STREAM):
     return [
         sys.executable,
         "-m",
@@ -43,10 +47,7 @@ def controller_cmd(checkpoint_dir, output, *extra):
         "3",
         "--budget",
         "4",
-        "--synthetic",
-        "5",
-        "--delta-seed",
-        "7",
+        *stream,
         "--checkpoint-dir",
         str(checkpoint_dir),
         "--output",
@@ -166,3 +167,55 @@ class TestKillAndResume:
         assert (
             checkpoint_dir / "journal.jsonl"
         ).read_bytes() == reference["journal"]
+
+
+@pytest.fixture(scope="module")
+def fault_stream(tmp_path_factory):
+    """Synthetic churn merged with a 2 s outage of the first PoP, saved."""
+    from repro.controller import (
+        deltas_from_fault_schedule,
+        save_deltas,
+        synthetic_deltas,
+    )
+    from repro.faults import FaultSchedule
+    from repro.scenario import tiny_scenario
+
+    scenario = tiny_scenario(seed=3)
+    pop = scenario.topology.deployment.pops[0].name
+    schedule = FaultSchedule.single_pop_outage(pop, at_s=2.0, duration_s=2.0)
+    deltas = sorted(
+        synthetic_deltas(scenario, iterations=6, seed=7)
+        + deltas_from_fault_schedule(schedule),
+        key=lambda d: d.at_s,
+    )
+    path = tmp_path_factory.mktemp("stream") / "deltas.json"
+    save_deltas(deltas, path)
+    return ("--deltas", str(path), "--verify-every", "2")
+
+
+class TestFaultScheduleStream:
+    def test_mid_journal_crash_resumes_to_uninterrupted_bytes(
+        self, tmp_path, fault_stream
+    ):
+        full = run_cli(
+            controller_cmd(tmp_path / "full", tmp_path / "full.json", stream=fault_stream)
+        )
+        assert full.returncode == 0, full.stderr
+
+        checkpoint_dir = tmp_path / "crash"
+        output = tmp_path / "crash.json"
+        crashed = run_cli(
+            controller_cmd(
+                checkpoint_dir, output, "--crash-at", "3",
+                "--crash-point", "mid_journal", stream=fault_stream,
+            )
+        )
+        assert crashed.returncode in (-signal.SIGKILL, 128 + signal.SIGKILL)
+        resumed = run_cli(controller_cmd(checkpoint_dir, output, stream=fault_stream))
+        assert resumed.returncode == 0, resumed.stderr
+        assert "resumed from checkpoint" in resumed.stdout
+
+        assert output.read_bytes() == (tmp_path / "full.json").read_bytes()
+        assert (checkpoint_dir / "journal.jsonl").read_bytes() == (
+            tmp_path / "full" / "journal.jsonl"
+        ).read_bytes()

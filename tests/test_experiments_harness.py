@@ -73,9 +73,10 @@ class TestConfigSubset:
 
 class TestExperimentsCliPlotting:
     def test_benefit_curve_experiments_get_plotted(self, monkeypatch, capsys):
-        """The CLI appends an ASCII plot for strategy/budget tables."""
-        from repro.experiments import __main__ as cli
-        from repro.experiments.harness import ExperimentResult
+        """`repro run` appends an ASCII plot for strategy/budget tables."""
+        import repro.experiments
+        from repro.cli import main
+        from repro.experiments.harness import Experiment, ExperimentResult
 
         def fake_experiment():
             result = ExperimentResult(
@@ -87,23 +88,28 @@ class TestExperimentsCliPlotting:
             result.add_row("baseline", 10, 0.4)
             return result
 
-        monkeypatch.setattr(cli, "ALL_EXPERIMENTS", {"figX": fake_experiment})
-        assert cli.main(["figX"]) == 0
+        monkeypatch.setattr(
+            repro.experiments, "ALL_EXPERIMENTS", {"figX": Experiment(fake_experiment)}
+        )
+        assert main(["run", "figX"]) == 0
         out = capsys.readouterr().out
         assert "legend" in out  # the plot rendered
         assert "painter" in out
 
     def test_non_curve_experiments_skip_plot(self, monkeypatch, capsys):
-        from repro.experiments import __main__ as cli
-        from repro.experiments.harness import ExperimentResult
+        import repro.experiments
+        from repro.cli import main
+        from repro.experiments.harness import Experiment, ExperimentResult
 
         def fake_experiment():
             result = ExperimentResult("figY", "demo", columns=["a", "b"])
             result.add_row(1, 2)
             return result
 
-        monkeypatch.setattr(cli, "ALL_EXPERIMENTS", {"figY": fake_experiment})
-        assert cli.main(["figY"]) == 0
+        monkeypatch.setattr(
+            repro.experiments, "ALL_EXPERIMENTS", {"figY": Experiment(fake_experiment)}
+        )
+        assert main(["run", "figY"]) == 0
         assert "legend" not in capsys.readouterr().out
 
 

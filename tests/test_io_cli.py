@@ -120,7 +120,7 @@ class TestCli:
     def test_failover(self, capsys):
         from repro.cli import main
 
-        assert main(["failover"]) == 0
+        assert main(["run", "fig10"]) == 0
         assert "PAINTER downtime" in capsys.readouterr().out
 
     def test_validate(self, capsys):
@@ -128,6 +128,20 @@ class TestCli:
 
         assert main(["validate", "--preset", "tiny", "--seed", "3"]) == 0
         assert "violations" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["tm-bench", "--preset", "tiny", "--steps", "0"], "steps must be positive"),
+            (["soak", "--windows", "0", "--checkpoint-dir", "{tmp}"], "windows must be >= 1"),
+        ],
+    )
+    def test_zero_count_rejected_by_config(self, tmp_path, argv, message):
+        """The config's own check reports a zero count, not a ZeroDivisionError."""
+        from repro.cli import main
+
+        with pytest.raises(ValueError, match=message):
+            main([arg.format(tmp=tmp_path) for arg in argv])
 
     def test_unknown_command_exits(self):
         from repro.cli import main

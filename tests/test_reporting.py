@@ -59,6 +59,14 @@ class TestRunAndReport:
         with pytest.raises(KeyError):
             run_and_report(["nope"])
 
+    def test_cli_rejects_unknown_experiment(self, tmp_path, capsys):
+        from repro.cli import main
+
+        output = tmp_path / "report.md"
+        assert main(["report", "nope", "--output", str(output)]) == 2
+        assert "unknown experiments: ['nope']; available: [" in capsys.readouterr().err
+        assert not output.exists()
+
     def test_scenario_kwarg_only_passed_where_accepted(self, scenario):
         # fig10 does not take a scenario; this must not crash.
         report = run_and_report(["fig10"], scenario=scenario)

@@ -91,13 +91,15 @@ class TestExperimentRegistry:
         assert set(ALL_EXPERIMENTS) == expected
 
     def test_cli_rejects_unknown(self):
-        from repro.experiments.__main__ import main
+        from repro.cli import main
 
-        assert main(["not-an-experiment"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "not-an-experiment"])
+        assert exc.value.code == 2
 
     def test_cli_runs_cheap_experiment(self, capsys):
-        from repro.experiments.__main__ import main
+        from repro.cli import main
 
-        assert main(["fig10"]) == 0
+        assert main(["run", "fig10"]) == 0
         output = capsys.readouterr().out
         assert "fig10" in output and "PAINTER downtime" in output
