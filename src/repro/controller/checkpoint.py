@@ -113,8 +113,8 @@ class CheckpointStore:
         """Read and verify one checkpoint file (raises on any mismatch)."""
         path = Path(path)
         try:
-            envelope = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            envelope = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # incl. undecodable bytes
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         if not isinstance(envelope, dict) or envelope.get("kind") != _CHECKPOINT_KIND:
             raise CheckpointError(f"{path} is not a controller checkpoint")
@@ -171,7 +171,7 @@ class DurableJournal:
     def start(self) -> "DurableJournal":
         """Begin a fresh journal file (header line, fsync'd)."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w", encoding="utf-8")
+        self._fh = open(self.path, "w", encoding="ascii")
         self._fh.write(json.dumps(self.journal.header(), **_JSON_COMPACT) + "\n")
         self._fsync()
         return self
@@ -184,33 +184,35 @@ class DurableJournal:
         checkpoint vouches for.  Anything after it — a torn trailing
         line, or whole records from the iteration the crash interrupted —
         is dropped, and the truncated file is atomically rewritten before
-        appending resumes.
+        appending resumes.  A line that is not a UTF-8 JSON record is a
+        torn tail: it and every line after it are dropped.  A header that
+        does not decode raises :class:`CheckpointError`.
         """
         path = Path(path)
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
+            lines = path.read_bytes().splitlines()
         except OSError as exc:
             raise CheckpointError(f"unreadable journal {path}: {exc}") from exc
         if not lines:
             raise CheckpointError(f"journal {path} is empty")
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+            header = json.loads(lines[0].decode("utf-8"))
+        except ValueError as exc:  # undecodable bytes or bad JSON
             raise CheckpointError(f"journal {path} has a corrupt header") from exc
         if not isinstance(header, dict) or header.get("kind") != "header":
             raise CheckpointError(f"journal {path} does not start with a header")
         records: List[Dict[str, Any]] = []
         dropped = 0
-        for line in lines[1:]:
-            if not line.strip():
-                continue
+        body = [line for line in lines[1:] if line.strip()]
+        for i, line in enumerate(body):
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                dropped += 1
-                break  # torn tail: a crash interrupted an append here
+                record = json.loads(line.decode("utf-8"))
+            except ValueError:
+                record = None
             if not isinstance(record, dict) or not isinstance(record.get("seq"), int):
-                dropped += 1
+                # Torn tail: a crash interrupted an append here (the writer
+                # emits ASCII only, so rotted bytes land here too).
+                dropped += len(body) - i
                 break
             if record["seq"] > journal_seq:
                 dropped += 1
@@ -231,7 +233,7 @@ class DurableJournal:
         instance.journal.resume_from(records)
         instance._written = len(records)
         atomic_write_text(path, instance._render())
-        instance._fh = open(path, "a", encoding="utf-8")
+        instance._fh = open(path, "a", encoding="ascii")
         return instance
 
     def _render(self) -> str:

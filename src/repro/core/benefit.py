@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,12 +26,7 @@ from repro.core.routing_model import RoutingModel
 from repro.routing.ground_truth import GroundTruthRouting
 from repro.scenario import Scenario
 from repro.telemetry import METRICS
-from repro.topology.geo import haversine_km
 from repro.usergroups.usergroup import UserGroup
-
-#: Marks a latency-matrix slot whose value has not been computed yet
-#: (``None`` is a legitimate value: "unmeasurable ingress").
-_UNSET = object()
 
 #: Decay scale (km) for the inflation-probability weights in the "estimated"
 #: range: paths inflated by an extra X km get weight exp(-X/scale), matching
@@ -39,9 +34,9 @@ _UNSET = object()
 #: are inflated by corresponding amounts".
 DEFAULT_INFLATION_SCALE_KM = 1500.0
 
-#: Dense-matrix rows filled per chunk are sized to about this many bytes of
-#: one matrix, which bounds the fill's per-slot temporaries at ``mega`` scale.
-DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
+#: Compliant slots the fill computes per pass, which bounds its per-slot
+#: temporaries at ``mega`` scale.
+FILL_CHUNK_SLOTS = 1 << 20
 
 LatencyFn = Callable[[UserGroup, int], Optional[float]]
 
@@ -50,19 +45,69 @@ def _checked_latency(latency_of: LatencyFn, ug: UserGroup, peering_id: int) -> O
     """``latency_of(ug, peering_id)``, or ``ValueError`` if it is not a latency.
 
     ``None`` means unmeasurable; anything else must be a finite
-    non-negative number of milliseconds.
+    non-negative number of milliseconds — a real number, not a string or
+    a ``bool``.
     """
     value = latency_of(ug, peering_id)
     if value is None:
         return None
-    latency = float(value)
-    if not (math.isfinite(latency) and latency >= 0.0):
-        raise ValueError(
-            f"latency_of returned {value!r} for UG {ug.ug_id} via peering "
-            f"{peering_id}; expected a finite latency >= 0 ms, or None for "
-            f"an unmeasurable ingress"
+    if not isinstance(value, (str, bytes, bool, np.bool_)):
+        latency = float(value)
+        if math.isfinite(latency) and latency >= 0.0:
+            return latency
+    raise ValueError(
+        f"latency_of returned {value!r} for UG {ug.ug_id} via peering "
+        f"{peering_id}; expected a finite latency >= 0 ms, or None for "
+        f"an unmeasurable ingress"
+    )
+
+
+@dataclass(frozen=True)
+class SlotStore:
+    """Every policy-compliant (UG row, peering) slot's latency and distance.
+
+    The one (UG, ingress) store Algorithm 1 reads.  Slots are laid out in
+    ascending peering id, ascending UG row within each peering's ``[start,
+    end)`` span of :attr:`spans`; ``latency`` is in ms (``nan``:
+    unmeasurable) and ``distance`` in great-circle km.  A CSR index serves
+    per-UG reads: row ``r``'s slots, ascending peering id, sit at the
+    positions ``at[first[r]:first[r + 1]]``.
+    """
+
+    rows: "np.ndarray"
+    latency: "np.ndarray"
+    distance: "np.ndarray"
+    spans: Dict[int, Tuple[int, int]]
+    first: "np.ndarray"
+    at: "np.ndarray"
+
+    @classmethod
+    def layout(cls, peering_ids: Sequence["np.ndarray"]) -> "SlotStore":
+        """An unfilled store (``nan`` values) holding one slot per entry of
+        ``peering_ids[r]``, row ``r``'s compliant peering ids ascending."""
+        counts = np.fromiter(map(len, peering_ids), dtype=np.intp, count=len(peering_ids))
+        pids = np.concatenate(peering_ids) if len(peering_ids) else np.empty(0, np.intp)
+        sizes = np.bincount(pids)
+        # Row-major (row, peering) slots in store order, and back; the
+        # temporaries go before the value arrays are allocated.
+        order = np.argsort(pids, kind="stable")
+        del pids
+        at = np.empty_like(order)
+        at[order] = np.arange(len(order))
+        rows = np.repeat(np.arange(len(peering_ids)), counts)[order]
+        del order
+        bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        return cls(
+            rows=rows,
+            latency=np.full(len(rows), np.nan),
+            distance=np.full(len(rows), np.nan),
+            spans={pid: (bounds[pid], bounds[pid + 1]) for pid in np.flatnonzero(sizes).tolist()},
+            first=np.concatenate([[0], np.cumsum(counts)]),
+            at=at,
         )
-    return value
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -188,34 +233,18 @@ class BenefitEvaluator:
         self._scenario = scenario
         self._model = model
         self._inflation_scale_km = inflation_scale_km
-        #: The dense UG-row × peering-column latency (ms; ``+inf`` =
-        #: unmeasurable, ``nan`` = not a compliant slot) and distance (km)
-        #: matrices, ``None`` until :meth:`precompute_latency_matrix`.
-        self.latency_matrix: Optional["np.ndarray"] = None
-        self.distance_matrix: Optional["np.ndarray"] = None
+        #: Every compliant slot's latency and distance, ``None`` until
+        #: :meth:`precompute_latency_matrix` (or the first lookup) fills it.
+        self.store: Optional[SlotStore] = None
         #: ``None`` materialises through the latency model's batch form;
         #: a custom oracle is asked slot by slot.
         self._custom_latency_of = latency_of
-        if latency_of is None:
-            deployment = scenario.deployment
-            latency_model = scenario.latency_model
-
-            def _true_latency(ug: UserGroup, peering_id: int) -> Optional[float]:
-                return latency_model.latency_ms(ug, deployment.peering(peering_id))
-
-            latency_of = _true_latency
-        self._latency_of = latency_of
-        self._peerings = scenario.deployment.peerings
-        # Per-UG latency rows (one list per UG, one slot per peering column)
-        # in front of the dense matrix: scalar lookups stay list-indexed.
-        # Rows are created on first touch.
-        self._lat_cols: Dict[int, int] = {
-            p.peering_id: col for col, p in enumerate(self._peerings)
-        }
-        self._lat_rows: Dict[int, List[object]] = {}
-        #: Sorted matrix columns per distinct compliant-ingress set (the
-        #: catalog interns one frozenset per UG AS cone).
-        self._set_cols: Dict[FrozenSet[int], "np.ndarray"] = {}
+        self._row_of = {ug.ug_id: row for row, ug in enumerate(scenario.user_groups)}
+        #: Sorted peering ids, and each one's rank among them, per distinct
+        #: compliant-ingress set (the catalog interns one frozenset per UG
+        #: AS cone).
+        self._sorted: Dict[FrozenSet[int], "np.ndarray"] = {}
+        self._ranks: Dict[FrozenSet[int], Dict[int, int]] = {}
         #: Expected-latency memo per UG: (model epoch, {compliant set -> ms}).
         #: Keyed on the policy-compliant subset of the advertised set, which
         #: fully determines the answer.  Entries are discarded when the
@@ -224,15 +253,6 @@ class BenefitEvaluator:
         self._exp_cache: Dict[int, Tuple[int, Dict[FrozenSet[int], Optional[float]]]] = {}
         self._lat_stats = METRICS.cache("evaluator.latency_matrix")
         self._exp_stats = METRICS.cache("evaluator.expected_latency")
-        #: UG id → dense-matrix row, built lazily on the first dense lookup.
-        self._dense_rows: Optional[Dict[int, int]] = None
-
-    def _dense_row_of(self, ug_id: int) -> Optional[int]:
-        if self._dense_rows is None:
-            self._dense_rows = {
-                ug.ug_id: i for i, ug in enumerate(self._scenario.user_groups)
-            }
-        return self._dense_rows.get(ug_id)
 
     @property
     def scenario(self) -> Scenario:
@@ -243,110 +263,83 @@ class BenefitEvaluator:
         return self._model
 
     def latency(self, ug: UserGroup, peering_id: int) -> Optional[float]:
-        row = self._lat_rows.get(ug.ug_id)
-        if row is None:
-            row = self._lat_rows[ug.ug_id] = [_UNSET] * len(self._lat_cols)
-        col = self._lat_cols[peering_id]
-        value = row[col]
-        if value is _UNSET:
-            dense_lat = self.latency_matrix
-            if dense_lat is not None:
-                dense_row = self._dense_row_of(ug.ug_id)
-                if dense_row is not None:
-                    dense_value = dense_lat[dense_row, col]
-                    if dense_value == dense_value:  # not nan: slot was filled
-                        self._lat_stats.hits += 1
-                        value = (
-                            None if math.isinf(dense_value) else float(dense_value)
-                        )
-                        row[col] = value
-                        return value
-            self._lat_stats.misses += 1
-            value = _checked_latency(self._latency_of, ug, peering_id)
-            row[col] = value
-        else:
-            self._lat_stats.hits += 1
-        return value
+        """Latency (ms) of a compliant ingress; ``None``: unmeasurable."""
+        at = self._slot(ug, peering_id)
+        value = self.store.latency.item(at)
+        return None if value != value else value
 
-    @property
-    def peering_columns(self) -> Dict[int, int]:
-        """Peering id → latency-matrix column, in deployment order."""
-        return dict(self._lat_cols)
+    def _filled(self) -> SlotStore:
+        if self.store is None:
+            self.precompute_latency_matrix()
+        return self.store
 
-    def precompute_latency_matrix(self, *, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> int:
-        """Materialise every slot Algorithm 1 can read.
+    def _slot(self, ug: UserGroup, peering_id: int) -> int:
+        """The store position of a compliant (UG, ingress) slot; the first
+        lookup fills the store."""
+        store = self._filled()
+        ids = self._model.catalog.ingress_ids(ug)
+        ranks = self._ranks.get(ids)
+        if ranks is None:
+            ranks = self._ranks[ids] = {
+                pid: rank for rank, pid in enumerate(self._sorted_ids(ids).tolist())
+            }
+        self._lat_stats.hits += 1
+        return store.at.item(store.first.item(self._row_of[ug.ug_id]) + ranks[peering_id])
 
-        Allocates the dense UG-row × peering-column latency and distance
-        pair, fills it one row chunk of about ``chunk_bytes`` at a time
-        with :meth:`fill_latency_rows`, then keeps it as
-        :attr:`latency_matrix` / :attr:`distance_matrix`.  Returns the
-        number of slots filled; a no-op (0) once the pair exists.
-        """
-        if self.latency_matrix is not None:
-            return 0
-        n_rows = len(self._scenario.user_groups)
-        n_cols = len(self._lat_cols)
-        chunk_rows = max(1, chunk_bytes // max(1, 8 * n_cols))
-        lat = np.full((n_rows, n_cols), np.nan)
-        dist = np.full((n_rows, n_cols), np.nan)
-        filled = 0
-        with METRICS.timed("evaluator.materialize_s"):
-            for lo in range(0, n_rows, chunk_rows):
-                filled += self.fill_latency_rows(lat, dist, lo, min(lo + chunk_rows, n_rows))
-        self.latency_matrix, self.distance_matrix = lat, dist
-        return filled
+    def _sorted_ids(self, ingress_ids: FrozenSet[int]) -> "np.ndarray":
+        ids = self._sorted.get(ingress_ids)
+        if ids is None:
+            ids = self._sorted[ingress_ids] = np.array(sorted(ingress_ids), dtype=np.intp)
+        return ids
 
-    def fill_latency_rows(
-        self, lat: "np.ndarray", dist: "np.ndarray", lo: int, hi: int
-    ) -> int:
-        """Write UG rows ``[lo, hi)`` of a dense latency/distance pair.
+    def precompute_latency_matrix(self) -> int:
+        """Materialise every slot Algorithm 1 can read into :attr:`store`.
 
-        The one place (UG, ingress) inputs are produced: every
-        policy-compliant slot of those rows gets its latency (``+inf`` =
-        unmeasurable) and its great-circle distance; every other slot is
-        left as it was (``nan`` in a fresh pair).  Distances are gathered
-        from the routing model's metro × PoP :attr:`RoutingModel.geometry`
-        and latencies come from the latency model's batch form, both
+        The one place (UG, ingress) inputs are produced, :data:`FILL_CHUNK_SLOTS`
+        slots at a time in store order: each policy-compliant slot gets its
+        latency and its great-circle distance.  Distances are gathered from
+        the routing model's metro × PoP :attr:`RoutingModel.geometry` and
+        latencies come from the latency model's batch form, both
         bit-identical to their scalar oracles.  A custom ``latency_of`` is
         asked slot by slot instead, and a value that is not ``None`` or a
-        finite latency ``>= 0`` raises ``ValueError``.  Returns the number
-        of slots written; each counts as one ``evaluator.latency_matrix``
-        miss.
+        finite latency ``>= 0`` raises ``ValueError`` before anything is
+        kept.  Returns the number of slots filled, each one
+        ``evaluator.latency_matrix`` miss; a no-op (0) once the store
+        exists.
         """
-        ugs = self._scenario.user_groups[lo:hi]
-        catalog = self._model.catalog
-        col_lists = [self._ingress_cols(catalog.ingress_ids(ug)) for ug in ugs]
-        counts = np.fromiter(map(len, col_lists), dtype=np.intp, count=len(ugs))
-        rows = np.repeat(np.arange(len(ugs), dtype=np.intp), counts)
-        cols = np.concatenate(col_lists) if col_lists else np.empty(0, dtype=np.intp)
-        geometry = self._model.geometry
-        origin = geometry.origin_indices(ug.location for ug in ugs)[rows]
-        target = geometry.target_indices(p.pop.location for p in self._peerings)[cols]
-        if self._custom_latency_of is None:
-            values = self._scenario.latency_model.day0_latencies(
-                ugs, self._peerings, rows, cols, geometry.fiber_rtt_ms[origin, target]
-            )
-        else:
-            pids = [p.peering_id for p in self._peerings]
-            values = np.array(
-                [
-                    _checked_latency(self._custom_latency_of, ugs[row], pids[col])
-                    for row, col in zip(rows.tolist(), cols.tolist())
-                ],
-                dtype=np.float64,
-            )
-            values[np.isnan(values)] = np.inf  # None; a nan answer raised
-        lat[rows + lo, cols] = values
-        dist[rows + lo, cols] = geometry.km[origin, target]
-        self._lat_stats.misses += len(rows)
-        return len(rows)
-
-    def _ingress_cols(self, ingress_ids: FrozenSet[int]) -> "np.ndarray":
-        cols = self._set_cols.get(ingress_ids)
-        if cols is None:
-            cols = np.array(sorted(self._lat_cols[pid] for pid in ingress_ids), dtype=np.intp)
-            self._set_cols[ingress_ids] = cols
-        return cols
+        if self.store is not None:
+            return 0
+        with METRICS.timed("evaluator.materialize_s"):
+            ugs = self._scenario.user_groups
+            catalog = self._model.catalog
+            store = SlotStore.layout([self._sorted_ids(catalog.ingress_ids(ug)) for ug in ugs])
+            pids = list(store.spans)
+            ends = np.array([end for _, end in store.spans.values()], dtype=np.intp)
+            peerings = [self._scenario.deployment.peering(pid) for pid in pids]
+            geometry = self._model.geometry
+            origin_of = geometry.origin_indices(ug.location for ug in ugs)
+            target_of = geometry.target_indices(p.pop.location for p in peerings)
+            custom = self._custom_latency_of
+            for lo in range(0, len(store), FILL_CHUNK_SLOTS):
+                hi = min(lo + FILL_CHUNK_SLOTS, len(store))
+                rows = store.rows[lo:hi]
+                cols = np.searchsorted(ends, np.arange(lo, hi), side="right")
+                origin, target = origin_of[rows], target_of[cols]
+                if custom is None:
+                    used, local = np.unique(rows, return_inverse=True)
+                    store.latency[lo:hi] = self._scenario.latency_model.day0_latencies(
+                        [ugs[row] for row in used.tolist()], peerings, local, cols,
+                        geometry.fiber_rtt_ms[origin, target],
+                    )
+                else:
+                    store.latency[lo:hi] = [
+                        _checked_latency(custom, ugs[row], pids[col])
+                        for row, col in zip(rows.tolist(), cols.tolist())
+                    ]
+                store.distance[lo:hi] = geometry.km[origin, target]
+        self.store = store
+        self._lat_stats.misses += len(store)
+        return len(store)
 
     def benefit_matrix(
         self, user_groups: Optional[Sequence[UserGroup]] = None
@@ -354,38 +347,37 @@ class BenefitEvaluator:
         """Extract the singleton-advertisement gain matrix (see
         :class:`BenefitMatrix`).
 
-        Uses this evaluator's (cached) latency source, so the matrix is
-        consistent with every Eq.-2 expectation the greedy computed: for any
-        advertised set ``A`` the model's expectation is a mean over a subset
-        of ``A``'s measurable compliant ingresses, hence at least the best
-        singleton gain recorded here.  That inequality is what makes the
-        optimality comparator's LP bound sound for reuse configurations.
+        Reads this evaluator's store, so the matrix is consistent with
+        every Eq.-2 expectation the greedy computed: for any advertised set
+        ``A`` the model's expectation is a mean over a subset of ``A``'s
+        measurable compliant ingresses, hence at least the best singleton
+        gain recorded here.  That inequality is what makes the optimality
+        comparator's LP bound sound for reuse configurations.
         """
+        store = self._filled()
         catalog = self._model.catalog
         ugs = self._scenario.user_groups if user_groups is None else user_groups
-        peering_ids = sorted({pid for ug in ugs for pid in catalog.ingress_ids(ug)})
-        col_of = {pid: col for col, pid in enumerate(peering_ids)}
-        rows: List[int] = []
-        cols: List[int] = []
-        gains: List[float] = []
-        for row, ug in enumerate(ugs):
-            anycast = self._scenario.anycast_latency_ms(ug)
-            volume = ug.volume
-            for pid in sorted(catalog.ingress_ids(ug)):
-                latency = self.latency(ug, pid)
-                if latency is None:
-                    continue
-                gain = anycast - latency
-                if gain > 0.0:
-                    rows.append(row)
-                    cols.append(col_of[pid])
-                    gains.append(volume * gain)
+        # Every (UG, compliant peering) slot, UG by UG, peering ids
+        # ascending: the CSR ranges of the UGs' rows end to end.
+        ids = [self._sorted_ids(catalog.ingress_ids(ug)) for ug in ugs]
+        pids = np.concatenate(ids) if ids else np.empty(0, dtype=np.intp)
+        starts = store.first[[self._row_of[ug.ug_id] for ug in ugs]]
+        counts = np.array([len(row_ids) for row_ids in ids], dtype=np.intp)
+        offset = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        at = store.at[offset + np.arange(len(pids))]
+        self._lat_stats.hits += len(at)
+        rows = np.repeat(np.arange(len(ugs)), counts)
+        anycast = np.array([self._scenario.anycast_latency_ms(ug) for ug in ugs])
+        volume = np.array([ug.volume for ug in ugs], dtype=np.float64)
+        gain = anycast[rows] - store.latency[at]
+        keep = gain > 0.0  # false for nan: unmeasurable
+        peering_ids = np.unique(pids)
         return BenefitMatrix(
             ug_ids=tuple(ug.ug_id for ug in ugs),
-            peering_ids=tuple(peering_ids),
-            rows=np.array(rows, dtype=np.intp),
-            cols=np.array(cols, dtype=np.intp),
-            gains=np.array(gains, dtype=np.float64),
+            peering_ids=tuple(peering_ids.tolist()),
+            rows=rows[keep],
+            cols=np.searchsorted(peering_ids, pids[keep]),
+            gains=volume[rows[keep]] * gain[keep],
         )
 
     # -- Eq. 2: modeled improvement -------------------------------------------
@@ -402,10 +394,9 @@ class BenefitEvaluator:
             (pid,) = compliant
             return self.latency(ug, pid)
         cache = self._expected_memo(ug)
-        value = cache.get(compliant, _UNSET)
-        if value is not _UNSET:
+        if compliant in cache:
             self._exp_stats.hits += 1
-            return value
+            return cache[compliant]
         self._exp_stats.misses += 1
         value = self._model.expected_latency_ms(
             ug, compliant, self.latency, compliant=compliant
@@ -458,17 +449,15 @@ class BenefitEvaluator:
         """Range over all policy-compliant advertised ingresses (no exclusions)."""
         compliant = self._model.catalog.compliant_subset(ug, advertised)
         anycast = self._scenario.anycast_latency_ms(ug)
-        deployment = self._scenario.deployment
         distances = []
         improvements = []
         for pid in sorted(compliant):
-            latency = self.latency(ug, pid)
-            if latency is None:
-                continue
+            at = self._slot(ug, pid)
+            latency = self.store.latency.item(at)
+            if latency != latency:
+                continue  # unmeasurable
             improvements.append(max(0.0, anycast - latency))
-            distances.append(
-                haversine_km(ug.location, deployment.peering(pid).pop.location)
-            )
+            distances.append(self.store.distance.item(at))
         if not improvements:
             return None
         closest = min(distances)

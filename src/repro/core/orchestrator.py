@@ -35,7 +35,6 @@ from repro.core.routing_model import DEFAULT_D_REUSE_KM, RoutingModel
 from repro.core.rows import MarginalDetail, RowEngine
 from repro.scenario import Scenario
 from repro.telemetry import METRICS, TRACER, emit_event
-from repro.usergroups.usergroup import UserGroup
 
 logger = logging.getLogger(__name__)
 
@@ -386,7 +385,11 @@ class PainterOrchestrator:
         self._evaluator = BenefitEvaluator(
             scenario, self._model, latency_of=config.latency_of
         )
-        self._affected: Dict[int, List[UserGroup]] = self._invert_catalog()
+        #: Every peering compliant for some UG: the candidates of a solve
+        #: with none disabled.
+        self._candidates: FrozenSet[int] = frozenset().union(
+            *map(scenario.catalog.ingress_ids, scenario.user_groups)
+        )
         self._allow_reuse = config.allow_reuse
         self.budget_curve: List[BudgetPoint] = []
         #: Freshest observation per (ug_id, prefix) — what a lagging
@@ -430,24 +433,14 @@ class PainterOrchestrator:
         """The resolved configuration this orchestrator runs under."""
         return self._config
 
-    def _invert_catalog(self) -> Dict[int, List[UserGroup]]:
-        affected: Dict[int, List[UserGroup]] = {}
-        for ug in self._scenario.user_groups:
-            for pid in self._scenario.catalog.ingress_ids(ug):
-                affected.setdefault(pid, []).append(ug)
-        return affected
-
     def _row_source(self) -> RowEngine:
         """The row engine, readied for a solve of the world as it is now."""
         if self._engine is None:
             # Materialise every (UG, ingress) slot before the scan starts,
             # so the ranked scan never pays a latency oracle call
-            # mid-heap-operation; the engine lays out every compliant slot
-            # once, from the evaluator's dense pair.
+            # mid-heap-operation; the engine reads the evaluator's store.
             self._evaluator.precompute_latency_matrix()
-            self._engine = RowEngine(
-                self._scenario, self._evaluator, self._model, self._affected
-            )
+            self._engine = RowEngine(self._scenario, self._evaluator, self._model)
         return self._engine.begin_solve(*self._solve_inputs())
 
     # -- world mutation (the controller's delta surface) ---------------------
@@ -531,7 +524,7 @@ class PainterOrchestrator:
             if ug_id in self._ug_index
         )
         active = frozenset(
-            pid for pid in self._affected if pid not in self._disabled_peerings
+            pid for pid in self._candidates if pid not in self._disabled_peerings
         )
         if usable:
             # Defensive dirty expansion: any learned-set or candidate-set
@@ -631,7 +624,7 @@ class PainterOrchestrator:
         """What a source is built from: the prefix budget, the candidate
         peerings (ascending) and the learned UG ids, as of now."""
         peering_ids = sorted(
-            pid for pid in self._affected if pid not in self._disabled_peerings
+            pid for pid in self._candidates if pid not in self._disabled_peerings
         )
         return self._budget, peering_ids, tuple(sorted(self._model.learned_ug_ids))
 

@@ -5,10 +5,10 @@
 of :mod:`repro.core.orchestrator` wraps it).  One engine serves all solves
 of one world.  It keeps
 
-* one layout of every compliant (UG row, peering) slot with its latency
-  and distance: concatenated in ascending peering id, ascending row within
-  each peering's ``[start, end)`` span, gathered once from the
-  evaluator's dense matrices;
+* the evaluator's :class:`~repro.core.benefit.SlotStore`, read as it is:
+  every compliant (UG row, peering) slot with its latency and distance,
+  in ascending peering id, ascending row within each peering's ``[start,
+  end)`` span;
 * per solve, one volume array, each UG's expected latency per prefix and
   the ``learned`` mask of the slots whose UG has learned state, which the
   routing model compiles into one :class:`~repro.core.routing_model.
@@ -120,41 +120,24 @@ def _accumulate(total: float, terms: "np.ndarray") -> float:
 class RowEngine:
     """Marginals of one world's solves, computed over every UG row.
 
-    Built once per orchestrator, after the evaluator materialised its
-    dense latency/distance matrices (read here, to lay out the slots, and
-    nowhere else); :meth:`begin_solve` readies it for one solve, after
-    which it is the solve's ``MarginalSource``.
+    Built once per orchestrator, after the evaluator filled its slot
+    store; :meth:`begin_solve` readies it for one solve, after which it is
+    the solve's ``MarginalSource``.
     """
 
     lookahead = SPECULATIVE_REFRESHES
 
-    def __init__(self, scenario, evaluator, model, affected: Dict[int, Sequence]) -> None:
+    def __init__(self, scenario, evaluator, model) -> None:
         self.scenario = scenario
         self.evaluator = evaluator
         self.model = model
         self.ugs = scenario.user_groups
         self.d_reuse = model.d_reuse_km
         self._row_of = {ug.ug_id: row for row, ug in enumerate(self.ugs)}
-        # ``affected`` (peering -> its compliant UGs, in scenario order) is
-        # fixed for the world's lifetime, and so is the layout.
-        pids = sorted(affected)
-        sizes = np.array([len(affected[pid]) for pid in pids], dtype=np.intp)
-        rows = np.fromiter(
-            (self._row_of[ug.ug_id] for pid in pids for ug in affected[pid]),
-            dtype=np.intp,
-            count=int(sizes.sum()),
-        )
-        # Position in ``pids`` of each slot's peering.
-        owner = np.repeat(np.arange(len(pids)), sizes)
-        columns = evaluator.peering_columns
-        cols = np.array([columns[pid] for pid in pids], dtype=np.intp)[owner]
-        lat = evaluator.latency_matrix[rows, cols]
-        lat[np.isinf(lat)] = np.nan  # the matrices encode None as +inf
-        dist = evaluator.distance_matrix[rows, cols]
-        bounds = [0, *accumulate(sizes.tolist())]
+        store = evaluator.store
         #: The layout itself and each peering's ``[start, end)`` span of it.
-        self._layout = (rows, lat, dist)
-        self._spans = dict(zip(pids, zip(bounds, bounds[1:])))
+        rows, lat, dist = self._layout = (store.rows, store.latency, store.distance)
+        self._spans = store.spans
         #: Peering -> ``(rows, latency, distance)`` of its span (``nan``
         #: latency: unmeasurable), views of the layout.
         self.arrays: Dict[int, Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = {

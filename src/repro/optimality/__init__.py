@@ -2,9 +2,9 @@
 
 Poses budget-k prefix-to-peering assignment as an ILP over the sparse
 singleton-gain matrix (:meth:`repro.core.BenefitEvaluator.benefit_matrix`),
-solves it exactly (scipy/HiGHS, optional PuLP/CBC, brute force as the tiny
--instance oracle), and exposes the LP relaxation as a cheap upper bound
-that the benchmark gates assert against every solved configuration.
+solves it exactly (scipy/HiGHS, brute force as the tiny-instance oracle),
+and exposes the LP relaxation as a cheap upper bound that the benchmark
+gates assert against every solved configuration.
 """
 
 from repro.optimality.gates import (

@@ -17,9 +17,8 @@ exactly what the benchmark gates use as a cheap optimality envelope.  Only
 puts all of a UG's mass on its highest-gain open entry, so optimal ``y``
 are automatically extreme.
 
-Backends: ``scipy`` (``scipy.optimize.milp``/HiGHS — the default), ``pulp``
-(optional, CBC via the PuLP modeler, import-gated since the container may
-not ship it), and ``brute`` (exhaustive enumeration, tiny instances only).
+Backends: ``scipy`` (``scipy.optimize.milp``/HiGHS — the default) and
+``brute`` (exhaustive enumeration, tiny instances only).
 Every backend reports its value through
 :meth:`~repro.core.BenefitMatrix.selection_value` on the chosen columns, so
 values from different backends are bit-comparable.
@@ -81,12 +80,6 @@ def available_backends() -> Tuple[str, ...]:
         import scipy.optimize  # noqa: F401
 
         found.append("scipy")
-    except ImportError:
-        pass
-    try:
-        import pulp  # noqa: F401
-
-        found.append("pulp")
     except ImportError:
         pass
     found.append("brute")
@@ -241,62 +234,6 @@ def _solve_scipy(
     )
 
 
-def _solve_pulp(
-    problem: SelectionProblem,
-    time_limit_s: Optional[float],
-    mip_rel_gap: float,
-) -> SolveOutcome:
-    try:
-        import pulp
-    except ImportError as exc:
-        raise BackendUnavailable(
-            "pulp backend requires the optional PuLP package"
-        ) from exc
-    matrix = problem.matrix
-    if matrix.nnz == 0:
-        return _trivial_outcome("pulp")
-    model = pulp.LpProblem("painter_selection", pulp.LpMaximize)
-    x = [
-        pulp.LpVariable(f"x_{p}", cat=pulp.LpBinary)
-        for p in range(matrix.n_peerings)
-    ]
-    y = [
-        pulp.LpVariable(f"y_{e}", lowBound=0.0, upBound=1.0)
-        for e in range(matrix.nnz)
-    ]
-    model += pulp.lpSum(float(g) * y[e] for e, g in enumerate(matrix.gains))
-    by_row: dict = {}
-    for e in range(matrix.nnz):
-        by_row.setdefault(int(matrix.rows[e]), []).append(y[e])
-        model += y[e] <= x[int(matrix.cols[e])]
-    for entries in by_row.values():
-        model += pulp.lpSum(entries) <= 1
-    model += pulp.lpSum(x) <= problem.budget
-    solver = pulp.PULP_CBC_CMD(
-        msg=False,
-        timeLimit=time_limit_s,
-        gapRel=mip_rel_gap or None,
-    )
-    started = time.perf_counter()
-    model.solve(solver)
-    elapsed = time.perf_counter() - started
-    status = pulp.LpStatus[model.status].lower()
-    if model.status != pulp.LpStatusOptimal:
-        raise RuntimeError(f"pulp/CBC solve ended with status {status}")
-    chosen = tuple(
-        p for p, var in enumerate(x) if (var.value() or 0.0) > 0.5
-    )
-    return SolveOutcome(
-        value=matrix.selection_value(chosen),
-        chosen=chosen,
-        chosen_peering_ids=tuple(matrix.peering_ids[c_] for c_ in chosen),
-        objective=float(pulp.value(model.objective) or 0.0),
-        status=status,
-        backend="pulp",
-        solve_time_s=elapsed,
-    )
-
-
 def _solve_brute(problem: SelectionProblem) -> SolveOutcome:
     matrix = problem.matrix
     started = time.perf_counter()
@@ -323,8 +260,8 @@ def solve_ilp(
     """Solve the selection ILP to optimality with the requested backend.
 
     ``backend``: ``"scipy"`` (HiGHS via ``scipy.optimize.milp``),
-    ``"pulp"`` (CBC, optional dependency), ``"brute"`` (exhaustive, tiny
-    instances), or ``"auto"`` (first available in that order).  Raises
+    ``"brute"`` (exhaustive, tiny instances), or ``"auto"`` (first
+    available in that order).  Raises
     :class:`BackendUnavailable` when the requested backend's dependency is
     missing.
     """
@@ -347,8 +284,7 @@ def solve_ilp(
             except BackendUnavailable:
                 continue
         raise BackendUnavailable(
-            "no usable ILP backend (need scipy, pulp, or a brute-forceable "
-            "instance)"
+            "no usable ILP backend (need scipy or a brute-forceable instance)"
         )
     timer = METRICS.timer("optimality.ilp_seconds")
     METRICS.counter("optimality.ilp_solves").add()
@@ -361,8 +297,6 @@ def solve_ilp(
     ):
         if backend == "scipy":
             outcome = _solve_scipy(problem, time_limit_s, mip_rel_gap)
-        elif backend == "pulp":
-            outcome = _solve_pulp(problem, time_limit_s, mip_rel_gap)
         elif backend == "brute":
             outcome = _solve_brute(problem)
         else:

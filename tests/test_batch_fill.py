@@ -1,10 +1,10 @@
 """The batch (UG × ingress) latency/distance fill against its scalar oracles.
 
-Every policy-compliant slot of the dense pair the evaluator materialises
-must hold, as an exact double (compared via ``float.hex``), what the
-scalar oracles return for it: ``LatencyModel.latency_ms`` for latency
-(``+inf`` = unmeasurable), ``RoutingModel.distance_km`` and
-``haversine_km`` for distance.  Every golden hangs off these values.
+Every slot of the store the evaluator materialises must hold, as an exact
+double (compared via ``float.hex``), what the scalar oracles return for
+it: ``LatencyModel.latency_ms`` for latency (``nan`` = unmeasurable),
+``RoutingModel.distance_km`` and ``haversine_km`` for distance.  Every
+golden hangs off these values.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import benefit
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.scenario import azure_scenario, prototype_scenario, tiny_scenario
 from repro.topology.geo import DistanceTable, GeoPoint, fiber_rtt_ms, haversine_km
@@ -24,27 +25,38 @@ from repro.topology.geo import DistanceTable, GeoPoint, fiber_rtt_ms, haversine_
 def _materialised(scenario, **config_kwargs):
     orch = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=2, **config_kwargs))
     filled = orch.evaluator.precompute_latency_matrix()
-    return orch, filled, orch.evaluator.latency_matrix, orch.evaluator.distance_matrix
+    return orch, filled, orch.evaluator.store
+
+
+def _slots(scenario):
+    """Every compliant (UG row, peering id) pair in store order: ascending
+    peering id, then ascending row."""
+    return sorted(
+        (pid, row)
+        for row, ug in enumerate(scenario.user_groups)
+        for pid in scenario.catalog.ingress_ids(ug)
+    )
 
 
 def _assert_matches_scalar_oracles(scenario) -> None:
-    orch, filled, lat, dist = _materialised(scenario)
-    cols = orch.evaluator.peering_columns
+    orch, filled, store = _materialised(scenario)
     deployment = scenario.deployment
     latency_model = scenario.latency_model
-    compliant = np.zeros(lat.shape, dtype=bool)
+    slots = _slots(scenario)
+    assert filled == len(store) == len(slots)
+    assert store.rows.tolist() == [row for _, row in slots]
+    for at, (pid, row) in enumerate(slots):
+        ug = scenario.user_groups[row]
+        peering = deployment.peering(pid)
+        assert float(store.latency[at]).hex() == latency_model.latency_ms(ug, peering).hex()
+        km = float(store.distance[at]).hex()
+        assert km == haversine_km(ug.location, peering.pop.location).hex()
+        assert km == orch.model.distance_km(ug, pid).hex()
+    # The CSR index finds each slot from its UG.
     for row, ug in enumerate(scenario.user_groups):
-        for pid in scenario.catalog.ingress_ids(ug):
-            col = cols[pid]
-            compliant[row, col] = True
-            peering = deployment.peering(pid)
-            assert float(lat[row, col]).hex() == latency_model.latency_ms(ug, peering).hex()
-            km = float(dist[row, col]).hex()
-            assert km == haversine_km(ug.location, peering.pop.location).hex()
-            assert km == orch.model.distance_km(ug, pid).hex()
-    assert filled == int(compliant.sum())
-    # Slots outside every UG's compliant set are never written.
-    assert np.isnan(lat[~compliant]).all() and np.isnan(dist[~compliant]).all()
+        ids = sorted(scenario.catalog.ingress_ids(ug))
+        at = store.at[store.first[row] : store.first[row + 1]]
+        assert [slots[i] for i in at.tolist()] == [(pid, row) for pid in ids]
 
 
 @pytest.mark.parametrize(
@@ -67,16 +79,15 @@ def test_batch_fill_is_bit_identical_on_full_azure() -> None:
 
 def test_day0_latencies_match_scalar_components_in_order() -> None:
     scenario = tiny_scenario(seed=0)
-    orch, _, lat, _ = _materialised(scenario)
+    _, _, store = _materialised(scenario)
     model = scenario.latency_model
-    cols = orch.evaluator.peering_columns
-    for row, ug in enumerate(scenario.user_groups):
-        for pid in scenario.catalog.ingress_ids(ug):
-            peering = scenario.deployment.peering(pid)
-            expected = (
-                model.propagation_ms(ug, peering) + model.last_mile_ms(ug)
-            ) + model.inflation_penalty_ms(ug, peering)
-            assert float(lat[row, cols[pid]]).hex() == expected.hex()
+    for at, (pid, row) in enumerate(_slots(scenario)):
+        ug = scenario.user_groups[row]
+        peering = scenario.deployment.peering(pid)
+        expected = (
+            model.propagation_ms(ug, peering) + model.last_mile_ms(ug)
+        ) + model.inflation_penalty_ms(ug, peering)
+        assert float(store.latency[at]).hex() == expected.hex()
 
 
 _lat = st.floats(min_value=-89.0, max_value=89.0, allow_nan=False)
@@ -106,20 +117,26 @@ def test_distance_table_falls_back_outside_its_points() -> None:
         table.target_indices([c])
 
 
-def test_row_chunked_fill_solves_identically() -> None:
-    def signature(chunk_bytes):
-        orch = PainterOrchestrator(tiny_scenario(seed=5), OrchestratorConfig(prefix_budget=4))
-        if chunk_bytes is not None:
-            # One row per chunk; the solve then reuses the pair as it is.
-            orch.evaluator.precompute_latency_matrix(chunk_bytes=chunk_bytes)
+def test_chunked_fill_solves_identically(monkeypatch) -> None:
+    def signature(custom):
+        scenario = tiny_scenario(seed=5)
+        kwargs = {}
+        if custom:
+            model, deployment = scenario.latency_model, scenario.deployment
+            kwargs["latency_of"] = lambda ug, pid: model.latency_ms(ug, deployment.peering(pid))
+        orch = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=4, **kwargs))
         config = orch.solve(record_curve=True)
         curve = [(p.prefixes_used, p.pairs_used, p.estimated_benefit) for p in orch.budget_curve]
-        return sorted(config.pairs()), curve
+        store = orch.evaluator.store
+        return sorted(config.pairs()), curve, store.latency.tobytes(), store.distance.tobytes()
 
-    assert signature(1) == signature(None)
+    whole = [signature(custom) for custom in (False, True)]
+    assert whole[0] == whole[1]
+    monkeypatch.setattr(benefit, "FILL_CHUNK_SLOTS", 1)  # one slot per pass
+    assert [signature(custom) for custom in (False, True)] == whole
 
 
-def test_custom_latency_of_fills_the_same_pair() -> None:
+def test_custom_latency_of_fills_the_same_store() -> None:
     scenario = tiny_scenario(seed=0)
     model = scenario.latency_model
     deployment = scenario.deployment
@@ -127,10 +144,11 @@ def test_custom_latency_of_fills_the_same_pair() -> None:
     def oracle(ug, pid):
         return model.latency_ms(ug, deployment.peering(pid))
 
-    _, _, lat, dist = _materialised(scenario)
-    _, _, custom_lat, custom_dist = _materialised(scenario, latency_of=oracle)
-    assert custom_lat.tobytes() == lat.tobytes()
-    assert custom_dist.tobytes() == dist.tobytes()
+    _, _, store = _materialised(scenario)
+    _, _, custom = _materialised(scenario, latency_of=oracle)
+    for name in ("rows", "latency", "distance", "first", "at"):
+        assert getattr(custom, name).tobytes() == getattr(store, name).tobytes()
+    assert custom.spans == store.spans
 
 
 # -- custom latency_of validation ------------------------------------------
@@ -149,20 +167,88 @@ def _bad_oracle(scenario, bad_value):
     return oracle, victim
 
 
-@pytest.mark.parametrize("bad_value", [math.nan, math.inf, -5.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize(
+    "bad_value",
+    [math.nan, math.inf, -5.0, "12.5", True],
+    ids=["nan", "inf", "negative", "str", "bool"],
+)
 def test_custom_latency_of_rejects_non_latencies(bad_value) -> None:
     scenario = tiny_scenario(seed=0)
     oracle, victim = _bad_oracle(scenario, bad_value)
     orch = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=2, latency_of=oracle))
     with pytest.raises(ValueError, match=rf"UG {victim} via peering \d+"):
         orch.solve()
-    assert orch.evaluator.latency_matrix is None
+    assert orch.evaluator.store is None
 
 
 def test_custom_latency_of_none_stays_unmeasurable() -> None:
     scenario = tiny_scenario(seed=0)
     oracle, victim = _bad_oracle(scenario, None)
-    orch, _, lat, _ = _materialised(scenario, latency_of=oracle)
+    orch, _, store = _materialised(scenario, latency_of=oracle)
     row = orch._ug_index[victim]
-    filled = lat[row][~np.isnan(lat[row])]
-    assert len(filled) > 0 and np.isinf(filled).all()
+    victim_slots = store.rows == row
+    assert victim_slots.any() and np.isnan(store.latency[victim_slots]).all()
+    assert not np.isnan(store.latency[~victim_slots]).any()
+    ug = scenario.user_groups[row]
+    assert all(
+        orch.evaluator.latency(ug, pid) is None for pid in scenario.catalog.ingress_ids(ug)
+    )
+
+
+# -- reads off the store ----------------------------------------------------
+
+
+def _benefit_matrix_by_slot(evaluator, ugs):
+    """The per-slot loop :meth:`BenefitEvaluator.benefit_matrix` replaced:
+    one scalar ``latency`` read per compliant slot, UG by UG."""
+    catalog = evaluator.model.catalog
+    scenario = evaluator.scenario
+    peering_ids = sorted({pid for ug in ugs for pid in catalog.ingress_ids(ug)})
+    col_of = {pid: col for col, pid in enumerate(peering_ids)}
+    rows, cols, gains = [], [], []
+    for row, ug in enumerate(ugs):
+        anycast = scenario.anycast_latency_ms(ug)
+        for pid in sorted(catalog.ingress_ids(ug)):
+            latency = evaluator.latency(ug, pid)
+            if latency is None:
+                continue
+            gain = anycast - latency
+            if gain > 0.0:
+                rows.append(row)
+                cols.append(col_of[pid])
+                gains.append(ug.volume * gain)
+    return tuple(peering_ids), rows, cols, [g.hex() for g in gains]
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: tiny_scenario(seed=0), lambda: prototype_scenario(seed=0)],
+    ids=["tiny", "prototype"],
+)
+def test_benefit_matrix_is_bit_equal_to_the_per_slot_loop(build) -> None:
+    scenario = build()
+    evaluator = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=2)).evaluator
+    ugs = scenario.user_groups
+    # The whole world, and a reordered subset with a gap.
+    for subset in (ugs, ugs[::-3]):
+        matrix = evaluator.benefit_matrix(None if subset is ugs else subset)
+        assert matrix.ug_ids == tuple(ug.ug_id for ug in subset)
+        assert (
+            matrix.peering_ids,
+            matrix.rows.tolist(),
+            matrix.cols.tolist(),
+            [float(g).hex() for g in matrix.gains],
+        ) == _benefit_matrix_by_slot(evaluator, subset)
+
+
+def test_benefit_matrix_skips_unmeasurable_slots_like_the_loop() -> None:
+    scenario = tiny_scenario(seed=0)
+    oracle, victim = _bad_oracle(scenario, None)
+    orch, _, _ = _materialised(scenario, latency_of=oracle)
+    matrix = orch.evaluator.benefit_matrix()
+    assert orch._ug_index[victim] not in matrix.rows.tolist()
+    assert (
+        matrix.peering_ids,
+        matrix.rows.tolist(),
+        matrix.cols.tolist(),
+        [float(g).hex() for g in matrix.gains],
+    ) == _benefit_matrix_by_slot(orch.evaluator, scenario.user_groups)

@@ -44,6 +44,7 @@ from repro.controller import (
 from repro.controller.daemon import _watchdog
 from repro.core.orchestrator import OrchestratorConfig
 from repro.scenario import tiny_scenario
+from repro.telemetry import METRICS
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +222,14 @@ class TestCheckpointStore:
         store.save(0, {"x": 1}).write_text("not json")
         assert store.latest() is None
 
+    def test_latest_skips_undecodable_bytes(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep=10)
+        good = store.save(0, {"good": True})
+        store.save(1, {"good": True}).write_bytes(b"\xff\xfe garbage")
+        with pytest.raises(CheckpointError):
+            store.load(store.path_for(1))
+        assert store.latest().path == good
+
     def test_prune_keeps_newest_k(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=2)
         for seq in range(5):
@@ -294,6 +303,50 @@ class TestDurableJournal:
         records = [json.loads(line) for line in lines[1:]]
         assert [r["event"] for r in records] == ["alpha", "gamma"]
         assert [r["seq"] for r in records] == [0, 1]
+
+    def test_writer_emits_ascii_only(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = DurableJournal(path, meta={"name": "caf\u00e9"}).start()
+        journal.event("\u03b1", label="\u2192")
+        journal.close()
+        path.read_bytes().decode("ascii")
+        resumed = DurableJournal.resume(path, 0)
+        try:
+            assert resumed.journal.records[0]["label"] == "\u2192"
+        finally:
+            resumed.close()
+
+    def test_resume_drops_undecodable_tail(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = DurableJournal(path).start()
+        for name in ("alpha", "beta", "gamma"):
+            journal.event(name)
+        journal.close()
+        lines = path.read_bytes().splitlines(keepends=True)
+        # Rot "beta"'s line: it and "gamma" after it are the torn tail.
+        path.write_bytes(b"".join([lines[0], lines[1], b"\xff\xfe" + lines[2], lines[3]]))
+        dropped = METRICS.counter("controller.journal_tail_dropped")
+        before = dropped.value
+        resumed = DurableJournal.resume(path, 2)
+        try:
+            assert [r["event"] for r in resumed.journal.records] == ["alpha"]
+            assert dropped.value - before == 2
+        finally:
+            resumed.close()
+        with path.open("ab") as fh:
+            fh.write(b"\xff\xfe")
+        resumed = DurableJournal.resume(path, 2)
+        try:
+            assert [r["event"] for r in resumed.journal.records] == ["alpha"]
+            assert dropped.value - before == 3
+        finally:
+            resumed.close()
+
+    def test_resume_rejects_undecodable_header(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe garbage\n")
+        with pytest.raises(CheckpointError, match="corrupt header"):
+            DurableJournal.resume(bad, 0)
 
     def test_resume_truncates_past_checkpointed_seq(self, tmp_path):
         path = tmp_path / "journal.jsonl"

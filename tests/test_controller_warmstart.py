@@ -124,7 +124,7 @@ class TestWarmEqualsCold:
         v_first = ugs[0].volume * 2.5
         v_last = ugs[-1].volume * 0.1
         apply_and_check(lambda o: o.apply_volume_shift(ugs[0].ug_id, v_first))
-        some_pid = sorted(warm_orch._affected)[0]
+        some_pid = sorted(warm_orch._candidates)[0]
         apply_and_check(lambda o: o.set_peering_enabled(some_pid, False))
         apply_and_check(lambda o: o.apply_volume_shift(ugs[-1].ug_id, v_last))
         apply_and_check(lambda o: o.set_peering_enabled(some_pid, True))

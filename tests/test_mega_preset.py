@@ -166,11 +166,13 @@ def test_catalog_handles_out_of_graph_direct_peer(micro_deployment) -> None:
 # the real thing (slow tier)
 # ---------------------------------------------------------------------------
 
-#: Peak-RSS budget for building + solving mega.  Measured ~5.0 GB peak on
-#: the reference runner (the two 100k x 2010 float64 latency/distance
-#: matrices account for ~3.2 GB; scan scratch makes up the rest); the headroom guards against layout regressions such as
-#: falling back to per-UG python dict rows (which would be tens of GB).
-MEGA_PEAK_RSS_BYTES = 8 * 1024**3
+#: Peak-RSS budget for building + solving mega.  Measured 1.53 GiB peak on
+#: a 2-core, 7 GB x86-64 box: the slot store holds the 27.0M compliant
+#: (UG, peering) slots in 4 x 8 bytes each (row, latency, distance, CSR
+#: position; 0.86 GB) and the world and scan state make up the rest.  The
+#: headroom guards against layout regressions such as a dense UG x peering
+#: array coming back (one float64 pair of them alone is 3.2 GB).
+MEGA_PEAK_RSS_BYTES = 2 * 1024**3
 
 
 @pytest.mark.slow
@@ -185,7 +187,9 @@ def test_mega_smoke_builds_and_solves_within_memory_budget() -> None:
     orch = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=2))
     config = orch.solve()
     evaluator = orch.evaluator
-    assert evaluator.latency_matrix is not None and evaluator.distance_matrix is not None
+    assert len(evaluator.store) == sum(
+        len(scenario.catalog.ingress_ids(ug)) for ug in scenario.user_groups
+    )
     assert config.prefix_count <= 2
     assert config.pair_count > 0
 

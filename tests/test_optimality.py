@@ -24,7 +24,6 @@ from repro.core import (
 )
 from repro.optimality import (
     DEFAULT_REL_TOL,
-    BackendUnavailable,
     SelectionProblem,
     assert_lp_sound,
     available_backends,
@@ -219,10 +218,9 @@ class TestBackends:
         with pytest.raises(ValueError):
             solve_ilp(SelectionProblem.build(matrix, 2), backend="gurobi")
 
-    def test_pulp_gated_when_missing(self, matrix):
-        if "pulp" in available_backends():
-            pytest.skip("pulp installed; gating not exercised")
-        with pytest.raises(BackendUnavailable):
+    def test_pulp_is_an_unknown_backend(self, matrix):
+        assert "pulp" not in available_backends()
+        with pytest.raises(ValueError, match="unknown ILP backend 'pulp'"):
             solve_ilp(SelectionProblem.build(matrix, 2), backend="pulp")
 
     def test_auto_solves(self, matrix):

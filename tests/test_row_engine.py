@@ -23,6 +23,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.benefit import SlotStore
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.core.routing_model import DominanceTable
 from repro.core.rows import INITIAL_SCAN_WIDTH, RowEngine, initial_gains, refresh_contrib
@@ -255,35 +256,33 @@ def _unlearned_tables(k):
 
 
 def _synthetic_engine(world) -> RowEngine:
-    """A :class:`RowEngine` over stub objects carrying ``world``'s cells
-    (``+inf`` latency = unmeasurable), readied for a one-prefix solve with
+    """A :class:`RowEngine` over stub objects and a store of ``world``'s
+    cells (``None`` latency = unmeasurable), readied for a one-prefix solve with
     the ``learned`` rows masked."""
     ugs = [
         SimpleNamespace(ug_id=100 + row, volume=world.vol[row])
         for row in range(world.n_rows)
     ]
-    lat = np.full((world.n_rows, world.n_pids), np.nan)
-    dist = np.full((world.n_rows, world.n_pids), np.nan)
-    affected = {pid: [] for pid in range(world.n_pids)}
-    for (row, pid), (dist_km, lat_ms) in sorted(world.cells.items()):
-        affected[pid].append(ugs[row])
-        dist[row, pid] = dist_km
-        lat[row, pid] = np.inf if lat_ms is None else lat_ms
+    # The cells in (row, pid) order are the store's CSR order.
+    cells = sorted(world.cells.items())
+    store = SlotStore.layout(
+        [
+            np.array([pid for (r, pid), _ in cells if r == row], dtype=np.intp)
+            for row in range(world.n_rows)
+        ]
+    )
+    store.distance[store.at] = [dist_km for _, (dist_km, _) in cells]
+    store.latency[store.at] = [lat_ms for _, (_, lat_ms) in cells]  # None: nan
     engine = RowEngine(
         SimpleNamespace(
             user_groups=ugs,
             anycast_latency_ms=lambda ug: float(world.base[ug.ug_id - 100]),
         ),
-        SimpleNamespace(
-            latency_matrix=lat,
-            distance_matrix=dist,
-            peering_columns={pid: pid for pid in range(world.n_pids)},
-        ),
+        SimpleNamespace(store=store),
         SimpleNamespace(
             d_reuse_km=world.d_reuse,
             dominance_table=_unlearned_tables(world.n_pids + 1),
         ),
-        affected,
     )
     # The learned rows' own evaluation (Eq. 2 against a real routing
     # model's table) is out of this oracle's scope; what it pins is that
@@ -429,11 +428,16 @@ def test_layout_is_built_once_per_world() -> None:
         for pid in sorted(engine._spans)
     ]
     assert len(rows) == len(lat) == len(dist) == len(slots)
-    evaluator = orchestrator.evaluator
-    cols = [evaluator.peering_columns[pid] for pid, _ in slots]
-    assert _hex(dist) == _hex(evaluator.distance_matrix[rows, cols])
-    measured = evaluator.latency_matrix[rows, cols]
-    assert _hex(lat) == _hex(np.where(np.isinf(measured), np.nan, measured))
+    # The engine reads the evaluator's store itself: no copy, no gather.
+    store = orchestrator.evaluator.store
+    assert rows is store.rows and lat is store.latency and dist is store.distance
+    assert engine._spans is store.spans
+    ugs = scenario.user_groups
+    assert _hex(dist) == _hex(
+        [orchestrator.model.distance_km(ugs[row], pid) for pid, row in slots]
+    )
+    measured = [orchestrator.evaluator.latency(ugs[row], pid) for pid, row in slots]
+    assert _hex(lat) == _hex([np.nan if ms is None else ms for ms in measured])
     assert not engine.learned.any()
 
     orchestrator.execute_and_observe(orchestrator.solve())
