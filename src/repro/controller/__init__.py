@@ -15,10 +15,11 @@ Robustness is the headline, not an afterthought:
 
 * every iteration ends in a **crash-safe checkpoint**
   (:class:`CheckpointStore` — atomic write-then-rename, fsync'd,
-  versioned, content-hashed) and an fsync'd append to a durable run
-  journal (:class:`DurableJournal`), sequence-stamped so a killed
-  controller resumes from the last durable iteration and the journal
-  reads as if the crash never happened;
+  versioned, content-hashed) and an fsync'd append to the run journal
+  (a :class:`repro.telemetry.RunJournal` bound to a file by
+  ``RunJournal.create`` / ``RunJournal.resume``), sequence-stamped so a
+  killed controller resumes from the last durable iteration and the
+  journal reads as if the crash never happened;
 * re-solve and apply run under **retry-with-backoff** and a SIGALRM
   **watchdog**; an iteration that keeps failing degrades gracefully to
   the last-known-good configuration instead of taking the loop down;
@@ -32,7 +33,6 @@ from repro.controller.checkpoint import (
     Checkpoint,
     CheckpointError,
     CheckpointStore,
-    DurableJournal,
 )
 from repro.controller.daemon import (
     ControllerConfig,
@@ -72,7 +72,6 @@ __all__ = [
     "ControllerResult",
     "Delta",
     "DeltaError",
-    "DurableJournal",
     "IterationTimeout",
     "LinkWeightShift",
     "PainterController",

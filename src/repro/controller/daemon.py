@@ -16,8 +16,8 @@ One :class:`PainterController` iteration:
 4. **apply** — install the configuration through the Traffic Manager
    (when it changed) and optionally run a measurement round
    (``execute_and_observe``) to keep learning;
-5. **persist** — append the iteration's events to the
-   :class:`DurableJournal` (fsync'd), then write a
+5. **persist** — append the iteration's events to the durable
+   :class:`~repro.telemetry.RunJournal` (fsync'd), then write a
    :class:`CheckpointStore` checkpoint carrying everything needed to
    resume: delta cursor, volume overrides, disabled peerings, the
    routing-model snapshot, current and last-known-good configs, and the
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
-from repro.controller.checkpoint import CheckpointStore, DurableJournal
+from repro.controller.checkpoint import CheckpointStore
 from repro.controller.deltas import (
     Delta,
     LinkWeightShift,
@@ -63,7 +63,7 @@ from repro.io import (
     restore_routing_model,
     routing_model_to_dict,
 )
-from repro.telemetry import METRICS, journal_event_hook
+from repro.telemetry import METRICS, RunJournal, journal_event_hook
 
 logger = logging.getLogger(__name__)
 
@@ -243,7 +243,7 @@ class PainterController:
         self._store = CheckpointStore(
             controller_config.checkpoint_dir, keep=controller_config.checkpoint_keep
         )
-        self._journal: Optional[DurableJournal] = None
+        self._journal: Optional[RunJournal] = None
         self._volume_overrides: Dict[int, float] = {}
         self._current: Optional[AdvertisementConfig] = None
         self._last_good: Optional[AdvertisementConfig] = None
@@ -268,7 +268,7 @@ class PainterController:
         return self._scenario
 
     @property
-    def journal(self) -> Optional[DurableJournal]:
+    def journal(self) -> Optional[RunJournal]:
         """The live durable journal (None outside :meth:`run`)."""
         return self._journal
 
@@ -376,7 +376,7 @@ class PainterController:
         METRICS.counter("controller.deltas_applied").add()
         document = delta_to_dict(delta)
         document["delta"] = document.pop("type")  # "type" reads badly in events
-        self._journal.event("delta_applied", iteration=iteration, **document)
+        self._journal.record_event("delta_applied", iteration=iteration, **document)
 
     # -- the supervised solve -------------------------------------------------
 
@@ -443,7 +443,7 @@ class PainterController:
         checkpoint = self._store.latest()
         if checkpoint is not None:
             self._restore(checkpoint.payload)
-            self._journal = DurableJournal.resume(
+            self._journal = RunJournal.resume(
                 cfg.resolved_journal_path, checkpoint.payload["journal_seq"]
             )
             result.resumed_from = checkpoint.seq
@@ -454,15 +454,15 @@ class PainterController:
                 "resuming after iteration %d (cursor %d)", checkpoint.seq, cursor
             )
         else:
-            self._journal = DurableJournal(
+            self._journal = RunJournal.create(
                 cfg.resolved_journal_path,
                 run_name=cfg.run_name,
                 meta={
                     "scenario": self._scenario.name,
                     "prefix_budget": self._orch.prefix_budget,
                 },
-            ).start()
-            self._journal.event(
+            )
+            self._journal.record_event(
                 "controller_start",
                 scenario=self._scenario.name,
                 prefix_budget=self._orch.prefix_budget,
@@ -471,7 +471,7 @@ class PainterController:
             next_iteration = 0
             cursor = 0
 
-        journal_event_hook.append(self._journal.journal)
+        journal_event_hook.append(self._journal)
         try:
             iteration = next_iteration
             while True:
@@ -483,7 +483,7 @@ class PainterController:
                 iteration += 1
                 result.iterations_run += 1
         finally:
-            journal_event_hook.remove(self._journal.journal)
+            journal_event_hook.remove(self._journal)
             self._journal.close()
 
         result.final_config = self._current
@@ -534,7 +534,7 @@ class PainterController:
                         iteration,
                         cfg.breaker_cooldown,
                     )
-                    journal.event(
+                    journal.record_event(
                         "controller_breaker_open",
                         iteration=iteration,
                         cooldown=cfg.breaker_cooldown,
@@ -554,7 +554,7 @@ class PainterController:
                     "configuration to fall back to"
                 )
             config = self._last_good
-            journal.event(
+            journal.record_event(
                 "controller_degraded",
                 iteration=iteration,
                 staleness=self._staleness,
@@ -568,7 +568,7 @@ class PainterController:
         if changed and cfg.install:
             installation = install_configuration(self._scenario, config)
             METRICS.counter("controller.installs").add()
-            journal.event(
+            journal.record_event(
                 "controller_install",
                 iteration=iteration,
                 prefixes=len(installation.prefixes),
@@ -581,7 +581,7 @@ class PainterController:
         if self._extension is not None:
             self._extension.after_iteration(iteration, config, self)
         realized = realized_benefit(self._scenario, config)
-        journal.event(
+        journal.record_event(
             "controller_iteration",
             iteration=iteration,
             prefixes=config.prefix_count,
@@ -592,7 +592,7 @@ class PainterController:
 
         # 5. persist: journal first (it vouches for nothing beyond itself),
         # then the checkpoint that vouches for the journal prefix.
-        journal.event("controller_checkpoint", iteration=iteration)
+        journal.record_event("controller_checkpoint", iteration=iteration)
         self._maybe_crash(iteration, "mid_journal")
         journal.sync()
         self._maybe_crash(iteration, "before_checkpoint")

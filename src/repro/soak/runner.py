@@ -503,7 +503,7 @@ class SoakDriver(ControllerExtension):
             # Deterministic journal record of the window.
             journal = controller.journal
             if journal is not None:
-                journal.event(
+                journal.record_event(
                     "soak_window",
                     window=window,
                     offered=int(offered.sum()),

@@ -9,10 +9,11 @@ Three cooperating pieces:
   timers, and fixed-bucket histograms, plus Prometheus text export; see
   :mod:`repro.telemetry.metrics`.
 * :class:`RunJournal` — a versioned, deterministic JSONL record of every
-  span and advertisement/measurement/fault event, with
-  :func:`load_journal` / :func:`journal_to_result` reconstructing a run
-  timeline and the ``repro trace`` breakdown; see
-  :mod:`repro.telemetry.journal`.
+  span and advertisement/measurement/fault event, in memory or durable
+  (``RunJournal.create`` / ``RunJournal.resume`` bind it to an fsync'd
+  file, as the controller does), with :func:`load_journal` /
+  :func:`journal_to_result` reading it back into the ``repro trace``
+  breakdown; see :mod:`repro.telemetry.journal`.
 
 The usual wiring is :func:`telemetry_session`::
 
@@ -33,7 +34,7 @@ from typing import Any, Dict, Iterator, Optional
 
 from repro.telemetry.journal import (
     JOURNAL_VERSION,
-    LoadedJournal,
+    JournalError,
     RunJournal,
     journal_to_result,
     load_journal,
@@ -55,7 +56,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JOURNAL_VERSION",
-    "LoadedJournal",
+    "JournalError",
     "METRICS",
     "MetricsRegistry",
     "NOOP_SPAN",

@@ -18,17 +18,33 @@ byte-identical JSONL files, which is the determinism gate
 
 The on-disk format is JSONL: one header line (``{"kind": "header",
 "journal_version": 1, ...}``) followed by one compact JSON object per
-record with sorted keys.  :func:`load_journal` reads it back and
-:func:`journal_to_result` reconstructs the per-phase time/benefit
+record with sorted keys.  A journal is in-memory until written whole
+(:meth:`RunJournal.write`), or durable when :meth:`RunJournal.create` or
+:meth:`RunJournal.resume` binds it to a file: :meth:`RunJournal.sync`
+then appends the unwritten records and fsyncs them.
+
+One reader serves :func:`load_journal` and :meth:`RunJournal.resume`.  A
+malformed header raises :class:`JournalError`; the first body line that
+is not a UTF-8 JSON object with an integer ``seq`` is a torn tail (a
+crash interrupted an append there) and is dropped with every line after
+it.  :func:`journal_to_result` reconstructs the per-phase time/benefit
 breakdown table rendered by ``repro trace``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+import logging
+import os
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Union
 
+from repro.telemetry.metrics import METRICS
 from repro.telemetry.tracer import Span
+
+logger = logging.getLogger(__name__)
+
+PathLike = Union[str, Path]
 
 #: Bump when the record schema changes shape incompatibly.
 JOURNAL_VERSION = 1
@@ -36,8 +52,16 @@ JOURNAL_VERSION = 1
 _JSON_COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
 
+class JournalError(ValueError):
+    """Raised for a journal file that is missing, empty or has a bad header."""
+
+
 class RunJournal:
-    """In-memory record stream with deterministic JSONL serialization."""
+    """Record stream with deterministic JSONL serialization.
+
+    In-memory by default; :meth:`create` (a fresh run) or :meth:`resume`
+    (after a crash) binds it to a file that :meth:`sync` appends to.
+    """
 
     def __init__(
         self,
@@ -49,7 +73,11 @@ class RunJournal:
         self.include_timings = include_timings
         self.meta: Dict[str, Any] = dict(meta) if meta else {}
         self.records: List[Dict[str, Any]] = []
+        #: Lines the reader dropped: a torn tail, or records past ``upto_seq``.
+        self.dropped = 0
         self._seq = 0
+        self._written = 0
+        self._fh = None
 
     # -- recording ----------------------------------------------------------
 
@@ -80,21 +108,10 @@ class RunJournal:
         self._seq += 1
         self.records.append(record)
 
-    def resume_from(self, records: List[Dict[str, Any]]) -> None:
-        """Prime the journal with previously persisted records.
-
-        Crash recovery (:class:`repro.controller.DurableJournal`) reloads
-        the durable prefix of a run's journal and continues appending;
-        the sequence numbering carries on from the highest reloaded seq,
-        so the recovered journal is indistinguishable from one written by
-        an uninterrupted run.
-        """
-        self.records = list(records)
-        self._seq = (
-            max(int(r.get("seq", -1)) for r in self.records) + 1
-            if self.records
-            else 0
-        )
+    @property
+    def last_seq(self) -> int:
+        """Sequence of the newest record (-1 while empty)."""
+        return self._seq - 1
 
     # -- serialization ------------------------------------------------------
 
@@ -113,47 +130,95 @@ class RunJournal:
         lines.extend(json.dumps(r, **_JSON_COMPACT) for r in self.records)
         return "\n".join(lines) + "\n"
 
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
+    def write(self, path: PathLike) -> None:
+        """Durably replace ``path`` with the whole journal."""
+        from repro.io import atomic_write_text  # repro.io imports telemetry
+
+        atomic_write_text(path, self.to_jsonl())
+
+    # -- the durable file ---------------------------------------------------
+
+    @classmethod
+    def create(
+        cls,
+        path: PathLike,
+        run_name: str = "run",
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> "RunJournal":
+        """Begin a fresh journal file (header line, fsync'd)."""
+        journal = cls(run_name, meta=meta)
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        journal._fh = open(path, "w", encoding="ascii")
+        journal._fh.write(json.dumps(journal.header(), **_JSON_COMPACT) + "\n")
+        journal._fsync()
+        return journal
+
+    @classmethod
+    def resume(cls, path: PathLike, upto_seq: int) -> "RunJournal":
+        """Reload the durable prefix of an interrupted run's journal.
+
+        ``upto_seq`` is the last record sequence the caller vouches for
+        (the newest durable checkpoint's).  A torn tail and every record
+        past ``upto_seq`` are dropped — the interrupted iteration re-runs
+        deterministically and re-appends them — and the file is
+        atomically rewritten before appending resumes, so the recovered
+        journal is byte-identical to an uninterrupted run's.
+        """
+        from repro.io import atomic_write_text  # repro.io imports telemetry
+
+        journal = _read(path, upto_seq)
+        if journal.dropped:
+            logger.info(
+                "journal recovery dropped %d record(s) past seq %d",
+                journal.dropped,
+                upto_seq,
+            )
+            METRICS.counter("controller.journal_tail_dropped").add(journal.dropped)
+        atomic_write_text(path, journal.to_jsonl())
+        journal._written = len(journal.records)
+        journal._fh = open(path, "a", encoding="ascii")
+        return journal
+
+    def sync(self) -> None:
+        """Append every unwritten record, then flush and fsync."""
+        if self._fh is None:
+            raise RuntimeError("journal has no file (use create() or resume())")
+        for record in self.records[self._written:]:
+            self._fh.write(json.dumps(record, **_JSON_COMPACT) + "\n")
+        self._written = len(self.records)
+        self._fsync()
+
+    def tear(self) -> None:
+        """Crash-injection helper: flush a deliberately torn half-record.
+
+        Simulates the kernel persisting only part of an append before the
+        process died; the reader must drop the fragment.
+        """
+        if self._fh is None:
+            raise RuntimeError("journal has no file (use create() or resume())")
+        pending = self.records[self._written:]
+        if pending:
+            line = json.dumps(pending[0], **_JSON_COMPACT)
+            self._fh.write(line[: max(1, len(line) // 2)])
+        else:
+            self._fh.write('{"kind":"event","event":"torn","half')
+        self._fsync()
+
+    def _fsync(self) -> None:
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+
+    def close(self) -> None:
+        """Sync and release the file (a no-op for an in-memory journal)."""
+        if self._fh is not None:
+            try:
+                self.sync()
+            finally:
+                self._fh.close()
+                self._fh = None
 
     # -- queries ------------------------------------------------------------
-
-    def spans(self) -> List[Dict[str, Any]]:
-        return [r for r in self.records if r["kind"] == "span"]
-
-    def events(self, event_type: Optional[str] = None) -> List[Dict[str, Any]]:
-        out = [r for r in self.records if r["kind"] == "event"]
-        if event_type is not None:
-            out = [r for r in out if r["event"] == event_type]
-        return out
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-class LoadedJournal:
-    """A journal read back from JSONL — header metadata plus records."""
-
-    def __init__(self, header: Dict[str, Any], records: List[Dict[str, Any]]) -> None:
-        if header.get("kind") != "header":
-            raise ValueError("journal does not start with a header record")
-        version = header.get("journal_version")
-        if version != JOURNAL_VERSION:
-            raise ValueError(
-                f"unsupported journal version {version!r} "
-                f"(this build reads version {JOURNAL_VERSION})"
-            )
-        self.header = header
-        self.records = records
-
-    @property
-    def run_name(self) -> str:
-        return self.header.get("run_name", "run")
-
-    @property
-    def include_timings(self) -> bool:
-        return bool(self.header.get("include_timings", False))
 
     def spans(self) -> List[Dict[str, Any]]:
         return [r for r in self.records if r.get("kind") == "span"]
@@ -164,23 +229,68 @@ class LoadedJournal:
             out = [r for r in out if r.get("event") == event_type]
         return out
 
-    def timeline(self) -> List[Dict[str, Any]]:
-        """All records in seq order (the reconstructed run timeline)."""
-        return sorted(self.records, key=lambda r: r.get("seq", 0))
+    def __len__(self) -> int:
+        return len(self.records)
 
 
-def load_journal(path: str) -> LoadedJournal:
-    """Read a JSONL journal produced by :meth:`RunJournal.write`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in (l.strip() for l in fh) if line]
+def _read(path: PathLike, upto_seq: Optional[int] = None) -> RunJournal:
+    """Parse a journal file into an unbound :class:`RunJournal`."""
+    path = Path(path)
+    try:
+        lines = [line for line in path.read_bytes().splitlines() if line.strip()]
+    except OSError as exc:
+        raise JournalError(f"unreadable journal {path}: {exc}") from exc
     if not lines:
-        raise ValueError(f"journal {path!r} is empty")
-    header = json.loads(lines[0])
-    records = [json.loads(line) for line in lines[1:]]
-    return LoadedJournal(header, records)
+        raise JournalError(f"journal {path} is empty")
+    try:
+        header = json.loads(lines[0].decode("utf-8"))
+    except ValueError as exc:  # undecodable bytes or bad JSON
+        raise JournalError(f"journal {path} has a corrupt header") from exc
+    if not isinstance(header, dict) or header.get("kind") != "header":
+        raise JournalError(f"journal {path} does not start with a header record")
+    version = header.get("journal_version")
+    if type(version) is not int or version != JOURNAL_VERSION:
+        raise JournalError(
+            f"unsupported journal version {version!r} in {path} "
+            f"(this build reads version {JOURNAL_VERSION})"
+        )
+    run_name = header.get("run_name")
+    meta = header.get("meta")
+    include_timings = header.get("include_timings", False)
+    if (
+        not isinstance(run_name, str)
+        or not isinstance(meta, dict)
+        or not isinstance(include_timings, bool)
+    ):
+        raise JournalError(f"journal {path} has a malformed header")
+    journal = RunJournal(run_name, include_timings=include_timings, meta=meta)
+    body = lines[1:]
+    for i, line in enumerate(body):
+        try:
+            record = json.loads(line.decode("utf-8"))
+        except ValueError:
+            record = None
+        seq = record.get("seq") if isinstance(record, dict) else None
+        if type(seq) is not int:
+            # Torn tail: a crash interrupted an append here (the writer
+            # emits ASCII only, so rotted bytes land here too).
+            journal.dropped += len(body) - i
+            break
+        if upto_seq is not None and seq > upto_seq:
+            journal.dropped += 1
+            continue
+        journal.records.append(record)
+    if journal.records:
+        journal._seq = max(r["seq"] for r in journal.records) + 1
+    return journal
 
 
-def journal_to_result(journal: LoadedJournal):
+def load_journal(path: PathLike) -> RunJournal:
+    """Read a JSONL journal (a torn tail is dropped and counted)."""
+    return _read(path)
+
+
+def journal_to_result(journal: RunJournal):
     """Build the per-phase breakdown table ``repro trace`` renders.
 
     Aggregates spans by name (count, total/mean wall time when the journal
@@ -233,6 +343,8 @@ def journal_to_result(journal: LoadedJournal):
         else:
             result.add_row(name, int(agg["count"]))
 
+    if journal.dropped:
+        result.add_note(f"dropped {journal.dropped} torn trailing line(s)")
     if not spans:
         result.add_note("journal contains no spans (was tracing enabled?)")
     if not with_timings:

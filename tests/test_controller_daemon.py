@@ -3,7 +3,7 @@
 Covers the typed delta vocabulary (validation, JSON round-trips, seeded
 synthesis, fault-schedule translation), the checkpoint store (atomic
 save/load, hash verification, corrupt-file fallback, pruning), the durable
-journal (fsync'd appends, torn-tail recovery, checkpoint-bounded
+run journal (fsync'd appends, torn-tail recovery, checkpoint-bounded
 truncation), and the :class:`PainterController` loop itself: warm-start
 re-solves under churn, stop/resume equivalence, the differential guard's
 circuit breaker, graceful degradation to last-known-good, and the SIGALRM
@@ -25,7 +25,6 @@ from repro.controller import (
     ControllerConfig,
     ControllerError,
     DeltaError,
-    DurableJournal,
     IterationTimeout,
     PainterController,
     PeeringDown,
@@ -44,7 +43,7 @@ from repro.controller import (
 from repro.controller.daemon import _watchdog
 from repro.core.orchestrator import OrchestratorConfig
 from repro.scenario import tiny_scenario
-from repro.telemetry import METRICS
+from repro.telemetry import JournalError, METRICS, RunJournal
 
 
 # ---------------------------------------------------------------------------
@@ -263,39 +262,42 @@ class TestCheckpointStore:
 
 
 class TestDurableJournal:
+    """A :class:`RunJournal` bound to a file by ``create`` / ``resume``."""
+
     def test_start_sync_resume_round_trip(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        journal = DurableJournal(path, run_name="test").start()
-        journal.event("alpha", n=1)
-        journal.event("beta", n=2)
+        journal = RunJournal.create(path, run_name="test")
+        journal.record_event("alpha", n=1)
+        journal.record_event("beta", n=2)
         journal.sync()
         durable_seq = journal.last_seq
         journal.close()
 
-        resumed = DurableJournal.resume(path, durable_seq)
+        resumed = RunJournal.resume(path, durable_seq)
         try:
             assert resumed.last_seq == durable_seq
-            events = [r["event"] for r in resumed.journal.records]
+            assert resumed.run_name == "test"
+            events = [r["event"] for r in resumed.records]
             assert events == ["alpha", "beta"]
         finally:
             resumed.close()
 
     def test_resume_drops_torn_tail(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        journal = DurableJournal(path).start()
-        journal.event("alpha", n=1)
+        journal = RunJournal.create(path)
+        journal.record_event("alpha", n=1)
         journal.sync()
         durable_seq = journal.last_seq
-        journal.event("beta", n=2)
+        journal.record_event("beta", n=2)
         journal.tear()  # half of "beta" reaches the disk
         journal._fh.close()
         journal._fh = None
 
-        resumed = DurableJournal.resume(path, durable_seq)
+        resumed = RunJournal.resume(path, durable_seq)
         try:
-            assert [r["event"] for r in resumed.journal.records] == ["alpha"]
+            assert [r["event"] for r in resumed.records] == ["alpha"]
             # Appending after recovery continues the sequence seamlessly.
-            resumed.event("gamma")
+            resumed.record_event("gamma")
             resumed.sync()
         finally:
             resumed.close()
@@ -306,38 +308,39 @@ class TestDurableJournal:
 
     def test_writer_emits_ascii_only(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        journal = DurableJournal(path, meta={"name": "caf\u00e9"}).start()
-        journal.event("\u03b1", label="\u2192")
+        journal = RunJournal.create(path, meta={"name": "caf\u00e9"})
+        journal.record_event("\u03b1", label="\u2192")
         journal.close()
         path.read_bytes().decode("ascii")
-        resumed = DurableJournal.resume(path, 0)
+        resumed = RunJournal.resume(path, 0)
         try:
-            assert resumed.journal.records[0]["label"] == "\u2192"
+            assert resumed.records[0]["label"] == "\u2192"
+            assert resumed.meta == {"name": "caf\u00e9"}
         finally:
             resumed.close()
 
     def test_resume_drops_undecodable_tail(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        journal = DurableJournal(path).start()
+        journal = RunJournal.create(path)
         for name in ("alpha", "beta", "gamma"):
-            journal.event(name)
+            journal.record_event(name)
         journal.close()
         lines = path.read_bytes().splitlines(keepends=True)
         # Rot "beta"'s line: it and "gamma" after it are the torn tail.
         path.write_bytes(b"".join([lines[0], lines[1], b"\xff\xfe" + lines[2], lines[3]]))
         dropped = METRICS.counter("controller.journal_tail_dropped")
         before = dropped.value
-        resumed = DurableJournal.resume(path, 2)
+        resumed = RunJournal.resume(path, 2)
         try:
-            assert [r["event"] for r in resumed.journal.records] == ["alpha"]
+            assert [r["event"] for r in resumed.records] == ["alpha"]
             assert dropped.value - before == 2
         finally:
             resumed.close()
         with path.open("ab") as fh:
             fh.write(b"\xff\xfe")
-        resumed = DurableJournal.resume(path, 2)
+        resumed = RunJournal.resume(path, 2)
         try:
-            assert [r["event"] for r in resumed.journal.records] == ["alpha"]
+            assert [r["event"] for r in resumed.records] == ["alpha"]
             assert dropped.value - before == 3
         finally:
             resumed.close()
@@ -345,38 +348,42 @@ class TestDurableJournal:
     def test_resume_rejects_undecodable_header(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(b"\xff\xfe garbage\n")
-        with pytest.raises(CheckpointError, match="corrupt header"):
-            DurableJournal.resume(bad, 0)
+        with pytest.raises(JournalError, match="corrupt header"):
+            RunJournal.resume(bad, 0)
 
     def test_resume_truncates_past_checkpointed_seq(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        journal = DurableJournal(path).start()
+        journal = RunJournal.create(path)
         for name in ("alpha", "beta", "gamma"):
-            journal.event(name)
+            journal.record_event(name)
         journal.sync()
         journal.close()
 
         # Pretend the checkpoint only vouches for seq 0: the durable-but-
         # unvouched-for tail is re-run, not replayed.
-        resumed = DurableJournal.resume(path, 0)
+        resumed = RunJournal.resume(path, 0)
         try:
-            assert [r["event"] for r in resumed.journal.records] == ["alpha"]
+            assert [r["event"] for r in resumed.records] == ["alpha"]
+            assert resumed.dropped == 2
         finally:
             resumed.close()
 
     def test_resume_rejects_missing_or_headerless_file(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            DurableJournal.resume(tmp_path / "none.jsonl", 0)
+        with pytest.raises(JournalError):
+            RunJournal.resume(tmp_path / "none.jsonl", 0)
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"kind":"event"}\n')
-        with pytest.raises(CheckpointError):
-            DurableJournal.resume(bad, 0)
+        with pytest.raises(JournalError):
+            RunJournal.resume(bad, 0)
 
     def test_event_before_start_raises(self, tmp_path):
-        journal = DurableJournal(tmp_path / "j.jsonl")
-        journal.event("x")  # recording is fine; persistence is not
+        journal = RunJournal("unbound")
+        journal.record_event("x")  # recording is fine; persistence is not
         with pytest.raises(RuntimeError):
             journal.sync()
+        with pytest.raises(RuntimeError):
+            journal.tear()
+        journal.close()  # nothing to release: a no-op
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+from repro.cli import main
 from repro.telemetry import (
     JOURNAL_VERSION,
+    JournalError,
     METRICS,
     MetricsRegistry,
     NOOP_SPAN,
@@ -16,7 +18,6 @@ from repro.telemetry import (
     load_journal,
     telemetry_session,
 )
-from repro.telemetry.journal import LoadedJournal
 
 
 class TestTracer:
@@ -173,12 +174,13 @@ class TestRunJournal:
         journal.write(str(path))
         loaded = load_journal(str(path))
         assert loaded.run_name == "unit"
-        assert loaded.header["journal_version"] == JOURNAL_VERSION
-        assert loaded.header["meta"] == {"preset": "tiny"}
+        assert loaded.header()["journal_version"] == JOURNAL_VERSION
+        assert loaded.meta == {"preset": "tiny"}
         assert len(loaded.events()) == 2
         assert loaded.events("fault")[0]["fault_kind"] == "pop_outage"
-        seqs = [r["seq"] for r in loaded.timeline()]
-        assert seqs == sorted(seqs)
+        assert [r["seq"] for r in loaded.records] == [0, 1]
+        assert loaded.dropped == 0
+        assert loaded.to_jsonl() == path.read_text()
 
     def test_reserved_event_fields_rejected(self):
         journal = RunJournal("r")
@@ -191,17 +193,19 @@ class TestRunJournal:
             json.dumps({"kind": "header", "journal_version": JOURNAL_VERSION + 1})
             + "\n"
         )
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(JournalError, match="version"):
             load_journal(str(path))
 
-    def test_missing_header_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            LoadedJournal({"kind": "span"}, [])
+    def test_missing_header_rejected(self, tmp_path):
+        path = tmp_path / "headless.jsonl"
+        path.write_text('{"kind":"span","seq":0}\n')
+        with pytest.raises(JournalError, match="header"):
+            load_journal(str(path))
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(JournalError, match="empty"):
             load_journal(str(path))
 
     def test_timings_excluded_by_default(self):
@@ -255,3 +259,138 @@ class TestRunJournal:
         journal.write(str(path))
         text = journal_to_result(load_journal(str(path))).render()
         assert "no spans" in text
+
+
+# A controller journal as written by an earlier build, torn mid-append.
+PARENT_JOURNAL = (
+    b'{"include_timings":false,"journal_version":1,"kind":"header",'
+    b'"meta":{"prefix_budget":4,"scenario":"tiny"},"run_name":"controller"}\n'
+    b'{"delta_groups":2,"event":"controller_start","kind":"event",'
+    b'"prefix_budget":4,"scenario":"tiny","seq":0}\n'
+    b'{"changed":true,"event":"controller_iteration","iteration":0,'
+    b'"kind":"event","pairs":7,"prefixes":3,"realized_benefit":1.25,"seq":1}\n'
+    b'{"event":"controller_checkpoint","i'
+)
+
+
+def _header(**changes) -> bytes:
+    header = {
+        "include_timings": False,
+        "journal_version": JOURNAL_VERSION,
+        "kind": "header",
+        "meta": {},
+        "run_name": "r",
+    }
+    header.update(changes)
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+HEADER = _header()
+GOOD = b'{"event":"a","kind":"event","seq":0}\n'
+AFTER = b'{"event":"b","kind":"event","seq":1}\n'
+
+# Header cases: the whole file is refused with a JournalError.
+BAD_HEADERS = {
+    "empty": b"",
+    "not-json": b"{\n" + GOOD,
+    "undecodable": b"\xff\xfe\n" + GOOD,
+    "list": b"[1]\n" + GOOD,
+    "not-header": GOOD + AFTER,
+    "version-99": _header(journal_version=99) + GOOD,
+    "version-true": _header(journal_version=True) + GOOD,
+    "version-float": _header(journal_version=1.0) + GOOD,
+    "meta-list": _header(meta=[1]) + GOOD,
+    "run-name-int": _header(run_name=5) + GOOD,
+    "timings-str": _header(include_timings="no") + GOOD,
+}
+
+# Body cases: the first bad line and everything after it are a torn tail.
+TORN_LINES = {
+    "list": b"[2]\n",
+    "seq-bool": b'{"event":"x","kind":"event","seq":true}\n',
+    "seq-str": b'{"event":"x","kind":"event","seq":"1"}\n',
+    "seq-float": b'{"event":"x","kind":"event","seq":1.0}\n',
+    "seq-missing": b'{"event":"x","kind":"event"}\n',
+    "undecodable": b'\xff{"event":"x","kind":"event","seq":1}\n',
+    "half-record": b'{"event":"x","ki\n',
+    "scalar": b"7\n",
+}
+
+
+class TestJournalTails:
+    """One reader, one tail rule: ``load_journal`` and ``RunJournal.resume``."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+    def test_bad_header_is_refused_untouched(self, tmp_path, case, capsys):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(BAD_HEADERS[case])
+        with pytest.raises(JournalError):
+            load_journal(str(path))
+        with pytest.raises(JournalError):
+            RunJournal.resume(path, 10)
+        assert path.read_bytes() == BAD_HEADERS[case]
+        assert main(["trace", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(TORN_LINES))
+    def test_bad_body_line_is_a_torn_tail(self, tmp_path, case):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(HEADER + GOOD + TORN_LINES[case] + AFTER)
+        loaded = load_journal(str(path))
+        assert [r["event"] for r in loaded.records] == ["a"]
+        assert loaded.dropped == 2
+
+        counter = METRICS.counter("controller.journal_tail_dropped")
+        before = counter.value
+        resumed = RunJournal.resume(path, 10)
+        try:
+            assert [r["event"] for r in resumed.records] == ["a"]
+            assert counter.value - before == 2
+            resumed.record_event("c")
+        finally:
+            resumed.close()
+        tail = b'{"event":"c","kind":"event","seq":1}\n'
+        assert path.read_bytes() == HEADER + GOOD + tail
+
+    def test_upto_seq_drops_later_records(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(HEADER + GOOD + AFTER)
+        resumed = RunJournal.resume(path, 0)
+        resumed.close()
+        assert resumed.dropped == 1
+        assert path.read_bytes() == HEADER + GOOD
+
+    def test_trace_renders_torn_journal(self, tmp_path, capsys):
+        path = tmp_path / "j.jsonl"
+        journal = RunJournal.create(path, run_name="torn")
+        journal.record_event("alpha")
+        journal.sync()
+        journal.record_event("beta")
+        journal.tear()
+        journal._fh.close()
+        journal._fh = None
+        assert main(["trace", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "event alpha: 1 recorded" in out
+        assert "beta" not in out
+        assert "dropped 1 torn trailing line(s)" in out
+
+    def test_earlier_build_journal_loads_and_resumes(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(PARENT_JOURNAL)
+        loaded = load_journal(str(path))
+        assert loaded.run_name == "controller"
+        assert loaded.dropped == 1
+        intact = PARENT_JOURNAL[: PARENT_JOURNAL.rindex(b"\n") + 1]
+        assert loaded.to_jsonl().encode("ascii") == intact
+
+        resumed = RunJournal.resume(path, 1)
+        try:
+            assert resumed.last_seq == 1
+            resumed.record_event("controller_checkpoint", iteration=0)
+        finally:
+            resumed.close()
+        assert path.read_bytes() == (
+            intact + b'{"event":"controller_checkpoint","iteration":0,'
+            b'"kind":"event","seq":2}\n'
+        )
