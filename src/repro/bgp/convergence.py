@@ -97,9 +97,6 @@ class ConvergenceTrace:
                 break
         return penalty
 
-    def is_reachable_at(self, time_s: float) -> bool:
-        return self.latency_penalty_at(time_s) != math.inf
-
 
 def simulate_withdrawal(
     withdrawal_time_s: float,

@@ -82,14 +82,6 @@ class FlapDampingState:
     def is_suppressed(self, prefix: str, peer_asn: int, now_s: float) -> bool:
         return self._decayed((prefix, peer_asn), now_s)[1]
 
-    def time_until_reusable_s(self, prefix: str, peer_asn: int, now_s: float) -> float:
-        """Seconds until the route decays below the reuse threshold."""
-        penalty, suppressed = self._decayed((prefix, peer_asn), now_s)
-        if not suppressed:
-            return 0.0
-        ratio = penalty / self._config.reuse_threshold
-        return self._config.half_life_s * math.log2(ratio)
-
 
 def safe_update_interval_s(
     flaps_per_update: int = 1, config: Optional[DampingConfig] = None

@@ -27,21 +27,12 @@ class Route:
     counts artificial repetitions of the origin ASN (AS-path prepending, an
     advertisement attribute the origin may use to deter a path); it lengthens
     the path for the decision process without polluting ``as_path``.
-
-    ``communities`` carries the origin's BGP community tags on the session
-    the route was originally announced over.  Communities are transitive
-    here (no AS scrubs them), so a tag attached at the origin is visible to
-    every downstream AS — the observability property action-community
-    inbound TE relies on.  They never enter the decision process directly;
-    their *effects* (prepending, selective announcement, MED) are modelled
-    explicitly by the layers that interpret them.
     """
 
     prefix: str
     as_path: Tuple[int, ...]
     relationship: Relationship
     prepend: int = 0
-    communities: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.as_path:
@@ -50,8 +41,6 @@ class Route:
             raise ValueError(f"as_path contains a loop: {self.as_path}")
         if self.prepend < 0:
             raise ValueError("prepend must be non-negative")
-        if any(not isinstance(c, str) or not c for c in self.communities):
-            raise ValueError(f"communities must be non-empty strings: {self.communities!r}")
 
     @property
     def learned_from(self) -> int:
@@ -84,7 +73,6 @@ class Route:
             as_path=(asn,) + self.as_path,
             relationship=relationship,
             prepend=self.prepend,
-            communities=self.communities,
         )
 
 

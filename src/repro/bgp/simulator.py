@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.util import stable_rng
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.bgp.route import Route, better_route, may_export
 from repro.topology.asn import Relationship
@@ -53,7 +53,6 @@ class BGPSimulator:
         prefix: str,
         announce_to: Iterable[int],
         prepend: Optional[Dict[int, int]] = None,
-        communities: Optional[Dict[int, Tuple[str, ...]]] = None,
     ) -> Dict[int, Route]:
         """Announce ``prefix`` to the neighbor ASNs in ``announce_to``.
 
@@ -62,11 +61,7 @@ class BGPSimulator:
         a neighbor of the origin.  ``prepend`` optionally maps a neighbor ASN
         to an AS-path prepend count applied on that session, making routes
         through it less attractive downstream (an advertisement attribute
-        prior work uses to expose even more paths).  ``communities``
-        optionally maps a neighbor ASN to the community strings tagged on
-        that session; tags ride along transitively but do not themselves
-        affect the decision process (interpreting layers model their
-        effects explicitly, e.g. via ``prepend``).
+        prior work uses to expose even more paths).
         """
         targets = list(dict.fromkeys(announce_to))
         origin_neighbors = self._graph.neighbors(self._origin)
@@ -74,7 +69,6 @@ class BGPSimulator:
             if asn not in origin_neighbors:
                 raise ValueError(f"AS{asn} is not a neighbor of origin AS{self._origin}")
         prepend = prepend or {}
-        communities = communities or {}
 
         best: Dict[int, Route] = {}
         work: deque = deque()
@@ -87,7 +81,6 @@ class BGPSimulator:
                 as_path=(self._origin,),
                 relationship=rel,
                 prepend=prepend.get(asn, 0),
-                communities=communities.get(asn, ()),
             )
             if self._install(best, asn, route):
                 work.append(asn)
@@ -122,27 +115,3 @@ class BGPSimulator:
         return False
 
     # -- queries over a propagation result ---------------------------------
-
-    def reachable_ases(self, prefix: str, announce_to: Iterable[int]) -> FrozenSet[int]:
-        return frozenset(self.propagate(prefix, announce_to))
-
-    def entry_neighbor(self, routes: Dict[int, Route], asn: int) -> Optional[int]:
-        """The cloud-adjacent AS on ``asn``'s path, i.e. where traffic enters.
-
-        For a stub AS this is the last AS before the origin on its best path
-        (which may be the stub itself if it peers directly).
-        """
-        route = routes.get(asn)
-        if route is None:
-            return None
-        # as_path ends at the origin; the entry neighbor precedes it.
-        if len(route.as_path) == 1:
-            return asn
-        return route.as_path[-2]
-
-    def as_path_to_origin(self, routes: Dict[int, Route], asn: int) -> Optional[Tuple[int, ...]]:
-        """Full AS path from ``asn`` (exclusive) to the origin (inclusive)."""
-        route = routes.get(asn)
-        if route is None:
-            return None
-        return route.as_path

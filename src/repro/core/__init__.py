@@ -3,7 +3,6 @@
 from repro.core.advertisement import AdvertisementConfig
 from repro.core.baselines import (
     BASELINE_STRATEGIES,
-    anycast_config,
     one_per_peering,
     one_per_pop,
     one_per_pop_with_reuse,
@@ -13,7 +12,6 @@ from repro.core.baselines import (
 from repro.core.cost import (
     ConfigurationCost,
     configuration_cost,
-    cost_per_benefit_usd,
     prefixes_saved_vs_one_per_peering,
 )
 from repro.core.installation import Installation, InstalledPrefix, install_configuration
@@ -45,7 +43,6 @@ __all__ = [
     "Installation",
     "InstalledPrefix",
     "configuration_cost",
-    "cost_per_benefit_usd",
     "install_configuration",
     "prefixes_saved_vs_one_per_peering",
     "regional_anycast",
@@ -65,7 +62,6 @@ __all__ = [
     "RoutingModel",
     "SolveMemo",
     "WarmSolveStats",
-    "anycast_config",
     "best_prefix_choices",
     "one_per_peering",
     "one_per_pop",

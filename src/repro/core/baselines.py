@@ -25,11 +25,6 @@ from repro.topology.cloud import Peering, PoP
 from repro.topology.geo import haversine_km
 
 
-def anycast_config() -> AdvertisementConfig:
-    """The do-nothing strategy: no extra prefixes beyond anycast."""
-    return AdvertisementConfig()
-
-
 def _pop_scores(scenario: Scenario) -> List[Tuple[PoP, float]]:
     """PoPs ranked by the latency opportunity of nearby traffic.
 

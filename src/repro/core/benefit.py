@@ -193,13 +193,6 @@ class BenefitMatrix:
     def nnz(self) -> int:
         return len(self.gains)
 
-    def column_of(self, peering_id: int) -> int:
-        """Column index of ``peering_id`` (raises ``ValueError`` if absent)."""
-        col = int(np.searchsorted(self.peering_ids, peering_id))
-        if col >= self.n_peerings or self.peering_ids[col] != peering_id:
-            raise ValueError(f"peering {peering_id} has no candidate column")
-        return col
-
     def selection_value(self, chosen_cols: Iterable[int]) -> float:
         """Total benefit when exactly ``chosen_cols`` peerings are selected.
 

@@ -11,7 +11,6 @@ advertise at least 500 /24s).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.advertisement import AdvertisementConfig
 
@@ -64,15 +63,3 @@ def configuration_cost(
 def prefixes_saved_vs_one_per_peering(config: AdvertisementConfig) -> int:
     """How many prefixes reuse saved versus a prefix per (covered) peering."""
     return len(config.all_peering_ids()) - config.prefix_count
-
-
-def cost_per_benefit_usd(
-    config: AdvertisementConfig,
-    benefit_ms: float,
-    price_per_prefix_usd: float = DEFAULT_PRICE_PER_SLASH24_USD,
-) -> Optional[float]:
-    """Dollars of address space per volume-weighted ms of improvement."""
-    if benefit_ms <= 0:
-        return None
-    cost = configuration_cost(config, price_per_prefix_usd=price_per_prefix_usd)
-    return cost.address_cost_usd / benefit_ms

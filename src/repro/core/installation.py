@@ -33,10 +33,6 @@ class InstalledPrefix:
     peering_ids: FrozenSet[int]
     pop_names: FrozenSet[str]
 
-    @property
-    def peer_asns_key(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.peering_ids))
-
 
 @dataclass
 class Installation:
@@ -48,12 +44,6 @@ class Installation:
     directory: PrefixDirectory
     tm_pops: Dict[str, TMPoP] = field(default_factory=dict)
 
-    def cidr_for(self, prefix_index: int) -> str:
-        for installed in self.prefixes:
-            if installed.prefix_index == prefix_index:
-                return installed.cidr
-        raise KeyError(f"prefix index {prefix_index} not installed")
-
     def announcements(self) -> List[Tuple[str, FrozenSet[int]]]:
         """(cidr, peering ids) pairs, anycast first — the BGP install plan."""
         all_ids = frozenset(
@@ -62,14 +52,6 @@ class Installation:
         plan: List[Tuple[str, FrozenSet[int]]] = [(self.anycast_cidr, all_ids)]
         plan.extend((p.cidr, p.peering_ids) for p in self.prefixes)
         return plan
-
-    def pops_for_cidr(self, cidr: str) -> FrozenSet[str]:
-        for installed in self.prefixes:
-            if installed.cidr == cidr:
-                return installed.pop_names
-        if cidr == self.anycast_cidr:
-            return frozenset(pop.name for pop in self.scenario.deployment.pops)
-        raise KeyError(f"unknown cidr {cidr}")
 
 
 def install_configuration(

@@ -394,16 +394,6 @@ class RoutingModel:
             self._distance_cache[key] = cached
         return cached
 
-    def has_learned_state(self, ug_id: int) -> bool:
-        """Whether any observation refined this UG's uniform assumption.
-
-        ``False`` means an empty compiled table: :meth:`candidate_ingresses`
-        is pure reuse-distance pruning, which the solve's row engine
-        (:class:`repro.core.rows.RowEngine`) answers from its scan state; a
-        learned UG's slots are masked there and read :meth:`dominance_table`.
-        """
-        return ug_id in self._learned_ugs
-
     @property
     def learned_ug_ids(self) -> Set[int]:
         """Live read-only view of the UGs with learned state (do not mutate)."""

@@ -32,9 +32,6 @@ class DNSRecord:
     def is_valid_at(self, time_s: float) -> bool:
         return self.issued_at_s <= time_s < self.expires_at_s
 
-    def age_at(self, time_s: float) -> float:
-        return time_s - self.issued_at_s
-
 
 class ClientCache:
     """A client-side address cache that may violate TTLs.
@@ -58,12 +55,6 @@ class ClientCache:
         if self._respect_ttl and not record.is_valid_at(time_s):
             return None
         return record
-
-    def evict_expired(self, time_s: float) -> int:
-        expired = [h for h, r in self._records.items() if not r.is_valid_at(time_s)]
-        for hostname in expired:
-            del self._records[hostname]
-        return len(expired)
 
 
 @dataclass

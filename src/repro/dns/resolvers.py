@@ -130,7 +130,3 @@ class ResolverAssignment:
     def ugs_of(self, resolver: RecursiveResolver) -> List[UserGroup]:
         by_id = {ug.ug_id: ug for ug in self._scenario.user_groups}
         return [by_id[ug_id] for ug_id in resolver.ug_ids]
-
-    def volume_of(self, resolver: RecursiveResolver) -> float:
-        by_id = {ug.ug_id: ug for ug in self._scenario.user_groups}
-        return sum(by_id[ug_id].volume for ug_id in resolver.ug_ids)

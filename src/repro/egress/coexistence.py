@@ -21,7 +21,7 @@ model — the frozen-epoch regression the hot-potato scenario is gated on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Optional
 
 from repro.core.advertisement import AdvertisementConfig
 from repro.scenario import Scenario
@@ -149,43 +149,6 @@ class EgressOptimizer:
     def __init__(self, scenario: Scenario, model: DirectionalModel) -> None:
         self._scenario = scenario
         self._model = model
-
-    def best_egress(
-        self,
-        ug: UserGroup,
-        day: int = 0,
-        epoch: int = 0,
-        restrict: Optional[Iterable[int]] = None,
-    ) -> Tuple[Peering, float]:
-        """The egress peering the optimizer picks, with its one-way latency.
-
-        ``restrict`` replaces the candidate list with explicit peering ids
-        (e.g. a policy proposal); if the resulting choice falls outside the
-        UG's reachable set this raises :class:`CoexistenceError` rather
-        than silently returning a peering no return path exists for.
-        """
-        if restrict is None:
-            candidates: List[Peering] = self._scenario.catalog.ingresses(ug)
-        else:
-            deployment = self._scenario.deployment
-            candidates = [
-                deployment.peering(pid) for pid in sorted(frozenset(restrict))
-            ]
-        if not candidates:
-            raise CoexistenceError(f"{ug} has no egress candidates")
-        best = min(
-            candidates,
-            key=lambda p: (
-                self._model.split(ug, p, day=day, epoch=epoch).egress_ms,
-                p.peering_id,
-            ),
-        )
-        if best.peering_id not in self._scenario.catalog.ingress_ids(ug):
-            raise CoexistenceError(
-                f"egress optimizer chose peering {best.peering_id} outside "
-                f"the reachable set of {ug}"
-            )
-        return best, self._model.split(ug, best, day=day, epoch=epoch).egress_ms
 
     def best_egress_ms(self, ug: UserGroup, day: int = 0, epoch: int = 0) -> float:
         candidates = self._scenario.catalog.ingresses(ug)

@@ -88,10 +88,6 @@ class SloSummary:
     painter_met_fraction: float
     mean_improvement_ms: float
 
-    @property
-    def newly_met_fraction(self) -> float:
-        return self.painter_met_fraction - self.anycast_met_fraction
-
 
 def summarize_slos(
     enterprise: Enterprise, outcomes: Sequence[SloOutcome]

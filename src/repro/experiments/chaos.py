@@ -188,43 +188,6 @@ class ChaosHarness:
             filtered.append(delta)
         return filtered
 
-    def drive_controller(
-        self,
-        scenario,
-        storm: int,
-        checkpoint_dir,
-        *,
-        prefix_budget: int = 4,
-        deltas=None,
-        observe: bool = False,
-    ):
-        """Run the controller daemon under this storm's weather.
-
-        ``deltas`` overrides the storm-derived stream (the regression
-        suite hand-feeds an identical list and asserts the installs
-        match).  Imports are lazy — :mod:`repro.controller` pulls
-        :mod:`repro.io` which needs this package's harness.
-        """
-        from repro.controller import ControllerConfig, PainterController
-        from repro.core.orchestrator import OrchestratorConfig
-
-        if deltas is None:
-            deltas = self.controller_deltas(scenario, storm)
-        controller = PainterController(
-            scenario,
-            OrchestratorConfig(prefix_budget=prefix_budget),
-            ControllerConfig(
-                checkpoint_dir=checkpoint_dir,
-                observe=observe,
-                run_name=f"chaos-storm-{storm}",
-            ),
-            deltas,
-        )
-        try:
-            return controller.run()
-        finally:
-            controller.close()
-
     # -- per-strategy metrics ------------------------------------------------
 
     def _painter_inflation_ms(self, result: FailoverResult) -> float:

@@ -24,7 +24,12 @@ from repro.core.baselines import (
 from repro.core.benefit import BenefitEvaluator, realized_improvement
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.core.routing_model import DEFAULT_D_REUSE_KM, RoutingModel
-from repro.experiments.harness import ExperimentResult, budget_grid, config_prefix_subset
+from repro.experiments.harness import (
+    ExperimentResult,
+    budget_grid,
+    check_strategies,
+    config_prefix_subset,
+)
 from repro.scenario import Scenario, azure_scenario, prototype_scenario
 
 
@@ -124,6 +129,7 @@ def run_fig6a(
     measurement_mode: str = "oracle",
     strategies: Sequence[str] = (),
 ) -> ExperimentResult:
+    check_strategies(strategies)
     scenario = scenario or azure_scenario(seed=0, n_ugs=600)
     evaluator = _fresh_evaluator(scenario)
     total_possible = scenario.total_possible_benefit()
@@ -249,6 +255,7 @@ def run_fig6b(
     learning_iterations: int = 3,
     strategies: Sequence[str] = (),
 ) -> ExperimentResult:
+    check_strategies(strategies)
     scenario = scenario or prototype_scenario(seed=0, n_ugs=400)
     n_ingresses = len(scenario.deployment)
 

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.benefit import best_prefix_choices, realized_benefit
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
-from repro.experiments.harness import ExperimentResult, config_prefix_subset
+from repro.experiments.harness import ExperimentResult, check_strategies, config_prefix_subset
 from repro.scenario import Scenario, prototype_scenario
 
 DEFAULT_BUDGETS: Sequence[int] = (2, 8, 25)
@@ -31,6 +31,7 @@ def run_fig7(
     learning_iterations: int = 2,
     strategies: Sequence[str] = (),
 ) -> ExperimentResult:
+    check_strategies(strategies)
     scenario = scenario or prototype_scenario(seed=0, n_ugs=300)
     orchestrator = PainterOrchestrator(
         scenario, OrchestratorConfig(prefix_budget=max(budgets))

@@ -85,6 +85,19 @@ class Experiment:
     quick: bool = False
 
 
+#: Comparators ``run_fig6a``, ``run_fig6b`` and ``run_fig7`` can add rows for.
+COMPARATOR_STRATEGIES: Tuple[str, ...] = ("communities",)
+
+
+def check_strategies(strategies: Sequence[str]) -> None:
+    """Reject any ``strategies`` entry that is not a known comparator."""
+    unknown = sorted(set(strategies) - set(COMPARATOR_STRATEGIES))
+    if unknown:
+        raise ValueError(
+            f"unknown strategies {unknown}; allowed: {list(COMPARATOR_STRATEGIES)}"
+        )
+
+
 def budget_grid(max_budget: int) -> List[int]:
     """A roughly log-spaced grid of prefix budgets up to ``max_budget``."""
     if max_budget < 1:

@@ -4,8 +4,8 @@ PAINTER's headline operational claim is robustness — TM-Edges fail over at
 RTT timescales and the orchestrator keeps producing good configurations
 despite partial observations.  This package turns every experiment into a
 robustness experiment: a :class:`FaultSchedule` of typed, composable fault
-events, a :class:`FaultInjector` that arms them on the event loop, and an
-:class:`ObservationFaults` filter for the learning loop.
+events, a :class:`FaultInjector` that answers ground-truth queries against
+them, and an :class:`ObservationFaults` filter for the learning loop.
 """
 
 from repro.faults.events import (

@@ -4,9 +4,8 @@ Each event is a frozen dataclass describing one perturbation of the world
 over a time window.  Events are *declarative*: they carry no behaviour
 beyond answering "are you active at time t?" and enumerating their state
 transitions, so the same event can drive the Traffic Manager's path oracle,
-the measurement campaign's loss model, the orchestrator's observation
-filter, and the BGP flap-damping state without any of those layers knowing
-about the others.
+the controller's delta stream and the BGP flap-damping state without any of
+those layers knowing about the others.
 
 The vocabulary mirrors the failure modes PAINTER's evaluation touches:
 

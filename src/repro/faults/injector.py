@@ -1,31 +1,23 @@
-"""FaultInjector: arms a FaultSchedule on the discrete-event engine.
+"""FaultInjector and ObservationFaults: a FaultSchedule's effects on other layers.
 
-The schedule is declarative; the injector makes it operational.  It
-
-* schedules every fault transition on an :class:`repro.simulation.events.EventLoop`
-  so experiments can react as faults fire (and tests can assert ordering);
-* maintains the set of currently-active faults as ground truth for
-  consumers that poll instead of subscribe;
-* replays :class:`repro.faults.events.LinkFlap` transitions into an RFC
-  2439 :class:`repro.bgp.flap_damping.FlapDampingState`, tying chaos
-  experiments to the damping model the orchestrator paces itself against;
-* derives an :class:`ObservationFaults` filter so the Advertisement
-  Orchestrator's learning loop sees exactly the missing/stale observation
-  pattern the schedule dictates.
+The schedule is declarative; the injector makes it operational.  It answers
+ground-truth queries against the schedule and replays
+:class:`repro.faults.events.LinkFlap` transitions into an RFC 2439
+:class:`repro.bgp.flap_damping.FlapDampingState`, tying chaos experiments to
+the damping model the orchestrator paces itself against.
+:class:`ObservationFaults` decides which learning-loop observations go
+missing or stale.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Optional
 
 from repro.bgp.flap_damping import DampingConfig, FlapDampingState
-from repro.faults.events import FaultEvent, LinkFlap
+from repro.faults.events import LinkFlap
 from repro.faults.schedule import FaultSchedule
-from repro.simulation.events import EventLoop
-
-FaultListener = Callable[[float, FaultEvent, bool], None]
 
 #: Observation outcomes the injector can assign to a learning-loop sample.
 OUTCOME_OK = "ok"
@@ -34,65 +26,14 @@ OUTCOME_STALE = "stale"
 
 
 class FaultInjector:
-    """Arms a schedule on an event loop and exposes ground truth."""
+    """Exposes a schedule's ground truth and its flap-damping consequences."""
 
-    def __init__(self, schedule: FaultSchedule, seed: int = 0) -> None:
+    def __init__(self, schedule: FaultSchedule) -> None:
         self._schedule = schedule
-        self._seed = seed
-        self._active: Set[FaultEvent] = set()
-        self._fired: List[Tuple[float, FaultEvent, bool]] = []
-        self._listeners: List[FaultListener] = []
 
     @property
     def schedule(self) -> FaultSchedule:
         return self._schedule
-
-    @property
-    def active_faults(self) -> Set[FaultEvent]:
-        """Faults currently in force (only meaningful once armed and run)."""
-        return set(self._active)
-
-    @property
-    def fired_transitions(self) -> List[Tuple[float, FaultEvent, bool]]:
-        """Ground-truth perturbation log: every transition that has fired."""
-        return list(self._fired)
-
-    def subscribe(self, listener: FaultListener) -> None:
-        """Call ``listener(time_s, event, went_down)`` on each transition."""
-        self._listeners.append(listener)
-
-    def arm(self, loop: EventLoop) -> int:
-        """Schedule every fault transition on ``loop``; returns the count.
-
-        Transitions earlier than ``loop.now_s`` are applied immediately so a
-        schedule can be armed mid-run without losing already-active faults.
-        """
-        armed = 0
-        for time_s, event, went_down in self._schedule.transitions():
-            if time_s < loop.now_s:
-                self._apply(time_s, event, went_down)
-                continue
-
-            def fire(
-                loop: EventLoop,
-                time_s: float = time_s,
-                event: FaultEvent = event,
-                went_down: bool = went_down,
-            ) -> None:
-                self._apply(time_s, event, went_down)
-
-            loop.schedule_at(time_s, fire)
-            armed += 1
-        return armed
-
-    def _apply(self, time_s: float, event: FaultEvent, went_down: bool) -> None:
-        if went_down:
-            self._active.add(event)
-        else:
-            self._active.discard(event)
-        self._fired.append((time_s, event, went_down))
-        for listener in self._listeners:
-            listener(time_s, event, went_down)
 
     # -- pass-through ground-truth queries ----------------------------------
 
@@ -133,21 +74,6 @@ class FaultInjector:
                 )
         return state
 
-    def observation_faults(
-        self, round_period_s: float = 1.0, seed: Optional[int] = None
-    ) -> "ObservationFaults":
-        """An orchestrator observation filter driven by this schedule.
-
-        Learning round ``i`` is mapped to simulated time ``i * round_period_s``;
-        the probe-loss rate in force there becomes the missing-observation
-        probability and the stale fraction the stale probability.
-        """
-        return ObservationFaults.from_schedule(
-            self._schedule,
-            round_period_s=round_period_s,
-            seed=self._seed if seed is None else seed,
-        )
-
 
 class ObservationFaults:
     """Deterministically decides the fate of each learning-loop observation.
@@ -163,7 +89,6 @@ class ObservationFaults:
         missing_rate: float = 0.0,
         stale_rate: float = 0.0,
         seed: int = 0,
-        per_round_rates: Optional[Dict[int, Tuple[float, float]]] = None,
     ) -> None:
         if not 0.0 <= missing_rate <= 1.0:
             raise ValueError("missing_rate must be in [0, 1]")
@@ -174,31 +99,9 @@ class ObservationFaults:
         self._missing_rate = missing_rate
         self._stale_rate = stale_rate
         self._seed = seed
-        self._per_round = dict(per_round_rates) if per_round_rates else {}
-
-    @classmethod
-    def from_schedule(
-        cls, schedule: FaultSchedule, round_period_s: float = 1.0, seed: int = 0
-    ) -> "ObservationFaults":
-        """Sample the schedule's loss/staleness at each round's timestamp."""
-        if round_period_s <= 0:
-            raise ValueError("round_period_s must be positive")
-        horizon = schedule.horizon_s
-        rounds = int(horizon / round_period_s) + 1 if horizon > 0 else 0
-        per_round: Dict[int, Tuple[float, float]] = {}
-        for i in range(rounds):
-            t = i * round_period_s
-            missing = schedule.probe_loss_rate(t)
-            stale = min(schedule.stale_fraction(t), 1.0 - missing)
-            if missing > 0 or stale > 0:
-                per_round[i] = (missing, stale)
-        return cls(seed=seed, per_round_rates=per_round)
-
-    def rates_for(self, iteration: int) -> Tuple[float, float]:
-        return self._per_round.get(iteration, (self._missing_rate, self._stale_rate))
 
     def outcome(self, iteration: int, ug_id: int, prefix: int) -> str:
-        missing_rate, stale_rate = self.rates_for(iteration)
+        missing_rate, stale_rate = self._missing_rate, self._stale_rate
         if missing_rate <= 0 and stale_rate <= 0:
             return OUTCOME_OK
         key = ((self._seed * 1_000_003 + iteration) * 1_000_003 + ug_id) * 1_000_003 + prefix

@@ -256,13 +256,3 @@ class FaultSchedule:
                             (down_at, min(down_at + event.down_s, horizon_s))
                         )
         return _merge_intervals(intervals)
-
-    def transitions(self) -> List[Tuple[float, FaultEvent, bool]]:
-        """Every (time, event, went_down) state change, time-ordered."""
-        changes: List[Tuple[float, FaultEvent, bool]] = []
-        for event in self.events:
-            for time_s, went_down in event.transitions():
-                if not math.isinf(time_s):
-                    changes.append((time_s, event, went_down))
-        changes.sort(key=lambda item: (item[0], not item[2]))
-        return changes

@@ -1,8 +1,8 @@
 """Serialization: persist configurations and experiment artifacts as JSON.
 
 An operator running the Advertisement Orchestrator wants to version its
-outputs: the configuration that is live, the learning history that produced
-it, and the experiment tables backing a rollout decision.  Everything here
+outputs: the configuration that is live, the routing model's learned state,
+and the experiment tables backing a rollout decision.  Everything here
 round-trips through plain JSON — no pickle, no custom binary formats.
 
 Every ``save_*`` function is **crash-safe**: the document is written to a
@@ -19,10 +19,9 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
 from repro.core.advertisement import AdvertisementConfig
-from repro.core.orchestrator import IterationRecord, LearningResult
 from repro.core.routing_model import RoutingModel
 from repro.experiments.harness import ExperimentResult
 
@@ -30,7 +29,6 @@ PathLike = Union[str, Path]
 
 _CONFIG_KIND = "painter-advertisement-config"
 _MODEL_KIND = "painter-routing-model"
-_LEARNING_KIND = "painter-learning-result"
 _EXPERIMENT_KIND = "painter-experiment-result"
 _FORMAT_VERSION = 1
 #: Routing-model documents grew outcomes + counters in version 2; version 1
@@ -138,62 +136,6 @@ def save_config(config: AdvertisementConfig, path: PathLike) -> None:
 
 def load_config(path: PathLike) -> AdvertisementConfig:
     return config_from_dict(json.loads(Path(path).read_text()))
-
-
-# -- learning results ----------------------------------------------------------
-
-
-def learning_result_to_dict(result: LearningResult) -> Dict[str, Any]:
-    return {
-        "kind": _LEARNING_KIND,
-        "version": _FORMAT_VERSION,
-        "iterations": [
-            {
-                "iteration": record.iteration,
-                "config": config_to_dict(record.config),
-                "expected_benefit": record.expected_benefit,
-                "realized_benefit": record.realized_benefit,
-                "upper_benefit": record.upper_benefit,
-                "estimated_benefit": record.estimated_benefit,
-                "lower_benefit": record.lower_benefit,
-                "new_preferences": record.new_preferences,
-            }
-            for record in result.iterations
-        ],
-    }
-
-
-def learning_result_from_dict(document: Dict[str, Any]) -> LearningResult:
-    _check_header(document, _LEARNING_KIND)
-    iterations = document.get("iterations")
-    if not isinstance(iterations, list):
-        raise SerializationError("missing 'iterations' list")
-    result = LearningResult()
-    for item in iterations:
-        try:
-            result.iterations.append(
-                IterationRecord(
-                    iteration=int(item["iteration"]),
-                    config=config_from_dict(item["config"]),
-                    expected_benefit=float(item["expected_benefit"]),
-                    realized_benefit=float(item["realized_benefit"]),
-                    upper_benefit=float(item["upper_benefit"]),
-                    estimated_benefit=float(item["estimated_benefit"]),
-                    lower_benefit=float(item["lower_benefit"]),
-                    new_preferences=int(item["new_preferences"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SerializationError(f"bad iteration record: {exc}") from exc
-    return result
-
-
-def save_learning_result(result: LearningResult, path: PathLike) -> None:
-    atomic_write_text(path, json.dumps(learning_result_to_dict(result), indent=2))
-
-
-def load_learning_result(path: PathLike) -> LearningResult:
-    return learning_result_from_dict(json.loads(Path(path).read_text()))
 
 
 # -- experiment results ----------------------------------------------------------
@@ -304,78 +246,3 @@ def restore_routing_model(model: RoutingModel, document: Dict[str, Any]) -> None
         )
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"bad routing-model state: {exc}") from exc
-
-
-def save_routing_model(model: RoutingModel, path: PathLike) -> None:
-    atomic_write_text(path, json.dumps(routing_model_to_dict(model), indent=2))
-
-
-def load_routing_model_into(model: RoutingModel, path: PathLike) -> None:
-    restore_routing_model(model, json.loads(Path(path).read_text()))
-
-
-# -- scenario manifests -------------------------------------------------------
-
-_MANIFEST_KIND = "painter-scenario-manifest"
-
-
-def scenario_manifest(scenario) -> Dict[str, Any]:
-    """A rebuildable description of a scenario (configs + seeds).
-
-    Worlds are fully determined by their configuration dataclasses, so the
-    manifest is all anyone needs to regenerate the exact world behind a
-    result — the reproducibility artifact to archive next to experiment
-    outputs.
-    """
-    from dataclasses import asdict
-
-    topo_cfg = asdict(scenario.topology.config)
-    latency_cfg = asdict(scenario.latency_model.config)
-    return {
-        "kind": _MANIFEST_KIND,
-        "version": _FORMAT_VERSION,
-        "name": scenario.name,
-        "topology": topo_cfg,
-        "latency": latency_cfg,
-        "n_user_groups": len(scenario.user_groups),
-        "n_peerings": len(scenario.deployment),
-    }
-
-
-def rebuild_from_manifest(document: Dict[str, Any], ug_config=None):
-    """Rebuild a scenario world from a manifest.
-
-    ``ug_config`` must be supplied when the manifest's population should be
-    regenerated with specific parameters; by default the UG count recorded
-    in the manifest is used with the topology seed + 1 (the preset
-    convention).
-    """
-    from repro.measurement.latency_model import LatencyModelConfig
-    from repro.scenario import build_scenario
-    from repro.topology.builder import TopologyConfig
-    from repro.usergroups.generation import UserGroupConfig
-
-    _check_header(document, _MANIFEST_KIND)
-    try:
-        topo_cfg = TopologyConfig(**document["topology"])
-        latency_cfg = LatencyModelConfig(**document["latency"])
-        if ug_config is None:
-            ug_config = UserGroupConfig(
-                seed=topo_cfg.seed + 1, n_ugs=int(document["n_user_groups"])
-            )
-        return build_scenario(
-            name=str(document["name"]),
-            topology_config=topo_cfg,
-            ug_config=ug_config,
-            latency_config=latency_cfg,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"bad manifest: {exc}") from exc
-
-
-def save_scenario_manifest(scenario, path: PathLike) -> None:
-    atomic_write_text(path, json.dumps(scenario_manifest(scenario), indent=2))
-
-
-def load_scenario_from_manifest(path: PathLike, ug_config=None):
-    return rebuild_from_manifest(json.loads(Path(path).read_text()), ug_config=ug_config)

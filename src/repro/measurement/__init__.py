@@ -1,11 +1,5 @@
 """Measurement substrate: latency oracle, pings, geolocation, probes."""
 
-from repro.measurement.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    MeasurementCampaign,
-    campaign_targets,
-)
 from repro.measurement.extrapolation import ExtrapolationConfig, SimulatedMeasurements
 from repro.measurement.geolocation import GeoTarget, GeolocationCatalog, GeolocationConfig
 from repro.measurement.latency_model import LatencyModel, LatencyModelConfig
@@ -21,11 +15,7 @@ from repro.measurement.traceroute import (
 )
 
 __all__ = [
-    "CampaignConfig",
-    "CampaignResult",
     "DEFAULT_PING_COUNT",
-    "MeasurementCampaign",
-    "campaign_targets",
     "ExtrapolationConfig",
     "SimulatedMeasurements",
     "GeoTarget",

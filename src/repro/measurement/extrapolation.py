@@ -120,11 +120,3 @@ class SimulatedMeasurements:
         return max(0.5, self._anycast[ug.ug_id] - improvement)
 
     # -- coverage reporting -------------------------------------------------------
-
-    def measurable_fraction(self) -> float:
-        """Fraction of UGs with real or simulated measurements."""
-        count = 0
-        for ug in self._scenario.user_groups:
-            if self._fleet.has_probe(ug) or self.representative_improvements(ug):
-                count += 1
-        return count / max(1, len(self._scenario.user_groups))

@@ -48,22 +48,11 @@ class ProbeFleet:
             ug.ug_id for ug in _weighted_sample(rng, self._ugs, weights, n_probes)
         )
 
-    @property
-    def probe_ug_ids(self) -> frozenset:
-        return self._probe_ids
-
     def has_probe(self, ug: UserGroup) -> bool:
         return ug.ug_id in self._probe_ids
 
     def probe_ugs(self) -> List[UserGroup]:
         return [ug for ug in self._ugs if ug.ug_id in self._probe_ids]
-
-    def covered_volume_fraction(self) -> float:
-        total = sum(ug.volume for ug in self._ugs)
-        if total <= 0:
-            return 0.0
-        covered = sum(ug.volume for ug in self._ugs if ug.ug_id in self._probe_ids)
-        return covered / total
 
     def probes_near(
         self,

@@ -83,11 +83,6 @@ class GroundTruthRouting:
         """Seed of the hidden tie-break / exit-policy state."""
         return self._seed
 
-    @property
-    def anycast_peering_ids(self) -> FrozenSet[int]:
-        """The default configuration D: the anycast prefix via every peering."""
-        return self._all_peering_ids
-
     # -- layer 1: AS-level propagation --------------------------------------
 
     def _routes_for(

@@ -164,10 +164,6 @@ def enable_preset_cache(enabled: bool = True) -> None:
         _preset_cache.clear()
 
 
-def clear_preset_cache() -> None:
-    _preset_cache.clear()
-
-
 def _maybe_cached(key: tuple, factory) -> Scenario:
     if not _preset_cache_enabled:
         return factory()

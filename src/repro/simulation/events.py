@@ -22,7 +22,6 @@ class _ScheduledEvent:
     time_s: float
     sequence: int
     callback: Callback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
 
 
 class EventLoop:
@@ -32,19 +31,10 @@ class EventLoop:
         self._heap: List[_ScheduledEvent] = []
         self._sequence = itertools.count()
         self._now = 0.0
-        self._processed = 0
 
     @property
     def now_s(self) -> float:
         return self._now
-
-    @property
-    def processed_events(self) -> int:
-        return self._processed
-
-    @property
-    def pending_events(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
 
     def schedule_at(self, time_s: float, callback: Callback) -> _ScheduledEvent:
         """Schedule ``callback`` at an absolute time (>= now)."""
@@ -60,17 +50,11 @@ class EventLoop:
             raise ValueError("delay must be non-negative")
         return self.schedule_at(self._now + delay_s, callback)
 
-    def cancel(self, event: _ScheduledEvent) -> None:
-        event.cancelled = True
-
     def run_until(self, end_time_s: float) -> None:
         """Process events with time <= ``end_time_s``; clock ends there."""
         while self._heap and self._heap[0].time_s <= end_time_s:
             event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
             self._now = event.time_s
-            self._processed += 1
             event.callback(self)
         self._now = max(self._now, end_time_s)
 
@@ -80,9 +64,6 @@ class EventLoop:
             if not self._heap:
                 return
             event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
             self._now = event.time_s
-            self._processed += 1
             event.callback(self)
         raise RuntimeError(f"exceeded {max_events} events; runaway schedule?")

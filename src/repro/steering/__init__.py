@@ -1,5 +1,5 @@
 """Steering-mechanism comparisons: granularity, DNS steering, SD-WAN,
-action communities, and the cross-strategy conformance registry."""
+action communities and PECAN."""
 
 from repro.steering.catchment import CatchmentAnalysis, CatchmentEntry
 from repro.steering.communities import (
@@ -13,20 +13,12 @@ from repro.steering.communities import (
     communities_benefit,
     communities_budget_configs,
     communities_choices,
-    compile_actions,
     coverage_of_best_ingress,
     parse_community,
     solve_communities,
 )
 from repro.steering.dns_steering import DnsSteeringResult, evaluate_dns_steering
 from repro.steering.pecan import best_single_isp, compare_pecan_to_painter, pecan_config
-from repro.steering.registry import (
-    SteeringChoice,
-    SteeringOutcome,
-    register_strategy,
-    run_strategy,
-    strategy_names,
-)
 from repro.steering.granularity import (
     BUCKET_LABELS,
     GRANULARITY_BUCKETS,
@@ -40,7 +32,7 @@ from repro.steering.resilience import (
     ResilienceAnalysis,
     fraction_fully_avoidable,
 )
-from repro.steering.sdwan import SdwanView, sdwan_path_count, sdwan_view
+from repro.steering.sdwan import SdwanView, sdwan_view
 
 __all__ = [
     "AnnounceToAction",
@@ -65,20 +57,13 @@ __all__ = [
     "PrependAction",
     "ResilienceAnalysis",
     "SdwanView",
-    "SteeringChoice",
-    "SteeringOutcome",
     "communities_benefit",
     "communities_budget_configs",
     "communities_choices",
-    "compile_actions",
     "coverage_of_best_ingress",
     "evaluate_dns_steering",
     "fraction_fully_avoidable",
     "parse_community",
-    "register_strategy",
-    "run_strategy",
-    "sdwan_path_count",
     "sdwan_view",
     "solve_communities",
-    "strategy_names",
 ]

@@ -63,13 +63,6 @@ class CatchmentAnalysis:
     def entries(self) -> List[CatchmentEntry]:
         return list(self._entries)
 
-    def catchment_sizes(self) -> Dict[str, int]:
-        """UG count per PoP catchment."""
-        sizes: Dict[str, int] = {}
-        for entry in self._entries:
-            sizes[entry.pop_name] = sizes.get(entry.pop_name, 0) + 1
-        return sizes
-
     def catchment_volumes(self) -> Dict[str, float]:
         by_id = {ug.ug_id: ug for ug in self._scenario.user_groups}
         volumes: Dict[str, float] = {}

@@ -7,11 +7,11 @@ it into AS-path prepending, selective announcement / no-export toward named
 peers, or a MED value on the session.  This module models that vocabulary
 on top of :mod:`repro.bgp`:
 
-* actions compile to community strings carried transitively by
-  :class:`repro.bgp.route.Route` (observability) and to their *effects* —
-  a per-peer prepend map, an allowed-peer set, and per-peering MED offsets
-  — which :class:`CommunityRouting` pushes through the same AS-level
-  propagation and exit-policy oracle PAINTER's ground truth uses;
+* actions compile to community strings (:func:`parse_community` inverts
+  them) and to their *effects* — a per-peer prepend map, an allowed-peer
+  set, and per-peering MED offsets — which :class:`CommunityRouting` pushes
+  through the same AS-level propagation and exit-policy oracle PAINTER's
+  ground truth uses;
 * :func:`solve_communities` searches, per UG, a small ladder of candidate
   announcements that steer its ingress toward its best peering, then
   groups UGs by announcement under a prefix budget — the communities
@@ -27,12 +27,10 @@ on top of :mod:`repro.bgp`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.bgp.simulator import BGPSimulator
 from repro.egress.coexistence import CoexistenceError, LinkWeightEpochs
 from repro.scenario import Scenario
-from repro.topology.builder import CLOUD_ASN
 from repro.topology.cloud import Peering
 from repro.usergroups.usergroup import UserGroup
 
@@ -151,31 +149,6 @@ class CommunityAnnouncement:
         if any(count < 0 for _, count in self.prepend):
             raise ValueError("prepend counts must be non-negative")
 
-    @classmethod
-    def from_actions(cls, actions: Iterable[Action]) -> "CommunityAnnouncement":
-        announce: Optional[set] = None
-        no_export: set = set()
-        prepend: Dict[int, int] = {}
-        med: Dict[int, int] = {}
-        for action in actions:
-            if isinstance(action, AnnounceToAction):
-                announce = announce or set()
-                announce.add(action.peer_asn)
-            elif isinstance(action, NoExportAction):
-                no_export.add(action.peer_asn)
-            elif isinstance(action, PrependAction):
-                prepend[action.peer_asn] = max(prepend.get(action.peer_asn, 0), action.count)
-            elif isinstance(action, MedAction):
-                med[action.peering_id] = med.get(action.peering_id, 0) + action.offset
-            else:
-                raise TypeError(f"not an action: {action!r}")
-        return cls(
-            announce=None if announce is None else frozenset(announce),
-            no_export=frozenset(no_export),
-            prepend=tuple(sorted(prepend.items())),
-            med=tuple(sorted(med.items())),
-        )
-
     def actions(self) -> Tuple[Action, ...]:
         out: List[Action] = []
         if self.announce is not None:
@@ -188,10 +161,6 @@ class CommunityAnnouncement:
     def communities(self) -> Tuple[str, ...]:
         return tuple(action.community() for action in self.actions())
 
-    @classmethod
-    def from_communities(cls, communities: Iterable[str]) -> "CommunityAnnouncement":
-        return cls.from_actions(parse_community(text) for text in communities)
-
     def effective_peers(self, all_peer_asns: FrozenSet[int]) -> FrozenSet[int]:
         allowed = all_peer_asns if self.announce is None else (all_peer_asns & self.announce)
         return allowed - self.no_export
@@ -201,21 +170,6 @@ class CommunityAnnouncement:
 
     def med_map(self) -> Dict[int, int]:
         return dict(self.med)
-
-    @property
-    def is_noop(self) -> bool:
-        """Equivalent to a plain, everywhere-announced, untagged prefix."""
-        return (
-            self.announce is None
-            and not self.no_export
-            and not self.prepend_map()
-            and not self.med
-        )
-
-
-def compile_actions(actions: Iterable[Action]) -> CommunityAnnouncement:
-    """Alias of :meth:`CommunityAnnouncement.from_actions`."""
-    return CommunityAnnouncement.from_actions(actions)
 
 
 #: The do-nothing assignment: identical to the anycast announcement.
@@ -299,25 +253,6 @@ class CommunityRouting:
         if ingress is None:
             return None
         return self._scenario.latency_model.latency_ms(ug, ingress, day=day)
-
-    def tagged_routes(self, announcement: CommunityAnnouncement, prefix: str = "prefix"):
-        """AS-level routes with the announcement's community strings attached.
-
-        The observability channel: every downstream AS sees the tags on its
-        best route (communities are transitive here).  Uses a fresh
-        simulator so tagged routes never pollute the shared caches.
-        """
-        sim = BGPSimulator(
-            self._routing.topology.graph, CLOUD_ASN, tie_break_seed=self._routing.seed
-        )
-        allowed = sorted(announcement.effective_peers(self._all_asns))
-        tags = announcement.communities()
-        return sim.propagate(
-            prefix,
-            allowed,
-            prepend=announcement.prepend_map() or None,
-            communities={asn: tags for asn in allowed},
-        )
 
 
 @dataclass(frozen=True)

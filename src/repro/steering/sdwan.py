@@ -81,8 +81,3 @@ def sdwan_view(scenario: Scenario, ug: UserGroup) -> SdwanView:
         pops=frozenset(pops),
         paths=tuple(paths),
     )
-
-
-def sdwan_path_count(scenario: Scenario, ug: UserGroup) -> int:
-    """Number of paths an SD-WAN device can select among for this UG."""
-    return sdwan_view(scenario, ug).path_count

@@ -14,8 +14,6 @@ from repro.topology.geo import (
     haversine_km,
     metro_by_name,
     metros_in_region,
-    nearest_metro,
-    rtt_to_max_distance_km,
     speed_of_light_rtt_ms,
 )
 from repro.topology.graph import ASGraph, TopologyError, transit_path_exists
@@ -45,8 +43,6 @@ __all__ = [
     "haversine_km",
     "metro_by_name",
     "metros_in_region",
-    "nearest_metro",
-    "rtt_to_max_distance_km",
     "speed_of_light_rtt_ms",
     "transit_path_exists",
 ]

@@ -92,10 +92,6 @@ class Topology:
     regional_asns: List[int]
     stub_asns: List[int]
 
-    @property
-    def cloud_asn(self) -> int:
-        return CLOUD_ASN
-
     def edge_asns(self) -> List[int]:
         """ASes that host user groups (stubs plus regionals)."""
         return self.stub_asns + self.regional_asns

@@ -186,11 +186,6 @@ class CloudDeployment:
             raise ValueError("deployment has no PoPs")
         return min(self._pops.values(), key=lambda p: haversine_km(p.location, location))
 
-    def pops_within_km(self, location: GeoPoint, radius_km: float) -> List[PoP]:
-        return [
-            p for p in self._pops.values() if haversine_km(p.location, location) <= radius_km
-        ]
-
     def describe(self) -> str:
         transit = len(self.transit_peerings())
         return (

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -79,17 +79,6 @@ def fiber_rtt_ms(distance_km: float, stretch: float = FIBER_PATH_STRETCH) -> flo
     if distance_km < 0:
         raise ValueError("distance must be non-negative")
     return 2.0 * distance_km * stretch / FIBER_KM_PER_MS
-
-
-def rtt_to_max_distance_km(rtt_ms: float) -> float:
-    """Maximum one-way geodesic distance consistent with a measured RTT.
-
-    Used for speed-of-light geolocation validation: the target cannot be
-    farther from the probe than light could travel in rtt/2.
-    """
-    if rtt_ms < 0:
-        raise ValueError("rtt must be non-negative")
-    return rtt_ms / 2.0 * SPEED_OF_LIGHT_KM_PER_MS
 
 
 class DistanceTable:
@@ -257,14 +246,6 @@ def metro_by_name(name: str) -> Metro:
 
 def metros_in_region(region: str) -> List[Metro]:
     return [metro for metro in WORLD_METROS if metro.region == region]
-
-
-def nearest_metro(point: GeoPoint, metros: Optional[Sequence[Metro]] = None) -> Metro:
-    """The metro closest (great-circle) to ``point``."""
-    candidates = WORLD_METROS if metros is None else metros
-    if not candidates:
-        raise ValueError("no metros to choose from")
-    return min(candidates, key=lambda metro: haversine_km(metro.location, point))
 
 
 def closest_distance_km(point: GeoPoint, points: Iterable[GeoPoint]) -> float:

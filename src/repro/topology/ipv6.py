@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional
 
-from repro.topology.cloud import CloudDeployment, Peering
+from repro.topology.cloud import CloudDeployment
 from repro.usergroups.ingresses import IngressCatalog
 from repro.usergroups.usergroup import UserGroup
 from repro.util import stable_rng
@@ -55,9 +55,6 @@ class DualStackCatalog:
             rng = stable_rng(self._config.seed, "v6", peering.peering_id)
             self._v6[peering.peering_id] = rng.random() < prob
 
-    def supports_v6(self, peering: Peering) -> bool:
-        return self._v6[peering.peering_id]
-
     def v6_peering_ids(self) -> FrozenSet[int]:
         return frozenset(pid for pid, ok in self._v6.items() if ok)
 
@@ -76,10 +73,6 @@ class Ipv6Feasibility:
     exposable_path_fraction: float
     #: FIB slots per prefix, v6-equivalent, relative to v4.
     fib_cost_factor: float
-
-    @property
-    def paths_lost_fraction(self) -> float:
-        return 1.0 - self.exposable_path_fraction
 
 
 def analyze_ipv6_feasibility(

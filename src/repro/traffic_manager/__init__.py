@@ -32,8 +32,6 @@ from repro.traffic_manager.load_balancing import (
     DestinationLoad,
     LoadAwareSelector,
     effective_latency_ms,
-    greedy_spread,
-    proportional_spread,
 )
 from repro.traffic_manager.multipath import (
     MultipathConnection,
@@ -44,13 +42,6 @@ from repro.traffic_manager.selection import (
     LowestLatencySelector,
     SelectionPolicyConfig,
     SelectorBank,
-)
-from repro.traffic_manager.session import (
-    EdgeSession,
-    SessionFlow,
-    SessionMetrics,
-    constant_oracle,
-    failing_oracle,
 )
 from repro.traffic_manager.tm_edge import TMEdge, TunnelState
 from repro.traffic_manager.tm_pop import PrefixDirectory, TMPoP
@@ -63,7 +54,6 @@ from repro.traffic_manager.tunnel import (
     TMPoPNat,
     decapsulate,
     encapsulate,
-    overhead_fraction,
 )
 
 __all__ = [
@@ -84,10 +74,7 @@ __all__ = [
     "effective_latency_ms",
     "failover_comparison",
     "flow_key",
-    "greedy_spread",
     "plane_from_snapshot",
-    "proportional_spread",
-    "EdgeSession",
     "FailoverConfig",
     "FailoverResult",
     "FiveTuple",
@@ -99,10 +86,6 @@ __all__ = [
     "PathSpec",
     "PrefixDirectory",
     "SelectionPolicyConfig",
-    "SessionFlow",
-    "SessionMetrics",
-    "constant_oracle",
-    "failing_oracle",
     "TMEdge",
     "TMPoP",
     "TMPoPNat",
@@ -110,6 +93,5 @@ __all__ = [
     "decapsulate",
     "default_fig10_paths",
     "encapsulate",
-    "overhead_fraction",
     "run_failover",
 ]

@@ -65,11 +65,6 @@ class LoadAwareSelector:
         self._destinations[prefix] = DestinationLoad(prefix=prefix, capacity=capacity)
         self._base_rtts[prefix] = base_rtt_ms
 
-    def update_rtt(self, prefix: str, base_rtt_ms: float) -> None:
-        if prefix not in self._destinations:
-            raise KeyError(f"unknown destination {prefix!r}")
-        self._base_rtts[prefix] = base_rtt_ms
-
     def effective_latencies(self) -> Dict[str, float]:
         return {
             prefix: effective_latency_ms(
@@ -96,93 +91,5 @@ class LoadAwareSelector:
         )
         return chosen
 
-    def release_flow(self, prefix: str, demand: float = 1.0) -> None:
-        dest = self._destinations.get(prefix)
-        if dest is None:
-            raise KeyError(f"unknown destination {prefix!r}")
-        self._destinations[prefix] = DestinationLoad(
-            prefix=prefix, capacity=dest.capacity, load=max(0.0, dest.load - demand)
-        )
-
-    def add_load(self, prefix: str, amount: float) -> None:
-        """Credit a batch placement (the bulk counterpart of assign_flow)."""
-        dest = self._destinations.get(prefix)
-        if dest is None:
-            raise KeyError(f"unknown destination {prefix!r}")
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        self._destinations[prefix] = DestinationLoad(
-            prefix=prefix, capacity=dest.capacity, load=dest.load + amount
-        )
-
-    def headrooms(self) -> Dict[str, float]:
-        """Remaining capacity per destination (0 once saturated)."""
-        return {
-            prefix: max(0.0, dest.capacity - dest.load)
-            for prefix, dest in self._destinations.items()
-        }
-
     def utilizations(self) -> Mapping[str, float]:
         return {p: d.utilization for p, d in self._destinations.items()}
-
-    def max_utilization(self) -> float:
-        if not self._destinations:
-            return 0.0
-        return max(d.utilization for d in self._destinations.values())
-
-
-def greedy_spread(
-    selector: LoadAwareSelector, n_flows: int, demand: float = 1.0
-) -> Dict[str, int]:
-    """Assign a batch of flows; returns per-destination flow counts."""
-    counts: Dict[str, int] = {}
-    for _ in range(n_flows):
-        chosen = selector.assign_flow(demand)
-        if chosen is None:
-            break
-        counts[chosen] = counts.get(chosen, 0) + 1
-    return counts
-
-
-def proportional_spread(
-    selector: LoadAwareSelector, n_flows: int, demand: float = 1.0
-) -> Dict[str, int]:
-    """Batched approximation of :func:`greedy_spread` in O(#destinations).
-
-    Instead of re-evaluating effective latencies per flow, place the whole
-    batch at once: split it across unsaturated destinations in proportion to
-    remaining headroom (which is what the one-at-a-time greedy converges to
-    for large batches), capped by each destination's capacity.  Flows that
-    no destination can absorb are dropped, matching the greedy's early
-    ``None`` stop.  Loads on the selector are updated with the placement.
-    """
-    if n_flows < 0:
-        raise ValueError("flow count must be non-negative")
-    if demand <= 0:
-        raise ValueError("demand must be positive")
-    counts: Dict[str, int] = {}
-    remaining = n_flows
-    # A destination may saturate mid-batch; loop until nothing more fits.
-    while remaining > 0:
-        headroom = selector.headrooms()
-        fits = {p: int(h // demand) for p, h in headroom.items() if h >= demand}
-        if not fits:
-            break
-        total_headroom = sum(headroom[p] for p in fits)
-        placed_this_round = 0
-        for prefix in sorted(fits):
-            budget = remaining - placed_this_round
-            if budget <= 0:
-                break
-            share = headroom[prefix] / total_headroom
-            want = max(1, int(round(remaining * share)))
-            take = min(want, fits[prefix], budget)
-            if take <= 0:
-                continue
-            selector.add_load(prefix, take * demand)
-            counts[prefix] = counts.get(prefix, 0) + take
-            placed_this_round += take
-        remaining -= placed_this_round
-        if placed_this_round == 0:
-            break
-    return counts

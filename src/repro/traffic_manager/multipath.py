@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Subflow:
@@ -58,15 +56,6 @@ class MultipathConnection:
     def live_subflows(self) -> List[Subflow]:
         return [s for s in self._subflows.values() if s.is_up]
 
-    def aggregate_capacity_mbps(self) -> float:
-        return sum(s.capacity_mbps for s in self.live_subflows())
-
-    def best_rtt_ms(self) -> float:
-        live = self.live_subflows()
-        if not live:
-            return math.inf
-        return min(s.rtt_ms for s in live)
-
     def schedule(self, demand_mbps: float) -> Dict[str, float]:
         """Split demand across live subflows, lowest-RTT first.
 
@@ -86,35 +75,6 @@ class MultipathConnection:
                 allocation[subflow.prefix] = take
                 remaining -= take
         return allocation
-
-    def schedule_many(self, demands_mbps: Sequence[float]) -> List[Dict[str, float]]:
-        """Vectorized :meth:`schedule` over a batch of demands.
-
-        The per-demand allocation is identical to calling :meth:`schedule`
-        in a loop (each demand sees the full subflow capacities — demands
-        model alternative load levels, not concurrent connections), but the
-        cumulative fill thresholds are precomputed once, so the per-demand
-        work is a binary search instead of a sort.
-        """
-        ordered = sorted(self.live_subflows(), key=lambda s: (s.rtt_ms, s.prefix))
-        demands = np.asarray(list(demands_mbps), dtype=np.float64)
-        if np.any(demands < 0):
-            raise ValueError("demand must be non-negative")
-        if not ordered:
-            return [{} for _ in range(len(demands))]
-        caps = np.array([s.capacity_mbps for s in ordered], dtype=np.float64)
-        # filled[i] = demand consumed before subflow i gets any traffic.
-        filled = np.concatenate(([0.0], np.cumsum(caps)))
-        # take[j, i] = Mbps placed on subflow i for demand j.
-        take = np.clip(demands[:, None] - filled[None, :-1], 0.0, caps[None, :])
-        return [
-            {
-                ordered[i].prefix: float(take[j, i])
-                for i in range(len(ordered))
-                if take[j, i] > 0
-            }
-            for j in range(len(demands))
-        ]
 
     def fail_subflow(self, prefix: str) -> "MultipathConnection":
         """The connection after a path failure (subflow marked dead)."""

@@ -8,9 +8,8 @@ to the current selection (immutably, per flow), and tunnels packets.
 Every flow lives in one place, the edge's pluggable
 :class:`repro.traffic_manager.dataplane.DataPlane` (by default a
 :class:`ScalarDataPlane`, or a :class:`VectorFlowTable` for million-flow
-workloads).  The **batched** path (:meth:`TMEdge.forward_batch`,
-:meth:`TMEdge.admit_batch`, :meth:`TMEdge.end_batch`) hands it whole
-batches; the **per-flow** path (:meth:`TMEdge.admit_flow`,
+workloads).  The **batched** path (:meth:`TMEdge.forward_batch`) hands it
+whole batches; the **per-flow** path (:meth:`TMEdge.admit_flow`,
 :meth:`TMEdge.forward`) is a one-row batch keyed by
 :func:`~repro.traffic_manager.dataplane.flow_key` of the
 :class:`FiveTuple`.  A flow admitted through either surface is therefore
@@ -26,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
-
-import numpy as np
 
 from repro.telemetry import METRICS, TRACER, emit_event
 from repro.traffic_manager.dataplane import (
@@ -121,13 +118,6 @@ class TMEdge:
         self._selectors.setdefault(service, LowestLatencySelector(self._selection_config))
         self.service_id(service)
         return frozenset(tunnels)
-
-    def tunnel_map(self, service: str) -> Mapping[str, str]:
-        """The learned destination-prefix -> TM-PoP mapping for a service."""
-        return {
-            prefix: state.tm_pop_name
-            for prefix, state in self._tunnels.get(service, {}).items()
-        }
 
     # -- measurement + selection -----------------------------------------------
 
@@ -235,18 +225,6 @@ class TMEdge:
                 return self._plane.forward(
                     batch, self.selections_by_service_id(), now_s
                 )
-
-    def admit_batch(self, batch: FlowBatch, now_s: float) -> ForwardResult:
-        """Pin a batch of new flows without byte accounting."""
-        with TRACER.span("tm_edge.admit_batch", flows=len(batch)):
-            with METRICS.timed("tm_edge.forward_batch"):
-                return self._plane.admit(
-                    batch, self.selections_by_service_id(), now_s
-                )
-
-    def end_batch(self, keys: np.ndarray) -> int:
-        """Retire a batch of flows by key; unknown keys are tolerated."""
-        return self._plane.end(keys)
 
     # -- state transfer ------------------------------------------------------
 

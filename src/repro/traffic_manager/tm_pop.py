@@ -42,9 +42,6 @@ class TMPoP:
     def attach_prefix(self, prefix: str) -> None:
         self.ingress_prefixes.add(prefix)
 
-    def detach_prefix(self, prefix: str) -> None:
-        self.ingress_prefixes.discard(prefix)
-
     def handle_ingress(self, packet: Packet) -> Packet:
         """Decapsulate + NAT a tunneled client packet toward the service."""
         return self.nat.ingress(packet)

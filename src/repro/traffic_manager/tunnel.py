@@ -175,10 +175,3 @@ def decapsulate(packet: Packet) -> Packet:
     inner = packet.inner
     assert inner is not None
     return inner
-
-
-def overhead_fraction(payload_bytes: int = 1400) -> float:
-    """Relative tunnel overhead (paper: ~16 bytes per 1400-byte packet)."""
-    if payload_bytes <= 0:
-        raise ValueError("payload must be positive")
-    return ENCAP_OVERHEAD_BYTES / payload_bytes

@@ -49,12 +49,10 @@ class TestTrace:
 
     def test_unreachable_before_withdrawal_is_fine(self, trace):
         assert trace.latency_penalty_at(0.0) == 0.0
-        assert trace.is_reachable_at(0.0)
 
     def test_unreachable_during_gap(self, trace):
         just_after = trace.withdrawal_time_s + 0.01
         assert math.isinf(trace.latency_penalty_at(just_after))
-        assert not trace.is_reachable_at(just_after)
 
     def test_penalty_fades_to_zero(self, trace):
         assert trace.latency_penalty_at(trace.reconvergence_time_s + 1) == 0.0

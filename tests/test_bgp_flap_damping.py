@@ -55,9 +55,7 @@ class TestDampingState:
         for t in (0.0, 1.0, 2.0):
             state.record_flap(PREFIX, 100, now_s=t)
         assert state.is_suppressed(PREFIX, 100, now_s=3.0)
-        reusable_in = state.time_until_reusable_s(PREFIX, 100, now_s=3.0)
-        assert reusable_in > 0
-        assert not state.is_suppressed(PREFIX, 100, now_s=3.0 + reusable_in + 1.0)
+        assert not state.is_suppressed(PREFIX, 100, now_s=3.0 + 10 * config.half_life_s)
 
     def test_penalty_capped(self):
         state = FlapDampingState()
@@ -77,11 +75,6 @@ class TestDampingState:
         state.record_flap(PREFIX, 100, now_s=10.0)
         with pytest.raises(ValueError):
             state.penalty(PREFIX, 100, now_s=5.0)
-
-    def test_unsuppressed_reusable_immediately(self):
-        state = FlapDampingState()
-        assert state.time_until_reusable_s(PREFIX, 100, now_s=0.0) == 0.0
-
 
 class TestPacing:
     def test_safe_interval_prevents_suppression(self):

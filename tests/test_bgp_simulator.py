@@ -87,20 +87,13 @@ class TestPropagation:
 
 class TestQueries:
     def test_reachable_ases(self, sim, micro_graph):
-        reachable = sim.reachable_ases(PREFIX, [22])
+        reachable = frozenset(sim.propagate(PREFIX, [22]))
         assert reachable == frozenset(micro_graph.customer_cone(22))
-
-    def test_entry_neighbor(self, sim):
-        routes = sim.propagate(PREFIX, [10, 22])
-        assert sim.entry_neighbor(routes, 30) == 10  # S1 only via T1
-        assert sim.entry_neighbor(routes, 31) == 22
-        assert sim.entry_neighbor(routes, 22) == 22  # direct peer is its own entry
-        assert sim.entry_neighbor(routes, 12345) is None
 
     def test_as_path_to_origin(self, sim):
         routes = sim.propagate(PREFIX, [10])
-        assert sim.as_path_to_origin(routes, 30) == (20, 10, 1)
-        assert sim.as_path_to_origin(routes, 99999) is None
+        assert routes[30].as_path == (20, 10, 1)
+        assert 99999 not in routes
 
 
 class TestAgainstOracle:

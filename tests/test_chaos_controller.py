@@ -13,7 +13,8 @@ import json
 
 import pytest
 
-from repro.controller import PopDown, PopUp
+from repro.controller import ControllerConfig, PainterController, PopDown, PopUp
+from repro.core.orchestrator import OrchestratorConfig
 from repro.experiments.chaos import ChaosConfig, ChaosHarness
 
 pytestmark = pytest.mark.soak
@@ -22,6 +23,30 @@ pytestmark = pytest.mark.soak
 @pytest.fixture()
 def harness():
     return ChaosHarness(ChaosConfig(storms=1, duration_s=900.0, seed=5))
+
+
+def drive_controller(harness, scenario, storm, checkpoint_dir, *, deltas=None):
+    """Run the controller daemon under one storm's weather.
+
+    ``deltas`` overrides the storm-derived stream, so a hand-fed copy of the
+    same list can be compared against the storm path.
+    """
+    if deltas is None:
+        deltas = harness.controller_deltas(scenario, storm)
+    controller = PainterController(
+        scenario,
+        OrchestratorConfig(prefix_budget=4),
+        ControllerConfig(
+            checkpoint_dir=checkpoint_dir,
+            observe=False,
+            run_name=f"chaos-storm-{storm}",
+        ),
+        deltas,
+    )
+    try:
+        return controller.run()
+    finally:
+        controller.close()
 
 
 def journal_bytes(checkpoint_dir):
@@ -44,9 +69,9 @@ class TestStormDrivenController:
         deltas = harness.controller_deltas(scenario, storm=0)
         assert deltas, "storm produced no controller deltas"
 
-        stormy = harness.drive_controller(scenario, 0, tmp_path / "storm")
-        hand_fed = harness.drive_controller(
-            scenario, 0, tmp_path / "hand", deltas=list(deltas)
+        stormy = drive_controller(harness, scenario, 0, tmp_path / "storm")
+        hand_fed = drive_controller(
+            harness, scenario, 0, tmp_path / "hand", deltas=list(deltas)
         )
 
         assert stormy.final_config == hand_fed.final_config
@@ -61,7 +86,7 @@ class TestStormDrivenController:
 
     def test_run_shape(self, harness, scenario, tmp_path):
         deltas = harness.controller_deltas(scenario, storm=0)
-        result = harness.drive_controller(scenario, 0, tmp_path / "cp")
+        result = drive_controller(harness, scenario, 0, tmp_path / "cp")
         assert result.final_config is not None
         assert result.deltas_applied == len(deltas)
         assert result.degradations == 0

@@ -4,17 +4,11 @@ import pytest
 
 from repro.core.baselines import (
     BASELINE_STRATEGIES,
-    anycast_config,
     one_per_peering,
     one_per_pop,
     one_per_pop_with_reuse,
     regional_transit,
 )
-
-
-class TestAnycast:
-    def test_empty(self):
-        assert anycast_config().prefix_count == 0
 
 
 class TestOnePerPop:

@@ -24,13 +24,6 @@ class TestInstallation:
         assert len(cidrs) == len(set(cidrs))
         assert len(installation.prefixes) == config.prefix_count
 
-    def test_cidr_lookup(self, deployed):
-        _scenario, config, installation = deployed
-        for prefix_index in config.prefixes:
-            assert installation.cidr_for(prefix_index).endswith("/24")
-        with pytest.raises(KeyError):
-            installation.cidr_for(999)
-
     def test_announcement_plan_matches_config(self, deployed):
         scenario, config, installation = deployed
         plan = dict(installation.announcements())
@@ -65,13 +58,6 @@ class TestInstallation:
         assert installation.anycast_cidr in prefixes
         for installed in installation.prefixes:
             assert installed.cidr in prefixes
-
-    def test_pops_for_cidr(self, deployed):
-        _scenario, _config, installation = deployed
-        installed = installation.prefixes[0]
-        assert installation.pops_for_cidr(installed.cidr) == installed.pop_names
-        with pytest.raises(KeyError):
-            installation.pops_for_cidr("203.0.113.0/24")
 
     def test_pool_exhaustion_detected(self, deployed):
         scenario, config, _installation = deployed

@@ -335,10 +335,10 @@ class TestRestoreFailsClosed:
         with pytest.raises(ValueError):
             RoutingModel(scenario.catalog, d_reuse_km=float("nan"))
 
-    def test_io_raises_serialization_error(self, scenario, tmp_path):
+    def test_io_raises_serialization_error(self, scenario):
         from repro.io import (
             SerializationError,
-            load_routing_model_into,
+            restore_routing_model,
             routing_model_to_dict,
         )
         import json
@@ -346,11 +346,9 @@ class TestRestoreFailsClosed:
         model, ug, ids, _snap = self._snapshot(scenario)
         document = routing_model_to_dict(model)
         document["preferences"][str(ug.ug_id)].append([999999, ids[0], []])
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(document))
         fresh = RoutingModel(scenario.catalog)
         with pytest.raises(SerializationError, match="999999"):
-            load_routing_model_into(fresh, path)
+            restore_routing_model(fresh, json.loads(json.dumps(document)))
         assert fresh.preference_count() == 0
 
 

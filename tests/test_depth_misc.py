@@ -106,8 +106,8 @@ class TestConvergenceProperties:
         trace = simulate_withdrawal(30.0, seed=seed)
         times = [e.time_s for e in trace.events]
         assert times == sorted(times)
-        assert not trace.is_reachable_at(trace.withdrawal_time_s + 1e-6)
-        assert trace.is_reachable_at(trace.reconvergence_time_s + 1.0)
+        assert math.isinf(trace.latency_penalty_at(trace.withdrawal_time_s + 1e-6))
+        assert not math.isinf(trace.latency_penalty_at(trace.reconvergence_time_s + 1.0))
         assert trace.latency_penalty_at(trace.reconvergence_time_s + 60.0) == 0.0
 
 

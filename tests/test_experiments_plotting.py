@@ -82,7 +82,12 @@ class TestMeasurementModes:
             assert any(f"measurement mode: {mode}" in n for n in result.notes)
 
     def test_unknown_mode_rejected(self, scenario):
-        from repro.experiments.fig6 import run_fig6a
+        from repro.experiments.fig6 import run_fig6a, run_fig6b
+        from repro.experiments.fig7 import run_fig7
 
         with pytest.raises(ValueError):
             run_fig6a(scenario=scenario, painter_max_budget=2, measurement_mode="psychic")
+        # A misspelt comparator fails closed instead of dropping its rows.
+        for runner in (run_fig6a, run_fig6b, run_fig7):
+            with pytest.raises(ValueError, match=r"allowed: \['communities'\]"):
+                runner(scenario=scenario, strategies=["communitees"])

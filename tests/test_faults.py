@@ -15,7 +15,6 @@ from repro.faults import (
     ProbeLoss,
     StaleMeasurement,
 )
-from repro.simulation.events import EventLoop
 
 
 class TestEventValidation:
@@ -194,41 +193,10 @@ class TestSchedule:
 
 
 class TestInjector:
-    def test_arm_fires_transitions_in_order(self):
-        schedule = FaultSchedule(
-            events=(
-                PopOutage(start_s=1.0, pop_name="pop-a", duration_s=2.0),
-                LinkFlap(start_s=2.0, pop_name="pop-b", down_s=0.5, up_s=0.5, cycles=2),
-            )
-        )
-        injector = FaultInjector(schedule)
-        seen = []
-        injector.subscribe(lambda t, event, down: seen.append((t, down)))
-        loop = EventLoop()
-        armed = injector.arm(loop)
-        assert armed == 6  # outage down/up + two flap cycles down/up
-        loop.run_until(10.0)
-        assert seen == sorted(seen, key=lambda item: item[0])
-        assert seen[0] == (1.0, True)
-        assert injector.active_faults == set()  # everything healed
-
-    def test_active_faults_mid_run(self):
-        schedule = FaultSchedule.single_pop_outage("pop-a", 5.0)
-        injector = FaultInjector(schedule)
-        loop = EventLoop()
-        injector.arm(loop)
-        loop.run_until(6.0)
-        assert len(injector.active_faults) == 1
-        assert injector.pop_down("pop-a", loop.now_s)
-
-    def test_arm_mid_run_applies_past_transitions(self):
-        schedule = FaultSchedule.single_pop_outage("pop-a", 5.0)
-        injector = FaultInjector(schedule)
-        loop = EventLoop()
-        loop.schedule_at(10.0, lambda lp: None)
-        loop.run_until(10.0)
-        injector.arm(loop)  # start time already in the past
-        assert len(injector.active_faults) == 1
+    def test_pop_down_mid_outage(self):
+        injector = FaultInjector(FaultSchedule.single_pop_outage("pop-a", 5.0))
+        assert injector.pop_down("pop-a", 6.0)
+        assert not injector.pop_down("pop-a", 4.0)
 
     def test_damping_state_from_heavy_flapping(self):
         flap = LinkFlap(
@@ -274,28 +242,3 @@ class TestObservationFaults:
         outcomes = [faults.outcome(0, ug, p) for ug in range(200) for p in range(5)]
         missing = outcomes.count("missing") / len(outcomes)
         assert 0.25 <= missing <= 0.45
-
-    def test_from_schedule_maps_rounds_to_windows(self):
-        schedule = FaultSchedule(
-            events=(
-                ProbeLoss(start_s=0.0, duration_s=2.5, loss_rate=1.0),
-                StaleMeasurement(start_s=4.0, duration_s=2.0, fraction=1.0),
-            )
-        )
-        faults = ObservationFaults.from_schedule(schedule, round_period_s=1.0, seed=0)
-        assert faults.rates_for(0) == (1.0, 0.0)
-        assert faults.rates_for(2) == (1.0, 0.0)
-        assert faults.rates_for(3) == (0.0, 0.0)
-        assert faults.rates_for(4) == (0.0, 1.0)
-        assert faults.rates_for(7) == (0.0, 0.0)
-        assert faults.outcome(0, 1, 2) == "missing"
-        assert faults.outcome(4, 1, 2) == "stale"
-
-    def test_injector_derivation(self):
-        schedule = FaultSchedule(
-            events=(ProbeLoss(start_s=0.0, duration_s=10.0, loss_rate=0.5),)
-        )
-        faults = FaultInjector(schedule, seed=3).observation_faults(round_period_s=5.0)
-        assert faults.rates_for(0) == (0.5, 0.0)
-        assert faults.rates_for(1) == (0.5, 0.0)
-        assert faults.rates_for(3) == (0.0, 0.0)

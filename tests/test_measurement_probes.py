@@ -27,7 +27,7 @@ class TestFleet:
         cfg = ProbeFleetConfig(seed=2, coverage_fraction=0.25)
         a = ProbeFleet(small_scenario.user_groups, cfg)
         b = ProbeFleet(small_scenario.user_groups, cfg)
-        assert a.probe_ug_ids == b.probe_ug_ids
+        assert a.probe_ugs() == b.probe_ugs()
 
     def test_volume_bias_overrepresents_heavy_ugs(self, small_scenario):
         """Probes cover more traffic volume than UG count share."""
@@ -35,13 +35,15 @@ class TestFleet:
             small_scenario.user_groups,
             ProbeFleetConfig(seed=3, coverage_fraction=0.3, volume_bias=1.5),
         )
-        count_share = len(fleet.probe_ugs()) / len(small_scenario.user_groups)
-        assert fleet.covered_volume_fraction() > count_share
+        ugs = small_scenario.user_groups
+        count_share = len(fleet.probe_ugs()) / len(ugs)
+        volume_share = sum(ug.volume for ug in fleet.probe_ugs()) / sum(ug.volume for ug in ugs)
+        assert volume_share > count_share
 
     def test_has_probe_consistent(self, small_scenario):
         fleet = ProbeFleet(small_scenario.user_groups, ProbeFleetConfig(seed=1))
         for ug in small_scenario.user_groups:
-            assert fleet.has_probe(ug) == (ug.ug_id in fleet.probe_ug_ids)
+            assert fleet.has_probe(ug) == (ug in fleet.probe_ugs())
 
     def test_probes_near_radius(self, small_scenario):
         from repro.topology.geo import haversine_km
@@ -67,4 +69,3 @@ class TestFleet:
     def test_full_coverage(self, scenario):
         fleet = ProbeFleet(scenario.user_groups, ProbeFleetConfig(seed=1, coverage_fraction=1.0))
         assert len(fleet.probe_ugs()) == len(scenario.user_groups)
-        assert fleet.covered_volume_fraction() == pytest.approx(1.0)

@@ -95,12 +95,6 @@ class TestBenefitMatrix:
         with pytest.raises(ValueError):
             matrix.selection_value([-1])
 
-    def test_column_of(self, matrix):
-        for col, pid in enumerate(matrix.peering_ids):
-            assert matrix.column_of(pid) == col
-        with pytest.raises(ValueError):
-            matrix.column_of(-12345)
-
     def test_singleton_matches_expected_benefit(self, evaluator, matrix, scenario):
         # Eq. 2 over a singleton advertised set is the peering's own
         # latency, so a one-prefix/one-peering config's benefit must equal

@@ -95,7 +95,7 @@ class TestMultipathProperties:
         allocation = connection.schedule(demand)
         total = sum(allocation.values())
         assert total <= demand + 1e-6
-        assert total <= connection.aggregate_capacity_mbps() + 1e-6
+        assert total <= sum(s.capacity_mbps for s in subflows) + 1e-6
         for prefix, amount in allocation.items():
             subflow = next(s for s in subflows if s.prefix == prefix)
             assert amount <= subflow.capacity_mbps + 1e-9

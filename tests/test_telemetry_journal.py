@@ -167,17 +167,14 @@ class TestSpanHygiene:
             lambda: run_traffic_replay(config), "replay.run"
         )
 
-    def test_failed_campaign_closes_its_span(self, scenario, monkeypatch):
-        from repro.measurement.campaign import MeasurementCampaign, campaign_targets
-        from repro.measurement.ping import Pinger
+    def test_failed_failover_closes_its_span(self, monkeypatch):
+        from repro.traffic_manager import failover
 
-        pinger = Pinger(scenario.latency_model, seed=2)
+        def failing_rtt(*args, **kwargs):
+            raise RuntimeError("injected path-oracle failure")
 
-        def failing_probe(*args, **kwargs):
-            raise RuntimeError("injected pinger failure")
-
-        monkeypatch.setattr(pinger, "min_latency_ms", failing_probe)
-        targets = campaign_targets(scenario, max_targets_per_ug=1)[:3]
+        monkeypatch.setattr(failover._PathOracle, "rtt_ms", failing_rtt)
         _raises_leaving_no_open_span(
-            lambda: MeasurementCampaign(pinger).run(targets), "campaign.run"
+            lambda: failover.run_failover(failover.default_fig10_paths()),
+            "failover.run",
         )

@@ -117,12 +117,12 @@ class TestTMEdge:
         edge = TMEdge(edge_ip="203.0.113.1", directory=directory)
         prefixes = edge.resolve_service("teams")
         assert len(prefixes) == 3
-        assert edge.tunnel_map("teams")["184.164.226.0/24"] == "tm-b"
+        assert edge.to_snapshot()["tunnels"]["teams"]["184.164.226.0/24"][0] == "tm-b"
 
     def test_prefix_withdrawal_drops_tunnel(self, directory):
         edge = TMEdge(edge_ip="203.0.113.1", directory=directory)
         edge.resolve_service("teams")
-        directory.get("tm-a").detach_prefix("184.164.224.0/24")
+        directory.get("tm-a").ingress_prefixes.discard("184.164.224.0/24")
         prefixes = edge.resolve_service("teams")
         assert "184.164.224.0/24" not in prefixes
 
@@ -263,7 +263,7 @@ class TestTMEdgeBatched:
         restored = EdgeCls.from_snapshot(snapshot, directory)
         assert restored.selected_prefix("teams") == edge.selected_prefix("teams")
         assert restored.data_plane.destinations() == edge.data_plane.destinations()
-        assert restored.tunnel_map("teams") == edge.tunnel_map("teams")
+        assert restored.to_snapshot()["tunnels"] == snapshot["tunnels"]
         # Restored edge steers a fresh batch exactly like the original.
         more = FlowBatch.synthesize(50, seed=4)
         a = edge.forward_batch(more, now_s=1.0)

@@ -10,7 +10,6 @@ from repro.traffic_manager.tunnel import (
     TMPoPNat,
     decapsulate,
     encapsulate,
-    overhead_fraction,
 )
 
 CLIENT = Packet(
@@ -45,10 +44,6 @@ class TestEncapsulation:
         with pytest.raises(ValueError):
             decapsulate(CLIENT)
 
-    def test_overhead_fraction(self):
-        assert overhead_fraction(1400) == pytest.approx(16 / 1400)
-        with pytest.raises(ValueError):
-            overhead_fraction(0)
 
 
 class TestPacketJourney:

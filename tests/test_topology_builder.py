@@ -39,7 +39,6 @@ class TestStructure:
         assert len(topology.deployment.pops) == cfg.n_pops
 
     def test_cloud_asn_registered(self, topology):
-        assert topology.cloud_asn == CLOUD_ASN
         assert topology.graph.get_as(CLOUD_ASN).role is ASRole.CLOUD
 
     def test_graph_is_valid(self, topology):

@@ -81,10 +81,6 @@ class TestDeployment:
         with pytest.raises(ValueError):
             CloudDeployment().nearest_pop(metro_by_name("paris").location)
 
-    def test_pops_within_km(self, deployment):
-        ny = metro_by_name("new-york").location
-        assert [p.name for p in deployment.pops_within_km(ny, 100)] == ["pop-a"]
-
     def test_describe_mentions_counts(self, deployment):
         text = deployment.describe()
         assert "2 PoPs" in text and "3 peerings" in text

@@ -16,8 +16,6 @@ from repro.topology.geo import (
     haversine_km,
     metro_by_name,
     metros_in_region,
-    nearest_metro,
-    rtt_to_max_distance_km,
     speed_of_light_rtt_ms,
 )
 
@@ -85,13 +83,7 @@ class TestLatencyBounds:
         base = fiber_rtt_ms(1000, stretch=1.0)
         assert fiber_rtt_ms(1000, stretch=2.0) == pytest.approx(2.0 * base)
 
-    def test_rtt_to_distance_roundtrip(self):
-        rtt = speed_of_light_rtt_ms(1234.0)
-        assert rtt_to_max_distance_km(rtt) == pytest.approx(1234.0)
-
-    @pytest.mark.parametrize(
-        "func", [speed_of_light_rtt_ms, fiber_rtt_ms, rtt_to_max_distance_km]
-    )
+    @pytest.mark.parametrize("func", [speed_of_light_rtt_ms, fiber_rtt_ms])
     def test_negative_input_rejected(self, func):
         with pytest.raises(ValueError):
             func(-1.0)
@@ -119,19 +111,6 @@ class TestMetros:
         eu = metros_in_region("eu-west")
         assert all(m.region == "eu-west" for m in eu)
         assert any(m.name == "london" for m in eu)
-
-    def test_nearest_metro_is_itself(self):
-        tokyo = metro_by_name("tokyo")
-        assert nearest_metro(tokyo.location) == tokyo
-
-    def test_nearest_metro_restricted_pool(self):
-        tokyo = metro_by_name("tokyo")
-        pool = [metro_by_name("london"), metro_by_name("sydney")]
-        assert nearest_metro(tokyo.location, pool).name == "sydney"
-
-    def test_nearest_metro_empty_pool_raises(self):
-        with pytest.raises(ValueError):
-            nearest_metro(GeoPoint(0, 0), [])
 
     def test_closest_distance(self):
         p = metro_by_name("paris").location
