@@ -28,7 +28,6 @@ def test_bench_tm_azure(benchmark):
         arrivals_per_step=TOTAL_FLOWS // STEPS,
         steps=STEPS,
         prefix_budget=4,
-        plane="vector",
         fail_step=STEPS - 1,
     )
 

@@ -13,6 +13,7 @@ Run with::
 
 from __future__ import annotations
 
+from repro.faults import FaultSchedule
 from repro.traffic_manager.failover import (
     FailoverConfig,
     PathSpec,
@@ -37,9 +38,7 @@ def main() -> None:
     ]
     config = FailoverConfig(
         duration_s=130.0,
-        failure_time_s=60.0,
-        failed_pop="city-a",
-        dns_ttl_s=60.0,
+        schedule=FaultSchedule.single_pop_outage("city-a", 60.0),
     )
 
     # Note: the whole City A PoP fails here (the paper's Fig. 10 setup); the

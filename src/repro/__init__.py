@@ -31,7 +31,7 @@ from repro.core import (
     realized_benefit,
 )
 from repro.audit import audit_scenario
-from repro.faults import FaultInjector, FaultSchedule, ObservationFaults
+from repro.faults import FaultSchedule, ObservationFaults
 from repro.scenario import (
     Scenario,
     azure_scenario,
@@ -65,7 +65,6 @@ __all__ = [
     "audit_scenario",
     "BenefitEvaluator",
     "DataPlane",
-    "FaultInjector",
     "FaultSchedule",
     "FiveTuple",
     "FlowBatch",

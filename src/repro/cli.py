@@ -35,24 +35,11 @@ import sys
 import typing
 from typing import Iterator, List, Optional
 
-from repro.scenario import (
-    Scenario,
-    azure_scenario,
-    mega_scenario,
-    prototype_scenario,
-    tiny_scenario,
-)
-
-_PRESETS = {
-    "tiny": tiny_scenario,
-    "prototype": prototype_scenario,
-    "azure": azure_scenario,
-    "mega": mega_scenario,
-}
+from repro.scenario import PRESETS, Scenario
 
 
 def _scenario_from(args: argparse.Namespace) -> Scenario:
-    builder = _PRESETS[args.preset]
+    builder = PRESETS[args.preset]
     kwargs = {"seed": args.seed}
     if args.ugs is not None:
         kwargs["n_ugs"] = args.ugs
@@ -63,7 +50,7 @@ def _add_scenario_args(
     parser: argparse.ArgumentParser, preset: Optional[str] = "prototype"
 ) -> None:
     parser.add_argument(
-        "--preset", choices=sorted(_PRESETS), default=preset,
+        "--preset", choices=sorted(PRESETS), default=preset,
         help=f"scenario preset (default: {preset or 'the experiment default'})",
     )
     parser.add_argument("--seed", type=int, default=0, help="world seed")
@@ -229,7 +216,6 @@ def cmd_tm_bench(args: argparse.Namespace) -> int:
         arrivals_per_step=max(1, args.flows // max(steps, 1)),
         steps=steps,
         prefix_budget=args.budget,
-        plane=args.plane,
         fail_step=args.fail_step,
     )
     with _maybe_journal(args, "tm-bench"):
@@ -237,7 +223,7 @@ def cmd_tm_bench(args: argparse.Namespace) -> int:
     print(replay.to_result().render())
     print()
     print(
-        f"plane={args.plane}: {replay.total_admitted:,} flows admitted over "
+        f"{replay.total_admitted:,} flows admitted over "
         f"{steps} steps, peak {replay.peak_live_flows:,} concurrent, "
         f"min {replay.min_flows_per_s / 1e3:,.0f} kflows/s per step"
     )
@@ -278,8 +264,6 @@ def cmd_controller(args: argparse.Namespace) -> int:
             checkpoint_keep=args.keep,
             warm_start=not args.cold,
             verify_every=args.verify_every,
-            max_retries=args.max_retries,
-            iteration_timeout_s=args.iteration_timeout,
             max_iterations=args.max_iterations,
             crash_at_seq=args.crash_at,
             crash_point=args.crash_point,
@@ -478,11 +462,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(journal_to_result(journal).render())
-    if args.metrics:
-        from repro.telemetry import METRICS
-
-        print()
-        print(METRICS.to_prometheus(), end="")
     return 0
 
 
@@ -556,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark the batched Traffic Manager data plane",
     )
     tm_bench.add_argument(
-        "--preset", choices=sorted(_PRESETS), default="prototype",
+        "--preset", choices=sorted(PRESETS), default="prototype",
         help="scenario preset (default: prototype)",
     )
     tm_bench.add_argument("--seed", type=int, default=0, help="world seed")
@@ -566,10 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tm_bench.add_argument("--steps", type=int, default=5, help="measurement rounds")
     tm_bench.add_argument("--budget", type=int, default=4, help="prefix budget")
-    tm_bench.add_argument(
-        "--plane", choices=("vector", "scalar"), default="vector",
-        help="data-plane implementation (default: vector)",
-    )
     tm_bench.add_argument(
         "--fail-step", type=int, default=None,
         help="kill the hottest prefix at this step (0-based)",
@@ -622,14 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cold-verify the warm solver every N iterations (0 = never)",
     )
     controller.add_argument(
-        "--max-retries", type=int, default=2,
-        help="re-solve attempts before degrading to last-known-good",
-    )
-    controller.add_argument(
-        "--iteration-timeout", type=float, default=None,
-        help="SIGALRM watchdog seconds per solve attempt",
-    )
-    controller.add_argument(
         "--max-iterations", type=int, default=None, help="hard iteration cap"
     )
     controller.add_argument(
@@ -652,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         "composed system with per-UG SLO accounting",
     )
     soak.add_argument(
-        "--preset", choices=sorted(_PRESETS), default="tiny",
+        "--preset", choices=sorted(PRESETS), default="tiny",
         help="scenario preset (default: tiny)",
     )
     soak.add_argument("--seed", type=int, default=0, help="world + load seed")
@@ -739,10 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="render the per-phase breakdown of a run journal"
     )
     trace.add_argument("journal", help="path to a JSONL journal from --journal")
-    trace.add_argument(
-        "--metrics", action="store_true",
-        help="also dump the in-process metrics registry (Prometheus text)",
-    )
     trace.set_defaults(func=cmd_trace)
     return parser
 

@@ -20,9 +20,9 @@ Robustness is the headline, not an afterthought:
   ``RunJournal.create`` / ``RunJournal.resume``), sequence-stamped so a
   killed controller resumes from the last durable iteration and the
   journal reads as if the crash never happened;
-* re-solve and apply run under **retry-with-backoff** and a SIGALRM
-  **watchdog**; an iteration that keeps failing degrades gracefully to
-  the last-known-good configuration instead of taking the loop down;
+* re-solve and apply run under **retry-with-backoff**; an iteration
+  that keeps failing degrades gracefully to the last-known-good
+  configuration instead of taking the loop down;
 * a **circuit breaker** cold-verifies the warm solver on a configurable
   cadence and pins the loop to cold solves for a cooldown window if the
   differential guard ever detects divergence.
@@ -39,7 +39,6 @@ from repro.controller.daemon import (
     ControllerError,
     ControllerExtension,
     ControllerResult,
-    IterationTimeout,
     PainterController,
 )
 from repro.controller.deltas import (
@@ -72,7 +71,6 @@ __all__ = [
     "ControllerResult",
     "Delta",
     "DeltaError",
-    "IterationTimeout",
     "LinkWeightShift",
     "PainterController",
     "PeeringDown",

@@ -6,13 +6,13 @@ One :class:`PainterController` iteration:
    through the orchestrator's mutation surface (volume shifts mark the
    touched peerings dirty; peering/PoP toggles adjust the candidate set);
 2. **re-solve** — :meth:`PainterOrchestrator.solve_warm`, re-evaluating
-   only what the deltas dirtied (bit-identical to a cold solve), under a
-   SIGALRM watchdog and retry-with-backoff; exhausted retries degrade the
-   iteration to the last-known-good configuration instead of crashing;
+   only what the deltas dirtied (bit-identical to a cold solve), with
+   retry-with-backoff; exhausted retries degrade the iteration to the
+   last-known-good configuration instead of crashing;
 3. **verify** — on a configurable cadence, a differential guard
    cross-checks the warm result against :meth:`solve_cold`; a mismatch
-   trips a circuit breaker that pins the loop to cold solves for a
-   cooldown window;
+   trips a circuit breaker that pins the loop to cold solves for
+   :data:`BREAKER_COOLDOWN` iterations;
 4. **apply** — install the configuration through the Traffic Manager
    (when it changed) and optionally run a measurement round
    (``execute_and_observe``) to keep learning;
@@ -34,12 +34,10 @@ from __future__ import annotations
 import logging
 import os
 import signal
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.controller.checkpoint import CheckpointStore
 from repro.controller.deltas import (
@@ -70,6 +68,14 @@ logger = logging.getLogger(__name__)
 PathLike = Union[str, Path]
 
 _CRASH_POINTS = ("mid_journal", "before_checkpoint", "after_checkpoint")
+
+#: Cold iterations after the differential guard detects divergence.
+BREAKER_COOLDOWN = 2
+#: Re-solve attempts after the first failure before degrading.
+MAX_RETRIES = 2
+#: First retry delay; multiplied by ``BACKOFF_FACTOR`` per attempt.
+BACKOFF_S = 0.05
+BACKOFF_FACTOR = 2.0
 
 
 class ControllerError(RuntimeError):
@@ -111,37 +117,6 @@ class ControllerExtension:
         """Inverse of :meth:`snapshot`, called before the loop resumes."""
 
 
-class IterationTimeout(RuntimeError):
-    """The watchdog cut off a hung iteration."""
-
-
-@contextmanager
-def _watchdog(seconds: Optional[float]) -> Iterator[None]:
-    """Raise :class:`IterationTimeout` if the block runs past ``seconds``.
-
-    SIGALRM-based, so it fires even inside a wedged C extension call; a
-    no-op off the main thread or on platforms without SIGALRM.
-    """
-    if (
-        not seconds
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-
-    def _alarm(signum, frame):
-        raise IterationTimeout(f"iteration exceeded {seconds:g}s watchdog")
-
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @dataclass(frozen=True)
 class ControllerConfig:
     """Everything that parameterizes one :class:`PainterController`."""
@@ -156,15 +131,6 @@ class ControllerConfig:
     warm_start: bool = True
     #: Cold-verify the warm solver every N iterations (0 = never).
     verify_every: int = 0
-    #: Cold iterations after the differential guard detects divergence.
-    breaker_cooldown: int = 2
-    #: Re-solve attempts after the first failure before degrading.
-    max_retries: int = 2
-    #: First retry delay; multiplied by ``backoff_factor`` per attempt.
-    backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-    #: Watchdog limit per solve attempt (None = no watchdog).
-    iteration_timeout_s: Optional[float] = None
     #: Run a measurement round after each apply (the learning loop).
     observe: bool = True
     #: Install each changed config through the Traffic Manager.
@@ -183,12 +149,6 @@ class ControllerConfig:
             raise ValueError("checkpoint_keep must be at least 1")
         if self.verify_every < 0:
             raise ValueError("verify_every must be non-negative")
-        if self.breaker_cooldown < 0:
-            raise ValueError("breaker_cooldown must be non-negative")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.backoff_s < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff_s must be >= 0 and backoff_factor >= 1")
         if self.crash_point not in _CRASH_POINTS:
             raise ValueError(f"crash_point must be one of {_CRASH_POINTS}")
 
@@ -381,7 +341,7 @@ class PainterController:
     # -- the supervised solve -------------------------------------------------
 
     def _solve_supervised(self, iteration: int) -> Optional[AdvertisementConfig]:
-        """Warm (or breaker-forced cold) solve with watchdog + retries.
+        """Warm (or breaker-forced cold) solve with retries.
 
         Returns None when every attempt failed — the caller degrades to
         the last-known-good configuration.
@@ -390,11 +350,10 @@ class PainterController:
         orch = self._orch
         if not cfg.warm_start or self._cold_left > 0:
             orch.forget_memo()  # next solve_warm runs (and records) cold
-        delay = cfg.backoff_s
-        for attempt in range(cfg.max_retries + 1):
+        delay = BACKOFF_S
+        for attempt in range(MAX_RETRIES + 1):
             try:
-                with _watchdog(cfg.iteration_timeout_s):
-                    return orch.solve_warm()
+                return orch.solve_warm()
             except Exception as exc:
                 METRICS.counter("controller.retries").add()
                 logger.warning(
@@ -403,11 +362,10 @@ class PainterController:
                     attempt + 1,
                     exc,
                 )
-                if attempt == cfg.max_retries:
+                if attempt == MAX_RETRIES:
                     return None
-                if delay > 0:
-                    time.sleep(delay)
-                delay *= cfg.backoff_factor
+                time.sleep(delay)
+                delay *= BACKOFF_FACTOR
         return None  # pragma: no cover - loop always returns
 
     def _verify_due(self, iteration: int) -> bool:
@@ -532,15 +490,15 @@ class PainterController:
                         "warm solve diverged from cold at iteration %d; "
                         "breaker open for %d iterations",
                         iteration,
-                        cfg.breaker_cooldown,
+                        BREAKER_COOLDOWN,
                     )
                     journal.record_event(
                         "controller_breaker_open",
                         iteration=iteration,
-                        cooldown=cfg.breaker_cooldown,
+                        cooldown=BREAKER_COOLDOWN,
                     )
                     orch.forget_memo()  # the memo lied; never replay it
-                    self._cold_left = cfg.breaker_cooldown
+                    self._cold_left = BREAKER_COOLDOWN
                     config = cold  # the cold result is the trusted one
 
         if config is None:

@@ -562,7 +562,7 @@ class PainterOrchestrator:
                 span.tag("prefixes_used", config.prefix_count)
                 span.tag("pairs_used", config.pair_count)
         except BaseException:
-            # An interrupted solve (a watchdog timeout) must
+            # A failed or interrupted solve must
             # not swallow the dirt it consumed: restore it so a retry —
             # warm or cold — still sees every pending delta.
             self._dirty_pids.update(dirty)

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import ExperimentResult
-from repro.faults.injector import FaultInjector
+from repro.faults.events import LinkFlap
+from repro.faults.injector import damping_state
 from repro.faults.schedule import FaultSchedule
 from repro.telemetry import TRACER, emit_event
 from repro.traffic_manager.failover import (
+    DNS_TTL_S,
     FailoverConfig,
     FailoverResult,
     PathSpec,
@@ -37,7 +39,6 @@ class ChaosConfig:
     seed: int = 0
     #: Scales the expected number of fault events per storm.
     intensity: float = 1.0
-    dns_ttl_s: float = 60.0
 
     def __post_init__(self) -> None:
         if self.storms < 1:
@@ -104,7 +105,6 @@ class ChaosHarness:
                 self._paths,
                 FailoverConfig(
                     duration_s=cfg.duration_s,
-                    dns_ttl_s=cfg.dns_ttl_s,
                     seed=cfg.seed + storm,
                     schedule=schedule,
                 ),
@@ -132,61 +132,6 @@ class ChaosHarness:
 
     def run(self) -> List[StormOutcome]:
         return [self.run_storm(storm) for storm in range(self._config.storms)]
-
-    # -- driving the controller daemon (ROADMAP 1 follow-on) -----------------
-
-    def controller_storm(self, scenario, storm: int) -> FaultSchedule:
-        """A seeded storm over the *scenario's own* PoPs.
-
-        :meth:`make_storm` storms the synthetic Fig. 10 paths;
-        this variant targets the deployment the controller actually
-        manages, so its outages translate into :class:`PopDown` /
-        :class:`PopUp` deltas the daemon can ingest.  Deterministic given
-        ``cfg.seed + storm``, exactly like :meth:`make_storm`.
-        """
-        cfg = self._config
-        pop_names = sorted(p.name for p in scenario.deployment.pops)
-        return FaultSchedule.random_storm(
-            pop_names=pop_names,
-            duration_s=cfg.duration_s * 0.85,
-            seed=cfg.seed + storm,
-            intensity=cfg.intensity,
-        )
-
-    def controller_deltas(self, scenario, storm: int) -> list:
-        """The storm as controller deltas, safe to feed the daemon.
-
-        Translates :meth:`controller_storm` through
-        :func:`repro.controller.deltas_from_fault_schedule`, then applies
-        the same guard :func:`repro.controller.synthetic_deltas` uses:
-        a :class:`PopDown` that would darken the last healthy PoP is
-        dropped (deterministically — by stream order), along with its
-        paired :class:`PopUp`, because an all-dark deployment has no
-        candidate peerings for Algorithm 1 to advertise from.
-        """
-        from repro.controller import PopDown, PopUp, deltas_from_fault_schedule
-
-        schedule = self.controller_storm(scenario, storm)
-        deltas = deltas_from_fault_schedule(schedule)
-        total = {p.name for p in scenario.deployment.pops}
-        down: set = set()
-        skipped: set = set()
-        filtered = []
-        for delta in deltas:
-            if isinstance(delta, PopDown):
-                if delta.pop_name in down:
-                    continue  # already dark; a second Down is a no-op
-                if len(down) + 1 >= len(total):
-                    skipped.add(delta.pop_name)
-                    continue  # never darken the last healthy PoP
-                down.add(delta.pop_name)
-            elif isinstance(delta, PopUp):
-                if delta.pop_name in skipped:
-                    skipped.discard(delta.pop_name)
-                    continue  # its Down was dropped; drop the heal too
-                down.discard(delta.pop_name)
-            filtered.append(delta)
-        return filtered
 
     # -- per-strategy metrics ------------------------------------------------
 
@@ -218,7 +163,7 @@ class ChaosHarness:
         for start_s, end_s in schedule.down_intervals(
             pop_name=best.pop_name, prefix=best.prefix, horizon_s=cfg.duration_s
         ):
-            total += min(end_s - start_s, cfg.dns_ttl_s)
+            total += min(end_s - start_s, DNS_TTL_S)
         return total
 
     # -- presentation --------------------------------------------------------
@@ -279,11 +224,8 @@ def _suppressed_pairs(
     schedule: FaultSchedule, at_s: float
 ) -> List[Tuple[Tuple[str, int], float]]:
     """(prefix, peer) pairs a storm's flaps pushed into RFC 2439 suppression."""
-    injector = FaultInjector(schedule)
-    damping = injector.damping_state(until_s=at_s)
+    damping = damping_state(schedule, until_s=at_s)
     suppressed: List[Tuple[Tuple[str, int], float]] = []
-    from repro.faults.events import LinkFlap
-
     for flap in schedule.events_of(LinkFlap):
         prefix = flap.prefix or f"pop:{flap.pop_name}"
         if damping.is_suppressed(prefix, flap.peer_asn, at_s):

@@ -9,7 +9,7 @@ replay run:
    (:class:`~repro.traffic_manager.selection.SelectorBank`) fed from the
    ground-truth latency of each installed prefix as that UG would route to
    it;
-4. streams flow-arrival batches through a :class:`DataPlane` — each flow
+4. streams flow-arrival batches through a :class:`VectorFlowTable` — each flow
    belongs to a UG drawn with probability proportional to the UG's traffic
    volume (the generator's Zipf-weighted volumes), so heavy UGs dominate the
    flow mix exactly as in the paper's traffic model;
@@ -32,21 +32,10 @@ import numpy as np
 from repro.core.installation import Installation, install_configuration
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.experiments.harness import ExperimentResult
-from repro.scenario import Scenario, azure_scenario, prototype_scenario, tiny_scenario
+from repro.scenario import PRESETS, Scenario
 from repro.telemetry import METRICS, TRACER, emit_event
-from repro.traffic_manager.dataplane import (
-    DataPlane,
-    FlowBatch,
-    ScalarDataPlane,
-    VectorFlowTable,
-)
+from repro.traffic_manager.dataplane import FlowBatch, VectorFlowTable
 from repro.traffic_manager.selection import SelectorBank
-
-_PRESETS = {
-    "tiny": tiny_scenario,
-    "prototype": prototype_scenario,
-    "azure": azure_scenario,
-}
 
 
 @dataclass(frozen=True)
@@ -59,26 +48,18 @@ class ReplayConfig:
     arrivals_per_step: int = 100_000
     steps: int = 5
     prefix_budget: int = 4
-    #: Which data plane implementation carries the flows.
-    plane: str = "vector"
-    mean_flow_bytes: float = 1500.0
     #: Step index (0-based) at which the hottest prefix dies; None = no fault.
     fail_step: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.preset not in _PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}; have {sorted(_PRESETS)}")
-        if self.plane not in ("vector", "scalar"):
-            raise ValueError("plane must be 'vector' or 'scalar'")
+        if self.preset not in PRESETS:
+            raise ValueError(f"unknown preset {self.preset!r}; have {sorted(PRESETS)}")
         if self.arrivals_per_step < 1:
             raise ValueError("arrivals_per_step must be positive")
         if self.steps < 1:
             raise ValueError("steps must be positive")
         if self.fail_step is not None and not 0 <= self.fail_step < self.steps:
             raise ValueError("fail_step must fall inside the run")
-
-    def make_plane(self) -> DataPlane:
-        return VectorFlowTable() if self.plane == "vector" else ScalarDataPlane()
 
 
 @dataclass
@@ -138,7 +119,7 @@ class ReplayResult:
                 stats.flows_per_s / 1e3,
             )
         result.add_note(
-            f"plane={self.config.plane} preset={self.config.preset} "
+            f"preset={self.config.preset} "
             f"peak_live={self.peak_live_flows} remapped={self.flows_remapped}"
         )
         if self.failed_prefix is not None:
@@ -164,14 +145,14 @@ def run_traffic_replay(config: Optional[ReplayConfig] = None) -> ReplayResult:
     """Run one replay; see the module docstring for the shape of a run."""
     config = config or ReplayConfig()
     with TRACER.span(
-        "replay.run", preset=config.preset, plane=config.plane,
+        "replay.run", preset=config.preset,
         steps=config.steps, arrivals_per_step=config.arrivals_per_step,
     ):
         return _replay(config)
 
 
 def _replay(config: ReplayConfig) -> ReplayResult:
-    scenario = _PRESETS[config.preset](seed=config.seed)
+    scenario = PRESETS[config.preset](seed=config.seed)
 
     with METRICS.timed("replay.solve"):
         orchestrator = PainterOrchestrator(
@@ -188,7 +169,7 @@ def _replay(config: ReplayConfig) -> ReplayResult:
         selections = bank.update_matrix(cidrs, latencies)
 
     volumes = [ug.volume for ug in scenario.user_groups]
-    plane = config.make_plane()
+    plane = VectorFlowTable()
     result = ReplayResult(config=config)
 
     for step in range(config.steps):
@@ -224,7 +205,6 @@ def _replay(config: ReplayConfig) -> ReplayResult:
             seed=config.seed * 7919 + step,
             n_services=len(volumes),
             service_weights=volumes,
-            mean_bytes=config.mean_flow_bytes,
         )
         start = time.perf_counter()
         with TRACER.span("replay.step", step=step, arrivals=len(batch)):

@@ -4,8 +4,9 @@ PAINTER's headline operational claim is robustness — TM-Edges fail over at
 RTT timescales and the orchestrator keeps producing good configurations
 despite partial observations.  This package turns every experiment into a
 robustness experiment: a :class:`FaultSchedule` of typed, composable fault
-events, a :class:`FaultInjector` that answers ground-truth queries against
-them, and an :class:`ObservationFaults` filter for the learning loop.
+events that answers ground-truth queries, :func:`damping_state` for the
+route-flap damping its link flaps cause, and an :class:`ObservationFaults`
+filter for the learning loop.
 """
 
 from repro.faults.events import (
@@ -21,14 +22,13 @@ from repro.faults.injector import (
     OUTCOME_MISSING,
     OUTCOME_OK,
     OUTCOME_STALE,
-    FaultInjector,
     ObservationFaults,
+    damping_state,
 )
 from repro.faults.schedule import FaultSchedule
 
 __all__ = [
     "FaultEvent",
-    "FaultInjector",
     "FaultSchedule",
     "LatencySpike",
     "LinkFlap",
@@ -40,4 +40,5 @@ __all__ = [
     "PopOutage",
     "ProbeLoss",
     "StaleMeasurement",
+    "damping_state",
 ]

@@ -1,7 +1,6 @@
-"""FaultInjector and ObservationFaults: a FaultSchedule's effects on other layers.
+"""A FaultSchedule's effects on other layers.
 
-The schedule is declarative; the injector makes it operational.  It answers
-ground-truth queries against the schedule and replays
+:func:`damping_state` replays a schedule's
 :class:`repro.faults.events.LinkFlap` transitions into an RFC 2439
 :class:`repro.bgp.flap_damping.FlapDampingState`, tying chaos experiments to
 the damping model the orchestrator paces itself against.
@@ -19,60 +18,31 @@ from repro.bgp.flap_damping import DampingConfig, FlapDampingState
 from repro.faults.events import LinkFlap
 from repro.faults.schedule import FaultSchedule
 
-#: Observation outcomes the injector can assign to a learning-loop sample.
+#: Observation outcomes :class:`ObservationFaults` assigns to a learning-loop sample.
 OUTCOME_OK = "ok"
 OUTCOME_MISSING = "missing"
 OUTCOME_STALE = "stale"
 
 
-class FaultInjector:
-    """Exposes a schedule's ground truth and its flap-damping consequences."""
+def damping_state(
+    schedule: FaultSchedule,
+    config: Optional[DampingConfig] = None,
+    until_s: float = math.inf,
+) -> FlapDampingState:
+    """RFC 2439 damping state after replaying every link flap up to ``until_s``.
 
-    def __init__(self, schedule: FaultSchedule) -> None:
-        self._schedule = schedule
-
-    @property
-    def schedule(self) -> FaultSchedule:
-        return self._schedule
-
-    # -- pass-through ground-truth queries ----------------------------------
-
-    def pop_down(self, pop_name: str, time_s: float) -> bool:
-        return self._schedule.pop_down(pop_name, time_s)
-
-    def prefix_withdrawn(self, prefix: str, time_s: float) -> bool:
-        return self._schedule.prefix_withdrawn(prefix, time_s)
-
-    def latency_penalty_ms(self, pop_name: str, time_s: float) -> float:
-        return self._schedule.latency_penalty_ms(pop_name, time_s)
-
-    def probe_loss_rate(self, time_s: float) -> float:
-        return self._schedule.probe_loss_rate(time_s)
-
-    def stale_fraction(self, time_s: float) -> float:
-        return self._schedule.stale_fraction(time_s)
-
-    # -- cross-layer derivations ---------------------------------------------
-
-    def damping_state(
-        self, config: Optional[DampingConfig] = None, until_s: float = math.inf
-    ) -> FlapDampingState:
-        """RFC 2439 damping state after replaying every link flap.
-
-        A flapping link accrues penalty at the remote routers; an
-        orchestrator consulting this state sees which (prefix, peer) pairs a
-        chaos storm has rendered unusable for further advertisement changes.
-        """
-        state = FlapDampingState(config)
-        for flap in self._schedule.events_of(LinkFlap):
-            prefix = flap.prefix or f"pop:{flap.pop_name}"
-            for time_s, is_withdrawal in flap.flap_times():
-                if time_s > until_s:
-                    break
-                state.record_flap(
-                    prefix, flap.peer_asn, time_s, withdrawal=is_withdrawal
-                )
-        return state
+    A flapping link accrues penalty at the remote routers; an
+    orchestrator consulting this state sees which (prefix, peer) pairs a
+    chaos storm has rendered unusable for further advertisement changes.
+    """
+    state = FlapDampingState(config)
+    for flap in schedule.events_of(LinkFlap):
+        prefix = flap.prefix or f"pop:{flap.pop_name}"
+        for time_s, is_withdrawal in flap.flap_times():
+            if time_s > until_s:
+                break
+            state.record_flap(prefix, flap.peer_asn, time_s, withdrawal=is_withdrawal)
+    return state
 
 
 class ObservationFaults:

@@ -271,3 +271,14 @@ def _build_tiny(seed: int, n_ugs: int) -> Scenario:
         ),
         ug_config=UserGroupConfig(seed=seed + 1, n_ugs=n_ugs),
     )
+
+
+#: Every scenario preset by name: the choices of each ``--preset`` flag and
+#: the names :class:`~repro.soak.SoakConfig` and
+#: :class:`~repro.experiments.replay.ReplayConfig` accept.
+PRESETS = {
+    "tiny": tiny_scenario,
+    "prototype": prototype_scenario,
+    "azure": azure_scenario,
+    "mega": mega_scenario,
+}

@@ -66,6 +66,7 @@ from repro.core.advertisement import AdvertisementConfig
 from repro.core.orchestrator import OrchestratorConfig
 from repro.faults.events import PopOutage
 from repro.faults.schedule import FaultSchedule
+from repro.scenario import PRESETS
 from repro.soak.load import DiurnalLoad
 from repro.soak.slo import SLOLedger, _decode_array, _encode_array
 from repro.telemetry import METRICS, TRACER
@@ -90,7 +91,7 @@ class SoakError(RuntimeError):
 class SoakConfig:
     """Everything that parameterizes one :func:`run_soak`."""
 
-    #: Scenario preset (``tiny`` / ``prototype`` / ``azure`` / ``mega``).
+    #: Scenario preset, a key of :data:`repro.scenario.PRESETS`.
     preset: str = "tiny"
     seed: int = 0
     #: Simulated windows (= controller iterations); one simulated day is
@@ -109,10 +110,6 @@ class SoakConfig:
     shifts_per_window: int = 8
     #: Regions hit by the rolling storm (0 = calm weather).
     storm_regions: int = 1
-    #: Windows each PoP in a stormed region stays dark.
-    storm_outage_windows: int = 2
-    #: Diurnal curve peak-to-mean amplitude.
-    amplitude: float = 0.5
     flash_crowds: int = 1
     #: Admission cap per window (None = unlimited); overflow is shed.
     admit_cap: Optional[int] = None
@@ -124,7 +121,6 @@ class SoakConfig:
     observe: bool = False
     #: Install changed configs through the Traffic Manager.
     install: bool = True
-    mean_flow_bytes: float = 1500.0
     checkpoint_keep: int = 3
     #: Write the Prometheus metrics textfile here after every window.
     prom_path: Optional[str] = None
@@ -146,7 +142,6 @@ class SoakConfig:
             ("prefix_budget", 1),
             ("shifts_per_window", 1),
             ("storm_regions", 0),
-            ("storm_outage_windows", 1),
             ("flash_crowds", 0),
             ("admit_cap", 0),
             ("failover_budget", 0),
@@ -162,26 +157,21 @@ class SoakConfig:
                 raise ValueError(f"{name} must be an int, not {value!r}")
             if value < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, not {value}")
-        # Reals: finite, non-bool, inside their range.
-        for name, low, high, low_open in (
-            ("window_s", 0.0, math.inf, True),
-            ("amplitude", 0.0, 1.0, False),
-            ("mean_flow_bytes", 0.0, math.inf, False),
+        # The one real: finite, non-bool, positive.
+        value = self.window_s
+        if (
+            not isinstance(value, (int, float))
+            or isinstance(value, bool)
+            or not math.isfinite(value)
         ):
-            value = getattr(self, name)
-            if (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)
-                or not math.isfinite(value)
-            ):
-                raise ValueError(f"{name} must be a finite number, not {value!r}")
-            if value < low or (low_open and value == low) or value >= high:
-                raise ValueError(f"{name} is out of range: {value!r}")
+            raise ValueError(f"window_s must be a finite number, not {value!r}")
+        if value <= 0:
+            raise ValueError(f"window_s is out of range: {value!r}")
         for name in ("observe", "install"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool")
-        if not isinstance(self.preset, str):
-            raise ValueError("preset must be a str")
+        if not isinstance(self.preset, str) or self.preset not in PRESETS:
+            raise ValueError(f"preset must be one of {sorted(PRESETS)}")
         if self.plane not in ("vector", "scalar"):
             raise ValueError("plane must be 'vector' or 'scalar'")
         if self.crash_point not in _CRASH_POINTS:
@@ -203,27 +193,6 @@ class SoakConfig:
         return self.windows * self.window_s
 
 
-def _make_scenario(cfg: SoakConfig):
-    from repro.scenario import (
-        azure_scenario,
-        mega_scenario,
-        prototype_scenario,
-        tiny_scenario,
-    )
-
-    presets = {
-        "tiny": tiny_scenario,
-        "prototype": prototype_scenario,
-        "azure": azure_scenario,
-        "mega": mega_scenario,
-    }
-    try:
-        builder = presets[cfg.preset]
-    except KeyError:
-        raise SoakError(f"unknown preset {cfg.preset!r}") from None
-    return builder(seed=cfg.seed)
-
-
 def make_load(scenario, cfg: SoakConfig) -> DiurnalLoad:
     return DiurnalLoad(
         scenario,
@@ -231,9 +200,7 @@ def make_load(scenario, cfg: SoakConfig) -> DiurnalLoad:
         windows=cfg.windows,
         window_s=cfg.window_s,
         base_arrivals=cfg.arrivals_per_window,
-        amplitude=cfg.amplitude,
         flash_crowds=cfg.flash_crowds,
-        mean_flow_bytes=cfg.mean_flow_bytes,
     )
 
 
@@ -733,7 +700,6 @@ def build_soak_deltas(scenario, cfg: SoakConfig, load: Optional[DiurnalLoad] = N
             windows=cfg.windows,
             window_s=cfg.window_s,
             regions=cfg.storm_regions,
-            outage_windows=cfg.storm_outage_windows,
         )
         if cfg.storm_regions
         else FaultSchedule()
@@ -766,7 +732,7 @@ def run_soak(
     if checkpoint_dir is None:
         with tempfile.TemporaryDirectory(prefix="soak-") as tmp:
             return run_soak(cfg, tmp, scenario=scenario)
-    scenario = scenario if scenario is not None else _make_scenario(cfg)
+    scenario = scenario if scenario is not None else PRESETS[cfg.preset](seed=cfg.seed)
     load = make_load(scenario, cfg)
     deltas, storm = build_soak_deltas(scenario, cfg, load)
     driver = SoakDriver(scenario, cfg, load)

@@ -40,7 +40,6 @@ from repro.traffic_manager.multipath import (
 )
 from repro.traffic_manager.selection import (
     LowestLatencySelector,
-    SelectionPolicyConfig,
     SelectorBank,
 )
 from repro.traffic_manager.tm_edge import TMEdge, TunnelState
@@ -85,7 +84,6 @@ __all__ = [
     "Packet",
     "PathSpec",
     "PrefixDirectory",
-    "SelectionPolicyConfig",
     "TMEdge",
     "TMPoP",
     "TMPoPNat",

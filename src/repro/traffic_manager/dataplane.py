@@ -47,20 +47,23 @@ import base64
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+    runtime_checkable,
+)
 
 import numpy as np
 
 from repro.telemetry import METRICS
 from repro.traffic_manager.flows import FiveTuple
-
-try:  # Python 3.8+: typing.Protocol
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore
-
-    def runtime_checkable(cls):  # type: ignore
-        return cls
 
 
 #: Version stamp of TM data-plane / TM-Edge snapshots (same versioned-dict
@@ -807,8 +810,9 @@ class VectorFlowTable(_PlaneBase):
         The runs are folded into one first, so the encoding is canonical:
         the live flows' columns in key order, whatever batches built them.
         The raw column bytes (~37 bytes/flow) are what :meth:`to_snapshot`
-        returns and what rides inside controller checkpoints
-        (:class:`repro.soak.SoakDriver`).
+        returns and what a :class:`~repro.traffic_manager.TMEdge` snapshot
+        carries; controller checkpoints hold no flow table
+        (:class:`repro.soak.SoakDriver` rebuilds its plane on resume).
         """
         run = self._fold()
         return {

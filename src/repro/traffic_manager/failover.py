@@ -12,13 +12,13 @@ t = 60 s, and three reactions compared —
 * **DNS** — clients keep using the stale record until the TTL expires
   (~60 s).
 
-The failure model is a :class:`repro.faults.FaultSchedule`: the legacy
-single-PoP scenario is just ``FaultSchedule.single_pop_outage(pop, t)``
-(what :class:`FailoverConfig` builds from its ``failed_pop`` /
-``failure_time_s`` fields when no explicit schedule is given), but any
-composition of outages, withdrawals, link flaps, latency spikes, and probe
-loss runs through the same simulation — including back-to-back failures
-the TM-Edge must survive repeatedly.
+The failure model is a :class:`repro.faults.FaultSchedule`: Fig. 10's
+single-PoP scenario is ``FaultSchedule.single_pop_outage("pop-a", 60.0)``
+(the :class:`FailoverConfig` default), but any composition of outages,
+withdrawals, link flaps, latency spikes, and probe loss runs through the
+same simulation — including back-to-back failures the TM-Edge must
+survive repeatedly.  The failure instant the Fig. 10 figures are measured
+from is the start of the schedule's earliest :class:`PopOutage`.
 """
 
 from __future__ import annotations
@@ -30,14 +30,24 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.convergence import ConvergenceConfig, ConvergenceTrace, simulate_withdrawal
+from repro.faults.events import PopOutage
 from repro.faults.schedule import FaultSchedule
 from repro.simulation.events import EventLoop
 from repro.telemetry import TRACER, emit_event
-from repro.traffic_manager.dataplane import DataPlane, FlowBatch, VectorFlowTable
-from repro.traffic_manager.selection import LowestLatencySelector, SelectionPolicyConfig
+from repro.traffic_manager.selection import LowestLatencySelector
 
 
 logger = logging.getLogger(__name__)
+
+#: Interval between data/keepalive packets on the active tunnel.
+PACKET_INTERVAL_MS = 5.0
+#: Interval between background probes of alternate tunnels.
+PROBE_INTERVAL_MS = 1000.0
+#: Missing-ack time (in RTTs) before the tunnel is declared down (§5.2.3:
+#: "typically detected failure within 1.3 RTTs").
+DETECTION_RTT_MULTIPLIER = 1.3
+#: TTL-bound failover time of the DNS alternative (Fig. 10).
+DNS_TTL_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -61,31 +71,21 @@ class PathSpec:
 @dataclass(frozen=True)
 class FailoverConfig:
     duration_s: float = 130.0
-    failure_time_s: float = 60.0
-    failed_pop: str = "pop-a"
-    #: Interval between data/keepalive packets on the active tunnel.
-    packet_interval_ms: float = 5.0
-    #: Interval between background probes of alternate tunnels.
-    probe_interval_ms: float = 1000.0
-    #: Missing-ack time (in RTTs) before the tunnel is declared down.
-    detection_rtt_multiplier: float = 1.3
-    #: TTL-bound failover time of the DNS alternative.
-    dns_ttl_s: float = 60.0
     convergence: ConvergenceConfig = field(default_factory=ConvergenceConfig)
     seed: int = 0
-    #: Arbitrary fault timeline; when ``None`` the legacy single-PoP outage
-    #: (``failed_pop`` dies at ``failure_time_s``, forever) is used.
-    schedule: Optional[FaultSchedule] = None
-    #: Live flows pinned to the data plane during the run (0 = control-plane
-    #: only).  With flows present, every selector switch re-maps them from
-    #: the dead prefix to the new selection through the batched data plane.
-    concurrent_flows: int = 0
+    #: The fault timeline; the default is Fig. 10's: ``pop-a`` dies at
+    #: t = 60 s, forever.
+    schedule: FaultSchedule = field(
+        default_factory=lambda: FaultSchedule.single_pop_outage("pop-a", 60.0)
+    )
 
-    def fault_schedule(self) -> FaultSchedule:
-        """The schedule actually simulated (explicit or legacy-derived)."""
-        if self.schedule is not None:
-            return self.schedule
-        return FaultSchedule.single_pop_outage(self.failed_pop, self.failure_time_s)
+    @property
+    def failure_time_s(self) -> float:
+        """Start of the schedule's earliest :class:`PopOutage` (``nan`` if
+        it has none) — the instant the Fig. 10 figures are measured from."""
+        return min(
+            (e.start_s for e in self.schedule.events_of(PopOutage)), default=math.nan
+        )
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,6 @@ class FailoverResult:
     downtime_events: List[DowntimeEvent] = field(default_factory=list)
     #: Per anycast prefix: dark windows and their convergence traces.
     anycast_epochs: Dict[str, List[AnycastEpoch]] = field(default_factory=dict)
-    #: Total flows moved by data-plane re-mapping on selector switches.
-    flows_remapped: int = 0
-    #: (time_s, from_prefix, to_prefix, n_flows) per re-mapping event.
-    remap_events: List[Tuple[float, str, str, int]] = field(default_factory=list)
 
     @property
     def painter_downtime_ms(self) -> float:
@@ -171,7 +167,7 @@ class FailoverResult:
 
     @property
     def dns_downtime_s(self) -> float:
-        return self.config.dns_ttl_s
+        return DNS_TTL_S
 
     def active_prefix_at(self, time_s: float) -> Optional[str]:
         active = None
@@ -191,9 +187,7 @@ class FailoverResult:
         self, step_s: float = 0.5
     ) -> Dict[str, List[Tuple[float, float]]]:
         """Per-prefix latency series (inf while unreachable), for plotting."""
-        oracle = _PathOracle(
-            self.paths, self.config.fault_schedule(), self.anycast_epochs
-        )
+        oracle = _PathOracle(self.paths, self.config.schedule, self.anycast_epochs)
         series: Dict[str, List[Tuple[float, float]]] = {p.prefix: [] for p in self.paths}
         t = 0.0
         while t <= self.config.duration_s:
@@ -277,28 +271,17 @@ def _build_anycast_epochs(
 
 
 def run_failover(
-    paths: Sequence[PathSpec],
-    config: Optional[FailoverConfig] = None,
-    data_plane: Optional[DataPlane] = None,
+    paths: Sequence[PathSpec], config: Optional[FailoverConfig] = None
 ) -> FailoverResult:
-    """Run the event-driven failover simulation under the fault schedule.
-
-    With ``config.concurrent_flows > 0`` a data plane (a fresh
-    :class:`VectorFlowTable` unless one is supplied) is pre-loaded with that
-    many synthetic flows pinned to the initial selection; every selector
-    switch then re-maps the flows off the abandoned prefix in one batched
-    call — measuring the *data-plane* half of RTT-timescale failover, not
-    just the detection logic.
-    """
+    """Run the event-driven failover simulation under the fault schedule."""
     config = config or FailoverConfig()
     if not paths:
         raise ValueError("need at least one path")
-    if config.schedule is None and not any(
-        p.pop_name == config.failed_pop for p in paths
-    ):
-        raise ValueError(f"no path touches the failed PoP {config.failed_pop!r}")
+    for outage in config.schedule.events_of(PopOutage):
+        if not any(p.pop_name == outage.pop_name for p in paths):
+            raise ValueError(f"no path touches the failed PoP {outage.pop_name!r}")
 
-    schedule = config.fault_schedule()
+    schedule = config.schedule
     epochs = _build_anycast_epochs(paths, schedule, config)
     oracle = _PathOracle(paths, schedule, epochs)
     loop = EventLoop()
@@ -306,7 +289,7 @@ def run_failover(
 
     # Measured RTT per prefix, as the TM-Edge currently believes.
     measured: Dict[str, float] = {p.prefix: p.base_rtt_ms for p in paths}
-    selector = LowestLatencySelector(SelectionPolicyConfig())
+    selector = LowestLatencySelector()
     selector.update(dict(measured))
     timeline_seed = selector.current
     state = {
@@ -319,35 +302,6 @@ def run_failover(
     by_prefix = {p.prefix: p for p in paths}
     if timeline_seed is not None:
         timeline.append((0.0, timeline_seed, measured[timeline_seed]))
-
-    # -- data-plane flows pinned for the duration of the run ------------------
-    plane = data_plane
-    remap_events: List[Tuple[float, str, str, int]] = []
-    remap_total = [0]
-    if config.concurrent_flows > 0:
-        if plane is None:
-            plane = VectorFlowTable()
-        if timeline_seed is not None:
-            seed_batch = FlowBatch.synthesize(
-                config.concurrent_flows, seed=config.seed
-            )
-            plane.admit(seed_batch, {0: timeline_seed}, 0.0)
-
-    def switch_flows(old: Optional[str], new: Optional[str], now_s: float) -> None:
-        """Re-pin every flow off ``old`` when the selection moves to ``new``."""
-        if plane is None or old is None or new is None or old == new:
-            return
-        moved = plane.remap(old, new)
-        if moved:
-            remap_total[0] += moved
-            remap_events.append((now_s, old, new, moved))
-            emit_event(
-                "failover_remap",
-                time_s=now_s,
-                dead_prefix=old,
-                new_prefix=new,
-                flows_moved=moved,
-            )
 
     def active_path() -> Optional[PathSpec]:
         prefix = selector.current
@@ -364,7 +318,7 @@ def run_failover(
                 expected = measured.get(path.prefix, path.base_rtt_ms)
                 if math.isinf(expected):
                     expected = path.base_rtt_ms
-                deadline = now + config.detection_rtt_multiplier * expected / 1000.0
+                deadline = now + DETECTION_RTT_MULTIPLIER * expected / 1000.0
                 loop.schedule_at(deadline, make_detection_check(path.prefix, now))
             else:
                 delivered = now + rtt / 1000.0
@@ -384,8 +338,8 @@ def run_failover(
                     timeline.append((loop.now_s, selector.current, rtt))
 
                 loop.schedule_at(delivered, on_ack)
-        if now + config.packet_interval_ms / 1000.0 <= config.duration_s:
-            loop.schedule_in(config.packet_interval_ms / 1000.0, send_packet)
+        if now + PACKET_INTERVAL_MS / 1000.0 <= config.duration_s:
+            loop.schedule_in(PACKET_INTERVAL_MS / 1000.0, send_packet)
 
     def make_detection_check(prefix: str, sent_at_s: float) -> Callable[[EventLoop], None]:
         def check(loop: EventLoop) -> None:
@@ -404,9 +358,7 @@ def run_failover(
                     "tunnel %s declared down at t=%.3fs", prefix, loop.now_s
                 )
             measured[prefix] = math.inf
-            before = selector.current
             selector.update(dict(measured))
-            switch_flows(before, selector.current, loop.now_s)
             timeline.append((loop.now_s, selector.current, math.inf))
 
         return check
@@ -419,7 +371,6 @@ def run_failover(
         previous = selector.current
         selector.update(dict(measured))
         if selector.current != previous:
-            switch_flows(previous, selector.current, now)
             timeline.append(
                 (now, selector.current, measured.get(selector.current or "", math.inf))
             )
@@ -438,18 +389,16 @@ def run_failover(
                 measured[path.prefix] = math.inf
             else:
                 loop.schedule_at(now + rtt / 1000.0, on_probe)
-        if now + config.probe_interval_ms / 1000.0 <= config.duration_s:
-            loop.schedule_in(config.probe_interval_ms / 1000.0, probe_paths)
+        if now + PROBE_INTERVAL_MS / 1000.0 <= config.duration_s:
+            loop.schedule_in(PROBE_INTERVAL_MS / 1000.0, probe_paths)
 
     loop.schedule_at(0.0, send_packet)
     loop.schedule_at(0.0, probe_paths)
     with TRACER.span(
-        "failover.run", paths=len(paths), duration_s=config.duration_s,
-        concurrent_flows=config.concurrent_flows,
+        "failover.run", paths=len(paths), duration_s=config.duration_s
     ) as run_span:
         loop.run_until(config.duration_s)
         run_span.tag("downtime_events", len(downtimes))
-        run_span.tag("flows_remapped", remap_total[0])
 
     first_anycast = next((p.prefix for p in paths if p.is_anycast), None)
     first_epochs = epochs.get(first_anycast, []) if first_anycast else []
@@ -468,8 +417,6 @@ def run_failover(
         recovery_time_s=downtimes[0].recovered_s if downtimes else None,
         downtime_events=downtimes,
         anycast_epochs=epochs,
-        flows_remapped=remap_total[0],
-        remap_events=remap_events,
     )
 
 

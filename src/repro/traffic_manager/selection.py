@@ -11,22 +11,12 @@ destination has been meaningfully better for several consecutive rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence
 
-
-@dataclass(frozen=True)
-class SelectionPolicyConfig:
-    #: Required relative improvement before switching (anti-oscillation).
-    switch_threshold: float = 0.05
-    #: Consecutive rounds a challenger must win before a switch.
-    stability_rounds: int = 3
-
-    def __post_init__(self) -> None:
-        if self.switch_threshold < 0:
-            raise ValueError("switch_threshold must be non-negative")
-        if self.stability_rounds < 1:
-            raise ValueError("stability_rounds must be >= 1")
+#: Required relative improvement before switching (anti-oscillation).
+SWITCH_THRESHOLD = 0.05
+#: Consecutive rounds a challenger must win before a switch.
+STABILITY_ROUNDS = 3
 
 
 class LowestLatencySelector:
@@ -38,8 +28,7 @@ class LowestLatencySelector:
     must not wait out the hysteresis.
     """
 
-    def __init__(self, config: Optional[SelectionPolicyConfig] = None) -> None:
-        self._config = config or SelectionPolicyConfig()
+    def __init__(self) -> None:
         self._current: Optional[str] = None
         self._challenger: Optional[str] = None
         self._challenger_rounds = 0
@@ -80,7 +69,7 @@ class LowestLatencySelector:
             return self._current
 
         improvement = (current_latency - live[best]) / current_latency
-        if improvement < self._config.switch_threshold:
+        if improvement < SWITCH_THRESHOLD:
             self._challenger = None
             self._challenger_rounds = 0
             return self._current
@@ -91,7 +80,7 @@ class LowestLatencySelector:
             self._challenger = best
             self._challenger_rounds = 1
 
-        if self._challenger_rounds >= self._config.stability_rounds:
+        if self._challenger_rounds >= STABILITY_ROUNDS:
             self._current = best
             self._challenger = None
             self._challenger_rounds = 0
@@ -110,12 +99,8 @@ class LowestLatencySelector:
         }
 
     @classmethod
-    def from_snapshot(
-        cls,
-        snapshot: Mapping[str, Any],
-        config: Optional[SelectionPolicyConfig] = None,
-    ) -> "LowestLatencySelector":
-        selector = cls(config)
+    def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "LowestLatencySelector":
+        selector = cls()
         selector._current = snapshot.get("current")
         selector._challenger = snapshot.get("challenger")
         selector._challenger_rounds = int(snapshot.get("challenger_rounds", 0))
@@ -132,8 +117,7 @@ class SelectorBank:
     matrix.  :meth:`update_matrix` feeds a whole round in a single call.
     """
 
-    def __init__(self, config: Optional[SelectionPolicyConfig] = None) -> None:
-        self._config = config or SelectionPolicyConfig()
+    def __init__(self) -> None:
         self._selectors: Dict[int, LowestLatencySelector] = {}
 
     def __len__(self) -> int:
@@ -142,9 +126,7 @@ class SelectorBank:
     def selector(self, service_id: int) -> LowestLatencySelector:
         selector = self._selectors.get(service_id)
         if selector is None:
-            selector = self._selectors[service_id] = LowestLatencySelector(
-                self._config
-            )
+            selector = self._selectors[service_id] = LowestLatencySelector()
         return selector
 
     def current(self, service_id: int) -> Optional[str]:
@@ -186,14 +168,8 @@ class SelectorBank:
         }
 
     @classmethod
-    def from_snapshot(
-        cls,
-        snapshot: Mapping[str, Any],
-        config: Optional[SelectionPolicyConfig] = None,
-    ) -> "SelectorBank":
-        bank = cls(config)
+    def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "SelectorBank":
+        bank = cls()
         for sid, state in snapshot.items():
-            bank._selectors[int(sid)] = LowestLatencySelector.from_snapshot(
-                state, bank._config
-            )
+            bank._selectors[int(sid)] = LowestLatencySelector.from_snapshot(state)
         return bank

@@ -36,7 +36,7 @@ from repro.traffic_manager.dataplane import (
     plane_from_snapshot,
 )
 from repro.traffic_manager.flows import FiveTuple
-from repro.traffic_manager.selection import LowestLatencySelector, SelectionPolicyConfig
+from repro.traffic_manager.selection import LowestLatencySelector
 from repro.traffic_manager.tm_pop import PrefixDirectory, TMPoP
 from repro.traffic_manager.tunnel import Packet, encapsulate
 
@@ -61,7 +61,6 @@ class TMEdge:
         self,
         edge_ip: str,
         directory: PrefixDirectory,
-        selection: Optional[SelectionPolicyConfig] = None,
         data_plane: Optional[DataPlane] = None,
         remap_on_failover: bool = False,
     ) -> None:
@@ -69,7 +68,6 @@ class TMEdge:
         self._directory = directory
         self._tunnels: Dict[str, Dict[str, TunnelState]] = {}  # service -> prefix -> state
         self._selectors: Dict[str, LowestLatencySelector] = {}
-        self._selection_config = selection or SelectionPolicyConfig()
         self._plane: DataPlane = (
             data_plane if data_plane is not None else ScalarDataPlane()
         )
@@ -115,7 +113,7 @@ class TMEdge:
         for prefix in list(tunnels):
             if prefix not in prefixes:
                 del tunnels[prefix]
-        self._selectors.setdefault(service, LowestLatencySelector(self._selection_config))
+        self._selectors.setdefault(service, LowestLatencySelector())
         self.service_id(service)
         return frozenset(tunnels)
 
@@ -238,10 +236,6 @@ class TMEdge:
         return {
             "version": TM_SNAPSHOT_VERSION,
             "edge_ip": self._edge_ip,
-            "selection": {
-                "switch_threshold": self._selection_config.switch_threshold,
-                "stability_rounds": self._selection_config.stability_rounds,
-            },
             "remap_on_failover": self._remap_on_failover,
             "flows_remapped": self._flows_remapped,
             "services": dict(self._service_ids),
@@ -267,15 +261,10 @@ class TMEdge:
         version = snapshot.get("version")
         if version != TM_SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version!r}")
-        selection = SelectionPolicyConfig(
-            switch_threshold=snapshot["selection"]["switch_threshold"],
-            stability_rounds=snapshot["selection"]["stability_rounds"],
-        )
         plane = plane_from_snapshot(snapshot["data_plane"])
         edge = cls(
             edge_ip=snapshot["edge_ip"],
             directory=directory,
-            selection=selection,
             data_plane=plane,
             remap_on_failover=bool(snapshot.get("remap_on_failover", False)),
         )
@@ -295,7 +284,7 @@ class TMEdge:
             for service, tunnels in snapshot.get("tunnels", {}).items()
         }
         edge._selectors = {
-            service: LowestLatencySelector.from_snapshot(state, selection)
+            service: LowestLatencySelector.from_snapshot(state)
             for service, state in snapshot.get("selectors", {}).items()
         }
         return edge

@@ -6,15 +6,14 @@ save/load, hash verification, corrupt-file fallback, pruning), the durable
 run journal (fsync'd appends, torn-tail recovery, checkpoint-bounded
 truncation), and the :class:`PainterController` loop itself: warm-start
 re-solves under churn, stop/resume equivalence, the differential guard's
-circuit breaker, graceful degradation to last-known-good, and the SIGALRM
-watchdog.  Out-of-process SIGKILL recovery lives in
+circuit breaker, and graceful degradation to last-known-good.
+Out-of-process SIGKILL recovery lives in
 ``test_controller_recovery.py``.
 """
 
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
@@ -25,7 +24,6 @@ from repro.controller import (
     ControllerConfig,
     ControllerError,
     DeltaError,
-    IterationTimeout,
     PainterController,
     PeeringDown,
     PeeringUp,
@@ -40,7 +38,7 @@ from repro.controller import (
     save_deltas,
     synthetic_deltas,
 )
-from repro.controller.daemon import _watchdog
+from repro.controller import daemon
 from repro.core.orchestrator import OrchestratorConfig
 from repro.scenario import tiny_scenario
 from repro.telemetry import JournalError, METRICS, RunJournal
@@ -467,7 +465,6 @@ class TestControllerLoop:
             ControllerConfig(
                 checkpoint_dir=tmp_path / "breaker",
                 verify_every=1,
-                breaker_cooldown=2,
             ),
             deltas,
         )
@@ -505,11 +502,7 @@ class TestControllerLoop:
         controller = PainterController(
             scenario,
             OrchestratorConfig(prefix_budget=4),
-            ControllerConfig(
-                checkpoint_dir=tmp_path / "degrade",
-                max_retries=1,
-                backoff_s=0.0,
-            ),
+            ControllerConfig(checkpoint_dir=tmp_path / "degrade"),
             deltas,
         )
         orch = controller.orchestrator
@@ -523,6 +516,7 @@ class TestControllerLoop:
             return real_solve_warm(*args, **kwargs)
 
         monkeypatch.setattr(orch, "solve_warm", flaky_solve_warm)
+        monkeypatch.setattr(daemon, "BACKOFF_S", 0.0)
         try:
             result = controller.run()
         finally:
@@ -533,19 +527,15 @@ class TestControllerLoop:
         assert result.final_config == result.last_known_good
         kinds = [e["event"] for e in journal_events(result.journal_path)]
         assert "controller_degraded" in kinds
-        # retries: each failing iteration tried max_retries + 1 times
-        assert calls["n"] == 1 + 2 * (len(result.timeline) - 1)
+        # retries: each failing iteration tried MAX_RETRIES + 1 times
+        assert calls["n"] == 1 + 3 * (len(result.timeline) - 1)
 
     def test_failure_with_no_fallback_raises(self, tmp_path, monkeypatch):
         scenario = tiny_scenario(seed=3)
         controller = PainterController(
             scenario,
             OrchestratorConfig(prefix_budget=4),
-            ControllerConfig(
-                checkpoint_dir=tmp_path / "nofall",
-                max_retries=0,
-                backoff_s=0.0,
-            ),
+            ControllerConfig(checkpoint_dir=tmp_path / "nofall"),
             synthetic_deltas(scenario, iterations=2, seed=7),
         )
 
@@ -553,6 +543,7 @@ class TestControllerLoop:
             raise RuntimeError("solver down")
 
         monkeypatch.setattr(controller.orchestrator, "solve_warm", boom)
+        monkeypatch.setattr(daemon, "BACKOFF_S", 0.0)
         try:
             with pytest.raises(ControllerError):
                 controller.run()
@@ -565,8 +556,6 @@ class TestControllerLoop:
         with pytest.raises(ValueError):
             ControllerConfig(checkpoint_dir=tmp_path, verify_every=-1)
         with pytest.raises(ValueError):
-            ControllerConfig(checkpoint_dir=tmp_path, backoff_factor=0.5)
-        with pytest.raises(ValueError):
             ControllerConfig(checkpoint_dir=tmp_path, crash_point="nope")
 
     def test_journal_path_defaults_into_checkpoint_dir(self, tmp_path):
@@ -576,16 +565,3 @@ class TestControllerLoop:
             checkpoint_dir=tmp_path / "cp", journal_path=tmp_path / "j.jsonl"
         )
         assert custom.resolved_journal_path == tmp_path / "j.jsonl"
-
-
-class TestWatchdog:
-    def test_watchdog_interrupts_a_stuck_block(self):
-        with pytest.raises(IterationTimeout):
-            with _watchdog(0.05):
-                time.sleep(5.0)
-
-    def test_watchdog_noop_without_limit(self):
-        with _watchdog(None):
-            pass
-        with _watchdog(0):
-            pass

@@ -1,11 +1,10 @@
-"""The fault-injection subsystem: events, schedules, injector, degradation."""
+"""The fault-injection subsystem: events, schedules, damping, degradation."""
 
 import math
 
 import pytest
 
 from repro.faults import (
-    FaultInjector,
     FaultSchedule,
     LatencySpike,
     LinkFlap,
@@ -14,6 +13,7 @@ from repro.faults import (
     PopOutage,
     ProbeLoss,
     StaleMeasurement,
+    damping_state,
 )
 
 
@@ -194,17 +194,16 @@ class TestSchedule:
 
 class TestInjector:
     def test_pop_down_mid_outage(self):
-        injector = FaultInjector(FaultSchedule.single_pop_outage("pop-a", 5.0))
-        assert injector.pop_down("pop-a", 6.0)
-        assert not injector.pop_down("pop-a", 4.0)
+        schedule = FaultSchedule.single_pop_outage("pop-a", 5.0)
+        assert schedule.pop_down("pop-a", 6.0)
+        assert not schedule.pop_down("pop-a", 4.0)
 
     def test_damping_state_from_heavy_flapping(self):
         flap = LinkFlap(
             start_s=0.0, prefix="2.2.2.0/24", peer_asn=65001,
             down_s=1.0, up_s=1.0, cycles=6,
         )
-        injector = FaultInjector(FaultSchedule(events=(flap,)))
-        damping = injector.damping_state()
+        damping = damping_state(FaultSchedule(events=(flap,)))
         # 12 transitions in 11 s at 1000 penalty each: far beyond suppression.
         assert damping.is_suppressed("2.2.2.0/24", 65001, flap.end_s)
 
@@ -213,8 +212,7 @@ class TestInjector:
             start_s=0.0, prefix="2.2.2.0/24", peer_asn=65001,
             down_s=1.0, up_s=3600.0, cycles=1,
         )
-        injector = FaultInjector(FaultSchedule(events=(flap,)))
-        damping = injector.damping_state()
+        damping = damping_state(FaultSchedule(events=(flap,)))
         assert not damping.is_suppressed("2.2.2.0/24", 65001, flap.end_s + 3600.0)
 
 

@@ -146,18 +146,28 @@ class TestCli:
         assert "flows admitted" in out
         assert "re-mapped" in out
 
-    def test_tm_bench_scalar_plane(self, capsys):
-        from repro.cli import main
+    def test_every_preset_flag_offers_exactly_the_presets(self):
+        import argparse
 
-        code = main(
-            [
-                "tm-bench", "--preset", "tiny", "--seed", "3",
-                "--flows", "2000", "--steps", "2", "--budget", "3",
-                "--plane", "scalar",
-            ]
-        )
-        assert code == 0
-        assert "plane=scalar" in capsys.readouterr().out
+        from repro.cli import build_parser
+        from repro.experiments.replay import ReplayConfig
+        from repro.scenario import PRESETS
+        from repro.soak import SoakConfig
+
+        def preset_choices(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from preset_choices(sub)
+                elif "--preset" in action.option_strings:
+                    yield action.choices
+
+        choices = list(preset_choices(build_parser()))
+        assert len(choices) > 10  # every scenario command and `run` entry
+        assert all(sorted(c) == sorted(PRESETS) for c in choices)
+        for name in PRESETS:
+            assert ReplayConfig(preset=name).preset == name
+            assert SoakConfig(preset=name).preset == name
 
 
 class TestRoutingModelPersistence:

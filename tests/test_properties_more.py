@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dns.trace import CLOUD_PROFILES, TraceFlow, generate_trace
 from repro.dns.records import DNSRecord
 from repro.traffic_manager.multipath import MultipathConnection, Subflow
-from repro.traffic_manager.selection import LowestLatencySelector, SelectionPolicyConfig
+from repro.traffic_manager.selection import LowestLatencySelector
 from repro.traffic_manager.tunnel import Packet, TMPoPNat, decapsulate, encapsulate
 
 
@@ -56,7 +56,7 @@ class TestSelectorProperties:
     @given(latency_rounds)
     @settings(max_examples=60, deadline=None)
     def test_selection_always_live_or_none(self, rounds):
-        selector = LowestLatencySelector(SelectionPolicyConfig())
+        selector = LowestLatencySelector()
         for latencies in rounds:
             selected = selector.update(latencies)
             live = {k for k, v in latencies.items() if not math.isinf(v)}
@@ -68,7 +68,7 @@ class TestSelectorProperties:
     @given(latency_rounds)
     @settings(max_examples=60, deadline=None)
     def test_switch_count_bounded_by_rounds(self, rounds):
-        selector = LowestLatencySelector(SelectionPolicyConfig())
+        selector = LowestLatencySelector()
         for latencies in rounds:
             selector.update(latencies)
         assert 0 <= selector.switch_count <= len(rounds)

@@ -213,7 +213,6 @@ class TestSLOEdgeCases:
             ControllerConfig(
                 checkpoint_dir=tmp_path / "cp",
                 verify_every=1,
-                breaker_cooldown=2,
                 run_name="soak",
             ),
             deltas,
@@ -267,10 +266,6 @@ BAD_FIELDS = [
     ("shifts_per_window", -1),
     ("shifts_per_window", 0),
     ("storm_regions", -1),
-    ("storm_outage_windows", 0),
-    ("amplitude", float("nan")),
-    ("amplitude", 1.0),
-    ("amplitude", -0.1),
     ("flash_crowds", -2),
     ("admit_cap", -1),
     ("admit_cap", 10.0),
@@ -278,9 +273,6 @@ BAD_FIELDS = [
     ("verify_every", -1),
     ("observe", 1),
     ("install", None),
-    ("mean_flow_bytes", float("nan")),
-    ("mean_flow_bytes", float("-inf")),
-    ("mean_flow_bytes", -1.0),
     ("checkpoint_keep", 0),
     ("prom_path", 7),
     ("crash_at", -1),
@@ -309,10 +301,8 @@ class TestConfigValidation:
             seed=0,
             arrivals_per_window=0,
             flow_lifetime_windows=0,
-            amplitude=0.0,
             window_s=1,
             admit_cap=0,
-            mean_flow_bytes=0.0,
             crash_at=0,
             stop_after=1,
         )

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from repro.bgp.convergence import ConvergenceConfig
+from repro.faults import FaultSchedule
 from repro.traffic_manager.failover import (
+    PACKET_INTERVAL_MS,
     FailoverConfig,
     PathSpec,
     default_fig10_paths,
@@ -36,7 +38,10 @@ class TestSetupValidation:
     def test_failed_pop_must_be_used(self):
         paths = [PathSpec(prefix="3.3.3.0/24", pop_name="pop-b", base_rtt_ms=30.0)]
         with pytest.raises(ValueError):
-            run_failover(paths, FailoverConfig(failed_pop="pop-a"))
+            run_failover(
+                paths,
+                FailoverConfig(schedule=FaultSchedule.single_pop_outage("pop-a", 60.0)),
+            )
 
 
 class TestTimescales:
@@ -50,7 +55,7 @@ class TestTimescales:
         """Detection + switch within tens of ms (paper: ~30 ms, 1.3 RTT)."""
         assert result.detection_time_s is not None
         detection_ms = (result.detection_time_s - result.config.failure_time_s) * 1000
-        assert detection_ms <= 2.0 * 20.0 + result.config.packet_interval_ms
+        assert detection_ms <= 2.0 * 20.0 + PACKET_INTERVAL_MS
         assert result.painter_downtime_ms < 100.0
 
     def test_anycast_loss_second_scale(self, result):
@@ -131,9 +136,7 @@ class TestFaultSchedules:
     """run_failover() under arbitrary FaultSchedules (chaos tentpole)."""
 
     def test_default_schedule_reproduces_fig10_exactly(self, result):
-        """The legacy single-PoP outage and its explicit schedule are identical."""
-        from repro.faults import FaultSchedule
-
+        """The default config and its explicit schedule are identical."""
         explicit = run_failover(
             default_fig10_paths(),
             FailoverConfig(schedule=FaultSchedule.single_pop_outage("pop-a", 60.0)),
@@ -149,6 +152,16 @@ class TestFaultSchedules:
         """Regression pin: the original Fig. 10 trace, bit-for-bit."""
         assert result.detection_time_s == pytest.approx(60.041000000012254, abs=1e-9)
         assert result.recovery_time_s == pytest.approx(60.045000000012266, abs=1e-9)
+
+    def test_figures_measured_from_the_schedules_outage(self):
+        """An explicit schedule moves the failure instant the figures use."""
+        early = run_failover(
+            default_fig10_paths(),
+            FailoverConfig(schedule=FaultSchedule.single_pop_outage("pop-a", 30.0)),
+        )
+        assert early.config.failure_time_s == 30.0
+        assert early.painter_downtime_ms == pytest.approx(55.0, abs=1e-6)
+        assert early.anycast_reconvergence_s == pytest.approx(13.71, abs=5e-3)
 
     def test_two_pop_sequential_outage(self):
         """TM-Edge survives back-to-back failures of both PoPs."""
@@ -210,8 +223,6 @@ class TestFaultSchedules:
         assert result.active_prefix_at(129.0) == "2.2.2.0/24"
 
     def test_storm_deterministic_given_seed(self):
-        from repro.faults import FaultSchedule
-
         storm = FaultSchedule.random_storm(
             ["pop-a", "pop-b"], duration_s=110.0, seed=7,
             prefixes=("2.2.2.0/24", "3.3.3.0/24"),
@@ -220,36 +231,3 @@ class TestFaultSchedules:
         b = run_failover(default_fig10_paths(), FailoverConfig(schedule=storm, seed=7))
         assert a.timeline == b.timeline
         assert a.total_downtime_ms == b.total_downtime_ms
-
-
-class TestDataPlaneFailover:
-    def test_concurrent_flows_remapped_on_switch(self):
-        config = FailoverConfig(duration_s=80.0, concurrent_flows=10_000, seed=3)
-        result = run_failover(default_fig10_paths(), config)
-        # The PoP failure forces at least one selector switch, and every
-        # flow pinned to the abandoned prefix moves in one batched call.
-        assert result.flows_remapped > 0
-        assert result.remap_events
-        t, from_prefix, to_prefix, moved = result.remap_events[0]
-        assert from_prefix != to_prefix
-        assert moved > 0
-        assert t >= config.failure_time_s
-
-    def test_no_flows_means_no_remap_events(self):
-        result = run_failover(
-            default_fig10_paths(), FailoverConfig(duration_s=80.0)
-        )
-        assert result.flows_remapped == 0
-        assert result.remap_events == []
-
-    def test_supplied_plane_is_used(self):
-        from repro.traffic_manager.dataplane import VectorFlowTable
-
-        plane = VectorFlowTable()
-        config = FailoverConfig(duration_s=80.0, concurrent_flows=5_000, seed=1)
-        result = run_failover(default_fig10_paths(), config, data_plane=plane)
-        # All seeded flows live in the supplied plane, on live prefixes.
-        assert plane.flow_count() == 5_000
-        live = set(plane.destinations())
-        assert result.flows_remapped > 0
-        assert "2.2.2.0/24" not in live  # the dead PoP's best prefix

@@ -8,7 +8,7 @@ import pytest
 from repro.topology.geo import metro_by_name
 from repro.traffic_manager.dataplane import FlowBatch, ScalarDataPlane, VectorFlowTable
 from repro.traffic_manager.flows import FiveTuple
-from repro.traffic_manager.selection import LowestLatencySelector, SelectionPolicyConfig
+from repro.traffic_manager.selection import LowestLatencySelector
 from repro.traffic_manager.tm_edge import TMEdge
 from repro.traffic_manager.tm_pop import PrefixDirectory, TMPoP
 from repro.traffic_manager.tunnel import TMPoPNat
@@ -21,15 +21,13 @@ class TestSelector:
         assert selector.update({"a": 30.0, "b": 20.0}) == "b"
 
     def test_hysteresis_resists_small_improvements(self):
-        selector = LowestLatencySelector(SelectionPolicyConfig(switch_threshold=0.10))
+        selector = LowestLatencySelector()
         selector.update({"a": 20.0, "b": 30.0})
         for _ in range(10):
             assert selector.update({"a": 20.0, "b": 19.5}) == "a"
 
     def test_switch_after_stable_rounds(self):
-        selector = LowestLatencySelector(
-            SelectionPolicyConfig(switch_threshold=0.05, stability_rounds=3)
-        )
+        selector = LowestLatencySelector()
         selector.update({"a": 20.0, "b": 30.0})
         assert selector.update({"a": 20.0, "b": 10.0}) == "a"
         assert selector.update({"a": 20.0, "b": 10.0}) == "a"
@@ -37,9 +35,7 @@ class TestSelector:
         assert selector.switch_count == 1
 
     def test_challenger_streak_resets(self):
-        selector = LowestLatencySelector(
-            SelectionPolicyConfig(switch_threshold=0.05, stability_rounds=3)
-        )
+        selector = LowestLatencySelector()
         selector.update({"a": 20.0, "b": 30.0})
         selector.update({"a": 20.0, "b": 10.0})
         selector.update({"a": 20.0, "b": 21.0})  # streak broken
@@ -47,9 +43,7 @@ class TestSelector:
         assert selector.update({"a": 20.0, "b": 10.0}) == "a"  # only 2 in a row
 
     def test_dead_destination_switches_immediately(self):
-        selector = LowestLatencySelector(
-            SelectionPolicyConfig(switch_threshold=0.05, stability_rounds=5)
-        )
+        selector = LowestLatencySelector()
         selector.update({"a": 20.0, "b": 30.0})
         assert selector.update({"a": math.inf, "b": 30.0}) == "b"
         assert selector.switch_count == 1
@@ -65,12 +59,6 @@ class TestSelector:
         for _ in range(20):
             assert selector.update({"a": 20.0, "b": 20.0}) == first
         assert selector.switch_count == 0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SelectionPolicyConfig(switch_threshold=-0.1)
-        with pytest.raises(ValueError):
-            SelectionPolicyConfig(stability_rounds=0)
 
 
 @pytest.fixture()
