@@ -40,9 +40,12 @@ class CheckpointError(ValueError):
     """Raised for malformed, mismatched, or corrupted checkpoints."""
 
 
-def _payload_digest(payload: Dict[str, Any]) -> str:
-    canonical = json.dumps(payload, **_JSON_COMPACT)
+def _digest(canonical: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _payload_digest(payload: Dict[str, Any]) -> str:
+    return _digest(json.dumps(payload, **_JSON_COMPACT))
 
 
 @dataclass(frozen=True)
@@ -71,15 +74,24 @@ class CheckpointStore:
         """Durably write checkpoint ``seq``; prunes beyond ``keep``."""
         if seq < 0:
             raise ValueError("checkpoint seq must be non-negative")
-        envelope = {
-            "kind": _CHECKPOINT_KIND,
-            "version": CHECKPOINT_VERSION,
-            "seq": seq,
-            "sha256": _payload_digest(payload),
-            "payload": payload,
-        }
+        # The payload is serialised once: its canonical dump is both what
+        # the hash covers and what the compact envelope embeds, so the file
+        # is ``json.dumps(envelope, **_JSON_COMPACT)``.
+        canonical = json.dumps(payload, **_JSON_COMPACT)
+        shell = json.dumps(
+            {
+                "kind": _CHECKPOINT_KIND,
+                "version": CHECKPOINT_VERSION,
+                "seq": seq,
+                "sha256": _digest(canonical),
+                "payload": None,
+            },
+            **_JSON_COMPACT,
+        )
         path = self.path_for(seq)
-        atomic_write_text(path, json.dumps(envelope, sort_keys=True, indent=2))
+        atomic_write_text(
+            path, shell.replace('"payload":null', '"payload":' + canonical, 1)
+        )
         METRICS.counter("controller.checkpoints").add()
         self._prune()
         return path

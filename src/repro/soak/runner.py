@@ -343,7 +343,11 @@ class SoakDriver(ControllerExtension):
 
     def _admitted_batch(self, window: int) -> FlowBatch:
         """The batch actually admitted during ``window`` (cap applied)."""
-        batch = self._load.batch(window)
+        return self._capped(self._load.batch(window))
+
+    def _capped(self, batch: FlowBatch) -> FlowBatch:
+        """``batch`` with its flows past the admit cap (flash-crowd
+        overflow) shed."""
         cap = self._cfg.admit_cap
         if cap is not None and len(batch) > cap:
             batch = FlowBatch(
@@ -400,7 +404,7 @@ class SoakDriver(ControllerExtension):
             offered = np.bincount(
                 full.service_ids, minlength=n
             ).astype(np.int64)
-            batch = self._admitted_batch(window)
+            batch = self._capped(full)
             shed = np.zeros(n, dtype=np.int64)
             if len(batch) < len(full):
                 shed = np.bincount(

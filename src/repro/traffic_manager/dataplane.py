@@ -11,8 +11,9 @@ defines the batched data-plane contract and its two implementations:
   table (numpy columns for hashed 5-tuple, service id, selected prefix id,
   bytes, created/last-seen timestamps) held as a few runs sorted by flow
   key, so a batch of a million admissions is a handful of
-  ``searchsorted`` and merge passes instead of a million dict probes, and
-  a batch of m flows costs O(m log n), not a rewrite of the whole table.
+  ``searchsorted`` passes and at most one k-way rewrite of sorted runs
+  instead of a million dict probes, and a batch of m flows costs
+  O(m log n), not a rewrite of the whole table.
 
 Each plane is the one flow store of whatever owns it: a
 :class:`~repro.traffic_manager.tm_edge.TMEdge` steers its per-flow and
@@ -91,8 +92,9 @@ class FlowBatch:
     """One struct-of-arrays batch of flow activity offered to a data plane.
 
     Columns (equal length): ``keys`` (uint64 hashed 5-tuples),
-    ``service_ids`` (non-negative int32), ``payload_bytes`` (float64 bytes
-    carried by this batch's packets per flow; zero for pure admissions).
+    ``service_ids`` (non-negative int32), ``payload_bytes`` (finite,
+    non-negative float64 bytes carried by this batch's packets per flow;
+    zero for pure admissions).
     """
 
     keys: np.ndarray
@@ -117,8 +119,9 @@ class FlowBatch:
             len(self.keys) == len(self.service_ids) == len(self.payload_bytes)
         ):
             raise ValueError("FlowBatch columns must have equal length")
-        if len(self.payload_bytes) and float(self.payload_bytes.min()) < 0:
-            raise ValueError("payload bytes must be non-negative")
+        payload = self.payload_bytes
+        if len(payload) and not (payload.min() >= 0 and np.isfinite(payload.max())):
+            raise ValueError("payload bytes must be finite and non-negative")
         if len(self.service_ids) and int(self.service_ids.min()) < 0:
             raise ValueError("service ids must be non-negative")
 
@@ -436,9 +439,15 @@ class ScalarDataPlane(_PlaneBase):
         plane = cls()
         for name in snapshot["prefixes"]:
             plane.prefix_id(name)
+        flows = snapshot["flows"]
+        if flows:
+            values = np.array(
+                [[float(value) for value in record] for record in flows.values()]
+            )
+            _check_flow_values(*(values[:, i] for i in (0, 2, 3, 4)))
         plane._entries = {
             int(key): [int(sid), int(pid), int(nbytes), float(created), float(seen)]
-            for key, (sid, pid, nbytes, created, seen) in snapshot["flows"].items()
+            for key, (sid, pid, nbytes, created, seen) in flows.items()
         }
         n_prefixes = len(plane._prefix_names)
         if any(not 0 <= e[_PREFIX] < n_prefixes for e in plane._entries.values()):
@@ -461,11 +470,18 @@ _COLUMNS = (
 #: holding it is next rewritten.
 _ENDED = -1
 
-#: A new run is merged into the run before it while that run holds at most
-#: this many times its live flows, so live run sizes grow geometrically
-#: from the newest run to the oldest: O(log n) runs, and O(log n)
-#: rewrites of each flow over its life.
+#: A pushed run absorbs each older neighbour holding at most this many
+#: times the live flows absorbed so far (all in one rewrite), so live run
+#: sizes grow geometrically from the newest run to the oldest: O(log n)
+#: runs, and O(log n) rewrites of each flow over its life.
 MERGE_RATIO = 2
+
+#: Rows a rewrite orders at a time (see :meth:`VectorFlowTable._rewrite`).
+#: Its permutations and gather buffers stay range-sized, so a rewrite
+#: frees no table-sized temporary: freeing one would raise glibc's dynamic
+#: mmap threshold past the next table-sized columns, which would then
+#: land on (and fragment) the heap instead of in their own mappings.
+_REWRITE_BLOCK = 1 << 16
 
 
 class _Run:
@@ -518,12 +534,14 @@ class VectorFlowTable(_PlaneBase):
     Flows live in a few runs (:class:`_Run`), each a set of parallel numpy
     columns sorted by flow key, oldest and largest first.  A batch is looked
     up with one ``searchsorted`` per run, newest first and only for the keys
-    no newer run held; its admissions become one new run, merged into its
-    older neighbours by :data:`MERGE_RATIO`; ``end`` writes tombstones, and
-    a run more than half tombstones is compacted.  A batch of m flows on a
-    table of n therefore costs O(m log n) plus its amortised share of
-    merges, instead of a rewrite of every column.  ``tm.rows_rewritten``
-    counts the rows merges and compactions write.
+    no newer run held; its admissions become one new run, which absorbs
+    its older neighbours by :data:`MERGE_RATIO` in one rewrite
+    (:meth:`_rewrite`: per key range, one stable argsort of the runs' keys
+    laid end to end and one ``take`` per column); ``end`` writes
+    tombstones, and a run more than half tombstones is rewritten alone.
+    A batch of m flows on a table of n therefore costs O(m log n) plus its
+    amortised share of rewrites, instead of a rewrite of every column.
+    ``tm.rows_rewritten`` counts the rows rewrites write.
 
     :meth:`to_packed_snapshot` first folds the runs into one, so a snapshot
     depends only on the live flows, never on the batch history behind them.
@@ -565,7 +583,7 @@ class VectorFlowTable(_PlaneBase):
             result, admissions = self._forward(
                 batch, selections, now_s, record_bytes
             )
-            # Pushed once the batch's temporaries are freed, so a merge
+            # Pushed once the batch's temporaries are freed, so a rewrite
             # reuses their memory instead of growing the heap past it.
             if admissions is not None:
                 self._push(admissions)
@@ -679,56 +697,74 @@ class VectorFlowTable(_PlaneBase):
         return result, admissions
 
     def _push(self, run: _Run) -> None:
-        """Append a batch's admissions as the newest run, first merging it
-        into each older neighbour no more than ``MERGE_RATIO`` times its
-        size."""
+        """Append a batch's admissions as the newest run.  It first absorbs
+        each older neighbour holding at most ``MERGE_RATIO`` times the
+        live flows absorbed so far; the whole cascade is one rewrite."""
         runs = self._runs
-        while runs and runs[-1].live <= MERGE_RATIO * run.live:
-            run = self._merge(runs.pop(), run)
+        live = run.live
+        first = len(runs)
+        while first and runs[first - 1].live <= MERGE_RATIO * live:
+            first -= 1
+            live += runs[first].live
+        if first < len(runs):
+            run = self._rewrite(runs[first:] + [run])
+            del runs[first:]
         runs.append(run)
 
-    def _merge(self, older: _Run, newer: _Run) -> _Run:
-        """Merge ``newer``'s live flows into ``older`` and drop both runs'
-        tombstones; returns ``older`` and empties ``newer``.  A key is live
-        in at most one run, so the merged keys stay unique.  Column by
-        column, each input column released once merged, so the table
-        never holds more than one column twice."""
-        old_rows, new_rows = older.live_rows(), newer.live_rows()
-        new_keys = newer.keys[new_rows]
-        at = np.searchsorted(older.keys[old_rows], new_keys)
-        at += np.arange(len(new_keys))
-        size = older.live + newer.live
-        from_older = np.ones(size, dtype=bool)
-        from_older[at] = False
+    def _rewrite(self, runs: Sequence[_Run]) -> _Run:
+        """One tombstone-free run of ``runs``' live flows; the given runs
+        give up their columns.
+
+        Cut at keys of the largest run, the key space falls into ranges
+        of about :data:`_REWRITE_BLOCK` rows, each a slice of every run.
+        In a range, the runs' live rows are laid end to end and one stable
+        argsort of their keys orders them: sorted runs laid end to end
+        sort as a k-way merge, and a key is live in at most one run, so
+        the keys stay unique.  Every other column is then one ``take`` per
+        range with the same permutations, column by column, each input
+        column released once rewritten."""
+        size = sum(run.live for run in runs)
+        merge = len(runs) > 1
+        n_ranges = -(-size // _REWRITE_BLOCK) if merge else 1
+        largest = max(runs, key=lambda run: len(run.keys))
+        splitters = largest.keys[
+            np.arange(1, n_ranges) * len(largest.keys) // n_ranges
+        ]
+        cuts = [
+            np.r_[0, np.searchsorted(run.keys, splitters), len(run.keys)]
+            for run in runs
+        ]
+        live = [run.live_rows() for run in runs]
+        perms: List[np.ndarray] = []
+        columns = []
         for name, dtype in _COLUMNS:
             column = np.empty(size, dtype=dtype)
-            column[at] = getattr(newer, name)[new_rows]
-            column[from_older] = getattr(older, name)[old_rows]
-            setattr(older, name, column)
-            setattr(newer, name, None)
-        older.dead = 0
+            at = 0
+            for r in range(n_ranges):
+                pieces = []
+                for run, cut, rows in zip(runs, cuts, live):
+                    lo, hi = cut[r], cut[r + 1]
+                    piece = getattr(run, name)[lo:hi]
+                    pieces.append(piece[rows[lo:hi]] if run.dead else piece)
+                values = np.concatenate(pieces)
+                if merge:
+                    if name == "keys":
+                        perms.append(np.argsort(values, kind="stable"))
+                    values = values.take(perms[r])
+                column[at:at + len(values)] = values
+                at += len(values)
+            for run in runs:
+                setattr(run, name, None)
+            columns.append(column)
         self._c_rewritten.add(size)
-        return older
-
-    def _compact(self, run: _Run) -> None:
-        """Drop ``run``'s tombstones in place."""
-        rows = run.live_rows()
-        for name, _dtype in _COLUMNS:
-            setattr(run, name, getattr(run, name)[rows])
-        run.dead = 0
-        self._c_rewritten.add(len(run.keys))
+        return _Run(*columns)
 
     def _fold(self) -> _Run:
-        """Fold every run into one tombstone-free run and return it.
-        Newest first, so each merge rewrites the smaller runs and the
-        oldest, largest run is rewritten once."""
+        """Rewrite the runs into one tombstone-free run and return it."""
         runs = self._runs
-        while len(runs) > 1:
-            newer = runs.pop()
-            self._merge(runs[-1], newer)
-        if runs and runs[0].dead:
-            self._compact(runs[0])
-        self._runs = [run for run in runs if len(run.keys)]
+        if len(runs) > 1 or (runs and runs[0].dead):
+            run = self._rewrite(runs)
+            self._runs = [run] if len(run.keys) else []
         return self._runs[0] if self._runs else _Run.empty()
 
     def remap(self, from_prefix: str, to_prefix: str) -> int:
@@ -754,7 +790,8 @@ class VectorFlowTable(_PlaneBase):
         if len(pending):
             pending = pending[np.r_[True, pending[1:] != pending[:-1]]]
         ended = 0
-        for run in reversed(self._runs):
+        for index in reversed(range(len(self._runs))):
+            run = self._runs[index]
             if not len(pending):
                 break
             rows, found = run.locate(pending)
@@ -766,7 +803,7 @@ class VectorFlowTable(_PlaneBase):
             ended += len(doomed)
             pending = pending[~found]
             if 2 * run.dead > len(run.keys):
-                self._compact(run)
+                self._runs[index] = self._rewrite([run])
         self._runs = [run for run in self._runs if len(run.keys)]
         self._c_ended.add(ended)
         return ended
@@ -838,7 +875,8 @@ class VectorFlowTable(_PlaneBase):
 
         Raises ``ValueError`` for a column that is missing, of another
         dtype or of another length, keys that are not strictly increasing,
-        and prefix ids the snapshot does not name.
+        prefix ids the snapshot does not name, and the values
+        :func:`_check_flow_values` rejects.
         """
         _check_snapshot(snapshot, "vector-packed")
         plane = cls()
@@ -869,6 +907,7 @@ class VectorFlowTable(_PlaneBase):
             raise ValueError("packed snapshot keys are not strictly increasing")
         if run.prefix.min() < 0 or run.prefix.max() >= len(plane._prefix_names):
             raise ValueError("snapshot pins a flow to an unknown prefix id")
+        _check_flow_values(run.service, run.bytes, run.created, run.last_seen)
         plane._runs = [run]
         return plane
 
@@ -876,6 +915,25 @@ class VectorFlowTable(_PlaneBase):
         # Looked up on the instance so a wrapped ``to_packed_snapshot``
         # (e.g. a timing hook) sees every checkpoint.
         return self.to_packed_snapshot()
+
+
+def _check_flow_values(
+    service: np.ndarray,
+    nbytes: np.ndarray,
+    created: np.ndarray,
+    last_seen: np.ndarray,
+) -> None:
+    """The value rules both planes' restores enforce on non-empty flow
+    columns: service ids are non-negative, bytes finite and non-negative,
+    timestamps finite (negative ones are legal: a clock may start before
+    zero).  Min and max carry any NaN or infinity, so no mask is built."""
+    if service.min() < 0:
+        raise ValueError("snapshot holds a negative service id")
+    if not (nbytes.min() >= 0 and np.isfinite(nbytes.max())):
+        raise ValueError("snapshot holds non-finite or negative bytes")
+    for column in (created, last_seen):
+        if not (np.isfinite(column.min()) and np.isfinite(column.max())):
+            raise ValueError("snapshot holds a non-finite timestamp")
 
 
 def _check_snapshot(snapshot: Mapping[str, Any], kind: str) -> None:

@@ -13,6 +13,7 @@ Out-of-process SIGKILL recovery lives in
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -196,6 +197,30 @@ class TestCheckpointStore:
         path = store.save(4, payload)
         loaded = store.load(path)
         assert loaded == Checkpoint(seq=4, payload=payload, path=path)
+
+    def test_file_is_the_compact_sorted_envelope(self, tmp_path):
+        """The payload is dumped once, canonically, inside a compact
+        envelope; an indented file (the earlier on-disk form) still loads."""
+        store = CheckpointStore(tmp_path)
+        payload = {"z": [1.5, float("nan")], "a": {"y": "é", "b": None}, "seq": 2}
+        path = store.save(7, payload)
+        loaded = store.load(path)
+        compact = {"sort_keys": True, "separators": (",", ":")}
+        envelope = {
+            "kind": "painter-controller-checkpoint",
+            "version": 1,
+            "seq": 7,
+            "sha256": hashlib.sha256(
+                json.dumps(payload, **compact).encode("utf-8")
+            ).hexdigest(),
+            "payload": payload,
+        }
+        assert path.read_text() == json.dumps(envelope, **compact)
+        assert json.dumps(loaded.payload, sort_keys=True) == json.dumps(
+            payload, sort_keys=True
+        )
+        path.write_text(json.dumps(envelope, sort_keys=True, indent=2))
+        assert store.load(path).payload.keys() == payload.keys()
 
     def test_latest_returns_newest(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=10)

@@ -9,11 +9,13 @@ batch sequences to enforce that.
 
 import base64
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.traffic_manager import dataplane
 from repro.traffic_manager.dataplane import (
     DataPlane,
     FlowBatch,
@@ -80,6 +82,16 @@ class TestFlowBatch:
                 keys=np.array([1], dtype=np.uint64),
                 service_ids=np.array([0], dtype=np.int32),
                 payload_bytes=np.array([-1.0]),
+            )
+
+    @pytest.mark.parametrize("nbytes", [math.nan, math.inf])
+    def test_non_finite_bytes_rejected(self, nbytes):
+        """Bytes a restore would refuse never enter a plane."""
+        with pytest.raises(ValueError, match="finite"):
+            FlowBatch(
+                keys=np.array([1, 2], dtype=np.uint64),
+                service_ids=np.array([0, 0], dtype=np.int32),
+                payload_bytes=np.array([0.0, nbytes]),
             )
 
     def test_negative_service_id_rejected(self):
@@ -443,6 +455,34 @@ def packed_snapshot(prefixes, **columns):
     }
 
 
+#: (column, bad value, message) both restores reject, packed and scalar.
+BAD_FLOW_VALUES = [
+    ("bytes", math.nan, "bytes"),
+    ("bytes", math.inf, "bytes"),
+    ("bytes", -1.0, "bytes"),
+    ("created", math.inf, "timestamp"),
+    ("created", -math.inf, "timestamp"),
+    ("last_seen", math.nan, "timestamp"),
+    ("service", -1, "service id"),
+]
+BAD_FLOW_VALUE_IDS = ["nan-bytes", "inf-bytes", "negative-bytes", "inf-created",
+                      "minus-inf-created", "nan-last-seen", "negative-service"]
+
+
+def assert_run_invariants(vector: VectorFlowTable):
+    """Each run is non-empty and strictly key-sorted, counts its own
+    tombstones, and no key is live in two runs."""
+    live = []
+    for run in vector._runs:
+        assert len(run.keys) > 0
+        assert (run.keys[1:] > run.keys[:-1]).all()
+        assert run.dead == int((run.prefix == -1).sum())
+        live.append(run.keys[run.prefix != -1])
+    if live:
+        keys = np.concatenate(live)
+        assert len(np.unique(keys)) == len(keys)
+
+
 class TestTieredTable:
     """The vector plane's sorted runs, tombstones and canonical snapshot."""
 
@@ -462,6 +502,17 @@ class TestTieredTable:
         and re-admissions of ended keys agree with the scalar reference
         on every result; the packed snapshot is the reference's live flows
         in key order, whatever runs held them."""
+        self._churn(ops)
+
+    @given(ops=CHURN)
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_churn_agrees_when_rewrites_span_many_key_ranges(self, ops):
+        """The same differential with 7-row rewrite blocks, so every
+        merge is cut into many key ranges."""
+        with mock.patch.object(dataplane, "_REWRITE_BLOCK", 7):
+            self._churn(ops)
+
+    def _churn(self, ops):
         scalar, vector = ScalarDataPlane(), VectorFlowTable()
         selections = make_selections(4)
         offered, ended = [], []
@@ -497,6 +548,7 @@ class TestTieredTable:
                 )
                 offered.append(batch.keys)
             assert_planes_agree(scalar, vector)
+            assert_run_invariants(vector)
         flows = scalar.to_snapshot()["flows"]
         keys = sorted(flows)
         expected = {
@@ -553,6 +605,27 @@ class TestTieredTable:
         assert vector.end(table.keys[:100]) == 100
         assert rewritten.value == before
 
+    def test_a_cascade_is_one_rewrite_of_its_live_rows(self):
+        """A push that absorbs k older runs writes the merged live rows
+        once, not once per absorbed run, and drops their tombstones."""
+        from repro.telemetry import METRICS
+
+        selections = {0: PREFIXES[0]}
+        vector = VectorFlowTable()
+        for seed, size in enumerate((64, 16, 4)):
+            vector.forward(FlowBatch.synthesize(size, seed=seed), selections, 0.0)
+        oldest = vector._runs[0].keys.copy()
+        assert vector.end(oldest[:10]) == 10
+        assert [(len(run.keys), run.dead) for run in vector._runs] == [
+            (64, 10), (16, 0), (4, 0)
+        ]
+        rewritten = METRICS.counter("tm.rows_rewritten")
+        before = rewritten.value
+        vector.forward(FlowBatch.synthesize(40, seed=9), selections, 1.0)
+        assert rewritten.value - before == 54 + 16 + 4 + 40
+        assert [(len(run.keys), run.dead) for run in vector._runs] == [(114, 0)]
+        assert_run_invariants(vector)
+
     @pytest.mark.parametrize(
         "columns, message",
         [
@@ -565,13 +638,46 @@ class TestTieredTable:
             ({"keys": np.array([1, 2], dtype=np.int64)}, "dtype"),
             ({"keys": np.array([1, 2], dtype=np.uint64),
               "bytes": np.zeros(3)}, "mismatched lengths"),
+        ] + [
+            ({"keys": np.array([1, 2], dtype=np.uint64),
+              column: np.array([0, value], dtype=np.int32 if column == "service" else None)},
+             message)
+            for column, value, message in BAD_FLOW_VALUES
         ],
         ids=["unsorted", "repeated", "prefix-past-end", "negative-prefix",
-             "key-dtype", "lengths"],
+             "key-dtype", "lengths"] + BAD_FLOW_VALUE_IDS,
     )
     def test_restore_rejects_malformed_columns(self, columns, message):
         with pytest.raises(ValueError, match=message):
             plane_from_snapshot(packed_snapshot(["a/24"], **columns))
+
+    @pytest.mark.parametrize(
+        "column, value, message", BAD_FLOW_VALUES, ids=BAD_FLOW_VALUE_IDS
+    )
+    def test_scalar_restore_rejects_bad_values(self, column, value, message):
+        record = {"service": 0, "prefix": 0, "bytes": 10, "created": 1.0,
+                  "last_seen": 2.0}
+        record[column] = value
+        snapshot = {
+            "version": TM_SNAPSHOT_VERSION,
+            "kind": "scalar",
+            "prefixes": ["a/24"],
+            "flows": {7: [0, 0, 5, 0.0, 0.0], 9: list(record.values())},
+        }
+        with pytest.raises(ValueError, match=message):
+            plane_from_snapshot(snapshot)
+
+    def test_restores_accept_negative_finite_timestamps(self):
+        """A clock may start before zero (a pre-filled table's flows)."""
+        vector = VectorFlowTable()
+        vector.forward(FlowBatch.synthesize(30, seed=2, n_services=2),
+                       make_selections(2, include_none=False), -6.0)
+        for plane in (vector, ScalarDataPlane.from_snapshot({
+            "version": TM_SNAPSHOT_VERSION, "kind": "scalar", "prefixes": ["a/24"],
+            "flows": {3: [1, 0, 0, -6.0, -5.5]},
+        })):
+            restored = plane_from_snapshot(plane.to_snapshot())
+            assert restored.to_snapshot() == plane.to_snapshot()
 
     def test_restore_rejects_missing_column(self):
         snapshot = packed_snapshot(["a/24"], keys=np.array([1], dtype=np.uint64))
