@@ -7,7 +7,9 @@ Commands:
   generated from the runner's signature (``--json PATH`` saves the table,
   ``--journal PATH`` records a run journal);
 * ``report``   — run several experiments (the quick ones, named ids, or
-  ``all``) and write a Markdown report with each experiment's digest;
+  ``all``) at the arguments their claims are checked at, print a PASS or
+  FAIL line per claim (exit 1 on any FAIL) and write a Markdown report with
+  the verdicts and each experiment's digest;
 * ``info``     — describe a scenario preset (topology, UGs, benefit headroom);
 * ``solve``    — run the Advertisement Orchestrator and print (or save) the
   configuration;
@@ -167,10 +169,12 @@ def cmd_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    markdown = run_and_report(requested, jobs=args.jobs)
+    markdown, verdicts = run_and_report(requested, jobs=args.jobs)
     Path(args.output).write_text(markdown)
+    for verdict in verdicts:
+        print(verdict)
     print(f"wrote {args.output} covering: {', '.join(requested)}")
-    return 0
+    return 1 if any(verdict.startswith("FAIL") for verdict in verdicts) else 0
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
@@ -506,7 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(audit)
     audit.set_defaults(func=cmd_audit)
 
-    report = sub.add_parser("report", help="run experiments and write a Markdown report")
+    report = sub.add_parser(
+        "report", help="run experiments, check their claims, write a Markdown report"
+    )
     report.add_argument(
         "experiments", nargs="*",
         help="experiment ids, or `all` (default: the quick ones)",

@@ -269,3 +269,31 @@ def run_ext_failover_sweep(
         )
     result.add_note("PAINTER downtime scales with RTT (1.3x detection); the others do not")
     return result
+
+
+# -- claims (checked by ``repro report`` at the registry's ``claims_at``) ----
+
+
+def spread_delivers_at_peak(result: ExperimentResult) -> None:
+    final = result.rows[-1]
+    assert final[4] == 1.0  # spread still delivers at the highest demand
+    assert final[2] < 1.0  # single path long saturated
+
+
+def multipath_keeps_delivering(result: ExperimentResult) -> None:
+    assert all(row[3] >= 0.99 for row in result.rows)
+
+
+def v6_peering_loses_paths(result: ExperimentResult) -> None:
+    exposable = result.column("exposable_path_frac")
+    assert exposable[0] < 0.85  # realistic v6 peering loses paths
+
+
+def combined_gain_beats_either(result: ExperimentResult) -> None:
+    gains = {row[0]: row[2] for row in result.rows}
+    assert gains["both"] >= max(gains["painter_only"], gains["egress_only"])
+
+
+def downtime_scales_with_rtt(result: ExperimentResult) -> None:
+    painter = result.column("painter_downtime_ms")
+    assert painter == sorted(painter)  # RTT-proportional

@@ -60,6 +60,7 @@ def run_fig10(
     result.add_note(f"anycast reconvergence: {outcome.anycast_reconvergence_s:.1f} s")
     result.add_note(f"DNS failover (TTL-bound): {outcome.dns_downtime_s:.0f} s")
     result.add_note("latency -1.0 marks an unreachable prefix")
+    result.evidence["outcome"] = outcome
     return result
 
 
@@ -69,3 +70,15 @@ def failover_summary(
 ) -> FailoverResult:
     """The raw simulation result, for tests and ad-hoc analysis."""
     return run_failover(list(paths) if paths is not None else default_fig10_paths(), config)
+
+
+# -- claims (checked by ``repro report`` at the registry's ``claims_at``) ----
+
+
+def rtt_timescale_failover(result: ExperimentResult) -> None:
+    outcome = result.evidence["outcome"]
+    # The paper's timescale separation: tens of ms / ~1 s / ~60 s.
+    assert outcome.painter_downtime_ms < 100.0
+    assert 0.3 <= outcome.anycast_loss_s <= 3.0
+    assert 5.0 <= outcome.anycast_reconvergence_s <= 30.0
+    assert outcome.dns_downtime_s == 60.0

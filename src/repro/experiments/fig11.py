@@ -80,3 +80,26 @@ def run_fig11b(scenario: Optional[Scenario] = None) -> ExperimentResult:
         "every intermediate AS of the default path (paper: 90.7% vs 69.5%)"
     )
     return result
+
+
+# -- claims (checked by ``repro report`` at the registry's ``claims_at``) ----
+
+
+def exposes_more_paths_than_sdwan(result: ExperimentResult) -> None:
+    rows = {row[0]: row[1:] for row in result.rows}
+    median_best_diff = rows["best_paths_diff"][2]
+    median_sdwan = rows["sdwan_paths"][2]
+    # Paper: PAINTER exposes ~23 more paths than SD-WAN for most UGs, and
+    # SD-WAN typically offers 2-3 paths.
+    assert median_best_diff >= 10
+    assert 1 <= median_sdwan <= 4
+    assert rows["all_paths_diff"][2] >= median_best_diff
+
+
+def avoids_more_ases_than_sdwan(result: ExperimentResult) -> None:
+    rows = {row[0]: row for row in result.rows}
+    painter_full = rows["painter"][4]
+    sdwan_full = rows["sdwan"][4]
+    # Paper: 90.7% vs 69.5% of UGs can avoid every default-path AS.
+    assert painter_full > sdwan_full
+    assert painter_full > 0.8

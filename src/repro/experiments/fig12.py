@@ -82,3 +82,20 @@ def run_fig12(
         "beneficial policy-compliant ingresses (Appendix B)"
     )
     return result
+
+
+# -- claims (checked by ``repro report`` at the registry's ``claims_at``) ----
+
+
+def coverage_and_error_grow_with_uncertainty(result: ExperimentResult) -> None:
+    coverage = dict(zip(result.column("uncertainty_km"), result.column("coverage_frac")))
+    errors = dict(
+        zip(result.column("uncertainty_km"), result.column("median_abs_error_ms"))
+    )
+    # Coverage grows with allowed uncertainty; ~80% at the paper's 450 km.
+    values = [coverage[gp] for gp in sorted(coverage)]
+    assert values == sorted(values)
+    assert coverage[450] > 0.6
+    # Error grows with uncertainty and stays small (paper: ~2 ms median).
+    assert errors[700] >= errors[100]
+    assert errors[450] < 5.0

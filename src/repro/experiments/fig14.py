@@ -55,3 +55,26 @@ def run_fig14(
                 name, config.prefix_count, ev.lower, ev.mean, ev.estimated, ev.upper
             )
     return result
+
+
+# -- claims (checked by ``repro report`` at the registry's ``claims_at``) ----
+
+
+def painter_ranges_stay_narrow(result: ExperimentResult) -> None:
+    by_strategy = {}
+    for strategy, budget, lower, mean, estimated, upper in result.rows:
+        by_strategy.setdefault(strategy, []).append((budget, lower, mean, estimated, upper))
+
+    # One-per-Peering has zero uncertainty (one ingress per prefix).
+    for _b, lower, _m, _e, upper in by_strategy["one_per_peering"]:
+        assert abs(upper - lower) < 1e-9
+
+    # One-per-PoP has wide ranges (many possibly-poor ingresses per prefix);
+    # PAINTER's upper-estimated gap is small.
+    def avg_gap(strategy, lo_idx, hi_idx):
+        rows = by_strategy[strategy]
+        return sum(r[hi_idx] - r[lo_idx] for r in rows) / len(rows)
+
+    painter_gap = avg_gap("painter", 3, 4)  # upper - estimated
+    opop_gap = avg_gap("one_per_pop", 3, 4)
+    assert painter_gap < opop_gap

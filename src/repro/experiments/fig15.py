@@ -123,3 +123,23 @@ def run_fig15b(
             uncertainty = (final.upper_benefit - final.estimated_benefit) / total_possible
         result.add_row(d_reuse, needed, uncertainty, config.reuse_factor())
     return result
+
+
+# -- claims (checked by ``repro report`` at the registry's ``claims_at``) ----
+
+
+def prefixes_grow_with_deployment(result: ExperimentResult) -> None:
+    peerings = result.column("n_peerings")
+    p90 = result.column("prefixes_90pct")
+    # Bigger deployments need at least as many prefixes (paper: linear-ish).
+    assert peerings == sorted(peerings)
+    assert all(n != -1 for n in p90)
+    assert p90[-1] >= p90[0]
+
+
+def d_reuse_trades_reuse_for_certainty(result: ExperimentResult) -> None:
+    uncertainty = result.column("uncertainty_frac")
+    reuse = result.column("reuse_factor")
+    # Larger D_reuse: less reuse, less uncertainty (the paper's tradeoff).
+    assert reuse[-1] < reuse[0]
+    assert uncertainty[-1] <= uncertainty[0]

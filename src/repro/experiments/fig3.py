@@ -44,3 +44,15 @@ def run_fig3(
             f"{extant_vs_cached_ratio(flows):.2f} (paper: roughly 2:1 for Cloud A)"
         )
     return result
+
+
+# -- claims (checked by ``repro report`` at the registry's ``claims_at``) ----
+
+
+def late_bytes_outlive_dns(result: ExperimentResult) -> None:
+    rows = {(r[0], r[1]): r[2] for r in result.rows}
+    # Paper shape: ~80% of Cloud A bytes sent >= 5 min after expiry; the
+    # other clouds ~20% at >= 1 min.
+    assert rows[("cloud-a", 300.0)] > 0.6
+    assert rows[("cloud-b", 60.0)] < 0.5
+    assert rows[("cloud-c", 60.0)] < 0.5

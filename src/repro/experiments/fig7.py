@@ -91,3 +91,21 @@ def run_fig7(
             "static = day-0 group pinned)"
         )
     return result
+
+
+# -- claims (checked by ``repro report`` at the registry's ``claims_at``) ----
+
+
+def dynamic_retains_static_degrades(result: ExperimentResult) -> None:
+    table = {(row[0], row[1], row[2]): row[3] for row in result.rows}
+    budgets = sorted({row[0] for row in result.rows})
+    top = budgets[-1]
+    day0 = table[(top, 0, "dynamic")]
+    late_dynamic = [table[(top, d, "dynamic")] for d in (7, 14, 21, 28)]
+    late_static = [table[(top, d, "static")] for d in (7, 14, 21, 28)]
+    # Dynamic retains benefit (paper: <= ~3% degradation over a month).
+    assert min(late_dynamic) >= day0 - 0.10
+    # Static prefix choices do measurably worse (paper: ~10% worse).
+    avg_dynamic = sum(late_dynamic) / len(late_dynamic)
+    avg_static = sum(late_static) / len(late_static)
+    assert avg_static <= avg_dynamic

@@ -109,3 +109,12 @@ def run_fig8(scenario: Optional[Scenario] = None) -> ExperimentResult:
         )
     )
     return result
+
+
+# -- claims (checked by ``repro report`` at the registry's ``claims_at``) ----
+
+
+def more_paths_faster_failover(result: ExperimentResult) -> None:
+    rows = {row[0]: row for row in result.rows}
+    assert rows["painter"][3] > rows["sdwan"][3]  # more paths
+    assert rows["painter"][4] < rows["dns"][4]  # faster failover

@@ -79,3 +79,22 @@ def run_fig9b(
             outcome.dns_fraction_of_painter,
         )
     return result
+
+
+# -- claims (checked by ``repro report`` at the registry's ``claims_at``) ----
+
+
+def finest_granularity(result: ExperimentResult) -> None:
+    all_rows = {row[1]: row[2:] for row in result.rows if row[0] == "all"}
+    # PAINTER controls everything at the finest granularity; BGP is coarsest.
+    assert all_rows["painter"][0] + all_rows["painter"][1] > 0.95
+    bgp_coarse = all_rows["bgp"][-1] + all_rows["bgp"][-2]
+    painter_coarse = all_rows["painter"][-1] + all_rows["painter"][-2]
+    assert bgp_coarse > painter_coarse
+
+
+def dns_steering_sacrifices_benefit(result: ExperimentResult) -> None:
+    fractions = result.column("dns_fraction_of_painter")
+    # DNS steering sacrifices a large share of the benefit (paper: ~half).
+    assert min(fractions) < 0.9
+    assert all(f <= 1.0 + 1e-9 for f in fractions)

@@ -1,21 +1,25 @@
 """Common experiment plumbing: result tables, budget grids, parallel runs.
 
 Every ``figN`` module returns a :class:`ExperimentResult` whose rows mirror
-the series the paper plots, so benchmarks, tests, and EXPERIMENTS.md all
-consume the same artifact.  An :class:`Experiment` is one registry entry
-(runner, report digest, quick flag) of ``repro.experiments.ALL_EXPERIMENTS``.
+the series the paper plots, so the paper's claims, tests, and EXPERIMENTS.md
+all consume the same artifact.  An :class:`Experiment` is one registry entry
+(runner, report digest, quick flag, claims and the arguments they are
+checked at) of ``repro.experiments.ALL_EXPERIMENTS``.
 :func:`run_experiments_parallel` fans a batch of experiment ids out over
 worker processes (each worker shares scenario builds via the preset cache)
-and folds the workers' perf counters back into the parent registry.
+and folds the workers' perf counters back into the parent registry;
+:func:`check_claims` turns an entry's claims into PASS/FAIL verdicts.
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
+import linecache
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 Cell = Union[str, int, float]
 
@@ -29,6 +33,9 @@ class ExperimentResult:
     columns: Sequence[str]
     rows: List[Tuple[Cell, ...]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
+    #: Objects the table only summarizes (configs, learning histories) that
+    #: a claim asserts on directly; never rendered or saved.
+    evidence: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
 
     def add_row(self, *cells: Cell) -> None:
         if len(cells) != len(self.columns):
@@ -76,13 +83,74 @@ class Experiment:
     """One registered experiment: the single declaration of its surfaces.
 
     ``repro run <id>`` derives its flags from ``run``'s signature, ``repro
-    report`` appends ``digest(result)`` after the tables, and ``quick``
-    entries make up the default report.
+    report`` runs it at ``claims_at`` (runner arguments; a ``scenario``
+    names one of :data:`repro.scenario.CLAIM_WORLDS`), checks each of its
+    ``claims`` against the result and appends ``digest(result)`` after the
+    tables, and ``quick`` entries make up the default report.  A claim is a
+    function of the result stating one of the paper's claims as ``assert``
+    lines; the function's name is the claim's.
     """
 
     run: Callable[..., ExperimentResult]
     digest: Optional[Callable[[ExperimentResult], str]] = None
     quick: bool = False
+    claims: Tuple[Callable[[ExperimentResult], None], ...] = ()
+    claims_at: Mapping[str, Any] = field(default_factory=dict)
+
+    def claim_arguments(self) -> Dict[str, Any]:
+        """``claims_at`` with its ``scenario`` name built into that world."""
+        from repro.scenario import claim_scenario
+
+        arguments = dict(self.claims_at)
+        if "scenario" in arguments:
+            arguments["scenario"] = claim_scenario(arguments["scenario"])
+        return arguments
+
+
+def check_claims(experiment: Experiment, result: ExperimentResult) -> List[str]:
+    """One ``PASS <id>.<claim>`` or ``FAIL <id>.<claim>: <why>`` line per claim."""
+    verdicts = []
+    for claim in experiment.claims:
+        name = f"{result.experiment_id}.{claim.__name__}"
+        try:
+            claim(result)
+        except AssertionError as exc:
+            verdicts.append(f"FAIL {name}: {_failed_assert(exc)}")
+        else:
+            verdicts.append(f"PASS {name}")
+    return verdicts
+
+
+_COMPARISONS = {
+    ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+}
+
+
+def _failed_assert(exc: AssertionError) -> str:
+    """The failing ``assert`` line, with a comparison's two sides evaluated.
+
+    Re-evaluating the sides in the claim's frame is safe because claims are
+    pure functions of the result; it turns ``assert a <= b`` into numbers.
+    """
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    frame = tb.tb_frame
+    line = linecache.getline(frame.f_code.co_filename, tb.tb_lineno).strip()
+    try:
+        test = ast.parse(line).body[0].test
+        (op,) = test.ops
+        scope = {**frame.f_globals, **frame.f_locals}
+        left, right = (
+            eval(compile(ast.Expression(side), "<claim>", "eval"), scope)
+            for side in (test.left, test.comparators[0])
+        )
+        line += f"  [{_fmt(left)} {_COMPARISONS[type(op)]} {_fmt(right)}]"
+    except Exception:  # a diagnostic only: keep the bare line
+        pass
+    if exc.args:
+        line += f"  {exc.args[0]!r}"
+    return line
 
 
 #: Comparators ``run_fig6a``, ``run_fig6b`` and ``run_fig7`` can add rows for.
@@ -128,7 +196,8 @@ def _run_experiment_task(name: str) -> Tuple[str, "ExperimentResult", Dict[str, 
     from repro.experiments import ALL_EXPERIMENTS
     from repro.telemetry import METRICS
 
-    result = ALL_EXPERIMENTS[name].run()
+    experiment = ALL_EXPERIMENTS[name]
+    result = experiment.run(**experiment.claim_arguments())
     return name, result, METRICS.snapshot()
 
 
@@ -146,9 +215,10 @@ def run_experiments_parallel(
     this process's :data:`repro.telemetry.METRICS` registry so reports reflect the
     whole run, not just the parent.
 
-    ``experiment_kwargs`` go to every experiment whose runner accepts them
-    (commonly ``scenario=`` for sized-down runs) and force the serial loop:
-    workers run experiments with their defaults.
+    Each experiment runs at its ``claims_at`` (its defaults if it has no
+    claims).  ``experiment_kwargs`` replace those: they go to every
+    experiment whose runner accepts them (commonly ``scenario=`` for
+    sized-down runs) and force the serial loop.
 
     Experiments are independent by construction (each builds its own world
     from explicit seeds), which is what makes process-level parallelism
@@ -166,9 +236,12 @@ def run_experiments_parallel(
     results: Dict[str, ExperimentResult] = {}
     if jobs <= 1 or len(names) <= 1 or experiment_kwargs:
         for name in names:
-            run = ALL_EXPERIMENTS[name].run
-            accepted = inspect.signature(run).parameters
-            results[name] = run(
+            experiment = ALL_EXPERIMENTS[name]
+            if not experiment_kwargs:
+                results[name] = experiment.run(**experiment.claim_arguments())
+                continue
+            accepted = inspect.signature(experiment.run).parameters
+            results[name] = experiment.run(
                 **{k: v for k, v in experiment_kwargs.items() if k in accepted}
             )
         return results

@@ -17,7 +17,8 @@ replay run:
    flows in one batched failover call.
 
 The per-step flows/s throughput this measures is what the ``tm-bench`` CLI
-subcommand and the ``benchmarks/test_bench_tm.py`` smoke run report.
+subcommand reports; the slow tier's 1M-flow gate
+(``tests/test_azure_gates.py``) drives it at azure scale.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Runs :func:`repro.soak.run_soak` on a sized-down configuration (tiny
 preset, a simulated day split into a handful of windows) and renders the
 per-window SLO accounting as an :class:`ExperimentResult` for the report
-generator.  The full-scale azure smoke run lives in
-``benchmarks/test_bench_soak.py``; this entry is the auditable record.
+generator.  The full-scale azure smoke run is a slow-tier gate in
+``tests/test_azure_gates.py``; this entry is the auditable record.
 """
 
 from __future__ import annotations

@@ -85,8 +85,8 @@ def assert_lp_sound(
 ) -> LpEnvelope:
     """Raise ``AssertionError`` unless ``benefit <= lp_bound`` holds.
 
-    Returns the computed :class:`LpEnvelope` so callers (benchmark gates)
-    can also record the bound and utilization in their ``extra_info``.
+    Returns the computed :class:`LpEnvelope` so callers can also read the
+    bound and utilization.
     """
     envelope = lp_envelope(evaluator, config, benefit=benefit)
     METRICS.counter("optimality.envelope_checks").add()

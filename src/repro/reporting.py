@@ -9,7 +9,7 @@ reproduction run.
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.harness import Cell, ExperimentResult
 
@@ -39,59 +39,68 @@ def result_to_markdown(result: ExperimentResult, max_rows: Optional[int] = None)
     return "\n".join(lines)
 
 
+#: Rows a report shows per table; longer tables end in an elision line.
+MAX_ROWS_PER_TABLE = 40
+
+
 def build_report(
     results: Sequence[ExperimentResult],
-    title: str = "PAINTER reproduction report",
-    preamble: str = "",
-    max_rows_per_table: Optional[int] = 40,
     timestamp: Optional[str] = None,
+    verdicts: Optional[Mapping[str, Sequence[str]]] = None,
 ) -> str:
-    """A full Markdown report over many experiments."""
+    """A full Markdown report over many experiments.
+
+    ``verdicts`` holds each experiment's claim verdicts by id; they follow
+    its table.
+    """
     if not results:
         raise ValueError("no results to report")
     stamp = timestamp if timestamp is not None else time.strftime("%Y-%m-%d %H:%M:%S")
-    lines = [f"# {title}", "", f"Generated {stamp}.", ""]
-    if preamble:
-        lines.extend([preamble, ""])
+    lines = ["# PAINTER reproduction report", "", f"Generated {stamp}.", ""]
     lines.append("## Contents")
     lines.append("")
     for result in results:
         lines.append(f"- [{result.experiment_id}](#user-content-{result.experiment_id}) — {result.title}")
     lines.append("")
     for result in results:
-        lines.append(result_to_markdown(result, max_rows=max_rows_per_table))
+        lines.append(result_to_markdown(result, max_rows=MAX_ROWS_PER_TABLE))
+        claims = (verdicts or {}).get(result.experiment_id, ())
+        if claims:
+            lines.extend([f"- {verdict}" for verdict in claims] + [""])
     return "\n".join(lines)
 
 
 def run_and_report(
     experiment_ids: Optional[Iterable[str]] = None,
-    max_rows_per_table: Optional[int] = 40,
     jobs: int = 1,
-    include_perf: bool = True,
     **experiment_kwargs,
-) -> str:
-    """Run (a subset of) the registered experiments and render the report.
+) -> Tuple[str, List[str]]:
+    """Run (a subset of) the registered experiments; the report and verdicts.
 
     The experiments run through
     :func:`repro.experiments.harness.run_experiments_parallel` (``jobs``
-    worker processes; ``experiment_kwargs``, commonly ``scenario=`` for
-    sized-down runs, go to every experiment that accepts them and force a
-    serial run).  Each experiment's registered digest follows the tables.
-    With ``include_perf`` the report ends with the run's performance
-    counters (cache hit rates, marginal evaluations), merged across workers.
+    worker processes), each at its ``claims_at``, and every claim is
+    checked: the ``PASS``/``FAIL`` lines come back beside the Markdown and
+    follow their table in it.  ``experiment_kwargs`` (commonly
+    ``scenario=`` for sized-down runs) replace the ``claims_at`` of every
+    experiment and check no claims.  Each experiment's registered digest
+    follows the tables; the run's performance counters (cache hit rates,
+    marginal evaluations, merged across workers) end the report.
     """
     from repro.experiments import ALL_EXPERIMENTS
-    from repro.experiments.harness import run_experiments_parallel
+    from repro.experiments.harness import check_claims, run_experiments_parallel
     from repro.telemetry import METRICS
 
     requested = list(experiment_ids) if experiment_ids is not None else list(ALL_EXPERIMENTS)
     by_name = run_experiments_parallel(requested, jobs=jobs, **experiment_kwargs)
-    results = [by_name[name] for name in requested]
-    report = build_report(results, max_rows_per_table=max_rows_per_table)
-    for name, result in zip(requested, results):
+    verdicts = {
+        name: [] if experiment_kwargs else check_claims(ALL_EXPERIMENTS[name], result)
+        for name, result in by_name.items()
+    }
+    report = build_report(list(by_name.values()), verdicts=verdicts)
+    for name, result in by_name.items():
         digest = ALL_EXPERIMENTS[name].digest
         if digest is not None:
             report = report + "\n" + digest(result)
-    if include_perf:
-        report = report + "\n" + METRICS.to_markdown()
-    return report
+    report = report + "\n" + METRICS.to_markdown()
+    return report, [verdict for claims in verdicts.values() for verdict in claims]

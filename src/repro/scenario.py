@@ -273,6 +273,33 @@ def _build_tiny(seed: int, n_ugs: int) -> Scenario:
     )
 
 
+#: The two worlds the paper's claims are checked in (an experiment's
+#: ``claims_at`` names one as its ``scenario``): a prototype-like world and
+#: an Azure-flavoured one with more PoPs and peerings, both sized so every
+#: claim runs in under a minute.  Not presets: no ``--preset`` offers them.
+CLAIM_WORLDS = {
+    "claims-prototype": (
+        TopologyConfig(seed=0, n_pops=15, n_tier1=4, n_transit=8, n_regional=36, n_stub=180),
+        UserGroupConfig(seed=1, n_ugs=200),
+    ),
+    "claims-azure": (
+        TopologyConfig(
+            seed=0, n_pops=25, n_tier1=5, n_transit=14, n_regional=70, n_stub=320,
+            regional_peering_prob=0.7,
+        ),
+        UserGroupConfig(seed=1, n_ugs=300),
+    ),
+}
+
+
+def claim_scenario(name: str) -> Scenario:
+    """The claim world ``name`` of :data:`CLAIM_WORLDS`, through the preset cache."""
+    topology_config, ug_config = CLAIM_WORLDS[name]
+    return _maybe_cached(
+        ("claims", name), lambda: build_scenario(name, topology_config, ug_config)
+    )
+
+
 #: Every scenario preset by name: the choices of each ``--preset`` flag and
 #: the names :class:`~repro.soak.SoakConfig` and
 #: :class:`~repro.experiments.replay.ReplayConfig` accept.

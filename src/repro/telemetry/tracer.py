@@ -10,7 +10,7 @@ The tracer is **disabled by default**.  Disabled, ``span()`` returns a
 shared singleton no-op context manager whose ``__enter__``/``__exit__`` do
 nothing — no allocation, no clock reads, no journal writes — so leaving the
 instrumentation in hot paths costs a single attribute check.  This is the
-property the million-flow TM benchmarks gate on.
+property the million-flow Traffic Manager runs rely on.
 
 Finished spans are handed to an optional sink (normally a
 :class:`repro.telemetry.journal.RunJournal`) in *completion* order, which

@@ -40,6 +40,8 @@ SMOKE = {
     "fig14": (*TINY, "--painter-max-budget", "4"),
     "fig15a": ("--scales", "0.4", "--max-budget", "4"),
     "fig15b": (*TINY, "--d-reuse-sweep-km", "1000", "3000", "--max-budget", "4"),
+    "ablations": TINY,
+    "enterprise": TINY,
     "chaos": ("--storms", "2", "--duration-s", "90"),
     "communities": (*TINY, "--budgets", "6"),
     "controller": ("--iterations", "3"),

@@ -1,8 +1,10 @@
 """Every figure experiment runs on a tiny world and keeps the paper's shape.
 
-These are fast sanity versions of the benchmarks: each experiment gets a
-small scenario, and the assertions check the *qualitative* claims — who
-wins, which direction curves move — not absolute numbers.
+These are fast sanity versions of the claims ``repro report`` checks (each
+experiment module's claim functions, at the registry's ``claims_at``): each
+experiment gets a small scenario, and the assertions check the
+*qualitative* claims — who wins, which direction curves move — not
+absolute numbers.
 """
 
 import math

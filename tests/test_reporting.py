@@ -1,4 +1,6 @@
-"""Markdown report generation."""
+"""Markdown report generation and the claims ``repro report`` checks."""
+
+import inspect
 
 import pytest
 
@@ -45,14 +47,16 @@ class TestBuildReport:
         with pytest.raises(ValueError):
             build_report([])
 
-    def test_preamble_included(self):
-        report = build_report([_result()], preamble="Context here.", timestamp="t")
-        assert "Context here." in report
+    def test_verdicts_follow_their_table(self):
+        report = build_report(
+            [_result("a"), _result("b")], timestamp="t", verdicts={"a": ["PASS a.holds"]}
+        )
+        assert report.index("- PASS a.holds") < report.index("## b — demo table")
 
 
 class TestRunAndReport:
     def test_runs_selected_experiments(self, scenario):
-        report = run_and_report(["fig10", "fig12"], scenario=scenario)
+        report, _verdicts = run_and_report(["fig10", "fig12"], scenario=scenario)
         assert "fig10" in report and "fig12" in report
 
     def test_unknown_experiment_rejected(self):
@@ -69,5 +73,57 @@ class TestRunAndReport:
 
     def test_scenario_kwarg_only_passed_where_accepted(self, scenario):
         # fig10 does not take a scenario; this must not crash.
-        report = run_and_report(["fig10"], scenario=scenario)
+        report, verdicts = run_and_report(["fig10"], scenario=scenario)
         assert "PAINTER downtime" in report
+        # Override arguments replace claims_at, so no claim is checked.
+        assert verdicts == []
+
+
+class TestClaims:
+    def test_claims_at_names_runner_parameters_and_claim_worlds(self):
+        from repro.experiments import ALL_EXPERIMENTS
+        from repro.scenario import CLAIM_WORLDS
+
+        for name, experiment in ALL_EXPERIMENTS.items():
+            assert experiment.claims or not experiment.claims_at, name
+            parameters = inspect.signature(experiment.run).parameters
+            assert set(experiment.claims_at) <= set(parameters), name
+            if "scenario" in experiment.claims_at:
+                assert experiment.claims_at["scenario"] in CLAIM_WORLDS, name
+
+    def test_cli_passes_and_exits_0_when_every_claim_holds(self, tmp_path, capsys):
+        from repro.cli import main
+
+        output = tmp_path / "report.md"
+        assert main(["report", "fig3", "--output", str(output)]) == 0
+        assert "PASS fig3.late_bytes_outlive_dns\n" in capsys.readouterr().out
+        assert "- PASS fig3.late_bytes_outlive_dns\n" in output.read_text()
+
+    def test_cli_fails_and_exits_1_on_a_failing_claim(self, monkeypatch, tmp_path, capsys):
+        import repro.experiments
+        from repro.cli import main
+        from repro.experiments.fig3 import late_bytes_outlive_dns, run_fig3
+        from repro.experiments.harness import Experiment
+
+        def never_holds(result):
+            first = result.column("bytes_yet_to_be_sent_frac")[0]
+            assert first > 2.0
+
+        monkeypatch.setattr(
+            repro.experiments,
+            "ALL_EXPERIMENTS",
+            {
+                "fig3": Experiment(
+                    run_fig3,
+                    claims=(late_bytes_outlive_dns, never_holds),
+                    claims_at={"n_flows": 1200},
+                )
+            },
+        )
+        output = tmp_path / "report.md"
+        assert main(["report", "fig3", "--output", str(output)]) == 1
+        out = capsys.readouterr().out
+        assert "PASS fig3.late_bytes_outlive_dns\n" in out
+        verdict = "FAIL fig3.never_holds: assert first > 2.0  [1.000 > 2.000]"
+        assert verdict in out
+        assert f"- {verdict}" in output.read_text()

@@ -82,6 +82,7 @@ class TestExperimentRegistry:
         from repro.experiments import ALL_EXPERIMENTS
 
         expected = {
+            "ablations", "enterprise",
             "chaos", "communities", "controller", "hotpotato", "replay",
             "fig3", "fig6a", "fig6b", "fig6c", "fig7", "fig8", "fig9a", "fig9b",
             "fig10", "fig11a", "fig11b", "fig12", "fig14", "fig15a", "fig15b",
