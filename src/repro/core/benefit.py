@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.advertisement import AdvertisementConfig
 from repro.core.routing_model import RoutingModel
-from repro.routing.ground_truth import GroundTruthRouting
 from repro.scenario import Scenario
 from repro.telemetry import METRICS
 from repro.usergroups.usergroup import UserGroup
@@ -518,6 +517,12 @@ class BenefitEvaluator:
         )
 
 
+def _improvement(anycast: float, latencies: Sequence[float]) -> float:
+    """The TM measures anycast and every prefix and uses the fastest, so an
+    improvement is never negative."""
+    return anycast - min(anycast, min(latencies, default=math.inf))
+
+
 def realized_improvement(
     scenario: Scenario,
     ug: UserGroup,
@@ -531,18 +536,11 @@ def realized_improvement(
     prefix choices"); otherwise it uses the best available (dynamic).
     Improvement stays floored at 0 since anycast remains a destination.
     """
-    routing: GroundTruthRouting = scenario.routing
-    anycast = scenario.anycast_latency_ms(ug, day=day)
     prefixes = [fixed_prefix] if fixed_prefix is not None else config.prefixes
-    best = anycast
-    for prefix in prefixes:
-        advertised = config.peerings_for(prefix)
-        if not advertised:
-            continue
-        latency = routing.latency_for(ug, advertised, day=day)
-        if latency is not None and latency < best:
-            best = latency
-    return anycast - best
+    (row,) = scenario.routing.latencies(
+        [ug], [config.peerings_for(prefix) for prefix in prefixes], day=day
+    ).tolist()
+    return _improvement(scenario.anycast_latency_ms(ug, day=day), row)
 
 
 def realized_benefit(
@@ -557,35 +555,41 @@ def realized_benefit(
     their pinned prefix, unmapped UGs stay on anycast (they had no better
     prefix when the pins were chosen) — contributing zero improvement.
     """
+    ugs = scenario.user_groups
+    latencies = scenario.routing.latencies(
+        ugs, [config.peerings_for(prefix) for prefix in config.prefixes], day=day
+    )
+    column = {prefix: j for j, prefix in enumerate(config.prefixes)}
     total = 0.0
-    for ug in scenario.user_groups:
-        if prefix_choice is not None and ug.ug_id not in prefix_choice:
-            continue  # pinned to anycast: zero improvement by definition
-        fixed = None if prefix_choice is None else prefix_choice[ug.ug_id]
-        total += ug.volume * realized_improvement(
-            scenario, ug, config, day=day, fixed_prefix=fixed
-        )
+    for ug, row in zip(ugs, latencies.tolist()):
+        if prefix_choice is not None:
+            if ug.ug_id not in prefix_choice:
+                continue  # pinned to anycast: zero improvement by definition
+            pinned = column.get(prefix_choice[ug.ug_id])
+            row = [] if pinned is None else [row[pinned]]
+        total += ug.volume * _improvement(scenario.anycast_latency_ms(ug, day=day), row)
     return total
 
 
 def best_prefix_choices(
     scenario: Scenario, config: AdvertisementConfig, day: int = 0
 ) -> Dict[int, int]:
-    """Each UG's best prefix by ground-truth latency on ``day`` (for Fig. 7)."""
-    routing = scenario.routing
+    """Each UG's best prefix by ground-truth latency on ``day`` (for Fig. 7).
+
+    A UG gets a prefix only when it is strictly faster than anycast; ties
+    between prefixes go to the lowest (``argmin`` keeps the first).
+    """
+    ugs = scenario.user_groups
+    prefixes = config.prefixes
+    if not prefixes:
+        return {}
+    matrix = scenario.routing.latencies(
+        ugs, [config.peerings_for(prefix) for prefix in prefixes], day=day
+    )
+    best = matrix.argmin(axis=1)
+    fastest = matrix[np.arange(len(ugs)), best]
     choices: Dict[int, int] = {}
-    for ug in scenario.user_groups:
-        anycast = scenario.anycast_latency_ms(ug, day=day)
-        best_latency = anycast
-        best_prefix: Optional[int] = None
-        for prefix in config.prefixes:
-            advertised = config.peerings_for(prefix)
-            if not advertised:
-                continue
-            latency = routing.latency_for(ug, advertised, day=day)
-            if latency is not None and latency < best_latency:
-                best_latency = latency
-                best_prefix = prefix
-        if best_prefix is not None:
-            choices[ug.ug_id] = best_prefix
+    for ug, j, latency in zip(ugs, best.tolist(), fastest.tolist()):
+        if latency < scenario.anycast_latency_ms(ug, day=day):
+            choices[ug.ug_id] = prefixes[j]
     return choices

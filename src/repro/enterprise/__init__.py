@@ -12,7 +12,6 @@ from repro.enterprise.slo import (
     SloOutcome,
     SloSummary,
     analyze_slos,
-    painter_latency_for_site,
     summarize_slos,
 )
 from repro.enterprise.workload import (
@@ -38,7 +37,6 @@ __all__ = [
     "diurnal_intensity",
     "flows_by_service",
     "generate_workload",
-    "painter_latency_for_site",
     "peak_concurrent_demand_mbps",
     "summarize_slos",
 ]

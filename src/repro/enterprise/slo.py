@@ -10,10 +10,10 @@ and service, whether the SLO is met under (a) default anycast routing and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.core.advertisement import AdvertisementConfig
-from repro.enterprise.model import Enterprise, ServiceProfile, Site
+from repro.enterprise.model import Enterprise
 from repro.scenario import Scenario
 
 
@@ -45,27 +45,19 @@ class SloOutcome:
         return max(0.0, self.anycast_latency_ms - self.painter_latency_ms)
 
 
-def painter_latency_for_site(
-    scenario: Scenario, site: Site, config: AdvertisementConfig
-) -> float:
-    """Best ground-truth latency across the configuration's prefixes."""
-    ug = site.user_group
-    best = scenario.anycast_latency_ms(ug)
-    for prefix in config.prefixes:
-        latency = scenario.routing.latency_for(ug, config.peerings_for(prefix))
-        if latency is not None and latency < best:
-            best = latency
-    return best
-
-
 def analyze_slos(
     scenario: Scenario, enterprise: Enterprise, config: AdvertisementConfig
 ) -> List[SloOutcome]:
     """Evaluate every (site, service) pair of the enterprise."""
     outcomes: List[SloOutcome] = []
-    for site in enterprise.sites:
+    latencies = scenario.routing.latencies(
+        [site.user_group for site in enterprise.sites],
+        [config.peerings_for(prefix) for prefix in config.prefixes],
+    )
+    for site, row in zip(enterprise.sites, latencies.tolist()):
         anycast = scenario.anycast_latency_ms(site.user_group)
-        painter = painter_latency_for_site(scenario, site, config)
+        # The best of anycast and every prefix, as the Traffic Manager picks.
+        painter = min(anycast, min(row, default=anycast))
         for service in enterprise.services:
             outcomes.append(
                 SloOutcome(

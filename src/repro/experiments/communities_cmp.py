@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.advertisement import AdvertisementConfig
 from repro.core.baselines import one_per_peering
-from repro.core.benefit import realized_benefit
+from repro.core.benefit import best_prefix_choices, realized_benefit
 from repro.experiments.harness import ExperimentResult, budget_grid
 from repro.scenario import Scenario, prototype_scenario
 from repro.steering.communities import (
@@ -35,6 +35,7 @@ from repro.steering.communities import (
 def _config_coverage(scenario: Scenario, config: AdvertisementConfig) -> float:
     """Volume fraction whose realized best-prefix ingress is their best peering."""
     routing = scenario.routing
+    choices = best_prefix_choices(scenario, config)
     covered = 0.0
     total = 0.0
     for ug in scenario.user_groups:
@@ -42,21 +43,12 @@ def _config_coverage(scenario: Scenario, config: AdvertisementConfig) -> float:
         target = best_target_peering(scenario, ug)
         if target is None:
             continue
-        anycast = scenario.anycast_latency_ms(ug)
-        best_latency = anycast
-        best_pid: Optional[int] = None
-        for prefix in config.prefixes:
-            advertised = config.peerings_for(prefix)
-            latency = routing.latency_for(ug, advertised)
-            if latency is not None and latency < best_latency:
-                ingress = routing.ingress_for(ug, advertised)
-                assert ingress is not None
-                best_latency = latency
-                best_pid = ingress.peering_id
-        if best_pid is None:
-            anycast_ingress = routing.anycast_ingress(ug)
-            best_pid = None if anycast_ingress is None else anycast_ingress.peering_id
-        if best_pid == target.peering_id:
+        prefix = choices.get(ug.ug_id)
+        if prefix is None:
+            ingress = routing.anycast_ingress(ug)
+        else:
+            ingress = routing.ingress_for(ug, config.peerings_for(prefix))
+        if ingress is not None and ingress.peering_id == target.peering_id:
             covered += ug.volume
     return 0.0 if total == 0 else covered / total
 

@@ -48,7 +48,7 @@ def _build_deltas(scenario, iterations: int, seed: int):
     )
 
 
-def _run(scenario, deltas, directory, *, warm: bool, max_iterations=None):
+def _run(scenario, deltas, directory, *, warm: bool, budget: int, max_iterations=None):
     from repro.controller import ControllerConfig, PainterController
 
     # observe=False: a measurement round grows the learned set, which
@@ -57,7 +57,7 @@ def _run(scenario, deltas, directory, *, warm: bool, max_iterations=None):
     # exists for.
     controller = PainterController(
         scenario,
-        OrchestratorConfig(prefix_budget=4),
+        OrchestratorConfig(prefix_budget=budget),
         ControllerConfig(
             checkpoint_dir=directory,
             warm_start=warm,
@@ -90,7 +90,7 @@ def run_controller(
         # Reference: uninterrupted run.
         scenario = tiny_scenario(seed=3)
         deltas = _build_deltas(scenario, iterations, seed)
-        reference, _ = _run(scenario, deltas, root / "ref", warm=True)
+        reference, _ = _run(scenario, deltas, root / "ref", warm=True, budget=budget)
 
         reused_total = 0
         fresh_total = 0
@@ -115,10 +115,10 @@ def run_controller(
         half = max(1, reference.iterations_run // 2)
         scenario = tiny_scenario(seed=3)
         deltas = _build_deltas(scenario, iterations, seed)
-        _run(scenario, deltas, root / "kill", warm=True, max_iterations=half)
+        _run(scenario, deltas, root / "kill", warm=True, budget=budget, max_iterations=half)
         scenario = tiny_scenario(seed=3)
         deltas = _build_deltas(scenario, iterations, seed)
-        resumed, _ = _run(scenario, deltas, root / "kill", warm=True)
+        resumed, _ = _run(scenario, deltas, root / "kill", warm=True, budget=budget)
         configs_match = resumed.final_config == reference.final_config
         journals_match = (
             (root / "ref" / "journal.jsonl").read_bytes()
@@ -133,7 +133,7 @@ def run_controller(
         # Cold-only control: same stream with warm-starting disabled.
         scenario = tiny_scenario(seed=3)
         deltas = _build_deltas(scenario, iterations, seed)
-        cold, _ = _run(scenario, deltas, root / "cold", warm=False)
+        cold, _ = _run(scenario, deltas, root / "cold", warm=False, budget=budget)
         result.add_note(
             f"cold-only control reaches the "
             f"{'same' if cold.final_config == reference.final_config else 'DIFFERENT'}"

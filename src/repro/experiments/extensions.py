@@ -15,6 +15,7 @@ the natural extensions this library implements:
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
@@ -34,12 +35,14 @@ def _exposed_destinations(scenario: Scenario, budget: int = 6) -> List[tuple]:
         scenario.user_groups,
         key=lambda u: scenario.anycast_latency_ms(u) - scenario.best_possible_latency_ms(u),
     )
-    destinations = [("anycast", scenario.anycast_latency_ms(ug))]
-    for prefix in config.prefixes:
-        latency = scenario.routing.latency_for(ug, config.peerings_for(prefix))
-        if latency is not None:
-            destinations.append((f"prefix-{prefix}", latency))
-    return destinations
+    (row,) = scenario.routing.latencies(
+        [ug], [config.peerings_for(prefix) for prefix in config.prefixes]
+    ).tolist()
+    return [("anycast", scenario.anycast_latency_ms(ug))] + [
+        (f"prefix-{prefix}", latency)
+        for prefix, latency in zip(config.prefixes, row)
+        if latency != math.inf
+    ]
 
 
 def run_ext_congestion(

@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.core.benefit import BenefitEvaluator
 from repro.core.routing_model import RoutingModel
-from repro.experiments.fig6 import BASELINES, painter_budget_configs
+from repro.experiments.fig6 import baseline_configs, painter_budget_configs
 from repro.experiments.harness import ExperimentResult, budget_grid
 from repro.scenario import Scenario, prototype_scenario
 
@@ -25,7 +25,6 @@ def run_fig14(
     scenario = scenario or prototype_scenario(seed=0, n_ugs=300)
     evaluator = BenefitEvaluator(scenario, RoutingModel(scenario.catalog))
     total_possible = scenario.total_possible_benefit()
-    n_ingresses = len(scenario.deployment)
 
     result = ExperimentResult(
         experiment_id="fig14",
@@ -46,14 +45,9 @@ def run_fig14(
         ev = evaluator.evaluate(painter_configs[budget]).as_fraction_of(total_possible)
         result.add_row("painter", budget, ev.lower, ev.mean, ev.estimated, ev.upper)
 
-    for name, builder in BASELINES.items():
-        max_b = n_ingresses if name == "one_per_peering" else len(scenario.deployment.pops)
-        for budget in budget_grid(max_b):
-            config = builder(scenario, budget)
-            ev = evaluator.evaluate(config).as_fraction_of(total_possible)
-            result.add_row(
-                name, config.prefix_count, ev.lower, ev.mean, ev.estimated, ev.upper
-            )
+    for name, config in baseline_configs(scenario):
+        ev = evaluator.evaluate(config).as_fraction_of(total_possible)
+        result.add_row(name, config.prefix_count, ev.lower, ev.mean, ev.estimated, ev.upper)
     return result
 
 

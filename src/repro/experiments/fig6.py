@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.advertisement import AdvertisementConfig
 from repro.core.baselines import (
@@ -43,6 +43,22 @@ BASELINES: Dict[str, Callable[[Scenario, int], AdvertisementConfig]] = {
     "one_per_pop_w_reuse": one_per_pop_with_reuse,
     "regional_transit": regional_transit,
 }
+
+
+def baseline_configs(scenario: Scenario) -> Iterator[Tuple[str, AdvertisementConfig]]:
+    """``(name, config)`` for each baseline's distinct configs over its
+    budget grid (One-per-Peering's runs to one prefix per ingress, the
+    others' to one per PoP).  A baseline that has saturated returns its last
+    config again at larger budgets; those repeats are skipped."""
+    n_ingresses = len(scenario.deployment)
+    for name, builder in BASELINES.items():
+        max_b = n_ingresses if name == "one_per_peering" else len(scenario.deployment.pops)
+        previous = None
+        for budget in budget_grid(max_b):
+            config = builder(scenario, budget)
+            if config != previous:
+                yield name, config
+            previous = config
 
 
 def painter_budget_configs(
@@ -166,19 +182,16 @@ def run_fig6a(
             evaluation.upper,
         )
 
-    for name, builder in BASELINES.items():
-        max_b = n_ingresses if name == "one_per_peering" else len(scenario.deployment.pops)
-        for budget in budget_grid(max_b):
-            config = builder(scenario, budget)
-            evaluation = evaluator.evaluate(config).as_fraction_of(total_possible)
-            result.add_row(
-                name,
-                config.prefix_count,
-                100.0 * config.prefix_count / n_ingresses,
-                evaluation.estimated,
-                evaluation.lower,
-                evaluation.upper,
-            )
+    for name, config in baseline_configs(scenario):
+        evaluation = evaluator.evaluate(config).as_fraction_of(total_possible)
+        result.add_row(
+            name,
+            config.prefix_count,
+            100.0 * config.prefix_count / n_ingresses,
+            evaluation.estimated,
+            evaluation.lower,
+            evaluation.upper,
+        )
     if "communities" in strategies:
         _communities_benefit_rows(result, scenario, budgets, total_possible, n_ingresses)
         result.add_note(
@@ -272,14 +285,11 @@ def run_fig6b(
         avg, count = _realized_avg_improvement(scenario, painter_configs[budget], improvers)
         result.add_row("painter", budget, 100.0 * budget / n_ingresses, avg, count)
 
-    for name, builder in BASELINES.items():
-        max_b = n_ingresses if name == "one_per_peering" else len(scenario.deployment.pops)
-        for budget in budget_grid(max_b):
-            config = builder(scenario, budget)
-            avg, count = _realized_avg_improvement(scenario, config, improvers)
-            result.add_row(
-                name, config.prefix_count, 100.0 * config.prefix_count / n_ingresses, avg, count
-            )
+    for name, config in baseline_configs(scenario):
+        avg, count = _realized_avg_improvement(scenario, config, improvers)
+        result.add_row(
+            name, config.prefix_count, 100.0 * config.prefix_count / n_ingresses, avg, count
+        )
     if "communities" in strategies:
         from repro.steering.communities import communities_budget_configs
 

@@ -196,6 +196,9 @@ def _run_experiment_task(name: str) -> Tuple[str, "ExperimentResult", Dict[str, 
     from repro.experiments import ALL_EXPERIMENTS
     from repro.telemetry import METRICS
 
+    # Ship only this task's counts: not the fork-inherited parent's, nor an
+    # earlier task's in the same worker.
+    METRICS.reset()
     experiment = ALL_EXPERIMENTS[name]
     result = experiment.run(**experiment.claim_arguments())
     return name, result, METRICS.snapshot()

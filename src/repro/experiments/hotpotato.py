@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.advertisement import AdvertisementConfig
+from repro.core.benefit import best_prefix_choices
 from repro.egress.coexistence import (
     DirectionalModel,
     EgressOptimizer,
@@ -61,28 +61,6 @@ def _epoch_trajectory(n_epochs: int, interval_s: float) -> List[int]:
             assert isinstance(delta, LinkWeightShift)
             trajectory.append(delta.epoch)
     return trajectory
-
-
-def _painter_ingress_ids(
-    scenario: Scenario, config: AdvertisementConfig
-) -> Dict[int, Optional[int]]:
-    """Each UG's realized PAINTER ingress (best prefix, anycast fallback)."""
-    routing = scenario.routing
-    out: Dict[int, Optional[int]] = {}
-    for ug in scenario.user_groups:
-        anycast = scenario.anycast_latency_ms(ug)
-        best_pid: Optional[int] = None
-        best_latency = anycast
-        for prefix in config.prefixes:
-            advertised = config.peerings_for(prefix)
-            latency = routing.latency_for(ug, advertised)
-            if latency is not None and latency < best_latency:
-                ingress = routing.ingress_for(ug, advertised)
-                assert ingress is not None
-                best_latency = latency
-                best_pid = ingress.peering_id
-        out[ug.ug_id] = best_pid
-    return out
 
 
 def _communities_ingress_ids(
@@ -169,6 +147,7 @@ def run_hot_potato(
     from repro.experiments.fig6 import painter_budget_configs
 
     painter_config = painter_budget_configs(scenario, [budget])[budget]
+    painter_choices = best_prefix_choices(scenario, painter_config)
     solution = solve_communities(scenario, budget, epochs=epochs)
     router = CommunityRouting(scenario, epochs=epochs)
     # Announcement assignments are pinned at epoch 0 (solve time); later
@@ -193,7 +172,13 @@ def run_hot_potato(
     communities_flips_total = 0
 
     for epoch in trajectory:
-        painter_now = _painter_ingress_ids(scenario, painter_config)
+        # PAINTER's realized ingress: its best prefix's, None on anycast.
+        painter_now: Dict[int, Optional[int]] = {}
+        for ug in scenario.user_groups:
+            prefix = painter_choices.get(ug.ug_id)
+            painter_now[ug.ug_id] = None if prefix is None else scenario.routing.ingress_for(
+                ug, painter_config.peerings_for(prefix)
+            ).peering_id
         painter_gain = evaluate_coexistence(
             scenario, painter_config, model=model, epoch=epoch
         ).combined_gain

@@ -26,14 +26,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.core.installation import Installation, install_configuration
+from repro.core.installation import install_configuration
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.experiments.harness import ExperimentResult
-from repro.scenario import PRESETS, Scenario
+from repro.scenario import PRESETS
 from repro.telemetry import METRICS, TRACER, emit_event
 from repro.traffic_manager.dataplane import FlowBatch, VectorFlowTable
 from repro.traffic_manager.selection import SelectorBank
@@ -128,20 +126,6 @@ class ReplayResult:
         return result
 
 
-def _latency_matrix(
-    scenario: Scenario, installation: Installation
-) -> Tuple[List[str], np.ndarray]:
-    """(prefix cidrs, UG x prefix ground-truth RTT matrix, inf = no route)."""
-    cidrs = [p.cidr for p in installation.prefixes]
-    matrix = np.full((len(scenario.user_groups), len(cidrs)), math.inf)
-    for j, installed in enumerate(installation.prefixes):
-        for i, ug in enumerate(scenario.user_groups):
-            latency = scenario.routing.latency_for(ug, installed.peering_ids)
-            if latency is not None:
-                matrix[i, j] = latency
-    return cidrs, matrix
-
-
 def run_traffic_replay(config: Optional[ReplayConfig] = None) -> ReplayResult:
     """Run one replay; see the module docstring for the shape of a run."""
     config = config or ReplayConfig()
@@ -163,7 +147,11 @@ def _replay(config: ReplayConfig) -> ReplayResult:
     installation = install_configuration(scenario, advertisement)
 
     with METRICS.timed("replay.measure"):
-        cidrs, latencies = _latency_matrix(scenario, installation)
+        cidrs = [installed.cidr for installed in installation.prefixes]
+        latencies = scenario.routing.latencies(
+            scenario.user_groups,
+            [installed.peering_ids for installed in installation.prefixes],
+        )
         bank = SelectorBank()
         # One measurement round per selector warm-up requirement, so the
         # hysteretic selectors settle on their steady-state choice.

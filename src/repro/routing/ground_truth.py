@@ -24,6 +24,8 @@ from __future__ import annotations
 from repro.util import stable_rng
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.bgp.route import Route
 from repro.bgp.simulator import BGPSimulator
 from repro.measurement.latency_model import LatencyModel
@@ -265,6 +267,30 @@ class GroundTruthRouting:
         value = None if ingress is None else self._model.latency_ms(ug, ingress, day=day)
         self._latency_cache[key] = value
         return value
+
+    def latencies(
+        self,
+        ugs: Sequence[UserGroup],
+        advertised_sets: Sequence[Iterable[int]],
+        day: int = 0,
+    ) -> np.ndarray:
+        """Ground-truth latency of each UG (rows) via each advertised set
+        (columns), ``np.inf`` where there is no route or the set is empty.
+
+        This is the realized catchment the Traffic Manager measures (§3.2):
+        one cached :meth:`latency_for` per non-empty cell, so a cell equals
+        that call's value exactly.
+        """
+        sets = [frozenset(advertised) for advertised in advertised_sets]
+        matrix = np.full((len(ugs), len(sets)), np.inf)
+        for j, advertised in enumerate(sets):
+            if not advertised:
+                continue
+            for i, ug in enumerate(ugs):
+                latency = self.latency_for(ug, advertised, day=day)
+                if latency is not None:
+                    matrix[i, j] = latency
+        return matrix
 
     # -- anycast (the default configuration D) ---------------------------------
 

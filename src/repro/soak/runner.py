@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import tempfile
 import time
@@ -66,6 +65,7 @@ from repro.core.advertisement import AdvertisementConfig
 from repro.core.orchestrator import OrchestratorConfig
 from repro.faults.events import PopOutage
 from repro.faults.schedule import FaultSchedule
+from repro.io import atomic_write_text
 from repro.scenario import PRESETS
 from repro.soak.load import DiurnalLoad
 from repro.soak.slo import SLOLedger, _decode_array, _encode_array
@@ -317,29 +317,15 @@ class SoakDriver(ControllerExtension):
         """(names, matrix) — per-prefix live-latency columns, deduped by
         content label (first occurrence wins)."""
         names: List[str] = []
-        columns: List[np.ndarray] = []
-        seen = set()
-        routing = self._scenario.routing
+        live_sets: List[frozenset] = []
         for pid in config.prefixes:
             peerings = config.peerings_for(pid)
             name = self.prefix_label(peerings)
-            if name in seen:
+            if name in names:
                 continue
-            seen.add(name)
-            live = frozenset(p for p in peerings if p not in disabled)
-            col = np.full(self._n, np.inf)
-            if live:
-                for i, ug in enumerate(self._ugs):
-                    latency = routing.latency_for(ug, live)
-                    if latency is not None:
-                        col[i] = latency
             names.append(name)
-            columns.append(col)
-        if columns:
-            matrix = np.column_stack(columns)
-        else:
-            matrix = np.zeros((self._n, 0))
-        return names, matrix
+            live_sets.append(frozenset(p for p in peerings if p not in disabled))
+        return names, self._scenario.routing.latencies(self._ugs, live_sets)
 
     def _admitted_batch(self, window: int) -> FlowBatch:
         """The batch actually admitted during ``window`` (cap applied)."""
@@ -511,10 +497,7 @@ class SoakDriver(ControllerExtension):
     @staticmethod
     def _export_prometheus(path: str) -> None:
         """Atomic textfile export (node_exporter textfile-collector style)."""
-        target = Path(path)
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(METRICS.to_prometheus())
-        os.replace(tmp, target)
+        atomic_write_text(path, METRICS.to_prometheus())
 
     # -- checkpoint round-trip -------------------------------------------------
 
@@ -687,10 +670,7 @@ class SoakResult:
             "summary": self.summary(),
             "ledger": self.ledger.state_dict(),
         }
-        target = Path(path)
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, target)
+        atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def build_soak_deltas(scenario, cfg: SoakConfig, load: Optional[DiurnalLoad] = None):

@@ -11,11 +11,12 @@ half the benefit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.advertisement import AdvertisementConfig
-from repro.core.benefit import BenefitEvaluator
+from repro.core.benefit import BenefitEvaluator, realized_improvement
 from repro.dns.resolvers import ResolverAssignment
 from repro.scenario import Scenario
 from repro.usergroups.usergroup import UserGroup
@@ -59,22 +60,6 @@ def _ug_improvement_for_prefix(
     return anycast - latency
 
 
-def _ug_realized_improvement_for_prefix(
-    scenario: Scenario,
-    ug: UserGroup,
-    config: AdvertisementConfig,
-    prefix: Optional[int],
-) -> float:
-    """Ground-truth improvement when pinned to one prefix (no floor)."""
-    if prefix is None:
-        return 0.0
-    anycast = scenario.anycast_latency_ms(ug)
-    latency = scenario.routing.latency_for(ug, config.peerings_for(prefix))
-    if latency is None:
-        return 0.0
-    return anycast - latency
-
-
 def evaluate_dns_steering(
     scenario: Scenario,
     config: AdvertisementConfig,
@@ -93,17 +78,27 @@ def evaluate_dns_steering(
     if not realized and evaluator is None:
         raise ValueError("model-based evaluation requires an evaluator")
 
+    if realized:
+        ugs = scenario.user_groups
+        latencies = scenario.routing.latencies(
+            ugs, [config.peerings_for(prefix) for prefix in config.prefixes]
+        ).tolist()
+        row_of = {ug.ug_id: row for ug, row in zip(ugs, latencies)}
+        column = {prefix: j for j, prefix in enumerate(config.prefixes)}
+
     def per_ug_best(ug: UserGroup) -> float:
         if realized:
-            from repro.core.benefit import realized_improvement
-
             return realized_improvement(scenario, ug, config)
         assert evaluator is not None
         return evaluator.expected_improvement(ug, config)
 
-    def per_ug_pinned(ug: UserGroup, prefix: Optional[int]) -> float:
+    def per_ug_pinned(ug: UserGroup, prefix: int) -> float:
         if realized:
-            return _ug_realized_improvement_for_prefix(scenario, ug, config, prefix)
+            # Ground truth with no anycast floor; no route scores zero.
+            latency = row_of[ug.ug_id][column[prefix]]
+            if latency == math.inf:
+                return 0.0
+            return scenario.anycast_latency_ms(ug) - latency
         assert evaluator is not None
         return _ug_improvement_for_prefix(evaluator, ug, config, prefix)
 

@@ -61,22 +61,6 @@ class TestRealizedBenefitModes:
         assert pinned_all <= free + 1e-9
 
 
-class TestEnterpriseSloHelpers:
-    def test_painter_latency_for_site_uses_best_prefix(self, scenario):
-        from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
-        from repro.enterprise import EnterpriseConfig, build_enterprise
-        from repro.enterprise.slo import painter_latency_for_site
-
-        enterprise = build_enterprise(scenario, EnterpriseConfig(seed=2, n_branches=2))
-        config = PainterOrchestrator(
-            scenario, OrchestratorConfig(prefix_budget=3)
-        ).solve()
-        for site in enterprise.sites:
-            latency = painter_latency_for_site(scenario, site, config)
-            assert latency <= scenario.anycast_latency_ms(site.user_group) + 1e-9
-            assert latency > 0
-
-
 class TestFailoverSummaryApi:
     def test_summary_matches_run(self):
         from repro.experiments.fig10 import failover_summary

@@ -44,7 +44,7 @@ SMOKE = {
     "enterprise": TINY,
     "chaos": ("--storms", "2", "--duration-s", "90"),
     "communities": (*TINY, "--budgets", "6"),
-    "controller": ("--iterations", "3"),
+    "controller": ("--iterations", "3", "--budget", "2"),
     "hotpotato": (*TINY, "--budget", "6", "--n-epochs", "1"),
     "optimality": (*TINY, "--budgets", "3", "4"),
     "replay": (),
@@ -76,8 +76,17 @@ def _check_hotpotato(result, out):
 
 
 def _check_controller(result, out):
+    """Resume and cold control agree, and ``--budget`` reaches the solver:
+    iteration 0 is a cold solve at budget 2."""
+    from repro.core.benefit import realized_benefit
+    from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
+    from repro.scenario import tiny_scenario
+
     for note in result.notes:
         assert "DIVERGED" not in note and "DIFFERENT" not in note, note
+    scenario = tiny_scenario(seed=3)
+    config = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=2)).solve()
+    assert result.rows[0][4] == realized_benefit(scenario, config)
 
 
 def _check_soak(result, out):

@@ -124,13 +124,21 @@ class TestParallelRunner:
         """Workers must return exactly what an in-process run produces.
 
         Experiments build their worlds from explicit seeds, so fanning them
-        across processes must not change a single row.
+        across processes must not change a single row, nor the perf counts
+        merged home: a forked worker starts from this process's counts and
+        may run a second task after its first.
         """
         from repro.experiments.harness import run_experiments_parallel
+        from repro.telemetry import METRICS
 
-        names = ["fig3", "fig8"]
+        names = ["fig3", "fig8", "ext_congestion", "ext_multipath"]
+        solves = METRICS.counter("orchestrator.solve_calls")
+        before = solves.value
         serial = run_experiments_parallel(names, jobs=1)
+        serial_solves = solves.value - before
+        before = solves.value
         parallel = run_experiments_parallel(names, jobs=2)
+        assert solves.value - before == serial_solves > 0
         assert list(parallel) == names  # requested order preserved
         for name in names:
             assert parallel[name].columns == serial[name].columns

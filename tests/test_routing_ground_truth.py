@@ -1,5 +1,8 @@
 """Ground-truth routing oracle: ingress selection, anycast, determinism."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.routing.ground_truth import GroundTruthRouting
@@ -103,3 +106,85 @@ class TestExitPolicies:
         base = routing.latency_for(ug, advertised, day=0)
         later = [routing.latency_for(ug, advertised, day=d) for d in range(1, 10)]
         assert any(value != base for value in later)
+
+
+class TestLatencies:
+    """``latencies`` is the per-cell ``latency_for`` table (``inf`` = no
+    route), and every realized-benefit consumer reads the same cells."""
+
+    @pytest.mark.parametrize("day", [0, 5])
+    @pytest.mark.parametrize("world", ["scenario", "small_scenario"])
+    def test_matches_latency_for_per_cell(self, request, world, day):
+        scenario = request.getfixturevalue(world)
+        routing = scenario.routing
+        ids = sorted(p.peering_id for p in scenario.deployment.peerings)
+        disabled = set(ids[::3])
+        ugs = scenario.user_groups[:40]
+        non_compliant = next(
+            (
+                [p for p in ids if p not in scenario.catalog.ingress_ids(ug)][:3]
+                for ug in ugs
+                if len(scenario.catalog.ingress_ids(ug)) < len(ids)
+            ),
+            [],
+        )
+        advertised_sets = [
+            frozenset(ids[:6]),
+            frozenset(),
+            [p for p in ids[2:14] if p not in disabled],  # soak's live set
+            frozenset(ids[:6]),  # a tie with the first column
+            frozenset(non_compliant),
+            frozenset(ids),
+        ]
+        # A fresh oracle: its cells come from cold caches, the reference's
+        # from the session's warm ones.
+        fresh = GroundTruthRouting(routing.topology, routing.latency_model, seed=routing.seed)
+        matrix = fresh.latencies(ugs, advertised_sets, day=day)
+        assert matrix.shape == (len(ugs), len(advertised_sets))
+        for i, ug in enumerate(ugs):
+            for j, advertised in enumerate(advertised_sets):
+                expected = routing.latency_for(ug, advertised, day=day)
+                assert matrix[i, j] == (math.inf if expected is None else expected)
+        assert np.isinf(matrix[:, 1]).all()
+        assert np.array_equal(matrix[:, 0], matrix[:, 3])
+        assert np.isfinite(matrix[:, 5]).all()  # anycast reaches everyone
+        assert fresh.latencies(ugs, []).shape == (len(ugs), 0)
+
+    def test_consumers_take_the_best_prefix(self, scenario):
+        from repro.core.advertisement import AdvertisementConfig
+        from repro.core.benefit import best_prefix_choices, realized_improvement
+        from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
+        from repro.enterprise import EnterpriseConfig, analyze_slos, build_enterprise
+
+        routing = scenario.routing
+        config = PainterOrchestrator(scenario, OrchestratorConfig(prefix_budget=3)).solve()
+        # Prefix 3 repeats prefix 0: every latency ties, the lower one wins.
+        tied = config.copy()
+        for pid in config.peerings_for(0):
+            tied.add(3, pid)
+        for day in (0, 5):
+            choices = best_prefix_choices(scenario, tied, day=day)
+            assert 3 not in choices.values()
+            for ug in scenario.user_groups:
+                anycast = scenario.anycast_latency_ms(ug, day=day)
+                cells = [
+                    routing.latency_for(ug, tied.peerings_for(prefix), day=day)
+                    for prefix in tied.prefixes
+                ]
+                best = min([anycast] + [c for c in cells if c is not None])
+                assert realized_improvement(scenario, ug, tied, day=day) == anycast - best
+                if ug.ug_id in choices:
+                    assert cells[tied.prefixes.index(choices[ug.ug_id])] == best < anycast
+                else:
+                    assert best == anycast
+
+        enterprise = build_enterprise(scenario, EnterpriseConfig(seed=2, n_branches=2))
+        by_site = {site.name: site for site in enterprise.sites}
+        for outcome in analyze_slos(scenario, enterprise, config):
+            ug = by_site[outcome.site_name].user_group
+            cells = [routing.latency_for(ug, config.peerings_for(p)) for p in config.prefixes]
+            anycast = scenario.anycast_latency_ms(ug)
+            assert outcome.painter_latency_ms == min(
+                [anycast] + [c for c in cells if c is not None]
+            )
+            assert 0 < outcome.painter_latency_ms <= anycast
