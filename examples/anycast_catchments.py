@@ -13,7 +13,7 @@ Run with::
 from __future__ import annotations
 
 from repro import OrchestratorConfig, PainterOrchestrator, prototype_scenario
-from repro.core.benefit import realized_improvement
+from repro.core.benefit import tm_choice
 from repro.steering.catchment import CatchmentAnalysis
 
 
@@ -47,9 +47,14 @@ def main() -> None:
     orchestrator.learn(iterations=2)
     config = orchestrator.solve()
     by_id = {ug.ug_id: ug for ug in scenario.user_groups}
-    for entry in analysis.worst_entries(5):
-        ug = by_id[entry.ug_id]
-        gain = realized_improvement(scenario, ug, config)
+    entries = analysis.worst_entries(5)
+    ugs = [by_id[entry.ug_id] for entry in entries]
+    # The Traffic Manager's gain over anycast on each UG's realized catchment.
+    catchment = scenario.routing.latencies(
+        ugs, [config.peerings_for(prefix) for prefix in config.prefixes]
+    )
+    _, gains = tm_choice([scenario.anycast_latency_ms(ug) for ug in ugs], catchment)
+    for entry, ug, gain in zip(entries, ugs, gains.tolist()):
         print(
             f"  {ug.metro.name:<16} landed {entry.pop_name:<22} "
             f"(+{entry.inflation_km:6,.0f} km past {entry.closest_pop_name}); "

@@ -22,8 +22,9 @@ from repro.core.benefit import (
     ConfigEvaluation,
     DEFAULT_INFLATION_SCALE_KM,
     best_prefix_choices,
+    catchment_benefit,
     realized_benefit,
-    realized_improvement,
+    tm_choice,
 )
 from repro.core.orchestrator import (
     BudgetPoint,
@@ -63,10 +64,11 @@ __all__ = [
     "SolveMemo",
     "WarmSolveStats",
     "best_prefix_choices",
+    "catchment_benefit",
     "one_per_peering",
     "one_per_pop",
     "one_per_pop_with_reuse",
     "realized_benefit",
-    "realized_improvement",
     "regional_transit",
+    "tm_choice",
 ]

@@ -517,30 +517,58 @@ class BenefitEvaluator:
         )
 
 
-def _improvement(anycast: float, latencies: Sequence[float]) -> float:
-    """The TM measures anycast and every prefix and uses the fastest, so an
-    improvement is never negative."""
-    return anycast - min(anycast, min(latencies, default=math.inf))
+def tm_choice(anycast: Sequence[float], matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The Traffic Manager's rule (§3.2) over a realized catchment.
 
-
-def realized_improvement(
-    scenario: Scenario,
-    ug: UserGroup,
-    config: AdvertisementConfig,
-    day: int = 0,
-    fixed_prefix: Optional[int] = None,
-) -> float:
-    """Ground-truth improvement: the TM measures every prefix and anycast.
-
-    With ``fixed_prefix`` the UG is pinned to one prefix (Fig. 7's "static
-    prefix choices"); otherwise it uses the best available (dynamic).
-    Improvement stays floored at 0 since anycast remains a destination.
+    ``matrix`` holds each UG's (row) latency via each announcement
+    (column), ``inf`` where it has no route; ``anycast`` holds the rows'
+    anycast latencies.  The TM measures anycast and every announcement and
+    uses the fastest: a row takes the column with the largest gain
+    ``anycast - latency``, the first one on a tie, and only a strictly
+    positive gain beats anycast.  Returns each row's column (``-1`` =
+    anycast) and its improvement ``anycast - min(anycast, row)``, which is
+    never negative.
     """
-    prefixes = [fixed_prefix] if fixed_prefix is not None else config.prefixes
-    (row,) = scenario.routing.latencies(
-        [ug], [config.peerings_for(prefix) for prefix in prefixes], day=day
-    ).tolist()
-    return _improvement(scenario.anycast_latency_ms(ug, day=day), row)
+    anycast = np.asarray(anycast, dtype=float)
+    # Column 0 is anycast itself (gain 0), so a row with no strictly
+    # positive gain picks it and reads -1 after the shift.
+    gain = np.column_stack([np.zeros(len(anycast)), anycast[:, None] - matrix])
+    best = gain.argmax(axis=1)
+    return best - 1, gain[np.arange(len(anycast)), best]
+
+
+def catchment_benefit(
+    scenario: Scenario,
+    matrix: np.ndarray,
+    day: int = 0,
+    pinned: Optional[Mapping[int, int]] = None,
+) -> float:
+    """Eq. 1 over a realized catchment whose rows are ``scenario.user_groups``.
+
+    Each UG's improvement is :func:`tm_choice`'s.  With ``pinned`` (UG id
+    -> column) every UG is static: a mapped UG keeps its pinned column
+    (``-1`` = no route), an unmapped UG stays on anycast (it had no better
+    column when the pins were chosen) and contributes zero.  The
+    volume-weighted sum runs in UG order.
+    """
+    ugs = scenario.user_groups
+    if pinned is not None:
+        # Column -1 of the widened matrix is an all-``inf`` no-route column.
+        at = [pinned.get(ug.ug_id, -1) for ug in ugs]
+        widened = np.column_stack([matrix, np.full(len(ugs), np.inf)])
+        matrix = widened[np.arange(len(ugs)), at][:, None]
+    anycast = [scenario.anycast_latency_ms(ug, day=day) for ug in ugs]
+    _, improvement = tm_choice(anycast, matrix)
+    total = 0.0
+    for ug, gain in zip(ugs, improvement.tolist()):
+        total += ug.volume * gain
+    return total
+
+
+def _prefix_catchment(scenario: Scenario, config: AdvertisementConfig, day: int) -> np.ndarray:
+    return scenario.routing.latencies(
+        scenario.user_groups, [config.peerings_for(prefix) for prefix in config.prefixes], day=day
+    )
 
 
 def realized_benefit(
@@ -552,44 +580,23 @@ def realized_benefit(
     """Eq. 1 with ground-truth improvements (optionally pinned prefixes).
 
     With ``prefix_choice`` given, every UG is static: mapped UGs stay on
-    their pinned prefix, unmapped UGs stay on anycast (they had no better
-    prefix when the pins were chosen) — contributing zero improvement.
+    their pinned prefix, unmapped UGs stay on anycast — contributing zero
+    improvement (:func:`catchment_benefit`'s ``pinned``).
     """
-    ugs = scenario.user_groups
-    latencies = scenario.routing.latencies(
-        ugs, [config.peerings_for(prefix) for prefix in config.prefixes], day=day
-    )
-    column = {prefix: j for j, prefix in enumerate(config.prefixes)}
-    total = 0.0
-    for ug, row in zip(ugs, latencies.tolist()):
-        if prefix_choice is not None:
-            if ug.ug_id not in prefix_choice:
-                continue  # pinned to anycast: zero improvement by definition
-            pinned = column.get(prefix_choice[ug.ug_id])
-            row = [] if pinned is None else [row[pinned]]
-        total += ug.volume * _improvement(scenario.anycast_latency_ms(ug, day=day), row)
-    return total
+    pinned = None
+    if prefix_choice is not None:
+        column = {prefix: j for j, prefix in enumerate(config.prefixes)}
+        pinned = {ug_id: column.get(prefix, -1) for ug_id, prefix in prefix_choice.items()}
+    return catchment_benefit(scenario, _prefix_catchment(scenario, config, day), day, pinned)
 
 
 def best_prefix_choices(
     scenario: Scenario, config: AdvertisementConfig, day: int = 0
 ) -> Dict[int, int]:
-    """Each UG's best prefix by ground-truth latency on ``day`` (for Fig. 7).
-
-    A UG gets a prefix only when it is strictly faster than anycast; ties
-    between prefixes go to the lowest (``argmin`` keeps the first).
-    """
+    """Each UG's prefix by :func:`tm_choice` on ``day`` (for Fig. 7); a UG
+    that stays on anycast is absent."""
     ugs = scenario.user_groups
+    anycast = [scenario.anycast_latency_ms(ug, day=day) for ug in ugs]
+    choice, _ = tm_choice(anycast, _prefix_catchment(scenario, config, day))
     prefixes = config.prefixes
-    if not prefixes:
-        return {}
-    matrix = scenario.routing.latencies(
-        ugs, [config.peerings_for(prefix) for prefix in prefixes], day=day
-    )
-    best = matrix.argmin(axis=1)
-    fastest = matrix[np.arange(len(ugs)), best]
-    choices: Dict[int, int] = {}
-    for ug, j, latency in zip(ugs, best.tolist(), fastest.tolist()):
-        if latency < scenario.anycast_latency_ms(ug, day=day):
-            choices[ug.ug_id] = prefixes[j]
-    return choices
+    return {ug.ug_id: prefixes[j] for ug, j in zip(ugs, choice.tolist()) if j >= 0}

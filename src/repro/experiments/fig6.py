@@ -21,7 +21,7 @@ from repro.core.baselines import (
     one_per_pop_with_reuse,
     regional_transit,
 )
-from repro.core.benefit import BenefitEvaluator, realized_improvement
+from repro.core.benefit import BenefitEvaluator, tm_choice
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.core.routing_model import DEFAULT_D_REUSE_KM, RoutingModel
 from repro.experiments.harness import (
@@ -221,45 +221,30 @@ def potential_improvers(scenario: Scenario, min_improvement_ms: float = 1.0) -> 
     ]
 
 
-def _realized_avg_improvement(
+def _mean_improvement(
     scenario: Scenario,
-    config: AdvertisementConfig,
-    improvers: Optional[List] = None,
-    min_improvement_ms: float = 1e-6,
-) -> Tuple[float, int]:
-    """Mean realized improvement over the potential-improver set (Fig. 6b)."""
-    if improvers is None:
-        improvers = potential_improvers(scenario)
-    if not improvers:
-        return (0.0, 0)
-    improvements = [realized_improvement(scenario, ug, config) for ug in improvers]
-    improved = sum(1 for i in improvements if i > min_improvement_ms)
-    return (sum(improvements) / len(improvers), improved)
-
-
-def _communities_avg_improvement(
-    scenario: Scenario,
-    announcements,
     improvers: List,
+    matrix,
     min_improvement_ms: float = 1e-6,
 ) -> Tuple[float, int]:
-    """Fig. 6b's mean-improvement metric under community steering."""
-    from repro.steering.communities import CommunityRouting
-
+    """Mean realized improvement over the potential-improver set (Fig. 6b)
+    and how many improve, from their catchment ``matrix`` (improvers ×
+    prefixes or announcements) under the Traffic Manager's choice."""
     if not improvers:
         return (0.0, 0)
-    router = CommunityRouting(scenario)
-    improvements = []
-    for ug in improvers:
-        anycast = scenario.anycast_latency_ms(ug)
-        best = anycast
-        for announcement in announcements:
-            latency = router.latency_for(ug, announcement)
-            if latency is not None and latency < best:
-                best = latency
-        improvements.append(anycast - best)
+    anycast = [scenario.anycast_latency_ms(ug) for ug in improvers]
+    improvements = tm_choice(anycast, matrix)[1].tolist()
     improved = sum(1 for i in improvements if i > min_improvement_ms)
     return (sum(improvements) / len(improvers), improved)
+
+
+def _prefix_mean_improvement(
+    scenario: Scenario, config: AdvertisementConfig, improvers: List
+) -> Tuple[float, int]:
+    matrix = scenario.routing.latencies(
+        improvers, [config.peerings_for(prefix) for prefix in config.prefixes]
+    )
+    return _mean_improvement(scenario, improvers, matrix)
 
 
 def run_fig6b(
@@ -282,21 +267,24 @@ def run_fig6b(
     budgets = budget_grid(painter_max_budget)
     painter_configs = painter_budget_configs(scenario, budgets, learning_iterations)
     for budget in budgets:
-        avg, count = _realized_avg_improvement(scenario, painter_configs[budget], improvers)
+        avg, count = _prefix_mean_improvement(scenario, painter_configs[budget], improvers)
         result.add_row("painter", budget, 100.0 * budget / n_ingresses, avg, count)
 
     for name, config in baseline_configs(scenario):
-        avg, count = _realized_avg_improvement(scenario, config, improvers)
+        avg, count = _prefix_mean_improvement(scenario, config, improvers)
         result.add_row(
             name, config.prefix_count, 100.0 * config.prefix_count / n_ingresses, avg, count
         )
     if "communities" in strategies:
-        from repro.steering.communities import communities_budget_configs
+        from repro.steering.communities import CommunityRouting, communities_budget_configs
 
         by_budget = communities_budget_configs(scenario, budgets)
+        router = CommunityRouting(scenario)
         for budget in budgets:
             announcements = by_budget[budget]
-            avg, count = _communities_avg_improvement(scenario, announcements, improvers)
+            avg, count = _mean_improvement(
+                scenario, improvers, router.latencies(improvers, announcements)
+            )
             result.add_row(
                 "communities",
                 len(announcements),
@@ -339,7 +327,7 @@ def run_fig6c(
     for record in learning.iterations:
         for budget in budgets:
             subset = config_prefix_subset(record.config, budget)
-            avg, _count = _realized_avg_improvement(scenario, subset, improvers)
+            avg, _count = _prefix_mean_improvement(scenario, subset, improvers)
             # Uncertainty was captured at iteration time (pre-test belief);
             # report it on the full-budget row of each iteration.
             uncertainty: object = ""

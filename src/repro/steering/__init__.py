@@ -13,7 +13,6 @@ from repro.steering.communities import (
     communities_benefit,
     communities_budget_configs,
     communities_choices,
-    coverage_of_best_ingress,
     parse_community,
     solve_communities,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "communities_benefit",
     "communities_budget_configs",
     "communities_choices",
-    "coverage_of_best_ingress",
     "evaluate_dns_steering",
     "fraction_fully_avoidable",
     "parse_community",

@@ -12,10 +12,18 @@ on top of :mod:`repro.bgp`:
   set, and per-peering MED offsets — which :class:`CommunityRouting` pushes
   through the same AS-level propagation and exit-policy oracle PAINTER's
   ground truth uses;
+* :meth:`CommunityRouting.latencies` is the realized catchment of a set of
+  announcements, with :meth:`GroundTruthRouting.latencies`'s contract (a
+  plain prefix is the announcement with no actions), so the Traffic
+  Manager's choice over it is :func:`repro.core.benefit.tm_choice` and its
+  Eq.-1 benefit :func:`repro.core.benefit.catchment_benefit`, exactly as
+  for PAINTER's prefixes (:func:`communities_choices`,
+  :func:`communities_benefit`);
 * :func:`solve_communities` searches, per UG, a small ladder of candidate
-  announcements that steer its ingress toward its best peering, then
-  groups UGs by announcement under a prefix budget — the communities
-  analog of Algorithm 1's per-prefix greedy;
+  announcements that steer its ingress toward its best peering
+  (:meth:`repro.scenario.Scenario.best_ingress`), then groups UGs by
+  announcement under a prefix budget — the communities analog of
+  Algorithm 1's per-prefix greedy;
 * MED values mirror the cloud's *intra-domain IGP cost* to each exit PoP
   (plus the TE offset), so when link-weight epochs shift
   (:class:`repro.egress.coexistence.LinkWeightEpochs`) the MED ordering —
@@ -29,7 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from repro.core.benefit import catchment_benefit, tm_choice
 from repro.egress.coexistence import CoexistenceError, LinkWeightEpochs
+from repro.routing.ground_truth import catchment
 from repro.scenario import Scenario
 from repro.topology.cloud import Peering
 from repro.usergroups.usergroup import UserGroup
@@ -254,6 +266,23 @@ class CommunityRouting:
             return None
         return self._scenario.latency_model.latency_ms(ug, ingress, day=day)
 
+    def latencies(
+        self,
+        ugs: Sequence[UserGroup],
+        announcements: Sequence[CommunityAnnouncement],
+        day: int = 0,
+        epoch: int = 0,
+    ) -> np.ndarray:
+        """Realized latency of each UG (rows) under each announcement
+        (columns), ``np.inf`` where there is no route or the announcement
+        allows no peer: :meth:`GroundTruthRouting.latencies`'s catchment,
+        one :meth:`latency_for` per cell."""
+        return catchment(
+            ugs,
+            announcements,
+            lambda ug, announcement: self.latency_for(ug, announcement, day=day, epoch=epoch),
+        )
+
 
 @dataclass(frozen=True)
 class CommunitiesSolution:
@@ -302,19 +331,6 @@ def _prepend_ladder(
     )
 
 
-def best_target_peering(scenario: Scenario, ug: UserGroup, day: int = 0) -> Optional[Peering]:
-    """The policy-compliant peering with the lowest true latency for ``ug``."""
-    best: Optional[Peering] = None
-    best_latency = float("inf")
-    # catalog.ingresses is sorted by peering id, so ties keep the lowest id.
-    for peering in scenario.catalog.ingresses(ug):
-        latency = scenario.latency_model.latency_ms(ug, peering, day=day)
-        if latency < best_latency:
-            best = peering
-            best_latency = latency
-    return best
-
-
 def solve_communities(
     scenario: Scenario,
     budget: int,
@@ -325,19 +341,18 @@ def solve_communities(
 
     For each UG: find its best policy-compliant peering, evaluate the
     candidate-announcement ladder through :class:`CommunityRouting`, keep
-    the announcement with the largest realized improvement over anycast.
-    UGs wanting the same announcement share a prefix; groups are ranked by
-    volume-weighted improvement and the top ``budget`` kept.  The ranking
-    is computed once at max budget, so every smaller budget is a prefix of
-    the same ranking (one solve yields the whole curve).
+    the announcement :func:`tm_choice` picks over anycast.  UGs wanting the
+    same announcement share a prefix; groups are ranked by volume-weighted
+    improvement and the top ``budget`` kept.  The ranking is computed once
+    at max budget, so every smaller budget is a prefix of the same ranking
+    (one solve yields the whole curve).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     router = CommunityRouting(scenario, epochs=epochs)
     scores: Dict[CommunityAnnouncement, float] = {}
     for ug in scenario.user_groups:
-        anycast = scenario.anycast_latency_ms(ug)
-        target = best_target_peering(scenario, ug)
+        target = scenario.best_ingress(ug)
         if target is None:
             continue
         candidates = list(_candidate_ladder(target))
@@ -346,18 +361,12 @@ def solve_communities(
         ]
         if 0 < len(other_asns) <= max_prepend_fanout:
             candidates.extend(_prepend_ladder(target, other_asns))
-        best_ann: Optional[CommunityAnnouncement] = None
-        best_improvement = 0.0
-        for announcement in candidates:
-            latency = router.latency_for(ug, announcement)
-            if latency is None:
-                continue
-            improvement = anycast - latency
-            if improvement > best_improvement:
-                best_improvement = improvement
-                best_ann = announcement
-        if best_ann is not None:
-            scores[best_ann] = scores.get(best_ann, 0.0) + ug.volume * best_improvement
+        choice, improvement = tm_choice(
+            [scenario.anycast_latency_ms(ug)], router.latencies([ug], candidates)
+        )
+        if choice.item(0) >= 0:
+            chosen = candidates[choice.item(0)]
+            scores[chosen] = scores.get(chosen, 0.0) + ug.volume * improvement.item(0)
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0].communities()))
     kept = ranked[:budget]
     return CommunitiesSolution(
@@ -373,22 +382,14 @@ def communities_choices(
     epoch: int = 0,
     epochs: Optional[LinkWeightEpochs] = None,
 ) -> Dict[int, int]:
-    """Each UG's best announcement index by ground-truth latency (or absent:
-    the UG stays on anycast)."""
-    router = CommunityRouting(scenario, epochs=epochs)
-    choices: Dict[int, int] = {}
-    for ug in scenario.user_groups:
-        anycast = scenario.anycast_latency_ms(ug, day=day)
-        best_latency = anycast
-        best_index: Optional[int] = None
-        for index, announcement in enumerate(announcements):
-            latency = router.latency_for(ug, announcement, day=day, epoch=epoch)
-            if latency is not None and latency < best_latency:
-                best_latency = latency
-                best_index = index
-        if best_index is not None:
-            choices[ug.ug_id] = best_index
-    return choices
+    """Each UG's announcement index by :func:`tm_choice`; a UG that stays
+    on anycast is absent."""
+    ugs = scenario.user_groups
+    matrix = CommunityRouting(scenario, epochs=epochs).latencies(
+        ugs, announcements, day=day, epoch=epoch
+    )
+    choice, _ = tm_choice([scenario.anycast_latency_ms(ug, day=day) for ug in ugs], matrix)
+    return {ug.ug_id: j for ug, j in zip(ugs, choice.tolist()) if j >= 0}
 
 
 def communities_benefit(
@@ -399,54 +400,14 @@ def communities_benefit(
     epochs: Optional[LinkWeightEpochs] = None,
     choices: Optional[Mapping[int, int]] = None,
 ) -> float:
-    """Eq. 1 with ground-truth improvements under community steering.
-
-    Mirrors :func:`repro.core.benefit.realized_benefit`: per UG, the best
-    announcement (or a pinned one via ``choices``) against the anycast
-    fallback, floored at 0, volume-weighted, accumulated in UG order.
-    """
-    router = CommunityRouting(scenario, epochs=epochs)
-    total = 0.0
-    for ug in scenario.user_groups:
-        anycast = scenario.anycast_latency_ms(ug, day=day)
-        best = anycast
-        if choices is not None:
-            if ug.ug_id not in choices:
-                continue  # pinned to anycast: zero improvement by definition
-            pinned = announcements[choices[ug.ug_id]]
-            latency = router.latency_for(ug, pinned, day=day, epoch=epoch)
-            if latency is not None and latency < best:
-                best = latency
-        else:
-            for announcement in announcements:
-                latency = router.latency_for(ug, announcement, day=day, epoch=epoch)
-                if latency is not None and latency < best:
-                    best = latency
-        total += ug.volume * (anycast - best)
-    return total
-
-
-def coverage_of_best_ingress(
-    scenario: Scenario,
-    announcements: Sequence[CommunityAnnouncement],
-    epoch: int = 0,
-    epochs: Optional[LinkWeightEpochs] = None,
-) -> float:
-    """Volume fraction of UGs some announcement lands on their best ingress."""
-    router = CommunityRouting(scenario, epochs=epochs)
-    covered = 0.0
-    total = 0.0
-    for ug in scenario.user_groups:
-        total += ug.volume
-        target = best_target_peering(scenario, ug)
-        if target is None:
-            continue
-        for announcement in announcements:
-            ingress = router.ingress_for(ug, announcement, epoch=epoch)
-            if ingress is not None and ingress.peering_id == target.peering_id:
-                covered += ug.volume
-                break
-    return covered / total if total > 0 else 0.0
+    """Eq. 1 with ground-truth improvements under community steering:
+    :func:`repro.core.benefit.realized_benefit` over the announcements'
+    catchment, with ``choices`` (UG id -> announcement index) in the role
+    of its ``prefix_choice``."""
+    matrix = CommunityRouting(scenario, epochs=epochs).latencies(
+        scenario.user_groups, announcements, day=day, epoch=epoch
+    )
+    return catchment_benefit(scenario, matrix, day=day, pinned=choices)
 
 
 def communities_budget_configs(

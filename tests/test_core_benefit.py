@@ -1,6 +1,11 @@
-"""Benefit math: Eq. 1/2, ranges, realized improvements."""
+"""Benefit math: Eq. 1/2, ranges, realized improvements, the TM's choice."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.advertisement import AdvertisementConfig
 from repro.core.benefit import (
@@ -8,9 +13,34 @@ from repro.core.benefit import (
     BenefitRange,
     best_prefix_choices,
     realized_benefit,
-    realized_improvement,
+    tm_choice,
 )
 from repro.core.routing_model import RoutingModel
+
+
+def tm_choice_reference(anycast, rows):
+    """Scalar Traffic-Manager rule: per row, the first column whose gain
+    ``anycast - latency`` is the largest and strictly positive (``-1`` =
+    anycast), and the improvement ``anycast - min(anycast, row)``."""
+    choices, improvements = [], []
+    for fallback, row in zip(anycast, rows):
+        best, best_gain = -1, 0.0
+        for j, latency in enumerate(row):
+            if fallback - latency > best_gain:
+                best, best_gain = j, fallback - latency
+        choices.append(best)
+        improvements.append(fallback - min(fallback, min(row, default=math.inf)))
+    return choices, improvements
+
+
+def realized_improvement(scenario, ug, config, day=0, fixed_prefix=None):
+    """One UG's ground-truth improvement under the TM's choice among
+    ``config``'s prefixes (or ``fixed_prefix`` alone)."""
+    prefixes = [fixed_prefix] if fixed_prefix is not None else config.prefixes
+    row = scenario.routing.latencies(
+        [ug], [config.peerings_for(prefix) for prefix in prefixes], day=day
+    )
+    return tm_choice([scenario.anycast_latency_ms(ug, day=day)], row)[1].item(0)
 
 
 @pytest.fixture()
@@ -191,3 +221,67 @@ class TestRealized:
             assert realized_improvement(scenario, u, config) == pytest.approx(
                 max(0.0, possible)
             )
+
+
+_LATENCY = st.one_of(
+    st.just(math.inf), st.floats(min_value=0.0, max_value=500.0, allow_nan=False)
+)
+
+
+@st.composite
+def _catchments(draw):
+    """``(anycast, matrix)`` whose cells often repeat anycast, duplicate
+    one another or sit one ulp apart far below anycast (a tie in gain)."""
+    k = draw(st.integers(min_value=0, max_value=6))
+    anycast, rows = [], []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        fallback = draw(st.floats(min_value=0.5, max_value=400.0, allow_nan=False))
+        low = fallback / 64
+        pool = st.sampled_from([math.inf, fallback, low, math.nextafter(low, math.inf)])
+        anycast.append(fallback)
+        rows.append(draw(st.lists(st.one_of(pool, _LATENCY), min_size=k, max_size=k)))
+    return anycast, np.array(rows, dtype=float).reshape(len(rows), k)
+
+
+class TestTmChoice:
+    """``tm_choice`` against the scalar rule, bit for bit."""
+
+    @given(_catchments())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_reference(self, catchment):
+        anycast, matrix = catchment
+        choice, improvement = tm_choice(anycast, matrix)
+        expected_choice, expected_improvement = tm_choice_reference(anycast, matrix.tolist())
+        assert choice.tolist() == expected_choice
+        assert improvement.tolist() == expected_improvement
+
+    def test_edges(self):
+        inf = math.inf
+        anycast = [50.0, 50.0, 50.0, 50.0, 50.0]
+        matrix = np.array(
+            [
+                [inf, inf, inf],  # no route anywhere: anycast
+                [50.0, inf, 60.0],  # equal to anycast is no improvement
+                [40.0, 30.0, 30.0],  # duplicate best columns: the first wins
+                [30.0, 30.0, 20.0],  # a strictly better later column wins
+                [49.0, 50.0, 51.0],
+            ]
+        )
+        choice, improvement = tm_choice(anycast, matrix)
+        assert choice.tolist() == [-1, -1, 1, 2, 0]
+        assert improvement.tolist() == [0.0, 0.0, 20.0, 30.0, 1.0]
+        empty_choice, empty_improvement = tm_choice(anycast, np.empty((5, 0)))
+        assert empty_choice.tolist() == [-1] * 5
+        assert empty_improvement.tolist() == [0.0] * 5
+        assert tm_choice([], np.empty((0, 2)))[0].shape == (0,)
+
+    def test_ties_in_gain_go_to_the_first_column(self):
+        # Two latencies that differ by one ulp round to one gain over a
+        # slow anycast: the loop's strict ``>`` keeps the earlier column.
+        anycast = [1000.0]
+        later = 10.0
+        earlier = math.nextafter(later, math.inf)
+        assert anycast[0] - earlier == anycast[0] - later
+        choice, improvement = tm_choice(anycast, np.array([[earlier, later]]))
+        assert choice.tolist() == [0]
+        assert improvement.tolist() == [anycast[0] - later]

@@ -9,12 +9,13 @@ must stay ordered.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.benefit import realized_benefit, realized_improvement
+from repro.core.benefit import realized_benefit
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.core.routing_model import RoutingModel
 from repro.scenario import Scenario, build_scenario
 from repro.topology.builder import TopologyConfig
 from repro.usergroups.generation import UserGroupConfig
+from tests.test_core_benefit import realized_improvement
 
 _SCENARIO_CACHE = {}
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.routing.ground_truth import GroundTruthRouting
+from tests.test_core_benefit import realized_improvement
 
 
 class TestIngressSelection:
@@ -152,7 +153,7 @@ class TestLatencies:
 
     def test_consumers_take_the_best_prefix(self, scenario):
         from repro.core.advertisement import AdvertisementConfig
-        from repro.core.benefit import best_prefix_choices, realized_improvement
+        from repro.core.benefit import best_prefix_choices
         from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
         from repro.enterprise import EnterpriseConfig, analyze_slos, build_enterprise
 
