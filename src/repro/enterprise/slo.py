@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core.advertisement import AdvertisementConfig
+from repro.core.benefit import tm_choice
 from repro.enterprise.model import Enterprise
 from repro.scenario import Scenario
 
@@ -50,14 +51,16 @@ def analyze_slos(
 ) -> List[SloOutcome]:
     """Evaluate every (site, service) pair of the enterprise."""
     outcomes: List[SloOutcome] = []
+    ugs = [site.user_group for site in enterprise.sites]
     latencies = scenario.routing.latencies(
-        [site.user_group for site in enterprise.sites],
-        [config.peerings_for(prefix) for prefix in config.prefixes],
+        ugs, [config.peerings_for(prefix) for prefix in config.prefixes]
     )
-    for site, row in zip(enterprise.sites, latencies.tolist()):
-        anycast = scenario.anycast_latency_ms(site.user_group)
-        # The best of anycast and every prefix, as the Traffic Manager picks.
-        painter = min(anycast, min(row, default=anycast))
+    fallbacks = [scenario.anycast_latency_ms(ug) for ug in ugs]
+    choice, _ = tm_choice(fallbacks, latencies)
+    rows = zip(latencies.tolist(), fallbacks, choice.tolist())
+    for site, (row, anycast, j) in zip(enterprise.sites, rows):
+        # The Traffic Manager's pick among anycast and every prefix.
+        painter = anycast if j < 0 else row[j]
         for service in enterprise.services:
             outcomes.append(
                 SloOutcome(
