@@ -8,7 +8,6 @@ from repro.egress.coexistence import (
     EgressOptimizer,
     LinkWeightEpochs,
     evaluate_coexistence,
-    painter_ingress_ms,
 )
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "EgressOptimizer",
     "LinkWeightEpochs",
     "evaluate_coexistence",
-    "painter_ingress_ms",
 ]
