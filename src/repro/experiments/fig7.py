@@ -45,20 +45,21 @@ def run_fig7(
         title="Benefit retention over a month for a fixed configuration",
         columns=["budget_prefixes", "day", "mode", "benefit_frac"],
     )
+    # The paper recalculates "the fraction of benefit we achieve" against the
+    # *updated* latencies, so the denominator moves too; it depends on the
+    # day alone, so every budget and strategy shares one per day.
+    possible = {day: scenario.total_possible_benefit(day=day) for day in days}
 
     for budget in budgets:
         config = config_prefix_subset(full_config, budget)
         static_choices = best_prefix_choices(scenario, config, day=0)
         for day in days:
-            # The paper recalculates "the fraction of benefit we achieve"
-            # against the *updated* latencies, so the denominator moves too.
-            possible = scenario.total_possible_benefit(day=day)
             dynamic = realized_benefit(scenario, config, day=day)
             static = realized_benefit(
                 scenario, config, day=day, prefix_choice=static_choices
             )
-            result.add_row(budget, day, "dynamic", dynamic / possible)
-            result.add_row(budget, day, "static", static / possible)
+            result.add_row(budget, day, "dynamic", dynamic / possible[day])
+            result.add_row(budget, day, "static", static / possible[day])
 
     if "communities" in strategies:
         from repro.steering.communities import (
@@ -72,13 +73,12 @@ def run_fig7(
             announcements = by_budget[budget]
             static_choice = communities_choices(scenario, announcements, day=0)
             for day in days:
-                possible = scenario.total_possible_benefit(day=day)
                 dynamic = communities_benefit(scenario, announcements, day=day)
                 static = communities_benefit(
                     scenario, announcements, day=day, choices=static_choice
                 )
-                result.add_row(budget, day, "communities-dynamic", dynamic / possible)
-                result.add_row(budget, day, "communities-static", static / possible)
+                result.add_row(budget, day, "communities-dynamic", dynamic / possible[day])
+                result.add_row(budget, day, "communities-static", static / possible[day])
 
     result.add_note(
         "benefit_frac is relative to the same-day total possible benefit; "
