@@ -70,12 +70,15 @@ class SlotStore:
     end)`` span of :attr:`spans`; ``latency`` is in ms (``nan``:
     unmeasurable) and ``distance`` in great-circle km.  A CSR index serves
     per-UG reads: row ``r``'s slots, ascending peering id, sit at the
-    positions ``at[first[r]:first[r + 1]]``.
+    positions ``at[first[r]:first[r + 1]]``.  ``latency`` and ``distance``
+    are the two rows of one ``(2, slots)`` array, :attr:`values`, so a
+    batch of slots reads both in one gather.
     """
 
     rows: "np.ndarray"
     latency: "np.ndarray"
     distance: "np.ndarray"
+    values: "np.ndarray"
     spans: Dict[int, Tuple[int, int]]
     first: "np.ndarray"
     at: "np.ndarray"
@@ -96,10 +99,12 @@ class SlotStore:
         rows = np.repeat(np.arange(len(peering_ids)), counts)[order]
         del order
         bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        values = np.full((2, len(rows)), np.nan)
         return cls(
             rows=rows,
-            latency=np.full(len(rows), np.nan),
-            distance=np.full(len(rows), np.nan),
+            latency=values[0],
+            distance=values[1],
+            values=values,
             spans={pid: (bounds[pid], bounds[pid + 1]) for pid in np.flatnonzero(sizes).tolist()},
             first=np.concatenate([[0], np.cumsum(counts)]),
             at=at,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.advertisement import AdvertisementConfig
@@ -70,12 +71,15 @@ class MarginalSource(Protocol):
         """Start ``prefix``; the initial gain of every candidate peering,
         in candidate order."""
 
-    def refresh(self, peering_id: int, stale: Sequence[int]) -> float:
+    def refresh(self, peering_id: int, stale: Callable[[], Sequence[int]]) -> float:
         """The marginal gain of adding ``peering_id`` to the accepted set.
 
-        ``stale`` lists the candidates near the top of the heap whose
+        ``stale()`` lists the candidates near the top of the heap whose
         marginals are stale too (the likely next requests), drawn from its
-        ``lookahead + 1`` best entries; empty when ``lookahead`` is 0.
+        ``lookahead + 1`` best entries; empty when ``lookahead`` is 0.  The
+        list is built when asked for, so a source that computes nothing
+        ahead on this call does not pay for it; it is valid only during
+        the call.
         """
 
     def accept(self, peering_id: int) -> None:
@@ -131,7 +135,9 @@ def lazy_greedy(
                 neg_gain, seen_version, pid = heapq.heappop(heap)
                 if seen_version != version:
                     marginal_evals.add()
-                    stale = _stale_top(heap, version, lookahead) if lookahead else ()
+                    stale = (
+                        partial(_stale_top, heap, version, lookahead) if lookahead else tuple
+                    )
                     fresh = source.refresh(pid, stale)
                     # Lazy re-evaluation: the refreshed marginal is only
                     # re-enqueued when it has fallen below the current heap

@@ -32,7 +32,7 @@ from repro.core.advertisement import AdvertisementConfig
 from repro.core.benefit import BenefitEvaluator, LatencyFn, realized_benefit
 from repro.core.greedy import EPSILON_BENEFIT, BudgetPoint, MarginalSource, lazy_greedy
 from repro.core.routing_model import DEFAULT_D_REUSE_KM, RoutingModel
-from repro.core.rows import MarginalDetail, RowEngine
+from repro.core.rows import MarginalDetail, PatchSites, RowEngine
 from repro.scenario import Scenario
 from repro.telemetry import METRICS, TRACER, emit_event
 
@@ -165,6 +165,9 @@ class _WarmSource:
         self.intact = memo_in is not None
         self.reused = self.fresh = self.patched = 0
         self._evals = METRICS.counter("orchestrator.marginal_evals")
+        #: Per volume-dirty peering: where its patches write, found on its
+        #: first patch of this solve.
+        self._sites: Dict[int, PatchSites] = {}
 
     def begin_prefix(self, prefix: int) -> List[float]:
         self._accepts = 0
@@ -181,6 +184,7 @@ class _WarmSource:
         replayed = self._replayed.build if self.intact else None
         dirty, vol_rows = self._dirty, self._vol_rows
         build = self._recorded.build
+        fresh = []
         for pid in self.peering_ids:
             # Volume-dirty peerings rebuild fresh too: the initial build is
             # one dot product, and BLAS accumulation order is not
@@ -189,11 +193,11 @@ class _WarmSource:
             if replayed is not None and pid not in dirty and pid not in vol_rows:
                 gain = replayed.get(pid)
             if gain is None:
-                self.fresh += 1
-                gain = inner.initial(pid)
-            else:
-                self.reused += 1
+                fresh.append(pid)
             build[pid] = gain
+        build.update(zip(fresh, inner.initial(fresh)))
+        self.fresh += len(fresh)
+        self.reused += len(build) - len(fresh)
         return list(build.values())
 
     def refresh(self, pid: int, stale) -> float:
@@ -211,10 +215,14 @@ class _WarmSource:
                 # A learned-set change since the memo dirtied every
                 # peering of the rows it touched, so ``detail`` was
                 # recorded under the same learned mask as this solve's.
-                gain, detail = self._inner.patch(pid, detail, changed)
+                sites = self._sites.get(pid)
+                if sites is None:
+                    sites = self._sites[pid] = self._inner.patch_sites(pid, changed)
+                gain, detail = self._inner.patch(pid, detail, sites)
         if gain is None:
             if self.intact:
-                stale = [other for other in stale if other in self._dirty]
+                shown, dirty = stale, self._dirty
+                stale = lambda: [other for other in shown() if other in dirty]
             gain, detail = self._inner.marginal(pid, stale)
             self.fresh += 1
         else:

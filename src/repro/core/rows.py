@@ -16,7 +16,9 @@ of one world.  It keeps
 * per prefix, the scan state of every row: its accepted compliant
   ingresses ascending by distance in ``kd`` with the running latency sums
   ``ks`` and counts ``kc`` — and, while any slot is learned, their layout
-  slots in ``kpos`` — all indexed by world row.
+  slots in ``kpos`` — all indexed by world row, and the row's cached read
+  of them packed with its base latency and volume in one ``(6, rows)``
+  array, so a batch gathers its rows' state in one ``take``.
 
 A UG without learned state is one whose table is empty, so Eq. 2 keeps its
 accepted ingresses within the reuse window and the scan state answers it
@@ -25,17 +27,24 @@ the accepted set ``kpos`` holds it keeps.  A marginal is one vector over
 its peering's span, reduced in one fixed order: ``vol @ gain`` (initial
 heap) or ``contrib.sum()`` (refresh) over the unlearned slots, then the
 learned slots' terms added one at a time in row order.  Everything before
-that is elementwise, so a warm solve can patch a few rows' terms and
-replay the same summation bit for bit (:meth:`RowEngine.patch`), and a
-refresh can compute the vectors of the stale heap-top peerings in the same
-pass as its own, each reduced later over its own piece.
+that is elementwise, so
+
+* a round's initial heap is one slot pass: one volume and one gain per
+  slot of the whole layout, then per peering the dot of two views of its
+  span;
+* a refresh computes the vectors of the stale heap-top peerings in the
+  same pass as its own, each reduced later over its own piece; it asks the
+  driver for that stale list only when it computes such a batch;
+* a warm solve patches a few rows' terms and replays the same summation
+  bit for bit (:meth:`RowEngine.patch`), at positions found once per solve
+  (:meth:`RowEngine.patch_sites`).
 """
 
 from __future__ import annotations
 
 import math
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -58,19 +67,29 @@ MarginalDetail = np.ndarray
 #: span has none (see RowEngine.contrib).
 _Ahead = Tuple["np.ndarray", int, Optional["np.ndarray"]]
 
+#: Where a volume patch of one peering writes: ``(rows, positions,
+#: learned_at)`` — its changed unlearned rows and their positions in its
+#: span (lists, ascending), and the layout slots of its changed learned
+#: rows (see RowEngine.patch_sites).
+PatchSites = Tuple[List[int], List[int], "np.ndarray"]
+
 #: One learned-slot query batch: ``(pid, at)`` pairs, each asking for the
 #: accepted set plus ``pid`` at the layout slots ``at`` (learned slots of
 #: ``pid``'s span, ascending, none of them accepted yet).
 Queries = Sequence[Tuple[int, "np.ndarray"]]
 
 
-def initial_gains(base: "np.ndarray", lat: "np.ndarray") -> "np.ndarray":
-    """Initial-heap gain per affected UG row: ``max(0, base - lat)``.
+def initial_gains(
+    base: "np.ndarray", lat: "np.ndarray", out: Optional["np.ndarray"] = None
+) -> "np.ndarray":
+    """Initial-heap gain per affected UG row: ``max(0, base - lat)``, into
+    ``out`` if given (which may be ``base``).
 
     ``np.fmax`` (not ``maximum``) so ``nan`` latencies — unmeasurable
     ingresses — contribute exactly ``0.0``.
     """
-    return np.fmax(base - lat, 0.0)
+    out = np.subtract(base, lat, out=out)
+    return np.fmax(out, 0.0, out=out)
 
 
 def refresh_contrib(
@@ -137,6 +156,8 @@ class RowEngine:
         store = evaluator.store
         #: The layout itself and each peering's ``[start, end)`` span of it.
         rows, lat, dist = self._layout = (store.rows, store.latency, store.distance)
+        #: Latency and distance as one ``(2, slots)`` array (the store's).
+        self._slots = store.values
         self._spans = store.spans
         #: Peering -> ``(rows, latency, distance)`` of its span (``nan``
         #: latency: unmeasurable), views of the layout.
@@ -226,11 +247,13 @@ class RowEngine:
         prefix sum over ``+inf`` padding would.  The kept set of a reuse
         window ``limit`` is therefore one count-and-gather — ``k = (kd[r]
         <= limit).sum()``, then ``ks[r, k]``, ``kc[r, k]`` — for any
-        ``limit``.  Four 1-D arrays cache that read at the row's current
-        window, so an unlearned refresh is a handful of array ops: ``d0``
-        closest accepted distance (inf while none kept), ``csum`` / ``ccnt``
-        sum and count of measurable kept-set latencies, ``ob`` the row's
-        best latency today, ``min(base, current expected)``.  While any
+        ``limit``.  Four rows of the packed ``(6, rows)`` state cache that
+        read at the row's current window, so an unlearned refresh is a
+        handful of array ops: ``d0`` closest accepted distance (inf while
+        none kept), ``csum`` / ``ccnt`` sum and count of measurable kept-set
+        latencies, ``ob`` the row's best latency today, ``min(base, current
+        expected)``; its last two rows are the row's ``base`` and volume.
+        While any
         slot is learned, ``kpos`` holds the same ingresses' layout slots
         (the layout's length beyond the last), which is the accepted set a
         learned query reads, with the table's per-round state beside it:
@@ -244,12 +267,13 @@ class RowEngine:
         base = self._anycast
         if len(base):
             base = np.minimum(base, self._exp.min(axis=1))
-        self._base = base
         n = len(self.ugs)
-        self.d0_arr = np.full(n, np.inf)
-        self.csum_arr = np.zeros(n)
-        self.ccnt_arr = np.zeros(n)
-        self.ob_arr = base.copy()
+        self._state = state = np.empty((6, n))
+        state[0] = np.inf
+        state[1:3] = 0.0
+        state[3] = state[4] = base
+        state[5] = self.vol
+        self.d0_arr, self.csum_arr, self.ccnt_arr, self.ob_arr, self._base, _ = state
         self.kd = np.full((n, INITIAL_SCAN_WIDTH), np.inf)
         self.ks = np.zeros((n, INITIAL_SCAN_WIDTH + 1))
         self.kc = np.zeros((n, INITIAL_SCAN_WIDTH + 1))
@@ -273,25 +297,48 @@ class RowEngine:
 
     def begin_prefix(self, prefix: int) -> List[float]:
         self.begin_round(prefix)
-        return [self.initial(pid) for pid in self.peering_ids]
+        return self.initial(self.peering_ids)
 
-    def initial(self, pid: int) -> float:
-        """Initial-heap gain: with nothing accepted yet, each unlearned row
-        contributes ``vol * max(0, base - latency)`` — one dot product —
-        and each learned row its singleton term, in row order (``+ 0.0``
-        where the peering is no gain, which leaves the sum as it was)."""
-        rows, lat, _dist = self.arrays[pid]
-        held = self._held.get(pid)
-        if held is not None:
+    def initial(self, pids: Sequence[int]) -> List[float]:
+        """Initial-heap gains of ``pids``: with nothing accepted yet, each
+        unlearned row contributes ``vol * max(0, base - latency)`` — one
+        dot product per peering — and each learned row its singleton term,
+        in row order (``+ 0.0`` where the peering is no gain, which leaves
+        the sum as it was).
+
+        One gather of the rows' volumes and one :func:`initial_gains` pass
+        cover every slot of the layout, so an unlearned peering's gain is
+        the dot of two views of its span: the same doubles, in the same
+        order, as a dot of the gathered rows (``ndarray.dot``, the BLAS
+        ``ddot`` that ``@`` also calls on two vectors, with less call
+        overhead)."""
+        if not pids:
+            return []
+        rows, lat = self._layout[0], self._layout[1]
+        # Both slot arrays live for this call only: a solve keeps no
+        # layout-sized array of its own.
+        vol = self.vol[rows]
+        base = self._base[rows]
+        gain = initial_gains(base, lat, out=base)
+        spans, held_of = self._spans, self._held
+        gains = []
+        fast = slow = 0
+        for pid in pids:
+            lo, hi = spans[pid]
+            held = held_of.get(pid)
+            if held is None:
+                fast += hi - lo
+                gains.append(float(vol[lo:hi].dot(gain[lo:hi])))
+                continue
             free = ~held
-            rows, lat = rows[free], lat[free]
-        self._fast_queries.value += len(lat)
-        delta = float(self.vol[rows] @ initial_gains(self._base[rows], lat))
-        if held is None:
-            return delta
-        terms = self._first[self._learned_at[pid]]
-        self._slow_queries.value += len(terms)
-        return _accumulate(delta, terms)
+            at = self._learned_at[pid]
+            fast += hi - lo - len(at)
+            slow += len(at)
+            delta = float(vol[lo:hi][free].dot(gain[lo:hi][free]))
+            gains.append(_accumulate(delta, self._first[at]))
+        self._fast_queries.value += fast
+        self._slow_queries.value += slow
+        return gains
 
     def kept(self, queries: Queries) -> Tuple["np.ndarray", "np.ndarray"]:
         """Eq. 2's kept sets: ``(candidates, kept mask)``, one row per
@@ -373,10 +420,12 @@ class RowEngine:
         k = (self.kd[rows] <= limit[:, None]).sum(axis=1)
         return self.ks[rows, k], self.kc[rows, k]
 
-    def _scan(self, at, bounds: List[int]) -> Tuple["np.ndarray", List[int]]:
-        """Refresh contributions of the unlearned slots ``at`` (pieces
-        ``[bounds[i], bounds[i + 1])`` end to end) and each piece's scan
-        queries.
+    def _scan(
+        self, rows: "np.ndarray", lat: "np.ndarray", dist: "np.ndarray", bounds: List[int]
+    ) -> Tuple["np.ndarray", List[int]]:
+        """Refresh contributions of unlearned slots, given by their rows,
+        latencies and distances (pieces ``[bounds[i], bounds[i + 1])`` end
+        to end), and each piece's scan queries.
 
         One :func:`refresh_contrib` pass with the cached ``d0``/``csum``/
         ``ccnt`` of their rows.  A row whose closest accepted ingress is
@@ -387,12 +436,9 @@ class RowEngine:
         shrinking or not, is one element of the same call, and a later
         volume patch can reproduce a piece's sum bit for bit by
         substituting elements.  A piece's scan queries are its rows plus
-        its shrink-row reads.
+        its shrink-row reads.  The rows' state comes in one gather.
         """
-        rows, lat, dist = (column[at] for column in self._layout)
-        d0 = self.d0_arr[rows]
-        csum = self.csum_arr[rows]
-        ccnt = self.ccnt_arr[rows]
+        d0, csum, ccnt, ob, base, vol = self._state.take(rows, axis=1)
         shrinking = np.nonzero((dist < d0) & np.isfinite(d0))[0]
         if len(shrinking):
             closer = dist[shrinking]
@@ -401,8 +447,7 @@ class RowEngine:
                 rows[shrinking], closer + self.d_reuse
             )
         contrib, _shrink = refresh_contrib(
-            dist, lat, self.vol[rows], d0, csum, ccnt, self.ob_arr[rows],
-            self._base[rows], self.d_reuse,
+            dist, lat, vol, d0, csum, ccnt, ob, base, self.d_reuse
         )
         marks = bounds
         if len(shrinking):
@@ -415,21 +460,20 @@ class RowEngine:
         on each slot of its span, the scan queries of its unlearned slots
         and the expected latencies of its learned ones (``None``: none).
 
-        The peerings' spans are gathered end to end; the unlearned slots
-        go through one :meth:`_scan`, the learned ones through one
-        :meth:`_learned` batch, and each peering's vector is a view of the
-        one result.
+        The peerings' spans are gathered end to end (their rows in one
+        concatenation of layout views, latencies and distances in one
+        more; with learned slots, the unlearned ones' in one ``take``
+        each); the unlearned slots go through one :meth:`_scan`, the
+        learned ones through one :meth:`_learned` batch, and each
+        peering's vector is a view of the one result.
         """
         spans = [self._spans[pid] for pid in pids]
         bounds = [0, *accumulate(hi - lo for lo, hi in spans)]
         values = [None] * len(pids)
         if self._table is None:
-            at = (
-                slice(*spans[0])
-                if len(spans) == 1
-                else np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-            )
-            contrib, queries = self._scan(at, bounds)
+            rows = np.concatenate([self._layout[0][lo:hi] for lo, hi in spans])
+            lat, dist = np.concatenate([self._slots[:, lo:hi] for lo, hi in spans], axis=1)
+            contrib, queries = self._scan(rows, lat, dist, bounds)
         else:
             at = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
             learned = self.learned[at]
@@ -439,7 +483,11 @@ class RowEngine:
             free = ~learned
             queries = [0] * len(pids)
             if free.any():
-                contrib[free], queries = self._scan(at[free], (bounds - before).tolist())
+                at = at[free]
+                lat, dist = self._slots[:, at]
+                contrib[free], queries = self._scan(
+                    self._layout[0][at], lat, dist, (bounds - before).tolist()
+                )
             if learned.any():
                 terms, value = self._learned(
                     [(pid, self._learned_at[pid]) for pid in pids if pid in self._held]
@@ -462,19 +510,22 @@ class RowEngine:
             return float(contrib.sum())
         return _accumulate(float(contrib[~held].sum()), contrib[held])
 
-    def marginal(self, pid: int, stale: Sequence[int] = ()) -> Tuple[float, MarginalDetail]:
+    def marginal(
+        self, pid: int, stale: Callable[[], Sequence[int]] = tuple
+    ) -> Tuple[float, MarginalDetail]:
         """A fresh marginal plus its summation detail.
 
         The detail lets a later warm solve re-run this exact summation with
-        a few elements substituted (:meth:`patch`).  Up to
-        :data:`SPECULATIVE_REFRESHES` of the ``stale`` peerings are
-        computed in the same pass and kept for their own refreshes, which
-        usually follow before the next accept; the scan counters count a
-        marginal when it is served.
+        a few elements substituted (:meth:`patch`).  Unless ``pid`` was
+        computed ahead, ``stale()`` is asked for the stale peerings, up to
+        :data:`SPECULATIVE_REFRESHES` of which are computed in the same
+        pass and kept for their own refreshes, which usually follow before
+        the next accept; the scan counters count a marginal when it is
+        served.
         """
         ahead = self._ahead.get(pid)
         if ahead is None:
-            self._compute_ahead(pid, stale)
+            self._compute_ahead(pid, stale())
             ahead = self._ahead[pid]
         piece, queries, value = ahead
         self._fast_queries.value += queries
@@ -495,33 +546,45 @@ class RowEngine:
         ]
         ahead.update(zip(batch, self.contrib(batch)))
 
-    def refresh(self, pid: int, stale: Sequence[int]) -> float:
+    def refresh(self, pid: int, stale: Callable[[], Sequence[int]]) -> float:
         return self.marginal(pid, stale)[0]
 
+    def patch_sites(self, pid: int, changed_rows: Set[int]) -> PatchSites:
+        """Where a volume patch of ``pid`` writes when ``changed_rows`` (rows
+        of its span) shifted: one search over the span, valid for the
+        whole solve."""
+        changed = np.array(sorted(changed_rows), dtype=np.intp)
+        pos = np.searchsorted(self.arrays[pid][0], changed)
+        learned = self._slot_of[changed] >= 0
+        free = ~learned
+        return (
+            changed[free].tolist(),
+            pos[free].tolist(),
+            self._spans[pid][0] + pos[learned],
+        )
+
     def patch(
-        self, pid: int, recorded: MarginalDetail, changed_rows: Set[int]
+        self, pid: int, recorded: MarginalDetail, sites: PatchSites
     ) -> Tuple[float, MarginalDetail]:
         """Volume-patch a recorded marginal: bit-equal, far cheaper.
 
         Valid while the scan state matches the one ``recorded`` was computed
         against (the caller replays the same accept sequence under the same
-        learned set): only the ``changed_rows`` terms are recomputed, then
-        the identical float summation is replayed.
+        learned set): only the terms at ``sites`` (:meth:`patch_sites`) are
+        recomputed, then the identical float summation is replayed.
         """
-        patched = self._patch_contrib(pid, recorded, changed_rows)
-        if pid in self._held:
-            at = self._learned_at[pid]
-            at = at[np.isin(self._layout[0][at], np.fromiter(changed_rows, np.intp))]
-            if len(at):
-                self._slow_queries.value += len(at)
-                patched[at - self._spans[pid][0]] = self._learned([(pid, at)])[0]
+        patched = self._patch_contrib(pid, recorded, sites)
+        at = sites[2]
+        if len(at):
+            self._slow_queries.value += len(at)
+            patched[at - self._spans[pid][0]] = self._learned([(pid, at)])[0]
         return self._reduce(pid, patched), patched
 
     def _patch_contrib(
-        self, pid: int, recorded: "np.ndarray", changed_rows: Set[int]
+        self, pid: int, recorded: "np.ndarray", sites: PatchSites
     ) -> "np.ndarray":
-        """A recorded vector with the unlearned ``changed_rows``' terms
-        recomputed.
+        """A recorded vector with the terms of the unlearned rows of
+        ``sites`` recomputed.
 
         A volume shift changes marginal *weights* only — none of the scan
         state depends on volumes — so the shifted rows' terms are
@@ -530,15 +593,13 @@ class RowEngine:
         for the same accept sequence.  (Scalar on purpose: a patch touches
         a handful of rows, where array set-up costs more than it saves.)
         """
-        rows, lat, dist = self.arrays[pid]
+        lo = self._spans[pid][0]
         patched = recorded.copy()
         d_reuse = self.d_reuse
-        for row in changed_rows:
-            if self._slot_of[row] >= 0:
-                continue  # a learned row: its term is patched separately
-            pos = int(np.searchsorted(rows, row))
-            d0_s = float(self.d0_arr[row])
-            dist_s = float(dist[pos])
+        state, slots = self._state, self._slots
+        for row, pos in zip(sites[0], sites[1]):
+            d0_s, csum_s, ccnt_s, ob_s, base_s, vol_s = state[:, row].tolist()
+            lat_s, dist_s = slots[:, lo + pos].tolist()
             if dist_s < d0_s and math.isfinite(d0_s):
                 # The window shrinks: the kept set at the closer limit.
                 k = int(np.searchsorted(self.kd[row], dist_s + d_reuse, side="right"))
@@ -546,22 +607,16 @@ class RowEngine:
                 csum_s = float(self.ks[row, k])
                 ccnt_s = float(self.kc[row, k])
                 self._fast_queries.value += 1
-            else:
-                csum_s = float(self.csum_arr[row])
-                ccnt_s = float(self.ccnt_arr[row])
-            ob_s = float(self.ob_arr[row])
-            lat_s = float(lat[pos])
             limit_s = (dist_s if dist_s < d0_s else d0_s) + d_reuse
             add_s = dist_s <= limit_s and not math.isnan(lat_s)
             new_cnt = ccnt_s + (1.0 if add_s else 0.0)
             new_sum = csum_s + (lat_s if add_s else 0.0)
             new_p = new_sum / (new_cnt if new_cnt > 1.0 else 1.0)
-            base_s = float(self._base[row])
             if new_cnt > 0:
                 new_best = base_s if base_s < new_p else new_p
             else:
                 new_best = ob_s
-            patched[pos] = float(self.vol[row]) * (ob_s - new_best)
+            patched[pos] = vol_s * (ob_s - new_best)
         return patched
 
     def accept(self, pid: int) -> None:
@@ -587,9 +642,11 @@ class RowEngine:
                 learned_value = self.expected([(pid, self._learned_at[pid])])
             else:
                 learned_value = ahead[2]
-        if np.isfinite(self.kd[rows, -1]).any():
+        kd = self.kd[rows]
+        if np.isfinite(kd[:, -1]).any():
             self._widen()
-        kd, ks, kc = self.kd[rows], self.ks[rows], self.kc[rows]
+            kd = self.kd[rows]
+        ks, kc = self.ks[rows], self.kc[rows]
         idx = (kd <= dist[:, None]).sum(axis=1)  # bisect_right
         behind = np.arange(1, ks.shape[1]) > idx[:, None]
         measurable = ~np.isnan(lat)
@@ -597,16 +654,18 @@ class RowEngine:
         ks[:, 1:] = np.where(behind, ks[:, :-1] + lat0, ks[:, 1:])
         kc[:, 1:] = np.where(behind, kc[:, :-1] + measurable[:, None], kc[:, 1:])
         kd[:, 1:] = np.where(behind[:, :-1], kd[:, :-1], kd[:, 1:])
-        kd[np.arange(len(rows)), idx] = dist
+        each = np.arange(len(rows))
+        kd[each, idx] = dist
         self.kd[rows], self.ks[rows], self.kc[rows] = kd, ks, kc
         if self.kpos is not None:
             kpos = self.kpos[rows]
             kpos[:, 1:] = np.where(behind[:, :-1], kpos[:, :-1], kpos[:, 1:])
-            kpos[np.arange(len(rows)), idx] = np.arange(*self._spans[pid])
+            kpos[each, idx] = np.arange(*self._spans[pid])
             self.kpos[rows] = kpos
         # The rows' new reuse windows, read back off the updated tables.
         d0 = kd[:, 0]
-        csum, ccnt = self._kept_at(rows, d0 + self.d_reuse)
+        k = (kd <= (d0 + self.d_reuse)[:, None]).sum(axis=1)
+        csum, ccnt = ks[each, k], kc[each, k]
         value = np.full(len(rows), np.inf)
         np.divide(csum, ccnt, out=value, where=ccnt > 0)
         self.d0_arr[rows] = d0

@@ -346,8 +346,8 @@ class _RecordingEngine:
     def __getattr__(self, name):
         return getattr(self._engine, name)
 
-    def marginal(self, pid, stale=()):
-        self.calls.append((pid, list(stale)))
+    def marginal(self, pid, stale=tuple):
+        self.calls.append((pid, list(stale())))
         return self._engine.marginal(pid, stale)
 
 

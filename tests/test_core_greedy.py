@@ -38,7 +38,8 @@ class CoverageSource:
         return [self.gain(pid) for pid in sorted(self.cover)]
 
     def refresh(self, pid, stale):
-        self.stale_lists.append(list(stale))
+        stale = list(stale())
+        self.stale_lists.append(stale)
         for other in stale:
             assert other != pid and other not in self.chosen
             assert self.seen[other] != self.version

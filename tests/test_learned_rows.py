@@ -132,7 +132,7 @@ class TestQueriesAgainstOracle:
                         assert _hex(values[i]) == _hex(_scalar(orch, ug, advertised))
                         i += 1
             for n, pid in enumerate(open_pids):
-                marginal = source.marginal(pid, open_pids[n + 1 :])[0]
+                marginal = source.marginal(pid, lambda: open_pids[n + 1 :])[0]
                 assert marginal.hex() == _reference_marginal(
                     orch, source, pid, frozenset(accepted)
                 ).hex()

@@ -356,7 +356,9 @@ class TestArrayScanAgainstListScan:
                 # element is not the scan's to patch.
                 blank = np.full(len(span), -1.0)
                 for pos, row in enumerate(span):
-                    patched = engine._patch_contrib(pid, blank, {row})
+                    patched = engine._patch_contrib(
+                        pid, blank, engine.patch_sites(pid, {row})
+                    )
                     if row in world.learned:
                         assert np.array_equal(patched, blank)
                         continue
@@ -376,7 +378,7 @@ class TestArrayScanAgainstListScan:
             )
             before = fast.value, slow.value
             for pid in world.order:
-                value, contrib = engine.marginal(pid, world.stale[pid])
+                value, contrib = engine.marginal(pid, lambda: world.stale[pid])
                 assert _hex(contrib[~masks[pid]]) == _hex(oracle_terms[pid])
                 assert value.hex() == _reduction(contrib, masks[pid]).hex()
             assert fast.value - before[0] == queries
@@ -487,7 +489,7 @@ def test_patch_equals_a_fresh_marginal_with_learned_rows() -> None:
         for pid in open_:
             span = set(engine.arrays[pid][0].tolist())
             changed = {row for row in shifted if row in span}
-            gain, vector = engine.patch(pid, details[pid], changed)
+            gain, vector = engine.patch(pid, details[pid], engine.patch_sites(pid, changed))
             fresh_gain, fresh = engine.marginal(pid)
             assert gain.hex() == fresh_gain.hex(), pid
             assert _hex(vector) == _hex(fresh), pid
