@@ -24,6 +24,7 @@ mile per UG, one inflation draw per distinct AS pair).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -59,10 +60,22 @@ class LatencyModelConfig:
     event_penalty_ms: float = 150.0
 
     def __post_init__(self) -> None:
-        if self.last_mile_min_ms < 0 or self.last_mile_max_ms < self.last_mile_min_ms:
+        for name in (
+            "last_mile_min_ms", "last_mile_max_ms", "inflation_min_ms",
+            "inflation_max_ms", "base_wiggle_ms", "drift_amplitude_ms",
+            "event_penalty_ms",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, not {value!r}")
+        if self.last_mile_max_ms < self.last_mile_min_ms:
             raise ValueError("invalid last-mile range")
-        if not 0 <= self.inflation_prob_peer <= 1 or not 0 <= self.inflation_prob_transit <= 1:
-            raise ValueError("inflation probabilities must be in [0,1]")
+        if self.inflation_max_ms < self.inflation_min_ms:
+            raise ValueError("invalid inflation range")
+        for name in ("inflation_prob_peer", "inflation_prob_transit", "event_prob_per_peering_day"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:  # NaN fails every comparison too
+                raise ValueError(f"{name} must be in [0,1], not {value!r}")
 
 
 class LatencyModel:
@@ -86,6 +99,8 @@ class LatencyModel:
         self._last_mile_memo: Dict[Tuple[int, str], float] = {}
         self._inflation_memo: Dict[Tuple[int, int, bool], float] = {}
         self._propagation_memo: Dict[Tuple[int, str], float] = {}
+        #: A peering's event penalty per day, shared by every UG behind it.
+        self._event_memo: Dict[Tuple[int, int], float] = {}
 
     @property
     def config(self) -> LatencyModelConfig:
@@ -142,10 +157,15 @@ class LatencyModel:
 
     def event_penalty_ms(self, peering: Peering, day: int) -> float:
         """Day-scale degradation affecting everyone through a peering."""
-        rng = self._rng("event", peering.peering_id, day)
-        if rng.random() < self._config.event_prob_per_peering_day:
-            return self._config.event_penalty_ms * rng.uniform(0.5, 1.5)
-        return 0.0
+        key = (peering.peering_id, day)
+        value = self._event_memo.get(key)
+        if value is None:
+            rng = self._rng("event", *key)
+            value = 0.0
+            if rng.random() < self._config.event_prob_per_peering_day:
+                value = self._config.event_penalty_ms * rng.uniform(0.5, 1.5)
+            self._event_memo[key] = value
+        return value
 
     # -- the oracle ----------------------------------------------------------
 

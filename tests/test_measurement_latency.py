@@ -22,6 +22,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             LatencyModelConfig(inflation_prob_peer=1.5)
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"last_mile_min_ms": float("nan")},
+            {"event_prob_per_peering_day": 1.5},
+            {"inflation_min_ms": 200.0, "inflation_max_ms": 150.0},
+            {"drift_amplitude_ms": -4.0},
+            {"base_wiggle_ms": -1.0},
+            {"event_penalty_ms": float("inf")},
+        ],
+        ids=lambda knobs: ",".join(knobs),
+    )
+    def test_out_of_range_knobs_fail_at_construction(self, knobs):
+        with pytest.raises(ValueError):
+            LatencyModelConfig(**knobs)
+
 
 class TestLatencyModel:
     def test_deterministic(self, world):
@@ -88,6 +104,35 @@ class TestLatencyModel:
             return hits / max(total, 1)
 
         assert big_penalty_rate(transit) > big_penalty_rate(peers)
+
+    def test_days_asked_in_any_order_give_the_same_latencies(self, world):
+        """Day-scale components depend on (UG AS or peering, day) alone:
+        days 5 down to 1 read the same doubles as a fresh model's 1 to 5."""
+        config = LatencyModelConfig(seed=3, event_prob_per_peering_day=0.5)
+        pairs = [
+            (ug, peering)
+            for ug in world.user_groups[:4]
+            for peering in world.deployment.peerings[:6]
+        ]
+        backward = LatencyModel(config)
+        forward = LatencyModel(config)
+        days = range(1, 6)
+        got = {
+            (ug.ug_id, peering.peering_id, day): backward.latency_ms(ug, peering, day)
+            for day in reversed(days)
+            for ug, peering in pairs
+        }
+        want = {
+            (ug.ug_id, peering.peering_id, day): forward.latency_ms(ug, peering, day)
+            for day in days
+            for ug, peering in pairs
+        }
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+        assert any(
+            forward.event_penalty_ms(peering, day) > 0
+            for _, peering in pairs
+            for day in days
+        )
 
     def test_caching_consistent(self, world):
         model = world.latency_model
