@@ -102,30 +102,24 @@ def refresh_contrib(
     ob: "np.ndarray",
     base: "np.ndarray",
     d_reuse: float,
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """The refresh-marginal vector expression, row for row.
+) -> "np.ndarray":
+    """The refresh-marginal vector expression, row for row: per-row
+    volume-weighted improvements.
 
-    Returns ``(contrib, shrink)``: per-row volume-weighted improvements
-    and the mask of rows where ``dist < d0 < inf`` — the candidate is
-    closer than everything kept, so the reuse window would shrink and
-    ``csum``/``ccnt`` (read at the old window) no longer describe the kept
-    set.  Those rows come back zeroed.  The mask is a guard, not a to-do
-    list: :meth:`RowEngine._scan` never trips it, because it passes such
-    rows with ``d0 = dist`` and ``csum``/``ccnt`` re-read at the shrunken
-    window, for which the formulas below are exact.
+    ``csum``/``ccnt`` must describe the kept set at the window ``d0 +
+    d_reuse``, which the candidate cannot shrink: ``dist >= d0``, or ``d0``
+    is ``inf`` (nothing kept yet).  :meth:`RowEngine._scan` passes a row
+    whose candidate is closer with ``d0 = dist`` and ``csum``/``ccnt``
+    re-read at the shrunken window.
     """
-    shrink = (dist < d0) & np.isfinite(d0)
-    limit = np.where(dist < d0, dist, d0) + d_reuse
+    limit = np.minimum(dist, d0) + d_reuse
     measurable = ~np.isnan(lat)
     add = (dist <= limit) & measurable
     new_cnt = ccnt + add
     new_sum = csum + np.where(add, lat, 0.0)
     new_p = new_sum / np.maximum(new_cnt, 1)
     new_best = np.where(new_cnt > 0, np.minimum(base, new_p), ob)
-    contrib = vol * (ob - new_best)
-    if shrink.any():
-        contrib[shrink] = 0.0
-    return contrib, shrink
+    return vol * (ob - new_best)
 
 
 def _accumulate(total: float, terms: "np.ndarray") -> float:
@@ -446,9 +440,7 @@ class RowEngine:
             csum[shrinking], ccnt[shrinking] = self._kept_at(
                 rows[shrinking], closer + self.d_reuse
             )
-        contrib, _shrink = refresh_contrib(
-            dist, lat, vol, d0, csum, ccnt, ob, base, self.d_reuse
-        )
+        contrib = refresh_contrib(dist, lat, vol, d0, csum, ccnt, ob, base, self.d_reuse)
         marks = bounds
         if len(shrinking):
             cut = np.searchsorted(shrinking, bounds).tolist()

@@ -48,29 +48,30 @@ def test_initial_gains_nan_and_clamp_semantics() -> None:
 
 
 def test_refresh_contrib_shrink_and_kept_semantics() -> None:
-    # Row 0: dist < d0 (window shrinks) -> contrib forced to 0, mask set.
+    # Row 0: closer than everything kept, passed the way ``RowEngine._scan``
+    # passes a shrinking window: ``d0 = dist`` and the kept set re-read at
+    # ``dist + d_reuse`` (here: empty) -> the candidate alone.
     # Row 1: within the reuse window, measurable -> joins the kept set.
     # Row 2: beyond the window -> kept set unchanged, contrib from old best.
-    dist = np.array([100.0, 500.0, 5000.0])
-    lat = np.array([3.0, 5.0, 2.0])
-    vol = np.array([1.0, 2.0, 4.0])
-    d0 = np.array([200.0, 400.0, 400.0])
-    csum = np.array([0.0, 10.0, 10.0])
-    ccnt = np.array([0.0, 1.0, 1.0])
-    ob = np.array([20.0, 20.0, 20.0])
-    base = np.array([30.0, 30.0, 30.0])
-    contrib, shrink = refresh_contrib(dist, lat, vol, d0, csum, ccnt, ob, base, 1000.0)
-    assert shrink.tolist() == [True, False, False]
-    assert contrib[0] == 0.0
+    # Row 3: nothing kept yet (``d0 = inf``) -> the candidate alone.
+    dist = np.array([100.0, 500.0, 5000.0, 700.0])
+    lat = np.array([3.0, 5.0, 2.0, 4.0])
+    vol = np.array([1.0, 2.0, 4.0, 8.0])
+    d0 = np.array([100.0, 400.0, 400.0, np.inf])
+    csum = np.array([0.0, 10.0, 10.0, 0.0])
+    ccnt = np.array([0.0, 1.0, 1.0, 0.0])
+    ob = np.array([20.0, 20.0, 20.0, 20.0])
+    base = np.array([30.0, 30.0, 30.0, 30.0])
+    contrib = refresh_contrib(dist, lat, vol, d0, csum, ccnt, ob, base, 1000.0)
+    assert contrib[0] == 1.0 * (20.0 - 3.0)
     # Row 1: kept mean (10+5)/2 = 7.5, new best 7.5, gain 2*(20-7.5).
     assert contrib[1] == 2.0 * (20.0 - 7.5)
     # Row 2: not added; kept mean 10, best min(30,10)=10, gain 4*(20-10).
     assert contrib[2] == 4.0 * (20.0 - 10.0)
+    assert contrib[3] == 8.0 * (20.0 - 4.0)
 
-    # The form the engine feeds shrink rows in (``RowEngine.contrib``):
-    # ``d0`` replaced by ``dist`` and ``csum``/``ccnt`` re-read at the
-    # shrunken window, so the mask stays clear and the row is evaluated like
-    # any other.  Kept counts 0, 1, 3 x measurable / unmeasurable latency.
+    # Shrunk rows with kept counts 0, 1, 3 x measurable / unmeasurable
+    # latency: each is evaluated like any other row.
     dist = np.full(6, 100.0)
     lat = np.array([3.0, np.nan, 3.0, np.nan, 3.0, np.nan])
     vol = np.full(6, 2.0)
@@ -78,10 +79,7 @@ def test_refresh_contrib_shrink_and_kept_semantics() -> None:
     ccnt = np.array([0.0, 0.0, 1.0, 1.0, 3.0, 3.0])
     ob = np.full(6, 20.0)
     base = np.full(6, 25.0)
-    contrib, shrink = refresh_contrib(
-        dist, lat, vol, dist.copy(), csum, ccnt, ob, base, 0.0
-    )
-    assert not shrink.any()
+    contrib = refresh_contrib(dist, lat, vol, dist.copy(), csum, ccnt, ob, base, 0.0)
     assert contrib.tolist() == [
         2.0 * (20.0 - 3.0),  # singleton: the ingress's own latency
         0.0,  # nothing measurable kept: no path, no improvement
@@ -98,17 +96,15 @@ class TestRefreshContrib:
     def _scalar_reference(self, dist, lat, vol, d0, csum, ccnt, ob, base, d_reuse):
         n = len(dist)
         contrib = np.zeros(n)
-        shrink = np.zeros(n, dtype=bool)
         for i in range(n):
-            shrink[i] = dist[i] < d0[i] and np.isfinite(d0[i])
             limit = min(dist[i], d0[i]) + d_reuse
             add = dist[i] <= limit and not np.isnan(lat[i])
             cnt = ccnt[i] + add
             total = csum[i] + (lat[i] if add else 0.0)
             mean = total / max(cnt, 1)
             best = min(base[i], mean) if cnt > 0 else ob[i]
-            contrib[i] = 0.0 if shrink[i] else vol[i] * (ob[i] - best)
-        return contrib, shrink
+            contrib[i] = vol[i] * (ob[i] - best)
+        return contrib
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(7)
@@ -118,18 +114,15 @@ class TestRefreshContrib:
         lat[rng.random(n) < 0.2] = np.nan  # unmeasurable
         vol = rng.uniform(0.1, 10, n)
         d0 = rng.uniform(0, 9000, n)
+        # A shrinking row comes with ``d0 = dist`` (``RowEngine._scan``).
+        d0 = np.where(dist < d0, dist, d0)
         d0[rng.random(n) < 0.3] = np.inf  # nothing kept yet
         csum = rng.uniform(0, 500, n)
         ccnt = rng.integers(0, 4, n).astype(float)
         ob = rng.uniform(5, 300, n)
         base = rng.uniform(5, 300, n)
-        contrib, shrink = refresh_contrib(
-            dist, lat, vol, d0, csum, ccnt, ob, base, 3000.0
-        )
-        ref_contrib, ref_shrink = self._scalar_reference(
-            dist, lat, vol, d0, csum, ccnt, ob, base, 3000.0
-        )
-        assert np.array_equal(shrink, ref_shrink)
+        contrib = refresh_contrib(dist, lat, vol, d0, csum, ccnt, ob, base, 3000.0)
+        ref_contrib = self._scalar_reference(dist, lat, vol, d0, csum, ccnt, ob, base, 3000.0)
         assert np.array_equal(contrib, ref_contrib)
 
 
