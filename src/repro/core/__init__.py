@@ -18,7 +18,6 @@ from repro.core.installation import Installation, InstalledPrefix, install_confi
 from repro.core.benefit import (
     BenefitEvaluator,
     BenefitMatrix,
-    BenefitRange,
     ConfigEvaluation,
     DEFAULT_INFLATION_SCALE_KM,
     best_prefix_choices,
@@ -50,7 +49,6 @@ __all__ = [
     "BASELINE_STRATEGIES",
     "BenefitEvaluator",
     "BenefitMatrix",
-    "BenefitRange",
     "BudgetPoint",
     "ConfigEvaluation",
     "DEFAULT_D_REUSE_KM",
