@@ -16,7 +16,6 @@ Terminology follows the paper:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
@@ -28,6 +27,7 @@ from repro.core.routing_model import RoutingModel
 from repro.scenario import Scenario
 from repro.telemetry import METRICS
 from repro.usergroups.usergroup import UserGroup
+from repro.util import sequential_sum
 
 #: Decay scale (km) for the inflation-probability weights in the "estimated"
 #: range: paths inflated by an extra X km get weight exp(-X/scale), matching
@@ -438,7 +438,7 @@ class BenefitEvaluator:
                 best[:, rows[wins]] = bands[:, wins]
         volume = np.array([ug.volume for ug in ugs], dtype=np.float64)
         lower, mean, estimated, upper = (
-            reduce(operator.add, terms, 0.0) for terms in (volume * best).tolist()
+            sequential_sum(terms) for terms in (volume * best).tolist()
         )
         return ConfigEvaluation(lower=lower, mean=mean, estimated=estimated, upper=upper)
 
@@ -492,7 +492,12 @@ class BenefitEvaluator:
             np.maximum.reduceat(improvement, starts),
         ])
         lower, mean, estimated, upper = bands
-        bad = ~((lower <= mean) & (mean <= upper) & (lower <= estimated) & (estimated <= upper))
+        # A mean of n sequentially summed non-negative terms can land a few
+        # ulps outside [lower, upper] (three tied x need not average to x):
+        # only a miss beyond that rounding is an inconsistent band.
+        slack = (counts + 1) * np.finfo(float).eps * upper
+        low, high = lower - slack, upper + slack
+        bad = ~((low <= mean) & (mean <= high) & (low <= estimated) & (estimated <= high))
         if bad.any():
             at = int(np.argmax(bad))
             ug = self._scenario.user_groups[rows[starts[at]]]

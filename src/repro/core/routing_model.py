@@ -15,12 +15,11 @@ time" (§3.1).  Two exclusion rules refine the uniform assumption:
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.telemetry import METRICS
 from repro.topology.cloud import CloudDeployment
 from repro.topology.geo import DistanceTable
 from repro.usergroups.ingresses import IngressCatalog
@@ -33,99 +32,96 @@ DEFAULT_D_REUSE_KM = 3000.0
 SNAPSHOT_VERSION = 2
 
 
-#: Closes every sorted key array of a :class:`DominanceTable`: no query
-#: key reaches it, so a lookup never runs off the end.
-_SENTINEL = np.iinfo(np.int64).max
-
-
-def _member(sorted_keys: "np.ndarray", keys: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
-    """Whether each of ``keys`` occurs in ``sorted_keys`` (which ends with
-    ``_SENTINEL``), and the index to read its payload at."""
-    idx = np.searchsorted(sorted_keys, keys)
-    return sorted_keys[idx] == keys, idx
+#: Buckets of each slot's outcome memory: a remembered set lies in the
+#: bucket of its local indices' sum, modulo this.
+_OUTCOME_BUCKETS = 64
 
 
 class DominanceTable:
     """Learned preferences of a list of UGs, compiled for Eq. 2 in arrays.
 
     Each UG is a *slot*.  Peering ids are below ``k``, and ``pad = k - 1``
-    is no peering's id, so it pads candidate rows.  The tables scale with
-    the learned pairs, never with candidates squared:
+    is no peering's id, so it pads candidate rows.  Each slot numbers the
+    peerings its own pairs and outcome entries name ``1`` to ``L``; every
+    other peering, and the pad, is its local ``0``.  With ``w`` one more
+    than the largest ``L`` of any slot, every array is dense in local
+    indices, so a query is a handful of gathers and no search:
 
-    * ``pair_keys`` — every preference pair as ``(slot * k + winner) * k +
-      loser``, ascending, with ``pair_ctx`` the pair's context: ``-1`` for
-      a same-AS pair (an AS's exit policy, so it always applies), else the
-      index of its competitor-ASN context among the slot's ``contexts``;
-    * ``win_keys`` — each winner once per way it can apply, as ``(slot * k
-      + winner) * mc + 1 + context`` (context ``-1``: it has a same-AS
-      pair), ascending;
-    * ``contexts`` — ``[slot, context, word]`` peer-ASN bitsets
-      (``uint64`` words; peering ``p``'s ASN is bit ``pid_bit[p]`` of word
-      ``pid_word[p]``), zero-padded.  A query's context is found by exact
-      word compare, never by hashing;
-    * outcome memory — entry ``e`` is slot ``out_slot[e]``'s compliant set
-      ``out_members[out_start[e]:out_start[e + 1]]`` (ascending), observed
-      to enter at ``out_winner[e]``.  Only entries whose winner is in the
-      set are kept; the others can never apply.
+    * ``loc`` — ``[slot, peering]`` the local index;
+    * ``code`` — ``[slot, winner, loser]`` (local indices) ``0`` for no
+      pair, ``1`` for a same-AS pair (an AS's exit policy, so it always
+      applies), ``2 + c`` for a cross-AS pair observed under the slot's
+      competitor-ASN context ``c``; in the smallest unsigned dtype that
+      holds ``mc + 1``;
+    * ``win`` — ``[slot, peering, 1 + c]`` whether the peering wins a pair
+      that applies under context ``c``, where ``c = -1`` (no context
+      matches) leaves its same-AS pairs only; ``mc`` is ``win``'s last
+      extent;
+    * ``contexts`` — ``[slot, context, word]`` peer-ASN bitsets (``uint64``
+      words; peering ``p``'s ASN is bit ``pid_bit[p]`` of word
+      ``pid_word[p]``), zero-padded to ``mc - 1``.  A query's context is
+      found by exact word compare, never by hashing (no row with a member
+      matches a padding context);
+    * outcome memory — entry ``e`` is a compliant set observed to enter at
+      ``out_winner[e]``, with ``out_member[e]`` its local indices as a mask
+      over ``w`` and ``out_sum[e]`` their sum.  Slot ``s``'s sets whose sum
+      is ``b`` modulo ``_OUTCOME_BUCKETS`` are entries ``out_start[s, b]``
+      to ``out_start[s, b + 1]``.  Every member's local index is positive,
+      so a row is a remembered set exactly when its members are all in the
+      set and sum to the set's sum.  Only sets holding their winner are
+      entries; the others never apply.
 
-    Both key arrays end with ``_SENTINEL`` (and ``pair_ctx`` with a dummy).
+    ``S`` slots take ``S * (k + w * (w + mc))`` bytes, plus their contexts
+    and outcome entries.
     """
 
     __slots__ = (
-        "k", "pad", "pid_word", "pid_bit", "pair_keys", "pair_ctx", "win_keys",
-        "mc", "contexts", "out_slot", "out_start", "out_members", "out_winner",
+        "k", "pad", "pid_word", "pid_bit", "loc", "code", "win", "contexts",
+        "out_start", "out_sum", "out_member", "out_winner",
     )
 
-    def __init__(self, k, pid_word, pid_bit, pair_keys, pair_ctx, win_keys, mc,
-                 contexts, out_slot, out_start, out_members, out_winner) -> None:
+    def __init__(self, k, pid_word, pid_bit, loc, code, win, contexts,
+                 out_start, out_sum, out_member, out_winner) -> None:
         self.k = k
         self.pad = k - 1
         self.pid_word = pid_word
         self.pid_bit = pid_bit
-        self.pair_keys = pair_keys
-        self.pair_ctx = pair_ctx
-        self.win_keys = win_keys
-        self.mc = mc
+        self.loc = loc
+        self.code = code
+        self.win = win
         self.contexts = contexts
-        self.out_slot = out_slot
         self.out_start = out_start
-        self.out_members = out_members
+        self.out_sum = out_sum
+        self.out_member = out_member
         self.out_winner = out_winner
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.out_winner)
 
     @classmethod
     def stack(cls, tables: Sequence["DominanceTable"]) -> "DominanceTable":
-        """One table whose slot ``i`` is the single-slot ``tables[i]``."""
+        """One table whose slot ``i`` is the single-slot ``tables[i]``: each
+        slot's blocks copied into the zero-padded stacked arrays."""
         first = tables[0]
-        k = first.k
-        mc = 1 + max(t.contexts.shape[1] for t in tables)
-        contexts = np.zeros(
-            (len(tables), mc - 1, first.contexts.shape[2]), dtype=np.uint64
-        )
-        pair_keys, pair_ctx, win_keys = [], [], []
-        out_slot, out_size, out_members, out_winner = [], [], [], []
+        n = len(tables)
+        w = max(t.code.shape[1] for t in tables)
+        mc = max(t.win.shape[2] for t in tables)
+        code = np.zeros((n, w, w), dtype=np.result_type(*[t.code.dtype for t in tables]))
+        win = np.zeros((n, w, mc), dtype=bool)
+        contexts = np.zeros((n, mc - 1, first.contexts.shape[2]), dtype=np.uint64)
+        out_start = np.empty((n, _OUTCOME_BUCKETS + 1), dtype=np.intp)
+        out_member = np.zeros((sum(len(t.out_winner) for t in tables), w), dtype=bool)
+        entries = 0
         for slot, t in enumerate(tables):
-            contexts[slot, : t.contexts.shape[1]] = t.contexts[0]
-            pair_keys.append(t.pair_keys[:-1] + slot * k * k)
-            pair_ctx.append(t.pair_ctx[:-1])
-            keys = t.win_keys[:-1]
-            win_keys.append((keys // t.mc + slot * k) * mc + keys % t.mc)
-            out_slot.append(np.full(t.n_outcomes, slot, dtype=np.int64))
-            out_size.append(np.diff(t.out_start))
-            out_members.append(t.out_members)
-            out_winner.append(t.out_winner)
-        out_start = np.zeros(1 + sum(t.n_outcomes for t in tables), dtype=np.int64)
-        np.cumsum(np.concatenate(out_size), out=out_start[1:])
-        end = np.array([_SENTINEL])
+            tw, tmc = t.win.shape[1:]
+            code[slot, :tw, :tw] = t.code[0]
+            win[slot, :tw, :tmc] = t.win[0]
+            contexts[slot, : tmc - 1] = t.contexts[0]
+            out_start[slot] = entries + t.out_start[0]
+            out_member[entries : entries + len(t.out_winner), :tw] = t.out_member
+            entries += len(t.out_winner)
         return cls(
-            k, first.pid_word, first.pid_bit,
-            np.concatenate(pair_keys + [end]), np.concatenate(pair_ctx + [[0]]),
-            np.concatenate(win_keys + [end]), mc, contexts,
-            np.concatenate(out_slot), out_start, np.concatenate(out_members),
-            np.concatenate(out_winner),
+            first.k, first.pid_word, first.pid_bit,
+            np.concatenate([t.loc for t in tables]), code, win, contexts,
+            out_start, np.concatenate([t.out_sum for t in tables]), out_member,
+            np.concatenate([t.out_winner for t in tables]),
         )
 
     def asn_bits(self, cand: "np.ndarray") -> "np.ndarray":
@@ -143,37 +139,54 @@ class DominanceTable:
         dist: "np.ndarray",
         d_reuse_km: float,
     ) -> "np.ndarray":
-        """Eq. 2's candidate rule, one query per row; outcome memory aside.
+        """Eq. 2's candidate rule, one query per row.
 
         Row ``i`` asks about slot ``slots[i]`` with the compliant set
         ``cand[i]`` (ascending, ``pad`` beyond its last peering), whose peer
-        ASNs are the bitset ``asn_bits[i]`` and distances ``dist[i]``.
-        Winners are the members with an applicable pair (a same-AS one, or
-        a cross-AS one observed under exactly this competitor-ASN set) and
-        losers the members such a pair from a member beats.  Learned
-        preferences override the reuse-distance heuristic: losers go
-        (unless that leaves nothing), winners stay however far away, and
-        the rest is kept within ``d_reuse_km`` of the closest survivor.
-        Returns the kept mask.
+        ASNs are the bitset ``asn_bits[i]`` and distances ``dist[i]``.  A
+        remembered set keeps exactly the ingress it was observed to enter
+        at.  Otherwise winners are the members with an applicable pair (a
+        same-AS one, or a cross-AS one observed under exactly this
+        competitor-ASN set) and losers the members such a pair from a
+        member beats.  Learned preferences override the reuse-distance
+        heuristic: losers go (unless that leaves nothing), winners stay
+        however far away, and the rest is kept within ``d_reuse_km`` of the
+        closest survivor.  Returns the kept mask.
         """
-        k = self.k
         valid = cand != self.pad
-        base = slots[:, None] * k + cand
         context = np.full(len(slots), -1)
         if self.contexts.shape[1]:
             same = (self.contexts[slots] == asn_bits[:, None, :]).all(axis=2)
             context = np.where(same.any(axis=1), same.argmax(axis=1), -1)
-        key = base * self.mc
-        probe = np.stack([key, key + (context + 1)[:, None]], axis=2)
-        winner = _member(self.win_keys, probe)[0].any(axis=2)
-        found, idx = _member(self.pair_keys, base[:, :, None] * k + cand[:, None, :])
-        pair_ctx = self.pair_ctx[idx]
-        beaten = (found & ((pair_ctx < 0) | (pair_ctx == context[:, None, None]))).any(axis=1)
+        _, w, mc = self.win.shape
+        local = self.loc.take(slots[:, None] * self.k + cand)
+        node = slots[:, None] * w + local
+        winner = self.win.take(node * mc + (context + 1)[:, None])
+        code = self.code.take(node[:, :, None] * w + local[:, None, :])
+        applies = (context + 2).astype(code.dtype)[:, None, None]
+        beaten = ((code == 1) | (code == applies)).any(axis=1)
         survivors = valid & ~beaten
         empty = ~survivors.any(axis=1)
         survivors[empty] = valid[empty]
         closest = np.where(survivors, dist, np.inf).min(axis=1)
-        return survivors & (winner | (dist - closest[:, None] <= d_reuse_km))
+        kept = survivors & (winner | (dist - closest[:, None] <= d_reuse_km))
+        # Outcome memory: the sets of the row's bucket with the row's sum,
+        # tested for holding every member (an unnamed one's local 0 is in
+        # none; the pad's is skipped).
+        total = local.sum(axis=1, dtype=np.intp)
+        at = slots * (_OUTCOME_BUCKETS + 1) + total % _OUTCOME_BUCKETS
+        lo = self.out_start.take(at)
+        count = self.out_start.take(at + 1) - lo
+        if count.any():
+            row = np.repeat(np.arange(len(slots)), count)
+            entry = np.arange(len(row)) + np.repeat(lo - np.cumsum(count) + count, count)
+            match = self.out_sum[entry] == total[row]
+            row, entry = row[match], entry[match]
+            member = self.out_member.take(entry[:, None] * w + local[row])
+            hit = (member | ~valid[row]).all(axis=1)
+            row = row[hit]
+            kept[row] = cand[row] == self.out_winner[entry[hit]][:, None]
+        return kept
 
 
 class RoutingModel:
@@ -207,10 +220,6 @@ class RoutingModel:
         self._geometry: Optional[DistanceTable] = None
         self._observation_count = 0
         self._stale_observation_count = 0
-        #: Memoized candidate predictions, bucketed per UG so that one
-        #: observation invalidates exactly that UG's entries in O(1):
-        #: ug_id -> {compliant peering-id set -> predicted candidates}.
-        self._candidate_cache: Dict[int, Dict[FrozenSet[int], FrozenSet[int]]] = {}
         #: Per-UG invalidation epoch; bumped whenever the UG's beliefs change
         #: so downstream caches (the evaluator's expected-latency memo) can
         #: cheaply detect staleness without a callback protocol.
@@ -243,12 +252,11 @@ class RoutingModel:
             self._pid_word[pid] = bit >> 6
             self._pid_bit[pid] = np.uint64(1 << (bit & 63))
         #: Per-UG compiled :class:`DominanceTable` (one slot), built on
-        #: demand and dropped with ``_candidate_cache``.
+        #: demand and dropped whenever the UG's beliefs change.
         self._tables: Dict[int, DominanceTable] = {}
         #: Competitor-ASN context -> its bitset words (contexts repeat
         #: across a UG's pairs and across UGs observed together).
         self._context_words: Dict[FrozenSet[int], List[int]] = {}
-        self._cand_stats = METRICS.cache("routing_model.candidates")
 
     @property
     def d_reuse_km(self) -> float:
@@ -277,10 +285,8 @@ class RoutingModel:
         return self._global_epoch + self._ug_epoch.get(ug_id, 0)
 
     def _invalidate_ug(self, ug_id: int) -> None:
-        self._candidate_cache.pop(ug_id, None)
         self._tables.pop(ug_id, None)
         self._ug_epoch[ug_id] = self._ug_epoch.get(ug_id, 0) + 1
-        self._cand_stats.invalidations += 1
 
     def preference_count(self, ug: Optional[UserGroup] = None) -> int:
         if ug is not None:
@@ -316,47 +322,60 @@ class RoutingModel:
         table = self._tables.get(ug_id)
         if table is not None:
             return table
-        k = self._k
         prefs = self._preferences.get(ug_id, {})
-        pairs = np.array(list(prefs), dtype=np.int64).reshape(-1, 2)
-        winner, loser = pairs[:, 0], pairs[:, 1]
-        same_as = self._pid_asn[winner] == self._pid_asn[loser]
-        local: Dict[FrozenSet[int], int] = {}
-        pair_ctx = np.array(
-            [
-                -1 if same else local.setdefault(context, len(local))
-                for same, context in zip(same_as.tolist(), prefs.values())
-            ],
-            dtype=np.int64,
-        )
-        contexts = np.array(
-            [self._context_bits(context) for context in local], dtype=np.uint64
-        ).reshape(1, len(local), self._n_words)
-        keys = winner * k + loser
-        order = np.argsort(keys)
-        mc = len(local) + 1
-        end = np.array([_SENTINEL])
         outcomes = [
-            (sorted(compliant), actual)
+            (compliant, actual)
             for compliant, actual in self._outcomes.get(ug_id, {}).items()
             if actual in compliant
         ]
-        out_start = np.zeros(len(outcomes) + 1, dtype=np.int64)
-        np.cumsum([len(members) for members, _ in outcomes], out=out_start[1:])
-        out_members = [pid for members, _ in outcomes for pid in members]
+        sizes = np.array([len(compliant) for compliant, _ in outcomes], dtype=np.intp)
+        members = np.fromiter(
+            chain.from_iterable(compliant for compliant, _ in outcomes),
+            dtype=np.intp,
+            count=sizes.sum(),
+        )
+        pairs = np.array(list(prefs), dtype=np.intp).reshape(-1, 2)
+        named = np.unique(np.concatenate([pairs.ravel(), members]))
+        w = len(named) + 1
+        loc = np.zeros((1, self._k), dtype=np.min_scalar_type(w - 1))
+        loc[0, named] = np.arange(1, w)
+        same_as = self._pid_asn[pairs[:, 0]] == self._pid_asn[pairs[:, 1]]
+        contexts: Dict[FrozenSet[int], int] = {}
+        pair_ctx = np.array(
+            [
+                -1 if same else contexts.setdefault(context, len(contexts))
+                for same, context in zip(same_as.tolist(), prefs.values())
+            ],
+            dtype=np.intp,
+        )
+        mc = len(contexts) + 1
+        winner, loser = loc[0, pairs[:, 0]], loc[0, pairs[:, 1]]
+        code = np.zeros((1, w, w), dtype=np.min_scalar_type(mc + 1))
+        code[0, winner, loser] = pair_ctx + 2
+        win = np.zeros((1, w, mc), dtype=bool)
+        win[0, winner, pair_ctx + 1] = True
+        win[0] |= win[0, :, :1]  # a same-AS winner wins under every context
+        out_member = np.zeros((len(outcomes), w), dtype=bool)
+        out_member[np.repeat(np.arange(len(outcomes)), sizes), loc[0, members]] = True
+        out_sum = out_member @ np.arange(w)
+        bucket = out_sum % _OUTCOME_BUCKETS
+        order = np.argsort(bucket, kind="stable")
+        out_start = np.zeros((1, _OUTCOME_BUCKETS + 1), dtype=np.intp)
+        np.cumsum(np.bincount(bucket, minlength=_OUTCOME_BUCKETS), out=out_start[0, 1:])
         table = DominanceTable(
-            k,
+            self._k,
             self._pid_word,
             self._pid_bit,
-            np.concatenate([keys[order], end]),
-            np.concatenate([pair_ctx[order], [0]]),
-            np.concatenate([np.unique(winner * mc + pair_ctx + 1), end]),
-            mc,
-            contexts,
-            np.zeros(len(outcomes), dtype=np.int64),
+            loc,
+            code,
+            win,
+            np.array(
+                [self._context_bits(context) for context in contexts], dtype=np.uint64
+            ).reshape(1, len(contexts), self._n_words),
             out_start,
-            np.array(out_members, dtype=np.int64),
-            np.array([actual for _, actual in outcomes], dtype=np.int64),
+            out_sum[order],
+            out_member[order],
+            np.array([actual for _, actual in outcomes], dtype=np.intp)[order],
         )
         self._tables[ug_id] = table
         return table
@@ -418,25 +437,9 @@ class RoutingModel:
         return self._candidates(ug, self._catalog.compliant_subset(ug, advertised))
 
     def _candidates(self, ug: UserGroup, compliant: FrozenSet[int]) -> FrozenSet[int]:
-        """Memoized prediction for an already policy-compliant set."""
+        """The prediction for an already policy-compliant set."""
         if not compliant:
             return frozenset()
-
-        bucket = self._candidate_cache.get(ug.ug_id)
-        if bucket is None:
-            bucket = self._candidate_cache[ug.ug_id] = {}
-        cached = bucket.get(compliant)
-        if cached is not None:
-            self._cand_stats.hits += 1
-            return cached
-        self._cand_stats.misses += 1
-        result = self._predict_candidates(ug, compliant)
-        bucket[compliant] = result
-        return result
-
-    def _predict_candidates(
-        self, ug: UserGroup, compliant: FrozenSet[int]
-    ) -> FrozenSet[int]:
         remembered = self._outcomes.get(ug.ug_id, {}).get(compliant)
         if remembered is not None and remembered in compliant:
             return frozenset({remembered})
@@ -519,8 +522,8 @@ class RoutingModel:
             )
         context = self._peer_asns(compliant)
         prefs = self._preferences.setdefault(ug.ug_id, {})
-        # Beliefs about this UG are about to change: drop its memoized
-        # candidate sets and bump its epoch so downstream caches follow.
+        # Beliefs about this UG are about to change: drop its compiled
+        # table and bump its epoch so downstream caches follow.
         self._invalidate_ug(ug.ug_id)
         self._learned_ugs.add(ug.ug_id)
         learned = 0
@@ -631,11 +634,9 @@ class RoutingModel:
             ug_id for ug_id, pairs in preferences.items() if pairs
         } | set(outcomes)
         # Every UG's beliefs may have changed wholesale.
-        self._candidate_cache.clear()
         self._tables.clear()
         self._context_words.clear()
         self._global_epoch += 1
-        self._cand_stats.invalidations += 1
 
     def _validated(self, snapshot: Mapping):
         """``(preferences, outcomes, counters)`` of a snapshot, in this

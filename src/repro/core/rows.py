@@ -214,19 +214,7 @@ class RowEngine:
                 np.repeat(list(spans), [hi - lo for lo, hi in spans.values()]), 0
             )
         self._pid[-1] = table.pad
-        # Outcome entries by member peering: entries naming ``pid`` are
-        # ``_entry[_entry_start[pid]:_entry_start[pid + 1]]``.
-        sizes = np.diff(table.out_start)
-        order = np.argsort(table.out_members, kind="stable")
-        self._entry = np.repeat(np.arange(table.n_outcomes), sizes)[order]
-        self._entry_start = np.searchsorted(
-            table.out_members[order], np.arange(table.k + 1)
-        )
-        self._entry_size = sizes
         return self
-
-    def _entries(self, pid: int) -> "np.ndarray":
-        return self._entry[self._entry_start[pid] : self._entry_start[pid + 1]]
 
     # -- per prefix -----------------------------------------------------------
 
@@ -250,9 +238,8 @@ class RowEngine:
         While any
         slot is learned, ``kpos`` holds the same ingresses' layout slots
         (the layout's length beyond the last), which is the accepted set a
-        learned query reads, with the table's per-round state beside it:
-        each learned row's accepted peer-ASN bitset and, per outcome-memory
-        entry, how many of its peerings are accepted.
+        learned query reads, with each learned row's accepted peer-ASN
+        bitset beside it.
         """
         self._prefix = prefix
         # Best latency each UG gets from anycast or *another* prefix.
@@ -282,7 +269,6 @@ class RowEngine:
         self._bits = np.zeros(
             (len(self._learned_rows), table.contexts.shape[2]), dtype=np.uint64
         )
-        self._in_acc = np.zeros(table.n_outcomes, dtype=np.intp)
         # Nothing is accepted yet, so every learned query is a singleton:
         # one batch answers them all for the initial gains (in ascending
         # peering id, so in ascending slot).
@@ -341,8 +327,7 @@ class RowEngine:
         UG, ascending peering id — padded with the layout's length.
 
         One pass of array operations over the batch: the table's candidate
-        rule, then the outcome override (an entry naming ``pid`` whose
-        other members are exactly the accepted ones)."""
+        rule, outcome memory included."""
         at = np.concatenate([at for _, at in queries])
         rows = self._layout[0][at]
         acc = self.kpos[rows]
@@ -357,25 +342,7 @@ class RowEngine:
         mine = self._pid[at]
         bits[np.arange(len(at)), table.pid_word[mine]] |= table.pid_bit[mine]
         dist = self._layout[2].take(cand, mode="clip")  # the pad's is masked
-        kept = table.kept(slots, pids, bits, dist, self.d_reuse)
-        start = 0
-        for pid, at in queries:
-            entries = self._entries(pid)
-            if len(entries) and len(at):
-                here = slots[start : start + len(at)]
-                owner = table.out_slot[entries]
-                pos = np.minimum(np.searchsorted(here, owner), len(at) - 1)
-                n_owner = n_acc[start + pos]
-                hit = (
-                    (here[pos] == owner)
-                    & (self._entry_size[entries] == n_owner + 1)
-                    & (self._in_acc[entries] == n_owner)
-                )
-                if hit.any():
-                    row = start + pos[hit]
-                    kept[row] = pids[row] == table.out_winner[entries[hit]][:, None]
-            start += len(at)
-        return cand, kept
+        return cand, table.kept(slots, pids, bits, dist, self.d_reuse)
 
     def expected(self, queries: Queries) -> "np.ndarray":
         """Eq.-2 expected latency (``+inf``: nothing measurable), one per
@@ -669,7 +636,6 @@ class RowEngine:
             table = self._table
             column[rows[held]] = learned_value
             self._bits[self._slot_of[rows[held]], table.pid_word[pid]] |= table.pid_bit[pid]
-            self._in_acc[self._entries(pid)] += 1
         self._ahead = {}
 
     def _widen(self) -> None:

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.topology.builder import Topology
 from repro.topology.geo import WORLD_METROS, Metro, haversine_km
 from repro.usergroups.usergroup import UserGroup
+from repro.util import sequential_sum
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ def zipf_weights(n: int, exponent: float) -> List[float]:
     if n < 1:
         raise ValueError("n must be >= 1")
     raw = [1.0 / (rank**exponent) for rank in range(1, n + 1)]
-    total = sum(raw)
+    total = sequential_sum(raw)
     return [w / total for w in raw]
 
 

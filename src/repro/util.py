@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import operator
 import random
-from typing import Tuple
+from functools import reduce
+from typing import Iterable
 
 
 def stable_rng(*key: object) -> random.Random:
@@ -14,6 +16,16 @@ def stable_rng(*key: object) -> random.Random:
     gives stable streams across processes and platforms.
     """
     return random.Random(repr(key))
+
+
+def sequential_sum(values: Iterable[float], start: float = 0.0) -> float:
+    """``start`` plus each value, one ``+`` at a time in order.
+
+    From Python 3.12 on, the builtin ``sum`` of floats is compensated, so
+    its last bits differ from 3.10/3.11; every version computes this sum
+    alike, and it equals what the builtin gave up to 3.11.
+    """
+    return reduce(operator.add, values, start)
 
 
 def percentile(sorted_values, fraction: float) -> float:

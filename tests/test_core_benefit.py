@@ -150,6 +150,30 @@ class TestRanges:
         with pytest.raises(ValueError, match="inconsistent range"):
             skewed.evaluate(AdvertisementConfig.from_pairs([(0, near), (0, far)]))
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tied_quantized_improvements_pass(self, scenario, data):
+        # Latencies at a 0.1 ms resolution, tied across a UG's ingresses:
+        # the sequential mean of n equal improvements need not be exactly
+        # them ((x + x + x) / 3 != x for about a quarter of such x).  That
+        # is rounding, not an inconsistent band.
+        ug = scenario.user_groups[0]
+        latency = data.draw(st.integers(1, 1000)) / 10
+        pids = sorted(scenario.catalog.ingress_ids(ug))[: data.draw(st.integers(2, 6))]
+        tied = BenefitEvaluator(
+            scenario, RoutingModel(scenario.catalog), latency_of=lambda u, pid: latency
+        )
+        tied.precompute_latency_matrix()
+        anycast = np.array([scenario.anycast_latency_ms(u) for u in scenario.user_groups])
+        rows, (lower, mean, estimated, upper) = tied._prefix_bands(
+            tied.store, anycast, frozenset(pids)
+        )
+        assert 0 in rows.tolist()
+        np.testing.assert_array_equal(lower, np.maximum(0.0, anycast[rows] - latency))
+        np.testing.assert_array_equal(upper, lower)
+        slack = 7 * np.finfo(float).eps * upper
+        assert (abs(mean - upper) <= slack).all() and (abs(estimated - upper) <= slack).all()
+
     def test_as_fraction_of(self, scenario, evaluator):
         ug = scenario.user_groups[0]
         config = _config_for(scenario, ug, k=2)

@@ -353,8 +353,8 @@ class TestRestoreFailsClosed:
 
 
 class TestCandidateMemoization:
-    """candidate_ingresses memoizes per (UG, compliant set) and observe()
-    invalidates exactly the observed UG's entries."""
+    """candidate_ingresses answers alike until observe() changes the UG's
+    beliefs, and observe() moves exactly the observed UG's epoch."""
 
     def test_memo_returns_identical_results(self, scenario, model):
         for ug in scenario.user_groups[:10]:
@@ -362,7 +362,6 @@ class TestCandidateMemoization:
             first = model.candidate_ingresses(ug, advertised)
             second = model.candidate_ingresses(ug, advertised)
             assert first == second
-            assert second is model.candidate_ingresses(ug, advertised)  # cached object
 
     def test_observe_invalidates_memoized_candidates(self, scenario, model):
         # Pick a UG whose pruned candidate set has several members, so the
@@ -388,7 +387,7 @@ class TestCandidateMemoization:
         adv_a = frozenset(_compliant_sample(scenario, ug_a, k=4))
         model.observe(ug_a, adv_a, sorted(adv_a)[0])
         assert model.ug_epoch(ug_b.ug_id) == epoch_b
-        assert model.candidate_ingresses(ug_b, adv_b) is cached_b
+        assert model.candidate_ingresses(ug_b, adv_b) == cached_b
 
     def test_restore_invalidates_every_ug(self, scenario, model):
         ug = scenario.user_groups[0]

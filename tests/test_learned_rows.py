@@ -5,7 +5,8 @@ plus one peering — in one batch of array operations
 (:meth:`repro.core.rows.RowEngine.kept` / :meth:`~repro.core.rows.
 RowEngine.expected`, over the routing model's compiled
 :class:`DominanceTable`).  Each query's kept set must equal the full-scan
-reference ``_naive_candidates``, and its value, every marginal built from
+reference ``_naive_candidates`` and the sorted-key table's mask
+(``tests.test_dominance_table``), and its value, every marginal built from
 such values and the per-prefix expected latency an accept leaves behind
 must be the scalar path's floats, bit for bit.
 """
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.scenario import tiny_scenario
 from tests.test_core_routing_model import _naive_candidates
+from tests.test_dominance_table import oracle_kept
 
 
 def _hex(value):
@@ -118,7 +120,19 @@ class TestQueriesAgainstOracle:
             if open_pids:
                 queries = [(pid, source._learned_at[pid]) for pid in open_pids]
                 cand, kept = source.kept(queries)
+                dist = source._layout[2].take(cand, mode="clip")
                 cand = source._pid[cand]  # layout slots -> peering ids
+                rows = source._layout[0][np.concatenate([at for _, at in queries])]
+                learned_ids = [
+                    scenario.user_groups[row].ug_id for row in source._learned_rows.tolist()
+                ]
+                np.testing.assert_array_equal(
+                    kept,
+                    oracle_kept(
+                        model, learned_ids, source._slot_of[rows], cand,
+                        source._table.asn_bits(cand), dist,
+                    ),
+                )
                 values = source.expected(queries)
                 i = 0
                 for pid, at in queries:

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.benefit import SlotStore
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
-from repro.core.routing_model import DominanceTable
+from repro.core.routing_model import _OUTCOME_BUCKETS, DominanceTable
 from repro.core.rows import INITIAL_SCAN_WIDTH, RowEngine, initial_gains, refresh_contrib
 from repro.scenario import prototype_scenario, tiny_scenario
 from repro.telemetry import METRICS
@@ -234,15 +234,19 @@ def _scan_worlds(draw):
 def _unlearned_tables(k):
     """A stub of :meth:`RoutingModel.dominance_table`: the compiled state of
     UGs that learned nothing (peering ids below ``k``)."""
-    end = np.array([np.iinfo(np.int64).max])
-    none = np.empty(0, dtype=np.int64)
 
     def dominance_table(ug_ids):
+        n = len(ug_ids)
         return DominanceTable(
             k, np.zeros(k, dtype=np.intp), np.zeros(k, dtype=np.uint64),
-            end, np.zeros(1, dtype=np.int64), end, 1,
-            np.zeros((len(ug_ids), 0, 1), dtype=np.uint64),
-            none, np.zeros(1, dtype=np.int64), none, none,
+            np.zeros((n, k), dtype=np.uint8),
+            np.zeros((n, 1, 1), dtype=np.uint8),
+            np.zeros((n, 1, 1), dtype=bool),
+            np.zeros((n, 0, 1), dtype=np.uint64),
+            np.zeros((n, _OUTCOME_BUCKETS + 1), dtype=np.intp),
+            np.empty(0, dtype=np.intp),
+            np.zeros((0, 1), dtype=bool),
+            np.empty(0, dtype=np.intp),
         )
 
     return dominance_table
