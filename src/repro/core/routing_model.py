@@ -68,8 +68,8 @@ class DominanceTable:
       is ``b`` modulo ``_OUTCOME_BUCKETS`` are entries ``out_start[s, b]``
       to ``out_start[s, b + 1]``.  Every member's local index is positive,
       so a row is a remembered set exactly when its members are all in the
-      set and sum to the set's sum.  Only sets holding their winner are
-      entries; the others never apply.
+      set and sum to the set's sum.  A set that does not hold its winner
+      never applies: its sum is ``-1``.
 
     ``S`` slots take ``S * (k + w * (w + mc))`` bytes, plus their contexts
     and outcome entries.
@@ -94,35 +94,6 @@ class DominanceTable:
         self.out_sum = out_sum
         self.out_member = out_member
         self.out_winner = out_winner
-
-    @classmethod
-    def stack(cls, tables: Sequence["DominanceTable"]) -> "DominanceTable":
-        """One table whose slot ``i`` is the single-slot ``tables[i]``: each
-        slot's blocks copied into the zero-padded stacked arrays."""
-        first = tables[0]
-        n = len(tables)
-        w = max(t.code.shape[1] for t in tables)
-        mc = max(t.win.shape[2] for t in tables)
-        code = np.zeros((n, w, w), dtype=np.result_type(*[t.code.dtype for t in tables]))
-        win = np.zeros((n, w, mc), dtype=bool)
-        contexts = np.zeros((n, mc - 1, first.contexts.shape[2]), dtype=np.uint64)
-        out_start = np.empty((n, _OUTCOME_BUCKETS + 1), dtype=np.intp)
-        out_member = np.zeros((sum(len(t.out_winner) for t in tables), w), dtype=bool)
-        entries = 0
-        for slot, t in enumerate(tables):
-            tw, tmc = t.win.shape[1:]
-            code[slot, :tw, :tw] = t.code[0]
-            win[slot, :tw, :tmc] = t.win[0]
-            contexts[slot, : tmc - 1] = t.contexts[0]
-            out_start[slot] = entries + t.out_start[0]
-            out_member[entries : entries + len(t.out_winner), :tw] = t.out_member
-            entries += len(t.out_winner)
-        return cls(
-            first.k, first.pid_word, first.pid_bit,
-            np.concatenate([t.loc for t in tables]), code, win, contexts,
-            out_start, np.concatenate([t.out_sum for t in tables]), out_member,
-            np.concatenate([t.out_winner for t in tables]),
-        )
 
     def asn_bits(self, cand: "np.ndarray") -> "np.ndarray":
         """Peer-ASN bitset of each row of ``cand`` (the pad sets no bit)."""
@@ -251,12 +222,10 @@ class RoutingModel:
             self._pid_asn[pid] = asn
             self._pid_word[pid] = bit >> 6
             self._pid_bit[pid] = np.uint64(1 << (bit & 63))
-        #: Per-UG compiled :class:`DominanceTable` (one slot), built on
-        #: demand and dropped whenever the UG's beliefs change.
-        self._tables: Dict[int, DominanceTable] = {}
-        #: Competitor-ASN context -> its bitset words (contexts repeat
-        #: across a UG's pairs and across UGs observed together).
-        self._context_words: Dict[FrozenSet[int], List[int]] = {}
+        #: Per UG: the compiled :class:`DominanceTable` holding it and its
+        #: slot there, built on demand and dropped whenever the UG's
+        #: beliefs change.  UGs compiled together share one table.
+        self._tables: Dict[int, Tuple[DominanceTable, int]] = {}
 
     @property
     def d_reuse_km(self) -> float:
@@ -300,90 +269,116 @@ class RoutingModel:
     # -- compiled learned state ------------------------------------------------
 
     def _context_bits(self, context: FrozenSet[int]) -> List[int]:
-        words = self._context_words.get(context)
-        if words is None:
-            words = [0] * self._n_words
-            for asn in context:
-                bit = self._asn_bit[asn]
-                words[bit >> 6] |= 1 << (bit & 63)
-            self._context_words[context] = words
+        """The peer-ASN bitset words of a competitor-ASN context."""
+        words = [0] * self._n_words
+        for asn in context:
+            bit = self._asn_bit[asn]
+            words[bit >> 6] |= 1 << (bit & 63)
         return words
 
-    def _table_of(self, ug_id: int) -> DominanceTable:
-        """The UG's learned state compiled into a one-slot table.
+    def _compile(self, ug_ids: Sequence[int]) -> DominanceTable:
+        """The learned state of ``ug_ids`` compiled in one array pass over
+        all of their pairs and outcome sets, slot ``i`` for ``ug_ids[i]``.
 
         Two classes of pair generalize differently: a **same-AS** pair
         encodes that AS's exit policy, deterministic whenever both exits
         are advertised, so it always applies; a **cross-AS** pair encodes
         the outcome of an AS-level race, which shifts with the competitor
         set, so it applies only under the competitor-ASN context it was
-        observed in.  An unlearned UG compiles to the empty table.
+        observed in.  An unlearned UG compiles to an empty slot.  Each
+        UG's slot is cached until its beliefs change.
         """
-        table = self._tables.get(ug_id)
-        if table is not None:
-            return table
-        prefs = self._preferences.get(ug_id, {})
-        outcomes = [
-            (compliant, actual)
-            for compliant, actual in self._outcomes.get(ug_id, {}).items()
-            if actual in compliant
-        ]
-        sizes = np.array([len(compliant) for compliant, _ in outcomes], dtype=np.intp)
-        members = np.fromiter(
-            chain.from_iterable(compliant for compliant, _ in outcomes),
+        n, k = len(ug_ids), self._k
+        prefs = [self._preferences.get(ug_id, {}) for ug_id in ug_ids]
+        n_pairs = np.fromiter(map(len, prefs), dtype=np.intp, count=n)
+        pairs = np.fromiter(
+            chain.from_iterable(chain.from_iterable(prefs)),
             dtype=np.intp,
-            count=sizes.sum(),
+            count=2 * int(n_pairs.sum()),
+        ).reshape(-1, 2)
+        pair_slot = np.repeat(np.arange(n), n_pairs)
+        memories = [self._outcomes.get(ug_id, {}) for ug_id in ug_ids]
+        sets = list(chain.from_iterable(memories))
+        winners = np.fromiter(
+            chain.from_iterable(m.values() for m in memories), dtype=np.intp, count=len(sets)
         )
-        pairs = np.array(list(prefs), dtype=np.intp).reshape(-1, 2)
-        named = np.unique(np.concatenate([pairs.ravel(), members]))
-        w = len(named) + 1
-        loc = np.zeros((1, self._k), dtype=np.min_scalar_type(w - 1))
-        loc[0, named] = np.arange(1, w)
-        same_as = self._pid_asn[pairs[:, 0]] == self._pid_asn[pairs[:, 1]]
-        contexts: Dict[FrozenSet[int], int] = {}
-        pair_ctx = np.array(
-            [
-                -1 if same else contexts.setdefault(context, len(contexts))
-                for same, context in zip(same_as.tolist(), prefs.values())
-            ],
-            dtype=np.intp,
+        sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+        members = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=int(sizes.sum()))
+        member_entry = np.repeat(np.arange(len(sets)), sizes)
+        entry_slot = np.repeat(np.arange(n), list(map(len, memories)))
+        # Local indices: each slot numbers the peerings it names 1..L.
+        pair_keys = (pair_slot * k)[:, None] + pairs
+        member_keys = entry_slot[member_entry] * k + members
+        named = np.zeros((n, k), dtype=bool)
+        named.reshape(-1)[pair_keys] = True
+        named.reshape(-1)[member_keys] = True
+        count = np.cumsum(named, axis=1)
+        w = int(count[:, -1].max(initial=0)) + 1
+        loc = np.where(named, count, 0).astype(np.min_scalar_type(w - 1))
+        winner, loser = loc.reshape(-1)[pair_keys].T
+        # Cross-AS pairs' contexts, numbered per slot.
+        contexts = list(chain.from_iterable(pref.values() for pref in prefs))
+        distinct = list(dict.fromkeys(contexts))
+        ids = dict(zip(distinct, range(len(distinct))))
+        n_ids = len(distinct)
+        context_id = np.fromiter(map(ids.__getitem__, contexts), dtype=np.intp, count=len(pairs))
+        cross = self._pid_asn[pairs[:, 0]] != self._pid_asn[pairs[:, 1]]
+        slot_context, context_of = np.unique(
+            pair_slot[cross] * n_ids + context_id[cross], return_inverse=True
         )
-        mc = len(contexts) + 1
-        winner, loser = loc[0, pairs[:, 0]], loc[0, pairs[:, 1]]
-        code = np.zeros((1, w, w), dtype=np.min_scalar_type(mc + 1))
-        code[0, winner, loser] = pair_ctx + 2
-        win = np.zeros((1, w, mc), dtype=bool)
-        win[0, winner, pair_ctx + 1] = True
-        win[0] |= win[0, :, :1]  # a same-AS winner wins under every context
-        out_member = np.zeros((len(outcomes), w), dtype=bool)
-        out_member[np.repeat(np.arange(len(outcomes)), sizes), loc[0, members]] = True
-        out_sum = out_member @ np.arange(w)
-        bucket = out_sum % _OUTCOME_BUCKETS
+        context_slot = slot_context // n_ids
+        number = np.arange(len(slot_context)) - np.searchsorted(context_slot, context_slot)
+        pair_ctx = np.full(len(pairs), -1, dtype=np.intp)
+        pair_ctx[cross] = number[context_of]
+        mc = int(np.bincount(context_slot, minlength=n).max(initial=0)) + 1
+        code = np.zeros((n, w, w), dtype=np.min_scalar_type(mc + 1))
+        code[pair_slot, winner, loser] = pair_ctx + 2
+        win = np.zeros((n, w, mc), dtype=bool)
+        win[pair_slot, winner, pair_ctx + 1] = True
+        win |= win[:, :, :1]  # a same-AS winner wins under every context
+        words = np.zeros((n, mc - 1, self._n_words), dtype=np.uint64)
+        bits = np.array(list(map(self._context_bits, distinct)), dtype=np.uint64)
+        words[context_slot, number] = bits.reshape(-1, self._n_words)[slot_context % n_ids]
+        # Outcome memory, bucketed per slot by its local-index sum.
+        member_local = loc.reshape(-1)[member_keys]
+        out_member = np.zeros((len(sets), w), dtype=bool)
+        out_member[member_entry, member_local] = True
+        holds = np.zeros(len(sets), dtype=bool)
+        holds[member_entry[members == winners[member_entry]]] = True
+        out_sum = np.bincount(member_entry, member_local, len(sets)).astype(np.intp)
+        out_sum[~holds] = -1
+        bucket = entry_slot * _OUTCOME_BUCKETS + out_sum % _OUTCOME_BUCKETS
         order = np.argsort(bucket, kind="stable")
-        out_start = np.zeros((1, _OUTCOME_BUCKETS + 1), dtype=np.intp)
-        np.cumsum(np.bincount(bucket, minlength=_OUTCOME_BUCKETS), out=out_start[0, 1:])
+        start = np.zeros(n * _OUTCOME_BUCKETS + 1, dtype=np.intp)
+        np.cumsum(np.bincount(bucket, minlength=n * _OUTCOME_BUCKETS), out=start[1:])
         table = DominanceTable(
-            self._k,
+            k,
             self._pid_word,
             self._pid_bit,
             loc,
             code,
             win,
-            np.array(
-                [self._context_bits(context) for context in contexts], dtype=np.uint64
-            ).reshape(1, len(contexts), self._n_words),
-            out_start,
+            words,
+            start[np.arange(n)[:, None] * _OUTCOME_BUCKETS + np.arange(_OUTCOME_BUCKETS + 1)],
             out_sum[order],
             out_member[order],
-            np.array([actual for _, actual in outcomes], dtype=np.intp)[order],
+            winners[order],
         )
-        self._tables[ug_id] = table
+        self._tables.update((ug_id, (table, slot)) for slot, ug_id in enumerate(ug_ids))
         return table
 
     def dominance_table(self, ug_ids: Sequence[int]) -> DominanceTable:
         """The learned state of ``ug_ids`` as one table, slot ``i`` for
-        ``ug_ids[i]`` (each UG compiled once per change of its beliefs)."""
-        return DominanceTable.stack([self._table_of(ug_id) for ug_id in ug_ids])
+        ``ug_ids[i]``: the table they were last compiled into while none of
+        their beliefs changed, else all of them compiled anew."""
+        held = self._tables.get(ug_ids[0]) if len(ug_ids) else None
+        if held is not None and len(held[0].loc) == len(ug_ids):
+            table = held[0]
+            if all(
+                self._tables.get(ug_id) == (table, slot) for slot, ug_id in enumerate(ug_ids)
+            ):
+                return table
+        return self._compile(ug_ids)
 
     # -- distances -----------------------------------------------------------
 
@@ -452,9 +447,9 @@ class RoutingModel:
             limit = self._d_reuse_km
             return frozenset(compress(cand, [d - closest <= limit for d in dist]))
         row = np.array([cand], dtype=np.int64)
-        table = self._table_of(ug.ug_id)
+        table, slot = self._tables.get(ug.ug_id) or (self._compile([ug.ug_id]), 0)
         kept = table.kept(
-            np.zeros(1, dtype=np.int64), row, table.asn_bits(row),
+            np.array([slot]), row, table.asn_bits(row),
             np.array([dist]), self._d_reuse_km,
         )
         return frozenset(compress(cand, kept[0].tolist()))
@@ -635,7 +630,6 @@ class RoutingModel:
         } | set(outcomes)
         # Every UG's beliefs may have changed wholesale.
         self._tables.clear()
-        self._context_words.clear()
         self._global_epoch += 1
 
     def _validated(self, snapshot: Mapping):

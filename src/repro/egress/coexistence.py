@@ -20,7 +20,7 @@ model — the frozen-epoch regression the hot-potato scenario is gated on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import FrozenSet, Optional
 
 from repro.core.advertisement import AdvertisementConfig
@@ -29,7 +29,7 @@ from repro.routing.ground_truth import catchment
 from repro.scenario import Scenario
 from repro.topology.cloud import Peering
 from repro.usergroups.usergroup import UserGroup
-from repro.util import stable_rng
+from repro.util import KeyedUniform
 
 
 class CoexistenceError(RuntimeError):
@@ -63,12 +63,14 @@ class LinkWeightEpochs:
     n_epochs: int
     seed: int = 0
     amplitude: float = 0.3
+    _multipliers: KeyedUniform = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_epochs < 1:
             raise ValueError("n_epochs must be >= 1")
         if not 0.0 <= self.amplitude < 1.0:
             raise ValueError("amplitude must be in [0, 1)")
+        object.__setattr__(self, "_multipliers", KeyedUniform(1.0, self.amplitude))
 
     def multiplier(self, epoch: int, pop_name: str) -> float:
         if not 0 <= epoch < self.n_epochs:
@@ -77,8 +79,7 @@ class LinkWeightEpochs:
             )
         if epoch == 0:
             return 1.0
-        rng = stable_rng(self.seed, "igp", epoch, pop_name)
-        return 1.0 + rng.uniform(-self.amplitude, self.amplitude)
+        return self._multipliers(self.seed, "igp", epoch, pop_name)
 
     def igp_med(self, epoch: int, pop_name: str) -> int:
         """The MED the cloud advertises at this PoP: scaled epoch IGP cost."""
@@ -108,6 +109,7 @@ class DirectionalModel:
         self._seed = seed
         self._asymmetry = asymmetry
         self._epochs = epochs
+        self._ratios = KeyedUniform(0.5, asymmetry)
 
     @property
     def epochs(self) -> Optional[LinkWeightEpochs]:
@@ -117,8 +119,7 @@ class DirectionalModel:
         self, ug: UserGroup, peering: Peering, day: int = 0, epoch: int = 0
     ) -> DirectionalLatency:
         rtt = self._scenario.latency_model.latency_ms(ug, peering, day=day)
-        rng = stable_rng(self._seed, "split", ug.asn, peering.peer_asn)
-        ratio = 0.5 + rng.uniform(-self._asymmetry, self._asymmetry)
+        ratio = self._ratios(self._seed, "split", ug.asn, peering.peer_asn)
         # egress is derived by subtraction (not an independent rtt*(1-ratio)
         # product, which drifts from rtt by rounding); one compensation step
         # then an explicit check enforce the symmetric-case invariant.

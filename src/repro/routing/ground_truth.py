@@ -21,7 +21,7 @@ advertisement at a time and must learn the hidden preferences (§3.1).
 
 from __future__ import annotations
 
-from repro.util import stable_rng
+from repro.util import KeyedUniform, stable_rng
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,6 +76,7 @@ class GroundTruthRouting:
         self._propagation_cache: Dict[FrozenSet[int], Dict[int, Route]] = {}
         self._exit_policy_cache: Dict[int, bool] = {}
         self._exit_rank_cache: Dict[int, Dict[str, float]] = {}
+        self._wobbles = KeyedUniform(1.0, 0.15)
         self._all_peering_ids = frozenset(p.peering_id for p in topology.deployment.peerings)
         # Routing here is deterministic and the oracle is immutable, so the
         # full decision (layers 1+2) memoizes per (UG, advertised set) and
@@ -207,8 +208,7 @@ class GroundTruthRouting:
         # Hot potato: nearest exit to the traffic source, with a small hidden
         # per-(AS, UG-AS, PoP) wobble standing in for IGP detail.
         def hot_key(peering: Peering) -> Tuple[float, int]:
-            rng = stable_rng(self._seed, "hot", entering_asn, ug.asn, peering.pop.name)
-            wobble = 1.0 + rng.uniform(-0.15, 0.15)
+            wobble = self._wobbles(self._seed, "hot", entering_asn, ug.asn, peering.pop.name)
             return (haversine_km(ug.location, peering.pop.location) * wobble, peering.peering_id)
 
         return min(candidates, key=hot_key)

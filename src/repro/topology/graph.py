@@ -31,6 +31,7 @@ class ASGraph:
         self._ases: Dict[int, AutonomousSystem] = {}
         self._neighbors: Dict[int, Dict[int, Relationship]] = {}
         self._cone_cache: Dict[int, FrozenSet[int]] = {}
+        self._version = 0
 
     # -- construction ------------------------------------------------------
 
@@ -40,6 +41,7 @@ class ASGraph:
             raise TopologyError(f"ASN {asys.asn} already registered as {existing}")
         self._ases[asys.asn] = asys
         self._neighbors.setdefault(asys.asn, {})
+        self._version += 1
 
     def add_provider_customer(self, provider: int, customer: int) -> None:
         """Record that ``provider`` sells transit to ``customer``."""
@@ -64,6 +66,14 @@ class ASGraph:
         self._neighbors[a][b] = rel_of_b_to_a
         self._neighbors[b][a] = rel_of_b_to_a.inverse()
         self._cone_cache.clear()
+        self._version += 1
+
+    @property
+    def version(self) -> int:
+        """Bumped by every ``add_*`` call: a structure compiled from the
+        graph (the BGP simulator's adjacency) is current while this is
+        unchanged."""
+        return self._version
 
     # -- lookups -----------------------------------------------------------
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 import random
 from functools import reduce
-from typing import Iterable
+from typing import Dict, Iterable, Tuple
 
 
 def stable_rng(*key: object) -> random.Random:
@@ -16,6 +16,30 @@ def stable_rng(*key: object) -> random.Random:
     gives stable streams across processes and platforms.
     """
     return random.Random(repr(key))
+
+
+class KeyedUniform:
+    """``center + stable_rng(*key).uniform(-spread, spread)``, memoized per key.
+
+    A hidden draw that depends on its key alone is the same value on every
+    call, so seeding a fresh RNG (SHA-512 and ``Random.seed``) each time is
+    waste wherever keys repeat: ``draws(*key)`` seeds once per key and then
+    returns the stored value, bit for bit what the fresh RNG would give.
+    """
+
+    __slots__ = ("center", "spread", "_values")
+
+    def __init__(self, center: float, spread: float) -> None:
+        self.center = center
+        self.spread = spread
+        self._values: Dict[Tuple[object, ...], float] = {}
+
+    def __call__(self, *key: object) -> float:
+        value = self._values.get(key)
+        if value is None:
+            rng = stable_rng(*key)
+            value = self._values[key] = self.center + rng.uniform(-self.spread, self.spread)
+        return value
 
 
 def sequential_sum(values: Iterable[float], start: float = 0.0) -> float:

@@ -38,8 +38,10 @@ class TestPerformanceGuards:
         _timed(world.anycast_latencies, limit_s=5.0)
 
     def test_bgp_propagation_scales(self):
-        """Propagation over the tiny graph completes in milliseconds and its
-        cache makes repeats nearly free."""
+        """Fifty uncached propagations over the tiny graph finish well
+        inside the limit (the simulator memoizes only its tie-breaks and
+        compiled adjacency; results are memoized per announcement by
+        ``GroundTruthRouting._propagation_cache``)."""
         from repro.bgp.simulator import BGPSimulator
 
         world = tiny_scenario(seed=9)

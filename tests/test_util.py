@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.util import percentile, stable_rng
+from repro.util import KeyedUniform, percentile, stable_rng
 
 
 class TestStableRng:
@@ -54,3 +54,12 @@ class TestPercentile:
         assert ordered[0] - 1e-9 * span <= result <= ordered[-1] + 1e-9 * span
         if fraction <= 0.5:
             assert percentile(ordered, fraction) <= percentile(ordered, 0.5) + 1e-9
+
+
+class TestKeyedUniform:
+    def test_memoized_draw_is_the_fresh_draw(self):
+        draws = KeyedUniform(1.0, 0.3)
+        for key in [(0, "igp", 1, "pop-a"), (7, "hot", 64500, 64501, "pop-b"), (3,)]:
+            fresh = 1.0 + stable_rng(*key).uniform(-0.3, 0.3)
+            assert draws(*key) == fresh
+            assert draws(*key) == fresh  # served from the memo
