@@ -11,11 +11,16 @@ time" (§3.1).  Two exclusion rules refine the uniform assumption:
 * **reuse distance** — an ingress is excluded when its PoP is more than
   ``D_reuse`` km farther from the UG than the closest PoP advertising the
   prefix (large inflation is rare, so the UG is assumed not to land there).
+
+The model holds the beliefs and compiles them into a
+:class:`DominanceTable`; Eq. 2 itself is evaluated in arrays over the
+evaluator's slot store, by :meth:`repro.core.benefit.BenefitEvaluator.
+expected_latencies` and by the solve's row engine (:mod:`repro.core.rows`).
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -185,18 +190,9 @@ class RoutingModel:
         #: ingress actually observed}.  Routing is deterministic per set, so
         #: a remembered outcome is a probability-1 prediction.
         self._outcomes: Dict[int, Dict[FrozenSet[int], int]] = {}
-        #: Distance cache keyed by (ug_id, peering_id), in front of
-        #: :attr:`geometry`.
-        self._distance_cache: Dict[Tuple[int, int], float] = {}
         self._geometry: Optional[DistanceTable] = None
         self._observation_count = 0
         self._stale_observation_count = 0
-        #: Per-UG invalidation epoch; bumped whenever the UG's beliefs change
-        #: so downstream caches (the evaluator's expected-latency memo) can
-        #: cheaply detect staleness without a callback protocol.
-        self._ug_epoch: Dict[int, int] = {}
-        #: Bumped on wholesale state replacement (restore_preferences).
-        self._global_epoch = 0
         #: UGs with any learned state (preferences or outcome memory).  For
         #: everyone else, candidate prediction is pure reuse-distance
         #: pruning, which the solve's per-row scan state evaluates.
@@ -242,20 +238,6 @@ class RoutingModel:
     @property
     def stale_observation_count(self) -> int:
         return self._stale_observation_count
-
-    def ug_epoch(self, ug_id: int) -> int:
-        """Monotonic belief version for one UG.
-
-        Any cache keyed on this model's predictions for a UG can store the
-        epoch alongside its entries and discard them when it moves — the
-        caching/invalidation contract used by
-        :class:`repro.core.benefit.BenefitEvaluator`.
-        """
-        return self._global_epoch + self._ug_epoch.get(ug_id, 0)
-
-    def _invalidate_ug(self, ug_id: int) -> None:
-        self._tables.pop(ug_id, None)
-        self._ug_epoch[ug_id] = self._ug_epoch.get(ug_id, 0) + 1
 
     def preference_count(self, ug: Optional[UserGroup] = None) -> int:
         if ug is not None:
@@ -387,8 +369,7 @@ class RoutingModel:
         """Great-circle distances from the catalog's UG metros to every PoP.
 
         Built on first use (one haversine per distinct metro × PoP pair);
-        the batch latency/distance fill gathers from it, and
-        :meth:`distance_km` reads it.
+        the batch latency/distance fill gathers from it.
         """
         if self._geometry is None:
             self._geometry = DistanceTable(
@@ -397,96 +378,10 @@ class RoutingModel:
             )
         return self._geometry
 
-    def distance_km(self, ug: UserGroup, peering_id: int) -> float:
-        """UG-to-ingress great-circle distance (cached)."""
-        key = (ug.ug_id, peering_id)
-        cached = self._distance_cache.get(key)
-        if cached is None:
-            cached = self.geometry.distance_km(
-                ug.location, self._deployment.peering(peering_id).pop.location
-            )
-            self._distance_cache[key] = cached
-        return cached
-
     @property
     def learned_ug_ids(self) -> Set[int]:
         """Live read-only view of the UGs with learned state (do not mutate)."""
         return self._learned_ugs
-
-    # -- candidate prediction -----------------------------------------------
-
-    def candidate_ingresses(
-        self, ug: UserGroup, advertised: FrozenSet[int]
-    ) -> FrozenSet[int]:
-        """Peering ids the model considers possible (and equally likely).
-
-        Starts from the policy-compliant subset of the advertised peerings.
-        Learned preferences apply first and *override* the reuse-distance
-        heuristic: an ingress observed to win stays a candidate no matter how
-        far away it is (the Miami-routed-through-Tokyo case is exactly what
-        learning must be able to represent), while ingresses it beat are
-        excluded.  The reuse-distance assumption then prunes only ingresses
-        we have no observations about.  If everything would be excluded, the
-        closest compliant ingress is kept (the UG must land somewhere).
-        """
-        return self._candidates(ug, self._catalog.compliant_subset(ug, advertised))
-
-    def _candidates(self, ug: UserGroup, compliant: FrozenSet[int]) -> FrozenSet[int]:
-        """The prediction for an already policy-compliant set."""
-        if not compliant:
-            return frozenset()
-        remembered = self._outcomes.get(ug.ug_id, {}).get(compliant)
-        if remembered is not None and remembered in compliant:
-            return frozenset({remembered})
-        cand = sorted(compliant)
-        dist = [self.distance_km(ug, pid) for pid in cand]
-        if not self._preferences.get(ug.ug_id):
-            # The empty table's answer, without the arrays: pure
-            # reuse-distance pruning.
-            closest = min(dist)
-            limit = self._d_reuse_km
-            return frozenset(compress(cand, [d - closest <= limit for d in dist]))
-        row = np.array([cand], dtype=np.int64)
-        table, slot = self._tables.get(ug.ug_id) or (self._compile([ug.ug_id]), 0)
-        kept = table.kept(
-            np.array([slot]), row, table.asn_bits(row),
-            np.array([dist]), self._d_reuse_km,
-        )
-        return frozenset(compress(cand, kept[0].tolist()))
-
-    def expected_latency_ms(
-        self,
-        ug: UserGroup,
-        advertised: FrozenSet[int],
-        latency_of: "LatencySource",
-        *,
-        compliant: Optional[FrozenSet[int]] = None,
-    ) -> Optional[float]:
-        """Eq. 2's inner expectation: mean latency over candidate ingresses.
-
-        ``latency_of(ug, peering_id)`` supplies measured/estimated latency
-        and may return ``None`` for unmeasurable ingresses, which are then
-        skipped.  Returns ``None`` when nothing is measurable.  A caller
-        already holding ``catalog.compliant_subset(ug, advertised)`` passes
-        it as ``compliant`` to skip the second intersection.
-
-        The sum runs in ascending peering id, so the float result depends
-        on the candidate set only, never on set-iteration order.
-        """
-        if compliant is None:
-            compliant = self._catalog.compliant_subset(ug, advertised)
-        candidates = self._candidates(ug, compliant)
-        total = 0.0
-        count = 0
-        for pid in sorted(candidates):
-            latency = latency_of(ug, pid)
-            if latency is None:
-                continue
-            total += latency
-            count += 1
-        if count == 0:
-            return None
-        return total / count
 
     # -- learning --------------------------------------------------------------
 
@@ -517,9 +412,8 @@ class RoutingModel:
             )
         context = self._peer_asns(compliant)
         prefs = self._preferences.setdefault(ug.ug_id, {})
-        # Beliefs about this UG are about to change: drop its compiled
-        # table and bump its epoch so downstream caches follow.
-        self._invalidate_ug(ug.ug_id)
+        # Beliefs about this UG are about to change: drop its compiled table.
+        self._tables.pop(ug.ug_id, None)
         self._learned_ugs.add(ug.ug_id)
         learned = 0
         if stale:
@@ -546,31 +440,6 @@ class RoutingModel:
             prefs[pair] = context
         self._observation_count += 1
         return learned
-
-    def is_excluded_by_preference(
-        self, ug: UserGroup, peering_id: int, advertised: FrozenSet[int]
-    ) -> bool:
-        """Whether learned preferences exclude ``peering_id`` in this set:
-        an advertised winner beats it by a same-AS pair, or by a cross-AS
-        pair observed under the set's competitor-ASN context."""
-        prefs = self._preferences.get(ug.ug_id)
-        if not prefs:
-            return False
-        peer_asn = self._peer_asn
-        current_asns: Optional[FrozenSet[int]] = None
-        for winner in advertised:
-            context = prefs.get((winner, peering_id))
-            if context is None or winner == peering_id:
-                continue
-            if peer_asn[winner] == peer_asn[peering_id]:
-                return True
-            if current_asns is None:
-                current_asns = self._peer_asns(
-                    self._catalog.compliant_subset(ug, advertised)
-                )
-            if context == current_asns:
-                return True
-        return False
 
     def snapshot_preferences(self) -> Dict[str, object]:
         """Full learned state as a versioned dict (format ``SNAPSHOT_VERSION``).
@@ -630,7 +499,6 @@ class RoutingModel:
         } | set(outcomes)
         # Every UG's beliefs may have changed wholesale.
         self._tables.clear()
-        self._global_epoch += 1
 
     def _validated(self, snapshot: Mapping):
         """``(preferences, outcomes, counters)`` of a snapshot, in this
@@ -684,9 +552,3 @@ class RoutingModel:
             raise ValueError(f"negative observation counters {counts}")
         return preferences, outcomes, counts
 
-
-class LatencySource:
-    """Protocol-ish callable: (UserGroup, peering_id) -> Optional[float]."""
-
-    def __call__(self, ug: UserGroup, peering_id: int) -> Optional[float]:
-        raise NotImplementedError

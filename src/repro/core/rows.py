@@ -10,9 +10,9 @@ of one world.  It keeps
   in ascending peering id, ascending row within each peering's ``[start,
   end)`` span;
 * per solve, one volume array, each UG's expected latency per prefix and
-  the ``learned`` mask of the slots whose UG has learned state, which the
-  routing model compiles into one :class:`~repro.core.routing_model.
-  DominanceTable`;
+  the ``learned`` mask of the slots whose UG has learned state, with the
+  one :class:`~repro.core.routing_model.DominanceTable` the evaluator's
+  ``learned_table`` gets for them;
 * per prefix, the scan state of every row: its accepted compliant
   ingresses ascending by distance in ``kd`` with the running latency sums
   ``ks`` and counts ``kc`` — and, while any slot is learned, their layout
@@ -26,8 +26,11 @@ in a handful of array operations; a learned slot asks the table which of
 the accepted set ``kpos`` holds it keeps.  A marginal is one vector over
 its peering's span, reduced in one fixed order: ``vol @ gain`` (initial
 heap) or ``contrib.sum()`` (refresh) over the unlearned slots, then the
-learned slots' terms added one at a time in row order.  Everything before
-that is elementwise, so
+learned slots' terms added one at a time in row order.  A learned query's
+expected latency is the same :func:`~repro.core.benefit.masked_mean` of the
+same kept set that :meth:`BenefitEvaluator.expected_latencies
+<repro.core.benefit.BenefitEvaluator.expected_latencies>` computes for the
+solved configuration.  Everything before that is elementwise, so
 
 * a round's initial heap is one slot pass: one volume and one gain per
   slot of the whole layout, then per peering the dot of two views of its
@@ -48,6 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.benefit import masked_mean
 from repro.telemetry import METRICS
 
 #: Columns a round's kept-ingress table starts with; it doubles whenever a
@@ -180,22 +184,19 @@ class RowEngine:
         #: Expected latency per (UG row, prefix); +inf where the prefix is
         #: unusable for the UG (None), so row minima need no masking.
         self._exp = np.full((len(ugs), budget), np.inf)
-        is_learned = np.zeros(len(ugs), dtype=bool)
-        is_learned[[self._row_of[i] for i in learned_ug_ids if i in self._row_of]] = True
-        rows = self._layout[0]
+        #: The compiled table of the learned rows and each row's slot there
+        #: (-1: not learned), the one ``expected_latencies`` reads too.
+        table, self._slot_of = self.evaluator.learned_table(learned_ug_ids)
+        self._table = table
         #: Per slot: whether its UG has learned state.
-        self.learned = is_learned[rows]
-        #: Row -> its slot of the compiled table (-1: not learned).
-        self._slot_of = np.full(len(ugs), -1, dtype=np.intp)
+        self.learned = self._slot_of[self._layout[0]] >= 0
         #: Peering -> which slots of its span are learned, for the spans
         #: holding any (views of ``learned``), and their layout slots.
         self._held: Dict[int, "np.ndarray"] = {}
         self._learned_at: Dict[int, "np.ndarray"] = {}
-        self._table = None
-        if not self.learned.any():
+        if table is None:
             return self
-        self._learned_rows = learned_rows = np.unique(rows[self.learned])
-        self._slot_of[learned_rows] = np.arange(len(learned_rows))
+        self._learned_rows = np.flatnonzero(self._slot_of >= 0)
         self._held = {
             pid: held
             for pid, (lo, hi) in self._spans.items()
@@ -205,9 +206,6 @@ class RowEngine:
             pid: self._spans[pid][0] + np.flatnonzero(held)
             for pid, held in self._held.items()
         }
-        self._table = table = self.model.dominance_table(
-            [ugs[row].ug_id for row in learned_rows.tolist()]
-        )
         if self._pid is None:
             spans = self._spans
             self._pid = np.append(
@@ -355,12 +353,7 @@ class RowEngine:
             return np.where(np.isnan(lat), np.inf, lat)
         cand, kept = self.kept(queries)
         lat = self._layout[1].take(cand, mode="clip")
-        use = kept & ~np.isnan(lat)
-        total = np.cumsum(np.where(use, lat, 0.0), axis=1)[:, -1]
-        count = use.sum(axis=1)
-        value = np.full(len(at), np.inf)
-        np.divide(total, count, out=value, where=count > 0)
-        return value
+        return masked_mean(lat, kept & ~np.isnan(lat))
 
     def _learned(self, queries: Queries) -> Tuple["np.ndarray", "np.ndarray"]:
         """``(marginal terms, expected latencies)`` of the queried learned
@@ -655,19 +648,4 @@ class RowEngine:
             )
 
     def end_prefix(self) -> None:
-        """Leave each learned row's expected latency under the round's
-        final accepted set in the evaluator's Eq.-2 memo: evaluating the
-        solved configuration asks for exactly these."""
-        if self._table is None:
-            return
-        column = self._exp[:, self._prefix]
-        acc = self.kpos[self._learned_rows]
-        n_acc = (acc < len(self.learned)).sum(axis=1)
-        for i in np.flatnonzero(n_acc > 1).tolist():
-            row = int(self._learned_rows[i])
-            value = float(column[row])
-            self.evaluator.remember_expected(
-                self.ugs[row],
-                frozenset(self._pid[acc[i, : n_acc[i]]].tolist()),
-                None if value == np.inf else value,
-            )
+        """Nothing to do: a round leaves no state behind."""

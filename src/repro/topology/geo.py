@@ -101,10 +101,10 @@ class DistanceTable:
         for point in targets:
             self._target.setdefault(point, len(self._target))
         shape = (len(self._origin), len(self._target))
-        self._rows = [[haversine_km(a, b) for b in self._target] for a in self._origin]
-        self.km = np.array(self._rows, dtype=np.float64).reshape(shape)
+        km = [[haversine_km(a, b) for b in self._target] for a in self._origin]
+        self.km = np.array(km, dtype=np.float64).reshape(shape)
         self.fiber_rtt_ms = np.array(
-            [[fiber_rtt_ms(d) for d in row] for row in self._rows], dtype=np.float64
+            [[fiber_rtt_ms(d) for d in row] for row in km], dtype=np.float64
         ).reshape(shape)
 
     def origin_indices(self, points: Iterable[GeoPoint]) -> "np.ndarray":
@@ -114,14 +114,6 @@ class DistanceTable:
     def target_indices(self, points: Iterable[GeoPoint]) -> "np.ndarray":
         """Column of each point (``KeyError`` for a point outside the table)."""
         return np.array([self._target[p] for p in points], dtype=np.intp)
-
-    def distance_km(self, a: GeoPoint, b: GeoPoint) -> float:
-        """``haversine_km(a, b)``, read from the table when both are in it."""
-        i = self._origin.get(a)
-        j = self._target.get(b)
-        if i is None or j is None:
-            return haversine_km(a, b)
-        return self._rows[i][j]
 
 
 @dataclass(frozen=True)

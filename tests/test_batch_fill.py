@@ -2,8 +2,8 @@
 
 Every slot of the store the evaluator materialises must hold, as an exact
 double (compared via ``float.hex``), what the scalar oracles return for
-it: ``LatencyModel.latency_ms`` for latency (``nan`` = unmeasurable),
-``RoutingModel.distance_km`` and ``haversine_km`` for distance.  Every
+it: ``LatencyModel.latency_ms`` for latency (``nan`` = unmeasurable) and
+``haversine_km`` for distance.  Every
 golden hangs off these values.
 """
 
@@ -20,6 +20,7 @@ from repro.core import benefit
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.scenario import azure_scenario, prototype_scenario, tiny_scenario
 from repro.topology.geo import DistanceTable, GeoPoint, fiber_rtt_ms, haversine_km
+from tests.test_eq2_pass import store_latency
 
 
 def _materialised(scenario, **config_kwargs):
@@ -51,7 +52,6 @@ def _assert_matches_scalar_oracles(scenario) -> None:
         assert float(store.latency[at]).hex() == latency_model.latency_ms(ug, peering).hex()
         km = float(store.distance[at]).hex()
         assert km == haversine_km(ug.location, peering.pop.location).hex()
-        assert km == orch.model.distance_km(ug, pid).hex()
     # The CSR index finds each slot from its UG.
     for row, ug in enumerate(scenario.user_groups):
         ids = sorted(scenario.catalog.ingress_ids(ug))
@@ -106,15 +106,15 @@ def test_distance_table_matches_scalar_haversine(origins, targets) -> None:
             km = haversine_km(a, b)
             assert float(table.km[i, j]).hex() == km.hex()
             assert float(table.fiber_rtt_ms[i, j]).hex() == fiber_rtt_ms(km).hex()
-            assert table.distance_km(a, b).hex() == km.hex()
 
 
 def test_distance_table_falls_back_outside_its_points() -> None:
     a, b, c = GeoPoint(10.0, 20.0), GeoPoint(-30.0, 40.0), GeoPoint(50.0, -60.0)
     table = DistanceTable([a], [b])
-    assert table.distance_km(a, c) == haversine_km(a, c)
     with pytest.raises(KeyError):
         table.target_indices([c])
+    with pytest.raises(KeyError):
+        table.origin_indices([c])
 
 
 def test_chunked_fill_solves_identically(monkeypatch) -> None:
@@ -191,7 +191,8 @@ def test_custom_latency_of_none_stays_unmeasurable() -> None:
     assert not np.isnan(store.latency[~victim_slots]).any()
     ug = scenario.user_groups[row]
     assert all(
-        orch.evaluator.latency(ug, pid) is None for pid in scenario.catalog.ingress_ids(ug)
+        store_latency(orch.evaluator, ug, pid) is None
+        for pid in scenario.catalog.ingress_ids(ug)
     )
 
 
@@ -200,7 +201,7 @@ def test_custom_latency_of_none_stays_unmeasurable() -> None:
 
 def _benefit_matrix_by_slot(evaluator, ugs):
     """The per-slot loop :meth:`BenefitEvaluator.benefit_matrix` replaced:
-    one scalar ``latency`` read per compliant slot, UG by UG."""
+    one scalar latency read per compliant slot, UG by UG."""
     catalog = evaluator.model.catalog
     scenario = evaluator.scenario
     peering_ids = sorted({pid for ug in ugs for pid in catalog.ingress_ids(ug)})
@@ -209,7 +210,7 @@ def _benefit_matrix_by_slot(evaluator, ugs):
     for row, ug in enumerate(ugs):
         anycast = scenario.anycast_latency_ms(ug)
         for pid in sorted(catalog.ingress_ids(ug)):
-            latency = evaluator.latency(ug, pid)
+            latency = store_latency(evaluator, ug, pid)
             if latency is None:
                 continue
             gain = anycast - latency

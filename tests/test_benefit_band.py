@@ -32,6 +32,7 @@ from repro.core.benefit import DEFAULT_INFLATION_SCALE_KM, BenefitEvaluator
 from repro.core.routing_model import RoutingModel
 from repro.scenario import tiny_scenario
 from repro.telemetry import METRICS
+from tests.test_eq2_pass import store_at
 
 SEEDS = (0, 1, 3)
 
@@ -45,7 +46,8 @@ def _reference_range(evaluator, ug, advertised):
     distances = []
     improvements = []
     for pid in sorted(compliant):
-        at = evaluator._slot(ug, pid)
+        at = store_at(evaluator, ug, pid)
+        METRICS.cache("evaluator.latency_matrix").hits += 1  # one read per slot
         latency = evaluator.store.latency.item(at)
         if latency != latency:
             continue  # unmeasurable

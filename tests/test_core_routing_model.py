@@ -1,10 +1,17 @@
-"""The routing model: candidate prediction, D_reuse, preference learning."""
+"""The routing model: candidate prediction, D_reuse, preference learning.
+
+Predictions are read from the evaluator's Eq.-2 pass (``tests.
+test_eq2_pass.eq2``): the kept candidate ingresses and expected latency of
+one UG under one advertised set.
+"""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.benefit import BenefitEvaluator
 from repro.core.routing_model import DEFAULT_D_REUSE_KM, RoutingModel
+from repro.topology.geo import haversine_km
+from tests.test_eq2_pass import eq2, evaluator_for, store_latency
 
 
 @pytest.fixture()
@@ -16,11 +23,16 @@ def _compliant_sample(scenario, ug, k=6):
     return sorted(scenario.catalog.ingress_ids(ug))[:k]
 
 
+def _candidates(scenario, model, ug, advertised):
+    """The model's candidate ingresses for ``ug`` under ``advertised``."""
+    return eq2(evaluator_for(scenario, model), ug, advertised)[0]
+
+
 class TestCandidatePrediction:
     def test_candidates_subset_of_advertised_and_compliant(self, scenario, model):
         for ug in scenario.user_groups[:20]:
             advertised = frozenset(_compliant_sample(scenario, ug))
-            candidates = model.candidate_ingresses(ug, advertised)
+            candidates = _candidates(scenario, model, ug, advertised)
             assert candidates <= advertised
             assert candidates <= scenario.catalog.ingress_ids(ug)
             assert candidates  # advertised set was compliant, so non-empty
@@ -34,7 +46,7 @@ class TestCandidatePrediction:
             ]
             if non_compliant:
                 assert (
-                    model.candidate_ingresses(ug, frozenset(non_compliant[:4]))
+                    _candidates(scenario, model, ug, frozenset(non_compliant[:4]))
                     == frozenset()
                 )
                 return
@@ -46,8 +58,8 @@ class TestCandidatePrediction:
         loose = RoutingModel(scenario.catalog, d_reuse_km=1e9)
         for ug in scenario.user_groups[:20]:
             advertised = frozenset(scenario.catalog.ingress_ids(ug))
-            tight_candidates = tight.candidate_ingresses(ug, advertised)
-            loose_candidates = loose.candidate_ingresses(ug, advertised)
+            tight_candidates = _candidates(scenario, tight, ug, advertised)
+            loose_candidates = _candidates(scenario, loose, ug, advertised)
             assert tight_candidates <= loose_candidates
             assert loose_candidates == advertised
 
@@ -56,34 +68,37 @@ class TestCandidatePrediction:
             RoutingModel(scenario.catalog, d_reuse_km=-5)
 
 
+def _expected(scenario, model, ug, advertised, latency_of):
+    """The UG's Eq.-2 expected latency over ``latency_of``'s latencies."""
+    return eq2(BenefitEvaluator(scenario, model, latency_of=latency_of), ug, advertised)[1]
+
+
 class TestExpectedLatency:
     def test_mean_over_candidates(self, scenario, model):
         ug = scenario.user_groups[0]
         advertised = frozenset(_compliant_sample(scenario, ug, k=4))
-        candidates = model.candidate_ingresses(ug, advertised)
+        candidates = _candidates(scenario, model, ug, advertised)
         latencies = {
             pid: scenario.latency_model.latency_ms(ug, scenario.deployment.peering(pid))
             for pid in candidates
         }
-        expected = model.expected_latency_ms(
-            ug, advertised, lambda u, pid: latencies.get(pid)
-        )
+        expected = _expected(scenario, model, ug, advertised, lambda u, pid: latencies.get(pid))
         assert expected == pytest.approx(sum(latencies.values()) / len(latencies))
 
     def test_unmeasurable_ingresses_skipped(self, scenario, model):
         ug = scenario.user_groups[0]
         advertised = frozenset(_compliant_sample(scenario, ug, k=4))
-        candidates = sorted(model.candidate_ingresses(ug, advertised))
+        candidates = sorted(_candidates(scenario, model, ug, advertised))
         keep = candidates[0]
-        expected = model.expected_latency_ms(
-            ug, advertised, lambda u, pid: 10.0 if pid == keep else None
+        expected = _expected(
+            scenario, model, ug, advertised, lambda u, pid: 10.0 if pid == keep else None
         )
         assert expected == pytest.approx(10.0)
 
     def test_none_when_nothing_measurable(self, scenario, model):
         ug = scenario.user_groups[0]
         advertised = frozenset(_compliant_sample(scenario, ug, k=4))
-        assert model.expected_latency_ms(ug, advertised, lambda u, pid: None) is None
+        assert _expected(scenario, model, ug, advertised, lambda u, pid: None) is None
 
 
 class TestLearning:
@@ -107,7 +122,7 @@ class TestLearning:
         advertised = frozenset(_compliant_sample(scenario, ug, k=4))
         winner = sorted(advertised)[-1]
         model.observe(ug, advertised, winner)
-        candidates = model.candidate_ingresses(ug, advertised)
+        candidates = _candidates(scenario, model, ug, advertised)
         assert candidates == frozenset({winner})
 
     def test_winner_survives_d_reuse(self, scenario):
@@ -117,8 +132,6 @@ class TestLearning:
         ug = scenario.user_groups[0]
         advertised = frozenset(scenario.catalog.ingress_ids(ug))
         # Pick the farthest compliant ingress as the observed winner.
-        from repro.topology.geo import haversine_km
-
         winner = max(
             advertised,
             key=lambda pid: haversine_km(
@@ -126,7 +139,7 @@ class TestLearning:
             ),
         )
         model.observe(ug, advertised, winner)
-        assert winner in model.candidate_ingresses(ug, advertised)
+        assert winner in _candidates(scenario, model, ug, advertised)
 
     def test_contradiction_replaced_by_newer_observation(self, scenario, model):
         ug = scenario.user_groups[0]
@@ -134,7 +147,7 @@ class TestLearning:
         first, second = sorted(advertised)[:2]
         model.observe(ug, advertised, first)
         model.observe(ug, advertised, second)
-        candidates = model.candidate_ingresses(ug, advertised)
+        candidates = _candidates(scenario, model, ug, advertised)
         assert second in candidates
         assert first not in candidates
 
@@ -147,16 +160,8 @@ class TestLearning:
         loser = sample[1]
         model.observe(ug, advertised, winner)
         without_winner = frozenset(sample[1:])
-        candidates = model.candidate_ingresses(ug, without_winner)
+        candidates = _candidates(scenario, model, ug, without_winner)
         assert loser in candidates
-
-    def test_is_excluded_by_preference(self, scenario, model):
-        ug = scenario.user_groups[0]
-        sample = _compliant_sample(scenario, ug, k=3)
-        advertised = frozenset(sample)
-        model.observe(ug, advertised, sample[0])
-        assert model.is_excluded_by_preference(ug, sample[1], advertised)
-        assert not model.is_excluded_by_preference(ug, sample[0], advertised)
 
     def test_snapshot_preferences(self, scenario, model):
         ug = scenario.user_groups[0]
@@ -178,7 +183,7 @@ class TestStaleObservations:
         model.observe(ug, advertised, first)
         model.observe(ug, advertised, second, stale=True)
         # The fresh probability-1 outcome still stands.
-        assert model.candidate_ingresses(ug, advertised) == frozenset({first})
+        assert _candidates(scenario, model, ug, advertised) == frozenset({first})
         assert model.stale_observation_count == 1
         assert model.observation_count == 1
 
@@ -227,8 +232,8 @@ class TestSnapshotRoundTrip:
         for ug in scenario.user_groups[:20]:
             ids = sorted(scenario.catalog.ingress_ids(ug))
             for advertised in (frozenset(ids[:4]), frozenset(ids[:3]), frozenset(ids)):
-                assert fresh.candidate_ingresses(ug, advertised) == (
-                    model.candidate_ingresses(ug, advertised)
+                assert _candidates(scenario, fresh, ug, advertised) == (
+                    _candidates(scenario, model, ug, advertised)
                 ), (ug.ug_id, advertised)
 
     def test_round_trip_preserves_counters_and_outcomes(self, scenario):
@@ -248,11 +253,11 @@ class TestSnapshotRoundTrip:
         advertised = frozenset(ids[:4])
         winner = ids[2]
         model.observe(ug, advertised, winner)
-        assert model.candidate_ingresses(ug, advertised) == frozenset({winner})
+        assert _candidates(scenario, model, ug, advertised) == frozenset({winner})
 
         restored = RoutingModel(scenario.catalog)
         restored.restore_preferences(model.snapshot_preferences())
-        assert restored.candidate_ingresses(ug, advertised) == frozenset({winner})
+        assert _candidates(scenario, restored, ug, advertised) == frozenset({winner})
 
     def test_legacy_bare_mapping_rejected(self, scenario):
         model = self._trained_model(scenario)
@@ -282,11 +287,9 @@ class TestRestoreFailsClosed:
 
     def _rejected(self, scenario, model, snapshot, match):
         before = model.snapshot_preferences()
-        epoch = model.ug_epoch(scenario.user_groups[0].ug_id)
         with pytest.raises(ValueError, match=match):
             model.restore_preferences(snapshot)
         assert model.snapshot_preferences() == before
-        assert model.ug_epoch(scenario.user_groups[0].ug_id) == epoch
 
     def test_unknown_peering_rejected(self, scenario):
         model, ug, ids, snap = self._snapshot(scenario)
@@ -353,14 +356,14 @@ class TestRestoreFailsClosed:
 
 
 class TestCandidateMemoization:
-    """candidate_ingresses answers alike until observe() changes the UG's
-    beliefs, and observe() moves exactly the observed UG's epoch."""
+    """Predictions answer alike until observe() changes the UG's beliefs,
+    and observe() changes only the observed UG's."""
 
     def test_memo_returns_identical_results(self, scenario, model):
         for ug in scenario.user_groups[:10]:
             advertised = frozenset(_compliant_sample(scenario, ug, k=5))
-            first = model.candidate_ingresses(ug, advertised)
-            second = model.candidate_ingresses(ug, advertised)
+            first = _candidates(scenario, model, ug, advertised)
+            second = _candidates(scenario, model, ug, advertised)
             assert first == second
 
     def test_observe_invalidates_memoized_candidates(self, scenario, model):
@@ -368,34 +371,31 @@ class TestCandidateMemoization:
         # observation visibly collapses it.
         for ug in scenario.user_groups:
             advertised = frozenset(_compliant_sample(scenario, ug, k=4))
-            before = model.candidate_ingresses(ug, advertised)
+            before = _candidates(scenario, model, ug, advertised)
             if len(before) > 1:
                 break
         assert len(before) > 1  # uniform assumption: several candidates
         winner = sorted(before)[-1]
-        epoch_before = model.ug_epoch(ug.ug_id)
         model.observe(ug, advertised, winner)
-        assert model.ug_epoch(ug.ug_id) > epoch_before
-        after = model.candidate_ingresses(ug, advertised)
+        after = _candidates(scenario, model, ug, advertised)
         assert after == frozenset({winner})  # not the stale cached set
 
     def test_observe_leaves_other_ugs_cached(self, scenario, model):
         ug_a, ug_b = scenario.user_groups[0], scenario.user_groups[1]
         adv_b = frozenset(_compliant_sample(scenario, ug_b, k=4))
-        cached_b = model.candidate_ingresses(ug_b, adv_b)
-        epoch_b = model.ug_epoch(ug_b.ug_id)
+        cached_b = _candidates(scenario, model, ug_b, adv_b)
         adv_a = frozenset(_compliant_sample(scenario, ug_a, k=4))
         model.observe(ug_a, adv_a, sorted(adv_a)[0])
-        assert model.ug_epoch(ug_b.ug_id) == epoch_b
-        assert model.candidate_ingresses(ug_b, adv_b) == cached_b
+        assert _candidates(scenario, model, ug_b, adv_b) == cached_b
 
     def test_restore_invalidates_every_ug(self, scenario, model):
         ug = scenario.user_groups[0]
         advertised = frozenset(_compliant_sample(scenario, ug, k=4))
-        model.candidate_ingresses(ug, advertised)
-        epoch = model.ug_epoch(ug.ug_id)
+        unlearned = _candidates(scenario, model, ug, advertised)
+        model.observe(ug, advertised, sorted(advertised)[-1])
+        assert _candidates(scenario, model, ug, advertised) != unlearned
         model.restore_preferences({"version": 2, "preferences": {}, "outcomes": {}})
-        assert model.ug_epoch(ug.ug_id) > epoch
+        assert _candidates(scenario, model, ug, advertised) == unlearned
 
 
 # -- the compiled dominance table against a full scan of the pairs ------------
@@ -428,19 +428,13 @@ def _naive_candidates(model, scenario, ug, advertised):
     winners = {w for (w, _loser) in pairs if w in compliant}
     losers = {loser for (w, loser) in pairs if w in compliant and loser in compliant}
     after_pref = (compliant - losers) or compliant
-    closest = min(model.distance_km(ug, pid) for pid in after_pref)
+
+    def km(pid):
+        return haversine_km(ug.location, scenario.deployment.peering(pid).pop.location)
+
+    closest = min(km(pid) for pid in after_pref)
     return frozenset(
-        pid
-        for pid in after_pref
-        if pid in winners or model.distance_km(ug, pid) - closest <= model.d_reuse_km
-    )
-
-
-def _naive_excluded(model, scenario, ug, peering_id, advertised):
-    compliant = scenario.catalog.compliant_subset(ug, advertised)
-    return any(
-        loser == peering_id and winner in advertised and winner != peering_id
-        for (winner, loser) in _naive_applicable_pairs(model, scenario, ug, compliant)
+        pid for pid in after_pref if pid in winners or km(pid) - closest <= model.d_reuse_km
     )
 
 
@@ -469,13 +463,9 @@ class TestWinnerIndex:
 
         def check(model, ug):
             advertised = draw_advertised(ug)
-            assert model.candidate_ingresses(ug, advertised) == _naive_candidates(
+            assert _candidates(scenario, model, ug, advertised) == _naive_candidates(
                 model, scenario, ug, advertised
             )
-            for pid in advertised:
-                assert model.is_excluded_by_preference(
-                    ug, pid, advertised
-                ) == _naive_excluded(model, scenario, ug, pid, advertised)
 
         model = RoutingModel(scenario.catalog, d_reuse_km=DEFAULT_D_REUSE_KM)
         steps = data.draw(st.integers(min_value=1, max_value=12))
@@ -500,12 +490,12 @@ class TestWinnerIndex:
         first, second, third = _compliant_sample(scenario, ug, k=3)
         model.observe(ug, frozenset({first, second}), first)
         wider = frozenset({first, second, third})
-        assert model.candidate_ingresses(ug, wider) == frozenset({first, third})
+        assert _candidates(scenario, model, ug, wider) == frozenset({first, third})
         assert ug.ug_id in model._tables
         # (second, first) supersedes (first, second).
         model.observe(ug, frozenset({first, second}), second)
         assert ug.ug_id not in model._tables
-        assert model.candidate_ingresses(ug, wider) == frozenset({second, third})
+        assert _candidates(scenario, model, ug, wider) == frozenset({second, third})
 
     def test_restore_drops_the_index(self, scenario):
         model = RoutingModel(scenario.catalog, d_reuse_km=1e9)  # preferences only
@@ -513,15 +503,15 @@ class TestWinnerIndex:
         first, second, third = _compliant_sample(scenario, ug, k=3)
         model.observe(ug, frozenset({first, second}), first)
         wider = frozenset({first, second, third})
-        model.candidate_ingresses(ug, wider)
+        _candidates(scenario, model, ug, wider)
         assert model._tables
         model.restore_preferences({"version": 2, "preferences": {}, "outcomes": {}})
         assert not model._tables
-        assert model.candidate_ingresses(ug, wider) == wider
+        assert _candidates(scenario, model, ug, wider) == wider
 
 
 class TestExpectedPrefixLatencyKeying:
-    """The evaluator's Eq.-2 memo is keyed on the compliant subset."""
+    """Eq. 2 depends on the compliant subset of the advertised set only."""
 
     def _learned_ug(self, scenario, model):
         ug = scenario.user_groups[0]
@@ -530,7 +520,7 @@ class TestExpectedPrefixLatencyKeying:
         return ug, ids
 
     def test_same_compliant_subset_same_value(self, scenario, model):
-        evaluator = BenefitEvaluator(scenario, model)
+        evaluator = evaluator_for(scenario, model)
         ug, ids = self._learned_ug(scenario, model)
         own = scenario.catalog.ingress_ids(ug)
         stray = [p.peering_id for p in scenario.deployment.peerings
@@ -539,19 +529,13 @@ class TestExpectedPrefixLatencyKeying:
             pytest.skip("every peering is compliant for this UG")
         plain = frozenset(ids[1:5])
         padded = plain | {stray[0]}
-        value = evaluator.expected_prefix_latency(ug, plain)
+        value = eq2(evaluator, ug, plain)[1]
         assert value is not None
-        assert evaluator.expected_prefix_latency(ug, padded) == value
-        assert value == model.expected_latency_ms(ug, plain, evaluator.latency)
+        assert eq2(evaluator, ug, padded)[1] == value
 
     def test_singleton_is_the_exact_latency(self, scenario, model):
-        evaluator = BenefitEvaluator(scenario, model)
+        evaluator = evaluator_for(scenario, model)
         ug, ids = self._learned_ug(scenario, model)
         for pid in ids[:4]:
-            assert evaluator.expected_prefix_latency(
-                ug, frozenset({pid})
-            ) == evaluator.latency(ug, pid)
-            assert evaluator.expected_prefix_latency(
-                ug, frozenset({pid})
-            ) == model.expected_latency_ms(ug, frozenset({pid}), evaluator.latency)
-        assert evaluator.expected_prefix_latency(ug, frozenset()) is None
+            assert eq2(evaluator, ug, frozenset({pid}))[1] == store_latency(evaluator, ug, pid)
+        assert eq2(evaluator, ug, frozenset())[1] is None

@@ -174,6 +174,7 @@ class TestRoutingModelPersistence:
     def test_roundtrip_preserves_predictions(self, scenario):
         from repro.core.routing_model import RoutingModel
         from repro.io import routing_model_to_dict, restore_routing_model
+        from tests.test_eq2_pass import eq2, evaluator_for
 
         model = RoutingModel(scenario.catalog)
         ug = scenario.user_groups[0]
@@ -182,8 +183,8 @@ class TestRoutingModelPersistence:
 
         fresh = RoutingModel(scenario.catalog)
         restore_routing_model(fresh, routing_model_to_dict(model))
-        assert fresh.candidate_ingresses(ug, advertised) == model.candidate_ingresses(
-            ug, advertised
+        assert eq2(evaluator_for(scenario, fresh), ug, advertised) == eq2(
+            evaluator_for(scenario, model), ug, advertised
         )
 
     def test_json_roundtrip_preserves_state(self, scenario):

@@ -1,4 +1,4 @@
-"""The row engine's learned slots against the scalar Eq.-2 oracle.
+"""The row engine's learned slots against the evaluator's Eq.-2 pass.
 
 A solve evaluates every learned (row, peering) query — the accepted set
 plus one peering — in one batch of array operations
@@ -8,10 +8,14 @@ RowEngine.expected`, over the routing model's compiled
 reference ``_naive_candidates`` and the sorted-key table's mask
 (``tests.test_dominance_table``), and its value, every marginal built from
 such values and the per-prefix expected latency an accept leaves behind
-must be the scalar path's floats, bit for bit.
+must be the floats of the evaluator's per-prefix Eq.-2 pass
+(:meth:`BenefitEvaluator._eq2 <repro.core.benefit.BenefitEvaluator._eq2>`,
+pinned to the scalar chain in ``tests/test_eq2_pass.py``), bit for bit.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 import pytest
@@ -46,13 +50,26 @@ def _orchestrator(scenario) -> PainterOrchestrator:
     )
 
 
-def _scalar(orch, ug, advertised):
-    """The scalar oracle: the model's Eq. 2 over the evaluator's latencies."""
-    return orch.model.expected_latency_ms(ug, frozenset(advertised), orch.evaluator.latency)
+#: Per orchestrator: ``{advertised set: every row's expected latency}``,
+#: valid while its model learns nothing (as within each test below).
+_PASSES = weakref.WeakKeyDictionary()
+
+
+def _eq2(orch, ug, advertised):
+    """The evaluator's Eq. 2 of one UG under ``advertised`` (``None``:
+    nothing measurable), one pass per advertised set."""
+    passes = _PASSES.setdefault(orch, {})
+    key = frozenset(advertised)
+    if key not in passes:
+        evaluator = orch.evaluator
+        learned = evaluator.learned_table(orch.model.learned_ug_ids)
+        passes[key] = evaluator._eq2(evaluator.store, key, learned)[2].tolist()
+    value = passes[key][orch._ug_index[ug.ug_id]]
+    return None if value == np.inf else value
 
 
 def _reference_marginal(orch, source, pid, accepted):
-    """``pid``'s marginal with every learned term from the scalar oracle,
+    """``pid``'s marginal with every learned term from the Eq.-2 pass,
     added one at a time in row order after the unlearned rows' sum."""
     held = source.learned[slice(*source._spans[pid])]
     total = float(source.contrib([pid])[0][0][~held].sum())
@@ -61,8 +78,8 @@ def _reference_marginal(orch, source, pid, accepted):
         ug = ugs[row]
         base = float(source._base[row])
         compliant = orch._scenario.catalog.compliant_subset(ug, accepted)
-        old = _scalar(orch, ug, compliant) if compliant else None
-        new = _scalar(orch, ug, compliant | {pid})
+        old = _eq2(orch, ug, compliant) if compliant else None
+        new = _eq2(orch, ug, compliant | {pid})
         old_best = base if old is None or base < old else old
         new_best = old_best if new is None else (new if new < base else base)
         total += float(source.vol[row]) * (old_best - new_best)
@@ -143,7 +160,7 @@ class TestQueriesAgainstOracle:
                             c for c, k in zip(cand[i].tolist(), kept[i].tolist()) if k
                         )
                         assert got == _naive_candidates(model, scenario, ug, advertised)
-                        assert _hex(values[i]) == _hex(_scalar(orch, ug, advertised))
+                        assert _hex(values[i]) == _hex(_eq2(orch, ug, advertised))
                         i += 1
             for n, pid in enumerate(open_pids):
                 marginal = source.marginal(pid, lambda: open_pids[n + 1 :])[0]
@@ -159,12 +176,12 @@ class TestQueriesAgainstOracle:
             for row in source._learned_rows.tolist():
                 ug = scenario.user_groups[row]
                 compliant = catalog.compliant_subset(ug, accepted)
-                expected = _scalar(orch, ug, compliant) if compliant else None
+                expected = _eq2(orch, ug, compliant) if compliant else None
                 assert _hex(column[row]) == _hex(expected)
 
 
 class TestSolveAgainstOracle:
-    """Every marginal a whole learned solve computes, against the oracle."""
+    """Every marginal a whole learned solve computes, against the Eq.-2 pass."""
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_every_refresh_and_accept(self, seed, monkeypatch):
@@ -198,7 +215,7 @@ class TestSolveAgainstOracle:
             for row in source._learned_rows.tolist():
                 ug = scenario.user_groups[row]
                 compliant = scenario.catalog.compliant_subset(ug, accepted)
-                expected = _scalar(orch, ug, compliant) if compliant else None
+                expected = _eq2(orch, ug, compliant) if compliant else None
                 assert _hex(column[row]) == _hex(expected)
             checked["accept"] += 1
 

@@ -16,6 +16,7 @@ from repro.scenario import Scenario, build_scenario
 from repro.topology.builder import TopologyConfig
 from repro.usergroups.generation import UserGroupConfig
 from tests.test_core_benefit import realized_improvement
+from tests.test_eq2_pass import eq2, evaluator_for
 
 _SCENARIO_CACHE = {}
 
@@ -121,6 +122,6 @@ class TestRoutingModelInvariants:
         loose = RoutingModel(world.catalog, d_reuse_km=d_reuse)
         for ug in world.user_groups[:8]:
             advertised = world.catalog.ingress_ids(ug)
-            assert tight.candidate_ingresses(ug, advertised) <= loose.candidate_ingresses(
-                ug, advertised
-            )
+            assert eq2(evaluator_for(world, tight), ug, advertised)[0] <= eq2(
+                evaluator_for(world, loose), ug, advertised
+            )[0]

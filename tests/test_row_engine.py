@@ -23,12 +23,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.benefit import SlotStore
+from repro.core.benefit import BenefitEvaluator, SlotStore
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.core.routing_model import _OUTCOME_BUCKETS, DominanceTable
 from repro.core.rows import INITIAL_SCAN_WIDTH, RowEngine, initial_gains, refresh_contrib
 from repro.scenario import prototype_scenario, tiny_scenario
 from repro.telemetry import METRICS
+from repro.topology.geo import haversine_km
+from tests.test_eq2_pass import store_latency
 
 
 def _hex(values):
@@ -270,17 +272,17 @@ def _synthetic_engine(world) -> RowEngine:
     )
     store.distance[store.at] = [dist_km for _, (dist_km, _) in cells]
     store.latency[store.at] = [lat_ms for _, (_, lat_ms) in cells]  # None: nan
-    engine = RowEngine(
-        SimpleNamespace(
-            user_groups=ugs,
-            anycast_latency_ms=lambda ug: float(world.base[ug.ug_id - 100]),
-        ),
-        SimpleNamespace(store=store),
-        SimpleNamespace(
-            d_reuse_km=world.d_reuse,
-            dominance_table=_unlearned_tables(world.n_pids + 1),
-        ),
+    scenario = SimpleNamespace(
+        user_groups=ugs,
+        anycast_latency_ms=lambda ug: float(world.base[ug.ug_id - 100]),
     )
+    model = SimpleNamespace(
+        d_reuse_km=world.d_reuse,
+        dominance_table=_unlearned_tables(world.n_pids + 1),
+    )
+    evaluator = BenefitEvaluator(scenario, model)
+    evaluator.store = store
+    engine = RowEngine(scenario, evaluator, model)
     # The learned rows' own evaluation (Eq. 2 against a real routing
     # model's table) is out of this oracle's scope; what it pins is that
     # they add nothing to the unlearned reduction.
@@ -432,10 +434,11 @@ def test_layout_is_built_once_per_world() -> None:
     assert rows is store.rows and lat is store.latency and dist is store.distance
     assert engine._spans is store.spans
     ugs = scenario.user_groups
-    assert _hex(dist) == _hex(
-        [orchestrator.model.distance_km(ugs[row], pid) for pid, row in slots]
-    )
-    measured = [orchestrator.evaluator.latency(ugs[row], pid) for pid, row in slots]
+    assert _hex(dist) == _hex([
+        haversine_km(ugs[row].location, scenario.deployment.peering(pid).pop.location)
+        for pid, row in slots
+    ])
+    measured = [store_latency(orchestrator.evaluator, ugs[row], pid) for pid, row in slots]
     assert _hex(lat) == _hex([np.nan if ms is None else ms for ms in measured])
     assert not engine.learned.any()
 

@@ -82,17 +82,6 @@ class TestDnsSteering:
         for choice in outcome.resolver_choices.values():
             assert choice is None or choice in config.prefixes
 
-    def test_model_mode_requires_evaluator(self, world, config, resolvers):
-        with pytest.raises(ValueError):
-            evaluate_dns_steering(world, config, resolvers, realized=False)
-
-    def test_model_mode_runs(self, world, config, resolvers):
-        orchestrator = PainterOrchestrator(world, OrchestratorConfig(prefix_budget=4))
-        outcome = evaluate_dns_steering(
-            world, config, resolvers, evaluator=orchestrator.evaluator, realized=False
-        )
-        assert outcome.dns_benefit <= outcome.painter_benefit + 1e-9
-
 
 class TestSdwan:
     def test_path_count_matches_providers_plus_direct(self, world):
