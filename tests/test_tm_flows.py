@@ -1,19 +1,16 @@
-"""Flows: 5-tuples, and the immutable-mapping rules of each plane's flow store.
+"""Flows: 5-tuples, and the immutable-mapping rules of the flow store.
 
-``TestFlowTable`` checks the per-flow rules (§3.2) on the flow store behind
-both data planes, through the plane API a TM-Edge uses.
+``TestFlowTable`` checks the per-flow rules (§3.2) on the data plane and
+on the scalar reference kept in ``tests/test_tm_dataplane.py``, through
+the plane API a TM-Edge uses.
 """
 
 import numpy as np
 import pytest
 
-from repro.traffic_manager.dataplane import (
-    FlowBatch,
-    ScalarDataPlane,
-    VectorFlowTable,
-    flow_key,
-)
+from repro.traffic_manager.dataplane import FlowBatch, VectorFlowTable, flow_key
 from repro.traffic_manager.flows import FiveTuple
+from tests.test_tm_dataplane import ScalarReference
 
 A, B = "184.164.224.0/24", "184.164.225.0/24"
 
@@ -23,7 +20,7 @@ def ft(port=1234, dst="10.0.0.1"):
 
 
 def planes():
-    return [ScalarDataPlane(), VectorFlowTable()]
+    return [ScalarReference(), VectorFlowTable()]
 
 
 def pin(plane, prefix, *ports, now_s=0.0, nbytes=0.0):
