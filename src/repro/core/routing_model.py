@@ -404,7 +404,12 @@ class RoutingModel:
         writes the probability-1 outcome memory, never evicts a fresher
         contradicting pair, and only adds preference pairs nothing fresh
         disputes — the model widens rather than narrows on stale data.
+
+        An ``actual_peering_id`` the deployment does not have raises
+        ``ValueError`` before any state changes, as a snapshot naming it
+        would on restore.
         """
+        self._peering_of(actual_peering_id)
         compliant = self._catalog.compliant_subset(ug, advertised)
         if actual_peering_id not in advertised:
             raise ValueError(
@@ -500,24 +505,26 @@ class RoutingModel:
         # Every UG's beliefs may have changed wholesale.
         self._tables.clear()
 
+    def _peering_of(self, value) -> int:
+        """``value`` as a peering id of the deployment; ``ValueError`` for
+        one it does not have."""
+        peering_id = int(value)
+        if peering_id not in self._peer_asn:
+            raise ValueError(f"unknown peering id {value!r}")
+        return peering_id
+
     def _validated(self, snapshot: Mapping):
         """``(preferences, outcomes, counters)`` of a snapshot, in this
         model's internal form; ``ValueError`` for anything that names what
         the catalog does not have."""
         ugs = {ug.ug_id: ug for ug in self._catalog.user_groups}
-        peer_asn = self._peer_asn
+        peering_of = self._peering_of
 
         def ug_id_of(value) -> int:
             ug_id = int(value)
             if ug_id not in ugs:
                 raise ValueError(f"unknown UG id {value!r}")
             return ug_id
-
-        def peering_of(value) -> int:
-            peering_id = int(value)
-            if peering_id not in peer_asn:
-                raise ValueError(f"unknown peering id {value!r}")
-            return peering_id
 
         preferences: Dict[int, Dict[Tuple[int, int], FrozenSet[int]]] = {}
         for ug_key, pairs in snapshot["preferences"].items():
