@@ -16,9 +16,9 @@ Quickstart::
     print(result.realized_benefits)
 
 The steering half of the paper — the Traffic Manager — is also exposed here:
-:class:`TMEdge`/:class:`TMPoP` for the proxy nodes, :class:`ScalarDataPlane`
-(the per-flow reference) and :class:`VectorFlowTable` (batched numpy columns
-for millions of flows) behind the common :class:`DataPlane` protocol.
+:class:`TMEdge`/:class:`TMPoP` for the proxy nodes and
+:class:`VectorFlowTable`, their data plane (batched numpy columns for
+millions of flows).
 """
 
 from repro.core import (
@@ -49,10 +49,8 @@ from repro.telemetry import (
     telemetry_session,
 )
 from repro.traffic_manager import (
-    DataPlane,
     FiveTuple,
     FlowBatch,
-    ScalarDataPlane,
     TMEdge,
     TMPoP,
     VectorFlowTable,
@@ -64,7 +62,6 @@ __all__ = [
     "AdvertisementConfig",
     "audit_scenario",
     "BenefitEvaluator",
-    "DataPlane",
     "FaultSchedule",
     "FiveTuple",
     "FlowBatch",
@@ -76,7 +73,6 @@ __all__ = [
     "PainterOrchestrator",
     "RoutingModel",
     "RunJournal",
-    "ScalarDataPlane",
     "Scenario",
     "TMEdge",
     "TMPoP",

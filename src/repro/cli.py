@@ -314,7 +314,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
         arrivals_per_window=args.arrivals,
         flow_lifetime_windows=args.flow_lifetime,
         prefix_budget=args.budget,
-        plane=args.plane,
         shifts_per_window=args.shifts,
         storm_regions=args.storm_regions,
         flash_crowds=args.flash_crowds,
@@ -646,10 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="windows a flow lives before ending (0 = never)",
     )
     soak.add_argument("--budget", type=int, default=4, help="prefix budget")
-    soak.add_argument(
-        "--plane", choices=("vector", "scalar"), default="vector",
-        help="data-plane implementation (default: vector)",
-    )
     soak.add_argument(
         "--shifts", type=int, default=8,
         help="top-mover VolumeShifts per window boundary",

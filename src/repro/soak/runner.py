@@ -70,11 +70,7 @@ from repro.scenario import PRESETS
 from repro.soak.load import DiurnalLoad
 from repro.soak.slo import SLOLedger, _decode_array, _encode_array
 from repro.telemetry import METRICS, TRACER
-from repro.traffic_manager.dataplane import (
-    FlowBatch,
-    ScalarDataPlane,
-    VectorFlowTable,
-)
+from repro.traffic_manager.dataplane import FlowBatch, VectorFlowTable
 from repro.traffic_manager.selection import SelectorBank
 
 PathLike = Union[str, Path]
@@ -104,7 +100,8 @@ class SoakConfig:
     #: Windows a flow lives before it ends (0 = flows never end).
     flow_lifetime_windows: int = 2
     prefix_budget: int = 4
-    #: Data plane: ``vector`` (production) or ``scalar`` (oracle).
+    #: Data plane: ``vector``, the only one (kept so existing callers and
+    #: checkpoints naming it stay valid).
     plane: str = "vector"
     #: Top-mover VolumeShifts emitted per window boundary.
     shifts_per_window: int = 8
@@ -172,8 +169,8 @@ class SoakConfig:
                 raise ValueError(f"{name} must be a bool")
         if not isinstance(self.preset, str) or self.preset not in PRESETS:
             raise ValueError(f"preset must be one of {sorted(PRESETS)}")
-        if self.plane not in ("vector", "scalar"):
-            raise ValueError("plane must be 'vector' or 'scalar'")
+        if self.plane != "vector":
+            raise ValueError(f"plane must be 'vector', not {self.plane!r}")
         if self.crash_point not in _CRASH_POINTS:
             raise ValueError(f"crash_point must be one of {_CRASH_POINTS}")
         if self.prom_path is not None and not isinstance(self.prom_path, str):
@@ -302,8 +299,8 @@ class SoakDriver(ControllerExtension):
     def bank(self) -> SelectorBank:
         return self._bank
 
-    def _new_plane(self):
-        return VectorFlowTable() if self._cfg.plane == "vector" else ScalarDataPlane()
+    def _new_plane(self) -> VectorFlowTable:
+        return VectorFlowTable()
 
     # -- per-window work -------------------------------------------------------
 
@@ -599,10 +596,10 @@ class SoakDriver(ControllerExtension):
                 )
 
     def _replay(self, live, names: List[str]):
-        """A plane of the configured kind rebuilt by repeating the live
-        windows' remap, forward and expiry calls — the calls, order and
-        clock of :meth:`after_iteration`.  A flow alive now was admitted
-        in one of these windows, so its record depends on them alone."""
+        """A fresh plane rebuilt by repeating the live windows' remap,
+        forward and expiry calls — the calls, order and clock of
+        :meth:`after_iteration`.  A flow alive now was admitted in one of
+        these windows, so its record depends on them alone."""
         cfg = self._cfg
         lifetime = cfg.flow_lifetime_windows
         plane = self._new_plane()

@@ -1,22 +1,16 @@
 """The Traffic Manager: TM-Edge, TM-PoP, tunnels, flows, failover.
 
-Two data planes implement the same :class:`DataPlane` protocol, each the
-one flow store of the :class:`TMEdge` that owns it:
-
-* :class:`ScalarDataPlane` — the reference, one dict record per flow;
-* :class:`VectorFlowTable` — numpy struct-of-arrays columns in a few
-  sorted runs, batched admit/forward/remap for millions of flows per step.
+The one data plane, :class:`VectorFlowTable`, is the flow store of the
+:class:`TMEdge` that owns it: numpy struct-of-arrays columns in a few
+sorted runs, batched admit/forward/remap for millions of flows per step.
 """
 
 from repro.traffic_manager.dataplane import (
-    DataPlane,
     FlowBatch,
     ForwardResult,
-    ScalarDataPlane,
     TM_SNAPSHOT_VERSION,
     VectorFlowTable,
     flow_key,
-    plane_from_snapshot,
 )
 from repro.traffic_manager.failover import (
     AnycastEpoch,
@@ -57,7 +51,6 @@ from repro.traffic_manager.tunnel import (
 
 __all__ = [
     "AnycastEpoch",
-    "DataPlane",
     "DestinationLoad",
     "DowntimeEvent",
     "ENCAP_OVERHEAD_BYTES",
@@ -65,7 +58,6 @@ __all__ = [
     "ForwardResult",
     "LoadAwareSelector",
     "MultipathConnection",
-    "ScalarDataPlane",
     "SelectorBank",
     "Subflow",
     "TM_SNAPSHOT_VERSION",
@@ -73,7 +65,6 @@ __all__ = [
     "effective_latency_ms",
     "failover_comparison",
     "flow_key",
-    "plane_from_snapshot",
     "FailoverConfig",
     "FailoverResult",
     "FiveTuple",

@@ -5,16 +5,17 @@ resolves the available destination prefixes per service (§3.2), measures
 them continuously, selects the best via a hysteretic policy, maps new flows
 to the current selection (immutably, per flow), and tunnels packets.
 
-Every flow lives in one place, the edge's pluggable
-:class:`repro.traffic_manager.dataplane.DataPlane` (by default a
-:class:`ScalarDataPlane`, or a :class:`VectorFlowTable` for million-flow
-workloads).  The **batched** path (:meth:`TMEdge.forward_batch`) hands it
-whole batches; the **per-flow** path (:meth:`TMEdge.admit_flow`,
-:meth:`TMEdge.forward`) is a one-row batch keyed by
+Every flow lives in one place, the edge's
+:class:`~repro.traffic_manager.dataplane.VectorFlowTable`.  The
+**batched** path (:meth:`TMEdge.forward_batch`) hands it whole batches;
+the **per-flow** path (:meth:`TMEdge.admit_flow`, :meth:`TMEdge.forward`)
+is a one-row batch keyed by
 :func:`~repro.traffic_manager.dataplane.flow_key` of the
 :class:`FiveTuple`.  A flow admitted through either surface is therefore
 the same entry with the same pin, moved by failover and carried by
-snapshots.
+snapshots.  A one-row batch pays the table's whole per-batch overhead, so
+the per-flow path suits examples and tests; traffic at scale goes through
+:meth:`TMEdge.forward_batch`.
 
 With ``remap_on_failover=True`` the edge re-pins flows off a tunnel the
 moment a measurement round reports it dead (RTT-timescale failover, §5.2.3)
@@ -28,12 +29,10 @@ from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
 
 from repro.telemetry import METRICS, TRACER, emit_event
 from repro.traffic_manager.dataplane import (
-    DataPlane,
     FlowBatch,
     ForwardResult,
-    ScalarDataPlane,
     TM_SNAPSHOT_VERSION,
-    plane_from_snapshot,
+    VectorFlowTable,
 )
 from repro.traffic_manager.flows import FiveTuple
 from repro.traffic_manager.selection import LowestLatencySelector
@@ -61,16 +60,14 @@ class TMEdge:
         self,
         edge_ip: str,
         directory: PrefixDirectory,
-        data_plane: Optional[DataPlane] = None,
+        data_plane: Optional[VectorFlowTable] = None,
         remap_on_failover: bool = False,
     ) -> None:
         self._edge_ip = edge_ip
         self._directory = directory
         self._tunnels: Dict[str, Dict[str, TunnelState]] = {}  # service -> prefix -> state
         self._selectors: Dict[str, LowestLatencySelector] = {}
-        self._plane: DataPlane = (
-            data_plane if data_plane is not None else ScalarDataPlane()
-        )
+        self._plane = data_plane if data_plane is not None else VectorFlowTable()
         self._service_ids: Dict[str, int] = {}
         self._remap_on_failover = remap_on_failover
         self._flows_remapped = 0
@@ -80,7 +77,7 @@ class TMEdge:
         return self._edge_ip
 
     @property
-    def data_plane(self) -> DataPlane:
+    def data_plane(self) -> VectorFlowTable:
         return self._plane
 
     @property
@@ -250,7 +247,7 @@ class TMEdge:
                 service: selector.to_snapshot()
                 for service, selector in self._selectors.items()
             },
-            "data_plane": self._plane.to_snapshot(),
+            "data_plane": self._plane.to_packed_snapshot(),
         }
 
     @classmethod
@@ -261,7 +258,7 @@ class TMEdge:
         version = snapshot.get("version")
         if version != TM_SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version!r}")
-        plane = plane_from_snapshot(snapshot["data_plane"])
+        plane = VectorFlowTable.from_packed_snapshot(snapshot["data_plane"])
         edge = cls(
             edge_ip=snapshot["edge_ip"],
             directory=directory,
