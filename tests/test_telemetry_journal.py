@@ -6,7 +6,7 @@ Two properties make the journal trustworthy as a record of a run:
   byte-identical JSONL (timings are excluded by default precisely so this
   holds);
 * **non-interference** — running with telemetry enabled changes nothing
-  about the solver's or the TM data plane's outputs, and running with it
+  about the solver's or the soak's (TM data plane's) outputs, and running with it
   disabled (the default) costs nothing and records nothing.
 """
 
@@ -14,12 +14,18 @@ import pytest
 
 from repro.core.orchestrator import OrchestratorConfig, PainterOrchestrator
 from repro.experiments.chaos import run_chaos
-from repro.experiments.replay import ReplayConfig, run_traffic_replay
 from repro.scenario import azure_scenario
+from repro.soak import SoakConfig, run_soak
 from repro.telemetry import TRACER, telemetry_session
 
 BUDGET = 3
 ITERATIONS = 2
+
+#: A tiny soak that still selects, forwards, expires and fails flows over.
+TINY_SOAK = SoakConfig(
+    preset="tiny", seed=3, windows=4, window_s=600.0,
+    arrivals_per_window=1_500, shifts_per_window=4,
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,15 +79,10 @@ class TestJournalDeterminism:
 
         assert run() == run()
 
-    def test_replay_journal_deterministic(self):
-        config = ReplayConfig(
-            preset="tiny", arrivals_per_step=20_000, steps=3,
-            prefix_budget=3, fail_step=2,
-        )
-
+    def test_soak_journal_deterministic(self):
         def run():
-            with telemetry_session("replay") as j:
-                run_traffic_replay(config)
+            with telemetry_session("soak") as j:
+                run_soak(TINY_SOAK)
             return j.to_jsonl()
 
         assert run() == run()
@@ -104,23 +105,14 @@ class TestTelemetryNonInterference:
             assert a.new_preferences == b.new_preferences
 
     def test_tm_outputs_identical_with_and_without_telemetry(self):
-        config = ReplayConfig(
-            preset="tiny", arrivals_per_step=20_000, steps=3,
-            prefix_budget=3, fail_step=2,
+        plain = run_soak(TINY_SOAK)
+        with telemetry_session("soak"):
+            traced = run_soak(TINY_SOAK)
+        assert plain.flows_moved > 0
+        assert plain.ledger.fingerprint() == traced.ledger.fingerprint()
+        assert (plain.flows_forwarded, plain.flows_moved, plain.remaps) == (
+            traced.flows_forwarded, traced.flows_moved, traced.remaps,
         )
-        plain = run_traffic_replay(config)
-        with telemetry_session("replay"):
-            traced = run_traffic_replay(config)
-        assert plain.flows_by_destination == traced.flows_by_destination
-        assert plain.bytes_by_destination == traced.bytes_by_destination
-        assert plain.flows_remapped == traced.flows_remapped
-        assert plain.failed_prefix == traced.failed_prefix
-        assert [s.admitted for s in plain.step_stats] == [
-            s.admitted for s in traced.step_stats
-        ]
-        assert [s.unroutable for s in plain.step_stats] == [
-            s.unroutable for s in traced.step_stats
-        ]
 
     def test_chaos_outcomes_identical_with_and_without_telemetry(self):
         plain = run_chaos(storms=1, duration_s=60.0, seed=3)
@@ -147,7 +139,7 @@ def _raises_leaving_no_open_span(run, span_name):
 
 
 class TestSpanHygiene:
-    def test_failed_replay_closes_its_span(self, monkeypatch):
+    def test_failed_soak_window_closes_its_span(self, monkeypatch):
         from repro.traffic_manager.dataplane import VectorFlowTable
 
         calls = []
@@ -160,12 +152,7 @@ class TestSpanHygiene:
             return forward(self, *args, **kwargs)
 
         monkeypatch.setattr(VectorFlowTable, "forward", failing_forward)
-        config = ReplayConfig(
-            preset="tiny", arrivals_per_step=1_000, steps=3, prefix_budget=2,
-        )
-        _raises_leaving_no_open_span(
-            lambda: run_traffic_replay(config), "replay.run"
-        )
+        _raises_leaving_no_open_span(lambda: run_soak(TINY_SOAK), "soak.window")
 
     def test_failed_failover_closes_its_span(self, monkeypatch):
         from repro.traffic_manager import failover

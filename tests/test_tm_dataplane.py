@@ -408,6 +408,68 @@ class TestScalarVectorEquivalence:
             assert plane.destinations() == before
 
 
+def zero_payload_batches():
+    """Zero-payload batches at rising clocks: new keys, keys already in the
+    table, keys repeated within a batch, and a service with no selection."""
+    def zero(keys, sids):
+        return FlowBatch(
+            keys=np.asarray(keys, dtype=np.uint64),
+            service_ids=np.asarray(sids, dtype=np.int32),
+            payload_bytes=np.zeros(len(keys)),
+        )
+
+    seeded = FlowBatch.synthesize(60, seed=11, n_services=4)
+    fresh = FlowBatch.synthesize(40, seed=12, n_services=4)
+    return seeded, [
+        zero(fresh.keys, fresh.service_ids),
+        zero(seeded.keys[:25], seeded.service_ids[:25]),
+        zero([1, 1, 2, seeded.keys[0], 1, 2], [0, 1, 2, 3, 3, 0]),
+        zero([3, 4, 3], [3, 3, 0]),
+    ]
+
+
+TM_COUNTERS = (
+    "tm.flows_admitted", "tm.flows_existing", "tm.flows_unroutable",
+    "tm.batches",
+)
+
+
+@pytest.mark.parametrize(
+    "make_plane", [ScalarReference, VectorFlowTable], ids=["scalar", "vector"]
+)
+def test_admit_equals_forward_on_zero_payload(make_plane):
+    """On a zero-payload batch ``admit`` and ``forward`` give the same
+    result, counters, timer calls and table: the bytes they differ on are
+    all zero."""
+    seeded, batches = zero_payload_batches()
+    selections = make_selections(4)
+    admitting, forwarding = make_plane(), make_plane()
+    for plane in (admitting, forwarding):
+        plane.forward(seeded, selections, 0.0)
+
+    def steer(call, batch, now):
+        before = [METRICS.counter(n).value for n in TM_COUNTERS]
+        calls = METRICS.timer("tm.forward.vector").calls
+        result = call(batch, selections, now)
+        after = [METRICS.counter(n).value for n in TM_COUNTERS]
+        spent = METRICS.timer("tm.forward.vector").calls - calls
+        return result, [b - a for a, b in zip(before, after)], spent
+
+    for now, batch in enumerate(batches, start=1):
+        ra, counted_a, timed_a = steer(admitting.admit, batch, float(now))
+        rf, counted_f, timed_f = steer(forwarding.forward, batch, float(now))
+        assert np.array_equal(ra.assignments, rf.assignments)
+        assert (ra.admitted, ra.existing, ra.unroutable, ra.bytes_recorded) == (
+            rf.admitted, rf.existing, rf.unroutable, rf.bytes_recorded
+        )
+        assert rf.bytes_recorded == 0.0
+        assert counted_a == counted_f
+        assert timed_a == timed_f
+        assert admitting.to_packed_snapshot() == forwarding.to_packed_snapshot()
+    # Every kind of row was there: admissions, hits and unroutable keys.
+    assert admitting.flow_count() > len(seeded)
+
+
 class TestMixedOperationSequences:
     """Property tests: arbitrary op interleavings with telemetry live.
 
