@@ -16,15 +16,13 @@ Commands:
 * ``validate`` — traceroute-validate the policy-compliance inference (§3.1);
 * ``audit``    — self-check a scenario's structural invariants;
 * ``perf``     — instrumented solve/learn: counters, timers, cache hit rates;
-* ``tm-bench`` — drive Zipf-weighted UG flow arrivals through the batched
-  Traffic Manager data plane and report per-step steering throughput;
 * ``controller`` — run the continuous-operation controller daemon over a
   delta stream with crash-safe checkpointing and warm-start re-solve;
 * ``soak``     — run a simulated day of diurnal load, flash crowds, and
   rolling regional outages through the composed system (controller +
   vector data plane) with per-UG SLO accounting (``repro.soak``);
 * ``trace``    — render the per-phase time/benefit breakdown of a JSONL run
-  journal written by ``--journal`` (on run/solve/tm-bench).
+  journal written by ``--journal`` (on run/solve).
 """
 
 from __future__ import annotations
@@ -203,42 +201,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
             f"laziness: {lazy} marginal evaluations vs {naive} for a naive "
             f"full-re-evaluation greedy ({100 * lazy / naive:.1f}%)"
         )
-    return 0
-
-
-def cmd_tm_bench(args: argparse.Namespace) -> int:
-    """Benchmark the Traffic Manager data plane under UG flow arrivals."""
-    from repro.experiments.replay import ReplayConfig, run_traffic_replay
-    from repro.telemetry import METRICS
-
-    METRICS.reset()
-    steps = args.steps
-    # ReplayConfig rejects a non-positive --steps; do not divide by it first.
-    config = ReplayConfig(
-        preset=args.preset,
-        seed=args.seed,
-        arrivals_per_step=max(1, args.flows // max(steps, 1)),
-        steps=steps,
-        prefix_budget=args.budget,
-        fail_step=args.fail_step,
-    )
-    with _maybe_journal(args, "tm-bench"):
-        replay = run_traffic_replay(config)
-    print(replay.to_result().render())
-    print()
-    print(
-        f"{replay.total_admitted:,} flows admitted over "
-        f"{steps} steps, peak {replay.peak_live_flows:,} concurrent, "
-        f"min {replay.min_flows_per_s / 1e3:,.0f} kflows/s per step"
-    )
-    if replay.flows_remapped:
-        print(
-            f"failover re-mapped {replay.flows_remapped:,} flows off "
-            f"{replay.failed_prefix}"
-        )
-    if args.show_perf:
-        print()
-        print(METRICS.render())
     return 0
 
 
@@ -534,34 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument("--d-reuse", type=float, default=3000.0, help="D_reuse (km)")
     perf.set_defaults(func=cmd_perf)
-
-    tm_bench = sub.add_parser(
-        "tm-bench",
-        help="benchmark the batched Traffic Manager data plane",
-    )
-    tm_bench.add_argument(
-        "--preset", choices=sorted(PRESETS), default="prototype",
-        help="scenario preset (default: prototype)",
-    )
-    tm_bench.add_argument("--seed", type=int, default=0, help="world seed")
-    tm_bench.add_argument(
-        "--flows", type=int, default=1_000_000,
-        help="total flow arrivals across the run (default: 1M)",
-    )
-    tm_bench.add_argument("--steps", type=int, default=5, help="measurement rounds")
-    tm_bench.add_argument("--budget", type=int, default=4, help="prefix budget")
-    tm_bench.add_argument(
-        "--fail-step", type=int, default=None,
-        help="kill the hottest prefix at this step (0-based)",
-    )
-    tm_bench.add_argument(
-        "--show-perf", action="store_true", help="print the perf registry after"
-    )
-    tm_bench.add_argument(
-        "--journal", type=str, default=None,
-        help="write a JSONL run journal here (render with `repro trace`)",
-    )
-    tm_bench.set_defaults(func=cmd_tm_bench)
 
     controller = sub.add_parser(
         "controller",

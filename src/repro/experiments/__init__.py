@@ -47,12 +47,6 @@ from repro.experiments.harness import (
 )
 from repro.experiments.hotpotato import hotpotato_summary, run_hot_potato
 from repro.experiments.optimality import optimality_summary, run_greedy_gap
-from repro.experiments.replay import (
-    ReplayConfig,
-    ReplayResult,
-    run_replay,
-    run_traffic_replay,
-)
 from repro.experiments.soak import run_soak_experiment, soak_summary
 
 #: ``claims_at`` worlds (see :data:`repro.scenario.CLAIM_WORLDS`).
@@ -107,7 +101,6 @@ ALL_EXPERIMENTS: Dict[str, Experiment] = {
     "controller": Experiment(run_controller),
     "hotpotato": Experiment(run_hot_potato, digest=hotpotato_summary),
     "optimality": Experiment(run_greedy_gap, digest=optimality_summary),
-    "replay": Experiment(run_replay),
     "soak": Experiment(run_soak_experiment, digest=soak_summary),
     "ext_congestion": Experiment(run_ext_congestion, quick=True,
                                  claims=(extensions.spread_delivers_at_peak,), claims_at=_PROTOTYPE),
@@ -138,10 +131,6 @@ __all__ = [
     "run_ext_multipath",
     "Experiment",
     "ExperimentResult",
-    "ReplayConfig",
-    "ReplayResult",
-    "run_replay",
-    "run_traffic_replay",
     "budget_grid",
     "config_prefix_subset",
     "run_greedy_gap",

@@ -311,8 +311,7 @@ def claim_scenario(name: str) -> Scenario:
 
 
 #: Every scenario preset by name: the choices of each ``--preset`` flag and
-#: the names :class:`~repro.soak.SoakConfig` and
-#: :class:`~repro.experiments.replay.ReplayConfig` accept.
+#: the names :class:`~repro.soak.SoakConfig` accepts.
 PRESETS = {
     "tiny": tiny_scenario,
     "prototype": prototype_scenario,

@@ -111,8 +111,8 @@ class LowestLatencySelector:
 class SelectorBank:
     """Many independent hysteretic selectors, keyed by integer service id.
 
-    The replay/bench workloads steer hundreds of user groups at once; each
-    gets its own :class:`LowestLatencySelector` (selection state must not
+    The soak driver and the benchmark steer hundreds of user groups at
+    once; each gets its own :class:`LowestLatencySelector` (selection state must not
     bleed between services), but measurement rounds arrive as one latency
     matrix.  :meth:`update_matrix` feeds a whole round in a single call.
     """
@@ -120,42 +120,24 @@ class SelectorBank:
     def __init__(self) -> None:
         self._selectors: Dict[int, LowestLatencySelector] = {}
 
-    def __len__(self) -> int:
-        return len(self._selectors)
-
     def selector(self, service_id: int) -> LowestLatencySelector:
         selector = self._selectors.get(service_id)
         if selector is None:
             selector = self._selectors[service_id] = LowestLatencySelector()
         return selector
 
-    def current(self, service_id: int) -> Optional[str]:
-        selector = self._selectors.get(service_id)
-        return None if selector is None else selector.current
-
-    def selections(self) -> Dict[int, Optional[str]]:
-        """Per-service current selections, in service-id order."""
-        return {
-            sid: selector.current
-            for sid, selector in sorted(self._selectors.items())
-        }
-
     def update_matrix(
-        self,
-        prefixes: Sequence[str],
-        latencies_ms,
-        service_ids: Optional[Sequence[int]] = None,
+        self, prefixes: Sequence[str], latencies_ms
     ) -> Dict[int, Optional[str]]:
         """Feed one measurement round for many services at once.
 
         ``latencies_ms`` is an (n_services, n_prefixes) array-like; row *i*
-        belongs to ``service_ids[i]`` (or service id *i* when omitted).
-        Returns the resulting per-service selections.
+        belongs to service id *i*.  Returns the resulting per-service
+        selections.
         """
         results: Dict[int, Optional[str]] = {}
         names = list(prefixes)
-        for i, row in enumerate(latencies_ms):
-            sid = int(service_ids[i]) if service_ids is not None else i
+        for sid, row in enumerate(latencies_ms):
             results[sid] = self.selector(sid).update(
                 dict(zip(names, (float(v) for v in row)))
             )

@@ -28,10 +28,6 @@ class TMPoP:
     services: Set[str] = field(default_factory=set)
     #: Ingress prefixes whose traffic lands at this TM-PoP.
     ingress_prefixes: Set[str] = field(default_factory=set)
-    #: Cumulative flows relayed through this TM-PoP (batched path).
-    relayed_flows: int = 0
-    #: Cumulative payload bytes relayed through this TM-PoP (batched path).
-    relayed_bytes: float = 0.0
 
     def serves(self, service: str) -> bool:
         return service in self.services
@@ -49,17 +45,6 @@ class TMPoP:
     def handle_service_reply(self, packet: Packet) -> Packet:
         """NAT-restore and re-encapsulate a service reply toward TM-Edge."""
         return self.nat.egress(packet)
-
-    def ingest_batch(self, n_flows: int, n_bytes: float) -> None:
-        """Account one relayed batch (the aggregate NAT/relay fast path).
-
-        The batched data plane hands TM-PoPs pre-aggregated totals per step
-        rather than per-packet calls; counters feed experiment reporting.
-        """
-        if n_flows < 0 or n_bytes < 0:
-            raise ValueError("batch totals must be non-negative")
-        self.relayed_flows += int(n_flows)
-        self.relayed_bytes += float(n_bytes)
 
 
 class PrefixDirectory:
@@ -103,25 +88,3 @@ class PrefixDirectory:
             if prefix in tm_pop.ingress_prefixes:
                 return tm_pop
         return None
-
-    def relay_batch(
-        self,
-        flows_by_prefix: Dict[str, int],
-        bytes_by_prefix: Optional[Dict[str, float]] = None,
-    ) -> int:
-        """Credit batched per-prefix flow/byte totals to the owning TM-PoPs.
-
-        Takes the per-destination aggregates a data plane produces
-        (``destinations()`` / ``bytes_by_destination()``) and fans them out
-        to each prefix's TM-PoP counters.  Returns the number of flows that
-        matched a registered prefix.
-        """
-        matched = 0
-        for prefix, n_flows in flows_by_prefix.items():
-            tm_pop = self.pop_for_prefix(prefix)
-            if tm_pop is None:
-                continue
-            n_bytes = (bytes_by_prefix or {}).get(prefix, 0.0)
-            tm_pop.ingest_batch(n_flows, n_bytes)
-            matched += int(n_flows)
-        return matched

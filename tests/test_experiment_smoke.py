@@ -47,7 +47,6 @@ SMOKE = {
     "controller": ("--iterations", "3", "--budget", "2"),
     "hotpotato": (*TINY, "--budget", "6", "--n-epochs", "1"),
     "optimality": (*TINY, "--budgets", "3", "4"),
-    "replay": (),
     "soak": (*TINY, "--windows", "2", "--arrivals-per-window", "500"),
     "ext_congestion": (*TINY, "--demand-levels", "50", "200"),
     "ext_egress": TINY,

@@ -113,7 +113,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["tm-bench", "--preset", "tiny", "--steps", "0"], "steps must be positive"),
+            (["run", "chaos", "--storms", "0"], "need at least one storm"),
             (["soak", "--windows", "0", "--checkpoint-dir", "{tmp}"], "windows must be >= 1"),
         ],
     )
@@ -130,27 +130,10 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    def test_tm_bench(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            [
-                "tm-bench", "--preset", "tiny", "--seed", "3",
-                "--flows", "30000", "--steps", "3", "--budget", "3",
-                "--fail-step", "2",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "kflows_per_s" in out
-        assert "flows admitted" in out
-        assert "re-mapped" in out
-
     def test_every_preset_flag_offers_exactly_the_presets(self):
         import argparse
 
         from repro.cli import build_parser
-        from repro.experiments.replay import ReplayConfig
         from repro.scenario import PRESETS
         from repro.soak import SoakConfig
 
@@ -166,7 +149,6 @@ class TestCli:
         assert len(choices) > 10  # every scenario command and `run` entry
         assert all(sorted(c) == sorted(PRESETS) for c in choices)
         for name in PRESETS:
-            assert ReplayConfig(preset=name).preset == name
             assert SoakConfig(preset=name).preset == name
 
 

@@ -83,7 +83,7 @@ class TestExperimentRegistry:
 
         expected = {
             "ablations", "enterprise",
-            "chaos", "communities", "controller", "hotpotato", "replay",
+            "chaos", "communities", "controller", "hotpotato",
             "fig3", "fig6a", "fig6b", "fig6c", "fig7", "fig8", "fig9a", "fig9b",
             "fig10", "fig11a", "fig11b", "fig12", "fig14", "fig15a", "fig15b",
             "ext_congestion", "ext_egress", "ext_failover_sweep", "ext_ipv6", "ext_multipath",

@@ -183,8 +183,8 @@ class TestSelectorBank:
         bank = SelectorBank()
         results = bank.update_matrix(["a", "b"], [[10.0, 20.0], [30.0, 5.0]])
         assert results == {0: "a", 1: "b"}
-        assert bank.current(0) == "a"
-        assert bank.current(1) == "b"
+        assert bank.selector(0).current == "a"
+        assert bank.selector(1).current == "b"
 
     def test_snapshot_round_trip(self):
         from repro.traffic_manager.selection import SelectorBank
@@ -192,7 +192,8 @@ class TestSelectorBank:
         bank = SelectorBank()
         bank.update_matrix(["a", "b"], [[10.0, 20.0], [30.0, 5.0]])
         restored = SelectorBank.from_snapshot(bank.to_snapshot())
-        assert restored.selections() == bank.selections()
+        assert restored.to_snapshot() == bank.to_snapshot()
+        assert restored.selector(1).current == "b"
 
 
 class TestTMEdgeBatched:
