@@ -325,27 +325,8 @@ class VectorFlowTable:
         selections: Mapping[int, Optional[str]],
         now_s: float,
     ) -> ForwardResult:
-        return self._steer(batch, selections, now_s, record_bytes=True)
-
-    def admit(
-        self,
-        batch: FlowBatch,
-        selections: Mapping[int, Optional[str]],
-        now_s: float,
-    ) -> ForwardResult:
-        return self._steer(batch, selections, now_s, record_bytes=False)
-
-    def _steer(
-        self,
-        batch: FlowBatch,
-        selections: Mapping[int, Optional[str]],
-        now_s: float,
-        record_bytes: bool,
-    ) -> ForwardResult:
         with METRICS.timed("tm.forward.vector"):
-            result, admissions = self._forward(
-                batch, selections, now_s, record_bytes
-            )
+            result, admissions = self._forward(batch, selections, now_s)
             # Pushed once the batch's temporaries are freed, so a rewrite
             # reuses their memory instead of growing the heap past it.
             if admissions is not None:
@@ -357,7 +338,6 @@ class VectorFlowTable:
         batch: FlowBatch,
         selections: Mapping[int, Optional[str]],
         now_s: float,
-        record_bytes: bool,
     ) -> Tuple[ForwardResult, Optional[_Run]]:
         """The batch's result, and its admissions as a run to push."""
         sel = self._selection_ids(selections)
@@ -389,10 +369,9 @@ class VectorFlowTable:
             if not found.any():
                 continue
             hits, rows = order[pending[found]], rows[found]
-            if record_bytes:
-                payload = np.floor(batch.payload_bytes[hits])
-                np.add.at(run.bytes, rows, payload)
-                bytes_recorded += float(payload.sum())
+            payload = np.floor(batch.payload_bytes[hits])
+            np.add.at(run.bytes, rows, payload)
+            bytes_recorded += float(payload.sum())
             run.last_seen[rows] = now_s
             out[hits] = run.prefix[rows]
             existing += len(hits)
@@ -422,12 +401,9 @@ class VectorFlowTable:
             out[positions] = per_occurrence
             unroutable = int((per_occurrence < 0).sum())
             if routable.any():
-                if record_bytes:
-                    agg = np.add.reduceat(
-                        np.floor(batch.payload_bytes[positions]), starts
-                    )
-                else:
-                    agg = np.zeros(len(starts))
+                agg = np.add.reduceat(
+                    np.floor(batch.payload_bytes[positions]), starts
+                )
                 admitted = int(routable.sum())
                 stamps = np.full(admitted, now_s)
                 admissions = _Run(

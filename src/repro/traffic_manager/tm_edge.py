@@ -25,7 +25,7 @@ instead of leaving them pinned to a black hole.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
+from typing import Any, Dict, FrozenSet, Mapping, Optional
 
 from repro.telemetry import METRICS, TRACER, emit_event
 from repro.traffic_manager.dataplane import (
@@ -36,7 +36,7 @@ from repro.traffic_manager.dataplane import (
 )
 from repro.traffic_manager.flows import FiveTuple
 from repro.traffic_manager.selection import LowestLatencySelector
-from repro.traffic_manager.tm_pop import PrefixDirectory, TMPoP
+from repro.traffic_manager.tm_pop import PrefixDirectory
 from repro.traffic_manager.tunnel import Packet, encapsulate
 
 
@@ -174,28 +174,21 @@ class TMEdge:
         Idempotent: a flow already in the data plane — admitted by either
         surface — keeps and returns its immutable pin.
         """
-        return self._one_flow(self._plane.admit, service, five_tuple, now_s, 0)
+        return self._one_flow(service, five_tuple, now_s, 0)
 
     def forward(self, service: str, packet: Packet, five_tuple: FiveTuple, now_s: float) -> Packet:
         """Tunnel a client packet along its flow's pinned destination."""
-        prefix = self._one_flow(
-            self._plane.forward, service, five_tuple, now_s, packet.payload_bytes
-        )
+        prefix = self._one_flow(service, five_tuple, now_s, packet.payload_bytes)
         return encapsulate(packet, edge_ip=self._edge_ip, tunnel_dst_ip=_prefix_address(prefix))
 
     def _one_flow(
-        self,
-        steer: Callable[..., ForwardResult],
-        service: str,
-        five_tuple: FiveTuple,
-        now_s: float,
-        payload_bytes: int,
+        self, service: str, five_tuple: FiveTuple, now_s: float, payload_bytes: int
     ) -> str:
-        """Run one flow through ``steer`` (the plane's ``admit`` or
-        ``forward``) as a one-row batch; returns its pinned prefix, or
-        raises when a new flow's service has no live destination."""
+        """Forward one flow carrying ``payload_bytes`` (0 = a pure
+        admission) as a one-row batch; returns its pinned prefix, or raises
+        when a new flow's service has no live destination."""
         sid = self.service_id(service)
-        result = steer(
+        result = self._plane.forward(
             FlowBatch.from_flows([(five_tuple, sid, payload_bytes)]),
             {sid: self.selected_prefix(service)},
             now_s,

@@ -56,7 +56,7 @@ class TestFlowTable:
         for plane in planes():
             assert pin(plane, A, 1234, now_s=1.0) == [A]
             # Offering the flow again finds the same entry.
-            result = plane.admit(FlowBatch.from_flows([(ft(), 0, 0.0)]), {0: A}, 2.0)
+            result = plane.forward(FlowBatch.from_flows([(ft(), 0, 0.0)]), {0: A}, 2.0)
             assert (result.admitted, result.existing) == (0, 1)
             assert plane.flow_count() == 1
 
