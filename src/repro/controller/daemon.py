@@ -10,9 +10,10 @@ One :class:`PainterController` iteration:
    retry-with-backoff; exhausted retries degrade the iteration to the
    last-known-good configuration instead of crashing;
 3. **verify** — on a configurable cadence, a differential guard
-   cross-checks the warm result against :meth:`solve_cold`; a mismatch
-   trips a circuit breaker that pins the loop to cold solves for
-   :data:`BREAKER_COOLDOWN` iterations;
+   cross-checks the warm result against a cold
+   :meth:`PainterOrchestrator.solve`; a mismatch trips a circuit breaker
+   that pins the loop to cold solves for :data:`BREAKER_COOLDOWN`
+   iterations;
 4. **apply** — install the configuration through the Traffic Manager
    (when it changed) and optionally run a measurement round
    (``execute_and_observe``) to keep learning;
@@ -481,7 +482,7 @@ class PainterController:
 
             # 3. differential guard / circuit breaker
             if self._verify_due(iteration) and stats.mode == "warm":
-                cold = orch.solve_cold()
+                cold = orch.solve()
                 METRICS.counter("controller.verifications").add()
                 if cold != config:
                     self._divergences += 1

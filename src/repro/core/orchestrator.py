@@ -14,8 +14,8 @@ The middle and inner loops are :func:`repro.core.greedy.lazy_greedy` — the
 ranked scan with lazy re-evaluation (stale marginals are recomputed only
 when they reach the top of the heap), mirroring the paper's note that "UGs
 tend to have paths via a relatively small fraction of ingresses, speeding
-up computation".  Every way of solving here (``solve``, ``solve_cold``,
-``solve_warm``) is that one driver over the row engine
+up computation".  Both ways of solving here (``solve``, ``solve_warm``)
+are that one driver over the row engine
 (:class:`repro.core.rows.RowEngine`), bare or wrapped in the warm-start
 memo; this module only chooses which.
 """
@@ -594,17 +594,6 @@ class PainterOrchestrator:
         """Drop the warm-start memo (the next ``solve_warm`` runs cold)."""
         self._memo = None
 
-    def solve_cold(self) -> AdvertisementConfig:
-        """A from-scratch serial solve leaving all warm-start state alone.
-
-        The controller's differential guard uses this to cross-check a
-        warm solve without consuming the pending dirty set or replacing
-        the memo.
-        """
-        with TRACER.span("orchestrator.solve_cold", budget=self._budget):
-            with METRICS.timed("orchestrator.solve_cold"):
-                return self._solve(self._row_source())
-
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
@@ -620,7 +609,13 @@ class PainterOrchestrator:
     # -- Algorithm 1, middle + inner loops ----------------------------------
 
     def solve(self, record_curve: bool = False) -> AdvertisementConfig:
-        """Greedy allocation of the prefix budget (one outer-loop pass)."""
+        """Greedy allocation of the prefix budget (one outer-loop pass).
+
+        A from-scratch solve that leaves all warm-start state alone: the
+        controller's differential guard uses it to cross-check a warm
+        solve without consuming the pending dirty set or replacing the
+        memo.
+        """
         with TRACER.span("orchestrator.solve", budget=self._budget) as span:
             with METRICS.timed("orchestrator.solve"):
                 config = self._solve(self._row_source(), record_curve)

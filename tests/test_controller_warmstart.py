@@ -182,7 +182,7 @@ class TestWarmEqualsColdLearned:
                 stats = orch.last_warm_stats
                 assert stats.mode == "warm", f"step {step}"
                 patched += stats.patched_evals
-                assert warm == config_pairs(orch.solve_cold()), f"step {step}"
+                assert warm == config_pairs(orch.solve()), f"step {step}"
         finally:
             orch.close()
         assert patched > 0
