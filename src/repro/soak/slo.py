@@ -277,6 +277,8 @@ class SLOLedger:
 
     @classmethod
     def from_state(cls, payload: Mapping[str, Any]) -> "SLOLedger":
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"ledger state is not a mapping: {payload!r}")
         version = payload.get("version")
         if version != LEDGER_VERSION:
             raise ValueError(f"unsupported ledger version {version!r}")

@@ -100,9 +100,18 @@ class LowestLatencySelector:
 
     @classmethod
     def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "LowestLatencySelector":
+        """Inverse of :meth:`to_snapshot`; ``ValueError`` for a snapshot
+        that is not a mapping or names a destination by anything but a
+        ``str``."""
+        if not isinstance(snapshot, Mapping):
+            raise ValueError(f"selector snapshot is not a mapping: {snapshot!r}")
+        current, challenger = snapshot.get("current"), snapshot.get("challenger")
+        for name, value in (("current", current), ("challenger", challenger)):
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"selector {name} must be a str or None, not {value!r}")
         selector = cls()
-        selector._current = snapshot.get("current")
-        selector._challenger = snapshot.get("challenger")
+        selector._current = current
+        selector._challenger = challenger
         selector._challenger_rounds = int(snapshot.get("challenger_rounds", 0))
         selector._switch_count = int(snapshot.get("switch_count", 0))
         return selector
@@ -151,6 +160,8 @@ class SelectorBank:
 
     @classmethod
     def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "SelectorBank":
+        if not isinstance(snapshot, Mapping):
+            raise ValueError(f"selector bank snapshot is not a mapping: {snapshot!r}")
         bank = cls()
         for sid, state in snapshot.items():
             bank._selectors[int(sid)] = LowestLatencySelector.from_snapshot(state)

@@ -247,10 +247,22 @@ class TMEdge:
     def from_snapshot(
         cls, snapshot: Mapping[str, Any], directory: PrefixDirectory
     ) -> "TMEdge":
-        """Rebuild an edge from :meth:`to_snapshot` against a directory."""
+        """Rebuild an edge from :meth:`to_snapshot` against a directory;
+        ``ValueError`` for a snapshot of another version or a malformed one."""
+        if not isinstance(snapshot, Mapping):
+            raise ValueError(f"TM-Edge snapshot is not a mapping: {snapshot!r}")
         version = snapshot.get("version")
         if version != TM_SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version!r}")
+        try:
+            return cls._restored(snapshot, directory)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed TM-Edge snapshot: {exc!r}") from exc
+
+    @classmethod
+    def _restored(
+        cls, snapshot: Mapping[str, Any], directory: PrefixDirectory
+    ) -> "TMEdge":
         plane = VectorFlowTable.from_packed_snapshot(snapshot["data_plane"])
         edge = cls(
             edge_ip=snapshot["edge_ip"],

@@ -289,6 +289,18 @@ def _no_bank(p):
     del p["bank"]
 
 
+def _bank_not_a_mapping(p):
+    p["bank"] = [1]
+
+
+def _selector_not_a_mapping(p):
+    p["bank"] = {"0": 5}
+
+
+def _ledger_not_a_mapping(p):
+    p["ledger"] = [1]
+
+
 def _other_config(p):
     p["config"]["arrivals_per_window"] = 4_000
 
@@ -309,6 +321,9 @@ def _other_world(p):
         _selection_of_another_world,
         _repeated_prefix,
         _no_bank,
+        _bank_not_a_mapping,
+        _selector_not_a_mapping,
+        _ledger_not_a_mapping,
         _other_config,
         _other_world,
     ],

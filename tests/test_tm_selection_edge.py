@@ -267,6 +267,34 @@ class TestTMEdgeBatched:
         with pytest.raises(ValueError, match="unsupported snapshot version"):
             TMEdge.from_snapshot(snapshot, directory)
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda s: s.pop("data_plane"),
+            lambda s: s.pop("edge_ip"),
+            lambda s: s.update(data_plane=[1]),
+            lambda s: s.update(tunnels=[1]),
+            lambda s: s.update(selectors=[1]),
+            lambda s: s.update(selectors={"teams": 5}),
+            lambda s: s["selectors"]["teams"].update(current=5),
+            lambda s: s["selectors"]["teams"].update(challenger=["a"]),
+        ],
+        ids=[
+            "no-data-plane", "no-edge-ip", "data-plane-list", "tunnels-list",
+            "selectors-list", "selector-int", "current-int", "challenger-list",
+        ],
+    )
+    def test_malformed_edge_snapshot_rejected(self, directory, tamper):
+        """A malformed TM-Edge snapshot raises ValueError, not whatever
+        a lookup on the wrong type happens to raise."""
+        edge = TMEdge(edge_ip="203.0.113.1", directory=directory)
+        edge.resolve_service("teams")
+        edge.record_measurements("teams", {"184.164.224.0/24": 10.0})
+        snapshot = json.loads(json.dumps(edge.to_snapshot()))
+        tamper(snapshot)
+        with pytest.raises(ValueError):
+            TMEdge.from_snapshot(snapshot, directory)
+
     def test_edge_snapshot_of_a_scalar_plane_rejected(self, directory):
         """A TM-Edge snapshot carrying the retired per-flow ``scalar``
         plane encoding fails closed instead of restoring an empty plane."""
