@@ -353,8 +353,9 @@ class SoakDriver(ControllerExtension):
             selections = self._bank.update_matrix(names, matrix)
 
             # Failover: flows pinned to a destination with no live route
-            # move, replay-style, onto the fleet's most popular live
-            # destination (deterministic tie-break by name).
+            # move, one batched remap per dead prefix, onto the fleet's
+            # most popular live destination (deterministic tie-break by
+            # name).
             live_names = {
                 names[j]
                 for j in range(len(names))

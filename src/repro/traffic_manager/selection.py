@@ -121,9 +121,10 @@ class SelectorBank:
     """Many independent hysteretic selectors, keyed by integer service id.
 
     The soak driver and the benchmark steer hundreds of user groups at
-    once; each gets its own :class:`LowestLatencySelector` (selection state must not
-    bleed between services), but measurement rounds arrive as one latency
-    matrix.  :meth:`update_matrix` feeds a whole round in a single call.
+    once; each gets its own :class:`LowestLatencySelector` (selection
+    state must not bleed between services), but measurement rounds arrive
+    as one latency matrix.  :meth:`update_matrix` feeds a whole round in a
+    single call.
     """
 
     def __init__(self) -> None:

@@ -36,7 +36,7 @@ from repro.traffic_manager.dataplane import (
 )
 from repro.traffic_manager.flows import FiveTuple
 from repro.traffic_manager.selection import LowestLatencySelector
-from repro.traffic_manager.tm_pop import PrefixDirectory
+from repro.traffic_manager.tm_pop import PrefixDirectory, TMPoP
 from repro.traffic_manager.tunnel import Packet, encapsulate
 
 
