@@ -249,46 +249,38 @@ class TMEdge:
     ) -> "TMEdge":
         """Rebuild an edge from :meth:`to_snapshot` against a directory;
         ``ValueError`` for a snapshot of another version or a malformed one."""
-        if not isinstance(snapshot, Mapping):
-            raise ValueError(f"TM-Edge snapshot is not a mapping: {snapshot!r}")
-        version = snapshot.get("version")
-        if version != TM_SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version!r}")
         try:
-            return cls._restored(snapshot, directory)
+            version = snapshot.get("version")
+            if version != TM_SNAPSHOT_VERSION:
+                raise ValueError(f"unsupported snapshot version {version!r}")
+            plane = VectorFlowTable.from_packed_snapshot(snapshot["data_plane"])
+            edge = cls(
+                edge_ip=snapshot["edge_ip"],
+                directory=directory,
+                data_plane=plane,
+                remap_on_failover=bool(snapshot.get("remap_on_failover", False)),
+            )
+            edge._flows_remapped = int(snapshot.get("flows_remapped", 0))
+            edge._service_ids = {
+                name: int(sid) for name, sid in snapshot.get("services", {}).items()
+            }
+            edge._tunnels = {
+                service: {
+                    prefix: TunnelState(
+                        prefix=prefix,
+                        tm_pop_name=pop_name,
+                        last_rtt_ms=float(rtt),
+                    )
+                    for prefix, (pop_name, rtt) in tunnels.items()
+                }
+                for service, tunnels in snapshot.get("tunnels", {}).items()
+            }
+            edge._selectors = {
+                service: LowestLatencySelector.from_snapshot(state)
+                for service, state in snapshot.get("selectors", {}).items()
+            }
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed TM-Edge snapshot: {exc!r}") from exc
-
-    @classmethod
-    def _restored(
-        cls, snapshot: Mapping[str, Any], directory: PrefixDirectory
-    ) -> "TMEdge":
-        plane = VectorFlowTable.from_packed_snapshot(snapshot["data_plane"])
-        edge = cls(
-            edge_ip=snapshot["edge_ip"],
-            directory=directory,
-            data_plane=plane,
-            remap_on_failover=bool(snapshot.get("remap_on_failover", False)),
-        )
-        edge._flows_remapped = int(snapshot.get("flows_remapped", 0))
-        edge._service_ids = {
-            name: int(sid) for name, sid in snapshot.get("services", {}).items()
-        }
-        edge._tunnels = {
-            service: {
-                prefix: TunnelState(
-                    prefix=prefix,
-                    tm_pop_name=pop_name,
-                    last_rtt_ms=float(rtt),
-                )
-                for prefix, (pop_name, rtt) in tunnels.items()
-            }
-            for service, tunnels in snapshot.get("tunnels", {}).items()
-        }
-        edge._selectors = {
-            service: LowestLatencySelector.from_snapshot(state)
-            for service, state in snapshot.get("selectors", {}).items()
-        }
         return edge
 
 
